@@ -23,15 +23,12 @@ from .mpoly import (
     mul,
     negate,
     s1_series,
-    scale,
     series_from_dict,
     series_to_dict,
     sub,
     substitute_signed,
     times_variable,
-    variable_series,
     with_truncation,
-    zero_series,
 )
 from .hypercat import (
     HyperCatalanQuery,
@@ -48,7 +45,6 @@ from .geode import (
     geode_closed_two_nonzero,
     geode_recurrence_check,
     geode_series,
-    geode_table_to_dict,
 )
 from .identities import (
     LaurentPoly,

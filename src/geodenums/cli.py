@@ -1,9 +1,15 @@
 """Command-line surface: coefficient tables, single coefficients, and the
 verification suites with machine-readable JSON reports.
 
+The suites are the ``suite_<name>`` functions; their keyword defaults are
+the acceptance bounds, and ``tests/test_acceptance.py`` calls them as they
+are.  ``SUITES`` maps each name to its function and to the flags it takes
+with their minimums: ``verify`` checks every set flag against the minimums
+of the suites it will run, then passes each suite only its own flags.
+
 Exit codes: 0 all checks passed, 1 any verification failure, 2 usage or I/O
-error.  Reports are byte-identical across identical invocations except for
-the elapsed_ms fields.
+error, including a bound below its minimum.  Reports are byte-identical
+across identical invocations except for the elapsed_ms fields.
 """
 
 from __future__ import annotations
@@ -15,15 +21,7 @@ from typing import Callable, Sequence
 
 from . import geode, identities, wz
 from .hypercat import functional_residual, hyper_catalan, solve_S
-from .mpoly import (
-    TruncatedSeries,
-    coeff,
-    constant_series,
-    mul,
-    s1_series,
-    series_to_dict,
-    sub,
-)
+from .mpoly import TruncatedSeries, coeff, iter_exponents, series_to_dict
 from .report import VerifyReport, run_case
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
@@ -70,7 +68,24 @@ def geode_coefficient(exps: Sequence[int]) -> int:
 # verify suites
 
 
-def suite_thm1(max_degree: int) -> VerifyReport:
+def _is(expected, value) -> tuple[bool, str]:
+    return value == expected, str(value)
+
+
+def _negative_control(
+    report: VerifyReport, case_id: str, what: str, corrupted: Callable[[], VerifyReport]
+) -> None:
+    """A case that passes when a check fed a sign-flipped `what` fails."""
+    run_case(
+        report,
+        case_id,
+        {},
+        f"sign-flipped {what} must fail",
+        lambda: (not corrupted().all_passed(), f"corrupted {what} detected"),
+    )
+
+
+def suite_thm1(max_degree: int = 12) -> VerifyReport:
     report = VerifyReport("thm1")
     table = geode.geode_series(2, max_degree)
     for m1 in range(max_degree + 1):
@@ -81,15 +96,12 @@ def suite_thm1(max_degree: int) -> VerifyReport:
                 f"m1={m1:02d},m2={m2:02d}",
                 {"m1": m1, "m2": m2},
                 str(closed),
-                lambda m1=m1, m2=m2, closed=closed: (
-                    closed == table.coefficient((m1, m2)),
-                    str(table.coefficient((m1, m2))),
-                ),
+                lambda m=(m1, m2), closed=closed: _is(closed, table.coefficient(m)),
             )
     return report
 
 
-def suite_thm2(max_sum: int, a_values: Sequence[int] = (2, 3, 4, 5)) -> VerifyReport:
+def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> VerifyReport:
     report = VerifyReport("thm2")
     for a in a_values:
         table = geode.geode_series(a, max_sum)
@@ -118,7 +130,7 @@ def suite_thm2(max_sum: int, a_values: Sequence[int] = (2, 3, 4, 5)) -> VerifyRe
     return report
 
 
-def suite_thm3(max_order: int, a_values: Sequence[int] = DEFAULT_THM3_A) -> VerifyReport:
+def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> VerifyReport:
     report = VerifyReport("thm3")
     for a in a_values:
         values = geode.eval_alternating(a, max_order)
@@ -128,15 +140,12 @@ def suite_thm3(max_order: int, a_values: Sequence[int] = DEFAULT_THM3_A) -> Veri
                 f"a={a},n={n:02d}",
                 {"a": a, "n": n},
                 str(a**n),
-                lambda a=a, n=n, values=values: (
-                    values.coefficient(n) == a**n,
-                    str(values.coefficient(n)),
-                ),
+                lambda a=a, n=n, values=values: _is(a**n, values.coefficient(n)),
             )
     return report
 
 
-def suite_eq31(max_n: int, max_a: int) -> VerifyReport:
+def suite_eq31(max_n: int = 7, max_a: int = 3) -> VerifyReport:
     report = VerifyReport("eq31")
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
@@ -145,145 +154,114 @@ def suite_eq31(max_n: int, max_a: int) -> VerifyReport:
                 f"n={n},a={a}",
                 {"n": n, "a": a},
                 str(a ** (n - 1)),
-                lambda n=n, a=a: (
-                    identities.partition_sum_main(n, a) == a ** (n - 1),
-                    str(identities.partition_sum_main(n, a)),
-                ),
+                lambda n=n, a=a: _is(a ** (n - 1), identities.partition_sum_main(n, a)),
             )
     return report
 
 
-def _eq32_sum(n: int, a: int) -> int:
-    total = 0
-    for lam in identities.enumerate_mult_vectors(n, 2 * a):
-        sign = -1 if lam.size % 2 else 1
-        total += (
-            sign
-            * identities.multinomial(n, lam.mult)
-            * identities.binom_general(lam.size + n, lam.size + 1)
-        )
-    return total
+def _binomial_form_sum(n: int, a: int, length: int, shift: int) -> int:
+    """Sum over multiplicity vectors mu of `length` with parts <= 2a of
+    (-1)^|mu| multinomial(length; mu) C(|mu| + shift + n, |mu| + shift + 1)."""
+    return sum(
+        (-1 if mu.size % 2 else 1)
+        * identities.multinomial(length, mu.mult)
+        * identities.binom_general(mu.size + shift + n, mu.size + shift + 1)
+        for mu in identities.enumerate_mult_vectors(length, 2 * a)
+    )
 
 
-def _eq33_sum(n: int, a: int) -> int:
-    total = 0
-    for mu in identities.enumerate_mult_vectors(n - 1, 2 * a):
-        sign = -1 if mu.size % 2 else 1
-        total += (
-            sign
-            * identities.multinomial(n - 1, mu.mult)
-            * identities.binom_general(mu.size + 2 * a + n, mu.size + 2 * a + 1)
-        )
-    return total
-
-
-def suite_claims(max_n: int, max_a: int) -> VerifyReport:
+def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
     report = VerifyReport("claims")
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
+            power = a ** (n - 1)
             for x in range(-2, n + 1):
+                params = {"n": n, "a": a, "x": x}
                 run_case(
                     report,
                     f"claim1,n={n},a={a},x={x:+d}",
-                    {"n": n, "a": a, "x": x},
+                    params,
                     "0",
-                    lambda n=n, a=a, x=x: (
-                        identities.claim1_sum(n, a, x) == 0,
-                        str(identities.claim1_sum(n, a, x)),
-                    ),
+                    lambda n=n, a=a, x=x: _is(0, identities.claim1_sum(n, a, x)),
                 )
                 run_case(
                     report,
                     f"claim2,n={n},a={a},x={x:+d}",
-                    {"n": n, "a": a, "x": x},
-                    str(a ** (n - 1)),
-                    lambda n=n, a=a, x=x: (
-                        identities.claim2_sum(n, a, x) == a ** (n - 1),
-                        str(identities.claim2_sum(n, a, x)),
+                    params,
+                    str(power),
+                    lambda n=n, a=a, x=x, power=power: _is(
+                        power, identities.claim2_sum(n, a, x)
                     ),
                 )
             for x in range(0, n + 1):
+                target = identities.claim2_sum(n, a, x)
                 run_case(
                     report,
                     f"ct,n={n},a={a},x={x:+d}",
                     {"n": n, "a": a, "x": x},
-                    str(identities.claim2_sum(n, a, x)),
-                    lambda n=n, a=a, x=x: (
-                        identities.claim2_ct(n, a, x) == identities.claim2_sum(n, a, x),
-                        str(identities.claim2_ct(n, a, x)),
+                    str(target),
+                    lambda n=n, a=a, x=x, target=target: _is(
+                        target, identities.claim2_ct(n, a, x)
                     ),
                 )
+
             # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
             # is claim1 at x = 0; C(|l|+2a+n, |l|+2a+1) is claim2 at x = 2a.
-            run_case(
-                report,
-                f"eq32,n={n},a={a}",
-                {"n": n, "a": a},
-                "0",
-                lambda n=n, a=a: (
-                    _eq32_sum(n, a) == 0 == identities.claim1_sum(n, a, 0),
-                    str(_eq32_sum(n, a)),
-                ),
-            )
-            run_case(
-                report,
-                f"eq33,n={n},a={a}",
-                {"n": n, "a": a},
-                str(a ** (n - 1)),
-                lambda n=n, a=a: (
-                    _eq33_sum(n, a) == a ** (n - 1) == identities.claim2_sum(n, a, 2 * a),
-                    str(_eq33_sum(n, a)),
-                ),
-            )
+            def eq32(n=n, a=a):
+                value = _binomial_form_sum(n, a, n, 0)
+                return value == 0 == identities.claim1_sum(n, a, 0), str(value)
+
+            def eq33(n=n, a=a, power=power):
+                value = _binomial_form_sum(n, a, n - 1, 2 * a)
+                return value == power == identities.claim2_sum(n, a, 2 * a), str(value)
+
+            run_case(report, f"eq32,n={n},a={a}", {"n": n, "a": a}, "0", eq32)
+            run_case(report, f"eq33,n={n},a={a}", {"n": n, "a": a}, str(power), eq33)
     return report
 
 
-def suite_wz1(max_n: int) -> VerifyReport:
+def suite_wz1(max_n: int = 200) -> VerifyReport:
     report = wz.check_wz1(max_n)
-    run_case(
+    _negative_control(
         report,
         "negative-control-H",
-        {},
-        "sign-flipped companion must fail",
-        lambda: (
-            not wz.check_wz1(2, h=lambda n, k: -wz.H1(n, k)).all_passed(),
-            "corrupted companion detected",
-        ),
+        "companion",
+        lambda: wz.check_wz1(2, h=lambda n, k: -wz.H1(n, k)),
     )
     return report
 
 
-def suite_wz2(max_n: int, a_values: Sequence[int] = DEFAULT_WZ2_A) -> VerifyReport:
+def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> VerifyReport:
     report = VerifyReport("wz2")
     for a in a_values:
         sub_report = wz.check_wz2(a, max_n)
         for case in sub_report.cases:
             case.id = f"a={a},{case.id}"
             report.cases.append(case)
+    _negative_control(
+        report,
+        "negative-control-H",
+        "companion",
+        lambda: wz.check_wz2(3, 3, h=lambda a, n, k: -wz.H2(a, n, k)),
+    )
     return report
 
 
-def suite_certificate(max_n: int) -> VerifyReport:
+def suite_certificate(max_n: int = 100) -> VerifyReport:
     report = wz.check_certificate_R(max_n)
-    run_case(
+    _negative_control(
         report,
         "negative-control-R",
-        {},
-        "sign-flipped certificate must fail",
-        lambda: (
-            not wz.check_certificate_R(
-                3, companion=lambda n, m: -wz.certificate_companion(n, m)
-            ).all_passed(),
-            "corrupted certificate detected",
+        "certificate",
+        lambda: wz.check_certificate_R(
+            3, companion=lambda n, m: -wz.certificate_companion(n, m)
         ),
     )
     return report
 
 
-def suite_recurrence(max_vars: int, max_degree: int) -> VerifyReport:
+def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> VerifyReport:
     report = VerifyReport("recurrence")
-    from .mpoly import iter_exponents
-
     for r in range(1, max_vars + 1):
         table = geode.geode_series(r, max_degree - 1)
         for d in range(1, max_degree + 1):
@@ -306,7 +284,7 @@ def suite_recurrence(max_vars: int, max_degree: int) -> VerifyReport:
 
 
 def suite_two_nonzero(
-    max_n: int, pairs: Sequence[tuple[int, int]] = ((1, 2), (1, 3), (2, 3), (2, 5))
+    max_n: int = 7, pairs: Sequence[tuple[int, int]] = ((1, 2), (1, 3), (2, 3), (2, 5))
 ) -> VerifyReport:
     report = VerifyReport("two-nonzero")
     nvars = max(t for _, t in pairs)
@@ -335,7 +313,7 @@ def suite_two_nonzero(
     return report
 
 
-def suite_general_eval(max_order: int) -> VerifyReport:
+def suite_general_eval(max_order: int = 8) -> VerifyReport:
     report = VerifyReport("general-eval")
 
     def powers_case(a, c, base, order):
@@ -371,7 +349,7 @@ def suite_general_eval(max_order: int) -> VerifyReport:
     return report
 
 
-def suite_oracle(max_vars: int, max_degree: int) -> VerifyReport:
+def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> VerifyReport:
     """Self-consistency of the oracle itself: the defining equation residual
     vanishes and S - 1 = (t_1+...+t_r) G holds through the truncation."""
     report = VerifyReport("oracle")
@@ -399,62 +377,43 @@ def suite_oracle(max_vars: int, max_degree: int) -> VerifyReport:
     return report
 
 
-SUITE_NAMES = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "eq31",
-    "claims",
-    "wz1",
-    "wz2",
-    "certificate",
-    "recurrence",
-    "two-nonzero",
-    "general-eval",
-    "oracle",
-)
+# Every suite, in `verify all` order, with the flags it takes and the smallest
+# value each flag accepts.  Unset flags keep the suite's defaults; --a runs a
+# single a_values entry.
+SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, int]]] = {
+    "thm1": (suite_thm1, {"max_degree": 0}),
+    "thm2": (suite_thm2, {"max_sum": 0}),
+    "thm3": (suite_thm3, {"max_order": 0, "a": 1}),
+    "eq31": (suite_eq31, {"max_n": 1, "max_a": 1}),
+    "claims": (suite_claims, {"max_n": 1, "max_a": 1}),
+    "wz1": (suite_wz1, {"max_n": 1}),
+    "wz2": (suite_wz2, {"max_n": 1, "a": 2}),
+    "certificate": (suite_certificate, {"max_n": 1}),
+    "recurrence": (suite_recurrence, {"max_vars": 1, "max_degree": 1}),
+    "two-nonzero": (suite_two_nonzero, {"max_n": 1}),
+    "general-eval": (suite_general_eval, {"max_order": 0}),
+    "oracle": (suite_oracle, {"max_vars": 1, "max_degree": 0}),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
+def _check_bounds(
+    names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    for name in names:
+        for flag, minimum in SUITES[name][1].items():
+            value = getattr(args, flag)
+            if value is not None and value < minimum:
+                option = "--" + flag.replace("_", "-")
+                parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
 
 
 def _run_suite(name: str, args: argparse.Namespace) -> VerifyReport:
-    if name == "thm1":
-        return suite_thm1(args.max_degree if args.max_degree is not None else 12)
-    if name == "thm2":
-        return suite_thm2(args.max_sum if args.max_sum is not None else 8)
-    if name == "thm3":
-        a_values = (args.a,) if args.a is not None else DEFAULT_THM3_A
-        return suite_thm3(args.max_order if args.max_order is not None else 8, a_values)
-    if name == "eq31":
-        return suite_eq31(
-            args.max_n if args.max_n is not None else 7,
-            args.max_a if args.max_a is not None else 3,
-        )
-    if name == "claims":
-        return suite_claims(
-            args.max_n if args.max_n is not None else 7,
-            args.max_a if args.max_a is not None else 3,
-        )
-    if name == "wz1":
-        return suite_wz1(args.max_n if args.max_n is not None else 200)
-    if name == "wz2":
-        a_values = (args.a,) if args.a is not None else DEFAULT_WZ2_A
-        return suite_wz2(args.max_n if args.max_n is not None else 100, a_values)
-    if name == "certificate":
-        return suite_certificate(args.max_n if args.max_n is not None else 100)
-    if name == "recurrence":
-        return suite_recurrence(
-            args.max_vars if args.max_vars is not None else 4,
-            args.max_degree if args.max_degree is not None else 8,
-        )
-    if name == "two-nonzero":
-        return suite_two_nonzero(args.max_n if args.max_n is not None else 7)
-    if name == "general-eval":
-        return suite_general_eval(args.max_order if args.max_order is not None else 8)
-    if name == "oracle":
-        return suite_oracle(
-            args.max_vars if args.max_vars is not None else 4,
-            args.max_degree if args.max_degree is not None else 10,
-        )
-    raise ValueError(f"unknown suite {name!r}")
+    suite, flags = SUITES[name]
+    kwargs = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    if "a" in kwargs:
+        kwargs["a_values"] = (kwargs.pop("a"),)
+    return suite(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +485,12 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    _check_bounds(names, args, parser)
     if args.suite == "all":
         merged = VerifyReport("all")
-        for name in SUITE_NAMES:
+        for name in names:
             sub_report = _run_suite(name, args)
             for case in sub_report.cases:
                 case.id = f"{name}/{case.id}"
@@ -563,7 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_table(args, parser)
     if args.command == "coeff":
         return _cmd_coeff(args, parser)
-    return _cmd_verify(args)
+    return _cmd_verify(args, parser)
 
 
 if __name__ == "__main__":

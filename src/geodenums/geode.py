@@ -32,9 +32,9 @@ from .mpoly import (
     divide_exact_by_s1,
     mul,
     s1_series,
-    series_to_dict,
     sub,
     substitute_signed,
+    with_truncation,
 )
 
 
@@ -51,15 +51,12 @@ class GeodeTable:
 
     def factorization_holds(self) -> bool:
         """Re-check S - 1 == (t_1 + ... + t_r) * G through trunc + 1."""
-        s = solve_S(self.nvars, self.trunc + 1)
-        lhs = sub(s, constant_series(self.nvars, self.trunc + 1, 1))
-        rhs = mul(s1_series(self.nvars, self.trunc + 1), _lift(self.series))
+        top = self.trunc + 1
+        s = solve_S(self.nvars, top)
+        lhs = sub(s, constant_series(self.nvars, top, 1))
+        # One extra order so the product with the linear form keeps its top layer.
+        rhs = mul(s1_series(self.nvars, top), with_truncation(self.series, top))
         return lhs == rhs
-
-
-def _lift(g: TruncatedSeries) -> TruncatedSeries:
-    # One extra order so the product with the linear form keeps its top layer.
-    return TruncatedSeries(g.nvars, g.trunc + 1, dict(g.terms))
 
 
 @lru_cache(maxsize=None)
@@ -194,12 +191,3 @@ def geode_recurrence_check(table: GeodeTable, m: Sequence[int]) -> bool:
             total += table.coefficient(m[:k] + (e - 1,) + m[k + 1 :])
     return total == hyper_catalan(m)
 
-
-def geode_table_to_dict(table: GeodeTable) -> dict:
-    """JSON-ready form: series payload plus an identifying header."""
-    return {
-        "kind": "geode",
-        "r": table.nvars,
-        "trunc": table.trunc,
-        "series": series_to_dict(table.series),
-    }

@@ -129,21 +129,8 @@ def iter_exponents(nvars: int, total: int) -> Iterator[ExpVec]:
             yield (head,) + rest
 
 
-def zero_series(nvars: int, trunc: int) -> TruncatedSeries:
-    return TruncatedSeries(nvars, trunc, {})
-
-
 def constant_series(nvars: int, trunc: int, value: int) -> TruncatedSeries:
     return TruncatedSeries(nvars, trunc, {(0,) * nvars: value})
-
-
-def variable_series(nvars: int, trunc: int, k: int) -> TruncatedSeries:
-    """The single variable t_k (k is 1-based)."""
-    if not 1 <= k <= nvars:
-        raise ValueError(f"variable index {k} outside 1..{nvars}")
-    exps = [0] * nvars
-    exps[k - 1] = 1
-    return TruncatedSeries(nvars, trunc, {tuple(exps): 1})
 
 
 def s1_series(nvars: int, trunc: int) -> TruncatedSeries:
@@ -193,10 +180,6 @@ def negate(a: TruncatedSeries) -> TruncatedSeries:
 
 def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return add(a, negate(b))
-
-
-def scale(a: TruncatedSeries, value: int) -> TruncatedSeries:
-    return TruncatedSeries(a.nvars, a.trunc, {m: value * c for m, c in a.terms.items()})
 
 
 def _packed_layers(

@@ -1,45 +1,45 @@
 """Acceptance suite: every verification target at its full stated bounds.
 
-Each test prints one line naming the check, its scale, the wall time and
-PASS/FAIL (run pytest with -s to see the lines as they happen).  All
-comparisons are exact integer or rational equality; the time limits are the
-stated per-check budgets.
+Each test runs the same suite definitions as `geodenums verify`, at their
+default bounds (the acceptance bounds), asserts that every case passed and
+pins the case count.  Each prints one line naming the check, its scale, the
+wall time and PASS/FAIL (run pytest with -s to see the lines as they
+happen).  All comparisons are exact integer or rational equality; the time
+limits are the stated per-check budgets.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from math import comb
 
-from geodenums.geode import (
-    eval_alternating,
-    eval_general,
-    geode_closed_2var,
-    geode_closed_shifted,
-    geode_closed_two_nonzero,
-    geode_recurrence_check,
-    geode_series,
-)
-from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
-from geodenums.identities import (
-    binom_general,
-    claim1_sum,
-    claim2_ct,
-    claim2_sum,
-    enumerate_mult_vectors,
-    multinomial,
-    partition_sum_main,
-)
-from geodenums.mpoly import constant_series, iter_exponents, mul, s1_series, sub, with_truncation
-from geodenums.wz import (
-    H1,
-    H2,
-    ORIENT_F_DIFFERENCE,
-    certificate_companion,
-    check_certificate_R,
-    check_wz1,
-    check_wz2,
-)
+from geodenums import cli
+from geodenums.geode import geode_series
+from geodenums.wz import ORIENT_F_DIFFERENCE
+
+# Cases per suite at the default bounds.
+CASES = {
+    "thm1": 91,
+    "thm2": 180,
+    "thm3": 27,
+    "eq31": 21,
+    "claims": 441,
+    "wz1": 201,
+    "wz2": 401,
+    "certificate": 102,
+    "recurrence": 32,
+    "two-nonzero": 28,
+    "general-eval": 3,
+    "oracle": 8,
+}
+
+
+def _passing(name: str):
+    suite, _ = cli.SUITES[name]
+    report = suite()
+    assert report.all_passed(), report.first_failure()
+    assert report.total == CASES[name], (name, report.total)
+    return report
 
 
 def _report(label: str, start: float, budget_s: float, cases: int) -> None:
@@ -50,13 +50,8 @@ def _report(label: str, start: float, budget_s: float, cases: int) -> None:
 
 def test_01_two_variable_closed_form_vs_oracle():
     start = time.perf_counter()
+    cases = _passing("thm1").total
     table = geode_series(2, 12)
-    cases = 0
-    for d in range(13):
-        for m1, m2 in iter_exponents(2, d):
-            assert geode_closed_2var(m1, m2) == table.coefficient((m1, m2)), (m1, m2)
-            cases += 1
-    assert cases == 91
     layer2 = {m: c for m, c in table.series.terms.items() if sum(m) == 2}
     layer3 = {m: c for m, c in table.series.terms.items() if sum(m) == 3}
     assert layer2 == {(2, 0): 5, (1, 1): 16, (0, 2): 12}
@@ -66,147 +61,68 @@ def test_01_two_variable_closed_form_vs_oracle():
 
 def test_02_shifted_closed_form_vs_oracle():
     start = time.perf_counter()
-    cases = 0
-    for a in (2, 3, 4, 5):
-        table = geode_series(a, 8)
-        for p in range(9):
-            for q in range(9 - p):
-                exps = [0] * a
-                exps[a - 2] = p
-                exps[a - 1] = q
-                assert geode_closed_shifted(a, p, q) == table.coefficient(exps), (a, p, q)
-                if a == 2:
-                    assert geode_closed_shifted(2, p, q) == geode_closed_2var(p, q)
-                cases += 1
+    cases = _passing("thm2").total
     _report("shifted two-slot closed form vs oracle, a in 2..5, sum <= 8", start, 60, cases)
 
 
 def test_03_alternating_evaluation_gives_powers():
     start = time.perf_counter()
-    cases = 0
-    for a in (1, 2, 3):
-        values = eval_alternating(a, 8)
-        for n in range(9):
-            assert values.coefficient(n) == a**n, (a, n)
-            cases += 1
+    cases = _passing("thm3").total
     _report("alternating evaluation equals a^n, a in 1..3, order 8", start, 120, cases)
 
 
 def test_04_main_partition_sum():
     start = time.perf_counter()
-    cases = 0
-    for n in range(1, 8):
-        for a in (1, 2, 3):
-            assert partition_sum_main(n, a) == a ** (n - 1), (n, a)
-            cases += 1
+    cases = _passing("eq31").total
     _report("main partition sum equals a^(n-1), n <= 7, a <= 3", start, 10, cases)
 
 
 def test_05_claim_sums_and_constant_term_route():
     start = time.perf_counter()
-    cases = 0
-    for n in range(1, 8):
-        for a in (1, 2, 3):
-            for x in range(-2, n + 1):
-                assert claim1_sum(n, a, x) == 0, (n, a, x)
-                assert claim2_sum(n, a, x) == a ** (n - 1), (n, a, x)
-                cases += 2
-            for x in range(0, n + 1):
-                assert claim2_ct(n, a, x) == claim2_sum(n, a, x), (n, a, x)
-                cases += 1
-            # explicit specializations: the lower-index binomial forms
-            eq32 = sum(
-                (-1 if lam.size % 2 else 1)
-                * multinomial(n, lam.mult)
-                * binom_general(lam.size + n, lam.size + 1)
-                for lam in enumerate_mult_vectors(n, 2 * a)
-            )
-            assert eq32 == 0 == claim1_sum(n, a, 0), (n, a)
-            eq33 = sum(
-                (-1 if mu.size % 2 else 1)
-                * multinomial(n - 1, mu.mult)
-                * binom_general(mu.size + 2 * a + n, mu.size + 2 * a + 1)
-                for mu in enumerate_mult_vectors(n - 1, 2 * a)
-            )
-            assert eq33 == a ** (n - 1) == claim2_sum(n, a, 2 * a), (n, a)
-            cases += 2
+    cases = _passing("claims").total
     _report("claim sums, specializations and constant-term route", start, 30, cases)
 
 
 def test_06_telescoping_suites_with_negative_controls():
     start = time.perf_counter()
-    report1 = check_wz1(200)
-    assert report1.all_passed(), report1.first_failure()
-    cases = report1.total
-    for a in (2, 3, 4, 5):
-        report2 = check_wz2(a, 100)
-        assert report2.all_passed(), report2.first_failure()
-        cases += report2.total
-    cert = check_certificate_R(100)
-    assert cert.all_passed(), cert.first_failure()
-    orientation = [c for c in cert.cases if c.id == "orientation"]
+    reports = [_passing(name) for name in ("wz1", "wz2", "certificate")]
+    ids = [{c.id for c in report.cases} for report in reports]
+    assert "negative-control-H" in ids[0] and "negative-control-H" in ids[1]
+    assert "negative-control-R" in ids[2]
+    orientation = [c for c in reports[2].cases if c.id == "orientation"]
     assert orientation and orientation[0].actual == ORIENT_F_DIFFERENCE
-    cases += cert.total
-    # negative controls: corrupted companions must be caught
-    assert not check_wz1(3, h=lambda n, k: -H1(n, k)).all_passed()
-    assert not check_wz2(3, 3, h=lambda a, n, k: -H2(a, n, k)).all_passed()
-    assert not check_certificate_R(
-        3, companion=lambda n, m: -certificate_companion(n, m)
-    ).all_passed()
-    cases += 3
+    cases = sum(report.total for report in reports)
     _report("telescoping pairs, certificate and negative controls", start, 30, cases)
 
 
 def test_07_recurrence_layers():
     start = time.perf_counter()
-    cases = 0
-    for r in (1, 2, 3, 4):
-        table = geode_series(r, 7)
-        for d in range(1, 9):
-            for m in iter_exponents(r, d):
-                assert geode_recurrence_check(table, m), m
-                cases += 1
+    cases = _passing("recurrence").total
     _report("coefficient recurrence sum_k G[m-e_k] = C[m], r <= 4, deg <= 8", start, 30, cases)
 
 
 def test_08_two_nonzero_closed_form_vs_oracle():
     start = time.perf_counter()
-    pairs = ((1, 2), (1, 3), (2, 3), (2, 5))
-    table = geode_series(5, 6)
-    cases = 0
-    for s, t in pairs:
-        for n in range(1, 8):
-            for i in range(n):
-                closed = geode_closed_two_nonzero(s, t, n, i)
-                exps = [0] * 5
-                exps[s - 1] = n - 1 - i
-                exps[t - 1] = i
-                assert closed == table.coefficient(exps), (s, t, n, i)
-                if (s, t) == (1, 2):
-                    assert closed == geode_closed_2var(n - 1 - i, i)
-                cases += 1
+    cases = _passing("two-nonzero").total
     _report("two-nonzero-slot closed form vs oracle, n <= 7", start, 60, cases)
 
 
 def test_09_general_evaluation():
     start = time.perf_counter()
-    seven = eval_general(2, (2, 3), 6)
-    assert seven.coeffs == tuple(7**n for n in range(7))
-    three = eval_general(1, (3,), 8)
-    assert three.coeffs == tuple(3**n for n in range(9))
-    assert eval_general(2, (1, 1), 8) == eval_alternating(2, 8)
-    _report("general weighted evaluation gives (2a c_a - sum c)^n", start, 60, 3)
+    cases = _passing("general-eval").total
+    _report("general weighted evaluation gives (2a c_a - sum c)^n", start, 60, cases)
 
 
 def test_10_oracle_self_consistency():
     start = time.perf_counter()
-    cases = 0
-    for r in (1, 2, 3, 4):
-        s = solve_S(r, 10)
-        assert functional_residual(s).is_zero(), r
-        table = geode_series(r, 10)
-        lhs = sub(s, constant_series(r, 10, 1))
-        product = mul(s1_series(r, 10), with_truncation(table.series, 10))
-        assert lhs == product, r
-        cases += 2
+    cases = _passing("oracle").total
     _report("oracle residual and exact factorization, r <= 4, order 10", start, 30, cases)
+
+
+def test_11_verify_all_runs_every_pinned_case(tmp_path, capsys):
+    start = time.perf_counter()
+    path = tmp_path / "all.json"
+    assert cli.main(["verify", "all", "--report", str(path)]) == 0
+    summary = json.loads(path.read_text())["summary"]
+    assert summary["total"] == summary["passed"] == sum(CASES.values()) == 1535
+    _report("verify all at the default bounds", start, 60, summary["total"])

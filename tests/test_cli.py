@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from geodenums import cli
+from geodenums import cli, geode, identities
 from geodenums.geode import geode_series
 from geodenums.report import VerifyReport, run_case
 
@@ -113,7 +113,7 @@ def test_verify_failure_maps_to_exit_one(monkeypatch, capsys):
     failing = VerifyReport("thm1")
     run_case(failing, "forced", {}, "1", lambda: (False, "2"))
 
-    monkeypatch.setattr(cli, "suite_thm1", lambda max_degree: failing)
+    monkeypatch.setitem(cli.SUITES, "thm1", (lambda **bounds: failing, cli.SUITES["thm1"][1]))
     code, out = run_cli(capsys, "verify", "thm1")
     assert code == 1
     assert json.loads(out)["summary"]["failed"] == 1
@@ -127,7 +127,7 @@ def test_verify_error_status_counts_as_failure(monkeypatch, capsys):
     run_case(erroring, "explodes", {}, "1", boom)
     assert erroring.cases[0].status == "error"
 
-    monkeypatch.setattr(cli, "suite_thm1", lambda max_degree: erroring)
+    monkeypatch.setitem(cli.SUITES, "thm1", (lambda **bounds: erroring, cli.SUITES["thm1"][1]))
     code, _ = run_cli(capsys, "verify", "thm1")
     assert code == 1
 
@@ -154,3 +154,51 @@ def test_verify_thm3_report_shows_powers(capsys):
     data = json.loads(out)
     actuals = [c["actual"] for c in data["cases"]]
     assert actuals == [str(2**n) for n in range(5)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm3", "--a", "0"],
+    ["wz2", "--a", "1"],
+    ["thm1", "--max-degree", "-1"],
+    ["thm2", "--max-sum", "-1"],
+    ["two-nonzero", "--max-n", "0"],
+    ["recurrence", "--max-degree", "0"],
+    ["all", "--a", "1"],
+    ["oracle", "--max-degree", "-1"],
+    ["general-eval", "--max-order", "-1"],
+    ["eq31", "--max-n", "0"],
+    ["claims", "--max-a", "0"],
+    ["recurrence", "--max-vars", "0"],
+    ["wz2", "--max-n", "0"],
+    ["wz1", "--max-n", "0"],
+    ["certificate", "--max-n", "0"],
+], ids=" ".join)
+def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
+    def must_not_run(**bounds):
+        raise AssertionError("a suite ran before the bounds were checked")
+
+    for name, (_, minimums) in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, (must_not_run, minimums))
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv, "--report", str(report_path)])
+    assert exc.value.code == 2
+    assert not report_path.exists()
+    assert capsys.readouterr().err.splitlines()[-1].startswith("geodenums: error: verify ")
+
+
+@pytest.mark.parametrize("name, module, function, bounds", [
+    ("thm1", geode, "geode_closed_2var", {"max_degree": 3}),
+    ("thm2", geode, "geode_closed_shifted", {"max_sum": 2}),
+    ("two-nonzero", geode, "geode_closed_two_nonzero", {"max_n": 3}),
+    ("eq31", identities, "partition_sum_main", {"max_n": 3, "max_a": 2}),
+    ("claims", identities, "claim2_ct", {"max_n": 2, "max_a": 1}),
+    ("recurrence", geode, "hyper_catalan", {"max_vars": 2, "max_degree": 3}),
+])
+def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, monkeypatch):
+    suite, _ = cli.SUITES[name]
+    assert suite(**bounds).all_passed()
+    original = getattr(module, function)
+    monkeypatch.setattr(module, function, lambda *args: original(*args) + 1)
+    report = suite(**bounds)
+    assert any(case.status == "fail" for case in report.cases)

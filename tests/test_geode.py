@@ -14,10 +14,9 @@ from geodenums.geode import (
     geode_closed_two_nonzero,
     geode_recurrence_check,
     geode_series,
-    geode_table_to_dict,
 )
 from geodenums.hypercat import hyper_catalan
-from geodenums.mpoly import OutOfRangeError, iter_exponents, series_from_dict
+from geodenums.mpoly import OutOfRangeError, iter_exponents
 
 
 def test_low_degree_layers():
@@ -151,11 +150,3 @@ def test_closed_forms_positive():
         for i in range(n):
             assert geode_closed_two_nonzero(2, 4, n, i) > 0
 
-
-def test_table_export_header_and_payload():
-    table = geode_series(2, 2)
-    data = geode_table_to_dict(table)
-    assert data["kind"] == "geode"
-    assert data["r"] == 2
-    assert data["trunc"] == 2
-    assert series_from_dict(data["series"]) == table.series

@@ -26,9 +26,7 @@ from geodenums.mpoly import (
     sub,
     substitute_signed,
     times_variable,
-    variable_series,
     with_truncation,
-    zero_series,
 )
 
 
@@ -89,25 +87,25 @@ def test_equality_includes_trunc_and_nvars():
 
 
 def test_add_cancellation_gives_zero_series():
-    t1 = variable_series(2, 3, 1)
-    assert add(t1, negate(t1)) == zero_series(2, 3)
+    t1 = TruncatedSeries(2, 3, {(1, 0): 1})
+    assert add(t1, negate(t1)) == TruncatedSeries(2, 3, {})
 
 
 def test_add_disjoint_terms():
     a = TruncatedSeries(2, 3, {(0, 0): 1, (1, 0): 1})
-    b = variable_series(2, 3, 2)
+    b = TruncatedSeries(2, 3, {(0, 1): 1})
     assert add(a, b).terms == {(0, 0): 1, (1, 0): 1, (0, 1): 1}
 
 
 def test_s1_built_from_variables():
-    built = add(variable_series(2, 3, 1), variable_series(2, 3, 2))
+    built = add(TruncatedSeries(2, 3, {(1, 0): 1}), TruncatedSeries(2, 3, {(0, 1): 1}))
     assert built == s1_series(2, 3)
     assert built.terms == {(1, 0): 1, (0, 1): 1}
 
 
 def test_add_requires_same_nvars():
     with pytest.raises(VariableCountMismatchError):
-        add(zero_series(2, 3), zero_series(3, 3))
+        add(TruncatedSeries(2, 3, {}), TruncatedSeries(3, 3, {}))
 
 
 def test_add_truncates_to_min():
@@ -136,8 +134,8 @@ def test_mul_difference_of_squares():
 
 def test_mul_drops_terms_beyond_truncation():
     top = TruncatedSeries(2, 3, {(3, 0): 1})
-    lin = variable_series(2, 3, 1)
-    assert mul(top, lin) == zero_series(2, 3)
+    lin = TruncatedSeries(2, 3, {(1, 0): 1})
+    assert mul(top, lin) == TruncatedSeries(2, 3, {})
 
 
 def test_mul_commutative_and_matches_naive():
@@ -164,7 +162,8 @@ def test_times_variable_matches_mul():
     rng = random.Random(3)
     a = random_series(rng, 3, 5)
     for k in (1, 2, 3):
-        assert times_variable(a, k) == mul(a, variable_series(3, 5, k))
+        t_k = TruncatedSeries(3, 5, {tuple(int(i == k - 1) for i in range(3)): 1})
+        assert times_variable(a, k) == mul(a, t_k)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def test_divide_difference_of_squares():
 
 def test_divide_single_variable_not_divisible():
     with pytest.raises(NotDivisibleError):
-        divide_exact_by_s1(variable_series(2, 2, 1))
+        divide_exact_by_s1(TruncatedSeries(2, 2, {(1, 0): 1}))
 
 
 def test_divide_rejects_nonzero_constant():
@@ -240,7 +239,7 @@ def test_substitute_signed_is_linear():
 
 def test_substitute_weight_count_checked():
     with pytest.raises(VariableCountMismatchError):
-        substitute_signed(zero_series(2, 2), (1,))
+        substitute_signed(TruncatedSeries(2, 2, {}), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def test_coeff_beyond_truncation_raises():
 
 
 def test_coeff_validates_query():
-    s = zero_series(2, 3)
+    s = TruncatedSeries(2, 3, {})
     with pytest.raises(VariableCountMismatchError):
         coeff(s, (1,))
     with pytest.raises(ValueError):
