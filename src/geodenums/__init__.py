@@ -47,7 +47,6 @@ from .geode import (
     geode_series,
 )
 from .identities import (
-    LaurentPoly,
     MultVector,
     binom_general,
     claim1_sum,

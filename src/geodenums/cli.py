@@ -8,8 +8,9 @@ with their minimums: ``verify`` checks every set flag against the minimums
 of the suites it will run, then passes each suite only its own flags.
 
 Exit codes: 0 all checks passed, 1 any verification failure, 2 usage or I/O
-error, including a bound below its minimum.  Reports are byte-identical
-across identical invocations except for the elapsed_ms fields.
+error, including a bound below its minimum and a ``table`` or ``coeff``
+request whose S table would exceed ``MAX_ORACLE_MONOMIALS``.  Reports are
+byte-identical across identical invocations except for the elapsed_ms fields.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from typing import Callable, Sequence
 
 from . import geode, identities, wz
@@ -27,9 +29,26 @@ from .report import VerifyReport, run_case
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
+# Largest S table (monomial count) that `table` and `coeff` will solve for.
+# The largest table the suites build is S at r = 6, degree 9 (5005 monomials).
+MAX_ORACLE_MONOMIALS = 20_000
+
 
 # ---------------------------------------------------------------------------
 # table / coeff
+
+
+def _check_oracle_size(r: int, degree: int, parser: argparse.ArgumentParser) -> None:
+    """Refuse, before any solving, an S table in r variables through `degree`
+    with more than MAX_ORACLE_MONOMIALS monomials, or more variables than that
+    (a degree-0 table has one monomial but an r-entry exponent tuple).  The
+    count is at least degree + 1, so a huge degree is refused before comb."""
+    limit = MAX_ORACLE_MONOMIALS
+    if max(r, degree) > limit or comb(r + degree, r) > limit:
+        parser.error(
+            f"an S table in {r} variables through degree {degree} is too large: "
+            f"more than {limit} monomials or variables"
+        )
 
 
 def _series_for_table(kind: str, nvars: int, max_degree: int) -> TruncatedSeries:
@@ -458,6 +477,7 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--vars must be >= 1, got {args.vars}")
     if args.max_degree < 0:
         parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
+    _check_oracle_size(args.vars, args.max_degree + (args.kind == "G"), parser)
     series = _series_for_table(args.kind, args.vars, args.max_degree)
     if args.out == "-":
         _write_table(series, args.format, sys.stdout)
@@ -478,6 +498,8 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--exps must be a comma-separated integer list, got {args.exps!r}")
     if not exps or any(e < 0 for e in exps):
         parser.error(f"--exps entries must be nonnegative, got {args.exps!r}")
+    if args.kind == "G" and sum(map(bool, exps)) >= 3:
+        _check_oracle_size(len(exps), sum(exps) + 1, parser)
     if args.kind == "C":
         print(hyper_catalan(exps))
     else:

@@ -17,7 +17,6 @@ Closed forms divide factorials; every division asserts exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -59,12 +58,13 @@ class GeodeTable:
         return lhs == rhs
 
 
-@lru_cache(maxsize=None)
 def geode_series(r: int, max_degree: int) -> GeodeTable:
     """Extract G = (S - 1) / (t_1 + ... + t_r) from the oracle.
 
-    Divisibility is guaranteed; a NotDivisibleError here means a bug, not a
-    property of the input.  Cached; treat results as immutable.
+    Solves S through max_degree + 1 and divides exactly, so the quotient is
+    exact through max_degree.  Divisibility is guaranteed; a
+    NotDivisibleError here means a bug, not a property of the input.  Every
+    call builds a new table.
     """
     s = solve_S(r, max_degree + 1)
     numerator = sub(s, constant_series(r, max_degree + 1, 1))

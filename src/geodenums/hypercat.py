@@ -7,16 +7,15 @@ S[t_1..t_r] is the unique formal series with constant term 1 satisfying
 Its coefficients C[m_1..m_r] are the hyper-Catalan numbers; the r = 1 column
 is the Catalan numbers and a single t_k gives a Fuss-Catalan family.
 
-``solve_S`` obtains S by fixed-point iteration of the defining equation and
-serves as the ground-truth oracle for the whole package; ``hyper_catalan``
-is the independent closed form.  Agreement of the two is itself one of the
-verification suites.
+``solve_S`` obtains S from the defining equation, one fixed-point pass per
+total degree, and serves as the ground-truth oracle for the whole package;
+it keeps no state between calls.  ``hyper_catalan`` is the independent
+closed form.  Agreement of the two is itself one of the verification suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .mpoly import (
     mul,
     sub,
     times_variable,
+    with_truncation,
 )
 
 
@@ -54,23 +54,23 @@ class HyperCatalanQuery:
         return sum(self.m)
 
 
-@lru_cache(maxsize=None)
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     """Series solution of S = 1 + sum_k t_k S^{k+1}, exact through max_degree.
 
-    Iterates alpha <- 1 + sum_k t_k alpha^{k+1} from alpha = 1.  Each pass
-    fixes one more total degree (the right side only reads degree d terms to
-    produce degree d+1), so max_degree + 1 passes are run; no convergence
-    test is needed.  Results are cached and must be treated as immutable.
+    Starts from alpha = 1 at truncation 0.  For each d = 1..max_degree it
+    lifts alpha to truncation d and runs one pass alpha <- 1 + sum_k t_k
+    alpha^{k+1} at truncation d.  Layer d of the right side reads only the
+    layers of alpha below d, which are already exact, so the pass fixes
+    layer d; no convergence test is needed.  Every call builds a new series.
     """
     if r < 1:
         raise ValueError(f"need at least one variable, got r={r}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    one = constant_series(r, max_degree, 1)
-    alpha = one
-    for _ in range(max_degree + 1):
-        total = one
+    alpha = constant_series(r, 0, 1)
+    for d in range(1, max_degree + 1):
+        alpha = with_truncation(alpha, d)
+        total = constant_series(r, d, 1)
         power = alpha
         for k in range(1, r + 1):
             power = mul(power, alpha)

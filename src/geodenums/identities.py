@@ -8,9 +8,9 @@ evaluate to strikingly simple values:
   * partition_sum_main(n, a)  -> a^(n-1)
   * claim1_sum(n, a, x)       -> 0           (any integer x)
   * claim2_sum(n, a, x)       -> a^(n-1)     (any integer x)
-  * claim2_ct(n, a, x)        -> the same value via constant-term extraction
-                                 from a Laurent polynomial, an independent
-                                 route that never enumerates partitions
+  * claim2_ct(n, a, x)        -> the same value via constant-term extraction,
+                                 an independent route that never enumerates
+                                 partitions
 
 Both claim sums are polynomials of degree <= n-1 in x, so checking n or more
 distinct integer points certifies the polynomial identity itself; the x
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .mpoly import iter_exponents
+from .mpoly import TruncatedSeries, coeff, iter_exponents, mul
 
 
 @dataclass(frozen=True)
@@ -138,73 +138,25 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Finite integer Laurent polynomial in z, keyed by (possibly negative)
-    exponent; canonical form drops zero coefficients."""
-
-    coeffs: dict[int, int]
-
-    def __post_init__(self) -> None:
-        clean = {int(e): c for e, c in self.coeffs.items() if c}
-        object.__setattr__(self, "coeffs", clean)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = LaurentPoly({0: 1})
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by z^k (k may be negative)."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
-
-    def constant_term(self) -> int:
-        return self.coeffs.get(0, 0)
-
-
-def one_plus_z_power(e: int) -> LaurentPoly:
-    """(1 + z)^e for e >= 0."""
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return LaurentPoly({j: comb(e, j) for j in range(e + 1)})
-
-
 def claim2_ct(n: int, a: int, x: int) -> int:
     """claim2_sum via constant-term extraction: the constant term of
 
         (1+z)^(n+x) * (-(1+z) + (1+z)^2 - ... + (1+z)^(2a))^(n-1) / z^(n-1)
 
-    i.e. the z^(n-1) coefficient of the numerator polynomial.  Needs x >= 0
-    so that every factor stays polynomial.
+    i.e. the z^(n-1) coefficient of the numerator polynomial, computed as a
+    one-variable series truncated at n-1.  Needs x >= 0 so that every factor
+    stays polynomial.
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
     if x < 0:
         raise ValueError(f"constant-term route needs x >= 0, got {x}")
-    bracket = LaurentPoly({})
-    for k in range(1, 2 * a + 1):
-        term = one_plus_z_power(k)
-        if k % 2:
-            term = LaurentPoly({e: -c for e, c in term.coeffs.items()})
-        bracket = bracket + term
-    laurent = (one_plus_z_power(n + x) * bracket ** (n - 1)).shifted(-(n - 1))
-    return laurent.constant_term()
+    top = n - 1
+    bracket = TruncatedSeries(1, top, {
+        (j,): sum(_sign(k) * comb(k, j) for k in range(1, 2 * a + 1))
+        for j in range(top + 1)
+    })
+    product = TruncatedSeries(1, top, {(j,): comb(n + x, j) for j in range(top + 1)})
+    for _ in range(top):
+        product = mul(product, bracket)
+    return coeff(product, (top,))

@@ -147,8 +147,10 @@ def with_truncation(a: TruncatedSeries, trunc: int) -> TruncatedSeries:
     """Same terms under a different truncation order.
 
     Raising the order claims exactness at degrees that were never computed,
-    so this is only meant for operands that genuinely carry no higher terms
-    (e.g. polynomials).  Lowering the order drops the top layers.
+    so it has two legitimate uses: operands that genuinely carry no higher
+    terms (e.g. polynomials), and the lift in ``hypercat.solve_S``, whose
+    next pass recomputes the new top layer.  Lowering the order drops the
+    top layers.
     """
     if trunc >= a.trunc:
         return TruncatedSeries(a.nvars, trunc, dict(a.terms))

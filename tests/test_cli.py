@@ -72,6 +72,29 @@ def test_coeff_closed_routes_match_oracle(capsys):
         assert out.strip() == str(expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--vars", "12", "--max-degree", "12", "--kind", "S"],
+    ["table", "--vars", "12", "--max-degree", "12", "--kind", "G"],
+    ["coeff", "--kind", "G", "--exps", "1,1,1,1,1,1,1,1,1,1"],
+], ids=" ".join)
+def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys):
+    def must_not_solve(*args):
+        raise AssertionError("the oracle ran before the size was checked")
+
+    monkeypatch.setattr(cli, "solve_S", must_not_solve)
+    monkeypatch.setattr(cli.geode, "geode_series", must_not_solve)
+    out_path = tmp_path / "table.json"
+    if argv[0] == "table":
+        argv = argv + ["--out", str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not out_path.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1].startswith("geodenums: error: an S table in ")
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])

@@ -15,8 +15,8 @@ from geodenums.geode import (
     geode_recurrence_check,
     geode_series,
 )
-from geodenums.hypercat import hyper_catalan
-from geodenums.mpoly import OutOfRangeError, iter_exponents
+from geodenums.hypercat import hyper_catalan, solve_S
+from geodenums.mpoly import OutOfRangeError, coeff, iter_exponents
 
 
 def test_low_degree_layers():
@@ -140,6 +140,13 @@ def test_recurrence_rejects_zero_vector_and_short_table():
 def test_factorization_invariant():
     for r in (1, 2, 3):
         assert geode_series(r, 6).factorization_holds()
+
+
+def test_returned_tables_share_no_state():
+    solve_S(2, 3).terms[(1, 0)] = 99
+    geode_series(2, 2).series.terms[(1, 1)] = 99
+    assert coeff(solve_S(2, 3), (1, 0)) == 1
+    assert geode_series(2, 2).coefficient((1, 1)) == 16
 
 
 def test_closed_forms_positive():

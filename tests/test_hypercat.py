@@ -49,9 +49,9 @@ def test_closed_form_small_values():
 
 
 def test_closed_form_matches_oracle():
-    for r in (1, 2, 3, 4):
-        s = solve_S(r, 8)
-        for d in range(9):
+    for r, degree in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 5), (6, 5)):
+        s = solve_S(r, degree)
+        for d in range(degree + 1):
             for m in iter_exponents(r, d):
                 assert coeff(s, m) == hyper_catalan(m), m
 

@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from geodenums.identities import (
-    LaurentPoly,
     MultVector,
     binom_general,
     claim1_sum,
@@ -15,7 +14,6 @@ from geodenums.identities import (
     claim2_sum,
     enumerate_mult_vectors,
     multinomial,
-    one_plus_z_power,
     partition_sum_main,
 )
 
@@ -146,31 +144,3 @@ def test_ct_matches_enumeration():
 def test_ct_rejects_negative_x():
     with pytest.raises(ValueError):
         claim2_ct(2, 1, -1)
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-
-
-def test_laurent_mul_and_shift():
-    p = LaurentPoly({0: 1, 1: 1})  # 1 + z
-    q = LaurentPoly({-1: 2, 0: -1})  # 2/z - 1
-    assert (p * q).coeffs == {-1: 2, 0: 1, 1: -1}
-    assert p.shifted(-2).coeffs == {-2: 1, -1: 1}
-    assert (p * q).constant_term() == 1
-
-
-def test_laurent_pow_and_canonical_form():
-    p = LaurentPoly({0: 1, 1: 1})
-    assert (p**3).coeffs == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert (p**0).coeffs == {0: 1}
-    assert LaurentPoly({0: 0, 2: 0, 1: 5}).coeffs == {1: 5}
-    cancel = LaurentPoly({0: 1}) + LaurentPoly({0: -1})
-    assert cancel.coeffs == {}
-
-
-def test_one_plus_z_power():
-    assert one_plus_z_power(4).coeffs == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-    assert one_plus_z_power(0).coeffs == {0: 1}
-    with pytest.raises(ValueError):
-        one_plus_z_power(-1)
