@@ -12,7 +12,7 @@ from geodenums import (
     claim1_sum,
     claim2_ct,
     claim2_sum,
-    enumerate_mult_vectors,
+    iter_exponents,
     multinomial,
     partition_sum_main,
 )
@@ -20,13 +20,14 @@ from geodenums import (
 print("=" * 72)
 print("Partitions of length 3 with parts <= 2, by multiplicity vector")
 print("=" * 72)
-for lam in enumerate_mult_vectors(3, 2):
+for mult in iter_exponents(2, 3):
     partition = []
-    for part, count in enumerate(lam.mult, start=1):
+    for part, count in enumerate(mult, start=1):
         partition.extend([part] * count)
-    print(f"mult {lam.mult}: partition {tuple(reversed(partition))}, "
-          f"size {lam.size}, length {lam.length}, "
-          f"multinomial {multinomial(3, lam.mult)}")
+    size = sum(part * count for part, count in enumerate(mult, start=1))
+    print(f"mult {mult}: partition {tuple(reversed(partition))}, "
+          f"size {size}, length {sum(mult)}, "
+          f"multinomial {multinomial(3, mult)}")
 
 print()
 print("=" * 72)

@@ -31,7 +31,6 @@ from .mpoly import (
     with_truncation,
 )
 from .hypercat import (
-    HyperCatalanQuery,
     functional_residual,
     hyper_catalan,
     solve_S,
@@ -47,12 +46,11 @@ from .geode import (
     geode_series,
 )
 from .identities import (
-    MultVector,
+    alternating_partition_sum,
     binom_general,
     claim1_sum,
     claim2_ct,
     claim2_sum,
-    enumerate_mult_vectors,
     multinomial,
     partition_sum_main,
 )
@@ -67,7 +65,6 @@ from .wz import (
     check_certificate_R,
     check_wz1,
     check_wz2,
-    quotient_layer_link,
 )
 from .report import Case, VerifyReport
 

@@ -9,7 +9,7 @@ of the suites it will run, then passes each suite only its own flags.
 
 Exit codes: 0 all checks passed, 1 any verification failure, 2 usage or I/O
 error, including a bound below its minimum and a ``table`` or ``coeff``
-request whose S table would exceed ``MAX_ORACLE_MONOMIALS``.  Reports are
+request whose S solve would exceed ``MAX_ORACLE_WORK``.  Reports are
 byte-identical across identical invocations except for the elapsed_ms fields.
 """
 
@@ -29,9 +29,11 @@ from .report import VerifyReport, run_case
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
-# Largest S table (monomial count) that `table` and `coeff` will solve for.
-# The largest table the suites build is S at r = 6, degree 9 (5005 monomials).
-MAX_ORACLE_MONOMIALS = 20_000
+# Most work the S solve behind `table` and `coeff` may take, in term pairs
+# multiplied plus exponent entries handled (see _check_oracle_size); each
+# costs about 0.5 us.  The largest table the suites build, S at r = 6,
+# degree 9, is 3.4e6 (1.7 s for `table`); r = 7, degree 10 is 2.5e7 (12.6 s).
+MAX_ORACLE_WORK = 30_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +42,25 @@ MAX_ORACLE_MONOMIALS = 20_000
 
 def _check_oracle_size(r: int, degree: int, parser: argparse.ArgumentParser) -> None:
     """Refuse, before any solving, an S table in r variables through `degree`
-    with more than MAX_ORACLE_MONOMIALS monomials, or more variables than that
-    (a degree-0 table has one monomial but an r-entry exponent tuple).  The
-    count is at least degree + 1, so a huge degree is refused before comb."""
-    limit = MAX_ORACLE_MONOMIALS
-    if max(r, degree) > limit or comb(r + degree, r) > limit:
+    whose solve would take more than MAX_ORACLE_WORK.
+
+    Pass d of the solve runs r products.  Their term pairs are the monomials
+    of degree <= d in 2r variables, and each product packs, unpacks and
+    validates about C(r + d, r) exponent tuples of r entries.  Summed over
+    d <= degree, that is r * C(2r + degree + 1, 2r + 1) pairs plus
+    r^2 * C(r + degree + 1, r + 1) entries.  The estimate is at least r^2, at
+    least degree and at least 2^k for k = min(degree, 2r + 1), so these are
+    checked first and comb never runs on huge arguments."""
+    limit = MAX_ORACLE_WORK
+    k = min(degree, 2 * r + 1)  # C(2r + degree + 1, 2r + 1) == C(2r + degree + 1, k)
+    if (
+        max(r * r, degree) > limit
+        or k >= limit.bit_length()
+        or r * comb(2 * r + degree + 1, k) + r * r * comb(r + degree + 1, r + 1) > limit
+    ):
         parser.error(
-            f"an S table in {r} variables through degree {degree} is too large: "
-            f"more than {limit} monomials or variables"
+            f"an S table in {r} variables through degree {degree} is too much work: "
+            f"more than {limit} term pairs and exponent entries"
         )
 
 
@@ -178,17 +191,6 @@ def suite_eq31(max_n: int = 7, max_a: int = 3) -> VerifyReport:
     return report
 
 
-def _binomial_form_sum(n: int, a: int, length: int, shift: int) -> int:
-    """Sum over multiplicity vectors mu of `length` with parts <= 2a of
-    (-1)^|mu| multinomial(length; mu) C(|mu| + shift + n, |mu| + shift + 1)."""
-    return sum(
-        (-1 if mu.size % 2 else 1)
-        * identities.multinomial(length, mu.mult)
-        * identities.binom_general(mu.size + shift + n, mu.size + shift + 1)
-        for mu in identities.enumerate_mult_vectors(length, 2 * a)
-    )
-
-
 def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
     report = VerifyReport("claims")
     for n in range(1, max_n + 1):
@@ -213,25 +215,32 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
                     ),
                 )
             for x in range(0, n + 1):
-                target = identities.claim2_sum(n, a, x)
                 run_case(
                     report,
                     f"ct,n={n},a={a},x={x:+d}",
                     {"n": n, "a": a, "x": x},
-                    str(target),
-                    lambda n=n, a=a, x=x, target=target: _is(
-                        target, identities.claim2_ct(n, a, x)
+                    str(power),
+                    lambda n=n, a=a, x=x, power=power: _is(
+                        power, identities.claim2_ct(n, a, x)
                     ),
                 )
 
             # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
             # is claim1 at x = 0; C(|l|+2a+n, |l|+2a+1) is claim2 at x = 2a.
             def eq32(n=n, a=a):
-                value = _binomial_form_sum(n, a, n, 0)
+                value = identities.alternating_partition_sum(
+                    n, a, lambda m, size: identities.binom_general(size + n, size + 1)
+                )
                 return value == 0 == identities.claim1_sum(n, a, 0), str(value)
 
             def eq33(n=n, a=a, power=power):
-                value = _binomial_form_sum(n, a, n - 1, 2 * a)
+                value = identities.alternating_partition_sum(
+                    n - 1,
+                    a,
+                    lambda m, size: identities.binom_general(
+                        size + 2 * a + n, size + 2 * a + 1
+                    ),
+                )
                 return value == power == identities.claim2_sum(n, a, 2 * a), str(value)
 
             run_case(report, f"eq32,n={n},a={a}", {"n": n, "a": a}, "0", eq32)

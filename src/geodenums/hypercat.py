@@ -15,12 +15,10 @@ closed form.  Agreement of the two is itself one of the verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
 from .mpoly import (
-    ExpVec,
     TruncatedSeries,
     add,
     constant_series,
@@ -29,29 +27,6 @@ from .mpoly import (
     times_variable,
     with_truncation,
 )
-
-
-@dataclass(frozen=True)
-class HyperCatalanQuery:
-    """A coefficient index m with its two derived gradings."""
-
-    m: ExpVec
-
-    def __post_init__(self) -> None:
-        m = tuple(self.m)
-        if any(e < 0 for e in m):
-            raise ValueError(f"negative exponent in {m}")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def weighted_degree(self) -> int:
-        """Sum of (k+1) * m_k; the subdivision-size grading."""
-        return sum((i + 2) * e for i, e in enumerate(self.m))
-
-    @property
-    def length(self) -> int:
-        """Sum of m_k; the homogeneous-layer grading."""
-        return sum(self.m)
 
 
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
@@ -98,12 +73,14 @@ def hyper_catalan(m: Sequence[int]) -> int:
     i.e. the Lagrange-inversion multinomial with the leading 1/(1+w) factor
     absorbed.  Always an exact integer division.
     """
-    q = HyperCatalanQuery(tuple(m))
-    w, length = q.weighted_degree, q.length
-    den = factorial(1 + w - length)
-    for e in q.m:
+    m = tuple(m)
+    if any(e < 0 for e in m):
+        raise ValueError(f"negative exponent in {m}")
+    w = sum((k + 1) * e for k, e in enumerate(m, start=1))
+    den = factorial(1 + w - sum(m))
+    for e in m:
         den *= factorial(e)
     value, rem = divmod(factorial(w), den)
     if rem:
-        raise ArithmeticError(f"closed form for {q.m} did not divide exactly")
+        raise ArithmeticError(f"closed form for {m} did not divide exactly")
     return value

@@ -2,8 +2,9 @@
 
 A partition with parts bounded by 2a is encoded by its multiplicity vector
 (m_1, ..., m_2a): size |lambda| = sum k*m_k, length l(lambda) = sum m_k.
-The sums here run over all partitions of fixed length and bounded part and
-evaluate to strikingly simple values:
+``alternating_partition_sum`` is the one loop over all partitions of fixed
+length and bounded part; each sum below is a call to it with its own term,
+and each evaluates to a strikingly simple value:
 
   * partition_sum_main(n, a)  -> a^(n-1)
   * claim1_sum(n, a, x)       -> 0           (any integer x)
@@ -19,46 +20,11 @@ arguments are plain integers, never symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
-from .mpoly import TruncatedSeries, coeff, iter_exponents, mul
-
-
-@dataclass(frozen=True)
-class MultVector:
-    """Part-multiplicity encoding of a partition; mult[i] counts part i+1."""
-
-    mult: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        mult = tuple(self.mult)
-        if any(e < 0 for e in mult):
-            raise ValueError(f"negative multiplicity in {mult}")
-        object.__setattr__(self, "mult", mult)
-
-    @property
-    def size(self) -> int:
-        """|lambda| = sum of all parts."""
-        return sum((i + 1) * e for i, e in enumerate(self.mult))
-
-    @property
-    def length(self) -> int:
-        """l(lambda) = number of parts."""
-        return sum(self.mult)
-
-
-def enumerate_mult_vectors(length: int, max_part: int) -> Iterator[MultVector]:
-    """Every multiplicity vector with the given number of parts, each part at
-    most max_part, in ascending lexicographic order of the vector."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if max_part < 1:
-        raise ValueError(f"max_part must be >= 1, got {max_part}")
-    for exps in iter_exponents(max_part, length):
-        yield MultVector(exps)
+from .mpoly import ExpVec, TruncatedSeries, coeff, iter_exponents, mul
 
 
 def multinomial(n: int, mult: Sequence[int]) -> int:
@@ -89,6 +55,22 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def alternating_partition_sum(
+    length: int, a: int, term: Callable[[ExpVec, int], int | Fraction]
+) -> int | Fraction:
+    """Sum over the partitions with `length` parts, each at most 2a, of
+
+        (-1)^|l| multinomial(length; m) term(m, |l|)
+
+    where m = (m_1, ..., m_2a) is the multiplicity vector, in ascending
+    lexicographic order, and |l| = sum k*m_k is computed once per vector."""
+    total = 0
+    for mult in iter_exponents(2 * a, length):
+        size = sum((i + 1) * e for i, e in enumerate(mult))
+        total += _sign(size) * multinomial(length, mult) * term(mult, size)
+    return total
+
+
 def partition_sum_main(n: int, a: int) -> int:
     """Alternating sum over partitions of length n with parts <= 2a of
 
@@ -99,16 +81,11 @@ def partition_sum_main(n: int, a: int) -> int:
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    total = Fraction(0)
-    for lam in enumerate_mult_vectors(n, 2 * a):
-        size = lam.size
-        term = (
-            _sign(1 + size)
-            * (n - lam.mult[-1])
-            * multinomial(n, lam.mult)
-            * Fraction(comb(size + n + 1, size + 1), size + n + 1)
-        )
-        total += term
+
+    def term(m: ExpVec, size: int) -> Fraction:
+        return -(n - m[-1]) * Fraction(comb(size + n + 1, size + 1), size + n + 1)
+
+    total = Fraction(alternating_partition_sum(n, a, term))
     if total.denominator != 1:
         raise ArithmeticError(f"sum for n={n}, a={a} is not an integer: {total}")
     return int(total)
@@ -119,10 +96,7 @@ def claim1_sum(n: int, a: int, x: int) -> int:
     (-1)^|l| multinomial(n; m) C(|l|+n+x, n-1); identically zero."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    return sum(
-        _sign(lam.size) * multinomial(n, lam.mult) * binom_general(lam.size + n + x, n - 1)
-        for lam in enumerate_mult_vectors(n, 2 * a)
-    )
+    return alternating_partition_sum(n, a, lambda m, size: binom_general(size + n + x, n - 1))
 
 
 def claim2_sum(n: int, a: int, x: int) -> int:
@@ -130,11 +104,8 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     (-1)^|l| multinomial(n-1; m) C(|l|+n+x, n-1); identically a^(n-1)."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    return sum(
-        _sign(lam.size)
-        * multinomial(n - 1, lam.mult)
-        * binom_general(lam.size + n + x, n - 1)
-        for lam in enumerate_mult_vectors(n - 1, 2 * a)
+    return alternating_partition_sum(
+        n - 1, a, lambda m, size: binom_general(size + n + x, n - 1)
     )
 
 

@@ -81,18 +81,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return sub(self, other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return negate(self)
-
 
 @dataclass(frozen=True)
 class UnivariateSeries:

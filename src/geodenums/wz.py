@@ -245,14 +245,3 @@ def check_certificate_R(
         run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
     return report
 
-
-def quotient_layer_link(n: int, i: int) -> bool:
-    """Cross-link between the pair and the quotient layers: the two-variable
-    division expresses the degree n-1 Geode coefficients through H1,
-
-        (-1)^i H1(n, i+1) = C(n-1,i) C(2n+1+i, n+1+i) / (2n+1),
-
-    for 0 <= i <= n-1."""
-    lhs = _sign(i) * H1(n, i + 1)
-    rhs = Fraction(comb(n - 1, i) * comb(2 * n + 1 + i, n + 1 + i), 2 * n + 1)
-    return lhs == rhs

@@ -76,6 +76,9 @@ def test_coeff_closed_routes_match_oracle(capsys):
     ["table", "--vars", "12", "--max-degree", "12", "--kind", "S"],
     ["table", "--vars", "12", "--max-degree", "12", "--kind", "G"],
     ["coeff", "--kind", "G", "--exps", "1,1,1,1,1,1,1,1,1,1"],
+    ["table", "--vars", "3", "--max-degree", "45", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "19999", "--kind", "S"],
+    ["table", "--vars", "100", "--max-degree", "2", "--kind", "S"],
 ], ids=" ".join)
 def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys):
     def must_not_solve(*args):
@@ -93,6 +96,11 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
     assert err[-1].startswith("geodenums: error: an S table in ")
+
+
+def test_oracle_guard_admits_the_largest_suite_table():
+    # S at r = 6, degree 9 is the largest table the suites build
+    cli._check_oracle_size(6, 9, cli._build_parser())
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from geodenums.hypercat import (
-    HyperCatalanQuery,
-    functional_residual,
-    hyper_catalan,
-    solve_S,
-)
+from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
 from geodenums.mpoly import coeff, iter_exponents
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -46,6 +41,8 @@ def test_closed_form_small_values():
     assert hyper_catalan((3, 0)) == 5
     assert hyper_catalan((0, 0)) == 1
     assert hyper_catalan(()) == 1
+    with pytest.raises(ValueError):
+        hyper_catalan((1, -1))
 
 
 def test_closed_form_matches_oracle():
@@ -69,16 +66,6 @@ def test_fuss_catalan_columns_from_restriction():
     # the same columns through the closed form
     assert [hyper_catalan((0, j)) for j in range(6)] == FUSS_T2
     assert [hyper_catalan((0, 0, j)) for j in range(4)] == FUSS_T3
-
-
-def test_query_gradings():
-    q = HyperCatalanQuery((2, 0, 1))
-    assert q.weighted_degree == 2 * 2 + 4 * 1
-    assert q.length == 3
-    for m in iter_exponents(3, 4):
-        q = HyperCatalanQuery(m)
-        assert q.weighted_degree >= q.length >= 0
-        assert (q.weighted_degree == 0) == (not any(m))
 
 
 def test_solver_validates_arguments():

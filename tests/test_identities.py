@@ -2,51 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
 
 from geodenums.identities import (
-    MultVector,
+    alternating_partition_sum,
     binom_general,
     claim1_sum,
     claim2_ct,
     claim2_sum,
-    enumerate_mult_vectors,
     multinomial,
     partition_sum_main,
 )
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-def test_enumerate_length_one():
-    got = [v.mult for v in enumerate_mult_vectors(1, 2)]
-    assert got == [(0, 1), (1, 0)]
-
-
-def test_enumerate_length_two():
-    got = [v.mult for v in enumerate_mult_vectors(2, 2)]
-    assert got == [(0, 2), (1, 1), (2, 0)]
-    assert len(got) == comb(2 + 1, 1)
-
-
-def test_enumerate_counts_and_uniqueness():
-    got = [v.mult for v in enumerate_mult_vectors(3, 4)]
-    assert len(got) == 20 == comb(3 + 3, 3)
-    assert len(set(got)) == 20
-    assert got == sorted(got)
-
-
-def test_mult_vector_gradings():
-    lam = MultVector((1, 0, 2))  # partition 1 * 3^2
-    assert lam.size == 1 + 6
-    assert lam.length == 3
-    for v in enumerate_mult_vectors(4, 3):
-        assert v.size >= v.length
-        assert (v.size == 0) == (v.length == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +48,23 @@ def test_binom_general_negative_upper():
 
 # ---------------------------------------------------------------------------
 # the partition sums
+
+
+def test_alternating_partition_sum_matches_words():
+    # Each multiplicity vector m stands for the multinomial(L; m) words of
+    # length L over the parts 1..2a that use part k exactly m_k times, so the
+    # sum is a plain sum over all (2a)^L words.
+    def term(m, size):
+        return (size + 1) ** 2 * (1 + m[0]) - 3 * m[-1]
+
+    for length in range(4):
+        for a in (1, 2):
+            brute = 0
+            for word in product(range(1, 2 * a + 1), repeat=length):
+                counts = Counter(word)
+                m = tuple(counts[k] for k in range(1, 2 * a + 1))
+                brute += (-1) ** sum(word) * term(m, sum(word))
+            assert alternating_partition_sum(length, a, term) == brute
 
 
 def test_main_sum_small_values():

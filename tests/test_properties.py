@@ -1,0 +1,94 @@
+"""Property-based tests: the series algebra, the oracle and the claim sums
+on inputs drawn by Hypothesis rather than picked by hand."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geodenums.hypercat import hyper_catalan, solve_S
+from geodenums.identities import claim1_sum
+from geodenums.mpoly import (
+    TruncatedSeries,
+    coeff,
+    divide_exact_by_s1,
+    mul,
+    s1_series,
+    series_from_dict,
+    series_to_dict,
+    with_truncation,
+)
+
+small = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def series(draw, nvars=None, trunc=None):
+    """A series in 1..3 variables truncated at 0..4 with small coefficients."""
+    if nvars is None:
+        nvars = draw(st.integers(1, 3))
+    if trunc is None:
+        trunc = draw(st.integers(0, 4))
+    exps = st.lists(st.integers(0, trunc), min_size=nvars, max_size=nvars).filter(
+        lambda m: sum(m) <= trunc
+    )
+    terms = draw(st.dictionaries(exps.map(tuple), st.integers(-9, 9), max_size=12))
+    return TruncatedSeries(nvars, trunc, terms)
+
+
+@st.composite
+def series_tuple(draw, count):
+    """`count` series sharing one variable count, each with its own truncation."""
+    nvars = draw(st.integers(1, 3))
+    return [draw(series(nvars=nvars)) for _ in range(count)]
+
+
+def naive_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    trunc = min(a.trunc, b.trunc)
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if sum(m) <= trunc:
+                out[m] = out.get(m, 0) + c1 * c2
+    return TruncatedSeries(a.nvars, trunc, out)
+
+
+@small
+@given(series_tuple(2))
+def test_mul_commutes_and_matches_naive_convolution(pair):
+    a, b = pair
+    assert mul(a, b) == mul(b, a) == naive_mul(a, b)
+
+
+@small
+@given(series_tuple(3))
+def test_mul_is_associative_under_truncation(triple):
+    a, b, c = triple
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@small
+@given(series())
+def test_division_by_s1_undoes_multiplication(q):
+    trunc = q.trunc + 1
+    product = mul(s1_series(q.nvars, trunc), with_truncation(q, trunc))
+    assert divide_exact_by_s1(product) == q
+
+
+@small
+@given(series())
+def test_json_roundtrip(s):
+    assert series_from_dict(series_to_dict(s)) == s
+
+
+@small
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda m: sum(m) <= 5))
+def test_closed_form_matches_oracle(m):
+    assert hyper_catalan(m) == coeff(solve_S(len(m), sum(m)), m)
+
+
+@small
+@given(st.integers(1, 5), st.integers(1, 2), st.integers(-10**6, 10**6))
+def test_claim1_vanishes_at_any_integer(n, a, x):
+    assert claim1_sum(n, a, x) == 0

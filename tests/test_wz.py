@@ -20,7 +20,6 @@ from geodenums.wz import (
     check_certificate_R,
     check_wz1,
     check_wz2,
-    quotient_layer_link,
 )
 
 
@@ -120,10 +119,13 @@ def test_check_certificate_negative_control():
     assert not corrupted.all_passed()
 
 
-def test_quotient_layer_link_and_geode_bridge():
+def test_h1_quotient_layer_identity_and_geode_bridge():
+    # the two-variable division expresses the degree n-1 Geode coefficients
+    # through H1: (-1)^i H1(n, i+1) = C(n-1,i) C(2n+1+i, n+1+i) / (2n+1)
     for n in range(1, 51):
         for i in range(n):
-            assert quotient_layer_link(n, i)
+            rhs = Fraction(comb(n - 1, i) * comb(2 * n + 1 + i, n + 1 + i), 2 * n + 1)
+            assert (-1) ** i * H1(n, i + 1) == rhs
     # the same quantity is the closed form for the degree n-1 layer
     for n in range(1, 13):
         for i in range(n):
