@@ -30,9 +30,10 @@ DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
 # Most work the S solve behind `table` and `coeff` may take, in term pairs
-# multiplied plus exponent entries handled (see _check_oracle_size); each
-# costs about 0.5 us.  The largest table the suites build, S at r = 6,
-# degree 9, is 3.4e6 (1.7 s for `table`); r = 7, degree 10 is 2.5e7 (12.6 s).
+# multiplied plus exponent entries handled by a solve that runs r full
+# products per degree (see _check_oracle_size).  That is an upper bound on
+# the layered solve: the largest table the suites build, S at r = 6,
+# degree 9, is 3.4e6 (0.3 s for `table`); r = 7, degree 10 is 2.5e7 (2.5 s).
 MAX_ORACLE_WORK = 30_000_000
 
 
@@ -44,13 +45,18 @@ def _check_oracle_size(r: int, degree: int, parser: argparse.ArgumentParser) -> 
     """Refuse, before any solving, an S table in r variables through `degree`
     whose solve would take more than MAX_ORACLE_WORK.
 
-    Pass d of the solve runs r products.  Their term pairs are the monomials
-    of degree <= d in 2r variables, and each product packs, unpacks and
+    The estimate is the cost of a solve that runs, for each d <= degree, r
+    full products at truncation d.  Their term pairs are the monomials of
+    degree <= d in 2r variables, and each product packs, unpacks and
     validates about C(r + d, r) exponent tuples of r entries.  Summed over
     d <= degree, that is r * C(2r + degree + 1, 2r + 1) pairs plus
-    r^2 * C(r + degree + 1, r + 1) entries.  The estimate is at least r^2, at
-    least degree and at least 2^k for k = min(degree, 2r + 1), so these are
-    checked first and comb never runs on huge arguments."""
+    r^2 * C(r + degree + 1, r + 1) entries.  It bounds the work of the
+    layered ``solve_S`` from above: layer d of each of its r powers takes
+    at most the monomials of degree exactly d in 2r variables as pairs, and
+    it unpacks and validates the C(r + degree, r) tuples of S only once.
+    The estimate is at least r^2, at least degree and at least 2^k for
+    k = min(degree, 2r + 1), so these are checked first and comb never runs
+    on huge arguments."""
     limit = MAX_ORACLE_WORK
     k = min(degree, 2 * r + 1)  # C(2r + degree + 1, 2r + 1) == C(2r + degree + 1, k)
     if (
@@ -226,12 +232,14 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
                 )
 
             # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
-            # is claim1 at x = 0; C(|l|+2a+n, |l|+2a+1) is claim2 at x = 2a.
+            # is claim1 at x = 0, which a claim1 case checks; C(|l|+2a+n,
+            # |l|+2a+1) is claim2 at x = 2a, which the claim2 cases certify
+            # (n + 3 points of a polynomial in x of degree <= n - 1).
             def eq32(n=n, a=a):
                 value = identities.alternating_partition_sum(
                     n, a, lambda m, size: identities.binom_general(size + n, size + 1)
                 )
-                return value == 0 == identities.claim1_sum(n, a, 0), str(value)
+                return _is(0, value)
 
             def eq33(n=n, a=a, power=power):
                 value = identities.alternating_partition_sum(
@@ -241,7 +249,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
                         size + 2 * a + n, size + 2 * a + 1
                     ),
                 )
-                return value == power == identities.claim2_sum(n, a, 2 * a), str(value)
+                return _is(power, value)
 
             run_case(report, f"eq32,n={n},a={a}", {"n": n, "a": a}, "0", eq32)
             run_case(report, f"eq33,n={n},a={a}", {"n": n, "a": a}, str(power), eq33)

@@ -7,9 +7,9 @@ S[t_1..t_r] is the unique formal series with constant term 1 satisfying
 Its coefficients C[m_1..m_r] are the hyper-Catalan numbers; the r = 1 column
 is the Catalan numbers and a single t_k gives a Fuss-Catalan family.
 
-``solve_S`` obtains S from the defining equation, one fixed-point pass per
-total degree, and serves as the ground-truth oracle for the whole package;
-it keeps no state between calls.  ``hyper_catalan`` is the independent
+``solve_S`` obtains S from the defining equation, one homogeneous layer at
+a time, and serves as the ground-truth oracle for the whole package; it
+keeps no state between calls.  ``hyper_catalan`` is the independent
 closed form.  Agreement of the two is itself one of the verification suites.
 """
 
@@ -19,39 +19,71 @@ from math import factorial
 from typing import Sequence
 
 from .mpoly import (
+    ExpVec,
     TruncatedSeries,
+    _packing_shift,
+    _unpack_terms,
     add,
     constant_series,
     mul,
     sub,
     times_variable,
-    with_truncation,
 )
+
+
+def _layer_product(
+    a: Sequence[dict[int, int]], b: Sequence[dict[int, int]], d: int
+) -> dict[int, int]:
+    """Layer d of the product of two series given as packed layers 0..d:
+    sum_{i=0..d} a_i b_{d-i}."""
+    out: dict[int, int] = {}
+    get = out.get
+    for i in range(d + 1):
+        items_b = b[d - i].items()
+        for pa, ca in a[i].items():
+            for pb, cb in items_b:
+                key = pa + pb
+                out[key] = get(key, 0) + ca * cb
+    return out
 
 
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     """Series solution of S = 1 + sum_k t_k S^{k+1}, exact through max_degree.
 
-    Starts from alpha = 1 at truncation 0.  For each d = 1..max_degree it
-    lifts alpha to truncation d and runs one pass alpha <- 1 + sum_k t_k
-    alpha^{k+1} at truncation d.  Layer d of the right side reads only the
-    layers of alpha below d, which are already exact, so the pass fixes
-    layer d; no convergence test is needed.  Every call builds a new series.
+    Solves one homogeneous layer at a time.  With S_0 = 1 and every power's
+    layer 0 equal to 1, for d = 1..max_degree
+
+        [S]_d   = sum_k t_k [S^{k+1}]_{d-1}
+        [S^j]_d = sum_{i=0..d} [S^{j-1}]_i [S]_{d-i}     (j = 2..r+1, d < max_degree)
+
+    Each right side reads only layers that are already final, so no pass is
+    repeated and no convergence test is needed.  Layers are dicts keyed by
+    packed exponents, kept for the whole solve and unpacked once into the
+    returned series.  Every call builds a new series.
     """
     if r < 1:
         raise ValueError(f"need at least one variable, got r={r}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    alpha = constant_series(r, 0, 1)
+    shift = _packing_shift(max_degree)
+    units = [1 << (k * shift) for k in range(r)]  # t_1..t_r, packed
+    # powers[j - 1][d] is layer d of S^j, for j = 1..r+1.
+    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in range(r + 1)]
+    s = powers[0]
     for d in range(1, max_degree + 1):
-        alpha = with_truncation(alpha, d)
-        total = constant_series(r, d, 1)
-        power = alpha
-        for k in range(1, r + 1):
-            power = mul(power, alpha)
-            total = add(total, times_variable(power, k))
-        alpha = total
-    return alpha
+        layer: dict[int, int] = {}
+        for unit, power in zip(units, powers[1:]):
+            for p, c in power[d - 1].items():
+                key = p + unit
+                layer[key] = layer.get(key, 0) + c
+        s.append(layer)
+        if d < max_degree:
+            for lower, power in zip(powers, powers[1:]):
+                power.append(_layer_product(lower, s, d))
+    terms: dict[ExpVec, int] = {}
+    for layer in s:
+        terms.update(_unpack_terms(layer, r, shift))
+    return TruncatedSeries(r, max_degree, terms)
 
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:

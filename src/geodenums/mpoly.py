@@ -135,10 +135,8 @@ def with_truncation(a: TruncatedSeries, trunc: int) -> TruncatedSeries:
     """Same terms under a different truncation order.
 
     Raising the order claims exactness at degrees that were never computed,
-    so it has two legitimate uses: operands that genuinely carry no higher
-    terms (e.g. polynomials), and the lift in ``hypercat.solve_S``, whose
-    next pass recomputes the new top layer.  Lowering the order drops the
-    top layers.
+    so it is only for operands that genuinely carry no higher terms (e.g.
+    polynomials).  Lowering the order drops the top layers.
     """
     if trunc >= a.trunc:
         return TruncatedSeries(a.nvars, trunc, dict(a.terms))
@@ -172,6 +170,26 @@ def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return add(a, negate(b))
 
 
+def _packing_shift(trunc: int) -> int:
+    """Bits per variable when an exponent tuple of total degree <= trunc is
+    packed into one int.  Sums of packed keys never overflow a field as
+    long as the summed monomial still has total degree <= trunc."""
+    return max(1, trunc.bit_length())
+
+
+def _unpack_terms(
+    packed_terms: Mapping[int, int], nvars: int, shift: int
+) -> dict[ExpVec, int]:
+    """Packed keys back to exponent tuples, dropping zero coefficients."""
+    mask = (1 << shift) - 1
+    offsets = [i * shift for i in range(nvars)]
+    return {
+        tuple([(packed >> o) & mask for o in offsets]): c
+        for packed, c in packed_terms.items()
+        if c
+    }
+
+
 def _packed_layers(
     terms: Mapping[ExpVec, int], trunc: int, shift: int
 ) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -198,9 +216,8 @@ def _mul_terms(
     """Convolution of two term dicts, discarding total degrees above trunc."""
     if not aterms or not bterms:
         return {}
-    # Packed exponent sums never overflow a field: every kept component is
-    # <= trunc < 2**shift, and pairs beyond trunc are filtered by layer.
-    shift = max(1, trunc.bit_length())
+    # Pairs beyond trunc are filtered by layer, so packed sums never overflow.
+    shift = _packing_shift(trunc)
     la = _packed_layers(aterms, trunc, shift)
     lb = _packed_layers(bterms, trunc, shift)
     if len(la) > len(lb):
@@ -217,12 +234,7 @@ def _mul_terms(
                     key = pa + pb
                     v = get(key)
                     out[key] = ca * cb if v is None else v + ca * cb
-    mask = (1 << shift) - 1
-    result: dict[ExpVec, int] = {}
-    for packed, c in out.items():
-        if c:
-            result[tuple((packed >> (i * shift)) & mask for i in range(nvars))] = c
-    return result
+    return _unpack_terms(out, nvars, shift)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -54,7 +54,7 @@ def test_closed_form_matches_oracle():
 
 
 def test_functional_equation_residual_vanishes():
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 4, 5, 6):
         assert functional_residual(solve_S(r, 6)).is_zero()
 
 

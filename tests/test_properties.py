@@ -12,6 +12,7 @@ from geodenums.mpoly import (
     TruncatedSeries,
     coeff,
     divide_exact_by_s1,
+    iter_exponents,
     mul,
     s1_series,
     series_from_dict,
@@ -86,6 +87,16 @@ def test_json_roundtrip(s):
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda m: sum(m) <= 5))
 def test_closed_form_matches_oracle(m):
     assert hyper_catalan(m) == coeff(solve_S(len(m), sum(m)), m)
+
+
+@small
+@given(st.integers(1, 4), st.integers(0, 6))
+def test_oracle_layers_match_closed_form_and_lower_truncations(r, degree):
+    s = solve_S(r, degree)
+    for d in range(degree + 1):
+        for m in iter_exponents(r, d):
+            assert coeff(s, m) == hyper_catalan(m), m
+        assert with_truncation(s, d) == solve_S(r, d)
 
 
 @small
