@@ -8,8 +8,9 @@ with their minimums: ``verify`` checks every set flag against the minimums
 of the suites it will run, then passes each suite only its own flags.
 
 Exit codes: 0 all checks passed, 1 any verification failure, 2 usage or I/O
-error, including a bound below its minimum and a ``table`` or ``coeff``
-request whose S solve would exceed ``MAX_ORACLE_WORK``.  Reports are
+error, including a bound below its minimum, a ``table`` or ``coeff``
+request whose S solve would exceed ``MAX_ORACLE_WORK`` and a ``coeff``
+closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.  Reports are
 byte-identical across identical invocations except for the elapsed_ms fields.
 """
 
@@ -18,23 +19,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 from typing import Callable, Sequence
 
 from . import geode, identities, wz
-from .hypercat import functional_residual, hyper_catalan, solve_S
+from .hypercat import functional_residual, hyper_catalan, solve_S, solve_work
 from .mpoly import TruncatedSeries, coeff, iter_exponents, series_to_dict
 from .report import VerifyReport, run_case
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
-# Most work the S solve behind `table` and `coeff` may take, in term pairs
-# multiplied plus exponent entries handled by a solve that runs r full
-# products per degree (see _check_oracle_size).  That is an upper bound on
-# the layered solve: the largest table the suites build, S at r = 6,
-# degree 9, is 3.4e6 (0.3 s for `table`); r = 7, degree 10 is 2.5e7 (2.5 s).
-MAX_ORACLE_WORK = 30_000_000
+# Most work the S solve behind `table` and `coeff` may take, in units of
+# hypercat.solve_work, each 0.17-0.44 us on a 2-core VM with Python 3.11.
+# r = 7, degree 10 is 6.3e6 (1.8-2.1 s); r = 4, degree 22 is 1.7e7 (5-6 s).
+MAX_ORACLE_WORK = 10_000_000
+
+# Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
+# binomial argument, that `coeff` evaluates by closed form.  At w = 4000 the
+# slowest, G with two nonzero slots, takes 0.6 s on the same VM.  Admitted
+# values are below 3^(w + 2), so they print under Python's 4300-digit limit.
+MAX_CLOSED_FORM_WEIGHT = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -43,30 +47,18 @@ MAX_ORACLE_WORK = 30_000_000
 
 def _check_oracle_size(r: int, degree: int, parser: argparse.ArgumentParser) -> None:
     """Refuse, before any solving, an S table in r variables through `degree`
-    whose solve would take more than MAX_ORACLE_WORK.
-
-    The estimate is the cost of a solve that runs, for each d <= degree, r
-    full products at truncation d.  Their term pairs are the monomials of
-    degree <= d in 2r variables, and each product packs, unpacks and
-    validates about C(r + d, r) exponent tuples of r entries.  Summed over
-    d <= degree, that is r * C(2r + degree + 1, 2r + 1) pairs plus
-    r^2 * C(r + degree + 1, r + 1) entries.  It bounds the work of the
-    layered ``solve_S`` from above: layer d of each of its r powers takes
-    at most the monomials of degree exactly d in 2r variables as pairs, and
-    it unpacks and validates the C(r + degree, r) tuples of S only once.
-    The estimate is at least r^2, at least degree and at least 2^k for
-    k = min(degree, 2r + 1), so these are checked first and comb never runs
-    on huge arguments."""
+    whose ``solve_work`` exceeds MAX_ORACLE_WORK.  That estimate is at least
+    max(r^2, degree) and at least 2^min(r, degree), so these are checked
+    first and no binomial runs on huge arguments."""
     limit = MAX_ORACLE_WORK
-    k = min(degree, 2 * r + 1)  # C(2r + degree + 1, 2r + 1) == C(2r + degree + 1, k)
     if (
         max(r * r, degree) > limit
-        or k >= limit.bit_length()
-        or r * comb(2 * r + degree + 1, k) + r * r * comb(r + degree + 1, r + 1) > limit
+        or min(r, degree) >= limit.bit_length()
+        or solve_work(r, degree) > limit
     ):
         parser.error(
             f"an S table in {r} variables through degree {degree} is too much work: "
-            f"more than {limit} term pairs and exponent entries"
+            f"more than {limit} units (MAX_ORACLE_WORK)"
         )
 
 
@@ -517,6 +509,11 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--exps entries must be nonnegative, got {args.exps!r}")
     if args.kind == "G" and sum(map(bool, exps)) >= 3:
         _check_oracle_size(len(exps), sum(exps) + 1, parser)
+    elif sum((k + 1) * e for k, e in enumerate(exps, start=1)) > MAX_CLOSED_FORM_WEIGHT:
+        parser.error(
+            f"--exps has weight sum_k (k+1) m_k above {MAX_CLOSED_FORM_WEIGHT}: "
+            "its closed form is too much work"
+        )
     if args.kind == "C":
         print(hyper_catalan(exps))
     else:

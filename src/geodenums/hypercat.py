@@ -9,18 +9,22 @@ is the Catalan numbers and a single t_k gives a Fuss-Catalan family.
 
 ``solve_S`` obtains S from the defining equation, one homogeneous layer at
 a time, and serves as the ground-truth oracle for the whole package; it
-keeps no state between calls.  ``hyper_catalan`` is the independent
-closed form.  Agreement of the two is itself one of the verification suites.
+keeps no state between calls.  ``solve_work`` estimates its cost from
+(r, max_degree) alone, so a request can be refused before it runs.
+``hyper_catalan`` is the independent closed form.  Agreement of the two is
+itself one of the verification suites.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 from typing import Sequence
 
 from .mpoly import (
     ExpVec,
+    Layers,
     TruncatedSeries,
+    _layer_product,
     _packing_shift,
     _unpack_terms,
     add,
@@ -29,22 +33,6 @@ from .mpoly import (
     sub,
     times_variable,
 )
-
-
-def _layer_product(
-    a: Sequence[dict[int, int]], b: Sequence[dict[int, int]], d: int
-) -> dict[int, int]:
-    """Layer d of the product of two series given as packed layers 0..d:
-    sum_{i=0..d} a_i b_{d-i}."""
-    out: dict[int, int] = {}
-    get = out.get
-    for i in range(d + 1):
-        items_b = b[d - i].items()
-        for pa, ca in a[i].items():
-            for pb, cb in items_b:
-                key = pa + pb
-                out[key] = get(key, 0) + ca * cb
-    return out
 
 
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
@@ -57,9 +45,9 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
         [S^j]_d = sum_{i=0..d} [S^{j-1}]_i [S]_{d-i}     (j = 2..r+1, d < max_degree)
 
     Each right side reads only layers that are already final, so no pass is
-    repeated and no convergence test is needed.  Layers are dicts keyed by
-    packed exponents, kept for the whole solve and unpacked once into the
-    returned series.  Every call builds a new series.
+    repeated and no convergence test is needed.  Layers are lists of
+    (packed exponent, coefficient) pairs, kept for the whole solve and
+    unpacked once into the returned series.  Every call builds a new series.
     """
     if r < 1:
         raise ValueError(f"need at least one variable, got r={r}")
@@ -68,22 +56,45 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     shift = _packing_shift(max_degree)
     units = [1 << (k * shift) for k in range(r)]  # t_1..t_r, packed
     # powers[j - 1][d] is layer d of S^j, for j = 1..r+1.
-    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in range(r + 1)]
+    powers: list[Layers] = [[[(0, 1)]] for _ in range(r + 1)]
     s = powers[0]
     for d in range(1, max_degree + 1):
         layer: dict[int, int] = {}
         for unit, power in zip(units, powers[1:]):
-            for p, c in power[d - 1].items():
+            for p, c in power[d - 1]:
                 key = p + unit
                 layer[key] = layer.get(key, 0) + c
-        s.append(layer)
+        s.append(list(layer.items()))
         if d < max_degree:
             for lower, power in zip(powers, powers[1:]):
-                power.append(_layer_product(lower, s, d))
+                power.append(list(_layer_product(lower, s, d, {}).items()))
     terms: dict[ExpVec, int] = {}
-    for layer in s:
-        terms.update(_unpack_terms(layer, r, shift))
+    for pairs in s:
+        terms.update(_unpack_terms(pairs, r, shift))
     return TruncatedSeries(r, max_degree, terms)
+
+
+def solve_pairs(r: int, max_degree: int) -> int:
+    """Coefficient pairs ``solve_S(r, max_degree)`` multiplies.  Every C[m]
+    is positive, so layer d of each of the r powers S^2..S^{r+1} takes one
+    pair per monomial of degree d in 2r variables, for 0 < d < max_degree."""
+    return r * max(0, comb(2 * r + max_degree - 1, 2 * r) - 1)
+
+
+def solve_work(r: int, max_degree: int) -> int:
+    """Estimated cost of ``solve_S(r, max_degree)`` and of writing out its
+    table, in units of one product of short coefficients.
+
+    Each pair counts 1 + bits // 512, where bits = max_degree * (r + 1 +
+    r.bit_length()) bounds the bit length of every C[m] solved (C[m] <=
+    C(w, |m|) r^|m|, w <= (r + 1) |m|).  Each of the r C(r + max_degree, r)
+    exponent entries counts 4: it is unpacked, validated and written once.
+    The r packed t_1..t_r, up to r fields long, count r^2, which bounds r
+    even at max_degree 0.  The estimate is at least max(r^2, max_degree)
+    and 2^min(r, max_degree)."""
+    bits = max_degree * (r + 1 + r.bit_length())
+    unpack = r * comb(r + max_degree, r)
+    return solve_pairs(r, max_degree) * (1 + bits // 512) + 4 * unpack + r * r
 
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:

@@ -12,6 +12,11 @@ rounding error would void every identity check built on top of this module.
 Truncation is by total degree, which matches the homogeneous-layer grading in
 which the factorization S - 1 = (t_1 + ... + t_r) * G lives.
 
+Every series product in the package, ``mul`` and the oracle solve alike,
+runs through one kernel, ``_layer_product``: one homogeneous layer of a
+product of two series whose layers are lists of (packed exponent,
+coefficient) pairs.
+
 Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads.
 """
@@ -22,6 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ExpVec = tuple[int, ...]
+# A series by homogeneous layers: item i lists its (packed exponent,
+# coefficient) pairs of total degree i.
+Layers = list[list[tuple[int, int]]]
 
 
 class VariableCountMismatchError(ValueError):
@@ -178,33 +186,30 @@ def _packing_shift(trunc: int) -> int:
 
 
 def _unpack_terms(
-    packed_terms: Mapping[int, int], nvars: int, shift: int
+    packed_terms: Iterable[tuple[int, int]], nvars: int, shift: int
 ) -> dict[ExpVec, int]:
-    """Packed keys back to exponent tuples, dropping zero coefficients."""
+    """Packed (exponent, coefficient) pairs to a term dict, dropping zero coefficients."""
     mask = (1 << shift) - 1
     offsets = [i * shift for i in range(nvars)]
     return {
         tuple([(packed >> o) & mask for o in offsets]): c
-        for packed, c in packed_terms.items()
+        for packed, c in packed_terms
         if c
     }
 
 
-def _packed_layers(
-    terms: Mapping[ExpVec, int], trunc: int, shift: int
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    # Pack each exponent tuple into one int (shift bits per variable) and
-    # bucket by total degree; layers above trunc can never contribute.
-    layers: dict[int, list[tuple[int, int]]] = {}
-    for m, c in terms.items():
-        d = sum(m)
-        if d > trunc:
-            continue
-        packed = 0
-        for i, e in enumerate(m):
-            packed |= e << (i * shift)
-        layers.setdefault(d, []).append((packed, c))
-    return sorted(layers.items())
+def _layer_product(a: Layers, b: Layers, d: int, out: dict[int, int]) -> dict[int, int]:
+    """Add layer d of the product a * b into out, keyed by packed exponent,
+    and return out: sum_i a_i b_{d-i}, where layers past a list's end are
+    zero.  This is the package's only loop over coefficient pairs."""
+    get = out.get
+    for i in range(max(0, d + 1 - len(b)), min(d + 1, len(a))):
+        items_b = b[d - i]
+        for pa, ca in a[i]:
+            for pb, cb in items_b:
+                key = pa + pb
+                out[key] = get(key, 0) + ca * cb
+    return out
 
 
 def _mul_terms(
@@ -213,28 +218,29 @@ def _mul_terms(
     nvars: int,
     trunc: int,
 ) -> dict[ExpVec, int]:
-    """Convolution of two term dicts, discarding total degrees above trunc."""
-    if not aterms or not bterms:
-        return {}
-    # Pairs beyond trunc are filtered by layer, so packed sums never overflow.
+    """Convolution of two term dicts, discarding total degrees above trunc.
+
+    Each operand is bucketed into packed layers up to its top nonzero one,
+    so a sparse operand such as t_1 + ... + t_r pairs no empty layers.
+    Only layers up to trunc are formed, so packed sums never overflow."""
     shift = _packing_shift(trunc)
-    la = _packed_layers(aterms, trunc, shift)
-    lb = _packed_layers(bterms, trunc, shift)
-    if len(la) > len(lb):
-        la, lb = lb, la
+    offsets = [i * shift for i in range(nvars)]
+    a: Layers = []
+    b: Layers = []
+    for terms, layers in ((aterms, a), (bterms, b)):
+        for m, c in terms.items():
+            d = sum(m)
+            if d <= trunc:
+                packed = 0
+                for e, o in zip(m, offsets):
+                    packed |= e << o
+                while len(layers) <= d:
+                    layers.append([])
+                layers[d].append((packed, c))
     out: dict[int, int] = {}
-    get = out.get
-    for da, items_a in la:
-        dmax = trunc - da
-        for db, items_b in lb:
-            if db > dmax:
-                break
-            for pa, ca in items_a:
-                for pb, cb in items_b:
-                    key = pa + pb
-                    v = get(key)
-                    out[key] = ca * cb if v is None else v + ca * cb
-    return _unpack_terms(out, nvars, shift)
+    for d in range(min(trunc + 1, len(a) + len(b) - 1)):
+        _layer_product(a, b, d, out)
+    return _unpack_terms(out.items(), nvars, shift)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from math import comb
 
 import pytest
 
 from geodenums import cli, geode, identities
 from geodenums.geode import geode_series
+from geodenums.mpoly import constant_series
 from geodenums.report import VerifyReport, run_case
 
 
@@ -78,7 +80,10 @@ def test_coeff_closed_routes_match_oracle(capsys):
     ["coeff", "--kind", "G", "--exps", "1,1,1,1,1,1,1,1,1,1"],
     ["table", "--vars", "3", "--max-degree", "45", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "19999", "--kind", "S"],
-    ["table", "--vars", "100", "--max-degree", "2", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "3000", "--kind", "S"],
+    ["table", "--vars", "2", "--max-degree", "150", "--kind", "S"],
+    ["table", "--vars", "1000000", "--max-degree", "0", "--kind", "S"],
+    ["table", "--vars", "100000", "--max-degree", "0", "--kind", "S"],
 ], ids=" ".join)
 def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys):
     def must_not_solve(*args):
@@ -98,9 +103,58 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     assert err[-1].startswith("geodenums: error: an S table in ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--vars", "100", "--max-degree", "2", "--kind", "S"],
+    ["table", "--vars", "85", "--max-degree", "2", "--kind", "S"],
+    ["table", "--vars", "7", "--max-degree", "10", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "1000", "--kind", "S"],
+], ids=" ".join)
+def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch):
+    # Each of these finishes within about 2 s; the stub keeps the test fast.
+    calls = []
+
+    def stub_solve(r, max_degree):
+        calls.append((r, max_degree))
+        return constant_series(r, max_degree, 1)
+
+    monkeypatch.setattr(cli, "solve_S", stub_solve)
+    assert cli.main(argv + ["--out", str(tmp_path / "table.json")]) == 0
+    assert calls == [(int(argv[2]), int(argv[4]))]
+
+
 def test_oracle_guard_admits_the_largest_suite_table():
     # S at r = 6, degree 9 is the largest table the suites build
     cli._check_oracle_size(6, 9, cli._build_parser())
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--kind", "C", "--exps", "7200"],
+    ["coeff", "--kind", "C", "--exps", "1000000"],
+    ["coeff", "--kind", "C", "--exps", "0,0,0,1000"],
+    ["coeff", "--kind", "G", "--exps", "20000,1"],
+    ["coeff", "--kind", "G", "--exps", "0,2001"],
+    ["coeff", "--kind", "G", "--exps", "1,1333"],
+], ids=" ".join)
+def test_oversize_closed_form_request_is_refused(argv, monkeypatch, capsys):
+    def must_not_evaluate(*args):
+        raise AssertionError("the closed form ran before the size was checked")
+
+    monkeypatch.setattr(cli, "hyper_catalan", must_not_evaluate)
+    monkeypatch.setattr(cli.geode, "geode_closed_two_nonzero", must_not_evaluate)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1].startswith("geodenums: error: --exps has weight ")
+
+
+def test_closed_form_at_the_weight_limit_prints_in_full(capsys):
+    # C[n] in one variable has weight 2n: the Catalan number at the limit
+    n = cli.MAX_CLOSED_FORM_WEIGHT // 2
+    code, out = run_cli(capsys, "coeff", "--kind", "C", "--exps", str(n))
+    assert code == 0
+    assert int(out) == comb(2 * n, n) // (n + 1)
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from geodenums import hypercat
 from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
-from geodenums.mpoly import coeff, iter_exponents
+from geodenums.mpoly import _layer_product, coeff, iter_exponents
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 # single-t_2 column: S = 1 + t_2 S^3
@@ -73,3 +74,18 @@ def test_solver_validates_arguments():
         solve_S(0, 3)
     with pytest.raises(ValueError):
         solve_S(2, -1)
+
+
+def test_solve_pairs_counts_the_pairs_the_solver_multiplies(monkeypatch):
+    counted = []
+
+    def counting(a, b, d, out):
+        counted.append(sum(len(a[i]) * len(b[d - i]) for i in range(d + 1)))
+        return _layer_product(a, b, d, out)
+
+    monkeypatch.setattr(hypercat, "_layer_product", counting)
+    for r in range(1, 6):
+        for degree in range(9):
+            counted.clear()
+            solve_S(r, degree)
+            assert sum(counted) == hypercat.solve_pairs(r, degree), (r, degree)
