@@ -2,11 +2,9 @@
 
 Each vanishing sum sum_k F(n,k) = 0 comes with a companion H such that
 F(n,k) = H(n,k+1) - H(n,k); summing over k then collapses to boundary terms.
-The checkers verify the companion relation pointwise over exact rationals,
+The checkers verify the companion relation pointwise in exact integers,
 so there is nothing numerical anywhere: a single wrong sign fails loudly.
 """
-
-from fractions import Fraction
 
 from geodenums import (
     F1,
@@ -58,10 +56,11 @@ print()
 print("=" * 72)
 print("Negative control: a corrupted companion must fail")
 print("=" * 72)
-bad = check_wz1(3, h=lambda n, k: -H1(n, k))
+# R1(n,k) = -k(n+1+k) / (n(2n+1)) with its sign flipped, which flips H1 = R1 * F1
+bad = check_wz1(3, r=lambda n, k: (k * (n + 1 + k), n * (2 * n + 1)))
 failure = bad.first_failure()
 print(f"sign-flipped H: {bad.passed}/{bad.total} passed; "
       f"first failure at {failure.params}: {failure.actual}")
 
-bad = check_certificate_R(3, companion=lambda n, m: Fraction(0))
+bad = check_certificate_R(3, companion=lambda n, m: (0, 1))
 print(f"zeroed certificate companion: {bad.passed}/{bad.total} passed")

@@ -6,20 +6,24 @@ the acceptance bounds, and ``tests/test_acceptance.py`` calls them as they
 are.  ``SUITES`` maps each name to its function and to the flags it takes
 with their minimums: ``verify`` checks every set flag against the minimums
 of the suites it will run, then passes each suite only its own flags.
+``SOLVES`` lists the S solves each oracle suite makes at given bounds, so
+``verify`` can price them all before any suite starts.
 
 Exit codes: 0 all checks passed, 1 any verification failure, 2 usage or I/O
-error, including a bound below its minimum, a ``table`` or ``coeff``
-request whose S solve would exceed ``MAX_ORACLE_WORK`` and a ``coeff``
-closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.  Reports are
-byte-identical across identical invocations except for the elapsed_ms fields.
+error, including a bound below its minimum, a ``table``, ``coeff`` or
+``verify`` request one of whose S solves would exceed ``MAX_ORACLE_WORK``
+and a ``coeff`` closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.
+Reports are byte-identical across identical invocations except for the
+elapsed_ms fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import geode, identities, wz
 from .hypercat import functional_residual, hyper_catalan, solve_S, solve_work
@@ -29,8 +33,8 @@ from .report import VerifyReport, run_case
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
-# Most work the S solve behind `table` and `coeff` may take, in units of
-# hypercat.solve_work, each 0.17-0.44 us on a 2-core VM with Python 3.11.
+# Most work any one S solve behind `table`, `coeff` or `verify` may take, in
+# units of hypercat.solve_work, each 0.17-0.44 us on a 2-core VM with Python 3.11.
 # r = 7, degree 10 is 6.3e6 (1.8-2.1 s); r = 4, degree 22 is 1.7e7 (5-6 s).
 MAX_ORACLE_WORK = 10_000_000
 
@@ -45,7 +49,9 @@ MAX_CLOSED_FORM_WEIGHT = 4000
 # table / coeff
 
 
-def _check_oracle_size(r: int, degree: int, parser: argparse.ArgumentParser) -> None:
+def _check_oracle_size(
+    r: int, degree: int, parser: argparse.ArgumentParser, context: str = ""
+) -> None:
     """Refuse, before any solving, an S table in r variables through `degree`
     whose ``solve_work`` exceeds MAX_ORACLE_WORK.  That estimate is at least
     max(r^2, degree) and at least 2^min(r, degree), so these are checked
@@ -57,7 +63,7 @@ def _check_oracle_size(r: int, degree: int, parser: argparse.ArgumentParser) -> 
         or solve_work(r, degree) > limit
     ):
         parser.error(
-            f"an S table in {r} variables through degree {degree} is too much work: "
+            f"{context}an S table in {r} variables through degree {degree} is too much work: "
             f"more than {limit} units (MAX_ORACLE_WORK)"
         )
 
@@ -113,6 +119,16 @@ def _negative_control(
         f"sign-flipped {what} must fail",
         lambda: (not corrupted().all_passed(), f"corrupted {what} detected"),
     )
+
+
+def _flipped(ratio: Callable[..., wz.Ratio]) -> Callable[..., wz.Ratio]:
+    """A (numerator, denominator) description with its sign flipped."""
+
+    def flipped(*args: int) -> wz.Ratio:
+        num, den = ratio(*args)
+        return -num, den
+
+    return flipped
 
 
 def suite_thm1(max_degree: int = 12) -> VerifyReport:
@@ -254,7 +270,7 @@ def suite_wz1(max_n: int = 200) -> VerifyReport:
         report,
         "negative-control-H",
         "companion",
-        lambda: wz.check_wz1(2, h=lambda n, k: -wz.H1(n, k)),
+        lambda: wz.check_wz1(2, r=_flipped(wz._r1)),
     )
     return report
 
@@ -270,7 +286,7 @@ def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> Veri
         report,
         "negative-control-H",
         "companion",
-        lambda: wz.check_wz2(3, 3, h=lambda a, n, k: -wz.H2(a, n, k)),
+        lambda: wz.check_wz2(3, 3, r=_flipped(wz._r2)),
     )
     return report
 
@@ -281,9 +297,7 @@ def suite_certificate(max_n: int = 100) -> VerifyReport:
         report,
         "negative-control-R",
         "certificate",
-        lambda: wz.check_certificate_R(
-            3, companion=lambda n, m: -wz.certificate_companion(n, m)
-        ),
+        lambda: wz.check_certificate_R(3, companion=_flipped(wz._cert_companion)),
     )
     return report
 
@@ -424,6 +438,44 @@ SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, int]]] = {
 }
 SUITE_NAMES = tuple(SUITES)
 
+# The S solves each oracle suite makes, as (r, max_degree) pairs in the order
+# it makes them, from the suite's keyword arguments; a suite not listed makes
+# none.  `verify` prices every one with solve_work before any suite runs.
+SOLVES: dict[str, Callable[..., Iterable[tuple[int, int]]]] = {
+    "thm1": lambda max_degree: [(2, max_degree + 1)],
+    "thm2": lambda max_sum, a_values: ((a, max_sum + 1) for a in a_values),
+    "thm3": lambda max_order, a_values: ((2 * a, max_order + 1) for a in a_values),
+    "recurrence": lambda max_vars, max_degree: (
+        (r, max_degree) for r in range(1, max_vars + 1)
+    ),
+    "two-nonzero": lambda max_n, pairs: [(max(t for _, t in pairs), max_n)],
+    "general-eval": lambda max_order: [
+        (2, max_order + 1),
+        (4, 7),
+        (4, max_order + 1),
+        (4, max_order + 1),
+    ],
+    "oracle": lambda max_vars, max_degree: (
+        solve
+        for r in range(1, max_vars + 1)
+        for solve in ((r, max_degree), (r, max_degree + 1), (r, max_degree + 1))
+    ),
+}
+
+# Each oracle suite's keyword defaults, read from its signature so that the
+# acceptance bounds are written once.
+_DEFAULTS = {
+    name: {p.name: p.default for p in inspect.signature(SUITES[name][0]).parameters.values()}
+    for name in SOLVES
+}
+
+
+def _oracle_solves(name: str, kwargs: dict) -> Iterable[tuple[int, int]]:
+    """The (r, max_degree) of every S solve suite `name` makes when called
+    with `kwargs`, lazily, so a huge bound costs nothing before it is refused."""
+    solves = SOLVES.get(name)
+    return () if solves is None else solves(**{**_DEFAULTS[name], **kwargs})
+
 
 def _check_bounds(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
@@ -436,12 +488,23 @@ def _check_bounds(
                 parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
 
 
-def _run_suite(name: str, args: argparse.Namespace) -> VerifyReport:
-    suite, flags = SUITES[name]
-    kwargs = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+def _check_suite_work(
+    names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    for name in names:
+        for r, degree in _oracle_solves(name, _suite_kwargs(name, args)):
+            _check_oracle_size(r, degree, parser, f"verify {name}: ")
+
+
+def _suite_kwargs(name: str, args: argparse.Namespace) -> dict:
+    kwargs = {f: getattr(args, f) for f in SUITES[name][1] if getattr(args, f) is not None}
     if "a" in kwargs:
         kwargs["a_values"] = (kwargs.pop("a"),)
-    return suite(**kwargs)
+    return kwargs
+
+
+def _run_suite(name: str, args: argparse.Namespace) -> VerifyReport:
+    return SUITES[name][0](**_suite_kwargs(name, args))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +587,7 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     _check_bounds(names, args, parser)
+    _check_suite_work(names, args, parser)
     if args.suite == "all":
         merged = VerifyReport("all")
         for name in names:

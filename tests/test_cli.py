@@ -9,6 +9,7 @@ import pytest
 
 from geodenums import cli, geode, identities
 from geodenums.geode import geode_series
+from geodenums.hypercat import solve_S, solve_work
 from geodenums.mpoly import constant_series
 from geodenums.report import VerifyReport, run_case
 
@@ -270,6 +271,79 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     assert exc.value.code == 2
     assert not report_path.exists()
     assert capsys.readouterr().err.splitlines()[-1].startswith("geodenums: error: verify ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm1", "--max-degree", "200"],
+    ["all", "--max-degree", "200"],
+    ["thm3", "--a", "5"],
+], ids=" ".join)
+def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
+    # thm1 at degree 200 solves S(2, 201), 2.8e8 units; thm3 at a = 5
+    # solves S(10, 9), 3.5e7 units; MAX_ORACLE_WORK is 1e7.
+    def must_not_run(**bounds):
+        raise AssertionError("a suite ran before its oracle work was priced")
+
+    for name, (_, minimums) in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, (must_not_run, minimums))
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv, "--report", str(report_path)])
+    assert exc.value.code == 2
+    assert not report_path.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1].startswith("geodenums: error: verify thm")
+    assert "is too much work" in err[-1]
+
+
+def test_verify_all_at_default_bounds_is_admitted():
+    parser = cli._build_parser()
+    args = parser.parse_args(["verify", "all"])
+    cli._check_suite_work(cli.SUITE_NAMES, args, parser)
+    works = [
+        solve_work(r, degree)
+        for name in cli.SUITE_NAMES
+        for r, degree in cli._oracle_solves(name, cli._suite_kwargs(name, args))
+    ]
+    assert max(works) == solve_work(6, 9) < cli.MAX_ORACLE_WORK
+
+
+SOLVE_CASES = [
+    ["thm1"],
+    ["thm2", "--max-sum", "2"],
+    ["thm3", "--max-order", "3"],
+    ["thm3", "--a", "2", "--max-order", "2"],
+    ["eq31", "--max-n", "2"],
+    ["claims", "--max-n", "2"],
+    ["wz1", "--max-n", "2"],
+    ["wz2", "--max-n", "2"],
+    ["certificate", "--max-n", "2"],
+    ["recurrence", "--max-vars", "3", "--max-degree", "3"],
+    ["two-nonzero"],
+    ["general-eval"],
+    ["oracle", "--max-vars", "2", "--max-degree", "3"],
+]
+
+
+def test_solve_cases_cover_every_suite():
+    assert {argv[0] for argv in SOLVE_CASES} == set(cli.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
+def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch):
+    calls = []
+
+    def recording_solve(r, max_degree):
+        calls.append((r, max_degree))
+        return solve_S(r, max_degree)
+
+    monkeypatch.setattr(cli, "solve_S", recording_solve)
+    monkeypatch.setattr(geode, "solve_S", recording_solve)
+    args = cli._build_parser().parse_args(["verify", *argv])
+    kwargs = cli._suite_kwargs(argv[0], args)
+    assert cli.SUITES[argv[0]][0](**kwargs).all_passed()
+    assert calls == list(cli._oracle_solves(argv[0], kwargs))
 
 
 @pytest.mark.parametrize("name, module, function, bounds", [

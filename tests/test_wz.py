@@ -7,6 +7,8 @@ from math import comb
 
 import pytest
 
+from geodenums import wz
+from geodenums.cli import _flipped
 from geodenums.geode import geode_closed_2var
 from geodenums.wz import (
     F1,
@@ -21,6 +23,29 @@ from geodenums.wz import (
     check_wz1,
     check_wz2,
 )
+
+
+def _raised(ratio, at):
+    """The description raised by 1 at the one point `at`."""
+    def raised(*args):
+        num, den = ratio(*args)
+        return (num + den, den) if args == at else (num, den)
+    return raised
+
+
+def _zeroed_on_diagonal(ratio):
+    """The description set to 0 where its last two arguments agree (k = n or m = n)."""
+    def zeroed(*args):
+        return (0, 1) if args[-1] == args[-2] else ratio(*args)
+    return zeroed
+
+
+def _zero_over_zero(ratio, at):
+    """The description with 0/0 at the one point `at`.  Cross-multiplying
+    turns both sides of every relation that reads it into 0."""
+    def broken(*args):
+        return (0, 0) if args == at else ratio(*args)
+    return broken
 
 
 def test_f1_values():
@@ -60,7 +85,7 @@ def test_check_wz1_passes():
 
 
 def test_check_wz1_negative_control():
-    corrupted = check_wz1(3, h=lambda n, k: -H1(n, k))
+    corrupted = check_wz1(3, r=_flipped(wz._r1))
     assert not corrupted.all_passed()
     first = corrupted.first_failure()
     assert first.params == {"n": 1}
@@ -81,7 +106,7 @@ def test_check_wz2_passes():
 
 
 def test_check_wz2_negative_control():
-    corrupted = check_wz2(3, 3, h=lambda a, n, k: -H2(a, n, k))
+    corrupted = check_wz2(3, 3, r=_flipped(wz._r2))
     assert not corrupted.all_passed()
 
 
@@ -115,7 +140,7 @@ def test_check_certificate_passes_and_names_orientation():
 
 
 def test_check_certificate_negative_control():
-    corrupted = check_certificate_R(4, companion=lambda n, m: -certificate_companion(n, m))
+    corrupted = check_certificate_R(4, companion=_flipped(wz._cert_companion))
     assert not corrupted.all_passed()
 
 
@@ -131,3 +156,69 @@ def test_h1_quotient_layer_identity_and_geode_bridge():
         for i in range(n):
             value = Fraction(comb(n - 1, i) * comb(2 * n + 1 + i, n + 1 + i), 2 * n + 1)
             assert value == geode_closed_2var(n - 1 - i, i)
+
+
+# Each mutant changes one description at one point (or, for the zeroed
+# companion, along k = n or m = n) and must leave a non-passing case.
+MUTANTS = [
+    ("wz1 summand +1", lambda: check_wz1(8, f=_raised(wz._f1, (5, 2))), "fail"),
+    ("wz1 R +1", lambda: check_wz1(8, r=_raised(wz._r1, (5, 2))), "fail"),
+    ("wz1 companion 0 at k=n", lambda: check_wz1(8, r=_zeroed_on_diagonal(wz._r1)), "fail"),
+    ("wz1 R 0/0", lambda: check_wz1(8, r=_zero_over_zero(wz._r1, (5, 2))), "error"),
+    ("wz1 summand 0/0", lambda: check_wz1(8, f=_zero_over_zero(wz._f1, (5, 2))), "error"),
+    ("wz2 summand +1", lambda: check_wz2(3, 8, f=_raised(wz._f2, (3, 5, 2))), "fail"),
+    ("wz2 R +1", lambda: check_wz2(3, 8, r=_raised(wz._r2, (3, 5, 2))), "fail"),
+    ("wz2 companion 0 at k=n", lambda: check_wz2(3, 8, r=_zeroed_on_diagonal(wz._r2)), "fail"),
+    ("wz2 R 0/0", lambda: check_wz2(3, 8, r=_zero_over_zero(wz._r2, (3, 5, 2))), "error"),
+    ("wz2[a=2] summand +1", lambda: check_wz2(2, 8, f=_raised(wz._f2, (2, 5, 2))), "fail"),
+    (
+        "certificate summand +1",
+        lambda: check_certificate_R(8, summand=_raised(wz._cert_summand, (5, 2))),
+        "fail",
+    ),
+    ("certificate R +1", lambda: check_certificate_R(8, r=_raised(wz._cert_R, (5, 2))), "fail"),
+    (
+        "certificate companion 0 at m=n",
+        lambda: check_certificate_R(8, companion=_zeroed_on_diagonal(wz._cert_companion)),
+        "fail",
+    ),
+    (
+        "certificate companion 0/0",
+        lambda: check_certificate_R(8, companion=_zero_over_zero(wz._cert_companion, (5, 2))),
+        "error",
+    ),
+    ("certificate R 0/0", lambda: check_certificate_R(8, r=_zero_over_zero(wz._cert_R, (5, 2))), "error"),
+]
+
+
+@pytest.mark.parametrize("name, run, status", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutated_description_leaves_a_non_passing_case(name, run, status):
+    report = run()
+    statuses = {case.status for case in report.cases}
+    assert status in statuses, statuses
+    if status == "error":
+        errors = [case for case in report.cases if case.status == "error"]
+        assert all("zero denominator" in case.actual for case in errors)
+    else:
+        assert "error" not in statuses
+
+
+def test_mutants_leave_the_rest_of_the_grid_passing():
+    # The one-point mutants touch n = 5 (and the certificate's relation at
+    # n = 4, which reads F(5, m)); every other n still passes.
+    report = check_wz1(8, f=_raised(wz._f1, (5, 2)))
+    assert [case.params["n"] for case in report.cases if case.status != "pass"] == [5]
+    report = check_certificate_R(8, r=_raised(wz._cert_R, (5, 2)))
+    failures = [case for case in report.cases if case.status != "pass"]
+    assert [case.id for case in failures] == ["n=005"]
+    assert failures[0].actual == "companion differs from R*F at m=2"
+
+
+def test_sum_checks_catch_what_the_relations_do_not():
+    # F = (1, 0, ..., 0) with H(n,0) = -1 satisfies every pair relation, but
+    # its sum is 1; the sum check is what fails.
+    report = check_wz1(3, f=lambda n, k: (int(k == 0), 1), r=lambda n, k: (-1, 1))
+    assert [case.actual for case in report.cases] == ["telescoped sum is 1, not 0"] * 3
+    doubled = lambda n, m: (2 * wz._cert_summand(n, m)[0], wz._cert_summand(n, m)[1])
+    report = check_certificate_R(3, summand=doubled)
+    assert report.cases[1].actual == "target sum is 2, not 1"
