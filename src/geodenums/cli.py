@@ -4,13 +4,13 @@ verification suites with machine-readable JSON reports.
 The suites are the ``suite_<name>`` functions; their keyword defaults are
 the acceptance bounds, and ``tests/test_acceptance.py`` calls them as they
 are.  ``SUITES`` maps each name to its function and to the flags it takes
-with their minimums: ``verify`` checks every set flag against the minimums
-of the suites it will run, then passes each suite only its own flags.
+with their ranges: ``verify`` checks every set flag against the ranges of
+the suites it will run, then passes each suite only its own flags.
 ``SOLVES`` lists the S solves each oracle suite makes at given bounds, so
 ``verify`` can price them all before any suite starts.
 
 Exit codes: 0 all checks passed, 1 any verification failure, 2 usage or I/O
-error, including a bound below its minimum, a ``table``, ``coeff`` or
+error, including a bound outside its range, a ``table``, ``coeff`` or
 ``verify`` request one of whose S solves would exceed ``MAX_ORACLE_WORK``
 and a ``coeff`` closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.
 Reports are byte-identical across identical invocations except for the
@@ -34,8 +34,9 @@ DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
 # Most work any one S solve behind `table`, `coeff` or `verify` may take, in
-# units of hypercat.solve_work, each 0.17-0.44 us on a 2-core VM with Python 3.11.
-# r = 7, degree 10 is 6.3e6 (1.8-2.1 s); r = 4, degree 22 is 1.7e7 (5-6 s).
+# units of hypercat.solve_work, each 0.12-0.45 us on a 2-core VM with Python 3.11.
+# The largest admitted request for each r = 1..6 takes 1.0-3.3 s, and r = 7,
+# degree 11 is 8.6e6 (1.1-1.4 s); r = 3, degree 45 is 4.3e7 (5.7-6.2 s).
 MAX_ORACLE_WORK = 10_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
@@ -419,22 +420,27 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> VerifyReport:
     return report
 
 
-# Every suite, in `verify all` order, with the flags it takes and the smallest
-# value each flag accepts.  Unset flags keep the suite's defaults; --a runs a
-# single a_values entry.
-SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, int]]] = {
-    "thm1": (suite_thm1, {"max_degree": 0}),
-    "thm2": (suite_thm2, {"max_sum": 0}),
-    "thm3": (suite_thm3, {"max_order": 0, "a": 1}),
-    "eq31": (suite_eq31, {"max_n": 1, "max_a": 1}),
-    "claims": (suite_claims, {"max_n": 1, "max_a": 1}),
-    "wz1": (suite_wz1, {"max_n": 1}),
-    "wz2": (suite_wz2, {"max_n": 1, "a": 2}),
-    "certificate": (suite_certificate, {"max_n": 1}),
-    "recurrence": (suite_recurrence, {"max_vars": 1, "max_degree": 1}),
-    "two-nonzero": (suite_two_nonzero, {"max_n": 1}),
-    "general-eval": (suite_general_eval, {"max_order": 0}),
-    "oracle": (suite_oracle, {"max_vars": 1, "max_degree": 0}),
+# Every suite, in `verify all` order, with the flags it takes and the range
+# (minimum, maximum) each flag accepts.  Unset flags keep the suite's
+# defaults; --a runs a single a_values entry.  A flag whose cost lies in the
+# oracle has no maximum, because `verify` prices its S solves (SOLVES); the
+# grid suites' maxima keep each one, at its largest admitted bounds, near
+# 2-3 s on a 2-core VM with Python 3.11 (two runs): wz1 at 400 2.4-2.7 s,
+# wz2 at 250 2.1-3.1 s, certificate at 300 2.1-3.0 s, eq31 at 12/4 1.9-2.3 s,
+# claims at 12/3 2.8-3.0 s.
+SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, tuple[int, int | None]]]] = {
+    "thm1": (suite_thm1, {"max_degree": (0, None)}),
+    "thm2": (suite_thm2, {"max_sum": (0, None)}),
+    "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
+    "eq31": (suite_eq31, {"max_n": (1, 12), "max_a": (1, 4)}),
+    "claims": (suite_claims, {"max_n": (1, 12), "max_a": (1, 3)}),
+    "wz1": (suite_wz1, {"max_n": (1, 400)}),
+    "wz2": (suite_wz2, {"max_n": (1, 250), "a": (2, 1000)}),
+    "certificate": (suite_certificate, {"max_n": (1, 300)}),
+    "recurrence": (suite_recurrence, {"max_vars": (1, None), "max_degree": (1, None)}),
+    "two-nonzero": (suite_two_nonzero, {"max_n": (1, None)}),
+    "general-eval": (suite_general_eval, {"max_order": (0, None)}),
+    "oracle": (suite_oracle, {"max_vars": (1, None), "max_degree": (0, None)}),
 }
 SUITE_NAMES = tuple(SUITES)
 
@@ -481,11 +487,15 @@ def _check_bounds(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> None:
     for name in names:
-        for flag, minimum in SUITES[name][1].items():
+        for flag, (minimum, maximum) in SUITES[name][1].items():
             value = getattr(args, flag)
-            if value is not None and value < minimum:
-                option = "--" + flag.replace("_", "-")
+            if value is None:
+                continue
+            option = "--" + flag.replace("_", "-")
+            if value < minimum:
                 parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
+            if maximum is not None and value > maximum:
+                parser.error(f"verify {name}: {option} must be <= {maximum}, got {value}")
 
 
 def _check_suite_work(

@@ -35,6 +35,26 @@ from .mpoly import (
 )
 
 
+def _lane_bytes(r: int, max_degree: int) -> int:
+    """Bytes per lane in ``solve_S``: every coefficient of S^j, j <= r + 1,
+    of total degree <= max_degree is below 2^(8 * _lane_bytes(r, max_degree)).
+
+    Every coefficient is positive, so each is at most the sum of its layer,
+    [x^d] S^j(x, ..., x).  S(x, ..., x) has nonnegative coefficients and
+    constant term 1, so S^j <= S^{r+1} coefficientwise for j <= r + 1, and
+    S(x, ..., x) = 1 + x sum_k S^{k+1} <= M coefficientwise, where
+    M = 1 + r x M^{r+1} (induction on the degree).  By Lagrange inversion
+
+        [x^d] M^{r+1} = r^d C((r+1)(d+1), d) / (d+1) < r^d 2^{(r+1)(d+1)},
+
+    and r <= 2^{(r-1).bit_length()}, so for d <= D = max_degree the
+    W = (r+1)(D+1) + D (r-1).bit_length() + 1 bits are enough.  W is
+    rounded up to whole bytes.
+    """
+    bits = (r + 1) * (max_degree + 1) + max_degree * (r - 1).bit_length() + 1
+    return (bits + 7) // 8
+
+
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     """Series solution of S = 1 + sum_k t_k S^{k+1}, exact through max_degree.
 
@@ -45,9 +65,26 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
         [S^j]_d = sum_{i=0..d} [S^{j-1}]_i [S]_{d-i}     (j = 2..r+1, d < max_degree)
 
     Each right side reads only layers that are already final, so no pass is
-    repeated and no convergence test is needed.  Layers are lists of
-    (packed exponent, coefficient) pairs, kept for the whole solve and
-    unpacked once into the returned series.  Every call builds a new series.
+    repeated and no convergence test is needed.
+
+    The powers S^1..S^r of a monomial are held as fixed-width lanes of one
+    int, S^j in lane j - 1.  So one ``_layer_product`` of the packed layers
+    0..d-1 with S gives, in lane j - 2 and for every power at once,
+
+        Q_j = sum_{i<d} [S^{j-1}]_i [S]_{d-i}.
+
+    The missing i = d term is [S^{j-1}]_d [S]_0 = [S^{j-1}]_d, so
+    [S^j]_d = [S]_d + Q_2 + ... + Q_j, a running sum across the lanes.  It is
+    taken on the whole int by log2(r + 1) shift-and-add steps, with [S]_d
+    shifted in below Q_2; lane k of the result is then [S^{k+1}]_d, which
+    layer d + 1 of S reads as the coefficient of t_k.  Every coefficient is
+    positive and below 2^W (``_lane_bytes`` proves the bound), and every
+    partial sum in a lane is at most the coefficient it sums to, so no lane
+    ever carries into the next.
+
+    Layers are lists of (packed exponent, coefficient) pairs, kept for the
+    whole solve and unpacked once into the returned series.  Every call
+    builds a new series.
     """
     if r < 1:
         raise ValueError(f"need at least one variable, got r={r}")
@@ -55,19 +92,35 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     shift = _packing_shift(max_degree)
     units = [1 << (k * shift) for k in range(r)]  # t_1..t_r, packed
-    # powers[j - 1][d] is layer d of S^j, for j = 1..r+1.
-    powers: list[Layers] = [[[(0, 1)]] for _ in range(r + 1)]
-    s = powers[0]
-    for d in range(1, max_degree + 1):
-        layer: dict[int, int] = {}
-        for unit, power in zip(units, powers[1:]):
-            for p, c in power[d - 1]:
-                key = p + unit
-                layer[key] = layer.get(key, 0) + c
-        s.append(list(layer.items()))
-        if d < max_degree:
-            for lower, power in zip(powers, powers[1:]):
-                power.append(list(_layer_product(lower, s, d, {}).items()))
+    width = _lane_bytes(r, max_degree)
+    bits = 8 * width
+    size = (r + 1) * width  # lanes S^1..S^{r+1}
+    whole = (1 << (8 * size)) - 1
+    powers = (1 << (r * bits)) - 1  # lanes S^1..S^r
+    steps = [bits << i for i in range(r.bit_length())]
+    # Lane k of a word, S^{k+1}, is the coefficient of t_k in the next layer.
+    reads = [(unit, cut, cut + width) for unit, cut in zip(units, range(width, size, width))]
+    from_bytes = int.from_bytes
+    s: Layers = [[(0, 1)]]
+    # packed[d] is layer d of S^1..S^r, for d < max_degree.
+    packed: Layers = []
+    for d in range(max_degree):
+        q = _layer_product(packed, s, d, {})
+        layer = []
+        following: dict[int, int] = {}
+        get = following.get
+        for key, c in s[d]:
+            word = (q.get(key, 0) << bits) + c
+            for step in steps:
+                word += word << step
+            word &= whole
+            layer.append((key, word & powers))
+            lanes = word.to_bytes(size, "little")
+            for unit, start, end in reads:
+                k = key + unit
+                following[k] = get(k, 0) + from_bytes(lanes[start:end], "little")
+        packed.append(layer)
+        s.append(list(following.items()))
     terms: dict[ExpVec, int] = {}
     for pairs in s:
         terms.update(_unpack_terms(pairs, r, shift))
@@ -76,25 +129,29 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
 
 def solve_pairs(r: int, max_degree: int) -> int:
     """Coefficient pairs ``solve_S(r, max_degree)`` multiplies.  Every C[m]
-    is positive, so layer d of each of the r powers S^2..S^{r+1} takes one
-    pair per monomial of degree d in 2r variables, for 0 < d < max_degree."""
-    return r * max(0, comb(2 * r + max_degree - 1, 2 * r) - 1)
+    is positive, so for 0 < d < max_degree the one product of layer d takes
+    one pair per monomial of degree d in 2r variables, less the pairs with
+    [S]_0, one per monomial of degree d in r variables."""
+    return comb(2 * r + max_degree - 1, 2 * r) - comb(r + max_degree - 1, r)
 
 
 def solve_work(r: int, max_degree: int) -> int:
     """Estimated cost of ``solve_S(r, max_degree)`` and of writing out its
     table, in units of one product of short coefficients.
 
-    Each pair counts 1 + bits // 512, where bits = max_degree * (r + 1 +
-    r.bit_length()) bounds the bit length of every C[m] solved (C[m] <=
-    C(w, |m|) r^|m|, w <= (r + 1) |m|).  Each of the r C(r + max_degree, r)
-    exponent entries counts 4: it is unpacked, validated and written once.
-    The r packed t_1..t_r, up to r fields long, count r^2, which bounds r
-    even at max_degree 0.  The estimate is at least max(r^2, max_degree)
-    and 2^min(r, max_degree)."""
-    bits = max_degree * (r + 1 + r.bit_length())
+    Each pair multiplies a packed int of r lanes of W = 8 * _lane_bytes(r,
+    max_degree) bits and counts 1 + r W / 512.  Each of the C(r + max_degree
+    - 1, r) monomials below max_degree has its r lanes read out once, each
+    lane counting 8 + W // 16.  Each of the r C(r + max_degree, r) exponent
+    entries counts 4: it is unpacked, validated and written once.  The r
+    packed t_1..t_r, up to r fields long, count r^2, which bounds r even at
+    max_degree 0.  The estimate is at least max(r^2, max_degree) and
+    2^min(r, max_degree)."""
+    lane = 8 * _lane_bytes(r, max_degree)
+    pairs = solve_pairs(r, max_degree)
+    reads = r * comb(r + max_degree - 1, r) * (8 + lane // 16)
     unpack = r * comb(r + max_degree, r)
-    return solve_pairs(r, max_degree) * (1 + bits // 512) + 4 * unpack + r * r
+    return pairs + pairs * r * lane // 512 + reads + 4 * unpack + r * r
 
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:

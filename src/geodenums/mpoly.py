@@ -15,7 +15,10 @@ which the factorization S - 1 = (t_1 + ... + t_r) * G lives.
 Every series product in the package, ``mul`` and the oracle solve alike,
 runs through one kernel, ``_layer_product``: one homogeneous layer of a
 product of two series whose layers are lists of (packed exponent,
-coefficient) pairs.
+coefficient) pairs.  The kernel only adds and multiplies coefficients, so
+the oracle also runs it on lane-packed coefficients: ints that hold one
+monomial's coefficients in r powers of S side by side, in fixed-width bit
+lanes that never carry into each other.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads.

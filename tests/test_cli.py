@@ -258,13 +258,23 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["wz2", "--max-n", "0"],
     ["wz1", "--max-n", "0"],
     ["certificate", "--max-n", "0"],
+    ["wz1", "--max-n", "100000"],
+    ["wz1", "--max-n", "401"],
+    ["wz2", "--max-n", "251"],
+    ["wz2", "--a", "1001"],
+    ["certificate", "--max-n", "301"],
+    ["eq31", "--max-n", "13"],
+    ["eq31", "--max-a", "5"],
+    ["claims", "--max-n", "40"],
+    ["claims", "--max-a", "4"],
+    ["all", "--max-n", "13"],
 ], ids=" ".join)
 def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before the bounds were checked")
 
-    for name, (_, minimums) in cli.SUITES.items():
-        monkeypatch.setitem(cli.SUITES, name, (must_not_run, minimums))
+    for name, (_, ranges) in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, (must_not_run, ranges))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -279,13 +289,13 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     ["thm3", "--a", "5"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
-    # thm1 at degree 200 solves S(2, 201), 2.8e8 units; thm3 at a = 5
-    # solves S(10, 9), 3.5e7 units; MAX_ORACLE_WORK is 1e7.
+    # thm1 at degree 200 solves S(2, 201), 2.9e8 units; thm3 at a = 5
+    # solves S(10, 9), 2.3e7 units; MAX_ORACLE_WORK is 1e7.
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before its oracle work was priced")
 
-    for name, (_, minimums) in cli.SUITES.items():
-        monkeypatch.setitem(cli.SUITES, name, (must_not_run, minimums))
+    for name, (_, ranges) in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, (must_not_run, ranges))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -295,6 +305,25 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     assert [line for line in err if "error:" in line] == [err[-1]]
     assert err[-1].startswith("geodenums: error: verify thm")
     assert "is too much work" in err[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eq31", "--max-n", "8", "--max-a", "4"],
+    ["claims", "--max-n", "8", "--max-a", "3"],
+    ["wz1", "--max-n", "250"],
+    ["wz2", "--max-n", "120"],
+    ["certificate", "--max-n", "120"],
+    ["eq31", "--max-n", "12", "--max-a", "4"],
+    ["claims", "--max-n", "12", "--max-a", "3"],
+    ["wz1", "--max-n", "400"],
+    ["wz2", "--max-n", "250", "--a", "1000"],
+    ["certificate", "--max-n", "300"],
+], ids=" ".join)
+def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
+    # the raised bounds of the benchmark's identities workload, and each
+    # grid suite at its largest admitted bounds
+    parser = cli._build_parser()
+    cli._check_bounds((argv[0],), parser.parse_args(["verify", *argv]), parser)
 
 
 def test_verify_all_at_default_bounds_is_admitted():

@@ -6,7 +6,7 @@ import pytest
 
 from geodenums import hypercat
 from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
-from geodenums.mpoly import _layer_product, coeff, iter_exponents
+from geodenums.mpoly import _layer_product, coeff, iter_exponents, mul
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 # single-t_2 column: S = 1 + t_2 S^3
@@ -80,7 +80,9 @@ def test_solve_pairs_counts_the_pairs_the_solver_multiplies(monkeypatch):
     counted = []
 
     def counting(a, b, d, out):
-        counted.append(sum(len(a[i]) * len(b[d - i]) for i in range(d + 1)))
+        # the index range _layer_product runs: layers past a list's end are zero
+        indices = range(max(0, d + 1 - len(b)), min(d + 1, len(a)))
+        counted.append(sum(len(a[i]) * len(b[d - i]) for i in indices))
         return _layer_product(a, b, d, out)
 
     monkeypatch.setattr(hypercat, "_layer_product", counting)
@@ -89,3 +91,30 @@ def test_solve_pairs_counts_the_pairs_the_solver_multiplies(monkeypatch):
             counted.clear()
             solve_S(r, degree)
             assert sum(counted) == hypercat.solve_pairs(r, degree), (r, degree)
+
+
+def test_lane_width_bounds_every_power_coefficient():
+    # Powers by the generic product path, which does not use lanes.
+    top = 10
+    for r in range(1, 7):
+        powers = [solve_S(r, top)]
+        for _ in range(r):
+            powers.append(mul(powers[-1], powers[0]))
+        largest = [0] * (top + 1)  # largest coefficient of S^1..S^{r+1} per degree
+        for power in powers:
+            for m, c in power.terms.items():
+                largest[sum(m)] = max(largest[sum(m)], c)
+        for degree in range(top + 1):
+            bound = 1 << (8 * hypercat._lane_bytes(r, degree))
+            assert max(largest[: degree + 1]) < bound, (r, degree)
+
+
+def test_too_narrow_lanes_give_a_wrong_table(monkeypatch):
+    monkeypatch.setattr(hypercat, "_lane_bytes", lambda r, max_degree: 1)
+    for r, degree in ((1, 8), (2, 6), (3, 5)):
+        s = solve_S(r, degree)
+        assert any(
+            coeff(s, m) != hyper_catalan(m)
+            for d in range(degree + 1)
+            for m in iter_exponents(r, d)
+        ), (r, degree)
