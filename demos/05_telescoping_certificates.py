@@ -57,10 +57,10 @@ print("=" * 72)
 print("Negative control: a corrupted companion must fail")
 print("=" * 72)
 # R1(n,k) = -k(n+1+k) / (n(2n+1)) with its sign flipped, which flips H1 = R1 * F1
-bad = check_wz1(3, r=lambda n, k: (k * (n + 1 + k), n * (2 * n + 1)))
+bad = check_wz1(3, r=lambda n: [(k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)])
 failure = bad.first_failure()
 print(f"sign-flipped H: {bad.passed}/{bad.total} passed; "
       f"first failure at {failure.params}: {failure.actual}")
 
-bad = check_certificate_R(3, companion=lambda n, m: (0, 1))
+bad = check_certificate_R(3, companion=lambda n: [(0, 1)] * (n + 1))
 print(f"zeroed certificate companion: {bad.passed}/{bad.total} passed")

@@ -51,7 +51,6 @@ from .identities import (
     claim1_sum,
     claim2_ct,
     claim2_sum,
-    multinomial,
     partition_sum_main,
 )
 from .wz import (

@@ -34,9 +34,9 @@ DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
 # Most work any one S solve behind `table`, `coeff` or `verify` may take, in
-# units of hypercat.solve_work, each 0.12-0.45 us on a 2-core VM with Python 3.11.
-# The largest admitted request for each r = 1..6 takes 1.0-3.3 s, and r = 7,
-# degree 11 is 8.6e6 (1.1-1.4 s); r = 3, degree 45 is 4.3e7 (5.7-6.2 s).
+# units of hypercat.solve_work, each 0.10-0.26 us on a 2-core VM with Python 3.11.
+# The largest admitted request for each r = 1..7 takes 0.8-1.7 s (r = 1 is
+# degree 1387, r = 7 degree 11); r = 3, degree 45 is 4.5e7 (4.4-7.3 s).
 MAX_ORACLE_WORK = 10_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
@@ -122,12 +122,11 @@ def _negative_control(
     )
 
 
-def _flipped(ratio: Callable[..., wz.Ratio]) -> Callable[..., wz.Ratio]:
-    """A (numerator, denominator) description with its sign flipped."""
+def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]]:
+    """A row description of (numerator, denominator) pairs with its sign flipped."""
 
-    def flipped(*args: int) -> wz.Ratio:
-        num, den = ratio(*args)
-        return -num, den
+    def flipped(*args: int) -> list[wz.Ratio]:
+        return [(-num, den) for num, den in row(*args)]
 
     return flipped
 
@@ -424,19 +423,20 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> VerifyReport:
 # (minimum, maximum) each flag accepts.  Unset flags keep the suite's
 # defaults; --a runs a single a_values entry.  A flag whose cost lies in the
 # oracle has no maximum, because `verify` prices its S solves (SOLVES); the
-# grid suites' maxima keep each one, at its largest admitted bounds, near
-# 2-3 s on a 2-core VM with Python 3.11 (two runs): wz1 at 400 2.4-2.7 s,
-# wz2 at 250 2.1-3.1 s, certificate at 300 2.1-3.0 s, eq31 at 12/4 1.9-2.3 s,
-# claims at 12/3 2.8-3.0 s.
+# grid suites' maxima keep each one, at its largest admitted bounds, under
+# 3 s on a 2-core VM with Python 3.11 (`verify` wall time, at least two
+# runs each): wz1 at 600 1.5-1.8 s, wz2 at 350 1.4-1.7 s (--a 1000
+# 1.3 s), certificate at 600 1.5-2.0 s, eq31 at 12/4 1.2-2.0 s, claims at
+# 15/3 1.8-2.7 s.  eq31 stays at 12: at 13/4 it took 2.3-2.9 s.
 SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, tuple[int, int | None]]]] = {
     "thm1": (suite_thm1, {"max_degree": (0, None)}),
     "thm2": (suite_thm2, {"max_sum": (0, None)}),
     "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
     "eq31": (suite_eq31, {"max_n": (1, 12), "max_a": (1, 4)}),
-    "claims": (suite_claims, {"max_n": (1, 12), "max_a": (1, 3)}),
-    "wz1": (suite_wz1, {"max_n": (1, 400)}),
-    "wz2": (suite_wz2, {"max_n": (1, 250), "a": (2, 1000)}),
-    "certificate": (suite_certificate, {"max_n": (1, 300)}),
+    "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 3)}),
+    "wz1": (suite_wz1, {"max_n": (1, 600)}),
+    "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}),
+    "certificate": (suite_certificate, {"max_n": (1, 600)}),
     "recurrence": (suite_recurrence, {"max_vars": (1, None), "max_degree": (1, None)}),
     "two-nonzero": (suite_two_nonzero, {"max_n": (1, None)}),
     "general-eval": (suite_general_eval, {"max_order": (0, None)}),

@@ -140,7 +140,12 @@ def solve_work(r: int, max_degree: int) -> int:
     table, in units of one product of short coefficients.
 
     Each pair multiplies a packed int of r lanes of W = 8 * _lane_bytes(r,
-    max_degree) bits and counts 1 + r W / 512.  Each of the C(r + max_degree
+    max_degree) bits by a coefficient of up to W bits and counts
+    1 + r W (1 + W / 4096) / 512.  The W^2 part is the schoolbook product
+    of the two lengths, which CPython uses below 70 digits (2100 bits) and
+    which dominates when one variable runs to a high degree: without it,
+    S at r = 1 through degree 1621 was admitted and took twice as long as
+    the largest admitted request for r = 2..7.  Each of the C(r + max_degree
     - 1, r) monomials below max_degree has its r lanes read out once, each
     lane counting 8 + W // 16.  Each of the r C(r + max_degree, r) exponent
     entries counts 4: it is unpacked, validated and written once.  The r
@@ -151,7 +156,7 @@ def solve_work(r: int, max_degree: int) -> int:
     pairs = solve_pairs(r, max_degree)
     reads = r * comb(r + max_degree - 1, r) * (8 + lane // 16)
     unpack = r * comb(r + max_degree, r)
-    return pairs + pairs * r * lane // 512 + reads + 4 * unpack + r * r
+    return pairs + pairs * r * lane * (4096 + lane) // (512 * 4096) + reads + 4 * unpack + r * r
 
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:

@@ -22,19 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable
 
-from .mpoly import ExpVec, TruncatedSeries, coeff, iter_exponents, mul
-
-
-def multinomial(n: int, mult: Sequence[int]) -> int:
-    """n! / prod m_k!, requiring sum m_k = n."""
-    if sum(mult) != n:
-        raise ValueError(f"multiplicities {tuple(mult)} do not sum to {n}")
-    value = factorial(n)
-    for e in mult:
-        value //= factorial(e)
-    return value
+from .mpoly import ExpVec, TruncatedSeries, coeff, mul
 
 
 def binom_general(y: int, k: int) -> int:
@@ -62,12 +52,41 @@ def alternating_partition_sum(
 
         (-1)^|l| multinomial(length; m) term(m, |l|)
 
-    where m = (m_1, ..., m_2a) is the multiplicity vector, in ascending
-    lexicographic order, and |l| = sum k*m_k is computed once per vector."""
-    total = 0
-    for mult in iter_exponents(2 * a, length):
-        size = sum((i + 1) * e for i, e in enumerate(mult))
-        total += _sign(size) * multinomial(length, mult) * term(mult, size)
+    where m = (m_1, ..., m_2a) is the multiplicity vector and |l| = sum k*m_k.
+
+    One recursive walk over the 2a slots visits the vectors in ascending
+    lexicographic order, as ``iter_exponents(2a, length)`` yields them.  It
+    carries the running size and the multinomial as the product of
+    binomials C(length, m_1) C(length - m_1, m_2) ...; within a slot the
+    binomial C(left, h) is stepped exactly, C(left, h+1) = C(left, h) (left-h)
+    / (h+1), and checked to reach C(left, left) = 1.  So each vector costs
+    O(1) small-int steps besides its term."""
+    if a < 1:
+        raise ValueError(f"need a >= 1, got {a}")
+    last = 2 * a - 1
+    mult = [0] * (last + 1)
+    total: int | Fraction = 0
+
+    def walk(slot: int, left: int, size: int, weight: int) -> None:
+        nonlocal total
+        if slot == last:
+            mult[slot] = left
+            size += (slot + 1) * left
+            value = weight * term(tuple(mult), size)
+            total += -value if size % 2 else value
+            return
+        binom = weight
+        for h in range(left):
+            mult[slot] = h
+            walk(slot + 1, left - h, size + (slot + 1) * h, binom)
+            binom = binom * (left - h) // (h + 1)
+        if binom != weight:
+            raise ArithmeticError(f"stepped C({left}, {left}) did not come back to 1")
+        mult[slot] = left
+        walk(slot + 1, 0, size + (slot + 1) * left, binom)
+
+    if length >= 0:
+        walk(0, length, 0, 1)
     return total
 
 
@@ -96,7 +115,9 @@ def claim1_sum(n: int, a: int, x: int) -> int:
     (-1)^|l| multinomial(n; m) C(|l|+n+x, n-1); identically zero."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    return alternating_partition_sum(n, a, lambda m, size: binom_general(size + n + x, n - 1))
+    # The binomial depends on m only through |l| <= 2an: one value per size.
+    values = [binom_general(size + n + x, n - 1) for size in range(2 * a * n + 1)]
+    return alternating_partition_sum(n, a, lambda m, size: values[size])
 
 
 def claim2_sum(n: int, a: int, x: int) -> int:
@@ -104,9 +125,9 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     (-1)^|l| multinomial(n-1; m) C(|l|+n+x, n-1); identically a^(n-1)."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    return alternating_partition_sum(
-        n - 1, a, lambda m, size: binom_general(size + n + x, n - 1)
-    )
+    # As in claim1_sum, one binomial per size |l| <= 2a(n-1).
+    values = [binom_general(size + n + x, n - 1) for size in range(2 * a * (n - 1) + 1)]
+    return alternating_partition_sum(n - 1, a, lambda m, size: values[size])
 
 
 def claim2_ct(n: int, a: int, x: int) -> int:

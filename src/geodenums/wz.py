@@ -7,14 +7,19 @@ relations pointwise on large grids, in exact integers.  No tolerance appears
 anywhere: every equality is exact or the check fails.
 
 Each pair is described once, as a summand F and a rational certificate R,
-each a function returning an integer (numerator, denominator) pair.  A grid
-check computes F once per point and forms the companion H = R * F from it;
-it checks every relation by cross-multiplying and every sum over a common
+each a row function: given n (and a), it returns the integer (numerator,
+denominator) pairs of the whole row over k.  Binomials enter a row through
+one stepper, ``_binomials``, which starts from math.comb, steps by the exact
+ratio of neighbouring binomials (a small-int multiply and divide per
+entry) and checks the row's last entry against math.comb, so no row can
+drift from the closed form and no ratio is typed by hand.  A grid check
+reads each row once and forms the companion H = R * F from it; it checks
+every relation by cross-multiplying and every sum over a common
 denominator, and builds a Fraction only to print a failure.  A zero
 denominator would make both sides of a cross-multiplied relation 0, so a
-grid that reads one is an error, never a pass.  The public F1, H1, F2, H2,
-certificate_R, certificate_summand and certificate_companion return the
-same descriptions as Fractions.
+grid that reads one is an error, never a pass; so is a row of the wrong
+length.  The public F1, H1, F2, H2, certificate_R, certificate_summand and
+certificate_companion return entries of the same rows as Fractions.
 
 The pair in two variables:
 
@@ -60,101 +65,165 @@ def _sign(e: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the descriptions: each formula is typed here once
+# the binomial rows
 
 
-def _f1(n: int, k: int) -> Ratio:
-    return _sign(k) * comb(n, k) * comb(2 * n + 1 + k, n + 1 + k), 2 * n + 1 + k
+def _step(top: int, bottom: int, top_step: int) -> tuple[int, int]:
+    """The numerator of the first step of ``_binomials`` and its change per
+    step; the denominator is bottom + 1, then bottom + 2, and so on.  From
+    C(t, b), C(t, b+1) = C(t, b) (t-b) / (b+1) and C(t+1, b+1) = C(t, b)
+    (t+1) / (b+1), so the numerator starts at top - bottom and falls by one
+    (top_step 0) or starts at top + 1 and rises by one (top_step 1)."""
+    if top_step == 0:
+        return top - bottom, -1
+    if top_step == 1:
+        return top + 1, 1
+    raise ValueError(f"need top_step 0 or 1, got {top_step}")
 
 
-def _r1(n: int, k: int) -> Ratio:
-    return -k * (n + 1 + k), n * (2 * n + 1)
+def _binomials(top: int, bottom: int, top_step: int, count: int) -> list[int]:
+    """C(top + top_step*j, bottom + j) for j = 0..count-1, top_step 0 or 1.
 
-
-def _f2(a: int, n: int, k: int) -> Ratio:
-    return (
-        _sign(k) * comb(n, k) * comb(a * n + 1 + k, (a - 1) * n + 1 + k),
-        a * n + 1 + k,
-    )
-
-
-def _r2(a: int, n: int, k: int) -> Ratio:
-    return -k * ((a - 1) * n + 1 + k), n * (a * n + 1)
-
-
-def _cert_summand(n: int, m: int) -> Ratio:
-    return _sign(n - 1 - m) * comb(n - 1, m) * comb(2 * n + 1 + m, n + 1 + m), 2 * n + 1
-
-
-def _cert_R(n: int, m: int) -> Ratio:
-    return (
-        m * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6),
-        2 * (2 * n + 3) * (n + 1) * (n - m),
-    )
-
-
-def _cert_companion(n: int, m: int) -> Ratio:
-    num = (
-        _sign(n - 1 - m)
-        * m
-        * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6)
-        * comb(n, m)
-        * comb(2 * n + 1 + m, n + 1 + m)
-    )
-    return num, 2 * n * (2 * n + 3) * (n + 1) * (2 * n + 1)
+    The row starts from math.comb and steps by the exact ratio of
+    neighbouring entries (``_step``), one small-int multiply and divide per
+    entry; every division is exact.  The last entry is checked against
+    math.comb, so a row cannot drift from the closed form."""
+    if count < 1:
+        return []
+    numerator, drift = _step(top, bottom, top_step)
+    denominator = bottom + 1
+    value = comb(top, bottom)
+    row = [value]
+    for _ in range(count - 1):
+        value = value * numerator // denominator
+        row.append(value)
+        numerator += drift
+        denominator += 1
+    last = top + top_step * (count - 1), bottom + count - 1
+    if value != comb(*last):
+        raise ArithmeticError(f"stepped row reached {value} at C{last}, not {comb(*last)}")
+    return row
 
 
 # ---------------------------------------------------------------------------
-# the public values, as Fractions
+# the descriptions: each formula is typed here once, as a row over k or m
+
+
+def _f1(n: int) -> list[Ratio]:
+    """F1(n, k) for k = 0..n."""
+    binomials = zip(_binomials(n, 0, 0, n + 1), _binomials(2 * n + 1, n + 1, 1, n + 1))
+    return [(_sign(k) * c * d, 2 * n + 1 + k) for k, (c, d) in enumerate(binomials)]
+
+
+def _r1(n: int) -> list[Ratio]:
+    """R1(n, k) for k = 0..n."""
+    return [(-k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)]
+
+
+def _f2(a: int, n: int) -> list[Ratio]:
+    """F2(a, n, k) for k = 0..n."""
+    binomials = zip(
+        _binomials(n, 0, 0, n + 1), _binomials(a * n + 1, (a - 1) * n + 1, 1, n + 1)
+    )
+    return [(_sign(k) * c * d, a * n + 1 + k) for k, (c, d) in enumerate(binomials)]
+
+
+def _r2(a: int, n: int) -> list[Ratio]:
+    """R2(a, n, k) for k = 0..n."""
+    return [(-k * ((a - 1) * n + 1 + k), n * (a * n + 1)) for k in range(n + 1)]
+
+
+def _cert_summand(n: int) -> list[Ratio]:
+    """F^(n, m) for m = 0..n-1, its support."""
+    binomials = zip(_binomials(n - 1, 0, 0, n), _binomials(2 * n + 1, n + 1, 1, n))
+    return [(_sign(n - 1 - m) * c * d, 2 * n + 1) for m, (c, d) in enumerate(binomials)]
+
+
+def _cert_R(n: int) -> list[Ratio]:
+    """R(n, m) for m = 0..n-1; m = n is its pole."""
+    return [
+        (
+            m * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6),
+            2 * (2 * n + 3) * (n + 1) * (n - m),
+        )
+        for m in range(n)
+    ]
+
+
+def _cert_companion(n: int) -> list[Ratio]:
+    """G^(n, m) = R(n, m) F^(n, m), pole cancelled, for m = 0..n."""
+    den = 2 * n * (2 * n + 3) * (n + 1) * (2 * n + 1)
+    binomials = zip(_binomials(n, 0, 0, n + 1), _binomials(2 * n + 1, n + 1, 1, n + 1))
+    return [
+        (
+            _sign(n - 1 - m) * m * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6) * c * d,
+            den,
+        )
+        for m, (c, d) in enumerate(binomials)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the public values, as Fractions read from the rows
+
+
+def _entry(row: list[Ratio], index: int) -> Fraction:
+    """Entry `index` of a row; an index outside the row is refused, not wrapped."""
+    if not 0 <= index < len(row):
+        raise ValueError(f"need 0 <= index < {len(row)}, got {index}")
+    return Fraction(*row[index])
+
+
+def _require_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+
+def _require_a(a: int) -> None:
+    if a < 2:
+        raise ValueError(f"need a >= 2, got {a}")
 
 
 def F1(n: int, k: int) -> Fraction:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}, got k={k}")
-    return Fraction(*_f1(n, k))
+    _require_n(n)
+    return _entry(_f1(n), k)
 
 
 def H1(n: int, k: int) -> Fraction:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_n(n)
     if k > n:
         # C(n,k) vanishes in F1's formula; H1(n, n+1) = 0 closes the telescope.
         return Fraction(0)
-    return Fraction(*_r1(n, k)) * F1(n, k)
+    return _entry(_r1(n), k) * _entry(_f1(n), k)
 
 
 def F2(a: int, n: int, k: int) -> Fraction:
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}, got k={k}")
-    return Fraction(*_f2(a, n, k))
+    _require_a(a)
+    _require_n(n)
+    return _entry(_f2(a, n), k)
 
 
 def H2(a: int, n: int, k: int) -> Fraction:
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_a(a)
+    _require_n(n)
     if k > n:
         return Fraction(0)
-    return Fraction(*_r2(a, n, k)) * F2(a, n, k)
+    return _entry(_r2(a, n), k) * _entry(_f2(a, n), k)
 
 
 def certificate_R(n: int, m: int) -> Fraction:
-    """The telescoping certificate; undefined at m = n (zero denominator)."""
+    """The telescoping certificate for 0 <= m < n; m = n is its pole
+    (zero denominator)."""
     if m == n:
         raise ZeroDivisionError("certificate has a pole at m = n")
-    return Fraction(*_cert_R(n, m))
+    _require_n(n)
+    return _entry(_cert_R(n), m)
 
 
 def certificate_summand(n: int, m: int) -> Fraction:
     """F^(n,m); vanishes for m >= n through C(n-1,m)."""
-    return Fraction(*_cert_summand(n, m))
+    _require_n(n)
+    return Fraction(0) if m >= n else _entry(_cert_summand(n), m)
 
 
 def certificate_companion(n: int, m: int) -> Fraction:
@@ -162,21 +231,26 @@ def certificate_companion(n: int, m: int) -> Fraction:
 
     Equals R * F^ exactly for 0 <= m <= n-1 and extends it to m = n, where
     the plain product is 0 * infinity; the extension is what telescopes.
+    Vanishes for m > n through C(n,m).
     """
-    return Fraction(*_cert_companion(n, m))
+    _require_n(n)
+    return Fraction(0) if m > n else _entry(_cert_companion(n), m)
 
 
 # ---------------------------------------------------------------------------
 # the grid checks
 
 
-def _require_denominators(*rows: list[Ratio]) -> None:
-    """Refuse a zero denominator: it would make both sides of every
+def _require(row: list[Ratio], length: int) -> list[Ratio]:
+    """Refuse a row of the wrong length, which would leave points unchecked,
+    and a zero denominator, which would make both sides of every
     cross-multiplied relation that reads it 0, a pass that checks nothing."""
-    for row in rows:
-        for index, (_, den) in enumerate(row):
-            if not den:
-                raise ZeroDivisionError(f"zero denominator at index {index} of a grid row")
+    if len(row) != length:
+        raise ValueError(f"grid row has {len(row)} entries, not {length}")
+    for index, (_, den) in enumerate(row):
+        if not den:
+            raise ZeroDivisionError(f"zero denominator at index {index} of a grid row")
+    return row
 
 
 def _row_sum(row: list[Ratio]) -> Ratio:
@@ -188,15 +262,14 @@ def _row_sum(row: list[Ratio]) -> Ratio:
 def _check_pair(
     report: VerifyReport,
     n_max: int,
-    f: Callable[[int, int], Ratio],
-    r: Callable[[int, int], Ratio],
+    f: Callable[[int], list[Ratio]],
+    r: Callable[[int], list[Ratio]],
     extra: Callable[[int, list[Ratio]], tuple[bool, str]] | None = None,
 ) -> VerifyReport:
     for n in range(1, n_max + 1):
         def check(n=n) -> tuple[bool, str]:
-            frow = [f(n, k) for k in range(n + 1)]
-            rrow = [r(n, k) for k in range(n + 1)]
-            _require_denominators(frow, rrow)
+            frow = _require(f(n), n + 1)
+            rrow = _require(r(n), n + 1)
             hrow = [(rn * fn, rd * fd) for (fn, fd), (rn, rd) in zip(frow, rrow)]
             hrow.append((0, 1))  # H(n, n+1) = 0
             for k, (fn, fd) in enumerate(frow):
@@ -220,35 +293,34 @@ def _check_pair(
 
 def check_wz1(
     n_max: int,
-    f: Callable[[int, int], Ratio] = _f1,
-    r: Callable[[int, int], Ratio] = _r1,
+    f: Callable[[int], list[Ratio]] = _f1,
+    r: Callable[[int], list[Ratio]] = _r1,
 ) -> VerifyReport:
     """Verify F1(n,k) = H1(n,k+1) - H1(n,k) and the vanishing sum for every
     n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
-    (numerator, denominator), are injectable for negative controls."""
+    the row of (numerator, denominator) pairs over k = 0..n, are injectable
+    for negative controls."""
     return _check_pair(VerifyReport("wz1"), n_max, f, r)
 
 
 def check_wz2(
     a: int,
     n_max: int,
-    f: Callable[[int, int, int], Ratio] = _f2,
-    r: Callable[[int, int, int], Ratio] = _r2,
+    f: Callable[[int, int], list[Ratio]] = _f2,
+    r: Callable[[int, int], list[Ratio]] = _r2,
 ) -> VerifyReport:
     """Same checks for the generalized pair; at a = 2 additionally asserts
     coincidence with the two-variable pair."""
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
+    _require_a(a)
     extra = None
     if a == 2:
         def extra(n: int, frow: list[Ratio]) -> tuple[bool, str]:
-            for k, (fn, fd) in enumerate(frow):
-                gn, gd = _f1(n, k)
+            for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, _f1(n))):
                 if fn * gd != gn * fd:
                     return False, f"a=2 summand differs from two-variable pair at k={k}"
             return True, ""
-    fa = lambda n, k: f(a, n, k)
-    ra = lambda n, k: r(a, n, k)
+    fa = lambda n: f(a, n)
+    ra = lambda n: r(a, n)
     return _check_pair(VerifyReport(f"wz2[a={a}]"), n_max, fa, ra, extra)
 
 
@@ -269,9 +341,9 @@ def _relation_holds(
 
 def check_certificate_R(
     n_max: int,
-    summand: Callable[[int, int], Ratio] = _cert_summand,
-    r: Callable[[int, int], Ratio] = _cert_R,
-    companion: Callable[[int, int], Ratio] = _cert_companion,
+    summand: Callable[[int], list[Ratio]] = _cert_summand,
+    r: Callable[[int], list[Ratio]] = _cert_R,
+    companion: Callable[[int], list[Ratio]] = _cert_companion,
 ) -> VerifyReport:
     """Verify the certificate on 1 <= n <= n_max.
 
@@ -279,17 +351,16 @@ def check_certificate_R(
     telescoping relation ORIENT_F_DIFFERENCE holds; (iii) the companion
     equals R * F^ on 0 <= m <= n-1, where R is defined.  The
     ``orientation`` case checks the relation on a small grid first and
-    records it in the report.  The summand, certificate and companion,
-    each giving (numerator, denominator), are injectable for negative
-    controls.
+    records it in the report.  The summand (a row over m = 0..n-1), the
+    certificate (m = 0..n-1) and the companion (m = 0..n), each of
+    (numerator, denominator) pairs, are injectable for negative controls.
     """
     report = VerifyReport("certificate")
 
     def rows(n: int) -> tuple[list[Ratio], list[Ratio], list[Ratio]]:
-        f_n = [summand(n, m) for m in range(n)]
-        f_next = [summand(n + 1, m) for m in range(n)]
-        g_n = [companion(n, m) for m in range(n + 1)]
-        _require_denominators(f_n, f_next, g_n)
+        f_n = _require(summand(n), n)
+        f_next = _require(summand(n + 1), n + 1)
+        g_n = _require(companion(n), n + 1)
         return f_n, f_next, g_n
 
     def orientation_case() -> tuple[bool, str]:
@@ -310,8 +381,7 @@ def check_certificate_R(
     for n in range(1, n_max + 1):
         def check(n=n) -> tuple[bool, str]:
             f_n, f_next, g_n = rows(n)
-            r_n = [r(n, m) for m in range(n)]
-            _require_denominators(r_n)
+            r_n = _require(r(n), n)
             total, den = _row_sum(f_n)
             if total != den:
                 return False, f"target sum is {Fraction(total, den)}, not 1"

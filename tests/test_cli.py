@@ -81,6 +81,7 @@ def test_coeff_closed_routes_match_oracle(capsys):
     ["coeff", "--kind", "G", "--exps", "1,1,1,1,1,1,1,1,1,1"],
     ["table", "--vars", "3", "--max-degree", "45", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "19999", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "1621", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "3000", "--kind", "S"],
     ["table", "--vars", "2", "--max-degree", "150", "--kind", "S"],
     ["table", "--vars", "1000000", "--max-degree", "0", "--kind", "S"],
@@ -109,6 +110,7 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     ["table", "--vars", "85", "--max-degree", "2", "--kind", "S"],
     ["table", "--vars", "7", "--max-degree", "10", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "1000", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "1387", "--kind", "S"],
 ], ids=" ".join)
 def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch):
     # Each of these finishes within about 2 s; the stub keeps the test fast.
@@ -259,12 +261,13 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["wz1", "--max-n", "0"],
     ["certificate", "--max-n", "0"],
     ["wz1", "--max-n", "100000"],
-    ["wz1", "--max-n", "401"],
-    ["wz2", "--max-n", "251"],
+    ["wz1", "--max-n", "601"],
+    ["wz2", "--max-n", "351"],
     ["wz2", "--a", "1001"],
-    ["certificate", "--max-n", "301"],
+    ["certificate", "--max-n", "601"],
     ["eq31", "--max-n", "13"],
     ["eq31", "--max-a", "5"],
+    ["claims", "--max-n", "16"],
     ["claims", "--max-n", "40"],
     ["claims", "--max-a", "4"],
     ["all", "--max-n", "13"],
@@ -289,8 +292,8 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     ["thm3", "--a", "5"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
-    # thm1 at degree 200 solves S(2, 201), 2.9e8 units; thm3 at a = 5
-    # solves S(10, 9), 2.3e7 units; MAX_ORACLE_WORK is 1e7.
+    # thm1 at degree 200 solves S(2, 201), 3.4e8 units; thm3 at a = 5
+    # solves S(10, 9), 2.4e7 units; MAX_ORACLE_WORK is 1e7.
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before its oracle work was priced")
 
@@ -318,10 +321,15 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     ["wz1", "--max-n", "400"],
     ["wz2", "--max-n", "250", "--a", "1000"],
     ["certificate", "--max-n", "300"],
+    ["claims", "--max-n", "15", "--max-a", "3"],
+    ["wz1", "--max-n", "600"],
+    ["wz2", "--max-n", "350", "--a", "1000"],
+    ["certificate", "--max-n", "600"],
 ], ids=" ".join)
 def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
-    # the raised bounds of the benchmark's identities workload, and each
-    # grid suite at its largest admitted bounds
+    # the raised bounds of the benchmark's identities workload, bounds that
+    # were the maxima before the stepped rows, and each grid suite at its
+    # largest admitted bounds
     parser = cli._build_parser()
     cli._check_bounds((argv[0],), parser.parse_args(["verify", *argv]), parser)
 

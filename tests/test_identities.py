@@ -7,6 +7,8 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodenums.identities import (
     alternating_partition_sum,
@@ -14,20 +16,12 @@ from geodenums.identities import (
     claim1_sum,
     claim2_ct,
     claim2_sum,
-    multinomial,
     partition_sum_main,
 )
 
 
 # ---------------------------------------------------------------------------
 # binomial helpers
-
-
-def test_multinomial_values():
-    assert multinomial(3, (1, 1, 1)) == 6
-    assert multinomial(4, (2, 2)) == 6
-    with pytest.raises(ValueError):
-        multinomial(3, (1, 1))
 
 
 def test_binom_general_matches_comb_for_nonnegative():
@@ -50,21 +44,42 @@ def test_binom_general_negative_upper():
 # the partition sums
 
 
+def _word_sum(length, a, term):
+    """The partition sum by brute force.  Each multiplicity vector m stands
+    for the multinomial(L; m) words of length L over the parts 1..2a that
+    use part k exactly m_k times, so the sum is a plain sum over all (2a)^L
+    words."""
+    total = 0
+    for word in product(range(1, 2 * a + 1), repeat=length):
+        counts = Counter(word)
+        m = tuple(counts[k] for k in range(1, 2 * a + 1))
+        total += (-1) ** sum(word) * term(m, sum(word))
+    return total
+
+
 def test_alternating_partition_sum_matches_words():
-    # Each multiplicity vector m stands for the multinomial(L; m) words of
-    # length L over the parts 1..2a that use part k exactly m_k times, so the
-    # sum is a plain sum over all (2a)^L words.
     def term(m, size):
         return (size + 1) ** 2 * (1 + m[0]) - 3 * m[-1]
 
     for length in range(4):
         for a in (1, 2):
-            brute = 0
-            for word in product(range(1, 2 * a + 1), repeat=length):
-                counts = Counter(word)
-                m = tuple(counts[k] for k in range(1, 2 * a + 1))
-                brute += (-1) ** sum(word) * term(m, sum(word))
-            assert alternating_partition_sum(length, a, term) == brute
+            assert alternating_partition_sum(length, a, term) == _word_sum(length, a, term)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 3), st.data())
+def test_alternating_partition_sum_matches_words_for_any_term(length, a, data):
+    # The term is an arbitrary function of (m, |l|): each value is drawn the
+    # first time it is asked for, an integer or a Fraction.
+    values = {}
+    draws = st.integers(-10**12, 10**12) | st.fractions(max_denominator=10**6)
+
+    def term(m, size):
+        if (m, size) not in values:
+            values[m, size] = data.draw(draws)
+        return values[m, size]
+
+    assert alternating_partition_sum(length, a, term) == _word_sum(length, a, term)
 
 
 def test_main_sum_small_values():

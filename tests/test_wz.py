@@ -25,27 +25,69 @@ from geodenums.wz import (
 )
 
 
-def _raised(ratio, at):
-    """The description raised by 1 at the one point `at`."""
+def _raised(row, at):
+    """The row description raised by 1 at the one point `at`, whose last
+    entry is the index into the row named by the others."""
+    *where, index = at
+
     def raised(*args):
-        num, den = ratio(*args)
-        return (num + den, den) if args == at else (num, den)
+        values = row(*args)
+        if list(args) == where:
+            num, den = values[index]
+            values[index] = (num + den, den)
+        return values
     return raised
 
 
-def _zeroed_on_diagonal(ratio):
-    """The description set to 0 where its last two arguments agree (k = n or m = n)."""
+def _zeroed_on_diagonal(row):
+    """The row description set to 0 at index n (k = n or m = n)."""
     def zeroed(*args):
-        return (0, 1) if args[-1] == args[-2] else ratio(*args)
+        values = row(*args)
+        values[args[-1]] = (0, 1)
+        return values
     return zeroed
 
 
-def _zero_over_zero(ratio, at):
-    """The description with 0/0 at the one point `at`.  Cross-multiplying
+def _zero_over_zero(row, at):
+    """The row description with 0/0 at the one point `at`.  Cross-multiplying
     turns both sides of every relation that reads it into 0."""
+    *where, index = at
+
     def broken(*args):
-        return (0, 0) if args == at else ratio(*args)
+        values = row(*args)
+        if list(args) == where:
+            values[index] = (0, 0)
+        return values
     return broken
+
+
+def test_binomial_rows_match_comb():
+    for top in range(9):
+        for bottom in range(11):
+            for top_step in (0, 1):
+                for count in range(7):
+                    expected = [comb(top + top_step * j, bottom + j) for j in range(count)]
+                    assert wz._binomials(top, bottom, top_step, count) == expected
+    # the second binomial of F2 at the largest --a of `verify wz2`
+    for a in (2, 3, 999, 1000):
+        for n in (1, 7, 60):
+            expected = [comb(a * n + 1 + k, (a - 1) * n + 1 + k) for k in range(n + 1)]
+            assert wz._binomials(a * n + 1, (a - 1) * n + 1, 1, n + 1) == expected
+    with pytest.raises(ValueError):
+        wz._binomials(5, 1, 2, 3)
+
+
+@pytest.mark.parametrize("top, bottom, top_step", [(10, 0, 0), (21, 11, 1), (5001, 4001, 1)])
+def test_binomial_row_that_drifts_is_refused(monkeypatch, top, bottom, top_step):
+    step = wz._step
+
+    def off_by_one(*args):
+        numerator, drift = step(*args)
+        return numerator + 1, drift
+
+    monkeypatch.setattr(wz, "_step", off_by_one)
+    with pytest.raises(ArithmeticError, match="stepped row"):
+        wz._binomials(top, bottom, top_step, 11)
 
 
 def test_f1_values():
@@ -217,8 +259,12 @@ def test_mutants_leave_the_rest_of_the_grid_passing():
 def test_sum_checks_catch_what_the_relations_do_not():
     # F = (1, 0, ..., 0) with H(n,0) = -1 satisfies every pair relation, but
     # its sum is 1; the sum check is what fails.
-    report = check_wz1(3, f=lambda n, k: (int(k == 0), 1), r=lambda n, k: (-1, 1))
+    report = check_wz1(
+        3,
+        f=lambda n: [(int(k == 0), 1) for k in range(n + 1)],
+        r=lambda n: [(-1, 1)] * (n + 1),
+    )
     assert [case.actual for case in report.cases] == ["telescoped sum is 1, not 0"] * 3
-    doubled = lambda n, m: (2 * wz._cert_summand(n, m)[0], wz._cert_summand(n, m)[1])
+    doubled = lambda n: [(2 * num, den) for num, den in wz._cert_summand(n)]
     report = check_certificate_R(3, summand=doubled)
     assert report.cases[1].actual == "target sum is 2, not 1"
