@@ -245,7 +245,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
             # (n + 3 points of a polynomial in x of degree <= n - 1).
             def eq32(n=n, a=a):
                 value = identities.alternating_partition_sum(
-                    n, a, lambda m, size: identities.binom_general(size + n, size + 1)
+                    n, a, lambda size, _: identities.binom_general(size + n, size + 1)
                 )
                 return _is(0, value)
 
@@ -253,7 +253,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
                 value = identities.alternating_partition_sum(
                     n - 1,
                     a,
-                    lambda m, size: identities.binom_general(
+                    lambda size, _: identities.binom_general(
                         size + 2 * a + n, size + 2 * a + 1
                     ),
                 )
@@ -426,13 +426,14 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> VerifyReport:
 # grid suites' maxima keep each one, at its largest admitted bounds, under
 # 3 s on a 2-core VM with Python 3.11 (`verify` wall time, at least two
 # runs each): wz1 at 600 1.5-1.8 s, wz2 at 350 1.4-1.7 s (--a 1000
-# 1.3 s), certificate at 600 1.5-2.0 s, eq31 at 12/4 1.2-2.0 s, claims at
-# 15/3 1.8-2.7 s.  eq31 stays at 12: at 13/4 it took 2.3-2.9 s.
+# 1.3 s), certificate at 600 1.5-2.0 s, eq31 at 14/5 1.7-2.1 s, claims at
+# 15/3 1.6-2.7 s.  In process, eq31 at 16/5 took 3.5 s and claims at 12/4
+# 2.4 s, so eq31 stops at 14/5 and claims stays at a <= 3.
 SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, tuple[int, int | None]]]] = {
     "thm1": (suite_thm1, {"max_degree": (0, None)}),
     "thm2": (suite_thm2, {"max_sum": (0, None)}),
     "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
-    "eq31": (suite_eq31, {"max_n": (1, 12), "max_a": (1, 4)}),
+    "eq31": (suite_eq31, {"max_n": (1, 14), "max_a": (1, 5)}),
     "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 3)}),
     "wz1": (suite_wz1, {"max_n": (1, 600)}),
     "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}),

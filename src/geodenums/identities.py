@@ -3,8 +3,11 @@
 A partition with parts bounded by 2a is encoded by its multiplicity vector
 (m_1, ..., m_2a): size |lambda| = sum k*m_k, length l(lambda) = sum m_k.
 ``alternating_partition_sum`` is the one loop over all partitions of fixed
-length and bounded part; each sum below is a call to it with its own term,
-and each evaluates to a strikingly simple value:
+length and bounded part.  Every term below depends on the vector only
+through |lambda| and m_2a, so the loop tallies the multinomial weights per
+(|lambda|, m_2a) and evaluates each term once per group, in integers.  Each
+sum below is a call to it with its own term, and each evaluates to a
+strikingly simple value:
 
   * partition_sum_main(n, a)  -> a^(n-1)
   * claim1_sum(n, a, x)       -> 0           (any integer x)
@@ -21,10 +24,10 @@ arguments are plain integers, never symbols.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable
 
-from .mpoly import ExpVec, TruncatedSeries, coeff, mul
+from .mpoly import TruncatedSeries, coeff, mul
 
 
 def binom_general(y: int, k: int) -> int:
@@ -46,47 +49,58 @@ def _sign(e: int) -> int:
 
 
 def alternating_partition_sum(
-    length: int, a: int, term: Callable[[ExpVec, int], int | Fraction]
+    length: int, a: int, term: Callable[[int, int], int | Fraction]
 ) -> int | Fraction:
     """Sum over the partitions with `length` parts, each at most 2a, of
 
-        (-1)^|l| multinomial(length; m) term(m, |l|)
+        (-1)^|l| multinomial(length; m) term(|l|, m_2a)
 
     where m = (m_1, ..., m_2a) is the multiplicity vector and |l| = sum k*m_k.
 
-    One recursive walk over the 2a slots visits the vectors in ascending
+    One recursive walk over the slots visits the vectors in ascending
     lexicographic order, as ``iter_exponents(2a, length)`` yields them.  It
     carries the running size and the multinomial as the product of
     binomials C(length, m_1) C(length - m_1, m_2) ...; within a slot the
     binomial C(left, h) is stepped exactly, C(left, h+1) = C(left, h) (left-h)
-    / (h+1), and checked to reach C(left, left) = 1.  So each vector costs
-    O(1) small-int steps besides its term."""
+    / (h+1), and checked to reach C(left, left) = 1.  Slot 2a-1 closes each
+    vector, since m_2a = left - h, so a vector costs one stepped binomial and
+    one integer add: the walk tallies the multinomials per group (|l|, m_2a)
+    and then calls `term` once per nonzero group."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
-    last = 2 * a - 1
-    mult = [0] * (last + 1)
-    total: int | Fraction = 0
+    if length < 0:
+        return 0
+    top = 2 * a
+    close = top - 2  # the slot of part 2a-1, which also fixes m_2a
+    # tally[size][m_2a]: the multinomial mass of the vectors in that group.
+    tally = [[0] * (length + 1) for _ in range(top * length + 1)]
 
     def walk(slot: int, left: int, size: int, weight: int) -> None:
-        nonlocal total
-        if slot == last:
-            mult[slot] = left
-            size += (slot + 1) * left
-            value = weight * term(tuple(mult), size)
-            total += -value if size % 2 else value
-            return
         binom = weight
-        for h in range(left):
-            mult[slot] = h
-            walk(slot + 1, left - h, size + (slot + 1) * h, binom)
-            binom = binom * (left - h) // (h + 1)
+        if slot == close:
+            # m_{2a-1} = h and m_2a = left - h add 2a left - h to the size.
+            size += top * left
+            for h in range(left):
+                tally[size - h][left - h] += binom
+                binom = binom * (left - h) // (h + 1)
+        else:
+            for h in range(left):
+                walk(slot + 1, left - h, size + (slot + 1) * h, binom)
+                binom = binom * (left - h) // (h + 1)
         if binom != weight:
             raise ArithmeticError(f"stepped C({left}, {left}) did not come back to 1")
-        mult[slot] = left
-        walk(slot + 1, 0, size + (slot + 1) * left, binom)
+        if slot == close:
+            tally[size - left][0] += binom
+        else:
+            walk(slot + 1, 0, size + (slot + 1) * left, binom)
 
-    if length >= 0:
-        walk(0, length, 0, 1)
+    walk(0, length, 0, 1)
+    total: int | Fraction = 0
+    for size, row in enumerate(tally):
+        for m_last, mass in enumerate(row):
+            if mass:
+                value = mass * term(size, m_last)
+                total += -value if size % 2 else value
     return total
 
 
@@ -95,19 +109,24 @@ def partition_sum_main(n: int, a: int) -> int:
 
         (-1)^(1+|l|) (n - m_2a) multinomial(n; m) C(|l|+n+1, |l|+1) / (|l|+n+1)
 
-    evaluated in exact rationals; the result always clears to the integer
-    a^(n-1) and integrality is asserted.
+    in integers: each term is a numerator over the least common denominator
+    of the |l|+n+1, |l| <= 2an, evaluated once per (|l|, m_2a) group of the
+    walk.  The sum always clears to the integer a^(n-1), and the denominator
+    is asserted to divide it.
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-
-    def term(m: ExpVec, size: int) -> Fraction:
-        return -(n - m[-1]) * Fraction(comb(size + n + 1, size + 1), size + n + 1)
-
-    total = Fraction(alternating_partition_sum(n, a, term))
-    if total.denominator != 1:
-        raise ArithmeticError(f"sum for n={n}, a={a} is not an integer: {total}")
-    return int(total)
+    sizes = range(2 * a * n + 1)
+    den = lcm(*(size + n + 1 for size in sizes))
+    # The term depends on |l| through one integer per size, scaled to den.
+    scaled = [comb(size + n + 1, size + 1) * (den // (size + n + 1)) for size in sizes]
+    total = alternating_partition_sum(n, a, lambda size, m_last: -(n - m_last) * scaled[size])
+    value, rem = divmod(total, den)
+    if rem:
+        raise ArithmeticError(
+            f"sum for n={n}, a={a} is not an integer: {Fraction(total, den)}"
+        )
+    return value
 
 
 def claim1_sum(n: int, a: int, x: int) -> int:
@@ -117,7 +136,7 @@ def claim1_sum(n: int, a: int, x: int) -> int:
         raise ValueError("n and a must be positive")
     # The binomial depends on m only through |l| <= 2an: one value per size.
     values = [binom_general(size + n + x, n - 1) for size in range(2 * a * n + 1)]
-    return alternating_partition_sum(n, a, lambda m, size: values[size])
+    return alternating_partition_sum(n, a, lambda size, m_last: values[size])
 
 
 def claim2_sum(n: int, a: int, x: int) -> int:
@@ -127,7 +146,7 @@ def claim2_sum(n: int, a: int, x: int) -> int:
         raise ValueError("n and a must be positive")
     # As in claim1_sum, one binomial per size |l| <= 2a(n-1).
     values = [binom_general(size + n + x, n - 1) for size in range(2 * a * (n - 1) + 1)]
-    return alternating_partition_sum(n - 1, a, lambda m, size: values[size])
+    return alternating_partition_sum(n - 1, a, lambda size, m_last: values[size])
 
 
 def claim2_ct(n: int, a: int, x: int) -> int:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import re
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -265,12 +268,12 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["wz2", "--max-n", "351"],
     ["wz2", "--a", "1001"],
     ["certificate", "--max-n", "601"],
-    ["eq31", "--max-n", "13"],
-    ["eq31", "--max-a", "5"],
+    ["eq31", "--max-n", "15"],
+    ["eq31", "--max-a", "6"],
     ["claims", "--max-n", "16"],
     ["claims", "--max-n", "40"],
     ["claims", "--max-a", "4"],
-    ["all", "--max-n", "13"],
+    ["all", "--max-n", "15"],
 ], ids=" ".join)
 def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
     def must_not_run(**bounds):
@@ -325,6 +328,7 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     ["wz1", "--max-n", "600"],
     ["wz2", "--max-n", "350", "--a", "1000"],
     ["certificate", "--max-n", "600"],
+    ["eq31", "--max-n", "14", "--max-a", "5"],
 ], ids=" ".join)
 def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
     # the raised bounds of the benchmark's identities workload, bounds that
@@ -332,6 +336,51 @@ def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
     # largest admitted bounds
     parser = cli._build_parser()
     cli._check_bounds((argv[0],), parser.parse_args(["verify", *argv]), parser)
+
+
+FLAG_TABLE = "| suite | flags (default, minimum, maximum) |"
+
+
+def _readme_flag_rows():
+    """The rows of the README's verify flag table: suite name -> {flag:
+    (default, minimum, maximum)}, each as the string the table prints."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(FLAG_TABLE) + 2  # skip the header and |---|---|
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        suite = re.match(r"\| `([\w-]+)` \|", line).group(1)
+        rows[suite] = {
+            flag.replace("-", "_"): (default, minimum, maximum)
+            for flag, default, minimum, maximum in re.findall(
+                r"`--([\w-]+)` \(([^,]+), ([^,]+), ([^)]+)\)", line
+            )
+        }
+    return rows
+
+
+def test_readme_flag_table_matches_suites():
+    # README lists a flag's suite default (a_values as lo..hi), its minimum
+    # and its maximum, with "priced" for the None of an oracle flag.
+    rows = _readme_flag_rows()
+    assert list(rows) == list(cli.SUITES)
+    for name, (suite, ranges) in cli.SUITES.items():
+        defaults = {
+            p.name: p.default for p in inspect.signature(suite).parameters.values()
+        }
+        expected = {}
+        for flag, (minimum, maximum) in ranges.items():
+            if flag == "a":
+                values = defaults["a_values"]
+                assert tuple(values) == tuple(range(values[0], values[-1] + 1))
+                default = f"{values[0]}..{values[-1]}"
+            else:
+                default = str(defaults[flag])
+            expected[flag] = (
+                default, str(minimum), "priced" if maximum is None else str(maximum)
+            )
+        assert rows[name] == expected, name
 
 
 def test_verify_all_at_default_bounds_is_admitted():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -18,6 +18,7 @@ from geodenums.identities import (
     claim2_sum,
     partition_sum_main,
 )
+from geodenums.mpoly import iter_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +49,17 @@ def _word_sum(length, a, term):
     """The partition sum by brute force.  Each multiplicity vector m stands
     for the multinomial(L; m) words of length L over the parts 1..2a that
     use part k exactly m_k times, so the sum is a plain sum over all (2a)^L
-    words."""
+    words, each keyed by its size and its count of the part 2a."""
     total = 0
     for word in product(range(1, 2 * a + 1), repeat=length):
-        counts = Counter(word)
-        m = tuple(counts[k] for k in range(1, 2 * a + 1))
-        total += (-1) ** sum(word) * term(m, sum(word))
+        size = sum(word)
+        total += (-1) ** size * term(size, word.count(2 * a))
     return total
 
 
 def test_alternating_partition_sum_matches_words():
-    def term(m, size):
-        return (size + 1) ** 2 * (1 + m[0]) - 3 * m[-1]
+    def term(size, m_last):
+        return (size + 1) ** 2 * (1 + m_last) - 3 * m_last**2
 
     for length in range(4):
         for a in (1, 2):
@@ -69,17 +69,51 @@ def test_alternating_partition_sum_matches_words():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 5), st.integers(1, 3), st.data())
 def test_alternating_partition_sum_matches_words_for_any_term(length, a, data):
-    # The term is an arbitrary function of (m, |l|): each value is drawn the
-    # first time it is asked for, an integer or a Fraction.
+    # The term is an arbitrary function of (|l|, m_2a): each value is drawn
+    # the first time it is asked for, an integer or a Fraction.
     values = {}
     draws = st.integers(-10**12, 10**12) | st.fractions(max_denominator=10**6)
 
-    def term(m, size):
-        if (m, size) not in values:
-            values[m, size] = data.draw(draws)
-        return values[m, size]
+    def term(size, m_last):
+        if (size, m_last) not in values:
+            values[size, m_last] = data.draw(draws)
+        return values[size, m_last]
 
     assert alternating_partition_sum(length, a, term) == _word_sum(length, a, term)
+
+
+def _multinomial(m):
+    value, left = 1, sum(m)
+    for part in m:
+        value *= comb(left, part)
+        left -= part
+    return value
+
+
+def _vector_sum(length, a, term):
+    """The partition sum evaluated vector by vector in Fractions: the sum
+    over every multiplicity vector m of (-1)^|l| multinomial(length; m)
+    term(m, |l|)."""
+    total = Fraction(0)
+    for m in iter_exponents(2 * a, length):
+        size = sum((k + 1) * mk for k, mk in enumerate(m))
+        total += (-1) ** size * _multinomial(m) * Fraction(term(m, size))
+    return total
+
+
+def test_sums_match_a_per_vector_fraction_evaluation():
+    for n in range(1, 7):
+        for a in (1, 2, 3):
+            main = -_vector_sum(
+                n, a, lambda m, s: (n - m[-1]) * Fraction(comb(s + n + 1, s + 1), s + n + 1)
+            )
+            assert partition_sum_main(n, a) == main
+            for x in range(-2, n + 1):
+                def shifted(m, s, x=x):
+                    return binom_general(s + n + x, n - 1)
+
+                assert claim1_sum(n, a, x) == _vector_sum(n, a, shifted)
+                assert claim2_sum(n, a, x) == _vector_sum(n - 1, a, shifted)
 
 
 def test_main_sum_small_values():
