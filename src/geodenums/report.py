@@ -3,7 +3,8 @@
 A report is a named suite of cases; each case records its parameters, the
 expected and observed values (as strings, since coefficients outgrow 64-bit
 integers), a pass/fail/error status and its wall time.  Reports with any
-non-passing case map to a nonzero process exit code.
+non-passing case, and reports with no cases at all, map to a nonzero
+process exit code.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class VerifyReport:
         return self.total - self.passed
 
     def all_passed(self) -> bool:
-        return self.failed == 0
+        """True when at least one case ran and every case passed: a suite
+        that ran no cases has shown nothing."""
+        return self.total > 0 and self.failed == 0
 
     def first_failure(self) -> Case | None:
         for c in self.cases:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from geodenums import cli, geode, identities
+from geodenums import cli, geode, identities, mpoly
 from geodenums.geode import geode_series
 from geodenums.hypercat import solve_S, solve_work
 from geodenums.mpoly import constant_series
@@ -223,6 +223,33 @@ def test_verify_error_status_counts_as_failure(monkeypatch, capsys):
     assert code == 1
 
 
+def test_empty_report_never_passes():
+    assert not VerifyReport("thm1").all_passed()
+
+
+@pytest.mark.parametrize("suite", ["thm1", "all"])
+def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(
+        cli.SUITES, "thm1", (lambda **bounds: VerifyReport("thm1"), cli.SUITES["thm1"][1])
+    )
+    if suite == "all":
+        # keep the other suites small; every one of them runs cases
+        argv = ["--max-n", "2", "--max-a", "1", "--max-degree", "2", "--max-order", "1",
+                "--max-sum", "1", "--max-vars", "1"]
+    else:
+        argv = []
+    code = cli.main(["verify", suite, *argv, "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["empty suite: thm1 ran no cases"]
+
+
+def test_negative_control_does_not_count_an_empty_run_as_detected():
+    report = VerifyReport("wz1")
+    cli._negative_control(report, "negative", "R", lambda: VerifyReport("wz1"))
+    assert [case.status for case in report.cases] == ["fail"]
+
+
 def test_verify_all_small_bounds(tmp_path, capsys):
     report_path = tmp_path / "all.json"
     code, _ = run_cli(
@@ -272,7 +299,7 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["eq31", "--max-a", "6"],
     ["claims", "--max-n", "16"],
     ["claims", "--max-n", "40"],
-    ["claims", "--max-a", "4"],
+    ["claims", "--max-a", "5"],
     ["all", "--max-n", "15"],
 ], ids=" ".join)
 def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
@@ -329,6 +356,8 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     ["wz2", "--max-n", "350", "--a", "1000"],
     ["certificate", "--max-n", "600"],
     ["eq31", "--max-n", "14", "--max-a", "5"],
+    ["claims", "--max-a", "4"],
+    ["claims", "--max-n", "15", "--max-a", "4"],
 ], ids=" ".join)
 def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
     # the raised bounds of the benchmark's identities workload, bounds that
@@ -437,7 +466,8 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch):
     ("thm2", geode, "geode_closed_shifted", {"max_sum": 2}),
     ("two-nonzero", geode, "geode_closed_two_nonzero", {"max_n": 3}),
     ("eq31", identities, "partition_sum_main", {"max_n": 3, "max_a": 2}),
-    ("claims", identities, "claim2_ct", {"max_n": 2, "max_a": 1}),
+    ("claims", identities, "ct_coefficient", {"max_n": 2, "max_a": 1}),
+    ("claims", identities, "shifted_binomial_sum", {"max_n": 2, "max_a": 1}),
     ("recurrence", geode, "hyper_catalan", {"max_vars": 2, "max_degree": 3}),
 ])
 def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, monkeypatch):
@@ -447,3 +477,46 @@ def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, 
     monkeypatch.setattr(module, function, lambda *args: original(*args) + 1)
     report = suite(**bounds)
     assert any(case.status == "fail" for case in report.cases)
+
+
+# ---------------------------------------------------------------------------
+# the claims suite's shared tallies and bracket powers
+
+
+def test_claims_shared_values_equal_the_per_call_sums():
+    # every claim1/claim2 case reads the signed size mass of one tally per
+    # length and every ct case one bracket power per (n, a); their values
+    # are those of the functions that build everything per call
+    report = cli.suite_claims(8, 4)
+    assert report.all_passed()
+    sums = {"claim1": identities.claim1_sum, "claim2": identities.claim2_sum,
+            "ct": identities.claim2_ct}
+    checked = set()
+    for case in report.cases:
+        kind = case.id.split(",")[0]
+        if kind in sums:
+            p = case.params
+            assert case.actual == str(sums[kind](p["n"], p["a"], p["x"])), case.id
+            checked.add(kind)
+    assert checked == set(sums)
+
+
+def test_claims_walks_once_per_length_and_powers_once_per_pair(monkeypatch):
+    calls = {"walks": 0, "products": 0}
+
+    def counting(function, key):
+        def counted(*args):
+            calls[key] += 1
+            return function(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        identities, "partition_tally", counting(identities.partition_tally, "walks")
+    )
+    monkeypatch.setattr(mpoly, "_mul_terms", counting(mpoly._mul_terms, "products"))
+    assert cli.suite_claims(8, 3).all_passed()
+    # two walks per (n, a), of lengths n and n-1 (408 when each shift x
+    # walked both lengths again), and n-1 products per (n, a) for the
+    # bracket power (588 when each ct case raised the bracket again)
+    assert calls == {"walks": 48, "products": 84}
