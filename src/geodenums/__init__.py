@@ -27,7 +27,6 @@ from .mpoly import (
     series_to_dict,
     sub,
     substitute_signed,
-    times_variable,
     with_truncation,
 )
 from .hypercat import (

@@ -1,8 +1,9 @@
 """The Geode series G and its closed forms and evaluations.
 
 S - 1 factors exactly as (t_1 + ... + t_r) * G; the coefficients G[m] are the
-Geode numbers.  This module extracts G from the series oracle and implements
-every closed form and substitution evaluation for it:
+Geode numbers.  This module extracts G from the series oracle, dividing the
+solver's packed layers and unpacking the quotient once, and implements every
+closed form and substitution evaluation for it:
 
   * geode_closed_2var        -- two-variable coefficients G[m1, m2]
   * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a
@@ -17,18 +18,19 @@ Closed forms divide factorials; every division asserts exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb, factorial
 from typing import Sequence
 
-from .hypercat import hyper_catalan, solve_S
+from .hypercat import _solve_layers, hyper_catalan, solve_S
 from .mpoly import (
-    ExpVec,
     OutOfRangeError,
     TruncatedSeries,
     UnivariateSeries,
+    _divide_layers,
+    _unpack_terms,
     coeff,
     constant_series,
-    divide_exact_by_s1,
     mul,
     s1_series,
     sub,
@@ -61,14 +63,17 @@ class GeodeTable:
 def geode_series(r: int, max_degree: int) -> GeodeTable:
     """Extract G = (S - 1) / (t_1 + ... + t_r) from the oracle.
 
-    Solves S through max_degree + 1 and divides exactly, so the quotient is
-    exact through max_degree.  Divisibility is guaranteed; a
-    NotDivisibleError here means a bug, not a property of the input.  Every
-    call builds a new table.
+    Solves S through max_degree + 1 and divides its packed layers exactly
+    (``mpoly._divide_layers``, which checks the quotient by
+    re-multiplication), so the quotient is exact through max_degree.
+    Divisibility is guaranteed; a NotDivisibleError here means a bug, not a
+    property of the input.  Every call builds a new table.
     """
-    s = solve_S(r, max_degree + 1)
-    numerator = sub(s, constant_series(r, max_degree + 1, 1))
-    return GeodeTable(r, max_degree, divide_exact_by_s1(numerator))
+    shift, layers = _solve_layers(r, max_degree + 1)
+    layers[0] = []  # S - 1: layer 0 of S is exactly [(0, 1)]
+    quotient = _divide_layers(layers, r, shift)
+    terms = _unpack_terms(chain.from_iterable(quotient), r, shift)
+    return GeodeTable(r, max_degree, TruncatedSeries(r, max_degree, terms))
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -9,7 +9,10 @@ is the Catalan numbers and a single t_k gives a Fuss-Catalan family.
 
 ``solve_S`` obtains S from the defining equation, one homogeneous layer at
 a time, and serves as the ground-truth oracle for the whole package; it
-keeps no state between calls.  ``solve_work`` estimates its cost from
+keeps no state between calls.  It unpacks the packed layers of
+``_solve_layers``, which ``geode.geode_series`` divides as they are.
+``functional_residual`` checks a series against the equation on packed
+layers as well.  ``solve_work`` estimates its cost from
 (r, max_degree) alone, so a request can be refused before it runs.
 ``hyper_catalan`` is the independent closed form.  Agreement of the two is
 itself one of the verification suites.
@@ -17,21 +20,17 @@ itself one of the verification suites.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, factorial
 from typing import Sequence
 
 from .mpoly import (
-    ExpVec,
     Layers,
     TruncatedSeries,
     _layer_product,
+    _pack_layers,
     _packing_shift,
     _unpack_terms,
-    add,
-    constant_series,
-    mul,
-    sub,
-    times_variable,
 )
 
 
@@ -58,6 +57,16 @@ def _lane_bytes(r: int, max_degree: int) -> int:
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     """Series solution of S = 1 + sum_k t_k S^{k+1}, exact through max_degree.
 
+    The layers of ``_solve_layers``, unpacked once.  Every call builds a new
+    series.
+    """
+    shift, layers = _solve_layers(r, max_degree)
+    return TruncatedSeries(r, max_degree, _unpack_terms(chain.from_iterable(layers), r, shift))
+
+
+def _solve_layers(r: int, max_degree: int) -> tuple[int, Layers]:
+    """The packing shift and the packed layers 0..max_degree of S.
+
     Solves one homogeneous layer at a time.  With S_0 = 1 and every power's
     layer 0 equal to 1, for d = 1..max_degree
 
@@ -82,9 +91,8 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     partial sum in a lane is at most the coefficient it sums to, so no lane
     ever carries into the next.
 
-    Layers are lists of (packed exponent, coefficient) pairs, kept for the
-    whole solve and unpacked once into the returned series.  Every call
-    builds a new series.
+    Layers are lists of (packed exponent, coefficient) pairs, exponents
+    packed in fields of ``shift`` bits; layer 0 is exactly [(0, 1)].
     """
     if r < 1:
         raise ValueError(f"need at least one variable, got r={r}")
@@ -121,10 +129,7 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
                 following[k] = get(k, 0) + from_bytes(lanes[start:end], "little")
         packed.append(layer)
         s.append(list(following.items()))
-    terms: dict[ExpVec, int] = {}
-    for pairs in s:
-        terms.update(_unpack_terms(pairs, r, shift))
-    return TruncatedSeries(r, max_degree, terms)
+    return shift, s
 
 
 def solve_pairs(r: int, max_degree: int) -> int:
@@ -161,14 +166,26 @@ def solve_work(r: int, max_degree: int) -> int:
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:
     """1 - S + sum_k t_k S^{k+1}; the zero series iff S solves the equation
-    through its truncation order."""
-    r = s.nvars
-    residual = sub(constant_series(r, s.trunc, 1), s)
-    power = s
-    for k in range(1, r + 1):
-        power = mul(power, s)
-        residual = add(residual, times_variable(power, k))
-    return residual
+    through its truncation order.
+
+    S is packed once; t_k S^{k+1} reads S^{k+1} only through degree
+    trunc - 1, so the powers S^2..S^{r+1} are chained by ``_layer_product``
+    that far, and every term is summed into one packed dict.
+    """
+    r, top = s.nvars, s.trunc
+    shift = _packing_shift(top)
+    layers = _pack_layers(s.terms, r, top, shift)
+    residual = {0: 1}
+    get = residual.get
+    for key, c in chain.from_iterable(layers):
+        residual[key] = get(key, 0) - c
+    power = layers
+    for k in range(r):
+        unit = 1 << (k * shift)  # t_{k+1}
+        power = [list(_layer_product(power, layers, d, {}).items()) for d in range(top)]
+        for key, c in chain.from_iterable(power):
+            residual[key + unit] = get(key + unit, 0) + c
+    return TruncatedSeries(r, top, _unpack_terms(residual.items(), r, shift))
 
 
 def hyper_catalan(m: Sequence[int]) -> int:

@@ -20,6 +20,11 @@ the oracle also runs it on lane-packed coefficients: ints that hold one
 monomial's coefficients in r powers of S side by side, in fixed-width bit
 lanes that never carry into each other.
 
+Exact division by t_1 + ... + t_r, ``_divide_layers``, works on packed
+layers too, so ``geode.geode_series`` divides the solver's layers without
+unpacking them; ``divide_exact_by_s1`` packs a series first with
+``_pack_layers``, the packing helper ``_mul_terms`` uses.
+
 Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads.
 """
@@ -27,6 +32,7 @@ series may be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ExpVec = tuple[int, ...]
@@ -76,7 +82,7 @@ class TruncatedSeries:
                 raise VariableCountMismatchError(
                     f"exponent vector {m} has length {len(m)}, expected {self.nvars}"
                 )
-            if any(e < 0 for e in m):
+            if min(m) < 0:
                 raise ValueError(f"negative exponent in {m}")
             if sum(m) > self.trunc:
                 raise ValueError(
@@ -188,6 +194,25 @@ def _packing_shift(trunc: int) -> int:
     return max(1, trunc.bit_length())
 
 
+def _pack_layers(
+    terms: Mapping[ExpVec, int], nvars: int, trunc: int, shift: int
+) -> Layers:
+    """A term dict as packed layers, up to its top nonzero layer of total
+    degree <= trunc; terms above trunc are dropped."""
+    offsets = [i * shift for i in range(nvars)]
+    layers: Layers = []
+    for m, c in terms.items():
+        d = sum(m)
+        if d <= trunc:
+            packed = 0
+            for e, o in zip(m, offsets):
+                packed |= e << o
+            while len(layers) <= d:
+                layers.append([])
+            layers[d].append((packed, c))
+    return layers
+
+
 def _unpack_terms(
     packed_terms: Iterable[tuple[int, int]], nvars: int, shift: int
 ) -> dict[ExpVec, int]:
@@ -227,19 +252,8 @@ def _mul_terms(
     so a sparse operand such as t_1 + ... + t_r pairs no empty layers.
     Only layers up to trunc are formed, so packed sums never overflow."""
     shift = _packing_shift(trunc)
-    offsets = [i * shift for i in range(nvars)]
-    a: Layers = []
-    b: Layers = []
-    for terms, layers in ((aterms, a), (bterms, b)):
-        for m, c in terms.items():
-            d = sum(m)
-            if d <= trunc:
-                packed = 0
-                for e, o in zip(m, offsets):
-                    packed |= e << o
-                while len(layers) <= d:
-                    layers.append([])
-                layers[d].append((packed, c))
+    a = _pack_layers(aterms, nvars, trunc, shift)
+    b = _pack_layers(bterms, nvars, trunc, shift)
     out: dict[int, int] = {}
     for d in range(min(trunc + 1, len(a) + len(b) - 1)):
         _layer_product(a, b, d, out)
@@ -251,18 +265,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _require_same_nvars(a, b)
     trunc = min(a.trunc, b.trunc)
     return TruncatedSeries(a.nvars, trunc, _mul_terms(a.terms, b.terms, a.nvars, trunc))
-
-
-def times_variable(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Multiply by the single variable t_k (k is 1-based), same truncation."""
-    if not 1 <= k <= a.nvars:
-        raise ValueError(f"variable index {k} outside 1..{a.nvars}")
-    i = k - 1
-    out: dict[ExpVec, int] = {}
-    for m, c in a.terms.items():
-        if sum(m) + 1 <= a.trunc:
-            out[m[:i] + (m[i] + 1,) + m[i + 1 :]] = c
-    return TruncatedSeries(a.nvars, a.trunc, out)
 
 
 def coeff(a: TruncatedSeries, m: Sequence[int]) -> int:
@@ -285,18 +287,71 @@ def coeff(a: TruncatedSeries, m: Sequence[int]) -> int:
     return a.terms.get(m, 0)
 
 
+def _divide_layers(layers: Layers, nvars: int, shift: int) -> Layers:
+    """Exact quotient of packed layers by t_1 + ... + t_r, by layers.
+
+    ``layers`` is the dividend, without a constant term; quotient layer d is
+    solved from dividend layer d + 1 by the triangular recurrence
+
+        Q[m] = A[m + e_1] - sum_{k >= 2} Q[m + e_1 - e_k],
+
+    in push form: monomials run in decreasing order of the first exponent,
+    and once Q[m] with m_1 >= 1 is known it is subtracted into
+    m - e_1 + e_k for every k >= 2, so only the monomials that the dividend
+    or a push reaches are visited.  The quotient is then re-multiplied
+    against t_1 + ... + t_r and compared with the dividend on every degree;
+    a mismatch means the dividend was not an exact multiple and raises
+    NotDivisibleError naming the first one, by degree and then
+    lexicographically.  Fields of ``shift`` bits must hold every exponent of
+    the dividend.
+    """
+    mask = (1 << shift) - 1
+    pushes = [(1 << (k * shift)) - 1 for k in range(1, nvars)]  # m -> m - e_1 + e_k
+    quotient: Layers = []
+    for d in range(len(layers) - 1):
+        # by_first[j] collects the monomials of degree d with m_1 = j
+        by_first: list[dict[int, int]] = [{} for _ in range(d + 1)]
+        for key, c in layers[d + 1]:
+            if key & mask:
+                by_first[(key & mask) - 1][key - 1] = c
+        layer = []
+        for j in range(d, 0, -1):
+            target = by_first[j - 1]
+            get = target.get
+            for key, c in by_first[j].items():
+                if c:
+                    layer.append((key, c))
+                    for push in pushes:
+                        k = key + push
+                        target[k] = get(k, 0) - c
+        layer.extend((key, c) for key, c in by_first[0].items() if c)
+        quotient.append(layer)
+    s1 = [[(1 << (k * shift), 1) for k in range(nvars)]]  # its one layer, packed
+    check: dict[int, int] = {}
+    for d in range(len(quotient)):
+        _layer_product(s1, quotient, d, check)
+    dividend = dict(chain.from_iterable(layers))
+    if check != dividend:  # equal as series unless they differ on a nonzero term
+        product = _unpack_terms(check.items(), nvars, shift)
+        wanted = _unpack_terms(dividend.items(), nvars, shift)
+        mismatches = [
+            m for m in product.keys() | wanted.keys() if product.get(m) != wanted.get(m)
+        ]
+        if mismatches:
+            bad = min(mismatches, key=lambda e: (sum(e), e))
+            raise NotDivisibleError(
+                f"dividend is not a multiple of t_1+...+t_{nvars}: first mismatch at {bad} "
+                f"(product has {product.get(bad, 0)}, dividend has {wanted.get(bad, 0)})"
+            )
+    return quotient
+
+
 def divide_exact_by_s1(a: TruncatedSeries) -> TruncatedSeries:
     """Exact quotient a / (t_1 + ... + t_r), truncated one order lower.
 
-    The quotient layer of degree d is solved from the dividend layer of
-    degree d+1 by the triangular recurrence
-
-        Q[m] = A[m + e_1] - sum_{k >= 2} Q[m + e_1 - e_k]
-
-    visiting each layer's monomials in decreasing order of the first
-    exponent, so every Q on the right is already known.  The result is then
-    re-multiplied against t_1 + ... + t_r and compared with the dividend on
-    every degree; a mismatch means the dividend was not an exact multiple.
+    Packs the dividend and divides it by ``_divide_layers``, which checks
+    the quotient by re-multiplication; NotDivisibleError names the first
+    mismatch when a is not an exact multiple.
     """
     r = a.nvars
     if a.constant_term() != 0:
@@ -305,27 +360,9 @@ def divide_exact_by_s1(a: TruncatedSeries) -> TruncatedSeries:
         )
     if a.trunc < 1:
         raise ValueError("dividend truncated at degree 0 leaves no quotient layers")
-    q: dict[ExpVec, int] = {}
-    for d in range(a.trunc):
-        for m in sorted(iter_exponents(r, d), key=lambda e: -e[0]):
-            p = (m[0] + 1,) + m[1:]
-            val = a.terms.get(p, 0)
-            for k in range(1, r):
-                if m[k]:
-                    val -= q.get(p[:k] + (p[k] - 1,) + p[k + 1 :], 0)
-            if val:
-                q[m] = val
-    check = _mul_terms(s1_series(r, a.trunc).terms, q, r, a.trunc)
-    if check != a.terms:
-        bad = sorted(
-            (m for m in set(check) | set(a.terms) if check.get(m, 0) != a.terms.get(m, 0)),
-            key=lambda e: (sum(e), e),
-        )[0]
-        raise NotDivisibleError(
-            f"dividend is not a multiple of t_1+...+t_{r}: first mismatch at {bad} "
-            f"(product has {check.get(bad, 0)}, dividend has {a.terms.get(bad, 0)})"
-        )
-    return TruncatedSeries(r, a.trunc - 1, q)
+    shift = _packing_shift(a.trunc)
+    quotient = _divide_layers(_pack_layers(a.terms, r, a.trunc, shift), r, shift)
+    return TruncatedSeries(r, a.trunc - 1, _unpack_terms(chain.from_iterable(quotient), r, shift))
 
 
 def substitute_signed(a: TruncatedSeries, weights: Sequence[int]) -> UnivariateSeries:

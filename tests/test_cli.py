@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from geodenums import cli, geode, identities, mpoly
+from geodenums import cli, geode, hypercat, identities, mpoly
 from geodenums.geode import geode_series
 from geodenums.hypercat import solve_S, solve_work
 from geodenums.mpoly import constant_series
@@ -40,6 +41,28 @@ def test_table_json_catalan_column(capsys):
     data = json.loads(out)
     assert data["nvars"] == 1 and data["trunc"] == 5
     assert [t["coeff"] for t in data["terms"]] == ["1", "1", "2", "5", "14", "42"]
+
+
+# sha256 of `geodenums table` output, pinned so that no change to the solver,
+# the division or the writers alters a byte of the exported tables.
+TABLE_SHA256 = {
+    ("S", "json", 3, 6): "da2ec22b4cb6b927008fa742c690793e174dc81eb9bbf40a42bdc1e2cba0d8e0",
+    ("S", "json", 6, 4): "84aa2fb2222b3aa427a6983a187d35b11c914212d6ace76f8d68f4d6fea8067e",
+    ("S", "csv", 3, 6): "c31287d0cd3d0fdc1bca37c07e7d988785e5982119567b76af2217e58ee62fe8",
+    ("S", "csv", 6, 4): "50e7dbb689b0d88d45d686aa52b6840221698b37250fbba0432630735ce9da28",
+    ("G", "json", 3, 6): "4980fff66d7a2d346753f85e089dbface8fd0fa5db4ad72a2687a7bd6b4704b6",
+    ("G", "json", 6, 4): "b075bf0f4495a628acb3e896d25509cb8096b8b982958b86935ef0e3ba9d02be",
+    ("G", "csv", 3, 6): "833f42ee1b9351f199e3516cb1a06e2872ed92c925af2e159669b2888e8b7bd3",
+    ("G", "csv", 6, 4): "ff1e8d54035ae34f8dec2d09018631c7598081c1f7972705dbcd7a47489bee50",
+}
+
+
+@pytest.mark.parametrize("kind, fmt, r, degree", TABLE_SHA256)
+def test_table_output_bytes_are_pinned(kind, fmt, r, degree, capsys):
+    code, out = run_cli(capsys, "table", "--kind", kind, "--format", fmt,
+                        "--vars", str(r), "--max-degree", str(degree))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[kind, fmt, r, degree]
 
 
 def test_table_rejects_zero_vars(capsys):
@@ -449,12 +472,16 @@ def test_solve_cases_cover_every_suite():
 def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch):
     calls = []
 
-    def recording_solve(r, max_degree):
-        calls.append((r, max_degree))
-        return solve_S(r, max_degree)
+    def recording(solve):
+        def recording_solve(r, max_degree):
+            calls.append((r, max_degree))
+            return solve(r, max_degree)
 
-    monkeypatch.setattr(cli, "solve_S", recording_solve)
-    monkeypatch.setattr(geode, "solve_S", recording_solve)
+        return recording_solve
+
+    monkeypatch.setattr(cli, "solve_S", recording(solve_S))
+    monkeypatch.setattr(geode, "solve_S", recording(solve_S))
+    monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
     args = cli._build_parser().parse_args(["verify", *argv])
     kwargs = cli._suite_kwargs(argv[0], args)
     assert cli.SUITES[argv[0]][0](**kwargs).all_passed()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from geodenums.geode import (
+    GeodeTable,
     alternating_weights,
     eval_alternating,
     eval_general,
@@ -16,7 +17,7 @@ from geodenums.geode import (
     geode_series,
 )
 from geodenums.hypercat import hyper_catalan, solve_S
-from geodenums.mpoly import OutOfRangeError, coeff, iter_exponents
+from geodenums.mpoly import OutOfRangeError, TruncatedSeries, coeff, iter_exponents
 
 
 def test_low_degree_layers():
@@ -140,6 +141,16 @@ def test_recurrence_rejects_zero_vector_and_short_table():
 def test_factorization_invariant():
     for r in (1, 2, 3):
         assert geode_series(r, 6).factorization_holds()
+
+
+def test_factorization_fails_for_a_bumped_coefficient():
+    for r in (1, 2, 3):
+        table = geode_series(r, 4)
+        for m in table.series.terms:
+            terms = dict(table.series.terms)
+            terms[m] += 1
+            bumped = GeodeTable(r, 4, TruncatedSeries(r, 4, terms))
+            assert not bumped.factorization_holds(), (r, m)
 
 
 def test_returned_tables_share_no_state():

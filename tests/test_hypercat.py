@@ -6,7 +6,7 @@ import pytest
 
 from geodenums import hypercat
 from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
-from geodenums.mpoly import _layer_product, coeff, iter_exponents, mul
+from geodenums.mpoly import TruncatedSeries, _layer_product, coeff, iter_exponents, mul
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 # single-t_2 column: S = 1 + t_2 S^3
@@ -57,6 +57,21 @@ def test_closed_form_matches_oracle():
 def test_functional_equation_residual_vanishes():
     for r in (1, 2, 3, 4, 5, 6):
         assert functional_residual(solve_S(r, 6)).is_zero()
+
+
+def test_residual_is_nonzero_where_a_coefficient_is_bumped():
+    # t_k S^{k+1} reads S below degree |m| only, so raising S[m] by one makes
+    # the residual -1 at m and leaves every lower degree zero.
+    for r in (1, 2, 3, 4):
+        degree = 5
+        s = solve_S(r, degree)
+        for d in (0, 1, 3, degree):
+            for m in list(iter_exponents(r, d))[:: max(1, d)]:
+                terms = dict(s.terms)
+                terms[m] += 1
+                residual = functional_residual(TruncatedSeries(r, degree, terms))
+                assert coeff(residual, m) == -1, (r, m)
+                assert all(sum(e) >= d for e in residual.terms), (r, m)
 
 
 def test_fuss_catalan_columns_from_restriction():

@@ -25,7 +25,6 @@ from geodenums.mpoly import (
     series_to_dict,
     sub,
     substitute_signed,
-    times_variable,
     with_truncation,
 )
 
@@ -156,14 +155,6 @@ def test_mul_associative():
         b = random_series(rng, 2, 4)
         c = random_series(rng, 2, 4)
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
-
-
-def test_times_variable_matches_mul():
-    rng = random.Random(3)
-    a = random_series(rng, 3, 5)
-    for k in (1, 2, 3):
-        t_k = TruncatedSeries(3, 5, {tuple(int(i == k - 1) for i in range(3)): 1})
-        assert times_variable(a, k) == mul(a, t_k)
 
 
 # ---------------------------------------------------------------------------

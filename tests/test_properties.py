@@ -3,12 +3,14 @@ on inputs drawn by Hypothesis rather than picked by hand."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodenums.hypercat import hyper_catalan, solve_S
 from geodenums.identities import claim1_sum
 from geodenums.mpoly import (
+    NotDivisibleError,
     TruncatedSeries,
     coeff,
     divide_exact_by_s1,
@@ -75,6 +77,37 @@ def test_division_by_s1_undoes_multiplication(q):
     trunc = q.trunc + 1
     product = mul(s1_series(q.nvars, trunc), with_truncation(q, trunc))
     assert divide_exact_by_s1(product) == q
+
+
+@small
+@given(st.data())
+def test_stray_monomial_makes_division_fail_at_its_first_mismatch(data):
+    # Setting t_1 = -(t_2 + ... + t_r) kills s1 * Q, so the product of the
+    # computed quotient misses A + c t^m by c (-(t_2 + ... + t_r))^{m_1}
+    # t_2^{m_2}...t_r^{m_r}: on degree |m|, on monomials free of t_1 (the
+    # recurrence fits every other one).  Its lex-first monomial puts all of
+    # m_1 on t_r, with coefficient c (-1)^{m_1}.
+    r = data.draw(st.integers(2, 3))
+    q = data.draw(series(nvars=r))
+    trunc = q.trunc + 1
+    dividend = mul(s1_series(r, trunc), with_truncation(q, trunc))
+    m = data.draw(
+        st.lists(st.integers(0, trunc), min_size=r, max_size=r)
+        .filter(lambda m: 1 <= sum(m) <= trunc)
+        .map(tuple)
+    )
+    c = data.draw(st.integers(-9, 9).filter(bool))
+    terms = dict(dividend.terms)
+    terms[m] = terms.get(m, 0) + c
+    bad = (0,) + m[1:-1] + (m[-1] + m[0],)
+    has = terms.get(bad, 0)
+    expected = (
+        f"dividend is not a multiple of t_1+...+t_{r}: first mismatch at {bad} "
+        f"(product has {has - c * (-1) ** m[0]}, dividend has {has})"
+    )
+    with pytest.raises(NotDivisibleError) as exc:
+        divide_exact_by_s1(TruncatedSeries(r, trunc, terms))
+    assert str(exc.value) == expected
 
 
 @small
