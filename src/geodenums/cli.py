@@ -7,10 +7,12 @@ are.  ``SUITES`` maps each name to its function and to the flags it takes
 with their ranges: ``verify`` checks every set flag against the ranges of
 the suites it will run, then passes each suite only its own flags.
 ``SOLVES`` lists the S solves each oracle suite makes at given bounds, so
-``verify`` can price them all before any suite starts.
+``verify`` can price them all before any suite starts.  ``verify all``
+runs its suites on every usable CPU, in forked helpers beside its own
+process (``_run_suites``), and merges one report whatever the CPU count.
 
-Exit codes: 0 all checks passed, 1 any verification failure or a suite that
-ran no cases (named on stderr), 2 usage or I/O error, including a bound
+Exit codes: 0 all checks passed, 1 any verification failure, a suite that
+ran no cases (named on stderr) or a suite or helper that crashed, 2 usage or I/O error, including a bound
 outside its range, a ``table``, ``coeff`` or ``verify`` request one of whose
 S solves would exceed ``MAX_ORACLE_WORK`` and a ``coeff`` closed form whose
 weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from functools import cache
 from typing import Callable, Iterable, Sequence
@@ -529,6 +532,119 @@ def _run_suite(name: str, args: argparse.Namespace) -> VerifyReport:
     return SUITES[name][0](**_suite_kwargs(name, args))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _deal(names: Sequence[str], args: argparse.Namespace, procs: int) -> list[list[str]]:
+    """`names` dealt round-robin to `procs` processes, in decreasing order of
+    the solve_work summed over each suite's S solves; the sort is stable, so
+    suites of equal work, such as the oracle-free ones, keep `names` order."""
+
+    def work(name: str) -> int:
+        return sum(solve_work(r, d) for r, d in _oracle_solves(name, _suite_kwargs(name, args)))
+
+    order = sorted(names, key=work, reverse=True)
+    return [order[i::procs] for i in range(procs)]
+
+
+def _run_suites(names: Sequence[str], args: argparse.Namespace) -> dict[str, VerifyReport]:
+    """Every suite in `names`, keyed in `names` order, on up to one process
+    per usable CPU.
+
+    The suites are pure and independent, so the first share of ``_deal``
+    runs here while each other share, if there is more than one suite and
+    CPU, runs in a forked helper, which sends its reports back pickled
+    through a pipe.  The parent never sits idle, so it competes for a CPU
+    like every helper.  Fork, not spawn: a helper starts from this
+    process's imports and parsed arguments, and the CLI starts no threads.
+    A suite that raises in a helper, or a helper that dies before its
+    reports arrive, raises RuntimeError naming the suites; no helper
+    outlives the call.
+    """
+    procs = min(_cpus(), len(names)) if hasattr(os, "fork") else 1
+    own, *shares = _deal(names, args, procs)
+    helpers: list[tuple[list[str], int, int]] = []
+    try:
+        for share in shares:
+            helpers.append((share, *_fork_helper(share, args)))
+        reports = {name: _run_suite(name, args) for name in own}
+        while helpers:
+            reports.update(_collect(*helpers.pop(0)))
+    finally:
+        if helpers:  # left only when something above raised
+            import signal
+
+            for _, pid, read in helpers:
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return {name: reports[name] for name in names}
+
+
+def _fork_helper(share: list[str], args: argparse.Namespace) -> tuple[int, int]:
+    """Fork a helper that runs `share` and writes the pickled pair (reports
+    by name, None) to a pipe, or (None, (suite, traceback)) for the first
+    suite that raised; return its pid and the pipe's read end.  The helper
+    leaves by os._exit, so it runs no exit handler and flushes no buffer
+    it inherited."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        import pickle
+        import traceback
+
+        os.close(read)
+        reports, failure = {}, None
+        for name in share:
+            try:
+                reports[name] = _run_suite(name, args)
+            except Exception:
+                reports, failure = None, (name, traceback.format_exc())
+                break
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((reports, failure), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(share: list[str], pid: int, read: int) -> dict[str, VerifyReport]:
+    """The reports of the helper `pid`, read from `read` to its end; the
+    helper is reaped whatever happens."""
+    import pickle
+
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    suites = ", ".join(share)
+    if code:  # a helper exits 0 only once its reports are written
+        how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
+        raise RuntimeError(
+            f"verify all: the helper process running {suites} {how} before sending its reports"
+        )
+    reports, failure = pickle.loads(data)
+    if failure is not None:
+        name, trace = failure
+        raise RuntimeError(f"verify all: suite {name} raised in a helper process:\n{trace}")
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # argument parsing and entry points
 
@@ -610,7 +726,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     _check_bounds(names, args, parser)
     _check_suite_work(names, args, parser)
-    reports = {name: _run_suite(name, args) for name in names}
+    reports = _run_suites(names, args)
     if args.suite == "all":
         report = VerifyReport("all")
         for name, sub_report in reports.items():

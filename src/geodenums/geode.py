@@ -22,20 +22,17 @@ from itertools import chain
 from math import comb, factorial
 from typing import Sequence
 
-from .hypercat import _solve_layers, hyper_catalan, solve_S
+from .hypercat import _solve_layers, hyper_catalan
 from .mpoly import (
     OutOfRangeError,
     TruncatedSeries,
     UnivariateSeries,
     _divide_layers,
+    _pack_layers,
+    _s1_multiple_mismatch,
     _unpack_terms,
     coeff,
-    constant_series,
-    mul,
-    s1_series,
-    sub,
     substitute_signed,
-    with_truncation,
 )
 
 
@@ -51,13 +48,19 @@ class GeodeTable:
         return coeff(self.series, m)
 
     def factorization_holds(self) -> bool:
-        """Re-check S - 1 == (t_1 + ... + t_r) * G through trunc + 1."""
-        top = self.trunc + 1
-        s = solve_S(self.nvars, top)
-        lhs = sub(s, constant_series(self.nvars, top, 1))
-        # One extra order so the product with the linear form keeps its top layer.
-        rhs = mul(s1_series(self.nvars, top), with_truncation(self.series, top))
-        return lhs == rhs
+        """Re-check S - 1 == (t_1 + ... + t_r) * G through trunc + 1.
+
+        S is solved here, independently of the table, and compared on packed
+        layers with the product, which must leave nothing above trunc + 1:
+        a term of the table above trunc fails the check.
+        """
+        r, trunc = self.nvars, self.trunc
+        if any(sum(m) > trunc for m in self.series.terms):
+            return False
+        shift, layers = _solve_layers(r, trunc + 1)
+        layers[0] = []  # S - 1: layer 0 of S is exactly [(0, 1)]
+        quotient = _pack_layers(self.series.terms, r, trunc, shift)
+        return _s1_multiple_mismatch(quotient, layers, r, shift) is None
 
 
 def geode_series(r: int, max_degree: int) -> GeodeTable:

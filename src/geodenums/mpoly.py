@@ -23,7 +23,10 @@ lanes that never carry into each other.
 Exact division by t_1 + ... + t_r, ``_divide_layers``, works on packed
 layers too, so ``geode.geode_series`` divides the solver's layers without
 unpacking them; ``divide_exact_by_s1`` packs a series first with
-``_pack_layers``, the packing helper ``_mul_terms`` uses.
+``_pack_layers``, the packing helper ``_mul_terms`` uses.  Whether a
+quotient times t_1 + ... + t_r gives back its dividend is decided in one
+place, ``_s1_multiple_mismatch``, which the division's own check and
+``geode.GeodeTable.factorization_holds`` both call.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads.
@@ -287,6 +290,34 @@ def coeff(a: TruncatedSeries, m: Sequence[int]) -> int:
     return a.terms.get(m, 0)
 
 
+def _s1_multiple_mismatch(
+    quotient: Layers, dividend: Layers, nvars: int, shift: int
+) -> tuple[ExpVec, int, int] | None:
+    """Where (t_1 + ... + t_r) * quotient differs from dividend, or None.
+
+    Both are packed layers, exponents in fields of ``shift`` bits that must
+    hold every exponent of the product.  The product runs through
+    ``_layer_product`` against the one layer of t_1 + ... + t_r; a mismatch
+    is the first monomial, by degree and then lexicographically, with the
+    product's and the dividend's coefficients there.
+    """
+    s1 = [[(1 << (k * shift), 1) for k in range(nvars)]]  # its one layer, packed
+    check: dict[int, int] = {}
+    for d in range(len(quotient)):
+        _layer_product(s1, quotient, d, check)
+    wanted = dict(chain.from_iterable(dividend))
+    if check == wanted:
+        return None
+    # equal as series unless they differ on a nonzero term
+    product = _unpack_terms(check.items(), nvars, shift)
+    wanted = _unpack_terms(wanted.items(), nvars, shift)
+    mismatches = [m for m in product.keys() | wanted.keys() if product.get(m) != wanted.get(m)]
+    if not mismatches:
+        return None
+    bad = min(mismatches, key=lambda e: (sum(e), e))
+    return bad, product.get(bad, 0), wanted.get(bad, 0)
+
+
 def _divide_layers(layers: Layers, nvars: int, shift: int) -> Layers:
     """Exact quotient of packed layers by t_1 + ... + t_r, by layers.
 
@@ -299,11 +330,11 @@ def _divide_layers(layers: Layers, nvars: int, shift: int) -> Layers:
     and once Q[m] with m_1 >= 1 is known it is subtracted into
     m - e_1 + e_k for every k >= 2, so only the monomials that the dividend
     or a push reaches are visited.  The quotient is then re-multiplied
-    against t_1 + ... + t_r and compared with the dividend on every degree;
-    a mismatch means the dividend was not an exact multiple and raises
-    NotDivisibleError naming the first one, by degree and then
-    lexicographically.  Fields of ``shift`` bits must hold every exponent of
-    the dividend.
+    against t_1 + ... + t_r and compared with the dividend on every degree
+    by ``_s1_multiple_mismatch``; a mismatch means the dividend was not an
+    exact multiple and raises NotDivisibleError naming the first one, by
+    degree and then lexicographically.  Fields of ``shift`` bits must hold
+    every exponent of the dividend.
     """
     mask = (1 << shift) - 1
     pushes = [(1 << (k * shift)) - 1 for k in range(1, nvars)]  # m -> m - e_1 + e_k
@@ -326,23 +357,13 @@ def _divide_layers(layers: Layers, nvars: int, shift: int) -> Layers:
                         target[k] = get(k, 0) - c
         layer.extend((key, c) for key, c in by_first[0].items() if c)
         quotient.append(layer)
-    s1 = [[(1 << (k * shift), 1) for k in range(nvars)]]  # its one layer, packed
-    check: dict[int, int] = {}
-    for d in range(len(quotient)):
-        _layer_product(s1, quotient, d, check)
-    dividend = dict(chain.from_iterable(layers))
-    if check != dividend:  # equal as series unless they differ on a nonzero term
-        product = _unpack_terms(check.items(), nvars, shift)
-        wanted = _unpack_terms(dividend.items(), nvars, shift)
-        mismatches = [
-            m for m in product.keys() | wanted.keys() if product.get(m) != wanted.get(m)
-        ]
-        if mismatches:
-            bad = min(mismatches, key=lambda e: (sum(e), e))
-            raise NotDivisibleError(
-                f"dividend is not a multiple of t_1+...+t_{nvars}: first mismatch at {bad} "
-                f"(product has {product.get(bad, 0)}, dividend has {wanted.get(bad, 0)})"
-            )
+    mismatch = _s1_multiple_mismatch(quotient, layers, nvars, shift)
+    if mismatch is not None:
+        bad, product, wanted = mismatch
+        raise NotDivisibleError(
+            f"dividend is not a multiple of t_1+...+t_{nvars}: first mismatch at {bad} "
+            f"(product has {product}, dividend has {wanted})"
+        )
     return quotient
 
 

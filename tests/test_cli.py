@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
 import re
 from math import comb
 from pathlib import Path
@@ -289,6 +290,117 @@ def test_verify_all_small_bounds(tmp_path, capsys):
     assert prefixes == set(cli.SUITE_NAMES)
 
 
+# ---------------------------------------------------------------------------
+# verify all on forked helpers
+
+SMALL_BOUNDS = ["--max-n", "4", "--max-a", "2", "--max-degree", "4", "--max-order", "3",
+                "--max-sum", "3", "--max-vars", "2"]
+
+
+def recording_forks(monkeypatch):
+    """Patch os.fork to record the pid of every helper the parent forks."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def deal(procs):
+    """How ``verify all`` at SMALL_BOUNDS deals its suites: the parent runs
+    the first share, a helper each other one."""
+    args = cli._build_parser().parse_args(["verify", "all", *SMALL_BOUNDS])
+    return cli._deal(cli.SUITE_NAMES, args, procs)
+
+
+def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch, capsys):
+    pids = recording_forks(monkeypatch)
+    reports = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+        path = tmp_path / f"{cpus}.json"
+        assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        reports[cpus] = json.loads(path.read_text())
+        for case in reports[cpus]["cases"]:
+            del case["elapsed_ms"]
+    assert len(pids) == 0 + 1 + 2
+    assert_reaped(pids)
+    assert reports[1]["summary"]["failed"] == 0
+    assert reports[1] == reports[2] == reports[3]
+
+
+def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
+    name = deal(2)[1][0]
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    pids = recording_forks(monkeypatch)
+
+    def raising(**bounds):
+        raise ValueError("boom outside run_case")
+
+    monkeypatch.setitem(cli.SUITES, name, (raising, cli.SUITES[name][1]))
+    with pytest.raises(RuntimeError, match=f"suite {name} raised in a helper") as exc:
+        cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
+    assert "ValueError: boom outside run_case" in str(exc.value)
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
+    name = deal(3)[1][0]
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    pids = recording_forks(monkeypatch)
+    parent = os.getpid()
+
+    def dying(**bounds):
+        assert os.getpid() != parent, "the dying suite must run in a helper"
+        os._exit(3)
+
+    monkeypatch.setitem(cli.SUITES, name, (dying, cli.SUITES[name][1]))
+    with pytest.raises(RuntimeError, match=f"running {name}, .* exited with code 3"):
+        cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
+    assert len(pids) == 2
+    assert_reaped(pids)
+
+
+def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, capsys):
+    empty = [share[0] for share in deal(3)]
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    for name in empty:
+        monkeypatch.setitem(
+            cli.SUITES, name, (lambda name=name, **bounds: VerifyReport(name), cli.SUITES[name][1])
+        )
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"empty suite: {name} ran no cases" for name in cli.SUITE_NAMES if name in empty
+    ]
+
+
+def test_single_suite_requests_never_fork(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out = run_cli(capsys, "verify", "wz1")
+    assert code == 0
+    assert json.loads(out)["summary"]["failed"] == 0
+    assert run_cli(capsys, "table", "--vars", "2", "--max-degree", "3", "--kind", "G")[0] == 0
+    assert run_cli(capsys, "coeff", "--kind", "G", "--exps", "1,1,1") == (0, "319\n")
+
+
 def test_verify_thm3_report_shows_powers(capsys):
     code, out = run_cli(capsys, "verify", "thm3", "--a", "2", "--max-order", "4")
     assert code == 0
@@ -480,7 +592,6 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch):
         return recording_solve
 
     monkeypatch.setattr(cli, "solve_S", recording(solve_S))
-    monkeypatch.setattr(geode, "solve_S", recording(solve_S))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
     args = cli._build_parser().parse_args(["verify", *argv])
     kwargs = cli._suite_kwargs(argv[0], args)

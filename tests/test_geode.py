@@ -153,6 +153,17 @@ def test_factorization_fails_for_a_bumped_coefficient():
             assert not bumped.factorization_holds(), (r, m)
 
 
+def test_factorization_fails_for_an_extra_top_degree_monomial():
+    # every G[m] through the truncation is positive, so a stray monomial can
+    # only sit above it: (t_1+...+t_r) * G then has a term above trunc + 1
+    for r in (1, 2, 3):
+        table = geode_series(r, 4)
+        for m in iter_exponents(r, 5):
+            terms = {**table.series.terms, m: 1}
+            extra = GeodeTable(r, 4, TruncatedSeries(r, 5, terms))
+            assert not extra.factorization_holds(), (r, m)
+
+
 def test_returned_tables_share_no_state():
     solve_S(2, 3).terms[(1, 0)] = 99
     geode_series(2, 2).series.terms[(1, 1)] = 99
