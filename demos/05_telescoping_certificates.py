@@ -6,25 +6,22 @@ The checkers verify the companion relation pointwise in exact integers,
 so there is nothing numerical anywhere: a single wrong sign fails loudly.
 """
 
-from geodenums import (
-    F1,
-    H1,
-    certificate_R,
-    certificate_companion,
-    certificate_summand,
-    check_certificate_R,
-    check_wz1,
-    check_wz2,
-)
+from fractions import Fraction
+
+from geodenums import check_certificate_R, check_wz1, check_wz2, wz
 
 print("=" * 72)
 print("The two-variable pair at n = 4")
 print("=" * 72)
 n = 4
+# each pair is a row of (numerator, denominator) pairs over k; H = R * F
+F = [Fraction(*entry) for entry in wz._f1(n)]
+H = [Fraction(*r) * f for r, f in zip(wz._r1(n), F)]
+H.append(Fraction(0))  # H(n, n+1) = 0 closes the telescope
 print(f"{'k':>3} {'F(4,k)':>10} {'H(4,k)':>10} {'H(4,k+1)-H(4,k)':>16}")
 for k in range(n + 1):
-    print(f"{k:>3} {str(F1(n, k)):>10} {str(H1(n, k)):>10} {str(H1(n, k + 1) - H1(n, k)):>16}")
-print("sum of F(4,k):", sum(F1(n, k) for k in range(n + 1)))
+    print(f"{k:>3} {str(F[k]):>10} {str(H[k]):>10} {str(H[k + 1] - H[k]):>16}")
+print("sum of F(4,k):", sum(F))
 
 report = check_wz1(50)
 print(f"\ncheck_wz1(50): {report.passed}/{report.total} passed")
@@ -37,14 +34,13 @@ print("=" * 72)
 print("The certificate for the quotient-layer sum")
 print("=" * 72)
 print("summands F^(n,m) sum to 1 over 0 <= m <= n-1; R(n,m) builds the companion.")
-n = 3
-print(f"n={n}: summands {[str(certificate_summand(n, m)) for m in range(n)]}, "
-      f"sum = {sum(certificate_summand(n, m) for m in range(n))}")
-print(f"R(2,1) = {certificate_R(2, 1)}")
+summands = [Fraction(*entry) for entry in wz._cert_summand(3)]
+print(f"n=3: summands {[str(f) for f in summands]}, sum = {sum(summands)}")
+print(f"R(2,1) = {Fraction(*wz._cert_R(2)[1])}")
 print()
 print("The companion G^ = R * F^ has a removable pole at m = n:")
 print("  R(2,2) would divide by zero, F^(2,2) = 0, but the cancelled product")
-print(f"  extends to G^(2,2) = {certificate_companion(2, 2)} (not zero!), and only that")
+print(f"  extends to G^(2,2) = {Fraction(*wz._cert_companion(2)[2])} (not zero!), and only that")
 print("  extension lets the relation telescope at m = n - 1.")
 
 report = check_certificate_R(40)
@@ -56,7 +52,7 @@ print()
 print("=" * 72)
 print("Negative control: a corrupted companion must fail")
 print("=" * 72)
-# R1(n,k) = -k(n+1+k) / (n(2n+1)) with its sign flipped, which flips H1 = R1 * F1
+# R(n,k) = -k(n+1+k) / (n(2n+1)) with its sign flipped, which flips H = R * F
 bad = check_wz1(3, r=lambda n: [(k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)])
 failure = bad.first_failure()
 print(f"sign-flipped H: {bad.passed}/{bad.total} passed; "

@@ -53,13 +53,6 @@ from .identities import (
     partition_sum_main,
 )
 from .wz import (
-    F1,
-    F2,
-    H1,
-    H2,
-    certificate_R,
-    certificate_companion,
-    certificate_summand,
     check_certificate_R,
     check_wz1,
     check_wz2,

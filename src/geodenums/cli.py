@@ -562,16 +562,20 @@ def _run_suites(names: Sequence[str], args: argparse.Namespace) -> dict[str, Ver
     through a pipe.  The parent never sits idle, so it competes for a CPU
     like every helper.  Fork, not spawn: a helper starts from this
     process's imports and parsed arguments, and the CLI starts no threads.
-    A suite that raises in a helper, or a helper that dies before its
-    reports arrive, raises RuntimeError naming the suites; no helper
-    outlives the call.
+    A share whose helper cannot be forked (OSError, as under a process
+    limit) runs here too.  A suite that raises in a helper, or a helper
+    that dies before its reports arrive, raises RuntimeError naming the
+    suites; no helper outlives the call.
     """
     procs = min(_cpus(), len(names)) if hasattr(os, "fork") else 1
     own, *shares = _deal(names, args, procs)
     helpers: list[tuple[list[str], int, int]] = []
     try:
         for share in shares:
-            helpers.append((share, *_fork_helper(share, args)))
+            try:
+                helpers.append((share, *_fork_helper(share, args)))
+            except OSError:
+                own += share
         reports = {name: _run_suite(name, args) for name in own}
         while helpers:
             reports.update(_collect(*helpers.pop(0)))

@@ -18,19 +18,18 @@ every relation by cross-multiplying and every sum over a common
 denominator, and builds a Fraction only to print a failure.  A zero
 denominator would make both sides of a cross-multiplied relation 0, so a
 grid that reads one is an error, never a pass; so is a row of the wrong
-length.  The public F1, H1, F2, H2, certificate_R, certificate_summand and
-certificate_companion return entries of the same rows as Fractions.
+length.
 
 The pair in two variables:
 
-    F1(n,k) = (-1)^k C(n,k) C(2n+1+k, n+1+k) / (2n+1+k)
-    R1(n,k) = -k(n+1+k) / (n(2n+1)),   H1 = R1 * F1,   H1(n,n+1) = 0
-    relation F1(n,k) = H1(n,k+1) - H1(n,k), hence sum_k F1(n,k) = 0.
+    F_1(n,k) = (-1)^k C(n,k) C(2n+1+k, n+1+k) / (2n+1+k)
+    R_1(n,k) = -k(n+1+k) / (n(2n+1)),   H_1 = R_1 * F_1,   H_1(n,n+1) = 0
+    relation F_1(n,k) = H_1(n,k+1) - H_1(n,k), hence sum_k F_1(n,k) = 0.
 
 The generalized pair (parameter a >= 2; a = 2 reproduces the above):
 
-    F2(a,n,k) = (-1)^k C(n,k) C(an+1+k, (a-1)n+1+k) / (an+1+k)
-    R2(a,n,k) = -k((a-1)n+1+k) / (n(an+1)),   H2 = R2 * F2
+    F_2(a,n,k) = (-1)^k C(n,k) C(an+1+k, (a-1)n+1+k) / (an+1+k)
+    R_2(a,n,k) = -k((a-1)n+1+k) / (n(an+1)),   H_2 = R_2 * F_2
 
 The certificate check: the sum of
 
@@ -42,7 +41,7 @@ over 0 <= m <= n-1 equals 1 for every n, certified by
 
 The companion G^ = R * F^ has a removable singularity at m = n: the (n-m)
 pole cancels against the zero of C(n-1,m) since C(n-1,m)/(n-m) = C(n,m)/n.
-``certificate_companion`` is that cancelled form, defined for all m in
+``_cert_companion`` is that cancelled form, defined for all m in
 [0, n], which is what makes the telescoping relation hold on the full range.
 """
 
@@ -110,18 +109,18 @@ def _binomials(top: int, bottom: int, top_step: int, count: int) -> list[int]:
 
 
 def _f1(n: int) -> list[Ratio]:
-    """F1(n, k) for k = 0..n."""
+    """F_1(n, k) for k = 0..n."""
     binomials = zip(_binomials(n, 0, 0, n + 1), _binomials(2 * n + 1, n + 1, 1, n + 1))
     return [(_sign(k) * c * d, 2 * n + 1 + k) for k, (c, d) in enumerate(binomials)]
 
 
 def _r1(n: int) -> list[Ratio]:
-    """R1(n, k) for k = 0..n."""
+    """R_1(n, k) for k = 0..n."""
     return [(-k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)]
 
 
 def _f2(a: int, n: int) -> list[Ratio]:
-    """F2(a, n, k) for k = 0..n."""
+    """F_2(a, n, k) for k = 0..n."""
     binomials = zip(
         _binomials(n, 0, 0, n + 1), _binomials(a * n + 1, (a - 1) * n + 1, 1, n + 1)
     )
@@ -129,7 +128,7 @@ def _f2(a: int, n: int) -> list[Ratio]:
 
 
 def _r2(a: int, n: int) -> list[Ratio]:
-    """R2(a, n, k) for k = 0..n."""
+    """R_2(a, n, k) for k = 0..n."""
     return [(-k * ((a - 1) * n + 1 + k), n * (a * n + 1)) for k in range(n + 1)]
 
 
@@ -164,80 +163,6 @@ def _cert_companion(n: int) -> list[Ratio]:
 
 
 # ---------------------------------------------------------------------------
-# the public values, as Fractions read from the rows
-
-
-def _entry(row: list[Ratio], index: int) -> Fraction:
-    """Entry `index` of a row; an index outside the row is refused, not wrapped."""
-    if not 0 <= index < len(row):
-        raise ValueError(f"need 0 <= index < {len(row)}, got {index}")
-    return Fraction(*row[index])
-
-
-def _require_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-
-
-def _require_a(a: int) -> None:
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-
-
-def F1(n: int, k: int) -> Fraction:
-    _require_n(n)
-    return _entry(_f1(n), k)
-
-
-def H1(n: int, k: int) -> Fraction:
-    _require_n(n)
-    if k > n:
-        # C(n,k) vanishes in F1's formula; H1(n, n+1) = 0 closes the telescope.
-        return Fraction(0)
-    return _entry(_r1(n), k) * _entry(_f1(n), k)
-
-
-def F2(a: int, n: int, k: int) -> Fraction:
-    _require_a(a)
-    _require_n(n)
-    return _entry(_f2(a, n), k)
-
-
-def H2(a: int, n: int, k: int) -> Fraction:
-    _require_a(a)
-    _require_n(n)
-    if k > n:
-        return Fraction(0)
-    return _entry(_r2(a, n), k) * _entry(_f2(a, n), k)
-
-
-def certificate_R(n: int, m: int) -> Fraction:
-    """The telescoping certificate for 0 <= m < n; m = n is its pole
-    (zero denominator)."""
-    if m == n:
-        raise ZeroDivisionError("certificate has a pole at m = n")
-    _require_n(n)
-    return _entry(_cert_R(n), m)
-
-
-def certificate_summand(n: int, m: int) -> Fraction:
-    """F^(n,m); vanishes for m >= n through C(n-1,m)."""
-    _require_n(n)
-    return Fraction(0) if m >= n else _entry(_cert_summand(n), m)
-
-
-def certificate_companion(n: int, m: int) -> Fraction:
-    """R(n,m) * F^(n,m) with the removable pole at m = n cancelled.
-
-    Equals R * F^ exactly for 0 <= m <= n-1 and extends it to m = n, where
-    the plain product is 0 * infinity; the extension is what telescopes.
-    Vanishes for m > n through C(n,m).
-    """
-    _require_n(n)
-    return Fraction(0) if m > n else _entry(_cert_companion(n), m)
-
-
-# ---------------------------------------------------------------------------
 # the grid checks
 
 
@@ -251,6 +176,11 @@ def _require(row: list[Ratio], length: int) -> list[Ratio]:
         if not den:
             raise ZeroDivisionError(f"zero denominator at index {index} of a grid row")
     return row
+
+
+def _require_a(a: int) -> None:
+    if a < 2:
+        raise ValueError(f"need a >= 2, got {a}")
 
 
 def _row_sum(row: list[Ratio]) -> Ratio:
@@ -296,7 +226,7 @@ def check_wz1(
     f: Callable[[int], list[Ratio]] = _f1,
     r: Callable[[int], list[Ratio]] = _r1,
 ) -> VerifyReport:
-    """Verify F1(n,k) = H1(n,k+1) - H1(n,k) and the vanishing sum for every
+    """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k) and the vanishing sum for every
     n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
     the row of (numerator, denominator) pairs over k = 0..n, are injectable
     for negative controls."""

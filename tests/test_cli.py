@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodenums import cli, geode, hypercat, identities, mpoly
 from geodenums.geode import geode_series
@@ -401,6 +405,30 @@ def test_single_suite_requests_never_fork(monkeypatch, capsys):
     assert run_cli(capsys, "coeff", "--kind", "G", "--exps", "1,1,1") == (0, "319\n")
 
 
+def test_verify_all_runs_every_share_itself_when_fork_fails(tmp_path, monkeypatch, capsys):
+    def report(name):
+        data = json.loads((tmp_path / name).read_text())
+        for case in data["cases"]:
+            del case["elapsed_ms"]
+        return data
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(tmp_path / "1.json")]) == 0
+    attempts = []
+
+    def failing_fork():
+        attempts.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    # under a process limit, fork fails with EAGAIN
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(tmp_path / "2.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(attempts) == 1
+    assert report("2.json") == report("1.json")
+
+
 def test_verify_thm3_report_shows_powers(capsys):
     code, out = run_cli(capsys, "verify", "thm3", "--a", "2", "--max-order", "4")
     assert code == 0
@@ -473,6 +501,86 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     assert [line for line in err if "error:" in line] == [err[-1]]
     assert err[-1].startswith("geodenums: error: verify thm")
     assert "is too much work" in err[-1]
+
+
+def _bound_values(flag):
+    """The integers the fuzz test passes to `flag`: each minimum - 1,
+    minimum, maximum and maximum + 1 it has in SUITES, and +-10**30."""
+    values = {10**30, -(10**30)}
+    for _, ranges in cli.SUITES.values():
+        if flag in ranges:
+            minimum, maximum = ranges[flag]
+            values |= {minimum - 1, minimum}
+            if maximum is not None:
+                values |= {maximum, maximum + 1}
+    return [str(v) for v in sorted(values)]
+
+
+BOUND_VALUES = {
+    flag: _bound_values(flag) for _, ranges in cli.SUITES.values() for flag in ranges
+}
+
+
+@st.composite
+def verify_argv(draw):
+    """`verify` with a suite or all and any subset of the bound flags; in
+    one example of four, the last flag's value is not an integer."""
+    argv = ["verify", draw(st.sampled_from(cli.SUITE_NAMES + ("all",)))]
+    for flag in draw(st.lists(st.sampled_from(sorted(BOUND_VALUES)), unique=True)):
+        argv += ["--" + flag.replace("_", "-"), draw(st.sampled_from(BOUND_VALUES[flag]))]
+    if len(argv) > 2 and draw(st.integers(0, 3)) == 0:
+        argv[-1] = draw(st.sampled_from(("1.5", "x")))
+    return argv
+
+
+def _admitted_stub(name):
+    """A suite that runs one passing case, once it has asserted that
+    `verify` let it start only with bounds inside its ranges and with no S
+    solve above MAX_ORACLE_WORK."""
+    ranges = cli.SUITES[name][1]
+    limit = cli.MAX_ORACLE_WORK
+
+    def suite(**bounds):
+        for flag, value in bounds.items():
+            if flag == "a_values":
+                flag, (value,) = "a", value
+            minimum, maximum = ranges[flag]
+            assert minimum <= value and (maximum is None or value <= maximum), (name, flag)
+        for r, degree in cli._oracle_solves(name, bounds):
+            # solve_work is at least max(r^2, degree) and 2^min(r, degree),
+            # so only small (r, degree) reach the full estimate
+            assert max(r * r, degree) <= limit, (name, r, degree)
+            assert min(r, degree) < limit.bit_length(), (name, r, degree)
+            assert solve_work(r, degree) <= limit, (name, r, degree)
+        report = VerifyReport(name)
+        run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
+        return report
+
+    return suite
+
+
+@settings(max_examples=50, deadline=None)
+@given(verify_argv())
+# one request refused by each part of the oracle guard: by the cheap
+# bound max(r^2, degree), and by the full solve_work estimate
+@example(["verify", "thm1", "--max-degree", str(10**30)])
+@example(["verify", "thm3", "--a", "1000"])
+def test_verify_keeps_the_exit_code_contract_for_any_bounds(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_cpus", lambda: 1)
+        for name, (_, ranges) in cli.SUITES.items():
+            patch.setitem(cli.SUITES, name, (_admitted_stub(name), ranges))
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert [line for line in lines if "error:" in line] == [lines[-1]], argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,19 +10,17 @@ import pytest
 from geodenums import wz
 from geodenums.cli import _flipped
 from geodenums.geode import geode_closed_2var
-from geodenums.wz import (
-    F1,
-    F2,
-    H1,
-    H2,
-    ORIENT_F_DIFFERENCE,
-    certificate_R,
-    certificate_companion,
-    certificate_summand,
-    check_certificate_R,
-    check_wz1,
-    check_wz2,
-)
+from geodenums.wz import ORIENT_F_DIFFERENCE, check_certificate_R, check_wz1, check_wz2
+
+
+def _values(row):
+    """A row of (numerator, denominator) pairs as Fractions."""
+    return [Fraction(*entry) for entry in row]
+
+
+def _h1(n):
+    """H(n, k) = R(n, k) F(n, k) of the two-variable pair, for k = 0..n."""
+    return [r * f for r, f in zip(_values(wz._r1(n)), _values(wz._f1(n)))]
 
 
 def _raised(row, at):
@@ -68,7 +66,7 @@ def test_binomial_rows_match_comb():
                 for count in range(7):
                     expected = [comb(top + top_step * j, bottom + j) for j in range(count)]
                     assert wz._binomials(top, bottom, top_step, count) == expected
-    # the second binomial of F2 at the largest --a of `verify wz2`
+    # the second binomial of F_2 at the largest --a of `verify wz2`
     for a in (2, 3, 999, 1000):
         for n in (1, 7, 60):
             expected = [comb(a * n + 1 + k, (a - 1) * n + 1 + k) for k in range(n + 1)]
@@ -91,32 +89,24 @@ def test_binomial_row_that_drifts_is_refused(monkeypatch, top, bottom, top_step)
 
 
 def test_f1_values():
-    assert F1(2, 0) == 2
-    assert F1(2, 1) == -5
-    assert F1(2, 2) == 3
-    assert sum(F1(2, k) for k in range(3)) == 0
-    assert sum(F1(5, k) for k in range(6)) == 0
+    assert _values(wz._f1(2)) == [2, -5, 3]
+    assert sum(_values(wz._f1(2))) == 0
+    assert sum(_values(wz._f1(5))) == 0
 
 
 def test_f1_leading_term_positive():
     for n in range(1, 12):
-        assert F1(n, 0) == Fraction(comb(2 * n + 1, n + 1), 2 * n + 1) > 0
-
-
-def test_f1_range_checked():
-    with pytest.raises(ValueError):
-        F1(2, 3)
-    with pytest.raises(ValueError):
-        F1(2, -1)
+        assert _values(wz._f1(n))[0] == Fraction(comb(2 * n + 1, n + 1), 2 * n + 1) > 0
 
 
 def test_h1_values():
-    assert H1(2, 1) == 2
-    assert H1(2, 2) == -3
-    assert F1(2, 1) == H1(2, 2) - H1(2, 1) == -5
+    h = _h1(2)
+    assert h[1] == 2
+    assert h[2] == -3
+    assert _values(wz._f1(2))[1] == h[2] - h[1] == -5
     for n in range(1, 10):
-        assert H1(n, 0) == 0
-    assert H1(3, 1) == -F1(3, 1) * Fraction(1 * 5, 3 * 7)
+        assert _h1(n)[0] == 0
+    assert _h1(3)[1] == -_values(wz._f1(3))[1] * Fraction(1 * 5, 3 * 7)
 
 
 def test_check_wz1_passes():
@@ -136,9 +126,8 @@ def test_check_wz1_negative_control():
 
 def test_wz2_reduces_to_two_variable_pair():
     for n in range(1, 12):
-        for k in range(n + 1):
-            assert F2(2, n, k) == F1(n, k)
-            assert H2(2, n, k) == H1(n, k)
+        assert wz._f2(2, n) == wz._f1(n)
+        assert wz._r2(2, n) == wz._r1(n)
 
 
 def test_check_wz2_passes():
@@ -152,25 +141,26 @@ def test_check_wz2_negative_control():
     assert not corrupted.all_passed()
 
 
-def test_certificate_value_and_pole():
-    assert certificate_R(2, 1) == Fraction(98, 42) == Fraction(7, 3)
-    with pytest.raises(ZeroDivisionError):
-        certificate_R(3, 3)
+def test_certificate_value():
+    assert Fraction(*wz._cert_R(2)[1]) == Fraction(98, 42) == Fraction(7, 3)
 
 
 def test_certificate_sum_base_case():
-    assert certificate_summand(1, 0) == 1
-    assert sum(certificate_summand(4, m) for m in range(4)) == 1
+    assert _values(wz._cert_summand(1)) == [1]
+    assert sum(_values(wz._cert_summand(4))) == 1
 
 
 def test_companion_extends_r_times_summand():
     for n in range(1, 15):
-        for m in range(n):
-            assert certificate_companion(n, m) == certificate_R(n, m) * certificate_summand(n, m)
-        # the extension to m = n is generally nonzero; forcing it to zero
-        # would break the telescoping relation at m = n - 1
-        assert certificate_summand(n, n) == 0
-    assert certificate_companion(2, 2) == -12
+        summand = _values(wz._cert_summand(n))
+        companion = _values(wz._cert_companion(n))
+        products = [r * f for r, f in zip(_values(wz._cert_R(n)), summand)]
+        assert companion[:n] == products
+        # F^(n, n) = 0 lies past the summand's support, but the companion
+        # extends to m = n, generally nonzero; forcing it to zero would
+        # break the telescoping relation at m = n - 1
+        assert len(summand) == n and len(companion) == n + 1
+    assert _values(wz._cert_companion(2))[2] == -12
 
 
 def test_check_certificate_passes_and_names_orientation():
@@ -188,11 +178,12 @@ def test_check_certificate_negative_control():
 
 def test_h1_quotient_layer_identity_and_geode_bridge():
     # the two-variable division expresses the degree n-1 Geode coefficients
-    # through H1: (-1)^i H1(n, i+1) = C(n-1,i) C(2n+1+i, n+1+i) / (2n+1)
+    # through H: (-1)^i H(n, i+1) = C(n-1,i) C(2n+1+i, n+1+i) / (2n+1)
     for n in range(1, 51):
+        h = _h1(n)
         for i in range(n):
             rhs = Fraction(comb(n - 1, i) * comb(2 * n + 1 + i, n + 1 + i), 2 * n + 1)
-            assert (-1) ** i * H1(n, i + 1) == rhs
+            assert (-1) ** i * h[i + 1] == rhs
     # the same quantity is the closed form for the degree n-1 layer
     for n in range(1, 13):
         for i in range(n):
