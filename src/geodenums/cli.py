@@ -1,21 +1,25 @@
 """Command-line surface: coefficient tables, single coefficients, and the
 verification suites with machine-readable JSON reports.
 
-The suites are the ``suite_<name>`` functions; their keyword defaults are
-the acceptance bounds, and ``tests/test_acceptance.py`` calls them as they
-are.  ``SUITES`` maps each name to its function and to the flags it takes
-with their ranges: ``verify`` checks every set flag against the ranges of
-the suites it will run, then passes each suite only its own flags.
-``SOLVES`` lists the S solves each oracle suite makes at given bounds, so
-``verify`` can price them all before any suite starts.  ``verify all``
-runs its suites on every usable CPU, in forked helpers beside its own
-process (``_run_suites``), and merges one report whatever the CPU count.
+The suites are the ``suite_<name>`` functions, each described once by its
+ordered units (``report.Unit``) and run through ``_suite``; their keyword
+defaults are the acceptance bounds, and ``tests/test_acceptance.py`` calls
+them as they are.  ``SUITES`` maps each name to its function and to the
+flags it takes with their ranges: ``verify`` checks every set flag against
+the ranges of the suites it will run, then passes each suite only its own
+flags.  ``SOLVES`` lists the S solves each oracle suite makes at given
+bounds, so ``verify`` can price them all before any suite starts.
+``verify <suite>`` and ``verify all`` put the units of their suites into
+one queue that the command's process and forked helpers drain on every
+usable CPU (``_run_units``), and assemble one report whatever the CPU
+count; ``table`` and ``coeff`` never fork.  Output paths are opened after
+the guards and before any work.
 
 Exit codes: 0 all checks passed, 1 any verification failure, a suite that
-ran no cases (named on stderr) or a suite or helper that crashed, 2 usage or I/O error, including a bound
-outside its range, a ``table``, ``coeff`` or ``verify`` request one of whose
-S solves would exceed ``MAX_ORACLE_WORK`` and a ``coeff`` closed form whose
-weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.
+ran no cases (named on stderr) or a unit or helper that crashed, 2 usage or
+I/O error, including a bound outside its range, a ``table``, ``coeff`` or
+``verify`` request one of whose S solves would exceed ``MAX_ORACLE_WORK``
+and a ``coeff`` closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.
 Reports are byte-identical across identical invocations except for the
 elapsed_ms fields.
 """
@@ -27,13 +31,13 @@ import inspect
 import json
 import os
 import sys
-from functools import cache
-from typing import Callable, Iterable, Sequence
+from functools import cache, partial, wraps
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import geode, identities, wz
 from .hypercat import functional_residual, hyper_catalan, solve_S, solve_work
 from .mpoly import TruncatedSeries, coeff, iter_exponents, series_to_dict
-from .report import VerifyReport, run_case
+from .report import Case, Unit, VerifyReport, run_case, run_units
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
@@ -114,6 +118,23 @@ def _is(expected, value) -> tuple[bool, str]:
     return value == expected, str(value)
 
 
+def _suite(name: str) -> Callable[[Callable[..., list[Unit]]], Callable[..., VerifyReport]]:
+    """Decorator: suite `name` from its units function, which returns the
+    suite's ordered units for its bounds.  The suite function runs every
+    unit, in order, into one report; its ``units`` attribute is the units
+    function, from which ``_run_suites`` spreads units over processes."""
+
+    def describe(units: Callable[..., list[Unit]]) -> Callable[..., VerifyReport]:
+        @wraps(units)
+        def suite(*args, **kwargs) -> VerifyReport:
+            return run_units(name, units(*args, **kwargs))
+
+        suite.units = units
+        return suite
+
+    return describe
+
+
 def _negative_control(
     report: VerifyReport, case_id: str, what: str, corrupted: Callable[[], VerifyReport]
 ) -> None:
@@ -136,25 +157,44 @@ def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]
     return flipped
 
 
-def suite_thm1(max_degree: int = 12) -> VerifyReport:
-    report = VerifyReport("thm1")
-    table = geode.geode_series(2, max_degree)
-    for m1 in range(max_degree + 1):
-        for m2 in range(max_degree + 1 - m1):
-            closed = geode.geode_closed_2var(m1, m2)
-            run_case(
-                report,
-                f"m1={m1:02d},m2={m2:02d}",
-                {"m1": m1, "m2": m2},
-                str(closed),
-                lambda m=(m1, m2), closed=closed: _is(closed, table.coefficient(m)),
-            )
-    return report
+def _prefixed(prefix: str, unit: Unit) -> Unit:
+    """`unit` with `prefix` put before the id of every case it runs."""
+
+    def prefixed(report: VerifyReport) -> None:
+        start = len(report.cases)
+        unit(report)
+        for case in report.cases[start:]:
+            case.id = prefix + case.id
+
+    return prefixed
 
 
-def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> VerifyReport:
-    report = VerifyReport("thm2")
-    for a in a_values:
+def _case_units(cases: Iterable[tuple]) -> list[Unit]:
+    """One unit per (case_id, params, expected, check), running that case."""
+    return [lambda report, case=case: run_case(report, *case) for case in cases]
+
+
+@_suite("thm1")
+def suite_thm1(max_degree: int = 12) -> list[Unit]:
+    def unit(report: VerifyReport) -> None:
+        table = geode.geode_series(2, max_degree)
+        for m1 in range(max_degree + 1):
+            for m2 in range(max_degree + 1 - m1):
+                closed = geode.geode_closed_2var(m1, m2)
+                run_case(
+                    report,
+                    f"m1={m1:02d},m2={m2:02d}",
+                    {"m1": m1, "m2": m2},
+                    str(closed),
+                    lambda m=(m1, m2), closed=closed: _is(closed, table.coefficient(m)),
+                )
+
+    return [unit]
+
+
+@_suite("thm2")
+def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
+    def unit(report: VerifyReport, a: int) -> None:
         table = geode.geode_series(a, max_sum)
         for p in range(max_sum + 1):
             for q in range(max_sum + 1 - p):
@@ -163,7 +203,7 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> Veri
                 exps[a - 1] = q
                 closed = geode.geode_closed_shifted(a, p, q)
 
-                def check(a=a, p=p, q=q, closed=closed, exps=tuple(exps), table=table):
+                def check(p=p, q=q, closed=closed, exps=tuple(exps)):
                     oracle = table.coefficient(exps)
                     if closed != oracle:
                         return False, str(oracle)
@@ -178,12 +218,13 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> Veri
                     str(closed),
                     check,
                 )
-    return report
+
+    return [partial(unit, a=a) for a in a_values]
 
 
-def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> VerifyReport:
-    report = VerifyReport("thm3")
-    for a in a_values:
+@_suite("thm3")
+def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
+    def unit(report: VerifyReport, a: int) -> None:
         values = geode.eval_alternating(a, max_order)
         for n in range(max_order + 1):
             run_case(
@@ -191,137 +232,125 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
                 f"a={a},n={n:02d}",
                 {"a": a, "n": n},
                 str(a**n),
-                lambda a=a, n=n, values=values: _is(a**n, values.coefficient(n)),
+                lambda n=n: _is(a**n, values.coefficient(n)),
             )
-    return report
+
+    return [partial(unit, a=a) for a in a_values]
 
 
-def suite_eq31(max_n: int = 7, max_a: int = 3) -> VerifyReport:
-    report = VerifyReport("eq31")
-    for n in range(1, max_n + 1):
-        for a in range(1, max_a + 1):
+@_suite("eq31")
+def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
+    return _case_units(
+        (
+            f"n={n},a={a}",
+            {"n": n, "a": a},
+            str(a ** (n - 1)),
+            lambda n=n, a=a: _is(a ** (n - 1), identities.partition_sum_main(n, a)),
+        )
+        for n in range(1, max_n + 1)
+        for a in range(1, max_a + 1)
+    )
+
+
+@_suite("claims")
+def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
+    def unit(report: VerifyReport, n: int, a: int) -> None:
+        power = a ** (n - 1)
+        # What the cases of this (n, a) share and no other case reads: the
+        # signed size mass of the length-n and length-(n-1) tallies and the
+        # bracket power of the ct route.  Each is built by the first case
+        # that reads it, so its time is in that case's elapsed_ms.
+        mass1 = cache(lambda: identities.size_mass(identities.partition_tally(n, a)))
+        mass2 = cache(lambda: identities.size_mass(identities.partition_tally(n - 1, a)))
+        bracket = cache(lambda: identities.bracket_power(n, a))
+        for x in range(-2, n + 1):
+            params = {"n": n, "a": a, "x": x}
             run_case(
                 report,
-                f"n={n},a={a}",
-                {"n": n, "a": a},
-                str(a ** (n - 1)),
-                lambda n=n, a=a: _is(a ** (n - 1), identities.partition_sum_main(n, a)),
+                f"claim1,n={n},a={a},x={x:+d}",
+                params,
+                "0",
+                lambda x=x: _is(0, identities.shifted_binomial_sum(mass1(), n, x)),
             )
-    return report
-
-
-def suite_claims(max_n: int = 7, max_a: int = 3) -> VerifyReport:
-    report = VerifyReport("claims")
-    for n in range(1, max_n + 1):
-        for a in range(1, max_a + 1):
-            power = a ** (n - 1)
-            # What the cases of this (n, a) share and no other case reads: the
-            # signed size mass of the length-n and length-(n-1) tallies and the
-            # bracket power of the ct route.  Each is built by the first case
-            # that reads it, so its time is in that case's elapsed_ms.
-            mass1 = cache(lambda n=n, a=a: identities.size_mass(identities.partition_tally(n, a)))
-            mass2 = cache(
-                lambda n=n, a=a: identities.size_mass(identities.partition_tally(n - 1, a))
+            run_case(
+                report,
+                f"claim2,n={n},a={a},x={x:+d}",
+                params,
+                str(power),
+                lambda x=x: _is(power, identities.shifted_binomial_sum(mass2(), n, x)),
             )
-            bracket = cache(lambda n=n, a=a: identities.bracket_power(n, a))
-            for x in range(-2, n + 1):
-                params = {"n": n, "a": a, "x": x}
-                run_case(
-                    report,
-                    f"claim1,n={n},a={a},x={x:+d}",
-                    params,
-                    "0",
-                    lambda n=n, x=x, mass1=mass1: _is(
-                        0, identities.shifted_binomial_sum(mass1(), n, x)
-                    ),
-                )
-                run_case(
-                    report,
-                    f"claim2,n={n},a={a},x={x:+d}",
-                    params,
-                    str(power),
-                    lambda n=n, x=x, power=power, mass2=mass2: _is(
-                        power, identities.shifted_binomial_sum(mass2(), n, x)
-                    ),
-                )
-            for x in range(0, n + 1):
-                run_case(
-                    report,
-                    f"ct,n={n},a={a},x={x:+d}",
-                    {"n": n, "a": a, "x": x},
-                    str(power),
-                    lambda n=n, x=x, power=power, bracket=bracket: _is(
-                        power, identities.ct_coefficient(bracket(), n, x)
-                    ),
-                )
+        for x in range(0, n + 1):
+            run_case(
+                report,
+                f"ct,n={n},a={a},x={x:+d}",
+                {"n": n, "a": a, "x": x},
+                str(power),
+                lambda x=x: _is(power, identities.ct_coefficient(bracket(), n, x)),
+            )
 
-            # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
-            # is claim1 at x = 0, which a claim1 case checks; C(|l|+2a+n,
-            # |l|+2a+1) is claim2 at x = 2a, which the claim2 cases certify
-            # (n + 3 points of a polynomial in x of degree <= n - 1).
-            def eq32(n=n, mass1=mass1):
-                value = sum(
-                    m * identities.binom_general(size + n, size + 1)
-                    for size, m in enumerate(mass1())
-                )
-                return _is(0, value)
+        # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
+        # is claim1 at x = 0, which a claim1 case checks; C(|l|+2a+n,
+        # |l|+2a+1) is claim2 at x = 2a, which the claim2 cases certify
+        # (n + 3 points of a polynomial in x of degree <= n - 1).
+        def eq32():
+            value = sum(
+                m * identities.binom_general(size + n, size + 1)
+                for size, m in enumerate(mass1())
+            )
+            return _is(0, value)
 
-            def eq33(n=n, a=a, power=power, mass2=mass2):
-                value = sum(
-                    m * identities.binom_general(size + 2 * a + n, size + 2 * a + 1)
-                    for size, m in enumerate(mass2())
-                )
-                return _is(power, value)
+        def eq33():
+            value = sum(
+                m * identities.binom_general(size + 2 * a + n, size + 2 * a + 1)
+                for size, m in enumerate(mass2())
+            )
+            return _is(power, value)
 
-            run_case(report, f"eq32,n={n},a={a}", {"n": n, "a": a}, "0", eq32)
-            run_case(report, f"eq33,n={n},a={a}", {"n": n, "a": a}, str(power), eq33)
-    return report
+        run_case(report, f"eq32,n={n},a={a}", {"n": n, "a": a}, "0", eq32)
+        run_case(report, f"eq33,n={n},a={a}", {"n": n, "a": a}, str(power), eq33)
+
+    return [partial(unit, n=n, a=a) for n in range(1, max_n + 1) for a in range(1, max_a + 1)]
 
 
-def suite_wz1(max_n: int = 200) -> VerifyReport:
-    report = wz.check_wz1(max_n)
-    _negative_control(
-        report,
-        "negative-control-H",
-        "companion",
-        lambda: wz.check_wz1(2, r=_flipped(wz._r1)),
-    )
-    return report
+@_suite("wz1")
+def suite_wz1(max_n: int = 200) -> list[Unit]:
+    return wz.wz1_units(max_n) + [
+        lambda report: _negative_control(
+            report, "negative-control-H", "companion", lambda: wz.check_wz1(2, r=_flipped(wz._r1))
+        )
+    ]
 
 
-def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> VerifyReport:
-    report = VerifyReport("wz2")
-    for a in a_values:
-        sub_report = wz.check_wz2(a, max_n)
-        for case in sub_report.cases:
-            case.id = f"a={a},{case.id}"
-            report.cases.append(case)
-    _negative_control(
-        report,
-        "negative-control-H",
-        "companion",
-        lambda: wz.check_wz2(3, 3, r=_flipped(wz._r2)),
-    )
-    return report
+@_suite("wz2")
+def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> list[Unit]:
+    return [_prefixed(f"a={a},", unit) for a in a_values for unit in wz.wz2_units(a, max_n)] + [
+        lambda report: _negative_control(
+            report,
+            "negative-control-H",
+            "companion",
+            lambda: wz.check_wz2(3, 3, r=_flipped(wz._r2)),
+        )
+    ]
 
 
-def suite_certificate(max_n: int = 100) -> VerifyReport:
-    report = wz.check_certificate_R(max_n)
-    _negative_control(
-        report,
-        "negative-control-R",
-        "certificate",
-        lambda: wz.check_certificate_R(3, companion=_flipped(wz._cert_companion)),
-    )
-    return report
+@_suite("certificate")
+def suite_certificate(max_n: int = 100) -> list[Unit]:
+    return wz.certificate_units(max_n) + [
+        lambda report: _negative_control(
+            report,
+            "negative-control-R",
+            "certificate",
+            lambda: wz.check_certificate_R(3, companion=_flipped(wz._cert_companion)),
+        )
+    ]
 
 
-def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> VerifyReport:
-    report = VerifyReport("recurrence")
-    for r in range(1, max_vars + 1):
+@_suite("recurrence")
+def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> list[Unit]:
+    def unit(report: VerifyReport, r: int) -> None:
         table = geode.geode_series(r, max_degree - 1)
         for d in range(1, max_degree + 1):
-            def check(r=r, d=d, table=table):
+            def check(d=d):
                 count = 0
                 for m in iter_exponents(r, d):
                     if not geode.geode_recurrence_check(table, m):
@@ -336,101 +365,101 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> VerifyReport:
                 "sum_k G[m - e_k] = C[m] on the whole layer",
                 check,
             )
-    return report
+
+    return [partial(unit, r=r) for r in range(1, max_vars + 1)]
 
 
+@_suite("two-nonzero")
 def suite_two_nonzero(
     max_n: int = 7, pairs: Sequence[tuple[int, int]] = ((1, 2), (1, 3), (2, 3), (2, 5))
-) -> VerifyReport:
-    report = VerifyReport("two-nonzero")
-    nvars = max(t for _, t in pairs)
-    table = geode.geode_series(nvars, max_n - 1)
-    for s, t in pairs:
-        for n in range(1, max_n + 1):
-            def check(s=s, t=t, n=n):
-                for i in range(n):
-                    closed = geode.geode_closed_two_nonzero(s, t, n, i)
-                    exps = [0] * nvars
-                    exps[s - 1] = n - 1 - i
-                    exps[t - 1] = i
-                    if closed != table.coefficient(exps):
-                        return False, f"mismatch at i={i}: {closed}"
-                    if (s, t) == (1, 2) and closed != geode.geode_closed_2var(n - 1 - i, i):
-                        return False, f"two-variable closed form differs at i={i}"
-                return True, f"all {n} coefficients match the oracle"
+) -> list[Unit]:
+    def unit(report: VerifyReport) -> None:
+        nvars = max(t for _, t in pairs)
+        table = geode.geode_series(nvars, max_n - 1)
+        for s, t in pairs:
+            for n in range(1, max_n + 1):
+                def check(s=s, t=t, n=n):
+                    for i in range(n):
+                        closed = geode.geode_closed_two_nonzero(s, t, n, i)
+                        exps = [0] * nvars
+                        exps[s - 1] = n - 1 - i
+                        exps[t - 1] = i
+                        if closed != table.coefficient(exps):
+                            return False, f"mismatch at i={i}: {closed}"
+                        if (s, t) == (1, 2) and closed != geode.geode_closed_2var(n - 1 - i, i):
+                            return False, f"two-variable closed form differs at i={i}"
+                    return True, f"all {n} coefficients match the oracle"
 
-            run_case(
-                report,
-                f"s={s},t={t},n={n}",
-                {"s": s, "t": t, "n": n},
-                "closed form equals oracle for every i",
-                check,
-            )
-    return report
+                run_case(
+                    report,
+                    f"s={s},t={t},n={n}",
+                    {"s": s, "t": t, "n": n},
+                    "closed form equals oracle for every i",
+                    check,
+                )
+
+    return [unit]
 
 
-def suite_general_eval(max_order: int = 8) -> VerifyReport:
-    report = VerifyReport("general-eval")
-
+@_suite("general-eval")
+def suite_general_eval(max_order: int = 8) -> list[Unit]:
     def powers_case(a, c, base, order):
         values = geode.eval_general(a, c, order)
         actual = [values.coefficient(n) for n in range(order + 1)]
         return actual == [base**n for n in range(order + 1)], str(actual)
 
-    run_case(
-        report,
-        "a=1,c=(3)",
-        {"a": 1, "c": [3], "max_order": max_order},
-        "coefficients 3^n",
-        lambda: powers_case(1, (3,), 3, max_order),
-    )
-    run_case(
-        report,
-        "a=2,c=(2,3)",
-        {"a": 2, "c": [2, 3], "max_order": 6},
-        "coefficients 7^n",
-        lambda: powers_case(2, (2, 3), 7, 6),
-    )
-    run_case(
-        report,
-        "a=2,c=(1,1)",
-        {"a": 2, "c": [1, 1], "max_order": max_order},
-        "matches the alternating evaluation",
-        lambda: (
-            geode.eval_general(2, (1, 1), max_order)
-            == geode.eval_alternating(2, max_order),
-            "series coincide",
+    return _case_units([
+        (
+            "a=1,c=(3)",
+            {"a": 1, "c": [3], "max_order": max_order},
+            "coefficients 3^n",
+            lambda: powers_case(1, (3,), 3, max_order),
         ),
-    )
-    return report
+        (
+            "a=2,c=(2,3)",
+            {"a": 2, "c": [2, 3], "max_order": 6},
+            "coefficients 7^n",
+            lambda: powers_case(2, (2, 3), 7, 6),
+        ),
+        (
+            "a=2,c=(1,1)",
+            {"a": 2, "c": [1, 1], "max_order": max_order},
+            "matches the alternating evaluation",
+            lambda: (
+                geode.eval_general(2, (1, 1), max_order)
+                == geode.eval_alternating(2, max_order),
+                "series coincide",
+            ),
+        ),
+    ])
 
 
-def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> VerifyReport:
+@_suite("oracle")
+def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> list[Unit]:
     """Self-consistency of the oracle itself: the defining equation residual
     vanishes and S - 1 = (t_1+...+t_r) G holds through the truncation."""
-    report = VerifyReport("oracle")
+    cases = []
     for r in range(1, max_vars + 1):
-        run_case(
-            report,
+        params = {"r": r, "max_degree": max_degree}
+        cases.append((
             f"residual,r={r}",
-            {"r": r, "max_degree": max_degree},
+            params,
             "zero series",
             lambda r=r: (
                 functional_residual(solve_S(r, max_degree)).is_zero(),
                 "residual is the zero series",
             ),
-        )
-        run_case(
-            report,
+        ))
+        cases.append((
             f"factorization,r={r}",
-            {"r": r, "max_degree": max_degree},
+            params,
             "S - 1 = (t_1+...+t_r) G",
             lambda r=r: (
                 geode.geode_series(r, max_degree).factorization_holds(),
                 "factorization holds",
             ),
-        )
-    return report
+        ))
+    return _case_units(cases)
 
 
 # Every suite, in `verify all` order, with the flags it takes and the range
@@ -438,11 +467,12 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> VerifyReport:
 # defaults; --a runs a single a_values entry.  A flag whose cost lies in the
 # oracle has no maximum, because `verify` prices its S solves (SOLVES); the
 # grid suites' maxima keep each one, at its largest admitted bounds, under
-# 3 s on a 2-core VM with Python 3.11 (`verify` wall time, at least two
-# runs each): wz1 at 600 1.5-1.8 s, wz2 at 350 1.4-1.7 s (--a 1000
-# 1.3 s), certificate at 600 1.5-2.0 s, eq31 at 14/5 1.7-2.1 s, claims at
-# 15/4 0.58-0.77 s.  In process, eq31 at 16/5 took 3.5 s and claims at 15/5
-# 2.1-2.3 s, so eq31 stops at 14/5 and claims at 15/4.
+# 3 s on one CPU of a 2-core VM with Python 3.11 (`verify` wall time, at
+# least two runs each; two CPUs take 0.55-0.75 of it): wz1 at 600 1.5-1.8
+# s, wz2 at 350 1.4-1.7 s (--a 1000 1.3 s), certificate at 600 1.5-2.0 s,
+# eq31 at 14/5 1.7-2.1 s, claims at 15/4 0.58-0.77 s.  In process, eq31 at
+# 16/5 took 3.5 s and claims at 15/5 2.1-2.3 s, so eq31 stops at 14/5 and
+# claims at 15/4.
 SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, tuple[int, int | None]]]] = {
     "thm1": (suite_thm1, {"max_degree": (0, None)}),
     "thm2": (suite_thm2, {"max_sum": (0, None)}),
@@ -528,10 +558,6 @@ def _suite_kwargs(name: str, args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _run_suite(name: str, args: argparse.Namespace) -> VerifyReport:
-    return SUITES[name][0](**_suite_kwargs(name, args))
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -540,62 +566,135 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(names: Sequence[str], args: argparse.Namespace, procs: int) -> list[list[str]]:
-    """`names` dealt round-robin to `procs` processes, in decreasing order of
-    the solve_work summed over each suite's S solves; the sort is stable, so
-    suites of equal work, such as the oracle-free ones, keep `names` order."""
+def _run_suites(names: Sequence[str], args: argparse.Namespace) -> dict[str, VerifyReport]:
+    """Every suite in `names`, keyed in `names` order, its cases in unit
+    order.  The units of all of them go into one queue, those of the suite
+    with the most solve_work summed over its S solves first; the sort is
+    stable, so suites of equal work, such as the oracle-free ones, keep
+    `names` order.  ``_run_units`` runs the queue."""
 
     def work(name: str) -> int:
         return sum(solve_work(r, d) for r, d in _oracle_solves(name, _suite_kwargs(name, args)))
 
-    order = sorted(names, key=work, reverse=True)
-    return [order[i::procs] for i in range(procs)]
+    units = [
+        (name, unit)
+        for name in sorted(names, key=work, reverse=True)
+        for unit in SUITES[name][0].units(**_suite_kwargs(name, args))
+    ]
+    reports = {name: VerifyReport(name) for name in names}
+    for (name, _), cases in zip(units, _run_units(units)):
+        reports[name].cases += cases
+    return reports
 
 
-def _run_suites(names: Sequence[str], args: argparse.Namespace) -> dict[str, VerifyReport]:
-    """Every suite in `names`, keyed in `names` order, on up to one process
-    per usable CPU.
+# Bytes per unit index in the queue, and per write to it: 512 is the
+# smallest PIPE_BUF POSIX allows, so each write reaches the pipe whole and
+# no reader can find part of an index.
+_RECORD = 4
+_CHUNK = 512
 
-    The suites are pure and independent, so the first share of ``_deal``
-    runs here while each other share, if there is more than one suite and
-    CPU, runs in a forked helper, which sends its reports back pickled
-    through a pipe.  The parent never sits idle, so it competes for a CPU
-    like every helper.  Fork, not spawn: a helper starts from this
-    process's imports and parsed arguments, and the CLI starts no threads.
-    A share whose helper cannot be forked (OSError, as under a process
-    limit) runs here too.  A suite that raises in a helper, or a helper
-    that dies before its reports arrive, raises RuntimeError naming the
-    suites; no helper outlives the call.
+
+def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
+    """The cases of every (suite name, unit) in `units`, in unit order, run
+    on up to one process per usable CPU.
+
+    Units are independent, so ``min(CPUs, units) - 1`` helpers are forked
+    first; then this process writes every unit's index into one pipe, the
+    queue, in order, and it and every helper read the next index and run
+    that unit until the queue is empty.  Forking first lets the helpers
+    drain the queue while it is written, so a queue longer than the pipe
+    holds does not stall.  Each helper sends its cases back pickled through a
+    pipe of its own.  Fork, not spawn: a helper starts from this process's
+    imports and units, and the CLI starts no threads.  With no helper (one
+    CPU or unit, no os.fork, or every fork failing with OSError, as under a
+    process limit) this process runs every unit in order.  A unit that
+    raises outside its cases, in any process, raises RuntimeError naming
+    its suite; so does a helper that dies before its cases arrive, naming
+    the suites whose units ran nowhere.  No helper outlives the call.
     """
-    procs = min(_cpus(), len(names)) if hasattr(os, "fork") else 1
-    own, *shares = _deal(names, args, procs)
-    helpers: list[tuple[list[str], int, int]] = []
+    procs = min(_cpus(), len(units)) if hasattr(os, "fork") else 1
+    queue, feed = os.pipe()
+    helpers: list[tuple[int, int]] = []
     try:
-        for share in shares:
+        for _ in range(procs - 1):
             try:
-                helpers.append((share, *_fork_helper(share, args)))
+                helpers.append(_fork_helper(units, queue, feed))
             except OSError:
-                own += share
-        reports = {name: _run_suite(name, args) for name in own}
+                break
+        if helpers:
+            records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(units)))
+            for start in range(0, len(records), _CHUNK):
+                os.write(feed, records[start : start + _CHUNK])
+        os.close(feed)
+        feed = -1
+        indices = _queue_indices(queue) if helpers else range(len(units))
+        cases = {index: _run_unit(*units[index]) for index in indices}
+        failure = death = None
         while helpers:
-            reports.update(_collect(*helpers.pop(0)))
+            import pickle
+
+            code, data = _collect(*helpers.pop(0))
+            if code:  # a helper exits 0 only once its cases are written
+                how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
+                death = death or f"a helper process {how} before sending its cases"
+                continue
+            helper_cases, helper_failure = pickle.loads(data)
+            cases.update(helper_cases)
+            failure = failure or helper_failure
+        if failure is not None:
+            raise RuntimeError(failure)
+        missing = ", ".join(
+            dict.fromkeys(name for i, (name, _) in enumerate(units) if i not in cases)
+        )
+        if death is not None or missing:
+            raise RuntimeError(
+                f"verify: {death or 'the queue lost a unit'}; "
+                f"units of {missing or 'no suite'} ran nowhere"
+            )
     finally:
+        os.close(queue)
+        if feed >= 0:
+            os.close(feed)
         if helpers:  # left only when something above raised
             import signal
 
-            for _, pid, read in helpers:
+            for pid, read in helpers:
                 os.close(read)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return {name: reports[name] for name in names}
+    return [cases[index] for index in range(len(units))]
 
 
-def _fork_helper(share: list[str], args: argparse.Namespace) -> tuple[int, int]:
-    """Fork a helper that runs `share` and writes the pickled pair (reports
-    by name, None) to a pipe, or (None, (suite, traceback)) for the first
-    suite that raised; return its pid and the pipe's read end.  The helper
-    leaves by os._exit, so it runs no exit handler and flushes no buffer
-    it inherited."""
+def _queue_indices(queue: int) -> Iterator[int]:
+    """The unit indices this process reads from the queue until it is empty."""
+    while record := os.read(queue, _RECORD):
+        if len(record) != _RECORD:
+            raise RuntimeError(f"verify: short read of {len(record)} bytes from the unit queue")
+        yield int.from_bytes(record, "little")
+
+
+def _run_unit(name: str, unit: Unit) -> list[Case]:
+    """The cases `unit` of suite `name` runs; a unit that raises outside its
+    cases raises RuntimeError naming the suite, with the unit's traceback."""
+    report = VerifyReport(name)
+    try:
+        unit(report)
+    except Exception as exc:
+        import traceback
+
+        raise RuntimeError(
+            f"verify: suite {name} raised outside its cases:\n{traceback.format_exc()}"
+        ) from exc
+    return report.cases
+
+
+def _fork_helper(units: Sequence[tuple[str, Unit]], queue: int, feed: int) -> tuple[int, int]:
+    """Fork a helper that runs the units whose indices it reads from `queue`
+    until the queue is empty, then writes the pickled pair (cases by unit
+    index, None) to a pipe of its own, or (cases, message) with the message
+    of the first unit that raised; return its pid and the pipe's read end.
+    The helper leaves by os._exit, so it runs no exit handler and flushes
+    no buffer it inherited."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -609,44 +708,31 @@ def _fork_helper(share: list[str], args: argparse.Namespace) -> tuple[int, int]:
     code = 1
     try:
         import pickle
-        import traceback
 
         os.close(read)
-        reports, failure = {}, None
-        for name in share:
+        os.close(feed)  # the queue ends when the command's process closes its end
+        cases, failure = {}, None
+        for index in _queue_indices(queue):
             try:
-                reports[name] = _run_suite(name, args)
-            except Exception:
-                reports, failure = None, (name, traceback.format_exc())
-                break
+                cases[index] = _run_unit(*units[index])
+            except RuntimeError as exc:  # keep reading, so the queue never stalls
+                failure = failure or str(exc)
         with os.fdopen(write, "wb") as pipe:
-            pickle.dump((reports, failure), pipe)
+            pickle.dump((cases, failure), pipe)
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(share: list[str], pid: int, read: int) -> dict[str, VerifyReport]:
-    """The reports of the helper `pid`, read from `read` to its end; the
-    helper is reaped whatever happens."""
-    import pickle
-
+def _collect(pid: int, read: int) -> tuple[int, bytes]:
+    """The exit code of the helper `pid` and what it wrote to `read`, read
+    to its end; the helper is reaped whatever happens."""
     try:
         with os.fdopen(read, "rb") as pipe:
             data = pipe.read()
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    suites = ", ".join(share)
-    if code:  # a helper exits 0 only once its reports are written
-        how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
-        raise RuntimeError(
-            f"verify all: the helper process running {suites} {how} before sending its reports"
-        )
-    reports, failure = pickle.loads(data)
-    if failure is not None:
-        name, trace = failure
-        raise RuntimeError(f"verify all: suite {name} raised in a helper process:\n{trace}")
-    return reports
+    return code, data
 
 
 # ---------------------------------------------------------------------------
@@ -686,21 +772,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path: str) -> IO[str] | None:
+    """`path` opened for writing, or None once its error line is printed.
+    Commands open their output after the guards but before any work, so
+    an unwritable path costs no solve and no suite."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _cannot_write(path, exc)
+        return None
+
+
+def _cannot_write(path: str, exc: OSError) -> None:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+
+
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.vars < 1:
         parser.error(f"--vars must be >= 1, got {args.vars}")
     if args.max_degree < 0:
         parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
     _check_oracle_size(args.vars, args.max_degree + (args.kind == "G"), parser)
-    series = _series_for_table(args.kind, args.vars, args.max_degree)
     if args.out == "-":
+        series = _series_for_table(args.kind, args.vars, args.max_degree)
         _write_table(series, args.format, sys.stdout)
         return 0
+    out = _open_output(args.out)
+    if out is None:
+        return 2
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _write_table(series, args.format, handle)
+        with out:
+            _write_table(_series_for_table(args.kind, args.vars, args.max_degree), args.format, out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        _cannot_write(args.out, exc)
         return 2
     return 0
 
@@ -730,7 +834,17 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     _check_bounds(names, args, parser)
     _check_suite_work(names, args, parser)
-    reports = _run_suites(names, args)
+    out = None
+    if args.report:
+        out = _open_output(args.report)
+        if out is None:
+            return 2
+    try:
+        reports = _run_suites(names, args)
+    except BaseException:
+        if out is not None:
+            out.close()
+        raise
     if args.suite == "all":
         report = VerifyReport("all")
         for name, sub_report in reports.items():
@@ -743,19 +857,19 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     empty = [name for name, sub_report in reports.items() if not sub_report.cases]
 
     payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.report:
+    if out is None:
+        sys.stdout.write(payload)
+    else:
         try:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            with out:
+                out.write(payload)
         except OSError as exc:
-            print(f"error: cannot write {args.report}: {exc}", file=sys.stderr)
+            _cannot_write(args.report, exc)
             return 2
         print(f"{report.suite}: {report.passed}/{report.total} passed")
         failure = report.first_failure()
         if failure is not None:
             print(f"first failure: {failure.id}: {failure.actual}")
-    else:
-        sys.stdout.write(payload)
     for name in empty:
         print(f"empty suite: {name} ran no cases", file=sys.stderr)
     return 0 if report.all_passed() and not empty else 1

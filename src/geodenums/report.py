@@ -5,13 +5,18 @@ expected and observed values (as strings, since coefficients outgrow 64-bit
 integers), a pass/fail/error status and its wall time.  Reports with any
 non-passing case, and reports with no cases at all, map to a nonzero
 process exit code.
+
+A suite is described as an ordered list of units: each unit builds what
+its cases share and runs those cases into a report.  No unit reads a value
+another unit built, so units may run in any process and in any order; a
+suite's report is its units' cases in list order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 PASS = "pass"
 FAIL = "fail"
@@ -95,3 +100,15 @@ def run_case(
         status = ERROR
     elapsed = (time.perf_counter() - start) * 1000.0
     report.cases.append(Case(case_id, dict(params), expected, actual, status, elapsed))
+
+
+# One unit of a suite: it runs its cases into the report it is given.
+Unit = Callable[[VerifyReport], None]
+
+
+def run_units(suite: str, units: Iterable[Unit]) -> VerifyReport:
+    """The report of suite `suite`: every unit, in order, run in this process."""
+    report = VerifyReport(suite)
+    for unit in units:
+        unit(report)
+    return report

@@ -18,7 +18,8 @@ every relation by cross-multiplying and every sum over a common
 denominator, and builds a Fraction only to print a failure.  A zero
 denominator would make both sides of a cross-multiplied relation 0, so a
 grid that reads one is an error, never a pass; so is a row of the wrong
-length.
+length.  Each grid check is a list of units, one per n (``*_units``), so
+the CLI can spread a grid over processes; ``check_*`` runs them in order.
 
 The pair in two variables:
 
@@ -48,10 +49,11 @@ pole cancels against the zero of C(n-1,m) since C(n-1,m)/(n-m) = C(n,m)/n.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, lcm
 from typing import Callable
 
-from .report import VerifyReport, run_case
+from .report import Unit, VerifyReport, run_case, run_units
 
 ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
@@ -189,15 +191,16 @@ def _row_sum(row: list[Ratio]) -> Ratio:
     return sum(num * (den // d) for num, d in row), den
 
 
-def _check_pair(
-    report: VerifyReport,
+def _pair_units(
     n_max: int,
     f: Callable[[int], list[Ratio]],
     r: Callable[[int], list[Ratio]],
     extra: Callable[[int, list[Ratio]], tuple[bool, str]] | None = None,
-) -> VerifyReport:
-    for n in range(1, n_max + 1):
-        def check(n=n) -> tuple[bool, str]:
+) -> list[Unit]:
+    """One unit per n <= n_max, each running the case for that n."""
+
+    def unit(report: VerifyReport, n: int) -> None:
+        def check() -> tuple[bool, str]:
             frow = _require(f(n), n + 1)
             rrow = _require(r(n), n + 1)
             hrow = [(rn * fn, rd * fd) for (fn, fd), (rn, rd) in zip(frow, rrow)]
@@ -217,8 +220,19 @@ def _check_pair(
                 if not ok:
                     return False, msg
             return True, "pair relation and telescoped sum hold"
+
         run_case(report, f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
-    return report
+
+    return [partial(unit, n=n) for n in range(1, n_max + 1)]
+
+
+def wz1_units(
+    n_max: int,
+    f: Callable[[int], list[Ratio]] = _f1,
+    r: Callable[[int], list[Ratio]] = _r1,
+) -> list[Unit]:
+    """The units of ``check_wz1``, one per n."""
+    return _pair_units(n_max, f, r)
 
 
 def check_wz1(
@@ -230,7 +244,25 @@ def check_wz1(
     n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
     the row of (numerator, denominator) pairs over k = 0..n, are injectable
     for negative controls."""
-    return _check_pair(VerifyReport("wz1"), n_max, f, r)
+    return run_units("wz1", wz1_units(n_max, f, r))
+
+
+def wz2_units(
+    a: int,
+    n_max: int,
+    f: Callable[[int, int], list[Ratio]] = _f2,
+    r: Callable[[int, int], list[Ratio]] = _r2,
+) -> list[Unit]:
+    """The units of ``check_wz2``, one per n."""
+    _require_a(a)
+    extra = None
+    if a == 2:
+        def extra(n: int, frow: list[Ratio]) -> tuple[bool, str]:
+            for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, _f1(n))):
+                if fn * gd != gn * fd:
+                    return False, f"a=2 summand differs from two-variable pair at k={k}"
+            return True, ""
+    return _pair_units(n_max, partial(f, a), partial(r, a), extra)
 
 
 def check_wz2(
@@ -241,17 +273,7 @@ def check_wz2(
 ) -> VerifyReport:
     """Same checks for the generalized pair; at a = 2 additionally asserts
     coincidence with the two-variable pair."""
-    _require_a(a)
-    extra = None
-    if a == 2:
-        def extra(n: int, frow: list[Ratio]) -> tuple[bool, str]:
-            for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, _f1(n))):
-                if fn * gd != gn * fd:
-                    return False, f"a=2 summand differs from two-variable pair at k={k}"
-            return True, ""
-    fa = lambda n: f(a, n)
-    ra = lambda n: r(a, n)
-    return _check_pair(VerifyReport(f"wz2[a={a}]"), n_max, fa, ra, extra)
+    return run_units(f"wz2[a={a}]", wz2_units(a, n_max, f, r))
 
 
 def _relation_holds(
@@ -267,6 +289,57 @@ def _relation_holds(
             rhs = Fraction(cn, cd) - Fraction(en, ed)
             return False, f"relation broken at m={m}: lhs={lhs}, rhs={rhs}"
     return True, ""
+
+
+def certificate_units(
+    n_max: int,
+    summand: Callable[[int], list[Ratio]] = _cert_summand,
+    r: Callable[[int], list[Ratio]] = _cert_R,
+    companion: Callable[[int], list[Ratio]] = _cert_companion,
+) -> list[Unit]:
+    """The units of ``check_certificate_R``: the ``orientation`` case, then
+    one unit per n."""
+
+    def rows(n: int) -> tuple[list[Ratio], list[Ratio], list[Ratio]]:
+        f_n = _require(summand(n), n)
+        f_next = _require(summand(n + 1), n + 1)
+        g_n = _require(companion(n), n + 1)
+        return f_n, f_next, g_n
+
+    def orientation_case() -> tuple[bool, str]:
+        for n in range(1, min(n_max, 6) + 1):
+            ok, msg = _relation_holds(n, *rows(n))
+            if not ok:
+                return False, msg
+        return True, ORIENT_F_DIFFERENCE
+
+    def orientation(report: VerifyReport) -> None:
+        run_case(
+            report,
+            "orientation",
+            {},
+            "one standard orientation telescopes",
+            orientation_case,
+        )
+
+    def unit(report: VerifyReport, n: int) -> None:
+        def check() -> tuple[bool, str]:
+            f_n, f_next, g_n = rows(n)
+            r_n = _require(r(n), n)
+            total, den = _row_sum(f_n)
+            if total != den:
+                return False, f"target sum is {Fraction(total, den)}, not 1"
+            ok, msg = _relation_holds(n, f_n, f_next, g_n)
+            if not ok:
+                return False, msg
+            for m, ((fn, fd), (rn, rd), (gn, gd)) in enumerate(zip(f_n, r_n, g_n)):
+                if gn * rd * fd != rn * fn * gd:
+                    return False, f"companion differs from R*F at m={m}"
+            return True, "sum = 1 and the relation telescopes"
+
+        run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
+
+    return [orientation] + [partial(unit, n=n) for n in range(1, n_max + 1)]
 
 
 def check_certificate_R(
@@ -285,42 +358,4 @@ def check_certificate_R(
     certificate (m = 0..n-1) and the companion (m = 0..n), each of
     (numerator, denominator) pairs, are injectable for negative controls.
     """
-    report = VerifyReport("certificate")
-
-    def rows(n: int) -> tuple[list[Ratio], list[Ratio], list[Ratio]]:
-        f_n = _require(summand(n), n)
-        f_next = _require(summand(n + 1), n + 1)
-        g_n = _require(companion(n), n + 1)
-        return f_n, f_next, g_n
-
-    def orientation_case() -> tuple[bool, str]:
-        for n in range(1, min(n_max, 6) + 1):
-            ok, msg = _relation_holds(n, *rows(n))
-            if not ok:
-                return False, msg
-        return True, ORIENT_F_DIFFERENCE
-
-    run_case(
-        report,
-        "orientation",
-        {},
-        "one standard orientation telescopes",
-        orientation_case,
-    )
-
-    for n in range(1, n_max + 1):
-        def check(n=n) -> tuple[bool, str]:
-            f_n, f_next, g_n = rows(n)
-            r_n = _require(r(n), n)
-            total, den = _row_sum(f_n)
-            if total != den:
-                return False, f"target sum is {Fraction(total, den)}, not 1"
-            ok, msg = _relation_holds(n, f_n, f_next, g_n)
-            if not ok:
-                return False, msg
-            for m, ((fn, fd), (rn, rd), (gn, gd)) in enumerate(zip(f_n, r_n, g_n)):
-                if gn * rd * fd != rn * fn * gd:
-                    return False, f"companion differs from R*F at m={m}"
-            return True, "sum = 1 and the relation telescopes"
-        run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
-    return report
+    return run_units("certificate", certificate_units(n_max, summand, r, companion))

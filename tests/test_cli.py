@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
@@ -27,6 +28,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def stub_suite(name, units):
+    """A registry entry for suite `name` whose units, at any bounds, are
+    those `units(**bounds)` returns; its flags and ranges are the real
+    suite's."""
+    return cli._suite(name)(units), cli.SUITES[name][1]
 
 
 def test_table_csv_contains_expected_row(capsys):
@@ -82,6 +90,39 @@ def test_table_writes_file(tmp_path, capsys):
                       "--kind", "G", "--format", "csv", "--out", str(out_path))
     assert code == 0
     assert "1,1,16" in out_path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "wz1", "--max-n", "400"],
+    ["verify", "all"],
+    ["table", "--vars", "3", "--max-degree", "6", "--kind", "S"],
+    ["table", "--vars", "3", "--max-degree", "6", "--kind", "G", "--format", "csv"],
+], ids=" ".join)
+def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **bounds):
+        raise AssertionError("work started before the output was opened")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
+    monkeypatch.setattr(cli, "solve_S", must_not_run)
+    monkeypatch.setattr(cli.geode, "geode_series", must_not_run)
+    monkeypatch.setattr(os, "fork", must_not_run)
+    path = tmp_path / "missing" / "out.json"
+    flag = "--report" if argv[0] == "verify" else "--out"
+    assert cli.main([*argv, flag, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm1", "--max-degree", "3", "--report"],
+    ["table", "--vars", "2", "--max-degree", "3", "--kind", "G", "--out"],
+], ids=" ".join)
+def test_failed_write_after_the_work_exits_two(argv, capsys):
+    assert cli.main([*argv, "/dev/full"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: ")
 
 
 def test_coeff_outputs(capsys):
@@ -229,10 +270,10 @@ def test_verify_report_file_and_determinism(tmp_path, capsys):
 
 
 def test_verify_failure_maps_to_exit_one(monkeypatch, capsys):
-    failing = VerifyReport("thm1")
-    run_case(failing, "forced", {}, "1", lambda: (False, "2"))
+    def failing(report):
+        run_case(report, "forced", {}, "1", lambda: (False, "2"))
 
-    monkeypatch.setitem(cli.SUITES, "thm1", (lambda **bounds: failing, cli.SUITES["thm1"][1]))
+    monkeypatch.setitem(cli.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [failing]))
     code, out = run_cli(capsys, "verify", "thm1")
     assert code == 1
     assert json.loads(out)["summary"]["failed"] == 1
@@ -242,11 +283,11 @@ def test_verify_error_status_counts_as_failure(monkeypatch, capsys):
     def boom():
         raise RuntimeError("boom")
 
-    erroring = VerifyReport("thm1")
-    run_case(erroring, "explodes", {}, "1", boom)
-    assert erroring.cases[0].status == "error"
+    def erroring(report):
+        run_case(report, "explodes", {}, "1", boom)
+        assert report.cases[0].status == "error"
 
-    monkeypatch.setitem(cli.SUITES, "thm1", (lambda **bounds: erroring, cli.SUITES["thm1"][1]))
+    monkeypatch.setitem(cli.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [erroring]))
     code, _ = run_cli(capsys, "verify", "thm1")
     assert code == 1
 
@@ -257,9 +298,7 @@ def test_empty_report_never_passes():
 
 @pytest.mark.parametrize("suite", ["thm1", "all"])
 def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(
-        cli.SUITES, "thm1", (lambda **bounds: VerifyReport("thm1"), cli.SUITES["thm1"][1])
-    )
+    monkeypatch.setitem(cli.SUITES, "thm1", stub_suite("thm1", lambda **bounds: []))
     if suite == "all":
         # keep the other suites small; every one of them runs cases
         argv = ["--max-n", "2", "--max-a", "1", "--max-degree", "2", "--max-order", "1",
@@ -295,10 +334,14 @@ def test_verify_all_small_bounds(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# verify all on forked helpers
+# verify on forked helpers, draining one queue of suite units
 
 SMALL_BOUNDS = ["--max-n", "4", "--max-a", "2", "--max-degree", "4", "--max-order", "3",
                 "--max-sum", "3", "--max-vars", "2"]
+
+# The failure-path tests make each request twice: one suite alone, and
+# verify all with the stubbed suite among the others.
+REQUESTS = [["wz1", *SMALL_BOUNDS], ["all", *SMALL_BOUNDS]]
 
 
 def recording_forks(monkeypatch):
@@ -322,11 +365,42 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def deal(procs):
-    """How ``verify all`` at SMALL_BOUNDS deals its suites: the parent runs
-    the first share, a helper each other one."""
-    args = cli._build_parser().parse_args(["verify", "all", *SMALL_BOUNDS])
-    return cli._deal(cli.SUITE_NAMES, args, procs)
+def stripped(path):
+    data = json.loads(Path(path).read_text())
+    for case in data["cases"]:
+        del case["elapsed_ms"]
+    return data
+
+
+class Where:
+    """Steers a unit to one kind of process without sleeping.  Made before
+    the command forks, it tells a helper's copy of a unit from the
+    parent's, and wait_for_helpers() blocks the parent's copy until every
+    helper has exited."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+        self.read, self.write = os.pipe()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.read)
+        if self.write is not None:
+            os.close(self.write)
+
+    def in_helper(self):
+        return os.getpid() != self.parent
+
+    def wait_for_helpers(self):
+        if self.write is not None:
+            os.close(self.write)
+            self.write = None
+        os.read(self.read, 1)  # end of file once no helper holds the write end
+
+    def wait_to_be_killed(self):
+        os.read(self.read, 1)  # the parent holds the write end throughout
 
 
 def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch, capsys):
@@ -337,96 +411,141 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
         path = tmp_path / f"{cpus}.json"
         assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(path)]) == 0
         assert capsys.readouterr().err == ""
-        reports[cpus] = json.loads(path.read_text())
-        for case in reports[cpus]["cases"]:
-            del case["elapsed_ms"]
+        reports[cpus] = stripped(path)
     assert len(pids) == 0 + 1 + 2
     assert_reaped(pids)
     assert reports[1]["summary"]["failed"] == 0
     assert reports[1] == reports[2] == reports[3]
 
 
+@pytest.mark.parametrize("name", cli.SUITE_NAMES)
+def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monkeypatch, capsys):
+    args = cli._build_parser().parse_args(["verify", name, *SMALL_BOUNDS])
+    units = len(cli.SUITES[name][0].units(**cli._suite_kwargs(name, args)))
+    pids = recording_forks(monkeypatch)
+    reports = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+        path = tmp_path / f"{cpus}.json"
+        assert cli.main(["verify", name, *SMALL_BOUNDS, "--report", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        reports[cpus] = stripped(path)
+    assert len(pids) == sum(min(cpus, units) - 1 for cpus in (1, 2, 3))
+    assert_reaped(pids)
+    assert reports[1]["summary"]["total"] > 0
+    assert reports[1] == reports[2] == reports[3]
+
+
+def test_unit_queue_refuses_a_short_read():
+    read, write = os.pipe()
+    os.write(write, (7).to_bytes(cli._RECORD, "little") + b"\x01\x00")
+    os.close(write)
+    indices = cli._queue_indices(read)
+    try:
+        assert next(indices) == 7
+        with pytest.raises(RuntimeError, match="short read of 2 bytes"):
+            next(indices)
+    finally:
+        os.close(read)
+
+
 def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
-    name = deal(2)[1][0]
+    # a unit raises outside run_case, in a helper while the parent's copy
+    # waits for it, or in the parent while a helper's copy waits to be
+    # killed; either way verify raises RuntimeError naming the suite
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     pids = recording_forks(monkeypatch)
+    for argv in REQUESTS:
+        for raising_in in ("helper", "parent"):
+            with Where() as where:
+                def unit(report, where=where, raising_in=raising_in):
+                    if where.in_helper() == (raising_in == "helper"):
+                        raise ValueError("boom outside run_case")
+                    if raising_in == "helper":
+                        where.wait_for_helpers()
+                    else:
+                        where.wait_to_be_killed()
 
-    def raising(**bounds):
-        raise ValueError("boom outside run_case")
-
-    monkeypatch.setitem(cli.SUITES, name, (raising, cli.SUITES[name][1]))
-    with pytest.raises(RuntimeError, match=f"suite {name} raised in a helper") as exc:
-        cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
-    assert "ValueError: boom outside run_case" in str(exc.value)
-    assert len(pids) == 1
+                monkeypatch.setitem(
+                    cli.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [unit, unit])
+                )
+                with pytest.raises(RuntimeError, match="suite wz1 raised outside its cases") as exc:
+                    cli.main(["verify", *argv, "--report", os.devnull])
+            assert "ValueError: boom outside run_case" in str(exc.value), (argv, raising_in)
+    assert len(pids) == 2 * len(REQUESTS)
     assert_reaped(pids)
 
 
 def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
-    name = deal(3)[1][0]
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
     pids = recording_forks(monkeypatch)
-    parent = os.getpid()
+    for argv in REQUESTS:
+        with Where() as where:
+            def dying(report, where=where):
+                if where.in_helper():
+                    os._exit(3)
+                where.wait_for_helpers()
 
-    def dying(**bounds):
-        assert os.getpid() != parent, "the dying suite must run in a helper"
-        os._exit(3)
-
-    monkeypatch.setitem(cli.SUITES, name, (dying, cli.SUITES[name][1]))
-    with pytest.raises(RuntimeError, match=f"running {name}, .* exited with code 3"):
-        cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
-    assert len(pids) == 2
+            monkeypatch.setitem(
+                cli.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [dying, dying])
+            )
+            dies = "exited with code 3 before sending its cases"
+            with pytest.raises(RuntimeError, match=dies) as exc:
+                cli.main(["verify", *argv, "--report", os.devnull])
+        unreported = str(exc.value).split("; units of ")[1].removesuffix(" ran nowhere")
+        assert "wz1" in unreported.split(", "), argv
+    assert len(pids) == len(REQUESTS)
     assert_reaped(pids)
 
 
 def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, capsys):
-    empty = [share[0] for share in deal(3)]
+    # units that run no cases, spread over three processes, and a suite
+    # with no units at all
     monkeypatch.setattr(cli, "_cpus", lambda: 3)
-    for name in empty:
-        monkeypatch.setitem(
-            cli.SUITES, name, (lambda name=name, **bounds: VerifyReport(name), cli.SUITES[name][1])
-        )
-    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"empty suite: {name} ran no cases" for name in cli.SUITE_NAMES if name in empty
-    ]
+    for argv, empty in zip(REQUESTS, (["wz1"], ["thm1", "wz1", "oracle"])):
+        for name in empty:
+            no_cases = [lambda report: None] * 6
+            units = (lambda **bounds: []) if name == "thm1" else (lambda **bounds: no_cases)
+            monkeypatch.setitem(cli.SUITES, name, stub_suite(name, units))
+        assert cli.main(["verify", *argv, "--report", os.devnull]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"empty suite: {name} ran no cases" for name in cli.SUITE_NAMES if name in empty
+        ]
 
 
-def test_single_suite_requests_never_fork(monkeypatch, capsys):
+def test_table_coeff_and_one_unit_requests_never_fork(monkeypatch, capsys):
     def no_fork():
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(cli, "_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", no_fork)
-    code, out = run_cli(capsys, "verify", "wz1")
-    assert code == 0
-    assert json.loads(out)["summary"]["failed"] == 0
+    for argv in (["thm1"], ["thm3", "--a", "2"]):
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert json.loads(out)["summary"]["failed"] == 0
     assert run_cli(capsys, "table", "--vars", "2", "--max-degree", "3", "--kind", "G")[0] == 0
     assert run_cli(capsys, "coeff", "--kind", "G", "--exps", "1,1,1") == (0, "319\n")
 
 
 def test_verify_all_runs_every_share_itself_when_fork_fails(tmp_path, monkeypatch, capsys):
-    def report(name):
-        data = json.loads((tmp_path / name).read_text())
-        for case in data["cases"]:
-            del case["elapsed_ms"]
-        return data
-
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
-    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(tmp_path / "1.json")]) == 0
     attempts = []
 
     def failing_fork():
         attempts.append(1)
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    # under a process limit, fork fails with EAGAIN
-    monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(tmp_path / "2.json")]) == 0
-    assert capsys.readouterr().err == ""
-    assert len(attempts) == 1
-    assert report("2.json") == report("1.json")
+    for argv in REQUESTS:
+        serial, parallel = tmp_path / f"{argv[0]}-1.json", tmp_path / f"{argv[0]}-2.json"
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        assert cli.main(["verify", *argv, "--report", str(serial)]) == 0
+        # under a process limit, fork fails with EAGAIN
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", failing_fork)
+            patch.setattr(cli, "_cpus", lambda: 2)
+            assert cli.main(["verify", *argv, "--report", str(parallel)]) == 0
+        assert capsys.readouterr().err == ""
+        assert stripped(parallel) == stripped(serial)
+    assert len(attempts) == len(REQUESTS)
 
 
 def test_verify_thm3_report_shows_powers(capsys):
@@ -469,8 +588,8 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before the bounds were checked")
 
-    for name, (_, ranges) in cli.SUITES.items():
-        monkeypatch.setitem(cli.SUITES, name, (must_not_run, ranges))
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -490,8 +609,8 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before its oracle work was priced")
 
-    for name, (_, ranges) in cli.SUITES.items():
-        monkeypatch.setitem(cli.SUITES, name, (must_not_run, ranges))
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -534,9 +653,9 @@ def verify_argv(draw):
 
 
 def _admitted_stub(name):
-    """A suite that runs one passing case, once it has asserted that
-    `verify` let it start only with bounds inside its ranges and with no S
-    solve above MAX_ORACLE_WORK."""
+    """The units of a suite with one passing case, once it has asserted
+    that `verify` let it start only with bounds inside its ranges and with
+    no S solve above MAX_ORACLE_WORK."""
     ranges = cli.SUITES[name][1]
     limit = cli.MAX_ORACLE_WORK
 
@@ -552,25 +671,17 @@ def _admitted_stub(name):
             assert max(r * r, degree) <= limit, (name, r, degree)
             assert min(r, degree) < limit.bit_length(), (name, r, degree)
             assert solve_work(r, degree) <= limit, (name, r, degree)
-        report = VerifyReport(name)
-        run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
-        return report
+        return [lambda report: run_case(report, "stub", {}, "ok", lambda: (True, "ok"))]
 
     return suite
 
 
-@settings(max_examples=50, deadline=None)
-@given(verify_argv())
-# one request refused by each part of the oracle guard: by the cheap
-# bound max(r^2, degree), and by the full solve_work estimate
-@example(["verify", "thm1", "--max-degree", str(10**30)])
-@example(["verify", "thm3", "--a", "1000"])
-def test_verify_keeps_the_exit_code_contract_for_any_bounds(argv):
+def assert_exit_contract(argv, stub):
+    """Run `argv` with the stubs stub(patch) sets: it must exit 0 or 2,
+    print no traceback and, on 2, end stderr with its one `error:` line."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_cpus", lambda: 1)
-        for name, (_, ranges) in cli.SUITES.items():
-            patch.setitem(cli.SUITES, name, (_admitted_stub(name), ranges))
+        stub(patch)
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = cli.main(argv)
@@ -581,6 +692,119 @@ def test_verify_keeps_the_exit_code_contract_for_any_bounds(argv):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert [line for line in lines if "error:" in line] == [lines[-1]], argv
+
+
+def _stub_suites(patch):
+    patch.setattr(cli, "_cpus", lambda: 1)
+    for name in cli.SUITES:
+        patch.setitem(cli.SUITES, name, stub_suite(name, _admitted_stub(name)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(verify_argv())
+# one request refused by each part of the oracle guard: by the cheap
+# bound max(r^2, degree), and by the full solve_work estimate
+@example(["verify", "thm1", "--max-degree", str(10**30)])
+@example(["verify", "thm3", "--a", "1000"])
+def test_verify_keeps_the_exit_code_contract_for_any_bounds(argv):
+    assert_exit_contract(argv, _stub_suites)
+
+
+def _guard_limit(work):
+    """The largest n whose work(n), increasing in n, is within MAX_ORACLE_WORK."""
+    return bisect_right(range(10**5), cli.MAX_ORACLE_WORK, key=work) - 1
+
+
+ODD_VALUES = [str(10**30), str(-(10**30)), "", "x", "1.5"]
+# The largest --vars at degree 0 and the largest --max-degree at one
+# variable that the oracle guard admits; 10**7 is the cheap bound's limit.
+VARS_LIMIT = _guard_limit(lambda r: solve_work(r, 0))
+DEGREE_LIMIT = _guard_limit(lambda d: solve_work(1, d))
+# Each table flag's (admitted, refused) values.
+TABLE_VALUES = {
+    "--vars": (["1", "2", str(VARS_LIMIT)], ["0", str(VARS_LIMIT + 1), *ODD_VALUES]),
+    "--max-degree": (
+        ["0", "3", str(DEGREE_LIMIT)],
+        ["-1", str(DEGREE_LIMIT + 1), str(10**7), str(10**7 + 1), *ODD_VALUES],
+    ),
+    "--kind": (["S", "G"], ["", "x"]),
+    "--format": (["json", "csv"], ["", "x"]),
+    "--out": (["-", os.devnull], ["/nonexistent/table.json"]),
+}
+# coeff's (admitted, refused) kinds and --exps entries: the weight
+# sum_k (k+1) m_k reaches MAX_CLOSED_FORM_WEIGHT at 2000 in slot 1 and
+# passes it at 2001; in slot 2 at 1333 and 1334.
+COEFF_VALUES = {
+    "--kind": (["C", "G"], ["", "x"]),
+    "--exps": (["0", "1", "2", "1333", "2000"], ["-1", "1334", "2001", *ODD_VALUES]),
+}
+
+
+@st.composite
+def table_or_coeff_argv(draw):
+    """`table` with each flag of TABLE_VALUES left out once in eight and
+    given a refused value once in eight, or `coeff` with a refused kind
+    once in eight and up to four --exps entries, each refused once in
+    eight (none makes the list empty)."""
+
+    def value(admitted, refused):
+        return draw(st.sampled_from(refused if draw(st.integers(0, 7)) == 7 else admitted))
+
+    if draw(st.booleans()):
+        argv = ["table"]
+        for flag, values in TABLE_VALUES.items():
+            if draw(st.integers(0, 7)) < 7:
+                argv += [flag, value(*values)]
+        return argv
+    exps = [value(*COEFF_VALUES["--exps"]) for _ in range(draw(st.integers(0, 4)))]
+    return ["coeff", "--kind", value(*COEFF_VALUES["--kind"]), "--exps", ",".join(exps)]
+
+
+def _admitted_series(r, degree):
+    """A stand-in for an S solve through `degree` that asserts the oracle
+    guard admitted it."""
+    limit = cli.MAX_ORACLE_WORK
+    assert max(r * r, degree) <= limit and min(r, degree) < limit.bit_length(), (r, degree)
+    assert solve_work(r, degree) <= limit, (r, degree)
+    return constant_series(r, degree, 1)
+
+
+def _admitted_closed_form(weight):
+    """A stand-in for a closed form that asserts its weight is admitted."""
+
+    def closed_form(*args):
+        assert weight(*args) <= cli.MAX_CLOSED_FORM_WEIGHT, args
+        return 1
+
+    return closed_form
+
+
+def _stub_oracle_and_closed_forms(patch):
+    patch.setattr(cli, "solve_S", _admitted_series)
+    patch.setattr(
+        cli.geode,
+        "geode_series",
+        lambda r, degree: geode.GeodeTable(r, degree, _admitted_series(r, degree + 1)),
+    )
+    patch.setattr(cli, "hyper_catalan", _admitted_closed_form(
+        lambda exps: sum((k + 1) * e for k, e in enumerate(exps, start=1))
+    ))
+    # G with slots s, t: m_s = n - 1 - i and m_t = i
+    patch.setattr(cli.geode, "geode_closed_two_nonzero", _admitted_closed_form(
+        lambda s, t, n, i: (s + 1) * (n - 1 - i) + (t + 1) * i
+    ))
+
+
+@settings(max_examples=50, deadline=None)
+@given(table_or_coeff_argv())
+# one request refused by each guard: the oracle guard's cheap bound and its
+# full estimate for table, the closed-form weight and the oracle for coeff
+@example(["table", "--vars", "1", "--max-degree", str(10**7 + 1), "--kind", "S"])
+@example(["table", "--vars", "2", "--max-degree", str(DEGREE_LIMIT), "--kind", "G"])
+@example(["coeff", "--kind", "C", "--exps", "0,1334"])
+@example(["coeff", "--kind", "G", "--exps", "1,1,2000"])
+def test_table_and_coeff_keep_the_exit_code_contract_for_any_arguments(argv):
+    assert_exit_contract(argv, _stub_oracle_and_closed_forms)
 
 
 @pytest.mark.parametrize("argv", [
