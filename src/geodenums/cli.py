@@ -12,14 +12,18 @@ bounds, so ``verify`` can price them all before any suite starts.
 ``verify <suite>`` and ``verify all`` put the units of their suites into
 one queue that the command's process and forked helpers drain on every
 usable CPU (``_run_units``), and assemble one report whatever the CPU
-count; ``table`` and ``coeff`` never fork.  Output paths are opened after
-the guards and before any work.
+count; ``table`` and ``coeff`` never fork.  ``table`` writes straight from
+the solver's packed layers, one write per layer (``_write_table``).
+Output paths are opened after the guards and before any work, and every
+write, to stdout or to a file, goes through ``_write_output``.
 
 Exit codes: 0 all checks passed, 1 any verification failure, a suite that
 ran no cases (named on stderr) or a unit or helper that crashed, 2 usage or
 I/O error, including a bound outside its range, a ``table``, ``coeff`` or
-``verify`` request one of whose S solves would exceed ``MAX_ORACLE_WORK``
-and a ``coeff`` closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT``.
+``verify`` request one of whose S solves would exceed ``MAX_ORACLE_WORK``,
+a ``coeff`` closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT`` and
+an output, stdout included, that cannot be written: one ``error:`` line
+on stderr, no traceback.
 Reports are byte-identical across identical invocations except for the
 elapsed_ms fields.
 """
@@ -28,24 +32,23 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 from functools import cache, partial, wraps
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import geode, identities, wz
-from .hypercat import functional_residual, hyper_catalan, solve_S, solve_work
-from .mpoly import TruncatedSeries, coeff, iter_exponents, series_to_dict
+from .hypercat import _solve_layers, functional_residual, hyper_catalan, solve_S, solve_work
+from .mpoly import _unpack_layer, coeff, iter_exponents
 from .report import Case, Unit, VerifyReport, run_case, run_units
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
 # Most work any one S solve behind `table`, `coeff` or `verify` may take, in
-# units of hypercat.solve_work, each 0.10-0.26 us on a 2-core VM with Python 3.11.
-# The largest admitted request for each r = 1..7 takes 0.8-1.7 s (r = 1 is
-# degree 1387, r = 7 degree 11); r = 3, degree 45 is 4.5e7 (4.4-7.3 s).
+# units of hypercat.solve_work, each 0.04-0.12 us on a 2-core VM with Python
+# 3.11.  The largest admitted request for each r = 1..7 takes 0.5-0.9 s (r = 1
+# is degree 1387, r = 7 degree 11); r = 3, degree 45 is 4.5e7 (3.7-3.8 s).
 MAX_ORACLE_WORK = 10_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
@@ -78,20 +81,35 @@ def _check_oracle_size(
         )
 
 
-def _series_for_table(kind: str, nvars: int, max_degree: int) -> TruncatedSeries:
-    if kind == "S":
-        return solve_S(nvars, max_degree)
-    return geode.geode_series(nvars, max_degree).series
-
-
-def _write_table(series: TruncatedSeries, fmt: str, out) -> None:
+def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
+    """Solve the `kind` table in `r` variables through degree `trunc` and
+    write it to `out` in `fmt` straight from its packed layers: S from
+    ``hypercat._solve_layers``, G from ``geode._geode_layers``.  Each
+    layer is decoded and sorted once by ``mpoly._unpack_layer`` and
+    written with one write, so the terms come out by degree, then
+    lexicographically, and only one layer's text is held at a time.  The
+    JSON is laid out as ``json.dumps(series_to_dict(series), indent=2)``
+    lays it out, byte for byte; the tests compare the two."""
+    shift, layers = (_solve_layers if kind == "S" else geode._geode_layers)(r, trunc)
     if fmt == "json":
-        out.write(json.dumps(series_to_dict(series), indent=2) + "\n")
+        term = (
+            '    {\n      "exps": [\n        '
+            + ",\n        ".join(["%d"] * r)
+            + '\n      ],\n      "coeff": "%d"\n    }'
+        )
+        out.write('{\n  "nvars": %d,\n  "trunc": %d,\n  "terms": [' % (r, trunc))
+        separator = "\n"  # before the first term; ",\n" between terms
+        for d, layer in enumerate(layers):
+            rows = _unpack_layer(layer, r, shift, d)
+            if rows:
+                out.write(separator + ",\n".join([term % (*m, c) for m, c in rows]))
+                separator = ",\n"
+        out.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
         return
-    header = ",".join(f"m_{i + 1}" for i in range(series.nvars)) + ",coeff"
-    out.write(header + "\n")
-    for m, c in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        out.write(",".join(str(e) for e in m) + f",{c}\n")
+    line = ",".join(["%d"] * r) + ",%d\n"
+    out.write(",".join(f"m_{i + 1}" for i in range(r)) + ",coeff\n")
+    for d, layer in enumerate(layers):
+        out.write("".join([line % (*m, c) for m, c in _unpack_layer(layer, r, shift, d)]))
 
 
 def geode_coefficient(exps: Sequence[int]) -> int:
@@ -787,26 +805,56 @@ def _cannot_write(path: str, exc: OSError) -> None:
     print(f"error: cannot write {path}: {exc}", file=sys.stderr)
 
 
+def _write_output(
+    write: Callable[[IO[str]], None], out: IO[str] | None = None, path: str = "<stdout>"
+) -> int:
+    """0 once ``write(out)`` has run and `out` is closed, or, with no `out`,
+    once ``write(sys.stdout)`` has run and stdout is flushed; 2, after one
+    error line naming `path`, if a write or the flush fails.  A failed
+    stdout is then pointed at the null device (``_discard_stdout``), so
+    the interpreter's own flush at exit has nothing left to fail on."""
+    try:
+        if out is None:
+            write(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with out:
+                write(out)
+    except OSError as exc:
+        _cannot_write(path, exc)
+        if out is None:
+            _discard_stdout()
+        return 2
+    return 0
+
+
+def _discard_stdout() -> None:
+    """Send whatever stdout still buffers to the null device.  A stdout
+    with no file descriptor, such as a test's capture, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.vars < 1:
         parser.error(f"--vars must be >= 1, got {args.vars}")
     if args.max_degree < 0:
         parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
     _check_oracle_size(args.vars, args.max_degree + (args.kind == "G"), parser)
+    write = partial(_write_table, args.kind, args.format, args.vars, args.max_degree)
     if args.out == "-":
-        series = _series_for_table(args.kind, args.vars, args.max_degree)
-        _write_table(series, args.format, sys.stdout)
-        return 0
+        return _write_output(write)
     out = _open_output(args.out)
     if out is None:
         return 2
-    try:
-        with out:
-            _write_table(_series_for_table(args.kind, args.vars, args.max_degree), args.format, out)
-    except OSError as exc:
-        _cannot_write(args.out, exc)
-        return 2
-    return 0
+    return _write_output(write, out, args.out)
 
 
 def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -823,11 +871,15 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"--exps has weight sum_k (k+1) m_k above {MAX_CLOSED_FORM_WEIGHT}: "
             "its closed form is too much work"
         )
-    if args.kind == "C":
-        print(hyper_catalan(exps))
-    else:
-        print(geode_coefficient(exps))
-    return 0
+    value = hyper_catalan(exps) if args.kind == "C" else geode_coefficient(exps)
+    return _write_output(lambda stdout: print(value, file=stdout))
+
+
+def _print_summary(report: VerifyReport, stdout: IO[str]) -> None:
+    print(f"{report.suite}: {report.passed}/{report.total} passed", file=stdout)
+    failure = report.first_failure()
+    if failure is not None:
+        print(f"first failure: {failure.id}: {failure.actual}", file=stdout)
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -856,20 +908,16 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     report.cases.sort(key=lambda c: c.id)
     empty = [name for name, sub_report in reports.items() if not sub_report.cases]
 
+    import json  # here, not at the top: only verify reports are JSON-encoded
+
     payload = json.dumps(report.to_dict(), indent=2) + "\n"
     if out is None:
-        sys.stdout.write(payload)
+        code = _write_output(lambda stdout: stdout.write(payload))
     else:
-        try:
-            with out:
-                out.write(payload)
-        except OSError as exc:
-            _cannot_write(args.report, exc)
-            return 2
-        print(f"{report.suite}: {report.passed}/{report.total} passed")
-        failure = report.first_failure()
-        if failure is not None:
-            print(f"first failure: {failure.id}: {failure.actual}")
+        code = _write_output(lambda file: file.write(payload), out, args.report)
+        code = code or _write_output(partial(_print_summary, report))
+    if code:
+        return code
     for name in empty:
         print(f"empty suite: {name} ran no cases", file=sys.stderr)
     return 0 if report.all_passed() and not empty else 1

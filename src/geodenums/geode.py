@@ -2,8 +2,9 @@
 
 S - 1 factors exactly as (t_1 + ... + t_r) * G; the coefficients G[m] are the
 Geode numbers.  This module extracts G from the series oracle, dividing the
-solver's packed layers and unpacking the quotient once, and implements every
-closed form and substitution evaluation for it:
+solver's packed layers (``_geode_layers``, which ``geodenums table`` writes
+from) and unpacking the quotient once, and implements every closed form and
+substitution evaluation for it:
 
   * geode_closed_2var        -- two-variable coefficients G[m1, m2]
   * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a
@@ -24,6 +25,7 @@ from typing import Sequence
 
 from .hypercat import _solve_layers, hyper_catalan
 from .mpoly import (
+    Layers,
     OutOfRangeError,
     TruncatedSeries,
     UnivariateSeries,
@@ -66,17 +68,24 @@ class GeodeTable:
 def geode_series(r: int, max_degree: int) -> GeodeTable:
     """Extract G = (S - 1) / (t_1 + ... + t_r) from the oracle.
 
-    Solves S through max_degree + 1 and divides its packed layers exactly
+    The layers of ``_geode_layers``, unpacked once: S solved through
+    max_degree + 1, its packed layers divided exactly
     (``mpoly._divide_layers``, which checks the quotient by
     re-multiplication), so the quotient is exact through max_degree.
     Divisibility is guaranteed; a NotDivisibleError here means a bug, not a
     property of the input.  Every call builds a new table.
     """
-    shift, layers = _solve_layers(r, max_degree + 1)
-    layers[0] = []  # S - 1: layer 0 of S is exactly [(0, 1)]
-    quotient = _divide_layers(layers, r, shift)
+    shift, quotient = _geode_layers(r, max_degree)
     terms = _unpack_terms(chain.from_iterable(quotient), r, shift)
     return GeodeTable(r, max_degree, TruncatedSeries(r, max_degree, terms))
+
+
+def _geode_layers(r: int, max_degree: int) -> tuple[int, Layers]:
+    """The packing shift and the packed layers 0..max_degree of G, the
+    quotient ``geode_series`` unpacks and ``geodenums table`` writes."""
+    shift, layers = _solve_layers(r, max_degree + 1)
+    layers[0] = []  # S - 1: layer 0 of S is exactly [(0, 1)]
+    return shift, _divide_layers(layers, r, shift)
 
 
 def _exact_div(num: int, den: int) -> int:

@@ -10,7 +10,8 @@ is the Catalan numbers and a single t_k gives a Fuss-Catalan family.
 ``solve_S`` obtains S from the defining equation, one homogeneous layer at
 a time, and serves as the ground-truth oracle for the whole package; it
 keeps no state between calls.  It unpacks the packed layers of
-``_solve_layers``, which ``geode.geode_series`` divides as they are.
+``_solve_layers``, which ``geode._geode_layers`` divides and
+``geodenums table`` writes as they are.
 ``functional_residual`` checks a series against the equation on packed
 layers as well.  ``solve_work`` estimates its cost from
 (r, max_degree) alone, so a request can be refused before it runs.
@@ -153,9 +154,9 @@ def solve_work(r: int, max_degree: int) -> int:
     the largest admitted request for r = 2..7.  Each of the C(r + max_degree
     - 1, r) monomials below max_degree has its r lanes read out once, each
     lane counting 8 + W // 16.  Each of the r C(r + max_degree, r) exponent
-    entries counts 4: it is unpacked, validated and written once.  The r
-    packed t_1..t_r, up to r fields long, count r^2, which bounds r even at
-    max_degree 0.  The estimate is at least max(r^2, max_degree) and
+    entries counts 4: it is decoded, checked against its layer's degree
+    and written once.  The r packed t_1..t_r, up to r fields long, count
+    r^2, which bounds r even at max_degree 0.  The estimate is at least max(r^2, max_degree) and
     2^min(r, max_degree)."""
     lane = 8 * _lane_bytes(r, max_degree)
     pairs = solve_pairs(r, max_degree)

@@ -28,6 +28,12 @@ quotient times t_1 + ... + t_r gives back its dividend is decided in one
 place, ``_s1_multiple_mismatch``, which the division's own check and
 ``geode.GeodeTable.factorization_holds`` both call.
 
+``geodenums table`` writes S and G from packed layers as well:
+``_unpack_layer`` decodes one layer's keys once, sorts them and checks
+that each has its layer's degree, which stands in for the check that
+``TruncatedSeries`` makes on construction.  ``series_to_dict`` renders
+a series as that table's JSON does, and the tests compare the two.
+
 Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads.
 """
@@ -227,6 +233,22 @@ def _unpack_terms(
         for packed, c in packed_terms
         if c
     }
+
+
+def _unpack_layer(
+    layer: Iterable[tuple[int, int]], nvars: int, shift: int, degree: int
+) -> list[tuple[ExpVec, int]]:
+    """Packed layer `degree` as (exponent tuple, coefficient) pairs in
+    lexicographic order, dropping zero coefficients as ``_unpack_terms``
+    does.  Each key is decoded once; a tuple whose total degree is not
+    `degree`, as from a field that overflowed, raises ValueError."""
+    mask = (1 << shift) - 1
+    offsets = [i * shift for i in range(nvars)]
+    rows = sorted([(tuple([(packed >> o) & mask for o in offsets]), c) for packed, c in layer if c])
+    for m, _ in rows:
+        if sum(m) != degree:
+            raise ValueError(f"term {m} has total degree {sum(m)}, not its layer's {degree}")
+    return rows
 
 
 def _layer_product(a: Layers, b: Layers, d: int, out: dict[int, int]) -> dict[int, int]:

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 from geodenums import cli, geode, hypercat, identities, mpoly
 from geodenums.geode import geode_series
 from geodenums.hypercat import solve_S, solve_work
-from geodenums.mpoly import constant_series
 from geodenums.report import VerifyReport, run_case
 
 
@@ -28,6 +29,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _constant_layers(max_degree):
+    """The packing shift and packed layers of the series 1 through `max_degree`."""
+    return mpoly._packing_shift(max_degree), [[(0, 1)]]
 
 
 def stub_suite(name, units):
@@ -78,6 +84,51 @@ def test_table_output_bytes_are_pinned(kind, fmt, r, degree, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[kind, fmt, r, degree]
 
 
+def _reference_table(kind, fmt, r, degree):
+    """`table` output as the series writers rendered it: the unpacked series
+    through series_to_dict and json.dumps, or the CSV loop over its terms."""
+    series = solve_S(r, degree) if kind == "S" else geode_series(r, degree).series
+    if fmt == "json":
+        return json.dumps(mpoly.series_to_dict(series), indent=2) + "\n"
+    lines = [",".join(f"m_{i + 1}" for i in range(r)) + ",coeff\n"]
+    for m, c in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        lines.append(",".join(str(e) for e in m) + f",{c}\n")
+    return "".join(lines)
+
+
+def _table_output(kind, fmt, r, degree):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["table", "--kind", kind, "--format", fmt,
+                         "--vars", str(r), "--max-degree", str(degree)])
+    assert code == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from("SG"), st.sampled_from(("json", "csv")), st.integers(1, 4),
+       st.integers(0, 6))
+# wide layers (r = 30 or 100 at degree 2, r = 6 at degree 8) and long
+# coefficients (one variable through degree 300)
+@example("S", "json", 30, 2)
+@example("G", "csv", 30, 2)
+@example("S", "csv", 6, 8)
+@example("G", "json", 6, 8)
+@example("S", "json", 100, 2)
+@example("S", "csv", 1, 300)
+def test_table_output_equals_the_reference_rendering(kind, fmt, r, degree):
+    assert _table_output(kind, fmt, r, degree) == _reference_table(kind, fmt, r, degree)
+
+
+def test_table_raises_on_a_term_outside_its_layer(monkeypatch):
+    # t_1 t_2 filed under layer 1, as a packing field that overflowed would
+    shift = mpoly._packing_shift(2)
+    layers = [[(0, 1)], [(1 + (1 << shift), 3)], []]
+    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (shift, layers))
+    with pytest.raises(ValueError, match="total degree 2, not its layer's 1"):
+        cli.main(["table", "--kind", "S", "--vars", "2", "--max-degree", "2", "--out", os.devnull])
+
+
 def test_table_rejects_zero_vars(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--vars", "0", "--max-degree", "3", "--kind", "S"])
@@ -104,8 +155,8 @@ def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatc
 
     for name in cli.SUITES:
         monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
-    monkeypatch.setattr(cli, "solve_S", must_not_run)
-    monkeypatch.setattr(cli.geode, "geode_series", must_not_run)
+    monkeypatch.setattr(cli, "_solve_layers", must_not_run)
+    monkeypatch.setattr(cli.geode, "_geode_layers", must_not_run)
     monkeypatch.setattr(os, "fork", must_not_run)
     path = tmp_path / "missing" / "out.json"
     flag = "--report" if argv[0] == "verify" else "--out"
@@ -123,6 +174,51 @@ def test_failed_write_after_the_work_exits_two(argv, capsys):
     assert cli.main([*argv, "/dev/full"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: ")
+
+
+def _geodenums(*argv, **streams):
+    """`python -m geodenums *argv` in a new interpreter that imports this
+    package, its stderr a text pipe.  Its stdout is block-buffered, as it
+    is by default, so a failure can wait for the last flush."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "geodenums", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **streams)
+
+
+def _only_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>: "), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["table", "--kind", "S", "--vars", "2", "--max-degree", "5"],
+    ["verify", "eq31"],
+    ["coeff", "--kind", "C", "--exps", "2,1"],
+], ids=" ".join)
+def test_stdout_on_a_full_device_exits_two(argv):
+    with open("/dev/full", "w") as full:
+        proc = _geodenums(*argv, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    _only_error_line(err)
+
+
+def test_stdout_closed_after_one_line_exits_two():
+    # the table is about 190 kB, more than a pipe holds, so the writes go
+    # on after the reader has gone
+    proc = _geodenums("table", "--kind", "G", "--vars", "6", "--max-degree", "10",
+                      "--format", "csv", stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == "m_1,m_2,m_3,m_4,m_5,m_6,coeff\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    _only_error_line(err)
 
 
 def test_coeff_outputs(capsys):
@@ -163,8 +259,10 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     def must_not_solve(*args):
         raise AssertionError("the oracle ran before the size was checked")
 
-    monkeypatch.setattr(cli, "solve_S", must_not_solve)
-    monkeypatch.setattr(cli.geode, "geode_series", must_not_solve)
+    # table S reads _solve_layers; table G and coeff's oracle branch,
+    # through geode_series, read _geode_layers
+    monkeypatch.setattr(cli, "_solve_layers", must_not_solve)
+    monkeypatch.setattr(cli.geode, "_geode_layers", must_not_solve)
     out_path = tmp_path / "table.json"
     if argv[0] == "table":
         argv = argv + ["--out", str(out_path)]
@@ -190,9 +288,9 @@ def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch)
 
     def stub_solve(r, max_degree):
         calls.append((r, max_degree))
-        return constant_series(r, max_degree, 1)
+        return _constant_layers(max_degree)
 
-    monkeypatch.setattr(cli, "solve_S", stub_solve)
+    monkeypatch.setattr(cli, "_solve_layers", stub_solve)
     assert cli.main(argv + ["--out", str(tmp_path / "table.json")]) == 0
     assert calls == [(int(argv[2]), int(argv[4]))]
 
@@ -760,13 +858,13 @@ def table_or_coeff_argv(draw):
     return ["coeff", "--kind", value(*COEFF_VALUES["--kind"]), "--exps", ",".join(exps)]
 
 
-def _admitted_series(r, degree):
-    """A stand-in for an S solve through `degree` that asserts the oracle
-    guard admitted it."""
+def _admitted_layers(r, degree):
+    """A stand-in for the packed layers of an S solve through `degree` that
+    asserts the oracle guard admitted it."""
     limit = cli.MAX_ORACLE_WORK
     assert max(r * r, degree) <= limit and min(r, degree) < limit.bit_length(), (r, degree)
     assert solve_work(r, degree) <= limit, (r, degree)
-    return constant_series(r, degree, 1)
+    return _constant_layers(degree)
 
 
 def _admitted_closed_form(weight):
@@ -780,12 +878,10 @@ def _admitted_closed_form(weight):
 
 
 def _stub_oracle_and_closed_forms(patch):
-    patch.setattr(cli, "solve_S", _admitted_series)
-    patch.setattr(
-        cli.geode,
-        "geode_series",
-        lambda r, degree: geode.GeodeTable(r, degree, _admitted_series(r, degree + 1)),
-    )
+    # table S reads _solve_layers; table G and coeff's oracle branch,
+    # through geode_series, read _geode_layers, which solves S one degree up
+    patch.setattr(cli, "_solve_layers", _admitted_layers)
+    patch.setattr(cli.geode, "_geode_layers", lambda r, degree: _admitted_layers(r, degree + 1))
     patch.setattr(cli, "hyper_catalan", _admitted_closed_form(
         lambda exps: sum((k + 1) * e for k, e in enumerate(exps, start=1))
     ))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from geodenums import mpoly
 from geodenums.mpoly import (
     NonzeroConstantError,
     NotDivisibleError,
@@ -285,6 +286,18 @@ def test_json_dict_shape_and_order():
         {"exps": [2, 0], "coeff": "5"},
     ]
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
+
+
+def test_unpack_layer_sorts_drops_zeros_and_checks_the_degree():
+    shift = mpoly._packing_shift(3)
+
+    def packed(m1, m2):
+        return m1 + (m2 << shift)
+
+    layer = [(packed(1, 1), 5), (packed(2, 0), 0), (packed(0, 2), -7)]
+    assert mpoly._unpack_layer(layer, 2, shift, 2) == [((0, 2), -7), ((1, 1), 5)]
+    with pytest.raises(ValueError, match="total degree 2, not its layer's 3"):
+        mpoly._unpack_layer(layer, 2, shift, 3)
 
 
 def test_json_roundtrip_random():
