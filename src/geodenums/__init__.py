@@ -15,19 +15,15 @@ from .mpoly import (
     TruncatedSeries,
     UnivariateSeries,
     VariableCountMismatchError,
-    add,
     coeff,
     constant_series,
     divide_exact_by_s1,
     iter_exponents,
     mul,
-    negate,
     s1_series,
-    series_from_dict,
     series_to_dict,
     sub,
     substitute_signed,
-    with_truncation,
 )
 from .hypercat import (
     functional_residual,

@@ -35,6 +35,7 @@ import inspect
 import os
 import sys
 from functools import cache, partial, wraps
+from itertools import chain, groupby
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import geode, identities, wz
@@ -618,8 +619,10 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
 
     Units are independent, so ``min(CPUs, units) - 1`` helpers are forked
     first; then this process writes every unit's index into one pipe, the
-    queue, in order, and it and every helper read the next index and run
-    that unit until the queue is empty.  Forking first lets the helpers
+    queue, suite by suite, each suite's units in reverse order, and it and
+    every helper read the next index and run that unit until the queue is
+    empty.  A suite's units grow along its list, as its grids do, so its
+    largest are taken first.  Forking first lets the helpers
     drain the queue while it is written, so a queue longer than the pipe
     holds does not stall.  Each helper sends its cases back pickled through a
     pipe of its own.  Fork, not spawn: a helper starts from this process's
@@ -640,7 +643,9 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
             except OSError:
                 break
         if helpers:
-            records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(units)))
+            suites = groupby(range(len(units)), key=lambda i: units[i][0])
+            order = chain.from_iterable(reversed(list(indices)) for _, indices in suites)
+            records = b"".join(i.to_bytes(_RECORD, "little") for i in order)
             for start in range(0, len(records), _CHUNK):
                 os.write(feed, records[start : start + _CHUNK])
         os.close(feed)
@@ -925,7 +930,14 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:
+        # -h prints its help to stdout here: flush it under the same guard
+        # as a command's output, so a failed flush is one error line and 2
+        if _write_output(lambda stdout: None):
+            return 2
+        raise
     if args.command == "table":
         return _cmd_table(args, parser)
     if args.command == "coeff":

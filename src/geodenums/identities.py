@@ -27,7 +27,8 @@ to a strikingly simple value:
                                  an independent route that never enumerates
                                  partitions: the z^(n-1) coefficient of
                                  (1+z)^(n+x) times ``bracket_power(n, a)``,
-                                 a power that does not depend on x
+                                 a power that does not depend on x, kept as
+                                 a plain list of integer coefficients
 
 Both claim sums are polynomials of degree <= n-1 in x, so checking n or more
 distinct integer points certifies the polynomial identity itself; the x
@@ -39,8 +40,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
-
-from .mpoly import TruncatedSeries, coeff, constant_series, mul
 
 # tally[size][m_2a]: the multinomial mass of the vectors in that group.
 Tally = list[list[int]]
@@ -180,30 +179,34 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     return shifted_binomial_sum(size_mass(partition_tally(n - 1, a)), n, x)
 
 
-def bracket_power(n: int, a: int) -> TruncatedSeries:
-    """(-(1+z) + (1+z)^2 - ... + (1+z)^(2a))^(n-1) as a one-variable series
-    truncated at z^(n-1), by n-1 products from the constant 1."""
+def bracket_power(n: int, a: int) -> list[int]:
+    """The coefficients of (-(1+z) + (1+z)^2 - ... + (1+z)^(2a))^(n-1)
+    through z^(n-1): entry j is the z^j coefficient, by n-1 products of
+    integer lists (``_truncated_product``) from the constant 1."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
     top = n - 1
-    bracket = TruncatedSeries(1, top, {
-        (j,): sum(_sign(k) * comb(k, j) for k in range(1, 2 * a + 1))
-        for j in range(top + 1)
-    })
-    power = constant_series(1, top, 1)
+    bracket = [sum(_sign(k) * comb(k, j) for k in range(1, 2 * a + 1)) for j in range(top + 1)]
+    power = [1] + [0] * top
     for _ in range(top):
-        power = mul(power, bracket)
+        power = _truncated_product(power, bracket)
     return power
 
 
-def ct_coefficient(power: TruncatedSeries, n: int, x: int) -> int:
+def _truncated_product(p: list[int], q: list[int]) -> list[int]:
+    """The product of two coefficient lists of one length, truncated to
+    that length: entry j is sum over i <= j of p[i] q[j-i]."""
+    return [sum(p[i] * q[j - i] for i in range(j + 1)) for j in range(len(p))]
+
+
+def ct_coefficient(power: list[int], n: int, x: int) -> int:
     """The z^(n-1) coefficient of (1+z)^(n+x) times `power`, the
-    ``bracket_power`` of some a: sum over j of C(n+x, j) [z^(n-1-j)] power.
+    ``bracket_power`` of some a: sum over j of C(n+x, j) power[n-1-j].
     Needs x >= 0 so that every factor stays polynomial."""
     if x < 0:
         raise ValueError(f"constant-term route needs x >= 0, got {x}")
     top = n - 1
-    return sum(comb(n + x, j) * coeff(power, (top - j,)) for j in range(top + 1))
+    return sum(comb(n + x, j) * power[top - j] for j in range(top + 1))
 
 
 def claim2_ct(n: int, a: int, x: int) -> int:
@@ -212,7 +215,7 @@ def claim2_ct(n: int, a: int, x: int) -> int:
         (1+z)^(n+x) * (-(1+z) + (1+z)^2 - ... + (1+z)^(2a))^(n-1) / z^(n-1)
 
     i.e. the z^(n-1) coefficient of the numerator polynomial, from the
-    bracket's power as a one-variable series truncated at n-1.  Needs x >= 0
+    coefficient list of the bracket's power through z^(n-1).  Needs x >= 0
     so that every factor stays polynomial.
     """
     return ct_coefficient(bracket_power(n, a), n, x)

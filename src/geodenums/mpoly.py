@@ -12,21 +12,26 @@ rounding error would void every identity check built on top of this module.
 Truncation is by total degree, which matches the homogeneous-layer grading in
 which the factorization S - 1 = (t_1 + ... + t_r) * G lives.
 
-Every series product in the package, ``mul`` and the oracle solve alike,
-runs through one kernel, ``_layer_product``: one homogeneous layer of a
-product of two series whose layers are lists of (packed exponent,
-coefficient) pairs.  The kernel only adds and multiplies coefficients, so
-the oracle also runs it on lane-packed coefficients: ints that hold one
-monomial's coefficients in r powers of S side by side, in fixed-width bit
-lanes that never carry into each other.
+The package computes on packed layers: lists of (packed exponent,
+coefficient) pairs, one list per total degree.  Every series product, the
+oracle solve's included, runs through one kernel, ``_layer_product``: one
+homogeneous layer of a product of two such series.  The kernel only adds
+and multiplies coefficients, so the oracle also runs it on lane-packed
+coefficients: ints that hold one monomial's coefficients in r powers of S
+side by side, in fixed-width bit lanes that never carry into each other.
 
 Exact division by t_1 + ... + t_r, ``_divide_layers``, works on packed
 layers too, so ``geode.geode_series`` divides the solver's layers without
-unpacking them; ``divide_exact_by_s1`` packs a series first with
-``_pack_layers``, the packing helper ``_mul_terms`` uses.  Whether a
-quotient times t_1 + ... + t_r gives back its dividend is decided in one
-place, ``_s1_multiple_mismatch``, which the division's own check and
-``geode.GeodeTable.factorization_holds`` both call.
+unpacking them.  Whether a quotient times t_1 + ... + t_r gives back its
+dividend is decided in one place, ``_s1_multiple_mismatch``, which the
+division's own check and ``geode.GeodeTable.factorization_holds`` both
+call.
+
+The algebra on ``TruncatedSeries`` values, ``mul``, ``sub``, ``s1_series``,
+``constant_series`` and ``divide_exact_by_s1``, packs its operands with
+``_pack_layers`` and runs the same kernels.  No package code path calls
+it: it is the reference form in which the tests and the benchmark replay
+state and time the series algebra.
 
 ``geodenums table`` writes S and G from packed layers as well:
 ``_unpack_layer`` decodes one layer's keys once, sorts them and checks
@@ -157,19 +162,6 @@ def s1_series(nvars: int, trunc: int) -> TruncatedSeries:
     return TruncatedSeries(nvars, trunc, terms)
 
 
-def with_truncation(a: TruncatedSeries, trunc: int) -> TruncatedSeries:
-    """Same terms under a different truncation order.
-
-    Raising the order claims exactness at degrees that were never computed,
-    so it is only for operands that genuinely carry no higher terms (e.g.
-    polynomials).  Lowering the order drops the top layers.
-    """
-    if trunc >= a.trunc:
-        return TruncatedSeries(a.nvars, trunc, dict(a.terms))
-    kept = {m: c for m, c in a.terms.items() if sum(m) <= trunc}
-    return TruncatedSeries(a.nvars, trunc, kept)
-
-
 def _require_same_nvars(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.nvars != b.nvars:
         raise VariableCountMismatchError(
@@ -177,23 +169,15 @@ def _require_same_nvars(a: TruncatedSeries, b: TruncatedSeries) -> None:
         )
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum, truncated at min(a.trunc, b.trunc)."""
+def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Coefficient-wise difference, truncated at min(a.trunc, b.trunc)."""
     _require_same_nvars(a, b)
     trunc = min(a.trunc, b.trunc)
     out: dict[ExpVec, int] = {m: c for m, c in a.terms.items() if sum(m) <= trunc}
     for m, c in b.terms.items():
         if sum(m) <= trunc:
-            out[m] = out.get(m, 0) + c
+            out[m] = out.get(m, 0) - c
     return TruncatedSeries(a.nvars, trunc, out)
-
-
-def negate(a: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(a.nvars, a.trunc, {m: -c for m, c in a.terms.items()})
-
-
-def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return add(a, negate(b))
 
 
 def _packing_shift(trunc: int) -> int:
@@ -265,31 +249,22 @@ def _layer_product(a: Layers, b: Layers, d: int, out: dict[int, int]) -> dict[in
     return out
 
 
-def _mul_terms(
-    aterms: Mapping[ExpVec, int],
-    bterms: Mapping[ExpVec, int],
-    nvars: int,
-    trunc: int,
-) -> dict[ExpVec, int]:
-    """Convolution of two term dicts, discarding total degrees above trunc.
+def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Product, truncated at min(a.trunc, b.trunc).
 
     Each operand is bucketed into packed layers up to its top nonzero one,
     so a sparse operand such as t_1 + ... + t_r pairs no empty layers.
-    Only layers up to trunc are formed, so packed sums never overflow."""
-    shift = _packing_shift(trunc)
-    a = _pack_layers(aterms, nvars, trunc, shift)
-    b = _pack_layers(bterms, nvars, trunc, shift)
-    out: dict[int, int] = {}
-    for d in range(min(trunc + 1, len(a) + len(b) - 1)):
-        _layer_product(a, b, d, out)
-    return _unpack_terms(out.items(), nvars, shift)
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product, truncated at min(a.trunc, b.trunc)."""
+    Only layers up to the truncation are formed, so packed sums never
+    overflow."""
     _require_same_nvars(a, b)
-    trunc = min(a.trunc, b.trunc)
-    return TruncatedSeries(a.nvars, trunc, _mul_terms(a.terms, b.terms, a.nvars, trunc))
+    r, trunc = a.nvars, min(a.trunc, b.trunc)
+    shift = _packing_shift(trunc)
+    pa = _pack_layers(a.terms, r, trunc, shift)
+    pb = _pack_layers(b.terms, r, trunc, shift)
+    out: dict[int, int] = {}
+    for d in range(min(trunc + 1, len(pa) + len(pb) - 1)):
+        _layer_product(pa, pb, d, out)
+    return TruncatedSeries(r, trunc, _unpack_terms(out.items(), r, shift))
 
 
 def coeff(a: TruncatedSeries, m: Sequence[int]) -> int:
@@ -438,8 +413,3 @@ def series_to_dict(a: TruncatedSeries) -> dict:
         "trunc": a.trunc,
         "terms": [{"exps": list(m), "coeff": str(c)} for m, c in items],
     }
-
-
-def series_from_dict(data: Mapping) -> TruncatedSeries:
-    terms = {tuple(t["exps"]): int(t["coeff"]) for t in data["terms"]}
-    return TruncatedSeries(int(data["nvars"]), int(data["trunc"]), terms)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 from bisect import bisect_right
@@ -198,6 +199,18 @@ def _only_error_line(err):
     ["coeff", "--kind", "C", "--exps", "2,1"],
 ], ids=" ".join)
 def test_stdout_on_a_full_device_exits_two(argv):
+    with open("/dev/full", "w") as full:
+        proc = _geodenums(*argv, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    _only_error_line(err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"]], ids=" ".join)
+def test_help_on_a_full_device_exits_two(argv):
+    # argparse prints the help and exits inside parse_args, before any
+    # command writes; the flush must still be guarded
     with open("/dev/full", "w") as full:
         proc = _geodenums(*argv, stdout=full)
         _, err = proc.communicate(timeout=60)
@@ -545,6 +558,35 @@ def test_unit_queue_refuses_a_short_read():
             next(indices)
     finally:
         os.close(read)
+
+
+def test_helper_reads_a_suites_last_unit_first(monkeypatch):
+    # the parent holds back until the one helper has read its first index,
+    # which must be the last unit of the first suite in the queue
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    parent, read_queue = os.getpid(), cli._queue_indices
+    first_read, first_write = os.pipe()
+    firsts = []
+
+    def queue_indices(queue):
+        indices = read_queue(queue)
+        if os.getpid() == parent:
+            assert select.select([first_read], [], [], 60)[0], "the helper read no index"
+            firsts.append(int.from_bytes(os.read(first_read, cli._RECORD), "little"))
+        else:
+            first = next(indices)
+            os.write(first_write, first.to_bytes(cli._RECORD, "little"))
+            yield first
+        yield from indices
+
+    monkeypatch.setattr(cli, "_queue_indices", queue_indices)
+    units = [("wz2", lambda report: None)] * 3 + [("wz1", lambda report: None)] * 2
+    try:
+        assert cli._run_units(units) == [[]] * 5
+    finally:
+        os.close(first_read)
+        os.close(first_write)
+    assert firsts == [2]
 
 
 def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
@@ -1080,9 +1122,12 @@ def test_claims_walks_once_per_length_and_powers_once_per_pair(monkeypatch):
     monkeypatch.setattr(
         identities, "partition_tally", counting(identities.partition_tally, "walks")
     )
-    monkeypatch.setattr(mpoly, "_mul_terms", counting(mpoly._mul_terms, "products"))
+    monkeypatch.setattr(
+        identities, "_truncated_product", counting(identities._truncated_product, "products")
+    )
     assert cli.suite_claims(8, 3).all_passed()
     # two walks per (n, a), of lengths n and n-1 (408 when each shift x
     # walked both lengths again), and n-1 products per (n, a) for the
-    # bracket power (588 when each ct case raised the bracket again)
+    # list products of the bracket power (588 when each ct case raised the
+    # bracket again)
     assert calls == {"walks": 48, "products": 84}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from geodenums.identities import (
     alternating_partition_sum,
     binom_general,
+    bracket_power,
     claim1_sum,
     claim2_ct,
     claim2_sum,
@@ -168,6 +169,27 @@ def test_ct_examples():
     for a in (1, 2, 3):
         for x in (0, 1, 5):
             assert claim2_ct(1, a, x) == 1
+
+
+def test_bracket_power_is_the_truncated_power_of_the_bracket():
+    # the bracket expanded in full, (1+z)^k by Pascal's rule, and raised to
+    # the (n-1)-th power without truncating; bracket_power keeps z^0..z^(n-1)
+    assert bracket_power(3, 1) == [0, 0, 1]  # (z + z^2)^2
+    for n in range(1, 7):
+        for a in (1, 2, 3):
+            bracket, binomial = [0] * (2 * a + 1), [1]
+            for k in range(1, 2 * a + 1):
+                binomial = [x + y for x, y in zip(binomial + [0], [0] + binomial)]
+                for j, c in enumerate(binomial):
+                    bracket[j] += (-1) ** k * c
+            power = [1]
+            for _ in range(n - 1):
+                full = [0] * (len(power) + len(bracket) - 1)
+                for i, p in enumerate(power):
+                    for j, b in enumerate(bracket):
+                        full[i + j] += p * b
+                power = full
+            assert bracket_power(n, a) == power[:n], (n, a)
 
 
 def test_ct_matches_enumeration():

@@ -17,9 +17,7 @@ from geodenums.mpoly import (
     iter_exponents,
     mul,
     s1_series,
-    series_from_dict,
     series_to_dict,
-    with_truncation,
 )
 
 small = settings(max_examples=25, deadline=None)
@@ -75,7 +73,7 @@ def test_mul_is_associative_under_truncation(triple):
 @given(series())
 def test_division_by_s1_undoes_multiplication(q):
     trunc = q.trunc + 1
-    product = mul(s1_series(q.nvars, trunc), with_truncation(q, trunc))
+    product = mul(s1_series(q.nvars, trunc), TruncatedSeries(q.nvars, trunc, q.terms))
     assert divide_exact_by_s1(product) == q
 
 
@@ -90,7 +88,7 @@ def test_stray_monomial_makes_division_fail_at_its_first_mismatch(data):
     r = data.draw(st.integers(2, 3))
     q = data.draw(series(nvars=r))
     trunc = q.trunc + 1
-    dividend = mul(s1_series(r, trunc), with_truncation(q, trunc))
+    dividend = mul(s1_series(r, trunc), TruncatedSeries(r, trunc, q.terms))
     m = data.draw(
         st.lists(st.integers(0, trunc), min_size=r, max_size=r)
         .filter(lambda m: 1 <= sum(m) <= trunc)
@@ -113,7 +111,18 @@ def test_stray_monomial_makes_division_fail_at_its_first_mismatch(data):
 @small
 @given(series())
 def test_json_roundtrip(s):
-    assert series_from_dict(series_to_dict(s)) == s
+    # every term in order, by total degree and then lexicographically, with
+    # its coefficient as a decimal string; read back, the terms give s
+    data = series_to_dict(s)
+    assert (data["nvars"], data["trunc"]) == (s.nvars, s.trunc)
+    assert data["terms"] == [
+        {"exps": list(m), "coeff": str(s.terms[m])}
+        for d in range(s.trunc + 1)
+        for m in iter_exponents(s.nvars, d)
+        if m in s.terms
+    ]
+    read = {tuple(t["exps"]): int(t["coeff"]) for t in data["terms"]}
+    assert TruncatedSeries(s.nvars, s.trunc, read) == s
 
 
 @small
@@ -129,7 +138,8 @@ def test_oracle_layers_match_closed_form_and_lower_truncations(r, degree):
     for d in range(degree + 1):
         for m in iter_exponents(r, d):
             assert coeff(s, m) == hyper_catalan(m), m
-        assert with_truncation(s, d) == solve_S(r, d)
+        lower = {m: c for m, c in s.terms.items() if sum(m) <= d}
+        assert TruncatedSeries(r, d, lower) == solve_S(r, d)
 
 
 @small
