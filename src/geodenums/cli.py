@@ -1,29 +1,31 @@
 """Command-line surface: coefficient tables, single coefficients, and the
 verification suites with machine-readable JSON reports.
 
-The suites are the ``suite_<name>`` functions, each described once by its
-ordered units (``report.Unit``) and run through ``_suite``; their keyword
-defaults are the acceptance bounds, and ``tests/test_acceptance.py`` calls
-them as they are.  ``SUITES`` maps each name to its function and to the
-flags it takes with their ranges: ``verify`` checks every set flag against
-the ranges of the suites it will run, then passes each suite only its own
-flags.  ``SOLVES`` lists the S solves each oracle suite makes at given
-bounds, so ``verify`` can price them all before any suite starts.
-``verify <suite>`` and ``verify all`` put the units of their suites into
-one queue that the command's process and forked helpers drain on every
-usable CPU (``_run_units``), and assemble one report whatever the CPU
-count; ``table`` and ``coeff`` never fork.  ``table`` writes straight from
-the solver's packed layers, one write per layer (``_write_table``).
-Output paths are opened after the guards and before any work, and every
-write, to stdout or to a file, goes through ``_write_output``.
+The suites are the ``suite_<name>`` functions, each returning its ordered
+units (``report.Unit``); their keyword defaults are the acceptance bounds,
+and ``tests/test_acceptance.py`` runs them as they are through
+``report.run_units``.  ``SUITES`` describes each suite once: its units
+function, the flags it takes with their ranges, and the S solves it makes
+at given bounds.  ``verify`` adds its bound flags from ``SUITES`` and plans
+a request in one pass (``_plan``): it checks every set flag against the
+ranges of the suites it will run, then prices each suite's S solves once,
+refusing a suite whose summed work exceeds ``MAX_ORACLE_WORK``, and passes
+each suite only its own flags.  ``verify <suite>`` and ``verify all`` put
+the units of their suites into one queue that the command's process and
+forked helpers drain on every usable CPU (``_run_units``), and assemble one
+report whatever the CPU count; ``table`` and ``coeff`` never fork.
+``table`` writes straight from the solver's packed layers, one write per
+layer (``_write_table``).  Output paths are opened after the guards and
+before any work, and every write, to stdout or to a file, goes through
+``_write_output``.
 
 Exit codes: 0 all checks passed, 1 any verification failure, a suite that
 ran no cases (named on stderr) or a unit or helper that crashed, 2 usage or
-I/O error, including a bound outside its range, a ``table``, ``coeff`` or
-``verify`` request one of whose S solves would exceed ``MAX_ORACLE_WORK``,
-a ``coeff`` closed form whose weight exceeds ``MAX_CLOSED_FORM_WEIGHT`` and
-an output, stdout included, that cannot be written: one ``error:`` line
-on stderr, no traceback.
+I/O error, including a bound outside its range, a ``table`` or ``coeff``
+request whose S solve, or a ``verify`` suite whose S solves together, would
+exceed ``MAX_ORACLE_WORK``, a ``coeff`` closed form whose weight exceeds
+``MAX_CLOSED_FORM_WEIGHT`` and an output, stdout included, that cannot be
+written: one ``error:`` line on stderr, no traceback.
 Reports are byte-identical across identical invocations except for the
 elapsed_ms fields.
 """
@@ -34,22 +36,24 @@ import argparse
 import inspect
 import os
 import sys
-from functools import cache, partial, wraps
+from functools import cache, partial
 from itertools import chain, groupby
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import geode, identities, wz
 from .hypercat import _solve_layers, functional_residual, hyper_catalan, solve_S, solve_work
 from .mpoly import _unpack_layer, coeff, iter_exponents
-from .report import Case, Unit, VerifyReport, run_case, run_units
+from .report import Case, Unit, VerifyReport, run_case
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
 
-# Most work any one S solve behind `table`, `coeff` or `verify` may take, in
-# units of hypercat.solve_work, each 0.04-0.12 us on a 2-core VM with Python
-# 3.11.  The largest admitted request for each r = 1..7 takes 0.5-0.9 s (r = 1
-# is degree 1387, r = 7 degree 11); r = 3, degree 45 is 4.5e7 (3.7-3.8 s).
+# Most work the S solve behind `table` or `coeff`, or all the S solves of one
+# `verify` suite together, may take, in units of hypercat.solve_work, each
+# 0.04-0.12 us on a 2-core VM with Python 3.11.  The largest admitted table
+# for each r = 1..7 takes 0.5-0.9 s (r = 1 is degree 1387, r = 7 degree 11);
+# r = 3, degree 45 is 4.5e7 (3.7-3.8 s).  The largest suite total at the
+# acceptance bounds is thm3's 705 584.
 MAX_ORACLE_WORK = 10_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
@@ -64,22 +68,25 @@ MAX_CLOSED_FORM_WEIGHT = 4000
 
 
 def _check_oracle_size(
-    r: int, degree: int, parser: argparse.ArgumentParser, context: str = ""
-) -> None:
-    """Refuse, before any solving, an S table in r variables through `degree`
-    whose ``solve_work`` exceeds MAX_ORACLE_WORK.  That estimate is at least
-    max(r^2, degree) and at least 2^min(r, degree), so these are checked
-    first and no binomial runs on huge arguments."""
+    r: int, degree: int, parser: argparse.ArgumentParser, context: str = "", spent: int = 0
+) -> int:
+    """The ``solve_work`` of an S table in r variables through `degree`,
+    once it is checked, before any solving, that it and the `spent` units
+    of the solves before it stay within MAX_ORACLE_WORK; refused otherwise.
+    The estimate is at least max(r^2, degree) and at least 2^min(r,
+    degree), so these are checked first and no binomial runs on huge
+    arguments."""
     limit = MAX_ORACLE_WORK
-    if (
-        max(r * r, degree) > limit
-        or min(r, degree) >= limit.bit_length()
-        or solve_work(r, degree) > limit
-    ):
+    work = limit + 1
+    if max(r * r, degree) <= limit and min(r, degree) < limit.bit_length():
+        work = solve_work(r, degree)
+    if spent + work > limit:
+        after = f" after {spent} units of earlier S tables" if spent else ""
         parser.error(
-            f"{context}an S table in {r} variables through degree {degree} is too much work: "
-            f"more than {limit} units (MAX_ORACLE_WORK)"
+            f"{context}an S table in {r} variables through degree {degree}{after} is too much "
+            f"work: more than {limit} units (MAX_ORACLE_WORK)"
         )
+    return work
 
 
 def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
@@ -137,23 +144,6 @@ def _is(expected, value) -> tuple[bool, str]:
     return value == expected, str(value)
 
 
-def _suite(name: str) -> Callable[[Callable[..., list[Unit]]], Callable[..., VerifyReport]]:
-    """Decorator: suite `name` from its units function, which returns the
-    suite's ordered units for its bounds.  The suite function runs every
-    unit, in order, into one report; its ``units`` attribute is the units
-    function, from which ``_run_suites`` spreads units over processes."""
-
-    def describe(units: Callable[..., list[Unit]]) -> Callable[..., VerifyReport]:
-        @wraps(units)
-        def suite(*args, **kwargs) -> VerifyReport:
-            return run_units(name, units(*args, **kwargs))
-
-        suite.units = units
-        return suite
-
-    return describe
-
-
 def _negative_control(
     report: VerifyReport, case_id: str, what: str, corrupted: Callable[[], VerifyReport]
 ) -> None:
@@ -193,7 +183,6 @@ def _case_units(cases: Iterable[tuple]) -> list[Unit]:
     return [lambda report, case=case: run_case(report, *case) for case in cases]
 
 
-@_suite("thm1")
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
     def unit(report: VerifyReport) -> None:
         table = geode.geode_series(2, max_degree)
@@ -211,7 +200,6 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
     return [unit]
 
 
-@_suite("thm2")
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
         table = geode.geode_series(a, max_sum)
@@ -241,7 +229,6 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
     return [partial(unit, a=a) for a in a_values]
 
 
-@_suite("thm3")
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
         values = geode.eval_alternating(a, max_order)
@@ -257,7 +244,6 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
     return [partial(unit, a=a) for a in a_values]
 
 
-@_suite("eq31")
 def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
     return _case_units(
         (
@@ -271,7 +257,6 @@ def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
     )
 
 
-@_suite("claims")
 def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         power = a ** (n - 1)
@@ -331,7 +316,6 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
     return [partial(unit, n=n, a=a) for n in range(1, max_n + 1) for a in range(1, max_a + 1)]
 
 
-@_suite("wz1")
 def suite_wz1(max_n: int = 200) -> list[Unit]:
     return wz.wz1_units(max_n) + [
         lambda report: _negative_control(
@@ -340,7 +324,6 @@ def suite_wz1(max_n: int = 200) -> list[Unit]:
     ]
 
 
-@_suite("wz2")
 def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> list[Unit]:
     return [_prefixed(f"a={a},", unit) for a in a_values for unit in wz.wz2_units(a, max_n)] + [
         lambda report: _negative_control(
@@ -352,7 +335,6 @@ def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> list
     ]
 
 
-@_suite("certificate")
 def suite_certificate(max_n: int = 100) -> list[Unit]:
     return wz.certificate_units(max_n) + [
         lambda report: _negative_control(
@@ -364,7 +346,6 @@ def suite_certificate(max_n: int = 100) -> list[Unit]:
     ]
 
 
-@_suite("recurrence")
 def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> list[Unit]:
     def unit(report: VerifyReport, r: int) -> None:
         table = geode.geode_series(r, max_degree - 1)
@@ -388,7 +369,6 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> list[Unit]:
     return [partial(unit, r=r) for r in range(1, max_vars + 1)]
 
 
-@_suite("two-nonzero")
 def suite_two_nonzero(
     max_n: int = 7, pairs: Sequence[tuple[int, int]] = ((1, 2), (1, 3), (2, 3), (2, 5))
 ) -> list[Unit]:
@@ -420,7 +400,6 @@ def suite_two_nonzero(
     return [unit]
 
 
-@_suite("general-eval")
 def suite_general_eval(max_order: int = 8) -> list[Unit]:
     def powers_case(a, c, base, order):
         values = geode.eval_general(a, c, order)
@@ -453,7 +432,6 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
     ])
 
 
-@_suite("oracle")
 def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> list[Unit]:
     """Self-consistency of the oracle itself: the defining equation residual
     vanishes and S - 1 = (t_1+...+t_r) G holds through the truncation."""
@@ -481,75 +459,81 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> list[Unit]:
     return _case_units(cases)
 
 
-# Every suite, in `verify all` order, with the flags it takes and the range
-# (minimum, maximum) each flag accepts.  Unset flags keep the suite's
-# defaults; --a runs a single a_values entry.  A flag whose cost lies in the
-# oracle has no maximum, because `verify` prices its S solves (SOLVES); the
-# grid suites' maxima keep each one, at its largest admitted bounds, under
-# 3 s on one CPU of a 2-core VM with Python 3.11 (`verify` wall time, at
-# least two runs each; two CPUs take 0.55-0.75 of it): wz1 at 600 1.5-1.8
-# s, wz2 at 350 1.4-1.7 s (--a 1000 1.3 s), certificate at 600 1.5-2.0 s,
-# eq31 at 14/5 1.7-2.1 s, claims at 15/4 0.58-0.77 s.  In process, eq31 at
-# 16/5 took 3.5 s and claims at 15/5 2.1-2.3 s, so eq31 stops at 14/5 and
-# claims at 15/4.
-SUITES: dict[str, tuple[Callable[..., VerifyReport], dict[str, tuple[int, int | None]]]] = {
-    "thm1": (suite_thm1, {"max_degree": (0, None)}),
-    "thm2": (suite_thm2, {"max_sum": (0, None)}),
-    "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
-    "eq31": (suite_eq31, {"max_n": (1, 14), "max_a": (1, 5)}),
-    "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 4)}),
-    "wz1": (suite_wz1, {"max_n": (1, 600)}),
-    "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}),
-    "certificate": (suite_certificate, {"max_n": (1, 600)}),
-    "recurrence": (suite_recurrence, {"max_vars": (1, None), "max_degree": (1, None)}),
-    "two-nonzero": (suite_two_nonzero, {"max_n": (1, None)}),
-    "general-eval": (suite_general_eval, {"max_order": (0, None)}),
-    "oracle": (suite_oracle, {"max_vars": (1, None), "max_degree": (0, None)}),
+# Every suite, in `verify all` order, as (units function, flag ranges, S
+# solves).  The flag ranges give the flags the suite takes and the range
+# (minimum, maximum) each accepts.  Unset flags keep the suite's defaults;
+# --a runs a single a_values entry.  A flag whose cost lies in the oracle
+# has no maximum, because `verify` prices its S solves; the grid suites'
+# maxima keep each one, at its largest admitted bounds, under 3 s on one
+# CPU of a 2-core VM with Python 3.11 (`verify` wall time, at least two
+# runs each; two CPUs take 0.55-0.75 of it): wz1 at 600 1.5-1.8 s, wz2 at
+# 350 1.4-1.7 s (--a 1000 1.3 s), certificate at 600 1.5-2.0 s, eq31 at
+# 14/5 1.7-2.1 s, claims at 15/4 0.58-0.77 s.  In process, eq31 at 16/5
+# took 3.5 s and claims at 15/5 2.1-2.3 s, so eq31 stops at 14/5 and claims
+# at 15/4.  The S solves are the (r, max_degree) pairs of every S table the
+# suite solves, in the order it solves them, from its keyword arguments;
+# None for a suite that solves none.
+SUITES: dict[
+    str,
+    tuple[
+        Callable[..., list[Unit]],
+        dict[str, tuple[int, int | None]],
+        Callable[..., Iterable[tuple[int, int]]] | None,
+    ],
+] = {
+    "thm1": (suite_thm1, {"max_degree": (0, None)}, lambda max_degree: [(2, max_degree + 1)]),
+    "thm2": (
+        suite_thm2,
+        {"max_sum": (0, None)},
+        lambda max_sum, a_values: ((a, max_sum + 1) for a in a_values),
+    ),
+    "thm3": (
+        suite_thm3,
+        {"max_order": (0, None), "a": (1, None)},
+        lambda max_order, a_values: ((2 * a, max_order + 1) for a in a_values),
+    ),
+    "eq31": (suite_eq31, {"max_n": (1, 14), "max_a": (1, 5)}, None),
+    "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 4)}, None),
+    "wz1": (suite_wz1, {"max_n": (1, 600)}, None),
+    "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}, None),
+    "certificate": (suite_certificate, {"max_n": (1, 600)}, None),
+    "recurrence": (
+        suite_recurrence,
+        {"max_vars": (1, None), "max_degree": (1, None)},
+        lambda max_vars, max_degree: ((r, max_degree) for r in range(1, max_vars + 1)),
+    ),
+    "two-nonzero": (
+        suite_two_nonzero,
+        {"max_n": (1, None)},
+        lambda max_n, pairs: [(max(t for _, t in pairs), max_n)],
+    ),
+    "general-eval": (
+        suite_general_eval,
+        {"max_order": (0, None)},
+        lambda max_order: [(2, max_order + 1), (4, 7), (4, max_order + 1), (4, max_order + 1)],
+    ),
+    "oracle": (
+        suite_oracle,
+        {"max_vars": (1, None), "max_degree": (0, None)},
+        lambda max_vars, max_degree: (
+            solve
+            for r in range(1, max_vars + 1)
+            for solve in ((r, max_degree), (r, max_degree + 1), (r, max_degree + 1))
+        ),
+    ),
 }
 SUITE_NAMES = tuple(SUITES)
 
-# The S solves each oracle suite makes, as (r, max_degree) pairs in the order
-# it makes them, from the suite's keyword arguments; a suite not listed makes
-# none.  `verify` prices every one with solve_work before any suite runs.
-SOLVES: dict[str, Callable[..., Iterable[tuple[int, int]]]] = {
-    "thm1": lambda max_degree: [(2, max_degree + 1)],
-    "thm2": lambda max_sum, a_values: ((a, max_sum + 1) for a in a_values),
-    "thm3": lambda max_order, a_values: ((2 * a, max_order + 1) for a in a_values),
-    "recurrence": lambda max_vars, max_degree: (
-        (r, max_degree) for r in range(1, max_vars + 1)
-    ),
-    "two-nonzero": lambda max_n, pairs: [(max(t for _, t in pairs), max_n)],
-    "general-eval": lambda max_order: [
-        (2, max_order + 1),
-        (4, 7),
-        (4, max_order + 1),
-        (4, max_order + 1),
-    ],
-    "oracle": lambda max_vars, max_degree: (
-        solve
-        for r in range(1, max_vars + 1)
-        for solve in ((r, max_degree), (r, max_degree + 1), (r, max_degree + 1))
-    ),
-}
 
-# Each oracle suite's keyword defaults, read from its signature so that the
-# acceptance bounds are written once.
-_DEFAULTS = {
-    name: {p.name: p.default for p in inspect.signature(SUITES[name][0]).parameters.values()}
-    for name in SOLVES
-}
-
-
-def _oracle_solves(name: str, kwargs: dict) -> Iterable[tuple[int, int]]:
-    """The (r, max_degree) of every S solve suite `name` makes when called
-    with `kwargs`, lazily, so a huge bound costs nothing before it is refused."""
-    solves = SOLVES.get(name)
-    return () if solves is None else solves(**{**_DEFAULTS[name], **kwargs})
-
-
-def _check_bounds(
+def _plan(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
+) -> list[tuple[str, dict, int]]:
+    """(name, keyword arguments, summed solve_work) of every suite in
+    `names`, in `names` order, before any of them runs.  Every set flag of
+    every suite is checked against its range first; then each suite's S
+    solves are priced once each, at its defaults overridden by its own
+    flags, and a suite is refused once their running sum passes
+    MAX_ORACLE_WORK, so a huge bound stops at the first solve past it."""
     for name in names:
         for flag, (minimum, maximum) in SUITES[name][1].items():
             value = getattr(args, flag)
@@ -560,21 +544,20 @@ def _check_bounds(
                 parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
             if maximum is not None and value > maximum:
                 parser.error(f"verify {name}: {option} must be <= {maximum}, got {value}")
-
-
-def _check_suite_work(
-    names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
+    plan = []
     for name in names:
-        for r, degree in _oracle_solves(name, _suite_kwargs(name, args)):
-            _check_oracle_size(r, degree, parser, f"verify {name}: ")
-
-
-def _suite_kwargs(name: str, args: argparse.Namespace) -> dict:
-    kwargs = {f: getattr(args, f) for f in SUITES[name][1] if getattr(args, f) is not None}
-    if "a" in kwargs:
-        kwargs["a_values"] = (kwargs.pop("a"),)
-    return kwargs
+        units, ranges, solves = SUITES[name]
+        kwargs = {f: getattr(args, f) for f in ranges if getattr(args, f) is not None}
+        if "a" in kwargs:
+            kwargs["a_values"] = (kwargs.pop("a"),)
+        work = 0
+        if solves is not None:
+            bounds = inspect.signature(units).bind(**kwargs)
+            bounds.apply_defaults()
+            for r, degree in solves(**bounds.arguments):
+                work += _check_oracle_size(r, degree, parser, f"verify {name}: ", work)
+        plan.append((name, kwargs, work))
+    return plan
 
 
 def _cpus() -> int:
@@ -585,22 +568,18 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_suites(names: Sequence[str], args: argparse.Namespace) -> dict[str, VerifyReport]:
-    """Every suite in `names`, keyed in `names` order, its cases in unit
-    order.  The units of all of them go into one queue, those of the suite
-    with the most solve_work summed over its S solves first; the sort is
-    stable, so suites of equal work, such as the oracle-free ones, keep
-    `names` order.  ``_run_units`` runs the queue."""
-
-    def work(name: str) -> int:
-        return sum(solve_work(r, d) for r, d in _oracle_solves(name, _suite_kwargs(name, args)))
-
+def _run_suites(plan: Sequence[tuple[str, dict, int]]) -> dict[str, VerifyReport]:
+    """Every suite of `plan`, keyed in plan order, its cases in unit order.
+    The units of all of them go into one queue, those of the suite with the
+    most planned work first; the sort is stable, so suites of equal work,
+    such as the oracle-free ones, keep plan order.  ``_run_units`` runs the
+    queue."""
     units = [
         (name, unit)
-        for name in sorted(names, key=work, reverse=True)
-        for unit in SUITES[name][0].units(**_suite_kwargs(name, args))
+        for name, kwargs, _ in sorted(plan, key=lambda step: step[2], reverse=True)
+        for unit in SUITES[name][0](**kwargs)
     ]
-    reports = {name: VerifyReport(name) for name in names}
+    reports = {name: VerifyReport(name) for name, _, _ in plan}
     for (name, _), cases in zip(units, _run_units(units)):
         reports[name].cases += cases
     return reports
@@ -785,13 +764,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--report", help="write the JSON report to this path")
-    verify.add_argument("--max-n", type=int, default=None)
-    verify.add_argument("--max-a", type=int, default=None)
-    verify.add_argument("--max-degree", type=int, default=None)
-    verify.add_argument("--max-order", type=int, default=None)
-    verify.add_argument("--max-sum", type=int, default=None)
-    verify.add_argument("--max-vars", type=int, default=None)
-    verify.add_argument("--a", type=int, default=None)
+    for flag in dict.fromkeys(flag for _, ranges, _ in SUITES.values() for flag in ranges):
+        verify.add_argument("--" + flag.replace("_", "-"), type=int)
     return parser
 
 
@@ -889,15 +863,14 @@ def _print_summary(report: VerifyReport, stdout: IO[str]) -> None:
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    _check_bounds(names, args, parser)
-    _check_suite_work(names, args, parser)
+    plan = _plan(names, args, parser)
     out = None
     if args.report:
         out = _open_output(args.report)
         if out is None:
             return 2
     try:
-        reports = _run_suites(names, args)
+        reports = _run_suites(plan)
     except BaseException:
         if out is not None:
             out.close()

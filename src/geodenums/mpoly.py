@@ -46,7 +46,8 @@ series may be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations_with_replacement
+from operator import sub as _difference  # this module defines its own sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ExpVec = tuple[int, ...]
@@ -140,12 +141,11 @@ def iter_exponents(nvars: int, total: int) -> Iterator[ExpVec]:
         raise ValueError("need at least one variable")
     if total < 0:
         return
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in iter_exponents(nvars - 1, total - head):
-            yield (head,) + rest
+    # Stars and bars: the partial sums m_1, m_1 + m_2, ... cut 0..total at
+    # nvars - 1 nondecreasing points, and cut points in lexicographic order
+    # give the vectors in lexicographic order.
+    for cuts in combinations_with_replacement(range(total + 1), nvars - 1):
+        yield tuple(map(_difference, (*cuts, total), (0, *cuts)))
 
 
 def constant_series(nvars: int, trunc: int, value: int) -> TruncatedSeries:

@@ -15,6 +15,7 @@ import time
 
 from geodenums import cli
 from geodenums.geode import geode_series
+from geodenums.report import run_units
 from geodenums.wz import ORIENT_F_DIFFERENCE
 
 # Cases per suite at the default bounds.
@@ -35,8 +36,7 @@ CASES = {
 
 
 def _passing(name: str):
-    suite, _ = cli.SUITES[name]
-    report = suite()
+    report = run_units(name, cli.SUITES[name][0]())
     assert report.all_passed(), report.first_failure()
     assert report.total == CASES[name], (name, report.total)
     return report

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
+from functools import wraps
 from math import comb
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from geodenums import cli, geode, hypercat, identities, mpoly
 from geodenums.geode import geode_series
 from geodenums.hypercat import solve_S, solve_work
-from geodenums.report import VerifyReport, run_case
+from geodenums.report import VerifyReport, run_case, run_units
 
 
 def run_cli(capsys, *argv):
@@ -39,9 +40,24 @@ def _constant_layers(max_degree):
 
 def stub_suite(name, units):
     """A registry entry for suite `name` whose units, at any bounds, are
-    those `units(**bounds)` returns; its flags and ranges are the real
-    suite's."""
-    return cli._suite(name)(units), cli.SUITES[name][1]
+    those `units(**bounds)` returns; its signature, flags, ranges and S
+    solves are the real suite's, so `verify` plans it as the real one."""
+    suite, ranges, solves = cli.SUITES[name]
+
+    @wraps(suite)
+    def stub(**bounds):
+        return units(**bounds)
+
+    return stub, ranges, solves
+
+
+def plan(argv):
+    """The plan `verify *argv` makes: (name, keyword arguments, work) of
+    each suite it runs."""
+    parser = cli._build_parser()
+    args = parser.parse_args(["verify", *argv])
+    names = cli.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    return cli._plan(names, args, parser)
 
 
 def test_table_csv_contains_expected_row(capsys):
@@ -531,8 +547,8 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("name", cli.SUITE_NAMES)
 def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monkeypatch, capsys):
-    args = cli._build_parser().parse_args(["verify", name, *SMALL_BOUNDS])
-    units = len(cli.SUITES[name][0].units(**cli._suite_kwargs(name, args)))
+    [(_, kwargs, _)] = plan([name, *SMALL_BOUNDS])
+    units = len(cli.SUITES[name][0](**kwargs))
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
@@ -742,10 +758,16 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     ["thm1", "--max-degree", "200"],
     ["all", "--max-degree", "200"],
     ["thm3", "--a", "5"],
+    ["recurrence", "--max-vars", "1000", "--max-degree", "1"],
+    ["oracle", "--max-vars", "1000", "--max-degree", "0"],
+    ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
     # thm1 at degree 200 solves S(2, 201), 3.4e8 units; thm3 at a = 5
-    # solves S(10, 9), 2.4e7 units; MAX_ORACLE_WORK is 1e7.
+    # solves S(10, 9), 2.4e7 units; MAX_ORACLE_WORK is 1e7.  recurrence
+    # at 1000 variables, degree 1, solves S(r, 1) for r = 1..1000 and
+    # oracle at degree 0 S(r, 0) and twice S(r, 1): each solve is admitted
+    # alone, but together they take 1.7e9 and 3.8e9 units.
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before its oracle work was priced")
 
@@ -758,15 +780,28 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     assert not report_path.exists()
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
-    assert err[-1].startswith("geodenums: error: verify thm")
+    first = "thm1" if argv[0] == "all" else argv[0]
+    assert err[-1].startswith(f"geodenums: error: verify {first}: ")
     assert "is too much work" in err[-1]
+
+
+def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
+    # recurrence at degree 1 admits 178 variables and oracle at degree 0
+    # 136: the solves of one more variable take the sum past the limit
+    limit = cli.MAX_ORACLE_WORK
+    for name, degree, largest in (("recurrence", "1", 178), ("oracle", "0", 136)):
+        [(_, _, work)] = plan([name, "--max-vars", str(largest), "--max-degree", degree])
+        assert work <= limit
+        with pytest.raises(SystemExit) as exc:
+            plan([name, "--max-vars", str(largest + 1), "--max-degree", degree])
+        assert exc.value.code == 2
 
 
 def _bound_values(flag):
     """The integers the fuzz test passes to `flag`: each minimum - 1,
     minimum, maximum and maximum + 1 it has in SUITES, and +-10**30."""
     values = {10**30, -(10**30)}
-    for _, ranges in cli.SUITES.values():
+    for _, ranges, _ in cli.SUITES.values():
         if flag in ranges:
             minimum, maximum = ranges[flag]
             values |= {minimum - 1, minimum}
@@ -776,7 +811,7 @@ def _bound_values(flag):
 
 
 BOUND_VALUES = {
-    flag: _bound_values(flag) for _, ranges in cli.SUITES.values() for flag in ranges
+    flag: _bound_values(flag) for _, ranges, _ in cli.SUITES.values() for flag in ranges
 }
 
 
@@ -795,8 +830,8 @@ def verify_argv(draw):
 def _admitted_stub(name):
     """The units of a suite with one passing case, once it has asserted
     that `verify` let it start only with bounds inside its ranges and with
-    no S solve above MAX_ORACLE_WORK."""
-    ranges = cli.SUITES[name][1]
+    S solves that take at most MAX_ORACLE_WORK together."""
+    units, ranges, solves = cli.SUITES[name]
     limit = cli.MAX_ORACLE_WORK
 
     def suite(**bounds):
@@ -805,12 +840,17 @@ def _admitted_stub(name):
                 flag, (value,) = "a", value
             minimum, maximum = ranges[flag]
             assert minimum <= value and (maximum is None or value <= maximum), (name, flag)
-        for r, degree in cli._oracle_solves(name, bounds):
-            # solve_work is at least max(r^2, degree) and 2^min(r, degree),
-            # so only small (r, degree) reach the full estimate
-            assert max(r * r, degree) <= limit, (name, r, degree)
-            assert min(r, degree) < limit.bit_length(), (name, r, degree)
-            assert solve_work(r, degree) <= limit, (name, r, degree)
+        if solves is not None:
+            arguments = inspect.signature(units).bind(**bounds)
+            arguments.apply_defaults()
+            work = 0
+            for r, degree in solves(**arguments.arguments):
+                # solve_work is at least max(r^2, degree) and 2^min(r,
+                # degree), so only small (r, degree) reach the full estimate
+                assert max(r * r, degree) <= limit, (name, r, degree)
+                assert min(r, degree) < limit.bit_length(), (name, r, degree)
+                work += solve_work(r, degree)
+                assert work <= limit, (name, r, degree)
         return [lambda report: run_case(report, "stub", {}, "ok", lambda: (True, "ok"))]
 
     return suite
@@ -968,8 +1008,7 @@ def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
     # the raised bounds of the benchmark's identities workload, bounds that
     # were the maxima before the stepped rows, and each grid suite at its
     # largest admitted bounds
-    parser = cli._build_parser()
-    cli._check_bounds((argv[0],), parser.parse_args(["verify", *argv]), parser)
+    plan(argv)
 
 
 FLAG_TABLE = "| suite | flags (default, minimum, maximum) |"
@@ -999,7 +1038,7 @@ def test_readme_flag_table_matches_suites():
     # and its maximum, with "priced" for the None of an oracle flag.
     rows = _readme_flag_rows()
     assert list(rows) == list(cli.SUITES)
-    for name, (suite, ranges) in cli.SUITES.items():
+    for name, (suite, ranges, _) in cli.SUITES.items():
         defaults = {
             p.name: p.default for p in inspect.signature(suite).parameters.values()
         }
@@ -1018,15 +1057,25 @@ def test_readme_flag_table_matches_suites():
 
 
 def test_verify_all_at_default_bounds_is_admitted():
-    parser = cli._build_parser()
-    args = parser.parse_args(["verify", "all"])
-    cli._check_suite_work(cli.SUITE_NAMES, args, parser)
-    works = [
-        solve_work(r, degree)
-        for name in cli.SUITE_NAMES
-        for r, degree in cli._oracle_solves(name, cli._suite_kwargs(name, args))
-    ]
-    assert max(works) == solve_work(6, 9) < cli.MAX_ORACLE_WORK
+    works = {name: work for name, _, work in plan(["all"])}
+    assert max(works.values()) == works["thm3"] == 705_584 < cli.MAX_ORACLE_WORK
+    assert works["thm3"] == sum(solve_work(2 * a, 9) for a in cli.DEFAULT_THM3_A)
+
+
+def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
+    # 29 S solves at the default bounds: thm1 1, thm2 4, thm3 3,
+    # recurrence 4, two-nonzero 1, general-eval 4 and oracle 12
+    priced = []
+
+    def recording(r, degree):
+        priced.append((r, degree))
+        return solve_work(r, degree)
+
+    monkeypatch.setattr(cli, "solve_work", recording)
+    monkeypatch.setattr(cli, "_run_units", lambda units: [[] for _ in units])
+    cli.main(["verify", "all", "--report", os.devnull])
+    capsys.readouterr()
+    assert len(priced) == 29
 
 
 SOLVE_CASES = [
@@ -1051,22 +1100,25 @@ def test_solve_cases_cover_every_suite():
 
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
-def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch):
-    calls = []
+def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
+    # verify prices, then runs in this process, the same S solves in the
+    # same order
+    priced, solved = [], []
 
-    def recording(solve):
-        def recording_solve(r, max_degree):
+    def recording(function, calls):
+        def recorded(r, max_degree):
             calls.append((r, max_degree))
-            return solve(r, max_degree)
+            return function(r, max_degree)
 
-        return recording_solve
+        return recorded
 
-    monkeypatch.setattr(cli, "solve_S", recording(solve_S))
-    monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
-    args = cli._build_parser().parse_args(["verify", *argv])
-    kwargs = cli._suite_kwargs(argv[0], args)
-    assert cli.SUITES[argv[0]][0](**kwargs).all_passed()
-    assert calls == list(cli._oracle_solves(argv[0], kwargs))
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "solve_work", recording(solve_work, priced))
+    monkeypatch.setattr(cli, "solve_S", recording(solve_S, solved))
+    monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers, solved))
+    assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert solved == priced
 
 
 @pytest.mark.parametrize("name, module, function, bounds", [
@@ -1079,11 +1131,11 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch):
     ("recurrence", geode, "hyper_catalan", {"max_vars": 2, "max_degree": 3}),
 ])
 def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, monkeypatch):
-    suite, _ = cli.SUITES[name]
-    assert suite(**bounds).all_passed()
+    suite = cli.SUITES[name][0]
+    assert run_units(name, suite(**bounds)).all_passed()
     original = getattr(module, function)
     monkeypatch.setattr(module, function, lambda *args: original(*args) + 1)
-    report = suite(**bounds)
+    report = run_units(name, suite(**bounds))
     assert any(case.status == "fail" for case in report.cases)
 
 
@@ -1095,7 +1147,7 @@ def test_claims_shared_values_equal_the_per_call_sums():
     # every claim1/claim2 case reads the signed size mass of one tally per
     # length and every ct case one bracket power per (n, a); their values
     # are those of the functions that build everything per call
-    report = cli.suite_claims(8, 4)
+    report = run_units("claims", cli.suite_claims(8, 4))
     assert report.all_passed()
     sums = {"claim1": identities.claim1_sum, "claim2": identities.claim2_sum,
             "ct": identities.claim2_ct}
@@ -1125,7 +1177,7 @@ def test_claims_walks_once_per_length_and_powers_once_per_pair(monkeypatch):
     monkeypatch.setattr(
         identities, "_truncated_product", counting(identities._truncated_product, "products")
     )
-    assert cli.suite_claims(8, 3).all_passed()
+    assert run_units("claims", cli.suite_claims(8, 3)).all_passed()
     # two walks per (n, a), of lengths n and n-1 (408 when each shift x
     # walked both lengths again), and n-1 products per (n, a) for the
     # list products of the bracket power (588 when each ct case raised the

@@ -351,3 +351,7 @@ def test_iter_exponents_order_and_count():
     for nvars in (1, 2, 4):
         for d in range(5):
             assert len(list(iter_exponents(nvars, d))) == comb(d + nvars - 1, nvars - 1)
+    # a recursive walk raised RecursionError from about 990 variables
+    got = list(iter_exponents(2000, 1))
+    assert len(got) == 2000 and got == sorted(got)
+    assert got[0] == (0,) * 1999 + (1,) and got[-1] == (1,) + (0,) * 1999
