@@ -18,7 +18,6 @@ Closed forms divide factorials; every division asserts exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import comb, factorial
 from typing import Sequence
@@ -29,6 +28,7 @@ from .mpoly import (
     OutOfRangeError,
     TruncatedSeries,
     UnivariateSeries,
+    _Frozen,
     _divide_layers,
     _pack_layers,
     _s1_multiple_mismatch,
@@ -38,13 +38,13 @@ from .mpoly import (
 )
 
 
-@dataclass(frozen=True)
-class GeodeTable:
+class GeodeTable(_Frozen):
     """The Geode series in r variables through a fixed total degree."""
 
-    nvars: int
-    trunc: int
-    series: TruncatedSeries
+    __slots__ = ("nvars", "trunc", "series")
+
+    def __init__(self, nvars: int, trunc: int, series: TruncatedSeries) -> None:
+        self._freeze(nvars, trunc, series)
 
     def coefficient(self, m: Sequence[int]) -> int:
         return coeff(self.series, m)

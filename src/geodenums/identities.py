@@ -37,9 +37,11 @@ arguments are plain integers, never symbols.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # tally[size][m_2a]: the multinomial mass of the vectors in that group.
 Tally = list[list[int]]
@@ -157,6 +159,8 @@ def partition_sum_main(n: int, a: int) -> int:
     total = alternating_partition_sum(n, a, lambda size, m_last: -(n - m_last) * scaled[size])
     value, rem = divmod(total, den)
     if rem:
+        from fractions import Fraction
+
         raise ArithmeticError(
             f"sum for n={n}, a={a} is not an integer: {Fraction(total, den)}"
         )

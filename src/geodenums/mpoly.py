@@ -45,7 +45,6 @@ series may be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 from operator import sub as _difference  # this module defines its own sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -72,8 +71,43 @@ class OutOfRangeError(LookupError):
     """Coefficient query beyond the truncation order (not a true zero)."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class _Frozen:
+    """An immutable value in ``__slots__``: the constructor stores each slot
+    once through ``_freeze``; equality, hash and repr go by the slots in
+    order, and pickling and copying go through the constructor."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TruncatedSeries(_Frozen):
     """Multivariate series truncated at a total degree.
 
     ``terms`` is canonicalized on construction: zero coefficients are
@@ -81,31 +115,29 @@ class TruncatedSeries:
     instances (including the ``terms`` dict) as immutable.
     """
 
-    nvars: int
-    trunc: int
-    terms: dict[ExpVec, int]
+    __slots__ = ("nvars", "trunc", "terms")
 
-    def __post_init__(self) -> None:
-        if self.nvars < 1:
-            raise ValueError(f"need at least one variable, got nvars={self.nvars}")
-        if self.trunc < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.trunc}")
+    def __init__(self, nvars: int, trunc: int, terms: Mapping[ExpVec, int]) -> None:
+        if nvars < 1:
+            raise ValueError(f"need at least one variable, got nvars={nvars}")
+        if trunc < 0:
+            raise ValueError(f"truncation order must be >= 0, got {trunc}")
         clean: dict[ExpVec, int] = {}
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             m = tuple(m)
-            if len(m) != self.nvars:
+            if len(m) != nvars:
                 raise VariableCountMismatchError(
-                    f"exponent vector {m} has length {len(m)}, expected {self.nvars}"
+                    f"exponent vector {m} has length {len(m)}, expected {nvars}"
                 )
             if min(m) < 0:
                 raise ValueError(f"negative exponent in {m}")
-            if sum(m) > self.trunc:
+            if sum(m) > trunc:
                 raise ValueError(
-                    f"term {m} has total degree {sum(m)} above truncation {self.trunc}"
+                    f"term {m} has total degree {sum(m)} above truncation {trunc}"
                 )
             if c:
                 clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        self._freeze(nvars, trunc, clean)
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
@@ -114,19 +146,18 @@ class TruncatedSeries:
         return not self.terms
 
 
-@dataclass(frozen=True)
-class UnivariateSeries:
+class UnivariateSeries(_Frozen):
     """Coefficient list in a single variable f; index n holds the f^n term."""
 
-    coeffs: tuple[int, ...]
-    trunc: int
+    __slots__ = ("coeffs", "trunc")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.trunc + 1:
+    def __init__(self, coeffs: Iterable[int], trunc: int) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != trunc + 1:
             raise ValueError(
-                f"need trunc+1 = {self.trunc + 1} coefficients, got {len(self.coeffs)}"
+                f"need trunc+1 = {trunc + 1} coefficients, got {len(coeffs)}"
             )
+        self._freeze(coeffs, trunc)
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.trunc:

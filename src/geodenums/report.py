@@ -14,8 +14,11 @@ suite's report is its units' cases in list order.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Callable, Iterable, Mapping
 
 PASS = "pass"
@@ -62,6 +65,7 @@ class VerifyReport:
         return None
 
     def to_dict(self) -> dict:
+        """The report as ``to_json`` writes it, before encoding."""
         return {
             "suite": self.suite,
             "cases": [
@@ -81,6 +85,60 @@ class VerifyReport:
                 "failed": self.failed,
             },
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte,
+        written from the cases with one template per case instead of through
+        json's pure-Python indenting encoder; the tests compare the two."""
+        text = encode_basestring_ascii  # a case's id, expected, actual and status are str
+        cases = ",\n".join([
+            _CASE % (
+                text(c.id),
+                _json(c.params, "      "),
+                text(c.expected),
+                text(c.actual),
+                text(c.status),
+                _json(c.elapsed_ms, "      "),
+            )
+            for c in self.cases
+        ])
+        return _REPORT % (
+            text(self.suite),
+            "[\n" + cases + "\n  ]" if cases else "[]",
+            self.total,
+            self.passed,
+            self.failed,
+        )
+
+
+_REPORT = (
+    '{\n  "suite": %s,\n  "cases": %s,\n  "summary": {\n    "total": %d,\n'
+    '    "passed": %d,\n    "failed": %d\n  }\n}\n'
+)
+_CASE = (
+    '    {\n      "id": %s,\n      "params": %s,\n      "expected": %s,\n      "actual": %s,\n'
+    '      "status": %s,\n      "elapsed_ms": %s\n    }'
+)
+
+
+def _json(value: object, indent: str) -> str:
+    """`value` as ``json.dumps(..., indent=2)`` writes it on a line indented
+    by `indent`: strings, ints, finite floats and dicts of string keys
+    directly, anything else through json."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def run_case(

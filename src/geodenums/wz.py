@@ -48,7 +48,6 @@ pole cancels against the zero of C(n-1,m) since C(n-1,m)/(n-m) = C(n,m)/n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from math import comb, lcm
 from typing import Callable
@@ -208,12 +207,16 @@ def _pair_units(
             for k, (fn, fd) in enumerate(frow):
                 (an, ad), (bn, bd) = hrow[k], hrow[k + 1]
                 if fn * ad * bd != (bn * ad - an * bd) * fd:
+                    from fractions import Fraction
+
                     return False, (
                         f"pair relation broken at k={k}: F={Fraction(fn, fd)}, "
                         f"H(k+1)-H(k)={Fraction(bn, bd) - Fraction(an, ad)}"
                     )
             total, den = _row_sum(frow)
             if total:
+                from fractions import Fraction
+
                 return False, f"telescoped sum is {Fraction(total, den)}, not 0"
             if extra is not None:
                 ok, msg = extra(n, frow)
@@ -285,6 +288,8 @@ def _relation_holds(
         (an, ad), (bn, bd) = f_next[m], f_n[m]
         (cn, cd), (en, ed) = g_n[m + 1], g_n[m]
         if (an * bd - bn * ad) * cd * ed != (cn * ed - en * cd) * ad * bd:
+            from fractions import Fraction
+
             lhs = Fraction(an, ad) - Fraction(bn, bd)
             rhs = Fraction(cn, cd) - Fraction(en, ed)
             return False, f"relation broken at m={m}: lhs={lhs}, rhs={rhs}"
@@ -328,6 +333,8 @@ def certificate_units(
             r_n = _require(r(n), n)
             total, den = _row_sum(f_n)
             if total != den:
+                from fractions import Fraction
+
                 return False, f"target sum is {Fraction(total, den)}, not 1"
             ok, msg = _relation_holds(n, f_n, f_next, g_n)
             if not ok:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 
-from geodenums import cli
+from geodenums import cli, verify
 from geodenums.geode import geode_series
 from geodenums.report import run_units
 from geodenums.wz import ORIENT_F_DIFFERENCE
@@ -36,7 +36,7 @@ CASES = {
 
 
 def _passing(name: str):
-    report = run_units(name, cli.SUITES[name][0]())
+    report = run_units(name, verify.SUITES[name][0]())
     assert report.all_passed(), report.first_failure()
     assert report.total == CASES[name], (name, report.total)
     return report

@@ -21,10 +21,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geodenums import cli, geode, hypercat, identities, mpoly
+from geodenums import cli, geode, hypercat, identities, mpoly, verify
 from geodenums.geode import geode_series
 from geodenums.hypercat import solve_S, solve_work
-from geodenums.report import VerifyReport, run_case, run_units
+from geodenums.report import Case, VerifyReport, run_case, run_units
 
 
 def run_cli(capsys, *argv):
@@ -42,7 +42,7 @@ def stub_suite(name, units):
     """A registry entry for suite `name` whose units, at any bounds, are
     those `units(**bounds)` returns; its signature, flags, ranges and S
     solves are the real suite's, so `verify` plans it as the real one."""
-    suite, ranges, solves = cli.SUITES[name]
+    suite, ranges, solves = verify.SUITES[name]
 
     @wraps(suite)
     def stub(**bounds):
@@ -56,8 +56,8 @@ def plan(argv):
     each suite it runs."""
     parser = cli._build_parser()
     args = parser.parse_args(["verify", *argv])
-    names = cli.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    return cli._plan(names, args, parser)
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    return verify._plan(names, args, parser)
 
 
 def test_table_csv_contains_expected_row(capsys):
@@ -170,8 +170,8 @@ def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatc
     def must_not_run(*args, **bounds):
         raise AssertionError("work started before the output was opened")
 
-    for name in cli.SUITES:
-        monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, stub_suite(name, must_not_run))
     monkeypatch.setattr(cli, "_solve_layers", must_not_run)
     monkeypatch.setattr(cli.geode, "_geode_layers", must_not_run)
     monkeypatch.setattr(os, "fork", must_not_run)
@@ -400,7 +400,7 @@ def test_verify_failure_maps_to_exit_one(monkeypatch, capsys):
     def failing(report):
         run_case(report, "forced", {}, "1", lambda: (False, "2"))
 
-    monkeypatch.setitem(cli.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [failing]))
+    monkeypatch.setitem(verify.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [failing]))
     code, out = run_cli(capsys, "verify", "thm1")
     assert code == 1
     assert json.loads(out)["summary"]["failed"] == 1
@@ -414,7 +414,7 @@ def test_verify_error_status_counts_as_failure(monkeypatch, capsys):
         run_case(report, "explodes", {}, "1", boom)
         assert report.cases[0].status == "error"
 
-    monkeypatch.setitem(cli.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [erroring]))
+    monkeypatch.setitem(verify.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [erroring]))
     code, _ = run_cli(capsys, "verify", "thm1")
     assert code == 1
 
@@ -423,9 +423,40 @@ def test_empty_report_never_passes():
     assert not VerifyReport("thm1").all_passed()
 
 
+CASE_PARAMS = st.dictionaries(
+    st.text(max_size=6), st.integers() | st.lists(st.integers(), max_size=3), max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(max_size=8),
+    st.lists(
+        st.builds(
+            Case,
+            st.text(),
+            CASE_PARAMS,
+            st.text(),
+            st.text(),
+            st.sampled_from(("pass", "fail", "error")),
+            st.floats(),
+        ),
+        max_size=4,
+    ),
+)
+# a report with no case, a case with empty params and non-ASCII text, and
+# one with list params and a float json writes by name
+@example("thm1", [])
+@example("claims", [Case("ct,n=1,a=1,x=+0", {}, "1", "é ≠ 1", "fail", 0.25)])
+@example("general-eval", [Case("a=2,c=(2,3)", {"a": 2, "c": [2, 3]}, "7^n", "", "pass", float("nan"))])
+def test_report_json_is_laid_out_as_json_dumps_lays_it_out(suite, cases):
+    report = VerifyReport(suite, cases)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("suite", ["thm1", "all"])
 def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(cli.SUITES, "thm1", stub_suite("thm1", lambda **bounds: []))
+    monkeypatch.setitem(verify.SUITES, "thm1", stub_suite("thm1", lambda **bounds: []))
     if suite == "all":
         # keep the other suites small; every one of them runs cases
         argv = ["--max-n", "2", "--max-a", "1", "--max-degree", "2", "--max-order", "1",
@@ -440,7 +471,7 @@ def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch,
 
 def test_negative_control_does_not_count_an_empty_run_as_detected():
     report = VerifyReport("wz1")
-    cli._negative_control(report, "negative", "R", lambda: VerifyReport("wz1"))
+    verify._negative_control(report, "negative", "R", lambda: VerifyReport("wz1"))
     assert [case.status for case in report.cases] == ["fail"]
 
 
@@ -457,7 +488,7 @@ def test_verify_all_small_bounds(tmp_path, capsys):
     assert data["suite"] == "all"
     assert data["summary"]["failed"] == 0
     prefixes = {case["id"].split("/")[0] for case in data["cases"]}
-    assert prefixes == set(cli.SUITE_NAMES)
+    assert prefixes == set(verify.SUITE_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +565,7 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
         path = tmp_path / f"{cpus}.json"
         assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(path)]) == 0
         assert capsys.readouterr().err == ""
@@ -545,14 +576,14 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
     assert reports[1] == reports[2] == reports[3]
 
 
-@pytest.mark.parametrize("name", cli.SUITE_NAMES)
+@pytest.mark.parametrize("name", verify.SUITE_NAMES)
 def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monkeypatch, capsys):
     [(_, kwargs, _)] = plan([name, *SMALL_BOUNDS])
-    units = len(cli.SUITES[name][0](**kwargs))
+    units = len(verify.SUITES[name][0](**kwargs))
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(cli, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
         path = tmp_path / f"{cpus}.json"
         assert cli.main(["verify", name, *SMALL_BOUNDS, "--report", str(path)]) == 0
         assert capsys.readouterr().err == ""
@@ -565,9 +596,9 @@ def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monk
 
 def test_unit_queue_refuses_a_short_read():
     read, write = os.pipe()
-    os.write(write, (7).to_bytes(cli._RECORD, "little") + b"\x01\x00")
+    os.write(write, (7).to_bytes(verify._RECORD, "little") + b"\x01\x00")
     os.close(write)
-    indices = cli._queue_indices(read)
+    indices = verify._queue_indices(read)
     try:
         assert next(indices) == 7
         with pytest.raises(RuntimeError, match="short read of 2 bytes"):
@@ -579,8 +610,8 @@ def test_unit_queue_refuses_a_short_read():
 def test_helper_reads_a_suites_last_unit_first(monkeypatch):
     # the parent holds back until the one helper has read its first index,
     # which must be the last unit of the first suite in the queue
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    parent, read_queue = os.getpid(), cli._queue_indices
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    parent, read_queue = os.getpid(), verify._queue_indices
     first_read, first_write = os.pipe()
     firsts = []
 
@@ -588,17 +619,17 @@ def test_helper_reads_a_suites_last_unit_first(monkeypatch):
         indices = read_queue(queue)
         if os.getpid() == parent:
             assert select.select([first_read], [], [], 60)[0], "the helper read no index"
-            firsts.append(int.from_bytes(os.read(first_read, cli._RECORD), "little"))
+            firsts.append(int.from_bytes(os.read(first_read, verify._RECORD), "little"))
         else:
             first = next(indices)
-            os.write(first_write, first.to_bytes(cli._RECORD, "little"))
+            os.write(first_write, first.to_bytes(verify._RECORD, "little"))
             yield first
         yield from indices
 
-    monkeypatch.setattr(cli, "_queue_indices", queue_indices)
+    monkeypatch.setattr(verify, "_queue_indices", queue_indices)
     units = [("wz2", lambda report: None)] * 3 + [("wz1", lambda report: None)] * 2
     try:
-        assert cli._run_units(units) == [[]] * 5
+        assert verify._run_units(units) == [[]] * 5
     finally:
         os.close(first_read)
         os.close(first_write)
@@ -609,7 +640,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
     # a unit raises outside run_case, in a helper while the parent's copy
     # waits for it, or in the parent while a helper's copy waits to be
     # killed; either way verify raises RuntimeError naming the suite
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         for raising_in in ("helper", "parent"):
@@ -623,7 +654,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
                         where.wait_to_be_killed()
 
                 monkeypatch.setitem(
-                    cli.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [unit, unit])
+                    verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [unit, unit])
                 )
                 with pytest.raises(RuntimeError, match="suite wz1 raised outside its cases") as exc:
                     cli.main(["verify", *argv, "--report", os.devnull])
@@ -633,7 +664,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
 
 
 def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         with Where() as where:
@@ -643,7 +674,7 @@ def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
                 where.wait_for_helpers()
 
             monkeypatch.setitem(
-                cli.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [dying, dying])
+                verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [dying, dying])
             )
             dies = "exited with code 3 before sending its cases"
             with pytest.raises(RuntimeError, match=dies) as exc:
@@ -657,15 +688,15 @@ def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
 def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, capsys):
     # units that run no cases, spread over three processes, and a suite
     # with no units at all
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(verify, "_cpus", lambda: 3)
     for argv, empty in zip(REQUESTS, (["wz1"], ["thm1", "wz1", "oracle"])):
         for name in empty:
             no_cases = [lambda report: None] * 6
             units = (lambda **bounds: []) if name == "thm1" else (lambda **bounds: no_cases)
-            monkeypatch.setitem(cli.SUITES, name, stub_suite(name, units))
+            monkeypatch.setitem(verify.SUITES, name, stub_suite(name, units))
         assert cli.main(["verify", *argv, "--report", os.devnull]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"empty suite: {name} ran no cases" for name in cli.SUITE_NAMES if name in empty
+            f"empty suite: {name} ran no cases" for name in verify.SUITE_NAMES if name in empty
         ]
 
 
@@ -673,7 +704,7 @@ def test_table_coeff_and_one_unit_requests_never_fork(monkeypatch, capsys):
     def no_fork():
         raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(verify, "_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", no_fork)
     for argv in (["thm1"], ["thm3", "--a", "2"]):
         code, out = run_cli(capsys, "verify", *argv)
@@ -692,12 +723,12 @@ def test_verify_all_runs_every_share_itself_when_fork_fails(tmp_path, monkeypatc
 
     for argv in REQUESTS:
         serial, parallel = tmp_path / f"{argv[0]}-1.json", tmp_path / f"{argv[0]}-2.json"
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(verify, "_cpus", lambda: 1)
         assert cli.main(["verify", *argv, "--report", str(serial)]) == 0
         # under a process limit, fork fails with EAGAIN
         with monkeypatch.context() as patch:
             patch.setattr(os, "fork", failing_fork)
-            patch.setattr(cli, "_cpus", lambda: 2)
+            patch.setattr(verify, "_cpus", lambda: 2)
             assert cli.main(["verify", *argv, "--report", str(parallel)]) == 0
         assert capsys.readouterr().err == ""
         assert stripped(parallel) == stripped(serial)
@@ -744,8 +775,8 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before the bounds were checked")
 
-    for name in cli.SUITES:
-        monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, stub_suite(name, must_not_run))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -771,8 +802,8 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     def must_not_run(**bounds):
         raise AssertionError("a suite ran before its oracle work was priced")
 
-    for name in cli.SUITES:
-        monkeypatch.setitem(cli.SUITES, name, stub_suite(name, must_not_run))
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, stub_suite(name, must_not_run))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -801,7 +832,7 @@ def _bound_values(flag):
     """The integers the fuzz test passes to `flag`: each minimum - 1,
     minimum, maximum and maximum + 1 it has in SUITES, and +-10**30."""
     values = {10**30, -(10**30)}
-    for _, ranges, _ in cli.SUITES.values():
+    for _, ranges, _ in verify.SUITES.values():
         if flag in ranges:
             minimum, maximum = ranges[flag]
             values |= {minimum - 1, minimum}
@@ -811,7 +842,7 @@ def _bound_values(flag):
 
 
 BOUND_VALUES = {
-    flag: _bound_values(flag) for _, ranges, _ in cli.SUITES.values() for flag in ranges
+    flag: _bound_values(flag) for _, ranges, _ in verify.SUITES.values() for flag in ranges
 }
 
 
@@ -819,7 +850,7 @@ BOUND_VALUES = {
 def verify_argv(draw):
     """`verify` with a suite or all and any subset of the bound flags; in
     one example of four, the last flag's value is not an integer."""
-    argv = ["verify", draw(st.sampled_from(cli.SUITE_NAMES + ("all",)))]
+    argv = ["verify", draw(st.sampled_from(verify.SUITE_NAMES + ("all",)))]
     for flag in draw(st.lists(st.sampled_from(sorted(BOUND_VALUES)), unique=True)):
         argv += ["--" + flag.replace("_", "-"), draw(st.sampled_from(BOUND_VALUES[flag]))]
     if len(argv) > 2 and draw(st.integers(0, 3)) == 0:
@@ -831,7 +862,7 @@ def _admitted_stub(name):
     """The units of a suite with one passing case, once it has asserted
     that `verify` let it start only with bounds inside its ranges and with
     S solves that take at most MAX_ORACLE_WORK together."""
-    units, ranges, solves = cli.SUITES[name]
+    units, ranges, solves = verify.SUITES[name]
     limit = cli.MAX_ORACLE_WORK
 
     def suite(**bounds):
@@ -875,9 +906,9 @@ def assert_exit_contract(argv, stub):
 
 
 def _stub_suites(patch):
-    patch.setattr(cli, "_cpus", lambda: 1)
-    for name in cli.SUITES:
-        patch.setitem(cli.SUITES, name, stub_suite(name, _admitted_stub(name)))
+    patch.setattr(verify, "_cpus", lambda: 1)
+    for name in verify.SUITES:
+        patch.setitem(verify.SUITES, name, stub_suite(name, _admitted_stub(name)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -1037,8 +1068,8 @@ def test_readme_flag_table_matches_suites():
     # README lists a flag's suite default (a_values as lo..hi), its minimum
     # and its maximum, with "priced" for the None of an oracle flag.
     rows = _readme_flag_rows()
-    assert list(rows) == list(cli.SUITES)
-    for name, (suite, ranges, _) in cli.SUITES.items():
+    assert list(rows) == list(verify.SUITES)
+    for name, (suite, ranges, _) in verify.SUITES.items():
         defaults = {
             p.name: p.default for p in inspect.signature(suite).parameters.values()
         }
@@ -1059,7 +1090,7 @@ def test_readme_flag_table_matches_suites():
 def test_verify_all_at_default_bounds_is_admitted():
     works = {name: work for name, _, work in plan(["all"])}
     assert max(works.values()) == works["thm3"] == 705_584 < cli.MAX_ORACLE_WORK
-    assert works["thm3"] == sum(solve_work(2 * a, 9) for a in cli.DEFAULT_THM3_A)
+    assert works["thm3"] == sum(solve_work(2 * a, 9) for a in verify.DEFAULT_THM3_A)
 
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
@@ -1072,7 +1103,7 @@ def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
         return solve_work(r, degree)
 
     monkeypatch.setattr(cli, "solve_work", recording)
-    monkeypatch.setattr(cli, "_run_units", lambda units: [[] for _ in units])
+    monkeypatch.setattr(verify, "_run_units", lambda units: [[] for _ in units])
     cli.main(["verify", "all", "--report", os.devnull])
     capsys.readouterr()
     assert len(priced) == 29
@@ -1096,7 +1127,7 @@ SOLVE_CASES = [
 
 
 def test_solve_cases_cover_every_suite():
-    assert {argv[0] for argv in SOLVE_CASES} == set(cli.SUITE_NAMES)
+    assert {argv[0] for argv in SOLVE_CASES} == set(verify.SUITE_NAMES)
 
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
@@ -1112,9 +1143,9 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
 
         return recorded
 
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
     monkeypatch.setattr(cli, "solve_work", recording(solve_work, priced))
-    monkeypatch.setattr(cli, "solve_S", recording(solve_S, solved))
+    monkeypatch.setattr(verify, "solve_S", recording(solve_S, solved))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers, solved))
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
@@ -1131,7 +1162,7 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
     ("recurrence", geode, "hyper_catalan", {"max_vars": 2, "max_degree": 3}),
 ])
 def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, monkeypatch):
-    suite = cli.SUITES[name][0]
+    suite = verify.SUITES[name][0]
     assert run_units(name, suite(**bounds)).all_passed()
     original = getattr(module, function)
     monkeypatch.setattr(module, function, lambda *args: original(*args) + 1)
@@ -1147,7 +1178,7 @@ def test_claims_shared_values_equal_the_per_call_sums():
     # every claim1/claim2 case reads the signed size mass of one tally per
     # length and every ct case one bracket power per (n, a); their values
     # are those of the functions that build everything per call
-    report = run_units("claims", cli.suite_claims(8, 4))
+    report = run_units("claims", verify.suite_claims(8, 4))
     assert report.all_passed()
     sums = {"claim1": identities.claim1_sum, "claim2": identities.claim2_sum,
             "ct": identities.claim2_ct}
@@ -1177,7 +1208,7 @@ def test_claims_walks_once_per_length_and_powers_once_per_pair(monkeypatch):
     monkeypatch.setattr(
         identities, "_truncated_product", counting(identities._truncated_product, "products")
     )
-    assert run_units("claims", cli.suite_claims(8, 3)).all_passed()
+    assert run_units("claims", verify.suite_claims(8, 3)).all_passed()
     # two walks per (n, a), of lengths n and n-1 (408 when each shift x
     # walked both lengths again), and n-1 products per (n, a) for the
     # list products of the bracket power (588 when each ct case raised the

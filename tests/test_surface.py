@@ -6,6 +6,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import geodenums
+
 ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "geodenums"
 
@@ -17,14 +19,8 @@ BENCHMARK_ONLY = {"mul", "sub", "s1_series", "constant_series", "divide_exact_by
 
 
 def exported() -> set[str]:
-    """The names ``geodenums/__init__.py`` imports from its modules."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    """The names of the export table of ``geodenums/__init__.py``."""
+    return set(geodenums._EXPORTS)
 
 
 def read_names() -> set[str]:

@@ -8,8 +8,8 @@ from math import comb
 import pytest
 
 from geodenums import wz
-from geodenums.cli import _flipped
 from geodenums.geode import geode_closed_2var
+from geodenums.verify import _flipped
 from geodenums.wz import ORIENT_F_DIFFERENCE, check_certificate_R, check_wz1, check_wz2
 
 
@@ -121,7 +121,8 @@ def test_check_wz1_negative_control():
     assert not corrupted.all_passed()
     first = corrupted.first_failure()
     assert first.params == {"n": 1}
-    assert "k=0" in first.actual
+    # the failure message, whose Fractions are built only on this path
+    assert first.actual == "pair relation broken at k=0: F=1, H(k+1)-H(k)=-1"
 
 
 def test_wz2_reduces_to_two_variable_pair():
@@ -240,7 +241,9 @@ def test_mutants_leave_the_rest_of_the_grid_passing():
     # The one-point mutants touch n = 5 (and the certificate's relation at
     # n = 4, which reads F(5, m)); every other n still passes.
     report = check_wz1(8, f=_raised(wz._f1, (5, 2)))
-    assert [case.params["n"] for case in report.cases if case.status != "pass"] == [5]
+    failures = [case for case in report.cases if case.status != "pass"]
+    assert [case.params["n"] for case in failures] == [5]
+    assert failures[0].actual == "pair relation broken at k=1: F=-330, H(k+1)-H(k)=-18166/55"
     report = check_certificate_R(8, r=_raised(wz._cert_R, (5, 2)))
     failures = [case for case in report.cases if case.status != "pass"]
     assert [case.id for case in failures] == ["n=005"]
