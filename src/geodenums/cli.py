@@ -155,7 +155,7 @@ def _build_parser(verify_suites: bool = True) -> argparse.ArgumentParser:
 
         verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
         verify.add_argument("--report", help="write the JSON report to this path")
-        for flag in dict.fromkeys(flag for _, ranges, _ in SUITES.values() for flag in ranges):
+        for flag in dict.fromkeys(flag for _, ranges in SUITES.values() for flag in ranges):
             verify.add_argument("--" + flag.replace("_", "-"), type=int)
     return parser
 

@@ -1,20 +1,23 @@
 """The ``geodenums verify`` command: the verification suites, the plan of a
 request and the queue that runs it.
 
-The suites are the ``suite_<name>`` functions, each returning its ordered
-units (``report.Unit``); their keyword defaults are the acceptance bounds,
-and ``tests/test_acceptance.py`` runs them as they are through
-``report.run_units``.  ``SUITES`` describes each suite once: its units
-function, the flags it takes with their ranges, and the S solves it makes
-at given bounds; ``cli`` adds the bound flags of the ``verify`` subparser
-from it.  A request is planned in one pass (``_plan``): every set flag is
-checked against the ranges of the suites it will run, then each suite's S
-solves are priced once, refusing a suite whose summed work exceeds
-``cli.MAX_ORACLE_WORK``, and each suite is passed only its own flags.
-``verify <suite>`` and ``verify all`` put the units of their suites into
-one queue that the command's process and forked helpers drain on every
-usable CPU (``_run_units``), and assemble one report whatever the CPU
-count.  The report is written by ``report.VerifyReport.to_json``.
+The suites are the ``suite_<name>`` functions, each returning or
+yielding its ordered units (``report.Unit``); their keyword defaults are
+the acceptance bounds, and ``tests/test_acceptance.py`` runs them as they
+are through ``report.run_units``.  A unit that solves S carries the
+(r, max_degree) of each S table it solves, in order, in its ``solves``
+attribute (``_solving``), set where its suite builds it: that is the only
+place a suite's solves are written.  ``SUITES`` describes each suite once:
+its units function and the flags it takes with their ranges; ``cli`` adds
+the bound flags of the ``verify`` subparser from it.  A request is planned
+in one pass (``_plan``): every set flag is checked against the ranges of
+the suites it will run, then each suite is called once with only its own
+flags, and each unit's solves are priced as the unit is yielded, refusing
+a suite whose summed work exceeds ``cli.MAX_ORACLE_WORK``.  ``verify
+<suite>`` and ``verify all`` put those units into one queue that the
+command's process and forked helpers drain on every usable CPU
+(``_run_units``), and assemble one report whatever the CPU count.  The
+report is written by ``report.VerifyReport.to_json``.
 
 ``cli`` imports this module only for ``verify``, so ``table`` and ``coeff``
 load none of the suites' modules.  Exit codes are ``cli``'s.
@@ -23,7 +26,6 @@ load none of the suites' modules.  Exit codes are ``cli``'s.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 from functools import cache, partial
@@ -78,9 +80,18 @@ def _prefixed(prefix: str, unit: Unit) -> Unit:
     return prefixed
 
 
-def _case_units(cases: Iterable[tuple]) -> list[Unit]:
-    """One unit per (case_id, params, expected, check), running that case."""
-    return [lambda report, case=case: run_case(report, *case) for case in cases]
+def _solving(unit: Unit, *solves: tuple[int, int]) -> Unit:
+    """`unit`, carrying the (r, max_degree) of every S table it solves, in
+    the order it solves them, which `_plan` prices before any unit runs."""
+    unit.solves = solves
+    return unit
+
+
+def _case_unit(
+    case_id: str, params: dict, expected: str, check: Callable, *solves: tuple[int, int]
+) -> Unit:
+    """A unit running one case, whose check solves the S tables `solves`."""
+    return _solving(lambda report: run_case(report, case_id, params, expected, check), *solves)
 
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
@@ -97,7 +108,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
                     lambda m=(m1, m2), closed=closed: _is(closed, table.coefficient(m)),
                 )
 
-    return [unit]
+    return [_solving(unit, (2, max_degree + 1))]
 
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
@@ -126,7 +137,7 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
                     check,
                 )
 
-    return [partial(unit, a=a) for a in a_values]
+    return [_solving(partial(unit, a=a), (a, max_sum + 1)) for a in a_values]
 
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
@@ -141,12 +152,12 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
                 lambda n=n: _is(a**n, values.coefficient(n)),
             )
 
-    return [partial(unit, a=a) for a in a_values]
+    return [_solving(partial(unit, a=a), (2 * a, max_order + 1)) for a in a_values]
 
 
 def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
-    return _case_units(
-        (
+    return [
+        _case_unit(
             f"n={n},a={a}",
             {"n": n, "a": a},
             str(a ** (n - 1)),
@@ -154,7 +165,7 @@ def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
         )
         for n in range(1, max_n + 1)
         for a in range(1, max_a + 1)
-    )
+    ]
 
 
 def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
@@ -246,7 +257,7 @@ def suite_certificate(max_n: int = 100) -> list[Unit]:
     ]
 
 
-def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> list[Unit]:
+def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
     def unit(report: VerifyReport, r: int) -> None:
         table = geode.geode_series(r, max_degree - 1)
         for d in range(1, max_degree + 1):
@@ -266,14 +277,16 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> list[Unit]:
                 check,
             )
 
-    return [partial(unit, r=r) for r in range(1, max_vars + 1)]
+    for r in range(1, max_vars + 1):
+        yield _solving(partial(unit, r=r), (r, max_degree))
 
 
 def suite_two_nonzero(
     max_n: int = 7, pairs: Sequence[tuple[int, int]] = ((1, 2), (1, 3), (2, 3), (2, 5))
 ) -> list[Unit]:
+    nvars = max(t for _, t in pairs)
+
     def unit(report: VerifyReport) -> None:
-        nvars = max(t for _, t in pairs)
         table = geode.geode_series(nvars, max_n - 1)
         for s, t in pairs:
             for n in range(1, max_n + 1):
@@ -297,7 +310,7 @@ def suite_two_nonzero(
                     check,
                 )
 
-    return [unit]
+    return [_solving(unit, (nvars, max_n))]
 
 
 def suite_general_eval(max_order: int = 8) -> list[Unit]:
@@ -306,20 +319,22 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
         actual = [values.coefficient(n) for n in range(order + 1)]
         return actual == [base**n for n in range(order + 1)], str(actual)
 
-    return _case_units([
-        (
+    return [
+        _case_unit(
             "a=1,c=(3)",
             {"a": 1, "c": [3], "max_order": max_order},
             "coefficients 3^n",
             lambda: powers_case(1, (3,), 3, max_order),
+            (2, max_order + 1),
         ),
-        (
+        _case_unit(
             "a=2,c=(2,3)",
             {"a": 2, "c": [2, 3], "max_order": 6},
             "coefficients 7^n",
             lambda: powers_case(2, (2, 3), 7, 6),
+            (4, 7),
         ),
-        (
+        _case_unit(
             "a=2,c=(1,1)",
             {"a": 2, "c": [1, 1], "max_order": max_order},
             "matches the alternating evaluation",
@@ -328,17 +343,18 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
                 == geode.eval_alternating(2, max_order),
                 "series coincide",
             ),
+            (4, max_order + 1),
+            (4, max_order + 1),
         ),
-    ])
+    ]
 
 
-def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> list[Unit]:
+def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
     """Self-consistency of the oracle itself: the defining equation residual
     vanishes and S - 1 = (t_1+...+t_r) G holds through the truncation."""
-    cases = []
     for r in range(1, max_vars + 1):
         params = {"r": r, "max_degree": max_degree}
-        cases.append((
+        yield _case_unit(
             f"residual,r={r}",
             params,
             "zero series",
@@ -346,8 +362,11 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> list[Unit]:
                 functional_residual(solve_S(r, max_degree)).is_zero(),
                 "residual is the zero series",
             ),
-        ))
-        cases.append((
+            (r, max_degree),
+        )
+        # geode_series solves S one degree up, and factorization_holds
+        # solves it again, independently of the table
+        yield _case_unit(
             f"factorization,r={r}",
             params,
             "S - 1 = (t_1+...+t_r) G",
@@ -355,85 +374,50 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> list[Unit]:
                 geode.geode_series(r, max_degree).factorization_holds(),
                 "factorization holds",
             ),
-        ))
-    return _case_units(cases)
+            (r, max_degree + 1),
+            (r, max_degree + 1),
+        )
 
 
-# Every suite, in `verify all` order, as (units function, flag ranges, S
-# solves).  The flag ranges give the flags the suite takes and the range
-# (minimum, maximum) each accepts.  Unset flags keep the suite's defaults;
-# --a runs a single a_values entry.  A flag whose cost lies in the oracle
-# has no maximum, because `verify` prices its S solves; the grid suites'
-# maxima keep each one, at its largest admitted bounds, under 3 s on one
-# CPU of a 2-core VM with Python 3.11 (`verify` wall time, at least two
+# Every suite, in `verify all` order, as (units function, flag ranges).
+# The flag ranges give the flags the suite takes and the range (minimum,
+# maximum) each accepts.  Unset flags keep the suite's defaults; --a runs a
+# single a_values entry.  A flag whose cost lies in the oracle has no
+# maximum, because `verify` prices the S solves its units carry; the grid
+# suites' maxima keep each one, at its largest admitted bounds, under 3 s on
+# one CPU of a 2-core VM with Python 3.11 (`verify` wall time, at least two
 # runs each; two CPUs take 0.55-0.75 of it): wz1 at 600 1.5-1.8 s, wz2 at
 # 350 1.4-1.7 s (--a 1000 1.3 s), certificate at 600 1.5-2.0 s, eq31 at
 # 14/5 1.7-2.1 s, claims at 15/4 0.58-0.77 s.  In process, eq31 at 16/5
 # took 3.5 s and claims at 15/5 2.1-2.3 s, so eq31 stops at 14/5 and claims
-# at 15/4.  The S solves are the (r, max_degree) pairs of every S table the
-# suite solves, in the order it solves them, from its keyword arguments;
-# None for a suite that solves none.
-SUITES: dict[
-    str,
-    tuple[
-        Callable[..., list[Unit]],
-        dict[str, tuple[int, int | None]],
-        Callable[..., Iterable[tuple[int, int]]] | None,
-    ],
-] = {
-    "thm1": (suite_thm1, {"max_degree": (0, None)}, lambda max_degree: [(2, max_degree + 1)]),
-    "thm2": (
-        suite_thm2,
-        {"max_sum": (0, None)},
-        lambda max_sum, a_values: ((a, max_sum + 1) for a in a_values),
-    ),
-    "thm3": (
-        suite_thm3,
-        {"max_order": (0, None), "a": (1, None)},
-        lambda max_order, a_values: ((2 * a, max_order + 1) for a in a_values),
-    ),
-    "eq31": (suite_eq31, {"max_n": (1, 14), "max_a": (1, 5)}, None),
-    "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 4)}, None),
-    "wz1": (suite_wz1, {"max_n": (1, 600)}, None),
-    "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}, None),
-    "certificate": (suite_certificate, {"max_n": (1, 600)}, None),
-    "recurrence": (
-        suite_recurrence,
-        {"max_vars": (1, None), "max_degree": (1, None)},
-        lambda max_vars, max_degree: ((r, max_degree) for r in range(1, max_vars + 1)),
-    ),
-    "two-nonzero": (
-        suite_two_nonzero,
-        {"max_n": (1, None)},
-        lambda max_n, pairs: [(max(t for _, t in pairs), max_n)],
-    ),
-    "general-eval": (
-        suite_general_eval,
-        {"max_order": (0, None)},
-        lambda max_order: [(2, max_order + 1), (4, 7), (4, max_order + 1), (4, max_order + 1)],
-    ),
-    "oracle": (
-        suite_oracle,
-        {"max_vars": (1, None), "max_degree": (0, None)},
-        lambda max_vars, max_degree: (
-            solve
-            for r in range(1, max_vars + 1)
-            for solve in ((r, max_degree), (r, max_degree + 1), (r, max_degree + 1))
-        ),
-    ),
+# at 15/4.
+SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, tuple[int, int | None]]]] = {
+    "thm1": (suite_thm1, {"max_degree": (0, None)}),
+    "thm2": (suite_thm2, {"max_sum": (0, None)}),
+    "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
+    "eq31": (suite_eq31, {"max_n": (1, 14), "max_a": (1, 5)}),
+    "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 4)}),
+    "wz1": (suite_wz1, {"max_n": (1, 600)}),
+    "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}),
+    "certificate": (suite_certificate, {"max_n": (1, 600)}),
+    "recurrence": (suite_recurrence, {"max_vars": (1, None), "max_degree": (1, None)}),
+    "two-nonzero": (suite_two_nonzero, {"max_n": (1, None)}),
+    "general-eval": (suite_general_eval, {"max_order": (0, None)}),
+    "oracle": (suite_oracle, {"max_vars": (1, None), "max_degree": (0, None)}),
 }
 SUITE_NAMES = tuple(SUITES)
 
 
 def _plan(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> list[tuple[str, dict, int]]:
-    """(name, keyword arguments, summed solve_work) of every suite in
-    `names`, in `names` order, before any of them runs.  Every set flag of
-    every suite is checked against its range first; then each suite's S
-    solves are priced once each, at its defaults overridden by its own
-    flags, and a suite is refused once their running sum passes
-    MAX_ORACLE_WORK, so a huge bound stops at the first solve past it."""
+) -> list[tuple[str, list[Unit], int]]:
+    """(name, units, summed solve_work) of every suite in `names`, in
+    `names` order, before any unit runs.  Every set flag of every suite is
+    checked against its range first; then each suite is called once, at its
+    defaults overridden by its own flags, and the S solves of each unit are
+    priced as the unit is yielded.  A suite is refused once their running
+    sum passes MAX_ORACLE_WORK, so a huge bound stops at the first solve
+    past it."""
     for name in names:
         for flag, (minimum, maximum) in SUITES[name][1].items():
             value = getattr(args, flag)
@@ -446,17 +430,16 @@ def _plan(
                 parser.error(f"verify {name}: {option} must be <= {maximum}, got {value}")
     plan = []
     for name in names:
-        units, ranges, solves = SUITES[name]
+        suite, ranges = SUITES[name]
         kwargs = {f: getattr(args, f) for f in ranges if getattr(args, f) is not None}
         if "a" in kwargs:
             kwargs["a_values"] = (kwargs.pop("a"),)
-        work = 0
-        if solves is not None:
-            bounds = inspect.signature(units).bind(**kwargs)
-            bounds.apply_defaults()
-            for r, degree in solves(**bounds.arguments):
+        units, work = [], 0
+        for unit in suite(**kwargs):
+            for r, degree in getattr(unit, "solves", ()):
                 work += _check_oracle_size(r, degree, parser, f"verify {name}: ", work)
-        plan.append((name, kwargs, work))
+            units.append(unit)
+        plan.append((name, units, work))
     return plan
 
 
@@ -468,19 +451,19 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_suites(plan: Sequence[tuple[str, dict, int]]) -> dict[str, VerifyReport]:
+def _run_suites(plan: Sequence[tuple[str, list[Unit], int]]) -> dict[str, VerifyReport]:
     """Every suite of `plan`, keyed in plan order, its cases in unit order.
     The units of all of them go into one queue, those of the suite with the
     most planned work first; the sort is stable, so suites of equal work,
     such as the oracle-free ones, keep plan order.  ``_run_units`` runs the
     queue."""
-    units = [
+    queue = [
         (name, unit)
-        for name, kwargs, _ in sorted(plan, key=lambda step: step[2], reverse=True)
-        for unit in SUITES[name][0](**kwargs)
+        for name, units, _ in sorted(plan, key=lambda step: step[2], reverse=True)
+        for unit in units
     ]
     reports = {name: VerifyReport(name) for name, _, _ in plan}
-    for (name, _), cases in zip(units, _run_units(units)):
+    for (name, _), cases in zip(queue, _run_units(queue)):
         reports[name].cases += cases
     return reports
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
-from functools import wraps
+from functools import partial
 from math import comb
 from pathlib import Path
 
@@ -39,21 +39,25 @@ def _constant_layers(max_degree):
 
 
 def stub_suite(name, units):
-    """A registry entry for suite `name` whose units, at any bounds, are
-    those `units(**bounds)` returns; its signature, flags, ranges and S
-    solves are the real suite's, so `verify` plans it as the real one."""
-    suite, ranges, solves = verify.SUITES[name]
+    """A registry entry for suite `name` with its flags and ranges that
+    `verify` prices as the real suite: at any bounds it yields the units
+    that `units(**bounds)` returns, then, as lazily as the real suite
+    yields its units, a unit that runs no case carrying the S solves of
+    each real unit that solves S."""
+    suite, ranges = verify.SUITES[name]
 
-    @wraps(suite)
     def stub(**bounds):
-        return units(**bounds)
+        yield from units(**bounds)
+        for unit in suite(**bounds):
+            if getattr(unit, "solves", ()):
+                yield verify._solving(lambda report: None, *unit.solves)
 
-    return stub, ranges, solves
+    return stub, ranges
 
 
 def plan(argv):
-    """The plan `verify *argv` makes: (name, keyword arguments, work) of
-    each suite it runs."""
+    """The plan `verify *argv` makes: (name, units, work) of each suite it
+    runs."""
     parser = cli._build_parser()
     args = parser.parse_args(["verify", *argv])
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
@@ -171,7 +175,9 @@ def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatc
         raise AssertionError("work started before the output was opened")
 
     for name in verify.SUITES:
-        monkeypatch.setitem(verify.SUITES, name, stub_suite(name, must_not_run))
+        monkeypatch.setitem(
+            verify.SUITES, name, stub_suite(name, lambda **bounds: [must_not_run])
+        )
     monkeypatch.setattr(cli, "_solve_layers", must_not_run)
     monkeypatch.setattr(cli.geode, "_geode_layers", must_not_run)
     monkeypatch.setattr(os, "fork", must_not_run)
@@ -578,8 +584,7 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("name", verify.SUITE_NAMES)
 def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monkeypatch, capsys):
-    [(_, kwargs, _)] = plan([name, *SMALL_BOUNDS])
-    units = len(verify.SUITES[name][0](**kwargs))
+    [(_, units, _)] = plan([name, *SMALL_BOUNDS])
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
@@ -588,7 +593,7 @@ def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monk
         assert cli.main(["verify", name, *SMALL_BOUNDS, "--report", str(path)]) == 0
         assert capsys.readouterr().err == ""
         reports[cpus] = stripped(path)
-    assert len(pids) == sum(min(cpus, units) - 1 for cpus in (1, 2, 3))
+    assert len(pids) == sum(min(cpus, len(units)) - 1 for cpus in (1, 2, 3))
     assert_reaped(pids)
     assert reports[1]["summary"]["total"] > 0
     assert reports[1] == reports[2] == reports[3]
@@ -692,8 +697,11 @@ def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, 
     for argv, empty in zip(REQUESTS, (["wz1"], ["thm1", "wz1", "oracle"])):
         for name in empty:
             no_cases = [lambda report: None] * 6
-            units = (lambda **bounds: []) if name == "thm1" else (lambda **bounds: no_cases)
-            monkeypatch.setitem(verify.SUITES, name, stub_suite(name, units))
+            if name == "thm1":
+                entry = (lambda **bounds: [], verify.SUITES[name][1])
+            else:
+                entry = stub_suite(name, lambda **bounds: no_cases)
+            monkeypatch.setitem(verify.SUITES, name, entry)
         assert cli.main(["verify", *argv, "--report", os.devnull]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"empty suite: {name} ran no cases" for name in verify.SUITE_NAMES if name in empty
@@ -772,11 +780,13 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["all", "--max-n", "15"],
 ], ids=" ".join)
 def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
+    # a suite builds its units when it is called, as many as its bounds ask
+    # for, so no suite may even be called before every bound is checked
     def must_not_run(**bounds):
-        raise AssertionError("a suite ran before the bounds were checked")
+        raise AssertionError("a suite was called before the bounds were checked")
 
-    for name in verify.SUITES:
-        monkeypatch.setitem(verify.SUITES, name, stub_suite(name, must_not_run))
+    for name, (_, ranges) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (must_not_run, ranges))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -798,12 +808,16 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     # solves S(10, 9), 2.4e7 units; MAX_ORACLE_WORK is 1e7.  recurrence
     # at 1000 variables, degree 1, solves S(r, 1) for r = 1..1000 and
     # oracle at degree 0 S(r, 0) and twice S(r, 1): each solve is admitted
-    # alone, but together they take 1.7e9 and 3.8e9 units.
-    def must_not_run(**bounds):
-        raise AssertionError("a suite ran before its oracle work was priced")
+    # alone, but together they take 1.7e9 and 3.8e9 units.  Pricing reads
+    # the units' solves as the suite yields them, so 10**30 variables
+    # stop at the first solve past the limit.
+    def must_not_run(report):
+        raise AssertionError("a unit ran before its suite's oracle work was priced")
 
     for name in verify.SUITES:
-        monkeypatch.setitem(verify.SUITES, name, stub_suite(name, must_not_run))
+        monkeypatch.setitem(
+            verify.SUITES, name, stub_suite(name, lambda **bounds: [must_not_run])
+        )
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -832,7 +846,7 @@ def _bound_values(flag):
     """The integers the fuzz test passes to `flag`: each minimum - 1,
     minimum, maximum and maximum + 1 it has in SUITES, and +-10**30."""
     values = {10**30, -(10**30)}
-    for _, ranges, _ in verify.SUITES.values():
+    for _, ranges in verify.SUITES.values():
         if flag in ranges:
             minimum, maximum = ranges[flag]
             values |= {minimum - 1, minimum}
@@ -842,7 +856,7 @@ def _bound_values(flag):
 
 
 BOUND_VALUES = {
-    flag: _bound_values(flag) for _, ranges, _ in verify.SUITES.values() for flag in ranges
+    flag: _bound_values(flag) for _, ranges in verify.SUITES.values() for flag in ranges
 }
 
 
@@ -859,32 +873,32 @@ def verify_argv(draw):
 
 
 def _admitted_stub(name):
-    """The units of a suite with one passing case, once it has asserted
-    that `verify` let it start only with bounds inside its ranges and with
-    S solves that take at most MAX_ORACLE_WORK together."""
-    units, ranges, solves = verify.SUITES[name]
+    """A units function for suite `name` returning one unit with one
+    passing case, which asserts first, when it runs, that `verify` let the
+    suite start only with bounds inside its ranges and with S solves (those
+    the real suite's units carry at the same bounds) that take at most
+    MAX_ORACLE_WORK together."""
+    suite, ranges = verify.SUITES[name]
     limit = cli.MAX_ORACLE_WORK
 
-    def suite(**bounds):
+    def admitted(report, bounds):
         for flag, value in bounds.items():
             if flag == "a_values":
                 flag, (value,) = "a", value
             minimum, maximum = ranges[flag]
             assert minimum <= value and (maximum is None or value <= maximum), (name, flag)
-        if solves is not None:
-            arguments = inspect.signature(units).bind(**bounds)
-            arguments.apply_defaults()
-            work = 0
-            for r, degree in solves(**arguments.arguments):
+        work = 0
+        for unit in suite(**bounds):
+            for r, degree in getattr(unit, "solves", ()):
                 # solve_work is at least max(r^2, degree) and 2^min(r,
                 # degree), so only small (r, degree) reach the full estimate
                 assert max(r * r, degree) <= limit, (name, r, degree)
                 assert min(r, degree) < limit.bit_length(), (name, r, degree)
                 work += solve_work(r, degree)
                 assert work <= limit, (name, r, degree)
-        return [lambda report: run_case(report, "stub", {}, "ok", lambda: (True, "ok"))]
+        run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
 
-    return suite
+    return lambda **bounds: [partial(admitted, bounds=bounds)]
 
 
 def assert_exit_contract(argv, stub):
@@ -1069,7 +1083,7 @@ def test_readme_flag_table_matches_suites():
     # and its maximum, with "priced" for the None of an oracle flag.
     rows = _readme_flag_rows()
     assert list(rows) == list(verify.SUITES)
-    for name, (suite, ranges, _) in verify.SUITES.items():
+    for name, (suite, ranges) in verify.SUITES.items():
         defaults = {
             p.name: p.default for p in inspect.signature(suite).parameters.values()
         }
@@ -1107,6 +1121,44 @@ def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
     cli.main(["verify", "all", "--report", os.devnull])
     capsys.readouterr()
     assert len(priced) == 29
+
+
+def test_verify_all_calls_each_suite_once_and_a_refused_request_runs_no_unit(
+    monkeypatch, capsys
+):
+    # the plan builds each suite's units once, and the queue runs those
+    # same units; a request the guard refuses runs none of the units its
+    # plan built before the refusal
+    calls, ran = [], []
+
+    def counted(name, suite):
+        def units(**bounds):
+            calls.append(name)
+            for unit in suite(**bounds):
+                def run(report, unit=unit):
+                    ran.append(name)
+                    unit(report)
+
+                yield verify._solving(run, *getattr(unit, "solves", ()))
+
+        return units
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    for name, (suite, ranges) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (counted(name, suite), ranges))
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert calls == list(verify.SUITE_NAMES)
+    assert set(ran) == set(verify.SUITE_NAMES)
+
+    calls.clear()
+    ran.clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--max-vars", str(10**30), "--report", os.devnull])
+    assert exc.value.code == 2
+    assert "error: verify recurrence: " in capsys.readouterr().err
+    assert calls == list(verify.SUITE_NAMES[: verify.SUITE_NAMES.index("recurrence") + 1])
+    assert ran == []
 
 
 SOLVE_CASES = [

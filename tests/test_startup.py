@@ -95,7 +95,7 @@ def test_verify_help_lists_every_suite_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = _parse(cli.main, ["verify", "-h"], capsys)
     assert code == 0
-    for name, (_, ranges, _) in SUITES.items():
+    for name, (_, ranges) in SUITES.items():
         assert name in out
         for flag in ranges:
             assert "--" + flag.replace("_", "-") in out, flag
