@@ -9,11 +9,14 @@ is the Catalan numbers and a single t_k gives a Fuss-Catalan family.
 
 ``solve_S`` obtains S from the defining equation, one homogeneous layer at
 a time, and serves as the ground-truth oracle for the whole package; it
-keeps no state between calls.  It unpacks the packed layers of
-``_solve_layers``, which ``geode._geode_layers`` divides and
-``geodenums table`` writes as they are.
-``functional_residual`` checks a series against the equation on packed
-layers as well.  ``solve_work`` estimates its cost from
+keeps no state between calls.  Multiplying the equation by S^{j-1} gives
+S^j = S^{j-1} + sum_k t_k S^{j+k}, so each layer of every power it needs
+is a sum of layers one degree lower: the solve forms no series product.
+It unpacks the packed layers of ``_solve_layers``, which
+``geode._geode_layers`` divides and ``geodenums table`` writes as they are.
+``functional_residual`` checks a series against the equation itself, with
+powers chained through ``mpoly._layer_product``, an algorithm the solve
+does not run.  ``solve_work`` estimates the solve's cost from
 (r, max_degree) alone, so a request can be refused before it runs.
 ``hyper_catalan`` is the independent closed form.  Agreement of the two is
 itself one of the verification suites.
@@ -21,8 +24,10 @@ itself one of the verification suites.
 
 from __future__ import annotations
 
-from itertools import chain
+from bisect import bisect_left
+from itertools import accumulate, chain
 from math import comb, factorial
+from operator import add
 from typing import Sequence
 
 from .mpoly import (
@@ -35,31 +40,13 @@ from .mpoly import (
 )
 
 
-def _lane_bytes(r: int, max_degree: int) -> int:
-    """Bytes per lane in ``solve_S``: every coefficient of S^j, j <= r + 1,
-    of total degree <= max_degree is below 2^(8 * _lane_bytes(r, max_degree)).
-
-    Every coefficient is positive, so each is at most the sum of its layer,
-    [x^d] S^j(x, ..., x).  S(x, ..., x) has nonnegative coefficients and
-    constant term 1, so S^j <= S^{r+1} coefficientwise for j <= r + 1, and
-    S(x, ..., x) = 1 + x sum_k S^{k+1} <= M coefficientwise, where
-    M = 1 + r x M^{r+1} (induction on the degree).  By Lagrange inversion
-
-        [x^d] M^{r+1} = r^d C((r+1)(d+1), d) / (d+1) < r^d 2^{(r+1)(d+1)},
-
-    and r <= 2^{(r-1).bit_length()}, so for d <= D = max_degree the
-    W = (r+1)(D+1) + D (r-1).bit_length() + 1 bits are enough.  W is
-    rounded up to whole bytes.
-    """
-    bits = (r + 1) * (max_degree + 1) + max_degree * (r - 1).bit_length() + 1
-    return (bits + 7) // 8
-
-
 def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     """Series solution of S = 1 + sum_k t_k S^{k+1}, exact through max_degree.
 
-    The layers of ``_solve_layers``, unpacked once.  Every call builds a new
-    series.
+    The layers of ``_solve_layers``, solved by the power recurrence
+    S^j = S^{j-1} + sum_k t_k S^{j+k} that the equation gives times
+    S^{j-1}, through J_d = 1 + (max_degree - d) r powers at layer d, and
+    unpacked once.  Every call builds a new series.
     """
     shift, layers = _solve_layers(r, max_degree)
     return TruncatedSeries(r, max_degree, _unpack_terms(chain.from_iterable(layers), r, shift))
@@ -68,29 +55,27 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
 def _solve_layers(r: int, max_degree: int) -> tuple[int, Layers]:
     """The packing shift and the packed layers 0..max_degree of S.
 
-    Solves one homogeneous layer at a time.  With S_0 = 1 and every power's
-    layer 0 equal to 1, for d = 1..max_degree
+    Multiplying the defining equation by S^{j-1} gives, for every j >= 1,
 
-        [S]_d   = sum_k t_k [S^{k+1}]_{d-1}
-        [S^j]_d = sum_{i=0..d} [S^{j-1}]_i [S]_{d-i}     (j = 2..r+1, d < max_degree)
+        S^j = S^{j-1} + sum_k t_k S^{j+k},
 
-    Each right side reads only layers that are already final, so no pass is
-    repeated and no convergence test is needed.
+    so, writing [F]_d for the homogeneous layer d of F, every power's layer
+    0 is 1, [S^0]_d = 0 for d >= 1, and
 
-    The powers S^1..S^r of a monomial are held as fixed-width lanes of one
-    int, S^j in lane j - 1.  So one ``_layer_product`` of the packed layers
-    0..d-1 with S gives, in lane j - 2 and for every power at once,
+        [S^j]_d = [S^{j-1}]_d + sum_k t_k [S^{j+k}]_{d-1}.
 
-        Q_j = sum_{i<d} [S^{j-1}]_i [S]_{d-i}.
-
-    The missing i = d term is [S^{j-1}]_d [S]_0 = [S^{j-1}]_d, so
-    [S^j]_d = [S]_d + Q_2 + ... + Q_j, a running sum across the lanes.  It is
-    taken on the whole int by log2(r + 1) shift-and-add steps, with [S]_d
-    shifted in below Q_2; lane k of the result is then [S^{k+1}]_d, which
-    layer d + 1 of S reads as the coefficient of t_k.  Every coefficient is
-    positive and below 2^W (``_lane_bytes`` proves the bound), and every
-    partial sum in a lane is at most the coefficient it sums to, so no lane
-    ever carries into the next.
+    Layer d of S^j reads layer d - 1 of powers up to j + r only.  Layer D =
+    max_degree needs S^1 alone, so layer d needs the powers j <= J_d =
+    1 + (D - d) r, and layer d - 1 holds exactly the J_d + r = J_{d-1} that
+    it reads.  No series product is formed: each monomial of layer d - 1
+    holds its coefficients in S^1..S^{J_{d-1}} as a list v of exact ints,
+    v[0] for S^1, and pushes the window v[k : k + J_d], its S^{j+k} for
+    j = 1..J_d, into its monomial times t_k, where the first window is
+    copied and later ones are added entry by entry.  As [S^0]_d = 0, the
+    prefix sums of the windows summed at a monomial are its S^1..S^{J_d},
+    and entry 0, S^1, is layer d of S.  Each right side reads only layers
+    that are already final, so no pass is repeated and no convergence test
+    is needed; the last layer, J_D = 1, adds up the S^{k+1} entries alone.
 
     Layers are lists of (packed exponent, coefficient) pairs, exponents
     packed in fields of ``shift`` bits; layer 0 is exactly [(0, 1)].
@@ -100,69 +85,101 @@ def _solve_layers(r: int, max_degree: int) -> tuple[int, Layers]:
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     shift = _packing_shift(max_degree)
-    units = [1 << (k * shift) for k in range(r)]  # t_1..t_r, packed
-    width = _lane_bytes(r, max_degree)
-    bits = 8 * width
-    size = (r + 1) * width  # lanes S^1..S^{r+1}
-    whole = (1 << (8 * size)) - 1
-    powers = (1 << (r * bits)) - 1  # lanes S^1..S^r
-    steps = [bits << i for i in range(r.bit_length())]
-    # Lane k of a word, S^{k+1}, is the coefficient of t_k in the next layer.
-    reads = [(unit, cut, cut + width) for unit, cut in zip(units, range(width, size, width))]
-    from_bytes = int.from_bytes
+    # t_k, packed, and k: v[k] is S^{k+1} in a monomial's list v of S^1, S^2, ...
+    windows = [(1 << ((k - 1) * shift), k) for k in range(1, r + 1)]
+    top = 1 + max_degree * r  # J_0
+    powers = [(0, [1] * top)]  # layer 0 of S^1..S^{J_0}
     s: Layers = [[(0, 1)]]
-    # packed[d] is layer d of S^1..S^r, for d < max_degree.
-    packed: Layers = []
-    for d in range(max_degree):
-        q = _layer_product(packed, s, d, {})
-        layer = []
-        following: dict[int, int] = {}
+    for _ in range(1, max_degree):
+        top -= r
+        following: dict[int, list[int]] = {}
         get = following.get
-        for key, c in s[d]:
-            word = (q.get(key, 0) << bits) + c
-            for step in steps:
-                word += word << step
-            word &= whole
-            layer.append((key, word & powers))
-            lanes = word.to_bytes(size, "little")
-            for unit, start, end in reads:
-                k = key + unit
-                following[k] = get(k, 0) + from_bytes(lanes[start:end], "little")
-        packed.append(layer)
-        s.append(list(following.items()))
+        for key, v in powers:
+            for unit, k in windows:
+                target = key + unit
+                window = v[k : k + top]
+                held = get(target)
+                following[target] = window if held is None else list(map(add, held, window))
+        powers = [(key, list(accumulate(w))) for key, w in following.items()]
+        s.append([(key, v[0]) for key, v in powers])
+    if max_degree:
+        last: dict[int, int] = {}
+        get = last.get
+        for key, v in powers:
+            for unit, k in windows:
+                target = key + unit
+                last[target] = add(get(target, 0), v[k])
+        s.append(list(last.items()))
     return shift, s
 
 
-def solve_pairs(r: int, max_degree: int) -> int:
-    """Coefficient pairs ``solve_S(r, max_degree)`` multiplies.  Every C[m]
-    is positive, so for 0 < d < max_degree the one product of layer d takes
-    one pair per monomial of degree d in 2r variables, less the pairs with
-    [S]_0, one per monomial of degree d in r variables."""
-    return comb(2 * r + max_degree - 1, 2 * r) - comb(r + max_degree - 1, r)
+def _solve_counts(r: int, max_degree: int) -> tuple[int, int, int, int]:
+    """(windows, window additions, prefix sums, peak) of ``_solve_layers(r,
+    max_degree)``: the windows it pushes, the entries it adds into
+    windows already at their monomial (every entry of the last layer's,
+    which add into 0), the entries its prefix sums run over, and the most
+    ints one layer of powers holds, max_{d<D} N_d J_d.
+
+    With D = max_degree, N_d = C(r + d - 1, r - 1) monomials in layer d
+    and J_d = 1 + (D - d) r, layer d for d = 1..D takes one window of J_d
+    entries from each of the N_{d-1} monomials of layer d - 1 and each
+    variable.  With sum_{e<D} N_e = C(r + D - 1, r) and sum_{e<D} N_e
+    (D - 1 - e) = C(r + D - 1, r + 1), that is r C(r + D - 1, r) windows
+    of r (C(r + D - 1, r) + r C(r + D - 1, r + 1)) entries.  For d < D the
+    first window into a monomial is copied, not added, and its J_d
+    entries are the ones the prefix sums run over, sum_{0<d<D} N_d J_d =
+    C(r + D - 1, r) + r C(r + D, r + 1) - 1 - D r; every other entry is a
+    window addition.  N_d J_d is log-concave in d, so the peak is found by
+    bisection.
+    """
+    D = max_degree
+    if not D:
+        return 0, 0, 0, 0
+    below = comb(r + D - 1, r)
+    entries = r * (below + r * comb(r + D - 1, r + 1))
+    prefix = below + r * comb(r + D, r + 1) - 1 - D * r
+
+    def held(d: int) -> int:
+        return comb(r + d - 1, r - 1) * (1 + (D - d) * r)
+
+    peak = held(bisect_left(range(D - 1), True, key=lambda d: held(d + 1) <= held(d)))
+    return r * below, entries - prefix, prefix, peak
 
 
 def solve_work(r: int, max_degree: int) -> int:
     """Estimated cost of ``solve_S(r, max_degree)`` and of writing out its
-    table, in units of one product of short coefficients.
+    table, in units of one addition of short coefficients.
 
-    Each pair multiplies a packed int of r lanes of W = 8 * _lane_bytes(r,
-    max_degree) bits by a coefficient of up to W bits and counts
-    1 + r W (1 + W / 4096) / 512.  The W^2 part is the schoolbook product
-    of the two lengths, which CPython uses below 70 digits (2100 bits) and
-    which dominates when one variable runs to a high degree: without it,
-    S at r = 1 through degree 1621 was admitted and took twice as long as
-    the largest admitted request for r = 2..7.  Each of the C(r + max_degree
-    - 1, r) monomials below max_degree has its r lanes read out once, each
-    lane counting 8 + W // 16.  Each of the r C(r + max_degree, r) exponent
-    entries counts 4: it is decoded, checked against its layer's degree
-    and written once.  The r packed t_1..t_r, up to r fields long, count
-    r^2, which bounds r even at max_degree 0.  The estimate is at least max(r^2, max_degree) and
-    2^min(r, max_degree)."""
-    lane = 8 * _lane_bytes(r, max_degree)
-    pairs = solve_pairs(r, max_degree)
-    reads = r * comb(r + max_degree - 1, r) * (8 + lane // 16)
-    unpack = r * comb(r + max_degree, r)
-    return pairs + pairs * r * lane * (4096 + lane) // (512 * 4096) + reads + 4 * unpack + r * r
+    From the counts of ``_solve_counts``, with D = max_degree:
+
+    - each window counts 16, the list and dict work around its entries;
+    - each window entry, added or copied, and each prefix sum is one
+      addition;
+    - at most three layers of powers are alive at once (those read, the
+      windows summed and their prefix sums), so the ints held at once,
+      three times the peak, count one each as well, and an admitted solve
+      cannot hold more power coefficients than its estimate;
+    - each of these counts W / 8192 more for its length: every
+      coefficient is positive, so it is at most its layer's sum, [x^d]
+      S^j(x, ..., x) <= [x^d] M^j where M = 1 + r x M^{r+1} (S^k <=
+      S^{r+1} coefficientwise for k <= r + 1, and induction on the
+      degree).  By Lagrange inversion [x^d] M^j = j C((r+1) d + j, d) r^d
+      / ((r+1) d + j) < 2^{(r+1) d + j} r^d, and j <= J_d gives
+      (r+1) d + j <= 1 + r D + d, so W = 1 + D (r + 1 + (r-1).bit_length())
+      bits hold every coefficient.  Additions are linear in the length,
+      and most coefficients are far shorter than W, so the part matters
+      only with few variables at a high degree;
+    - each of the r C(r + D, r) exponent entries of the table counts 4:
+      it is decoded, checked against its layer's degree and written once;
+    - the r packed t_1..t_r, up to r fields long, count r^2, which bounds
+      r even at max_degree 0.
+
+    The estimate is at least max(r^2, max_degree) (every layer takes a
+    window) and 2^min(r, max_degree) (C(r + D, r) >= 2^min(r, D))."""
+    windows, additions, prefix, peak = _solve_counts(r, max_degree)
+    width = 1 + max_degree * (r + 1 + (r - 1).bit_length())
+    ints = additions + 2 * prefix + 3 * peak  # the copies are as many as the prefix sums
+    return 16 * windows + ints * (8192 + width) // 8192 + 4 * r * comb(r + max_degree, r) + r * r
 
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:

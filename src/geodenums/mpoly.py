@@ -13,12 +13,12 @@ Truncation is by total degree, which matches the homogeneous-layer grading in
 which the factorization S - 1 = (t_1 + ... + t_r) * G lives.
 
 The package computes on packed layers: lists of (packed exponent,
-coefficient) pairs, one list per total degree.  Every series product, the
-oracle solve's included, runs through one kernel, ``_layer_product``: one
-homogeneous layer of a product of two such series.  The kernel only adds
-and multiplies coefficients, so the oracle also runs it on lane-packed
-coefficients: ints that hold one monomial's coefficients in r powers of S
-side by side, in fixed-width bit lanes that never carry into each other.
+coefficient) pairs, one list per total degree.  Every series product runs
+through one kernel, ``_layer_product``: one homogeneous layer of a product
+of two such series.  The oracle solve forms no product (``hypercat``
+builds each power of S from sums of layers one degree lower), so the
+products that check it, ``hypercat.functional_residual`` and the
+factorization check, run an algorithm the solve does not.
 
 Exact division by t_1 + ... + t_r, ``_divide_layers``, works on packed
 layers too, so ``geode.geode_series`` divides the solver's layers without

@@ -94,6 +94,12 @@ TABLE_SHA256 = {
     ("G", "json", 6, 4): "b075bf0f4495a628acb3e896d25509cb8096b8b982958b86935ef0e3ba9d02be",
     ("G", "csv", 3, 6): "833f42ee1b9351f199e3516cb1a06e2872ed92c925af2e159669b2888e8b7bd3",
     ("G", "csv", 6, 4): "ff1e8d54035ae34f8dec2d09018631c7598081c1f7972705dbcd7a47489bee50",
+    # shapes the benchmark never requests: one variable deep, seven
+    # variables, a deep G, and many variables at a shallow degree
+    ("S", "csv", 1, 300): "f0007ff34f1dc5e93f27e3fb94716574cad7452160db0de7d8246b35f8f4a0a7",
+    ("S", "csv", 7, 8): "9d52f5f5692b8b9bbccaad0622cc9d6634f87b451727710f3f8a55dbfc657931",
+    ("G", "json", 2, 30): "c919b7be19e26dea3a93c77cbc5568d98fe9ca9f80ecfd133a7aca10ef115be3",
+    ("S", "json", 40, 2): "f86a246d7434662fe597a99eb57b560ebf0bd3e33f912f9ce30013233b4568bc",
 }
 
 
@@ -804,11 +810,11 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
-    # thm1 at degree 200 solves S(2, 201), 3.4e8 units; thm3 at a = 5
-    # solves S(10, 9), 2.4e7 units; MAX_ORACLE_WORK is 1e7.  recurrence
+    # thm1 at degree 200 solves S(2, 201), 9.9e6 units; thm3 at a = 5
+    # solves S(10, 9), 1.6e7 units; MAX_ORACLE_WORK is 3e6.  recurrence
     # at 1000 variables, degree 1, solves S(r, 1) for r = 1..1000 and
     # oracle at degree 0 S(r, 0) and twice S(r, 1): each solve is admitted
-    # alone, but together they take 1.7e9 and 3.8e9 units.  Pricing reads
+    # alone, but together they take 1.7e9 and 3.7e9 units.  Pricing reads
     # the units' solves as the suite yields them, so 10**30 variables
     # stop at the first solve past the limit.
     def must_not_run(report):
@@ -831,10 +837,10 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
 
 
 def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
-    # recurrence at degree 1 admits 178 variables and oracle at degree 0
-    # 136: the solves of one more variable take the sum past the limit
+    # recurrence at degree 1 admits 118 variables and oracle at degree 0
+    # 90: the solves of one more variable take the sum past the limit
     limit = cli.MAX_ORACLE_WORK
-    for name, degree, largest in (("recurrence", "1", 178), ("oracle", "0", 136)):
+    for name, degree, largest in (("recurrence", "1", 118), ("oracle", "0", 90)):
         [(_, _, work)] = plan([name, "--max-vars", str(largest), "--max-degree", degree])
         assert work <= limit
         with pytest.raises(SystemExit) as exc:
@@ -1103,7 +1109,7 @@ def test_readme_flag_table_matches_suites():
 
 def test_verify_all_at_default_bounds_is_admitted():
     works = {name: work for name, _, work in plan(["all"])}
-    assert max(works.values()) == works["thm3"] == 705_584 < cli.MAX_ORACLE_WORK
+    assert max(works.values()) == works["thm3"] == 694_669 < cli.MAX_ORACLE_WORK
     assert works["thm3"] == sum(solve_work(2 * a, 9) for a in verify.DEFAULT_THM3_A)
 
 
