@@ -3,9 +3,12 @@
 Running over all partitions of fixed length with parts at most 2a, three
 alternating binomial sums collapse to powers of a.  Two of them carry a free
 integer shift x: they are polynomials in x of degree below n, so agreeing at
-n or more points certifies them as polynomial identities.  A constant-term
-extraction from a Laurent polynomial reproduces the same values without
-enumerating a single partition.
+n or more points certifies them as polynomial identities.  The sums
+enumerate no partition: by the multinomial theorem, the multinomial weight of
+all partitions of length L and size s is the z^s coefficient of
+(z + z^2 + ... + z^(2a))^L.  A constant-term extraction from a Laurent
+polynomial reproduces the same values by a second route; the "enumeration"
+column of the last table is the first route.
 """
 
 from math import factorial, prod

@@ -26,8 +26,8 @@ _EXPORTS = {
             "geode_series",
         )),
         ("identities", (
-            "alternating_partition_sum", "binom_general", "claim1_sum", "claim2_ct",
-            "claim2_sum", "partition_sum_main",
+            "binom_general", "claim1_sum", "claim2_ct", "claim2_sum",
+            "partition_sum_main",
         )),
         ("wz", ("check_certificate_R", "check_wz1", "check_wz2")),
         ("report", ("Case", "VerifyReport")),

@@ -128,12 +128,24 @@ def geode_coefficient(exps: Sequence[int]) -> int:
 # argument parsing and entry points
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, and its subparsers, with the help written through
+    ``_write_output``: argparse drops a failed write, which an unbuffered
+    stdout raises at once, so -h on a full device would exit 0."""
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        if _write_output(lambda stdout: stdout.write(self.format_help())):
+            self.exit(2)
+
+
 def _build_parser(verify_suites: bool = True) -> argparse.ArgumentParser:
     """The command-line parser.  Its ``verify`` subparser takes its suite
     choices and bound flags from ``verify.SUITES`` only with
     `verify_suites`, since importing the suites is most of a process's
     start-up; without them it takes no argument."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodenums",
         description="Exact hyper-Catalan / Geode number kernel and verifier.",
     )
@@ -254,14 +266,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # argparse runs the verify subparser only on what follows a `verify`
     # token, so a command line without one never needs the suites
     parser = _build_parser("verify" in argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        # -h prints its help to stdout here: flush it under the same guard
-        # as a command's output, so a failed flush is one error line and 2
-        if _write_output(lambda stdout: None):
-            return 2
-        raise
+    # -h prints its help and exits here, under the output guard (_Parser)
+    args = parser.parse_args(argv)
     if args.command == "table":
         return _cmd_table(args, parser)
     if args.command == "coeff":

@@ -2,33 +2,34 @@
 
 A partition with parts bounded by 2a is encoded by its multiplicity vector
 (m_1, ..., m_2a): size |lambda| = sum k*m_k, length l(lambda) = sum m_k.
-Every sum below depends on the vector only through |lambda| and m_2a, and
-is computed in two steps:
+Every sum below weighs a vector by multinomial(L; m) and depends on it only
+through |lambda| and m_2a, so none of them enumerates a partition.  By the
+multinomial theorem, with P = z + z^2 + ... + z^(2a),
 
-  * the tally: ``partition_tally(length, a)`` is the one walk over all
-    partitions of fixed length and bounded part; it adds up the multinomial
-    weights per (|lambda|, m_2a), in integers;
-  * the combine: ``alternating_partition_sum`` evaluates a term once per
-    nonzero group of a tally; where the term depends on the size alone,
-    ``size_mass`` folds the tally into one signed mass per size and
-    ``shifted_binomial_sum`` dots that mass with one binomial per size.
+    sum over the vectors m of length L of multinomial(L; m) z^|lambda|  =  P^L,
 
-A tally depends on (length, a) only, so a caller that checks many sums of
-one (n, a) walks once per length: the ``claims`` suite of the CLI builds
-the size masses of the length-n and length-(n-1) tallies once per (n, a);
-every claim1 and eq32 case reads the first, every claim2 and eq33 case the
-second, and its ct cases share one ``bracket_power``.  Each sum evaluates
-to a strikingly simple value:
+so the weight of all vectors of one size is a coefficient of P^L
+(``part_power``), and the weight with the factor m_2a is a coefficient of
+L z^(2a) P^(L-1), since j C(L, j) = L C(L-1, j-1).  ``size_mass`` signs the
+coefficients of P^L by (-1)^|lambda|, and ``shifted_binomial_sum`` dots that
+mass with one binomial per size.
+
+A power depends on (L, a) only, so a caller that checks many sums of one
+(n, a) raises P once per length: the ``claims`` suite of the CLI builds the
+size masses of lengths n and n-1 once per (n, a); every claim1 and eq32
+case reads the first, every claim2 and eq33 case the second, and its ct
+cases share one ``bracket_power``.  Each sum evaluates to a strikingly
+simple value:
 
   * partition_sum_main(n, a)  -> a^(n-1)
   * claim1_sum(n, a, x)       -> 0           (any integer x)
   * claim2_sum(n, a, x)       -> a^(n-1)     (any integer x)
   * claim2_ct(n, a, x)        -> the same value via constant-term extraction,
-                                 an independent route that never enumerates
-                                 partitions: the z^(n-1) coefficient of
-                                 (1+z)^(n+x) times ``bracket_power(n, a)``,
-                                 a power that does not depend on x, kept as
-                                 a plain list of integer coefficients
+                                 an independent route that never forms P:
+                                 the z^(n-1) coefficient of (1+z)^(n+x) times
+                                 ``bracket_power(n, a)``, a power that does
+                                 not depend on x, kept as a plain list of
+                                 integer coefficients
 
 Both claim sums are polynomials of degree <= n-1 in x, so checking n or more
 distinct integer points certifies the polynomial identity itself; the x
@@ -37,14 +38,8 @@ arguments are plain integers, never symbols.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, factorial, lcm
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-# tally[size][m_2a]: the multinomial mass of the vectors in that group.
-Tally = list[list[int]]
 
 
 def binom_general(y: int, k: int) -> int:
@@ -65,73 +60,30 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def partition_tally(length: int, a: int) -> Tally:
-    """The multinomial weights of the partitions with `length` parts, each at
-    most 2a, added up per group (|l|, m_2a): entry [size][m_2a] is the sum of
-    multinomial(length; m) over the vectors m of that size and last entry.
-
-    One recursive walk over the slots visits the vectors in ascending
-    lexicographic order, as ``iter_exponents(2a, length)`` yields them.  It
-    carries the running size and the multinomial as the product of
-    binomials C(length, m_1) C(length - m_1, m_2) ...; within a slot the
-    binomial C(left, h) is stepped exactly, C(left, h+1) = C(left, h) (left-h)
-    / (h+1), and checked to reach C(left, left) = 1.  Slot 2a-1 closes each
-    vector, since m_2a = left - h, so a vector costs one stepped binomial and
-    one integer add.  A negative length has no partitions: its tally is empty."""
+def part_power(length: int, a: int) -> list[int]:
+    """The coefficients of P^length, P = z + z^2 + ... + z^(2a): entry s is
+    the sum of multinomial(length; m) over the multiplicity vectors m with
+    `length` parts, each at most 2a, and size s.  Each factor P is one
+    sliding-window sum, a prefix sum and one subtraction per coefficient.
+    A negative length has no partitions: its list is empty."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if length < 0:
         return []
     top = 2 * a
-    close = top - 2  # the slot of part 2a-1, which also fixes m_2a
-    tally = [[0] * (length + 1) for _ in range(top * length + 1)]
-
-    def walk(slot: int, left: int, size: int, weight: int) -> None:
-        binom = weight
-        if slot == close:
-            # m_{2a-1} = h and m_2a = left - h add 2a left - h to the size.
-            size += top * left
-            for h in range(left):
-                tally[size - h][left - h] += binom
-                binom = binom * (left - h) // (h + 1)
-        else:
-            for h in range(left):
-                walk(slot + 1, left - h, size + (slot + 1) * h, binom)
-                binom = binom * (left - h) // (h + 1)
-        if binom != weight:
-            raise ArithmeticError(f"stepped C({left}, {left}) did not come back to 1")
-        if slot == close:
-            tally[size - left][0] += binom
-        else:
-            walk(slot + 1, 0, size + (slot + 1) * left, binom)
-
-    walk(0, length, 0, 1)
-    return tally
+    power = [1]
+    for _ in range(length):
+        # entry s of power * P is prefix[min(s, len)] - prefix[max(s - top, 0)]
+        prefix = list(accumulate(power, initial=0))
+        highs, lows = prefix + prefix[-1:] * (top - 1), [0] * top + prefix[:-1]
+        power = [high - low for high, low in zip(highs, lows)]
+    return power
 
 
-def alternating_partition_sum(
-    length: int, a: int, term: Callable[[int, int], int | Fraction]
-) -> int | Fraction:
-    """Sum over the partitions with `length` parts, each at most 2a, of
-
-        (-1)^|l| multinomial(length; m) term(|l|, m_2a)
-
-    where m = (m_1, ..., m_2a) is the multiplicity vector and |l| = sum k*m_k:
-    the tally of ``partition_tally``, combined by calling `term` once per
-    nonzero group (|l|, m_2a)."""
-    total: int | Fraction = 0
-    for size, row in enumerate(partition_tally(length, a)):
-        for m_last, mass in enumerate(row):
-            if mass:
-                value = mass * term(size, m_last)
-                total += -value if size % 2 else value
-    return total
-
-
-def size_mass(tally: Tally) -> list[int]:
+def size_mass(length: int, a: int) -> list[int]:
     """The signed mass per size: entry |l| is (-1)^|l| times the multinomial
-    weight of all vectors of that size, whatever their m_2a."""
-    return [_sign(size) * sum(row) for size, row in enumerate(tally)]
+    weight of all vectors of that size, the coefficients of ``part_power``."""
+    return [_sign(size) * c for size, c in enumerate(part_power(length, a))]
 
 
 def shifted_binomial_sum(mass: list[int], n: int, x: int) -> int:
@@ -145,10 +97,11 @@ def partition_sum_main(n: int, a: int) -> int:
 
         (-1)^(1+|l|) (n - m_2a) multinomial(n; m) C(|l|+n+1, |l|+1) / (|l|+n+1)
 
-    in integers: each term is a numerator over the least common denominator
-    of the |l|+n+1, |l| <= 2an, evaluated once per (|l|, m_2a) group of the
-    walk.  The sum always clears to the integer a^(n-1), and the denominator
-    is asserted to divide it.
+    in integers.  The weights (n - m_2a) multinomial(n; m) of one size add
+    up to the z^|l| coefficient of n P^n - n z^(2a) P^(n-1); each size
+    contributes a numerator over the least common denominator of the
+    |l|+n+1, |l| <= 2an.  The sum always clears to the integer a^(n-1), and
+    the denominator is asserted to divide it.
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
@@ -156,7 +109,9 @@ def partition_sum_main(n: int, a: int) -> int:
     den = lcm(*(size + n + 1 for size in sizes))
     # The term depends on |l| through one integer per size, scaled to den.
     scaled = [comb(size + n + 1, size + 1) * (den // (size + n + 1)) for size in sizes]
-    total = alternating_partition_sum(n, a, lambda size, m_last: -(n - m_last) * scaled[size])
+    # z^(2a) keeps the sign of each size, since 2a is even.
+    shifted = [0] * (2 * a) + size_mass(n - 1, a)
+    total = -n * sum((m - s) * c for m, s, c in zip(size_mass(n, a), shifted, scaled))
     value, rem = divmod(total, den)
     if rem:
         from fractions import Fraction
@@ -172,7 +127,7 @@ def claim1_sum(n: int, a: int, x: int) -> int:
     (-1)^|l| multinomial(n; m) C(|l|+n+x, n-1); identically zero."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    return shifted_binomial_sum(size_mass(partition_tally(n, a)), n, x)
+    return shifted_binomial_sum(size_mass(n, a), n, x)
 
 
 def claim2_sum(n: int, a: int, x: int) -> int:
@@ -180,7 +135,7 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     (-1)^|l| multinomial(n-1; m) C(|l|+n+x, n-1); identically a^(n-1)."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    return shifted_binomial_sum(size_mass(partition_tally(n - 1, a)), n, x)
+    return shifted_binomial_sum(size_mass(n - 1, a), n, x)
 
 
 def bracket_power(n: int, a: int) -> list[int]:

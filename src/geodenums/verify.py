@@ -172,11 +172,11 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         power = a ** (n - 1)
         # What the cases of this (n, a) share and no other case reads: the
-        # signed size mass of the length-n and length-(n-1) tallies and the
-        # bracket power of the ct route.  Each is built by the first case
-        # that reads it, so its time is in that case's elapsed_ms.
-        mass1 = cache(lambda: identities.size_mass(identities.partition_tally(n, a)))
-        mass2 = cache(lambda: identities.size_mass(identities.partition_tally(n - 1, a)))
+        # signed size masses of lengths n and n-1, one part power each, and
+        # the bracket power of the ct route.  Each is built by the first
+        # case that reads it, so its time is in that case's elapsed_ms.
+        mass1 = cache(lambda: identities.size_mass(n, a))
+        mass2 = cache(lambda: identities.size_mass(n - 1, a))
         bracket = cache(lambda: identities.bracket_power(n, a))
         for x in range(-2, n + 1):
             params = {"n": n, "a": a, "x": x}
@@ -388,15 +388,15 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
 # one CPU of a 2-core VM with Python 3.11 (`verify` wall time, at least two
 # runs each; two CPUs take 0.55-0.75 of it): wz1 at 600 1.5-1.8 s, wz2 at
 # 350 1.4-1.7 s (--a 1000 1.3 s), certificate at 600 1.5-2.0 s, eq31 at
-# 14/5 1.7-2.1 s, claims at 15/4 0.58-0.77 s.  In process, eq31 at 16/5
-# took 3.5 s and claims at 15/5 2.1-2.3 s, so eq31 stops at 14/5 and claims
-# at 15/4.
+# 60/10 1.5-1.9 s, claims at 30/5 1.5-2.3 s.  eq31 at 80/10 took 3.4-3.8 s
+# and at 60/12 2.4-2.6 s, claims at 30/6 2.6-2.7 s, so eq31 stops at 60/10
+# and claims at 30/5.
 SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, tuple[int, int | None]]]] = {
     "thm1": (suite_thm1, {"max_degree": (0, None)}),
     "thm2": (suite_thm2, {"max_sum": (0, None)}),
     "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
-    "eq31": (suite_eq31, {"max_n": (1, 14), "max_a": (1, 5)}),
-    "claims": (suite_claims, {"max_n": (1, 15), "max_a": (1, 4)}),
+    "eq31": (suite_eq31, {"max_n": (1, 60), "max_a": (1, 10)}),
+    "claims": (suite_claims, {"max_n": (1, 30), "max_a": (1, 5)}),
     "wz1": (suite_wz1, {"max_n": (1, 600)}),
     "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}),
     "certificate": (suite_certificate, {"max_n": (1, 600)}),
@@ -618,6 +618,7 @@ def _collect(pid: int, read: int) -> tuple[int, bytes]:
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     return code, data
+
 
 def _print_summary(report: VerifyReport, stdout: IO[str]) -> None:
     print(f"{report.suite}: {report.passed}/{report.total} passed", file=stdout)

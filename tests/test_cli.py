@@ -205,12 +205,15 @@ def test_failed_write_after_the_work_exits_two(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: ")
 
 
-def _geodenums(*argv, **streams):
+def _geodenums(*argv, unbuffered=False, **streams):
     """`python -m geodenums *argv` in a new interpreter that imports this
     package, its stderr a text pipe.  Its stdout is block-buffered, as it
-    is by default, so a failure can wait for the last flush."""
+    is by default, so a failure can wait for the last flush; with
+    `unbuffered` (PYTHONUNBUFFERED=1) a failure shows at the write."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "geodenums", *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **streams)
 
@@ -220,27 +223,38 @@ def _only_error_line(err):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>: "), err
 
 
+def _buffered_and_unbuffered(*argvs):
+    """Each argv, block-buffered under its plain id and unbuffered under
+    the id prefixed by `unbuffered `."""
+    return [
+        pytest.param(argv, unbuffered, id=("unbuffered " if unbuffered else "") + " ".join(argv))
+        for unbuffered in (False, True)
+        for argv in argvs
+    ]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, unbuffered", _buffered_and_unbuffered(
     ["table", "--kind", "S", "--vars", "2", "--max-degree", "5"],
     ["verify", "eq31"],
     ["coeff", "--kind", "C", "--exps", "2,1"],
-], ids=" ".join)
-def test_stdout_on_a_full_device_exits_two(argv):
+))
+def test_stdout_on_a_full_device_exits_two(argv, unbuffered):
     with open("/dev/full", "w") as full:
-        proc = _geodenums(*argv, stdout=full)
+        proc = _geodenums(*argv, unbuffered=unbuffered, stdout=full)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     _only_error_line(err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"]], ids=" ".join)
-def test_help_on_a_full_device_exits_two(argv):
+@pytest.mark.parametrize("argv, unbuffered", _buffered_and_unbuffered(["--help"], ["verify", "-h"]))
+def test_help_on_a_full_device_exits_two(argv, unbuffered):
     # argparse prints the help and exits inside parse_args, before any
-    # command writes; the flush must still be guarded
+    # command writes; a failed write, or with a buffered stdout the flush,
+    # must still be guarded
     with open("/dev/full", "w") as full:
-        proc = _geodenums(*argv, stdout=full)
+        proc = _geodenums(*argv, unbuffered=unbuffered, stdout=full)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     _only_error_line(err)
@@ -778,12 +792,12 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["wz2", "--max-n", "351"],
     ["wz2", "--a", "1001"],
     ["certificate", "--max-n", "601"],
-    ["eq31", "--max-n", "15"],
-    ["eq31", "--max-a", "6"],
-    ["claims", "--max-n", "16"],
+    ["eq31", "--max-n", "61"],
+    ["eq31", "--max-a", "11"],
+    ["claims", "--max-n", "31"],
     ["claims", "--max-n", "40"],
-    ["claims", "--max-a", "5"],
-    ["all", "--max-n", "15"],
+    ["claims", "--max-a", "6"],
+    ["all", "--max-n", "31"],
 ], ids=" ".join)
 def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
     # a suite builds its units when it is called, as many as its bounds ask
@@ -1054,11 +1068,14 @@ def test_table_and_coeff_keep_the_exit_code_contract_for_any_arguments(argv):
     ["eq31", "--max-n", "14", "--max-a", "5"],
     ["claims", "--max-a", "4"],
     ["claims", "--max-n", "15", "--max-a", "4"],
+    ["eq31", "--max-n", "60", "--max-a", "10"],
+    ["claims", "--max-a", "5"],
+    ["claims", "--max-n", "30", "--max-a", "5"],
 ], ids=" ".join)
 def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
     # the raised bounds of the benchmark's identities workload, bounds that
-    # were the maxima before the stepped rows, and each grid suite at its
-    # largest admitted bounds
+    # were the maxima before the stepped rows and before the part powers,
+    # and each grid suite at its largest admitted bounds
     plan(argv)
 
 
@@ -1250,8 +1267,8 @@ def test_claims_shared_values_equal_the_per_call_sums():
     assert checked == set(sums)
 
 
-def test_claims_walks_once_per_length_and_powers_once_per_pair(monkeypatch):
-    calls = {"walks": 0, "products": 0}
+def test_claims_raises_one_part_power_per_length_and_brackets_once_per_pair(monkeypatch):
+    calls = {"part powers": 0, "products": 0}
 
     def counting(function, key):
         def counted(*args):
@@ -1261,14 +1278,14 @@ def test_claims_walks_once_per_length_and_powers_once_per_pair(monkeypatch):
         return counted
 
     monkeypatch.setattr(
-        identities, "partition_tally", counting(identities.partition_tally, "walks")
+        identities, "part_power", counting(identities.part_power, "part powers")
     )
     monkeypatch.setattr(
         identities, "_truncated_product", counting(identities._truncated_product, "products")
     )
     assert run_units("claims", verify.suite_claims(8, 3)).all_passed()
-    # two walks per (n, a), of lengths n and n-1 (408 when each shift x
-    # walked both lengths again), and n-1 products per (n, a) for the
+    # two part powers per (n, a), of lengths n and n-1 (408 when each shift
+    # x raised both lengths again), and n-1 products per (n, a) for the
     # list products of the bracket power (588 when each ct case raised the
     # bracket again)
-    assert calls == {"walks": 48, "products": 84}
+    assert calls == {"part powers": 48, "products": 84}

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodenums.identities import (
-    alternating_partition_sum,
     binom_general,
     bracket_power,
     claim1_sum,
     claim2_ct,
     claim2_sum,
+    part_power,
     partition_sum_main,
 )
 from geodenums.mpoly import iter_exponents
@@ -46,41 +46,16 @@ def test_binom_general_negative_upper():
 # the partition sums
 
 
-def _word_sum(length, a, term):
-    """The partition sum by brute force.  Each multiplicity vector m stands
-    for the multinomial(L; m) words of length L over the parts 1..2a that
-    use part k exactly m_k times, so the sum is a plain sum over all (2a)^L
-    words, each keyed by its size and its count of the part 2a."""
-    total = 0
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 3))
+def test_part_power_counts_words(length, a):
+    # Each multiplicity vector m stands for the multinomial(L; m) words of
+    # length L over the parts 1..2a that use part k exactly m_k times, so
+    # entry s of P^L counts the (2a)^L words of sum s, by brute force.
+    counts = [0] * (2 * a * length + 1)
     for word in product(range(1, 2 * a + 1), repeat=length):
-        size = sum(word)
-        total += (-1) ** size * term(size, word.count(2 * a))
-    return total
-
-
-def test_alternating_partition_sum_matches_words():
-    def term(size, m_last):
-        return (size + 1) ** 2 * (1 + m_last) - 3 * m_last**2
-
-    for length in range(4):
-        for a in (1, 2):
-            assert alternating_partition_sum(length, a, term) == _word_sum(length, a, term)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 5), st.integers(1, 3), st.data())
-def test_alternating_partition_sum_matches_words_for_any_term(length, a, data):
-    # The term is an arbitrary function of (|l|, m_2a): each value is drawn
-    # the first time it is asked for, an integer or a Fraction.
-    values = {}
-    draws = st.integers(-10**12, 10**12) | st.fractions(max_denominator=10**6)
-
-    def term(size, m_last):
-        if (size, m_last) not in values:
-            values[size, m_last] = data.draw(draws)
-        return values[size, m_last]
-
-    assert alternating_partition_sum(length, a, term) == _word_sum(length, a, term)
+        counts[sum(word)] += 1
+    assert part_power(length, a) == counts
 
 
 def _multinomial(m):
