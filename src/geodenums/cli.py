@@ -35,14 +35,12 @@ from .mpoly import _unpack_layer, coeff
 
 # Most work the S solve behind `table` or `coeff`, or all the S solves of one
 # `verify` suite together, may take, in units of hypercat.solve_work, each
-# 0.024-0.07 us on a 2-core VM with Python 3.11.  The largest admitted table
-# for each r = 1..7 takes 0.07-0.19 s (r = 1 is degree 1475, r = 7 degree
-# 10).  The limit sits between r = 7 through degree 10 (2.9e6, admitted)
-# and r = 3 through degree 45 (3.4e6, 0.12-0.14 s, refused), so that r = 3
-# through degree 45, r = 2 through 150 and r = 1 through 1621 stay refused
-# as they were when the solve took 2 to 50 times as long.  The largest
-# suite total at the acceptance bounds is thm3's 694 669.
-MAX_ORACLE_WORK = 3_000_000
+# 0.035-0.09 us on one CPU of a 2-core VM with Python 3.11.  The largest
+# admitted table for each r = 1..8 (degrees 2486, 201, 60, 30, 20, 15, 12
+# and 10) takes 0.35-0.82 s of `table --kind S` there, with a peak RSS of
+# 16-45 MB (in process, two runs each).  The largest suite total at the
+# acceptance bounds is thm3's 694 669.
+MAX_ORACLE_WORK = 10_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
 # binomial argument, that `coeff` evaluates by closed form.  At w = 4000 the

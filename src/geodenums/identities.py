@@ -39,21 +39,18 @@ arguments are plain integers, never symbols.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 
 def binom_general(y: int, k: int) -> int:
-    """Binomial C(y, k) for any integer y (possibly negative), via the
-    falling factorial y(y-1)...(y-k+1) / k!."""
+    """Binomial C(y, k) = y(y-1)...(y-k+1) / k! for any integer y: comb(y,
+    k) for y >= 0, and by upper negation (-1)^k comb(k - y - 1, k) for
+    y < 0."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    num = 1
-    for j in range(k):
-        num *= y - j
-    value, rem = divmod(num, factorial(k))
-    if rem:
-        raise ArithmeticError(f"falling factorial of {y} over {k}! did not divide")
-    return value
+    if y >= 0:
+        return comb(y, k)
+    return _sign(k) * comb(k - y - 1, k)
 
 
 def _sign(e: int) -> int:

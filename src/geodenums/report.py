@@ -6,10 +6,11 @@ integers), a pass/fail/error status and its wall time.  Reports with any
 non-passing case, and reports with no cases at all, map to a nonzero
 process exit code.
 
-A suite is described as an ordered list of units: each unit builds what
-its cases share and runs those cases into a report.  No unit reads a value
-another unit built, so units may run in any process and in any order; a
-suite's report is its units' cases in list order.
+A suite is described as an ordered list of units: each unit runs its
+cases into a report, and the first case that reads what they share builds
+it, so its time is in that case.  No unit reads a value another unit
+built, so units may run in any process and in any order; a suite's report
+is its units' cases in list order.
 """
 
 from __future__ import annotations

@@ -13,11 +13,18 @@ the bound flags of the ``verify`` subparser from it.  A request is planned
 in one pass (``_plan``): every set flag is checked against the ranges of
 the suites it will run, then each suite is called once with only its own
 flags, and each unit's solves are priced as the unit is yielded, refusing
-a suite whose summed work exceeds ``cli.MAX_ORACLE_WORK``.  ``verify
-<suite>`` and ``verify all`` put those units into one queue that the
-command's process and forked helpers drain on every usable CPU
-(``_run_units``), and assemble one report whatever the CPU count.  The
-report is written by ``report.VerifyReport.to_json``.
+a suite whose summed work exceeds ``cli.MAX_ORACLE_WORK``.
+
+A unit does all its work inside its cases (``report.run_case``).  What its
+cases share, such as a G table, is a ``functools.cache`` of a ``partial``
+that every case reads through a call, so the first case that reads it
+builds it: the build's time is in that case's elapsed_ms, and a build that
+raises makes each case that reads it an ``error`` case, not the request a
+crash.  ``verify <suite>`` and ``verify all`` put the planned units into
+one queue, the suite with the most planned work first, that the command's
+process and forked helpers drain on every usable CPU (``_run_units``);
+``_cmd_verify`` assembles the one report from the queue's cases, whatever
+the CPU count, and ``report.VerifyReport.to_json`` writes it.
 
 ``cli`` imports this module only for ``verify``, so ``table`` and ``coeff``
 load none of the suites' modules.  Exit codes are ``cli``'s.
@@ -96,7 +103,7 @@ def _case_unit(
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
     def unit(report: VerifyReport) -> None:
-        table = geode.geode_series(2, max_degree)
+        table = cache(partial(geode.geode_series, 2, max_degree))
         for m1 in range(max_degree + 1):
             for m2 in range(max_degree + 1 - m1):
                 closed = geode.geode_closed_2var(m1, m2)
@@ -105,7 +112,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
                     f"m1={m1:02d},m2={m2:02d}",
                     {"m1": m1, "m2": m2},
                     str(closed),
-                    lambda m=(m1, m2), closed=closed: _is(closed, table.coefficient(m)),
+                    lambda m=(m1, m2), closed=closed: _is(closed, table().coefficient(m)),
                 )
 
     return [_solving(unit, (2, max_degree + 1))]
@@ -113,7 +120,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
-        table = geode.geode_series(a, max_sum)
+        table = cache(partial(geode.geode_series, a, max_sum))
         for p in range(max_sum + 1):
             for q in range(max_sum + 1 - p):
                 exps = [0] * a
@@ -122,7 +129,7 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
                 closed = geode.geode_closed_shifted(a, p, q)
 
                 def check(p=p, q=q, closed=closed, exps=tuple(exps)):
-                    oracle = table.coefficient(exps)
+                    oracle = table().coefficient(exps)
                     if closed != oracle:
                         return False, str(oracle)
                     if a == 2 and closed != geode.geode_closed_2var(p, q):
@@ -142,14 +149,14 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
-        values = geode.eval_alternating(a, max_order)
+        values = cache(partial(geode.eval_alternating, a, max_order))
         for n in range(max_order + 1):
             run_case(
                 report,
                 f"a={a},n={n:02d}",
                 {"a": a, "n": n},
                 str(a**n),
-                lambda n=n: _is(a**n, values.coefficient(n)),
+                lambda n=n: _is(a**n, values().coefficient(n)),
             )
 
     return [_solving(partial(unit, a=a), (2 * a, max_order + 1)) for a in a_values]
@@ -171,13 +178,12 @@ def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
 def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         power = a ** (n - 1)
-        # What the cases of this (n, a) share and no other case reads: the
-        # signed size masses of lengths n and n-1, one part power each, and
-        # the bracket power of the ct route.  Each is built by the first
-        # case that reads it, so its time is in that case's elapsed_ms.
-        mass1 = cache(lambda: identities.size_mass(n, a))
-        mass2 = cache(lambda: identities.size_mass(n - 1, a))
-        bracket = cache(lambda: identities.bracket_power(n, a))
+        # The signed size masses of lengths n and n-1, one part power each,
+        # and the bracket power of the ct route, shared as every suite
+        # shares what its cases read (module docstring).
+        mass1 = cache(partial(identities.size_mass, n, a))
+        mass2 = cache(partial(identities.size_mass, n - 1, a))
+        bracket = cache(partial(identities.bracket_power, n, a))
         for x in range(-2, n + 1):
             params = {"n": n, "a": a, "x": x}
             run_case(
@@ -259,12 +265,12 @@ def suite_certificate(max_n: int = 100) -> list[Unit]:
 
 def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
     def unit(report: VerifyReport, r: int) -> None:
-        table = geode.geode_series(r, max_degree - 1)
+        table = cache(partial(geode.geode_series, r, max_degree - 1))
         for d in range(1, max_degree + 1):
             def check(d=d):
                 count = 0
                 for m in iter_exponents(r, d):
-                    if not geode.geode_recurrence_check(table, m):
+                    if not geode.geode_recurrence_check(table(), m):
                         return False, f"recurrence broken at m={m}"
                     count += 1
                 return True, f"all {count} monomials verified"
@@ -287,7 +293,7 @@ def suite_two_nonzero(
     nvars = max(t for _, t in pairs)
 
     def unit(report: VerifyReport) -> None:
-        table = geode.geode_series(nvars, max_n - 1)
+        table = cache(partial(geode.geode_series, nvars, max_n - 1))
         for s, t in pairs:
             for n in range(1, max_n + 1):
                 def check(s=s, t=t, n=n):
@@ -296,7 +302,7 @@ def suite_two_nonzero(
                         exps = [0] * nvars
                         exps[s - 1] = n - 1 - i
                         exps[t - 1] = i
-                        if closed != table.coefficient(exps):
+                        if closed != table().coefficient(exps):
                             return False, f"mismatch at i={i}: {closed}"
                         if (s, t) == (1, 2) and closed != geode.geode_closed_2var(n - 1 - i, i):
                             return False, f"two-variable closed form differs at i={i}"
@@ -449,23 +455,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _run_suites(plan: Sequence[tuple[str, list[Unit], int]]) -> dict[str, VerifyReport]:
-    """Every suite of `plan`, keyed in plan order, its cases in unit order.
-    The units of all of them go into one queue, those of the suite with the
-    most planned work first; the sort is stable, so suites of equal work,
-    such as the oracle-free ones, keep plan order.  ``_run_units`` runs the
-    queue."""
-    queue = [
-        (name, unit)
-        for name, units, _ in sorted(plan, key=lambda step: step[2], reverse=True)
-        for unit in units
-    ]
-    reports = {name: VerifyReport(name) for name, _, _ in plan}
-    for (name, _), cases in zip(queue, _run_units(queue)):
-        reports[name].cases += cases
-    return reports
 
 
 # Bytes per unit index in the queue, and per write to it: 512 is the
@@ -635,22 +624,29 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         out = _open_output(args.report)
         if out is None:
             return 2
+    # The queue: the units of the suite with the most planned work first;
+    # the sort is stable, so suites of equal work, such as the oracle-free
+    # ones, keep plan order.
+    queue = [
+        (name, unit)
+        for name, units, _ in sorted(plan, key=lambda step: step[2], reverse=True)
+        for unit in units
+    ]
     try:
-        reports = _run_suites(plan)
+        ran = _run_units(queue)
     except BaseException:
         if out is not None:
             out.close()
         raise
-    if args.suite == "all":
-        report = VerifyReport("all")
-        for name, sub_report in reports.items():
-            for case in sub_report.cases:
+    report = VerifyReport(args.suite)
+    for (name, _), cases in zip(queue, ran):
+        if args.suite == "all":
+            for case in cases:
                 case.id = f"{name}/{case.id}"
-                report.cases.append(case)
-    else:
-        report = reports[args.suite]
+        report.cases += cases
     report.cases.sort(key=lambda c: c.id)
-    empty = [name for name, sub_report in reports.items() if not sub_report.cases]
+    reported = {name for (name, _), cases in zip(queue, ran) if cases}
+    empty = [name for name in names if name not in reported]
 
     payload = report.to_json()
     if out is None:

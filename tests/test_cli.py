@@ -302,11 +302,11 @@ def test_coeff_closed_routes_match_oracle(capsys):
     ["table", "--vars", "12", "--max-degree", "12", "--kind", "S"],
     ["table", "--vars", "12", "--max-degree", "12", "--kind", "G"],
     ["coeff", "--kind", "G", "--exps", "1,1,1,1,1,1,1,1,1,1"],
-    ["table", "--vars", "3", "--max-degree", "45", "--kind", "S"],
+    ["table", "--vars", "3", "--max-degree", "90", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "19999", "--kind", "S"],
-    ["table", "--vars", "1", "--max-degree", "1621", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "5000", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "3000", "--kind", "S"],
-    ["table", "--vars", "2", "--max-degree", "150", "--kind", "S"],
+    ["table", "--vars", "2", "--max-degree", "300", "--kind", "S"],
     ["table", "--vars", "1000000", "--max-degree", "0", "--kind", "S"],
     ["table", "--vars", "100000", "--max-degree", "0", "--kind", "S"],
 ], ids=" ".join)
@@ -336,6 +336,9 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     ["table", "--vars", "7", "--max-degree", "10", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "1000", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "1387", "--kind", "S"],
+    ["table", "--vars", "3", "--max-degree", "45", "--kind", "S"],
+    ["table", "--vars", "2", "--max-degree", "150", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "1621", "--kind", "S"],
 ], ids=" ".join)
 def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch):
     # Each of these finishes within about 2 s; the stub keeps the test fast.
@@ -816,16 +819,16 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("argv", [
-    ["thm1", "--max-degree", "200"],
-    ["all", "--max-degree", "200"],
+    ["thm1", "--max-degree", "300"],
+    ["all", "--max-degree", "300"],
     ["thm3", "--a", "5"],
     ["recurrence", "--max-vars", "1000", "--max-degree", "1"],
     ["oracle", "--max-vars", "1000", "--max-degree", "0"],
     ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
-    # thm1 at degree 200 solves S(2, 201), 9.9e6 units; thm3 at a = 5
-    # solves S(10, 9), 1.6e7 units; MAX_ORACLE_WORK is 3e6.  recurrence
+    # thm1 at degree 300 solves S(2, 301), 3.4e7 units; thm3 at a = 5
+    # solves S(10, 9), 1.6e7 units; MAX_ORACLE_WORK is 1e7.  recurrence
     # at 1000 variables, degree 1, solves S(r, 1) for r = 1..1000 and
     # oracle at degree 0 S(r, 0) and twice S(r, 1): each solve is admitted
     # alone, but together they take 1.7e9 and 3.7e9 units.  Pricing reads
@@ -851,10 +854,10 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
 
 
 def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
-    # recurrence at degree 1 admits 118 variables and oracle at degree 0
-    # 90: the solves of one more variable take the sum past the limit
+    # recurrence at degree 1 admits 178 variables and oracle at degree 0
+    # 136: the solves of one more variable take the sum past the limit
     limit = cli.MAX_ORACLE_WORK
-    for name, degree, largest in (("recurrence", "1", 118), ("oracle", "0", 90)):
+    for name, degree, largest in (("recurrence", "1", 178), ("oracle", "0", 136)):
         [(_, _, work)] = plan([name, "--max-vars", str(largest), "--max-degree", degree])
         assert work <= limit
         with pytest.raises(SystemExit) as exc:
@@ -1225,6 +1228,73 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
     assert solved == priced
+
+
+def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
+    # each S solve, at the patch points above, happens while a case runs,
+    # so its time is in that case's elapsed_ms
+    running, solved = [], []
+    run_case = verify.run_case
+
+    def in_case(*args):
+        running.append(True)
+        try:
+            return run_case(*args)
+        finally:
+            running.pop()
+
+    def recording(function):
+        def recorded(r, max_degree):
+            solved.append((r, max_degree, bool(running)))
+            return function(r, max_degree)
+
+        return recorded
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "run_case", in_case)
+    monkeypatch.setattr(verify, "solve_S", recording(solve_S))
+    monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert solved
+    assert [solve for solve in solved if not solve[2]] == []
+
+
+def doubling_layer_product(a, b, d, out):
+    """``mpoly._layer_product`` with every pair whose two keys are equal
+    counted twice: a broken kernel that every oracle table goes through."""
+    get = out.get
+    for i in range(max(0, d + 1 - len(b)), min(d + 1, len(a))):
+        for pa, ca in a[i]:
+            for pb, cb in b[d - i]:
+                out[pa + pb] = get(pa + pb, 0) + ca * cb * (2 if pa == pb else 1)
+    return out
+
+
+def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsys):
+    clean = tmp_path / "clean.json"
+    assert cli.main(["verify", "all", "--report", str(clean)]) == 0
+    ids = [case["id"] for case in json.loads(clean.read_text())["cases"]]
+    assert len(ids) == 1535
+    # hypercat imports the kernel by name, so both names are patched
+    monkeypatch.setattr(mpoly, "_layer_product", doubling_layer_product)
+    monkeypatch.setattr(hypercat, "_layer_product", doubling_layer_product)
+    oracle_free = {"eq31", "claims", "wz1", "wz2", "certificate"}
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
+        path = tmp_path / f"broken-{cpus}.json"
+        assert cli.main(["verify", "all", "--report", str(path)]) == 1
+        capsys.readouterr()
+        cases = json.loads(path.read_text())["cases"]
+        assert [case["id"] for case in cases] == ids
+        statuses = {}
+        for case in cases:
+            statuses.setdefault(case["id"].split("/")[0], set()).add(case["status"])
+        for name in verify.SUITE_NAMES:
+            if name in oracle_free:
+                assert statuses[name] == {"pass"}, (cpus, name)
+            else:
+                assert statuses[name] & {"error", "fail"}, (cpus, name)
 
 
 @pytest.mark.parametrize("name, module, function, bounds", [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +40,27 @@ def test_binom_general_negative_upper():
     for y in range(1, 6):
         for k in range(5):
             assert binom_general(-y, k) == (-1) ** k * comb(y + k - 1, k)
+
+
+def falling_factorial_binomial(y, k):
+    """C(y, k) as the falling factorial y(y-1)...(y-k+1) over k!."""
+    num = 1
+    for j in range(k):
+        num *= y - j
+    value, rem = divmod(num, factorial(k))
+    assert rem == 0
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(0, 40))
+def test_binom_general_is_the_falling_factorial_over_k_factorial(y, k):
+    assert binom_general(y, k) == falling_factorial_binomial(y, k)
+
+
+def test_binom_general_refuses_a_negative_lower_index():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        binom_general(3, -1)
 
 
 # ---------------------------------------------------------------------------
