@@ -40,7 +40,7 @@ print(f"R(2,1) = {Fraction(*wz._cert_R(2)[1])}")
 print()
 print("The companion G^ = R * F^ has a removable pole at m = n:")
 print("  R(2,2) would divide by zero, F^(2,2) = 0, but the cancelled product")
-print(f"  extends to G^(2,2) = {Fraction(*wz._cert_companion(2)[2])} (not zero!), and only that")
+print(f"  extends to G^(2,2) = {Fraction(*wz._cert_boundary(2))} (not zero!), and only that")
 print("  extension lets the relation telescope at m = n - 1.")
 
 report = check_certificate_R(40)
@@ -58,5 +58,5 @@ failure = bad.first_failure()
 print(f"sign-flipped H: {bad.passed}/{bad.total} passed; "
       f"first failure at {failure.params}: {failure.actual}")
 
-bad = check_certificate_R(3, companion=lambda n: [(0, 1)] * (n + 1))
+bad = check_certificate_R(3, boundary=lambda n: (0, 1))
 print(f"zeroed certificate companion: {bad.passed}/{bad.total} passed")

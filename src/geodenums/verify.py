@@ -258,7 +258,7 @@ def suite_certificate(max_n: int = 100) -> list[Unit]:
             report,
             "negative-control-R",
             "certificate",
-            lambda: wz.check_certificate_R(3, companion=_flipped(wz._cert_companion)),
+            lambda: wz.check_certificate_R(3, r=_flipped(wz._cert_R)),
         )
     ]
 

@@ -6,22 +6,31 @@ difference telescopes the sum away.  This module checks the telescoping
 relations pointwise on large grids, in exact integers.  No tolerance appears
 anywhere: every equality is exact or the check fails.
 
-Each pair is described once, as a summand F and a rational certificate R,
-each a row function: given n (and a), it returns the integer (numerator,
-denominator) pairs of the whole row over k.  Binomials enter a row through
-one stepper, ``_binomials``, which starts from math.comb, steps by the exact
+Every grid has one shape: a summand row F, a certificate row R over F's
+support, and one boundary value.  Each row function, given n (and a),
+returns the integer (numerator, denominator) pairs of the whole row over k
+(or m).  Every summand is one call of one row builder, ``_row``:
+
+    (-1)^(j+parity) C(p, j) C(q+j, b+j) / (d0 + d1 j),   j = 0..count-1,
+
+with p, q, b, d0, d1 affine in (a, n).  Its binomials come from one
+stepper, ``_binomials``, which starts from math.comb, steps by the exact
 ratio of neighbouring binomials (a small-int multiply and divide per
 entry) and checks the row's last entry against math.comb, so no row can
-drift from the closed form and no ratio is typed by hand.  A grid check
-reads each row once and forms the companion H = R * F from it; it checks
-every relation by cross-multiplying and every sum over a common
-denominator, and builds a Fraction only to print a failure.  A zero
-denominator would make both sides of a cross-multiplied relation 0, so a
-grid that reads one is an error, never a pass; so is a row of the wrong
-length.  Each grid check is a list of units, one per n (``*_units``), so
-the CLI can spread a grid over processes; ``check_*`` runs them in order.
+drift from the closed form and no ratio is typed by hand.  The R rows are
+typed as they are printed below.
 
-The pair in two variables:
+One loop, ``_telescopes``, checks every grid.  It forms the companion
+C = R * F entry by entry, appends the boundary value, and checks
+lhs(j) = C(j+1) - C(j) by cross-multiplying; every sum is checked over a
+common denominator, and a Fraction is built only to print a failure.  A
+zero denominator would make both sides of a cross-multiplied relation 0,
+so a grid that reads one is an error, never a pass; so is a row of the
+wrong length.  Each grid check is a list of units, one per n
+(``*_units``), so the CLI can spread a grid over processes; ``check_*``
+runs them in order.
+
+The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
 
     F_1(n,k) = (-1)^k C(n,k) C(2n+1+k, n+1+k) / (2n+1+k)
     R_1(n,k) = -k(n+1+k) / (n(2n+1)),   H_1 = R_1 * F_1,   H_1(n,n+1) = 0
@@ -38,12 +47,18 @@ The certificate check: the sum of
 
 over 0 <= m <= n-1 equals 1 for every n, certified by
 
-    R(n,m) = m(8mn + 10n^2 + 6m + 15n + 6) / (2(2n+3)(n+1)(n-m)).
+    R(n,m) = m(8mn + 10n^2 + 6m + 15n + 6) / (2(2n+3)(n+1)(n-m)),
 
-The companion G^ = R * F^ has a removable singularity at m = n: the (n-m)
-pole cancels against the zero of C(n-1,m) since C(n-1,m)/(n-m) = C(n,m)/n.
-``_cert_companion`` is that cancelled form, defined for all m in
-[0, n], which is what makes the telescoping relation hold on the full range.
+with lhs(m) = F^(n+1,m) - F^(n,m) for m < n and companion G^ = R * F^.
+G^ has a removable singularity at m = n, where R has its pole: the (n-m)
+pole cancels against the zero of C(n-1,m), since C(n-1,m)/(n-m) =
+C(n,m)/n.  At m = n the cancelled product's numerator factor is
+n(18n^2 + 21n + 6) = 3n(3n+2)(2n+1) and C(n,n) = 1, so the boundary is
+
+    G^(n,n) = -3(3n+2) C(3n+1, 2n+1) / (2(2n+3)(n+1)),
+
+generally nonzero (G^(2,2) = -12); only this extension lets the relation
+telescope at m = n-1.
 """
 
 from __future__ import annotations
@@ -109,10 +124,16 @@ def _binomials(top: int, bottom: int, top_step: int, count: int) -> list[int]:
 # the descriptions: each formula is typed here once, as a row over k or m
 
 
+def _row(parity: int, p: int, q: int, b: int, d0: int, d1: int, count: int) -> list[Ratio]:
+    """(-1)^(j+parity) C(p, j) C(q+j, b+j) / (d0 + d1 j) for j = 0..count-1:
+    the one shape of every summand."""
+    binomials = zip(_binomials(p, 0, 0, count), _binomials(q, b, 1, count))
+    return [(_sign(j + parity) * c * d, d0 + d1 * j) for j, (c, d) in enumerate(binomials)]
+
+
 def _f1(n: int) -> list[Ratio]:
     """F_1(n, k) for k = 0..n."""
-    binomials = zip(_binomials(n, 0, 0, n + 1), _binomials(2 * n + 1, n + 1, 1, n + 1))
-    return [(_sign(k) * c * d, 2 * n + 1 + k) for k, (c, d) in enumerate(binomials)]
+    return _row(0, n, 2 * n + 1, n + 1, 2 * n + 1, 1, n + 1)
 
 
 def _r1(n: int) -> list[Ratio]:
@@ -122,10 +143,7 @@ def _r1(n: int) -> list[Ratio]:
 
 def _f2(a: int, n: int) -> list[Ratio]:
     """F_2(a, n, k) for k = 0..n."""
-    binomials = zip(
-        _binomials(n, 0, 0, n + 1), _binomials(a * n + 1, (a - 1) * n + 1, 1, n + 1)
-    )
-    return [(_sign(k) * c * d, a * n + 1 + k) for k, (c, d) in enumerate(binomials)]
+    return _row(0, n, a * n + 1, (a - 1) * n + 1, a * n + 1, 1, n + 1)
 
 
 def _r2(a: int, n: int) -> list[Ratio]:
@@ -135,8 +153,7 @@ def _r2(a: int, n: int) -> list[Ratio]:
 
 def _cert_summand(n: int) -> list[Ratio]:
     """F^(n, m) for m = 0..n-1, its support."""
-    binomials = zip(_binomials(n - 1, 0, 0, n), _binomials(2 * n + 1, n + 1, 1, n))
-    return [(_sign(n - 1 - m) * c * d, 2 * n + 1) for m, (c, d) in enumerate(binomials)]
+    return _row(n - 1, n - 1, 2 * n + 1, n + 1, 2 * n + 1, 0, n)
 
 
 def _cert_R(n: int) -> list[Ratio]:
@@ -150,21 +167,16 @@ def _cert_R(n: int) -> list[Ratio]:
     ]
 
 
-def _cert_companion(n: int) -> list[Ratio]:
-    """G^(n, m) = R(n, m) F^(n, m), pole cancelled, for m = 0..n."""
-    den = 2 * n * (2 * n + 3) * (n + 1) * (2 * n + 1)
-    binomials = zip(_binomials(n, 0, 0, n + 1), _binomials(2 * n + 1, n + 1, 1, n + 1))
-    return [
-        (
-            _sign(n - 1 - m) * m * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6) * c * d,
-            den,
-        )
-        for m, (c, d) in enumerate(binomials)
-    ]
+def _cert_boundary(n: int) -> Ratio:
+    """G^(n, n), the cancelled limit of R * F^ at m = n."""
+    return -3 * (3 * n + 2) * comb(3 * n + 1, 2 * n + 1), 2 * (2 * n + 3) * (n + 1)
 
 
 # ---------------------------------------------------------------------------
 # the grid checks
+
+_PAIR_BROKEN = "pair relation broken at k={j}: F={lhs}, H(k+1)-H(k)={rhs}"
+_CERT_BROKEN = "relation broken at m={j}: lhs={lhs}, rhs={rhs}"
 
 
 def _require(row: list[Ratio], length: int) -> list[Ratio]:
@@ -179,49 +191,54 @@ def _require(row: list[Ratio], length: int) -> list[Ratio]:
     return row
 
 
-def _require_a(a: int) -> None:
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-
-
 def _row_sum(row: list[Ratio]) -> Ratio:
     """The sum of a row of ratios over their least common denominator."""
     den = lcm(*(d for _, d in row))
     return sum(num * (den // d) for num, d in row), den
 
 
+def _telescopes(
+    lhs: list[Ratio], f: list[Ratio], r: list[Ratio], boundary: Ratio, template: str
+) -> str | None:
+    """None if lhs(j) = C(j+1) - C(j) for every j, where the companion C is
+    R * F entry by entry and then the boundary value; otherwise the first
+    break, as ``template`` fills it in."""
+    if not boundary[1]:
+        raise ZeroDivisionError("zero denominator in the boundary value")
+    companion = [(rn * fn, rd * fd) for (fn, fd), (rn, rd) in zip(f, r)]
+    companion.append(boundary)
+    for j, (ln, ld) in enumerate(lhs):
+        (an, ad), (bn, bd) = companion[j], companion[j + 1]
+        if ln * ad * bd != (bn * ad - an * bd) * ld:
+            from fractions import Fraction
+
+            rhs = Fraction(bn, bd) - Fraction(an, ad)
+            return template.format(j=j, lhs=Fraction(ln, ld), rhs=rhs)
+    return None
+
+
 def _pair_units(
     n_max: int,
     f: Callable[[int], list[Ratio]],
     r: Callable[[int], list[Ratio]],
-    extra: Callable[[int, list[Ratio]], tuple[bool, str]] | None = None,
+    extra: Callable[[int, list[Ratio]], str | None] | None = None,
 ) -> list[Unit]:
     """One unit per n <= n_max, each running the case for that n."""
 
     def unit(report: VerifyReport, n: int) -> None:
         def check() -> tuple[bool, str]:
             frow = _require(f(n), n + 1)
-            rrow = _require(r(n), n + 1)
-            hrow = [(rn * fn, rd * fd) for (fn, fd), (rn, rd) in zip(frow, rrow)]
-            hrow.append((0, 1))  # H(n, n+1) = 0
-            for k, (fn, fd) in enumerate(frow):
-                (an, ad), (bn, bd) = hrow[k], hrow[k + 1]
-                if fn * ad * bd != (bn * ad - an * bd) * fd:
-                    from fractions import Fraction
-
-                    return False, (
-                        f"pair relation broken at k={k}: F={Fraction(fn, fd)}, "
-                        f"H(k+1)-H(k)={Fraction(bn, bd) - Fraction(an, ad)}"
-                    )
+            broken = _telescopes(frow, frow, _require(r(n), n + 1), (0, 1), _PAIR_BROKEN)
+            if broken:
+                return False, broken
             total, den = _row_sum(frow)
             if total:
                 from fractions import Fraction
 
                 return False, f"telescoped sum is {Fraction(total, den)}, not 0"
-            if extra is not None:
-                ok, msg = extra(n, frow)
-                if not ok:
-                    return False, msg
+            differs = extra and extra(n, frow)
+            if differs:
+                return False, differs
             return True, "pair relation and telescoped sum hold"
 
         run_case(report, f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
@@ -257,15 +274,16 @@ def wz2_units(
     r: Callable[[int, int], list[Ratio]] = _r2,
 ) -> list[Unit]:
     """The units of ``check_wz2``, one per n."""
-    _require_a(a)
-    extra = None
-    if a == 2:
-        def extra(n: int, frow: list[Ratio]) -> tuple[bool, str]:
-            for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, _f1(n))):
-                if fn * gd != gn * fd:
-                    return False, f"a=2 summand differs from two-variable pair at k={k}"
-            return True, ""
-    return _pair_units(n_max, partial(f, a), partial(r, a), extra)
+    if a < 2:
+        raise ValueError(f"need a >= 2, got {a}")
+
+    def differs(n: int, frow: list[Ratio]) -> str | None:
+        for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, _f1(n))):
+            if fn * gd != gn * fd:
+                return f"a=2 summand differs from two-variable pair at k={k}"
+        return None
+
+    return _pair_units(n_max, partial(f, a), partial(r, a), differs if a == 2 else None)
 
 
 def check_wz2(
@@ -279,43 +297,27 @@ def check_wz2(
     return run_units(f"wz2[a={a}]", wz2_units(a, n_max, f, r))
 
 
-def _relation_holds(
-    n: int, f_n: list[Ratio], f_next: list[Ratio], g_n: list[Ratio]
-) -> tuple[bool, str]:
-    """The telescoping relation ORIENT_F_DIFFERENCE at n, for 0 <= m < n,
-    from F(n, m) and F(n+1, m) for m < n and G(n, m) for m <= n."""
-    for m in range(n):
-        (an, ad), (bn, bd) = f_next[m], f_n[m]
-        (cn, cd), (en, ed) = g_n[m + 1], g_n[m]
-        if (an * bd - bn * ad) * cd * ed != (cn * ed - en * cd) * ad * bd:
-            from fractions import Fraction
-
-            lhs = Fraction(an, ad) - Fraction(bn, bd)
-            rhs = Fraction(cn, cd) - Fraction(en, ed)
-            return False, f"relation broken at m={m}: lhs={lhs}, rhs={rhs}"
-    return True, ""
-
-
 def certificate_units(
     n_max: int,
     summand: Callable[[int], list[Ratio]] = _cert_summand,
     r: Callable[[int], list[Ratio]] = _cert_R,
-    companion: Callable[[int], list[Ratio]] = _cert_companion,
+    boundary: Callable[[int], Ratio] = _cert_boundary,
 ) -> list[Unit]:
     """The units of ``check_certificate_R``: the ``orientation`` case, then
     one unit per n."""
 
-    def rows(n: int) -> tuple[list[Ratio], list[Ratio], list[Ratio]]:
+    def relation(n: int) -> tuple[list[Ratio], str | None]:
+        """F^(n, .) and the first break of ORIENT_F_DIFFERENCE at n, if any."""
         f_n = _require(summand(n), n)
         f_next = _require(summand(n + 1), n + 1)
-        g_n = _require(companion(n), n + 1)
-        return f_n, f_next, g_n
+        lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_next, f_n)]
+        return f_n, _telescopes(lhs, f_n, _require(r(n), n), boundary(n), _CERT_BROKEN)
 
     def orientation_case() -> tuple[bool, str]:
         for n in range(1, min(n_max, 6) + 1):
-            ok, msg = _relation_holds(n, *rows(n))
-            if not ok:
-                return False, msg
+            broken = relation(n)[1]
+            if broken:
+                return False, broken
         return True, ORIENT_F_DIFFERENCE
 
     def orientation(report: VerifyReport) -> None:
@@ -329,19 +331,14 @@ def certificate_units(
 
     def unit(report: VerifyReport, n: int) -> None:
         def check() -> tuple[bool, str]:
-            f_n, f_next, g_n = rows(n)
-            r_n = _require(r(n), n)
+            f_n, broken = relation(n)
             total, den = _row_sum(f_n)
             if total != den:
                 from fractions import Fraction
 
                 return False, f"target sum is {Fraction(total, den)}, not 1"
-            ok, msg = _relation_holds(n, f_n, f_next, g_n)
-            if not ok:
-                return False, msg
-            for m, ((fn, fd), (rn, rd), (gn, gd)) in enumerate(zip(f_n, r_n, g_n)):
-                if gn * rd * fd != rn * fn * gd:
-                    return False, f"companion differs from R*F at m={m}"
+            if broken:
+                return False, broken
             return True, "sum = 1 and the relation telescopes"
 
         run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
@@ -353,16 +350,16 @@ def check_certificate_R(
     n_max: int,
     summand: Callable[[int], list[Ratio]] = _cert_summand,
     r: Callable[[int], list[Ratio]] = _cert_R,
-    companion: Callable[[int], list[Ratio]] = _cert_companion,
+    boundary: Callable[[int], Ratio] = _cert_boundary,
 ) -> VerifyReport:
     """Verify the certificate on 1 <= n <= n_max.
 
     Per n: (i) the sum of F^(n,m) over 0 <= m <= n-1 equals 1; (ii) the
-    telescoping relation ORIENT_F_DIFFERENCE holds; (iii) the companion
-    equals R * F^ on 0 <= m <= n-1, where R is defined.  The
+    telescoping relation ORIENT_F_DIFFERENCE holds on 0 <= m <= n-1, with
+    the companion G^ = R * F^ closed by the boundary value G^(n, n).  The
     ``orientation`` case checks the relation on a small grid first and
     records it in the report.  The summand (a row over m = 0..n-1), the
-    certificate (m = 0..n-1) and the companion (m = 0..n), each of
-    (numerator, denominator) pairs, are injectable for negative controls.
+    certificate (m = 0..n-1), each of (numerator, denominator) pairs, and
+    the boundary, one such pair per n, are injectable for negative controls.
     """
-    return run_units("certificate", certificate_units(n_max, summand, r, companion))
+    return run_units("certificate", certificate_units(n_max, summand, r, boundary))

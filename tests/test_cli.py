@@ -1315,6 +1315,39 @@ def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, 
     assert any(case.status == "fail" for case in report.cases)
 
 
+def _first_sign_flipped(weights):
+    def flipped(*args):
+        first, *rest = weights(*args)
+        return (-first, *rest)
+    return flipped
+
+
+def _with_constant_term(residual):
+    def perturbed(s):
+        series = residual(s)
+        terms = dict(series.terms)
+        zero = (0,) * series.nvars
+        terms[zero] = terms.get(zero, 0) + 1
+        return mpoly.TruncatedSeries(series.nvars, series.trunc, terms)
+    return perturbed
+
+
+@pytest.mark.parametrize("name, module, function, perturb, bounds", [
+    ("thm3", geode, "alternating_weights", _first_sign_flipped, {"max_order": 3}),
+    ("general-eval", geode, "general_weights", _first_sign_flipped, {"max_order": 3}),
+    ("oracle", verify, "functional_residual", _with_constant_term,
+     {"max_vars": 2, "max_degree": 3}),
+], ids=["thm3", "general-eval", "oracle"])
+def test_suite_fails_when_a_weight_or_the_residual_is_perturbed(
+    name, module, function, perturb, bounds, monkeypatch
+):
+    suite = verify.SUITES[name][0]
+    assert run_units(name, suite(**bounds)).all_passed()
+    monkeypatch.setattr(module, function, perturb(getattr(module, function)))
+    statuses = {case.status for case in run_units(name, suite(**bounds)).cases}
+    assert "fail" in statuses and "error" not in statuses, statuses
+
+
 # ---------------------------------------------------------------------------
 # the claims suite's shared tallies and bracket powers
 

@@ -151,17 +151,26 @@ def test_certificate_sum_base_case():
     assert sum(_values(wz._cert_summand(4))) == 1
 
 
+def _cancelled_companion(n, m):
+    """G^(n, m) = R(n, m) F^(n, m) with the (n - m) pole cancelled through
+    C(n-1, m) / (n - m) = C(n, m) / n, defined for 0 <= m <= n."""
+    r_times_pole = Fraction(m * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6),
+                            2 * (2 * n + 3) * (n + 1))
+    rest = Fraction((-1) ** ((n - 1 - m) % 2) * comb(n, m) * comb(2 * n + 1 + m, n + 1 + m),
+                    n * (2 * n + 1))
+    return r_times_pole * rest
+
+
 def test_companion_extends_r_times_summand():
+    # the boundary G^(n, n) is the cancelled limit of R * F^ at m = n
     for n in range(1, 15):
-        summand = _values(wz._cert_summand(n))
-        companion = _values(wz._cert_companion(n))
-        products = [r * f for r, f in zip(_values(wz._cert_R(n)), summand)]
-        assert companion[:n] == products
-        # F^(n, n) = 0 lies past the summand's support, but the companion
-        # extends to m = n, generally nonzero; forcing it to zero would
-        # break the telescoping relation at m = n - 1
-        assert len(summand) == n and len(companion) == n + 1
-    assert _values(wz._cert_companion(2))[2] == -12
+        products = [r * f for r, f in zip(_values(wz._cert_R(n)), _values(wz._cert_summand(n)))]
+        assert products == [_cancelled_companion(n, m) for m in range(n)]
+        # F^(n, n) = 0 lies past the summand's support and R has its pole
+        # there, but the cancelled product extends to m = n, generally
+        # nonzero; forcing it to zero would break the relation at m = n - 1
+        assert Fraction(*wz._cert_boundary(n)) == _cancelled_companion(n, n)
+    assert Fraction(*wz._cert_boundary(2)) == -12
 
 
 def test_check_certificate_passes_and_names_orientation():
@@ -173,7 +182,7 @@ def test_check_certificate_passes_and_names_orientation():
 
 
 def test_check_certificate_negative_control():
-    corrupted = check_certificate_R(4, companion=_flipped(wz._cert_companion))
+    corrupted = check_certificate_R(4, r=_flipped(wz._cert_R))
     assert not corrupted.all_passed()
 
 
@@ -193,7 +202,8 @@ def test_h1_quotient_layer_identity_and_geode_bridge():
 
 
 # Each mutant changes one description at one point (or, for the zeroed
-# companion, along k = n or m = n) and must leave a non-passing case.
+# companion, along k = n or m = n; the certificate's companion at m = n is
+# its boundary value) and must leave a non-passing case.
 MUTANTS = [
     ("wz1 summand +1", lambda: check_wz1(8, f=_raised(wz._f1, (5, 2))), "fail"),
     ("wz1 R +1", lambda: check_wz1(8, r=_raised(wz._r1, (5, 2))), "fail"),
@@ -213,12 +223,14 @@ MUTANTS = [
     ("certificate R +1", lambda: check_certificate_R(8, r=_raised(wz._cert_R, (5, 2))), "fail"),
     (
         "certificate companion 0 at m=n",
-        lambda: check_certificate_R(8, companion=_zeroed_on_diagonal(wz._cert_companion)),
+        lambda: check_certificate_R(8, boundary=lambda n: (0, 1)),
         "fail",
     ),
     (
         "certificate companion 0/0",
-        lambda: check_certificate_R(8, companion=_zero_over_zero(wz._cert_companion, (5, 2))),
+        lambda: check_certificate_R(
+            8, boundary=lambda n: (0, 0) if n == 5 else wz._cert_boundary(n)
+        ),
         "error",
     ),
     ("certificate R 0/0", lambda: check_certificate_R(8, r=_zero_over_zero(wz._cert_R, (5, 2))), "error"),
@@ -239,15 +251,17 @@ def test_mutated_description_leaves_a_non_passing_case(name, run, status):
 
 def test_mutants_leave_the_rest_of_the_grid_passing():
     # The one-point mutants touch n = 5 (and the certificate's relation at
-    # n = 4, which reads F(5, m)); every other n still passes.
+    # n = 4, which reads F(5, m), and its orientation case, which reads
+    # n <= 6); every other n still passes.
     report = check_wz1(8, f=_raised(wz._f1, (5, 2)))
     failures = [case for case in report.cases if case.status != "pass"]
     assert [case.params["n"] for case in failures] == [5]
     assert failures[0].actual == "pair relation broken at k=1: F=-330, H(k+1)-H(k)=-18166/55"
     report = check_certificate_R(8, r=_raised(wz._cert_R, (5, 2)))
     failures = [case for case in report.cases if case.status != "pass"]
-    assert [case.id for case in failures] == ["n=005"]
-    assert failures[0].actual == "companion differs from R*F at m=2"
+    assert [case.id for case in failures] == ["orientation", "n=005"]
+    # R(5, 2) enters the companion at m = 2, so the relation breaks at m = 1
+    assert [case.actual for case in failures] == ["relation broken at m=1: lhs=1443, rhs=2145"] * 2
 
 
 def test_sum_checks_catch_what_the_relations_do_not():
