@@ -16,15 +16,16 @@ flags, and each unit's solves are priced as the unit is yielded, refusing
 a suite whose summed work exceeds ``cli.MAX_ORACLE_WORK``.
 
 A unit does all its work inside its cases (``report.run_case``).  What its
-cases share, such as a G table, is a ``functools.cache`` of a ``partial``
+cases share, such as a G table, is a build run at most once (``_once``)
 that every case reads through a call, so the first case that reads it
 builds it: the build's time is in that case's elapsed_ms, and a build that
 raises makes each case that reads it an ``error`` case, not the request a
-crash.  ``verify <suite>`` and ``verify all`` put the planned units into
-one queue, the suite with the most planned work first, that the command's
-process and forked helpers drain on every usable CPU (``_run_units``);
-``_cmd_verify`` assembles the one report from the queue's cases, whatever
-the CPU count, and ``report.VerifyReport.to_json`` writes it.
+crash, without running again.  ``verify <suite>`` and ``verify all`` put
+the planned units into one queue, the suite with the most planned work
+first, that the command's process and forked helpers drain on every
+usable CPU (``_run_units``); ``_cmd_verify`` assembles the one report from
+the queue's cases, whatever the CPU count, and
+``report.VerifyReport.to_json`` writes it.
 
 ``cli`` imports this module only for ``verify``, so ``table`` and ``coeff``
 load none of the suites' modules.  Exit codes are ``cli``'s.
@@ -35,9 +36,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache, partial
+from functools import partial
 from itertools import chain, groupby
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import geode, identities, wz
 from .cli import _check_oracle_size, _open_output, _write_output
@@ -47,6 +48,27 @@ from .report import Case, Unit, VerifyReport, run_case
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
+
+T = TypeVar("T")
+
+
+def _once(build: Callable[[], T]) -> Callable[[], T]:
+    """`build`, run by the first call only: every call returns the value
+    it returned or raises again the exception it raised."""
+    outcome: list = []
+
+    def once() -> T:
+        if not outcome:
+            try:
+                outcome.append((build(), None))
+            except Exception as exc:
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return once
 
 
 def _is(expected, value) -> tuple[bool, str]:
@@ -103,7 +125,7 @@ def _case_unit(
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
     def unit(report: VerifyReport) -> None:
-        table = cache(partial(geode.geode_series, 2, max_degree))
+        table = _once(partial(geode.geode_series, 2, max_degree))
         for m1 in range(max_degree + 1):
             for m2 in range(max_degree + 1 - m1):
                 closed = geode.geode_closed_2var(m1, m2)
@@ -120,7 +142,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
-        table = cache(partial(geode.geode_series, a, max_sum))
+        table = _once(partial(geode.geode_series, a, max_sum))
         for p in range(max_sum + 1):
             for q in range(max_sum + 1 - p):
                 exps = [0] * a
@@ -149,7 +171,7 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
-        values = cache(partial(geode.eval_alternating, a, max_order))
+        values = _once(partial(geode.eval_alternating, a, max_order))
         for n in range(max_order + 1):
             run_case(
                 report,
@@ -181,9 +203,9 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
         # The signed size masses of lengths n and n-1, one part power each,
         # and the bracket power of the ct route, shared as every suite
         # shares what its cases read (module docstring).
-        mass1 = cache(partial(identities.size_mass, n, a))
-        mass2 = cache(partial(identities.size_mass, n - 1, a))
-        bracket = cache(partial(identities.bracket_power, n, a))
+        mass1 = _once(partial(identities.size_mass, n, a))
+        mass2 = _once(partial(identities.size_mass, n - 1, a))
+        bracket = _once(partial(identities.bracket_power, n, a))
         for x in range(-2, n + 1):
             params = {"n": n, "a": a, "x": x}
             run_case(
@@ -265,7 +287,7 @@ def suite_certificate(max_n: int = 100) -> list[Unit]:
 
 def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
     def unit(report: VerifyReport, r: int) -> None:
-        table = cache(partial(geode.geode_series, r, max_degree - 1))
+        table = _once(partial(geode.geode_series, r, max_degree - 1))
         for d in range(1, max_degree + 1):
             def check(d=d):
                 count = 0
@@ -293,7 +315,7 @@ def suite_two_nonzero(
     nvars = max(t for _, t in pairs)
 
     def unit(report: VerifyReport) -> None:
-        table = cache(partial(geode.geode_series, nvars, max_n - 1))
+        table = _once(partial(geode.geode_series, nvars, max_n - 1))
         for s, t in pairs:
             for n in range(1, max_n + 1):
                 def check(s=s, t=t, n=n):
@@ -391,12 +413,12 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
 # single a_values entry.  A flag whose cost lies in the oracle has no
 # maximum, because `verify` prices the S solves its units carry; the grid
 # suites' maxima keep each one, at its largest admitted bounds, under 3 s on
-# one CPU of a 2-core VM with Python 3.11 (`verify` wall time, at least two
-# runs each; two CPUs take 0.55-0.75 of it): wz1 at 600 1.5-1.8 s, wz2 at
-# 350 1.4-1.7 s (--a 1000 1.3 s), certificate at 600 1.5-2.0 s, eq31 at
-# 60/10 1.5-1.9 s, claims at 30/5 1.5-2.3 s.  eq31 at 80/10 took 3.4-3.8 s
-# and at 60/12 2.4-2.6 s, claims at 30/6 2.6-2.7 s, so eq31 stops at 60/10
-# and claims at 30/5.
+# one CPU of a 2-core VM with Python 3.11 (`verify` wall time, three runs
+# each; two CPUs take 0.55-0.65 of it for the WZ grids): wz1 at 600
+# 0.7-0.9 s, wz2 at 350 1.0-1.1 s (--a 1000 0.5-0.6 s), certificate at 600
+# 1.1-1.3 s, eq31 at 60/10 1.9-2.0 s, claims at 30/5 0.9-1.0 s.  eq31 at
+# 80/10 took 3.4-3.8 s and at 60/12 2.4-2.6 s, claims at 30/6 2.6-2.7 s, so
+# eq31 stops at 60/10 and claims at 30/5.
 SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, tuple[int, int | None]]]] = {
     "thm1": (suite_thm1, {"max_degree": (0, None)}),
     "thm2": (suite_thm2, {"max_sum": (0, None)}),

@@ -13,17 +13,21 @@ returns the integer (numerator, denominator) pairs of the whole row over k
 
     (-1)^(j+parity) C(p, j) C(q+j, b+j) / (d0 + d1 j),   j = 0..count-1,
 
-with p, q, b, d0, d1 affine in (a, n).  Its binomials come from one
-stepper, ``_binomials``, which starts from math.comb, steps by the exact
-ratio of neighbouring binomials (a small-int multiply and divide per
-entry) and checks the row's last entry against math.comb, so no row can
-drift from the closed form and no ratio is typed by hand.  The R rows are
-typed as they are printed below.
+with p, q, b, d0, d1 affine in (a, n).  It starts the signed product of
+the two binomials from math.comb and steps it by their exact ratio
+
+    (p-j)(q+j+1) / ((j+1)(b+j+1)),
+
+one small-int multiply and one exact divide per entry, flipping the sign
+as it goes; it checks the signed last entry against math.comb, so no row
+can drift from the closed form.  The R rows are typed as they are
+printed below.
 
 One loop, ``_telescopes``, checks every grid.  It forms the companion
 C = R * F entry by entry, appends the boundary value, and checks
-lhs(j) = C(j+1) - C(j) by cross-multiplying; every sum is checked over a
-common denominator, and a Fraction is built only to print a failure.  A
+lhs(j) = C(j+1) - C(j) by cross-multiplying.  Every sum is added
+pairwise, in a tree, as one unreduced (numerator, denominator) pair
+(``_row_sum``), and a Fraction is built only to print a failure.  A
 zero denominator would make both sides of a cross-multiplied relation 0,
 so a grid that reads one is an error, never a pass; so is a row of the
 wrong length.  Each grid check is a list of units, one per n
@@ -64,7 +68,7 @@ telescope at m = n-1.
 from __future__ import annotations
 
 from functools import partial
-from math import comb, lcm
+from math import comb
 from typing import Callable
 
 from .report import Unit, VerifyReport, run_case, run_units
@@ -75,60 +79,30 @@ ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 Ratio = tuple[int, int]
 
 
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# the binomial rows
-
-
-def _step(top: int, bottom: int, top_step: int) -> tuple[int, int]:
-    """The numerator of the first step of ``_binomials`` and its change per
-    step; the denominator is bottom + 1, then bottom + 2, and so on.  From
-    C(t, b), C(t, b+1) = C(t, b) (t-b) / (b+1) and C(t+1, b+1) = C(t, b)
-    (t+1) / (b+1), so the numerator starts at top - bottom and falls by one
-    (top_step 0) or starts at top + 1 and rises by one (top_step 1)."""
-    if top_step == 0:
-        return top - bottom, -1
-    if top_step == 1:
-        return top + 1, 1
-    raise ValueError(f"need top_step 0 or 1, got {top_step}")
-
-
-def _binomials(top: int, bottom: int, top_step: int, count: int) -> list[int]:
-    """C(top + top_step*j, bottom + j) for j = 0..count-1, top_step 0 or 1.
-
-    The row starts from math.comb and steps by the exact ratio of
-    neighbouring entries (``_step``), one small-int multiply and divide per
-    entry; every division is exact.  The last entry is checked against
-    math.comb, so a row cannot drift from the closed form."""
-    if count < 1:
-        return []
-    numerator, drift = _step(top, bottom, top_step)
-    denominator = bottom + 1
-    value = comb(top, bottom)
-    row = [value]
-    for _ in range(count - 1):
-        value = value * numerator // denominator
-        row.append(value)
-        numerator += drift
-        denominator += 1
-    last = top + top_step * (count - 1), bottom + count - 1
-    if value != comb(*last):
-        raise ArithmeticError(f"stepped row reached {value} at C{last}, not {comb(*last)}")
-    return row
-
-
 # ---------------------------------------------------------------------------
 # the descriptions: each formula is typed here once, as a row over k or m
 
 
 def _row(parity: int, p: int, q: int, b: int, d0: int, d1: int, count: int) -> list[Ratio]:
     """(-1)^(j+parity) C(p, j) C(q+j, b+j) / (d0 + d1 j) for j = 0..count-1:
-    the one shape of every summand."""
-    binomials = zip(_binomials(p, 0, 0, count), _binomials(q, b, 1, count))
-    return [(_sign(j + parity) * c * d, d0 + d1 * j) for j, (c, d) in enumerate(binomials)]
+    the one shape of every summand.
+
+    The signed numerator starts at (-1)^parity C(q, b) and steps by the
+    exact ratio -(p-j)(q+j+1) / ((j+1)(b+j+1)) of neighbouring entries;
+    every division is exact.  The last entry is checked against math.comb,
+    so a row cannot drift from the closed form."""
+    if count < 1:
+        return []
+    value = (-1) ** parity * comb(q, b)
+    row = [(value, d0)]
+    for j in range(count - 1):
+        value = -value * ((p - j) * (q + j + 1)) // ((j + 1) * (b + j + 1))
+        row.append((value, d0 + d1 * (j + 1)))
+    last = count - 1
+    closed = (-1) ** (last + parity) * comb(p, last) * comb(q + last, b + last)
+    if value != closed:
+        raise ArithmeticError(f"stepped row reached {value} at j={last}, not {closed}")
+    return row
 
 
 def _f1(n: int) -> list[Ratio]:
@@ -192,9 +166,18 @@ def _require(row: list[Ratio], length: int) -> list[Ratio]:
 
 
 def _row_sum(row: list[Ratio]) -> Ratio:
-    """The sum of a row of ratios over their least common denominator."""
-    den = lcm(*(d for _, d in row))
-    return sum(num * (den // d) for num, d in row), den
+    """The sum of a row of ratios as one unreduced (numerator, denominator)
+    pair, (0, 1) for an empty row.  Neighbours are added pairwise, level by
+    level, so the operands of each level stay of like size; two equal
+    denominators add their numerators, and an odd last entry is carried up
+    a level as it is."""
+    while len(row) > 1:
+        carry = row[-1:] if len(row) % 2 else []
+        row = [
+            (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+            for (an, ad), (bn, bd) in zip(row[::2], row[1::2])
+        ] + carry
+    return row[0] if row else (0, 1)
 
 
 def _telescopes(

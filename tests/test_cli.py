@@ -1279,12 +1279,26 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
     # hypercat imports the kernel by name, so both names are patched
     monkeypatch.setattr(mpoly, "_layer_product", doubling_layer_product)
     monkeypatch.setattr(hypercat, "_layer_product", doubling_layer_product)
+    # the builds of every shared table, evaluation and mass, counted in
+    # this process, where one CPU runs every unit
+    builds = []
+    once = verify._once
+
+    def counted(build):
+        runs = []
+        builds.append(runs)
+        return once(lambda: runs.append(1) or build())
+
+    monkeypatch.setattr(verify, "_once", counted)
     oracle_free = {"eq31", "claims", "wz1", "wz2", "certificate"}
     for cpus in (1, 2):
         monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
         path = tmp_path / f"broken-{cpus}.json"
         assert cli.main(["verify", "all", "--report", str(path)]) == 1
         capsys.readouterr()
+        if cpus == 1:
+            # a build that raises runs once, not once per case that reads it
+            assert builds and [len(runs) for runs in builds] == [1] * len(builds)
         cases = json.loads(path.read_text())["cases"]
         assert [case["id"] for case in cases] == ids
         statuses = {}

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodenums import wz
 from geodenums.geode import geode_closed_2var
@@ -59,33 +61,75 @@ def _zero_over_zero(row, at):
     return broken
 
 
+def _row_reference(parity, p, q, b, d0, d1, count):
+    """The row shape of ``wz._row``, each entry from math.comb."""
+    return [
+        ((-1) ** (j + parity) * comb(p, j) * comb(q + j, b + j), d0 + d1 * j)
+        for j in range(count)
+    ]
+
+
 def test_binomial_rows_match_comb():
-    for top in range(9):
-        for bottom in range(11):
-            for top_step in (0, 1):
+    for p in range(9):
+        for top in range(9):
+            for bottom in range(11):
                 for count in range(7):
-                    expected = [comb(top + top_step * j, bottom + j) for j in range(count)]
-                    assert wz._binomials(top, bottom, top_step, count) == expected
+                    for parity in (0, 1):
+                        args = (parity, p, top, bottom, 3, 2, count)
+                        assert wz._row(*args) == _row_reference(*args)
     # the second binomial of F_2 at the largest --a of `verify wz2`
     for a in (2, 3, 999, 1000):
         for n in (1, 7, 60):
-            expected = [comb(a * n + 1 + k, (a - 1) * n + 1 + k) for k in range(n + 1)]
-            assert wz._binomials(a * n + 1, (a - 1) * n + 1, 1, n + 1) == expected
-    with pytest.raises(ValueError):
-        wz._binomials(5, 1, 2, 3)
+            args = (0, n, a * n + 1, (a - 1) * n + 1, a * n + 1, 1, n + 1)
+            assert wz._row(*args) == _row_reference(*args)
 
 
 @pytest.mark.parametrize("top, bottom, top_step", [(10, 0, 0), (21, 11, 1), (5001, 4001, 1)])
 def test_binomial_row_that_drifts_is_refused(monkeypatch, top, bottom, top_step):
-    step = wz._step
-
-    def off_by_one(*args):
-        numerator, drift = step(*args)
-        return numerator + 1, drift
-
-    monkeypatch.setattr(wz, "_step", off_by_one)
+    # a row of 11 entries whose stepped binomial is C(top + top_step j,
+    # bottom + j): C(p, j) when top_step is 0 (bottom 0), C(q+j, b+j) when
+    # it is 1; math.comb moved by one at that binomial's last entry is a
+    # closed form the stepped row no longer reaches
+    p, q, b = (top, 0, 0) if top_step == 0 else (10, top, bottom)
+    assert wz._row(0, p, q, b, 1, 0, 11) == _row_reference(0, p, q, b, 1, 0, 11)
+    last = (top + 10 * top_step, bottom + 10)
+    monkeypatch.setattr(wz, "comb", lambda t, k: comb(t, k) + ((t, k) == last))
     with pytest.raises(ArithmeticError, match="stepped row"):
-        wz._binomials(top, bottom, top_step, 11)
+        wz._row(0, p, q, b, 1, 0, 11)
+
+
+def test_summand_rows_match_their_closed_forms():
+    def f(a, n, k):
+        return Fraction(
+            (-1) ** k * comb(n, k) * comb(a * n + 1 + k, (a - 1) * n + 1 + k), a * n + 1 + k
+        )
+
+    for n in range(1, 61):
+        assert _values(wz._f1(n)) == [f(2, n, k) for k in range(n + 1)]
+        for a in (2, 3, 999, 1000):
+            assert _values(wz._f2(a, n)) == [f(a, n, k) for k in range(n + 1)]
+        assert _values(wz._cert_summand(n)) == [
+            Fraction(
+                (-1) ** (n - 1 - m) * comb(n - 1, m) * comb(2 * n + 1 + m, n + 1 + m), 2 * n + 1
+            )
+            for m in range(n)
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 12)), max_size=40),
+    st.booleans(),
+)
+@example([(3, 5)] * 7, False)  # odd length, one denominator
+@example([(-1, 2), (1, 3), (-1, 4)], False)  # odd length, distinct denominators
+@example([], False)
+def test_row_sum_equals_the_fraction_sum(row, one_denominator):
+    if one_denominator:
+        row = [(num, 7) for num, _ in row]
+    total, den = wz._row_sum(row)
+    assert den
+    assert Fraction(total, den) == sum((Fraction(*entry) for entry in row), Fraction(0))
 
 
 def test_f1_values():
