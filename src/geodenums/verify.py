@@ -23,7 +23,8 @@ raises makes each case that reads it an ``error`` case, not the request a
 crash, without running again.  ``verify <suite>`` and ``verify all`` put
 the planned units into one queue, the suite with the most planned work
 first, that the command's process and forked helpers drain on every
-usable CPU (``_run_units``); ``_cmd_verify`` assembles the one report from
+usable CPU, each process pinned to a CPU of its own for the request
+(``_run_units``); ``_cmd_verify`` assembles the one report from
 the queue's cases, whatever the CPU count, and
 ``report.VerifyReport.to_json`` writes it.
 
@@ -414,11 +415,12 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
 # maximum, because `verify` prices the S solves its units carry; the grid
 # suites' maxima keep each one, at its largest admitted bounds, under 3 s on
 # one CPU of a 2-core VM with Python 3.11 (`verify` wall time, three runs
-# each; two CPUs take 0.55-0.65 of it for the WZ grids): wz1 at 600
-# 0.7-0.9 s, wz2 at 350 1.0-1.1 s (--a 1000 0.5-0.6 s), certificate at 600
-# 1.1-1.3 s, eq31 at 60/10 1.9-2.0 s, claims at 30/5 0.9-1.0 s.  eq31 at
-# 80/10 took 3.4-3.8 s and at 60/12 2.4-2.6 s, claims at 30/6 2.6-2.7 s, so
-# eq31 stops at 60/10 and claims at 30/5.
+# each; two CPUs, each process pinned to its own, take 0.5-0.8 of it for
+# the WZ grids): wz1 at 600 0.7-0.9 s, wz2 at 350 1.0-1.1 s (--a 1000
+# 0.5-0.6 s), certificate at 600 1.1-1.3 s, eq31 at 60/10 1.9-2.0 s,
+# claims at 30/5 0.9-1.0 s.  eq31 at 80/10 took 3.4-3.8 s and at 60/12
+# 2.4-2.6 s, claims at 30/6 2.6-2.7 s, so eq31 stops at 60/10 and claims at
+# 30/5.
 SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, tuple[int, int | None]]]] = {
     "thm1": (suite_thm1, {"max_degree": (0, None)}),
     "thm2": (suite_thm2, {"max_sum": (0, None)}),
@@ -471,12 +473,22 @@ def _plan(
     return plan
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
+def _cpus() -> tuple[int, ...]:
+    """The ids of the CPUs this process may run on, in increasing order."""
     try:
-        return len(os.sched_getaffinity(0))
+        return tuple(sorted(os.sched_getaffinity(0)))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return tuple(range(os.cpu_count() or 1))
+
+
+def _pin(cpus: Iterable[int]) -> None:
+    """Run this process on `cpus` only.  Where that raises OSError (a CPU
+    that went offline, or an id a test made up) the process stays where it
+    was, and where there is no affinity call nothing is pinned."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
 
 
 # Bytes per unit index in the queue, and per write to it: 512 is the
@@ -491,31 +503,43 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
     on up to one process per usable CPU.
 
     Units are independent, so ``min(CPUs, units) - 1`` helpers are forked
-    first; then this process writes every unit's index into one pipe, the
-    queue, suite by suite, each suite's units in reverse order, and it and
-    every helper read the next index and run that unit until the queue is
-    empty.  A suite's units grow along its list, as its grids do, so its
-    largest are taken first.  Forking first lets the helpers
-    drain the queue while it is written, so a queue longer than the pipe
-    holds does not stall.  Each helper sends its cases back pickled through a
+    first.  Each process is placed on a CPU of its own, since the scheduler
+    often leaves a fresh helper on its parent's CPU while another idles:
+    each helper pins itself to the next usable id as the first thing it
+    does, this process pins itself to the first id once a helper is forked,
+    and the ``finally`` gives this process back its own mask on every path,
+    so the next request sees every CPU again (``_pin`` says what a failed
+    pin does).  Then this process writes every unit's index into one
+    pipe, the queue, suite by suite, each suite's units in reverse order,
+    and it and every helper read the next index and run that unit until the
+    queue is empty.  A suite's units grow along its list, as its grids do,
+    so its largest are taken first.  Forking first lets the helpers drain
+    the queue while it is written, so a queue longer than the pipe holds
+    does not stall.  Each helper sends its cases back pickled through a
     pipe of its own.  Fork, not spawn: a helper starts from this process's
     imports and units, and the CLI starts no threads.  With no helper (one
     CPU or unit, no os.fork, or every fork failing with OSError, as under a
-    process limit) this process runs every unit in order.  A unit that
-    raises outside its cases, in any process, raises RuntimeError naming
-    its suite; so does a helper that dies before its cases arrive, naming
-    the suites whose units ran nowhere.  No helper outlives the call.
+    process limit) this process runs every unit in order, unpinned.  A unit
+    that raises outside its cases, in any process, raises RuntimeError
+    naming its suite; so does a helper that dies before its cases arrive,
+    naming the suites whose units ran nowhere.  No helper outlives the
+    call.
     """
-    procs = min(_cpus(), len(units)) if hasattr(os, "fork") else 1
+    cpus = _cpus()
+    procs = min(len(cpus), len(units)) if hasattr(os, "fork") else 1
     queue, feed = os.pipe()
     helpers: list[tuple[int, int]] = []
+    mask = None  # this process's own CPUs, while it is pinned
     try:
-        for _ in range(procs - 1):
+        for cpu in cpus[1:procs]:
             try:
-                helpers.append(_fork_helper(units, queue, feed))
+                helpers.append(_fork_helper(units, queue, feed, cpu))
             except OSError:
                 break
         if helpers:
+            if hasattr(os, "sched_getaffinity"):
+                mask = os.sched_getaffinity(0)
+                _pin(cpus[:1])
             suites = groupby(range(len(units)), key=lambda i: units[i][0])
             order = chain.from_iterable(reversed(list(indices)) for _, indices in suites)
             records = b"".join(i.to_bytes(_RECORD, "little") for i in order)
@@ -558,6 +582,8 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
                 os.close(read)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        if mask is not None:
+            _pin(mask)
     return [cases[index] for index in range(len(units))]
 
 
@@ -584,13 +610,15 @@ def _run_unit(name: str, unit: Unit) -> list[Case]:
     return report.cases
 
 
-def _fork_helper(units: Sequence[tuple[str, Unit]], queue: int, feed: int) -> tuple[int, int]:
-    """Fork a helper that runs the units whose indices it reads from `queue`
-    until the queue is empty, then writes the pickled pair (cases by unit
-    index, None) to a pipe of its own, or (cases, message) with the message
-    of the first unit that raised; return its pid and the pipe's read end.
-    The helper leaves by os._exit, so it runs no exit handler and flushes
-    no buffer it inherited."""
+def _fork_helper(
+    units: Sequence[tuple[str, Unit]], queue: int, feed: int, cpu: int
+) -> tuple[int, int]:
+    """Fork a helper that pins itself to `cpu`, runs the units whose
+    indices it reads from `queue` until the queue is empty, then writes the
+    pickled pair (cases by unit index, None) to a pipe of its own, or
+    (cases, message) with the message of the first unit that raised; return
+    its pid and the pipe's read end.  The helper leaves by os._exit, so it
+    runs no exit handler and flushes no buffer it inherited."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -603,6 +631,7 @@ def _fork_helper(units: Sequence[tuple[str, Unit]], queue: int, feed: int) -> tu
         return pid, read
     code = 1
     try:
+        _pin((cpu,))
         import pickle
 
         os.close(read)

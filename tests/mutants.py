@@ -16,7 +16,9 @@ Run from the root of a checkout, with pytest and hypothesis installed:
     python tests/mutants.py "<name>" ...    # the mutants with these names
 
 The runner itself needs only the standard library.  It is not a test
-module, so the tier-1 run does not collect it.
+module, so the tier-1 run does not collect it.  The tests that kill the
+CPU placement mutants skip, and so pass, where fewer than two CPUs are
+usable, so there those mutants survive.
 """
 
 from __future__ import annotations
@@ -100,6 +102,20 @@ MUTANTS = [
         "outcome.append((None, exc))",
         "raise",
         ("tests/test_cli.py::test_a_broken_kernel_costs_cases_not_the_report",),
+    ),
+    Mutant(
+        "verify helper skips its pin",
+        "src/geodenums/verify.py",
+        "_pin((cpu,))",
+        "pass",
+        ("tests/test_cli.py::test_the_command_and_each_helper_run_on_a_cpu_of_their_own",),
+    ),
+    Mutant(
+        "verify never restores the command's mask",
+        "src/geodenums/verify.py",
+        "_pin(mask)",
+        "pass",
+        ("tests/test_cli.py::test_the_commands_mask_is_restored_on_every_path",),
     ),
 ]
 

@@ -594,7 +594,7 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: tuple(range(cpus)))
         path = tmp_path / f"{cpus}.json"
         assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(path)]) == 0
         assert capsys.readouterr().err == ""
@@ -611,7 +611,7 @@ def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monk
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: tuple(range(cpus)))
         path = tmp_path / f"{cpus}.json"
         assert cli.main(["verify", name, *SMALL_BOUNDS, "--report", str(path)]) == 0
         assert capsys.readouterr().err == ""
@@ -638,7 +638,7 @@ def test_unit_queue_refuses_a_short_read():
 def test_helper_reads_a_suites_last_unit_first(monkeypatch):
     # the parent holds back until the one helper has read its first index,
     # which must be the last unit of the first suite in the queue
-    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     parent, read_queue = os.getpid(), verify._queue_indices
     first_read, first_write = os.pipe()
     firsts = []
@@ -668,7 +668,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
     # a unit raises outside run_case, in a helper while the parent's copy
     # waits for it, or in the parent while a helper's copy waits to be
     # killed; either way verify raises RuntimeError naming the suite
-    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         for raising_in in ("helper", "parent"):
@@ -692,7 +692,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
 
 
 def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
-    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         with Where() as where:
@@ -716,7 +716,7 @@ def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
 def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, capsys):
     # units that run no cases, spread over three processes, and a suite
     # with no units at all
-    monkeypatch.setattr(verify, "_cpus", lambda: 3)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1, 2))
     for argv, empty in zip(REQUESTS, (["wz1"], ["thm1", "wz1", "oracle"])):
         for name in empty:
             no_cases = [lambda report: None] * 6
@@ -735,7 +735,7 @@ def test_table_coeff_and_one_unit_requests_never_fork(monkeypatch, capsys):
     def no_fork():
         raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(verify, "_cpus", lambda: 3)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1, 2))
     monkeypatch.setattr(os, "fork", no_fork)
     for argv in (["thm1"], ["thm3", "--a", "2"]):
         code, out = run_cli(capsys, "verify", *argv)
@@ -754,16 +754,121 @@ def test_verify_all_runs_every_share_itself_when_fork_fails(tmp_path, monkeypatc
 
     for argv in REQUESTS:
         serial, parallel = tmp_path / f"{argv[0]}-1.json", tmp_path / f"{argv[0]}-2.json"
-        monkeypatch.setattr(verify, "_cpus", lambda: 1)
+        monkeypatch.setattr(verify, "_cpus", lambda: (0,))
         assert cli.main(["verify", *argv, "--report", str(serial)]) == 0
         # under a process limit, fork fails with EAGAIN
         with monkeypatch.context() as patch:
             patch.setattr(os, "fork", failing_fork)
-            patch.setattr(verify, "_cpus", lambda: 2)
+            patch.setattr(verify, "_cpus", lambda: (0, 1))
             assert cli.main(["verify", *argv, "--report", str(parallel)]) == 0
         assert capsys.readouterr().err == ""
         assert stripped(parallel) == stripped(serial)
     assert len(attempts) == len(REQUESTS)
+
+
+# the CPUs this test process may use, for the placement tests
+CPU_IDS = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else ()
+needs_two_cpus = pytest.mark.skipif(len(CPU_IDS) < 2, reason="needs two usable CPUs")
+
+
+@needs_two_cpus
+def test_the_command_and_each_helper_run_on_a_cpu_of_their_own():
+    # one unit per process: the parent's copy waits until every helper's
+    # copy has started, and each helper's copy waits for the parent's go,
+    # so no process can take a second unit
+    procs = min(len(CPU_IDS), 3)
+    parent = os.getpid()
+    started_read, started_write = os.pipe()
+    go_read, go_write = os.pipe()
+
+    def unit(report):
+        if os.getpid() == parent:
+            for _ in range(procs - 1):
+                assert select.select([started_read], [], [], 60)[0], "a helper took no unit"
+                os.read(started_read, 1)
+            os.write(go_write, b"." * (procs - 1))
+        else:
+            os.write(started_write, b".")
+            os.read(go_read, 1)
+        where = [os.getpid(), sorted(os.sched_getaffinity(0))]
+        run_case(report, "where", {}, "", lambda: (True, json.dumps(where)))
+
+    before = os.sched_getaffinity(0)
+    try:
+        ran = verify._run_units([("wz1", unit)] * procs)
+    finally:
+        for fd in (started_read, started_write, go_read, go_write):
+            os.close(fd)
+    where = dict(json.loads(cases[0].actual) for cases in ran)
+    assert len(where) == procs
+    assert where[parent] == [CPU_IDS[0]]
+    assert sorted(where.values()) == [[cpu] for cpu in CPU_IDS[:procs]]
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_two_cpus
+@pytest.mark.parametrize(
+    "path", ["success", "raise in helper", "raise in parent", "helper dies", "fork fails"]
+)
+def test_the_commands_mask_is_restored_on_every_path(path, monkeypatch):
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(verify, "_cpus", lambda: CPU_IDS[:2])
+    if path == "fork fails":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    pinned = []
+    with Where() as where:
+        # as in the failure tests above: the parent's copy of a unit waits
+        # for the helper to exit where the helper's copy must fail
+        def unit(report):
+            if where.in_helper():
+                if path == "raise in helper":
+                    raise ValueError("boom outside run_case")
+                if path == "helper dies":
+                    os._exit(3)
+                return
+            pinned.append(os.sched_getaffinity(0))
+            if path == "raise in parent":
+                raise ValueError("boom outside run_case")
+            if path in ("raise in helper", "helper dies"):
+                where.wait_for_helpers()
+
+        before = os.sched_getaffinity(0)
+        if path in ("success", "fork fails"):
+            assert verify._run_units([("wz1", unit)] * 2) == [[], []]
+        else:
+            with pytest.raises(RuntimeError, match="raised outside its cases|exited with code 3"):
+                verify._run_units([("wz1", unit)] * 2)
+    # a process left to run alone is not pinned
+    expected = before if path == "fork fails" else {CPU_IDS[0]}
+    assert pinned and all(mask == expected for mask in pinned), pinned
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("affinity", ["raises OSError", "is missing"])
+def test_a_pin_that_cannot_be_made_leaves_the_one_cpu_report(
+    affinity, tmp_path, monkeypatch, capsys
+):
+    def refused(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    serial, parallel = tmp_path / "1.json", tmp_path / "2.json"
+    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(serial)]) == 0
+    before = os.sched_getaffinity(0)
+    if affinity == "raises OSError":
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    pids = recording_forks(monkeypatch)
+    assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(parallel)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(pids) == 1
+    assert_reaped(pids)
+    assert stripped(parallel) == stripped(serial)
+    assert os.sched_getaffinity(0) == before
 
 
 def test_verify_thm3_report_shows_powers(capsys):
@@ -943,7 +1048,7 @@ def assert_exit_contract(argv, stub):
 
 
 def _stub_suites(patch):
-    patch.setattr(verify, "_cpus", lambda: 1)
+    patch.setattr(verify, "_cpus", lambda: (0,))
     for name in verify.SUITES:
         patch.setitem(verify.SUITES, name, stub_suite(name, _admitted_stub(name)))
 
@@ -1169,7 +1274,7 @@ def test_verify_all_calls_each_suite_once_and_a_refused_request_runs_no_unit(
 
         return units
 
-    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     for name, (suite, ranges) in list(verify.SUITES.items()):
         monkeypatch.setitem(verify.SUITES, name, (counted(name, suite), ranges))
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
@@ -1221,7 +1326,7 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
 
         return recorded
 
-    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     monkeypatch.setattr(cli, "solve_work", recording(solve_work, priced))
     monkeypatch.setattr(verify, "solve_S", recording(solve_S, solved))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers, solved))
@@ -1250,7 +1355,7 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
 
         return recorded
 
-    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     monkeypatch.setattr(verify, "run_case", in_case)
     monkeypatch.setattr(verify, "solve_S", recording(solve_S))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
@@ -1292,7 +1397,7 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(verify, "_once", counted)
     oracle_free = {"eq31", "claims", "wz1", "wz2", "certificate"}
     for cpus in (1, 2):
-        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: tuple(range(cpus)))
         path = tmp_path / f"broken-{cpus}.json"
         assert cli.main(["verify", "all", "--report", str(path)]) == 1
         capsys.readouterr()
