@@ -13,8 +13,8 @@ stdout or to a file, goes through ``_write_output``.
 Exit codes: 0 all checks passed, 1 any verification failure, a suite that
 ran no cases (named on stderr) or a unit or helper that crashed, 2 usage or
 I/O error, including a bound outside its range, a ``table`` or ``coeff``
-request whose S solve, or a ``verify`` suite whose S solves together, would
-exceed ``MAX_ORACLE_WORK``, a ``coeff`` closed form whose weight exceeds
+request whose S solve, or a ``verify`` suite whose oracle reads together,
+would exceed ``MAX_ORACLE_WORK``, a ``coeff`` closed form whose weight exceeds
 ``MAX_CLOSED_FORM_WEIGHT`` and an output, stdout included, that cannot be
 written: one ``error:`` line on stderr, no traceback.
 Reports are byte-identical across identical invocations except for the
@@ -30,16 +30,17 @@ from functools import partial
 from typing import IO, Callable, Sequence
 
 from . import geode
-from .hypercat import _solve_layers, hyper_catalan, solve_work
+from .hypercat import _solve_layers, hyper_catalan, residual_work, solve_work
 from .mpoly import _unpack_layer, coeff
 
-# Most work the S solve behind `table` or `coeff`, or all the S solves of one
-# `verify` suite together, may take, in units of hypercat.solve_work, each
-# 0.035-0.09 us on one CPU of a 2-core VM with Python 3.11.  The largest
-# admitted table for each r = 1..8 (degrees 2486, 201, 60, 30, 20, 15, 12
-# and 10) takes 0.35-0.82 s of `table --kind S` there, with a peak RSS of
-# 16-45 MB (in process, two runs each).  The largest suite total at the
-# acceptance bounds is thm3's 694 669.
+# Most work the S solve behind `table` or `coeff`, or all the oracle reads of
+# one `verify` suite together (its S solves and residuals), may take, in
+# units of hypercat.solve_work, each 0.035-0.09 us on one CPU of a 2-core VM
+# with Python 3.11.  The largest admitted table for each r = 1..8 (degrees
+# 2486, 201, 60, 30, 20, 15, 12 and 10) takes 0.35-0.82 s of `table --kind
+# S` there, with a peak RSS of 16-45 MB (in process, two runs each).  The
+# largest suite total at the acceptance bounds is oracle's 1 391 715, 912 011
+# of it the residuals of its four tables (hypercat.residual_work).
 MAX_ORACLE_WORK = 10_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
@@ -54,22 +55,29 @@ MAX_CLOSED_FORM_WEIGHT = 4000
 
 
 def _check_oracle_size(
-    r: int, degree: int, parser: argparse.ArgumentParser, context: str = "", spent: int = 0
+    kind: str, r: int, degree: int, parser: argparse.ArgumentParser, context: str = "",
+    spent: int = 0,
 ) -> int:
-    """The ``solve_work`` of an S table in r variables through `degree`,
+    """The work of the oracle read `kind` in r variables through `degree`,
     once it is checked, before any solving, that it and the `spent` units
-    of the solves before it stay within MAX_ORACLE_WORK; refused otherwise.
-    The estimate is at least max(r^2, degree) and at least 2^min(r,
-    degree), so these are checked first and no binomial runs on huge
-    arguments."""
+    of the reads before it stay within MAX_ORACLE_WORK; refused otherwise.
+    An ``S`` or ``G`` table is priced by ``solve_work``: a G table through
+    D is read from S through D + 1 (``geode._geode_layers``), and this is
+    the one guard that knows it.  A ``residual`` is priced by
+    ``residual_work``.  Each estimate is at least the degree and 2^min(r,
+    degree) (the residual's once the degree is positive), so these are
+    checked first and no binomial runs with two huge arguments."""
+    if kind == "G":
+        kind, degree = "S", degree + 1
     limit = MAX_ORACLE_WORK
     work = limit + 1
-    if max(r * r, degree) <= limit and min(r, degree) < limit.bit_length():
-        work = solve_work(r, degree)
+    if degree <= limit and min(r, degree) < limit.bit_length():
+        work = (solve_work if kind == "S" else residual_work)(r, degree)
     if spent + work > limit:
         after = f" after {spent} units of earlier S tables" if spent else ""
+        what = "an S table" if kind == "S" else "the residual of an S table"
         parser.error(
-            f"{context}an S table in {r} variables through degree {degree}{after} is too much "
+            f"{context}{what} in {r} variables through degree {degree}{after} is too much "
             f"work: more than {limit} units (MAX_ORACLE_WORK)"
         )
     return work
@@ -104,22 +112,6 @@ def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
     out.write(",".join(f"m_{i + 1}" for i in range(r)) + ",coeff\n")
     for d, layer in enumerate(layers):
         out.write("".join([line % (*m, c) for m, c in _unpack_layer(layer, r, shift, d)]))
-
-
-def geode_coefficient(exps: Sequence[int]) -> int:
-    """Geode coefficient by closed form when at most two slots are nonzero,
-    by the series oracle otherwise."""
-    exps = tuple(exps)
-    nonzero = [(i + 1, e) for i, e in enumerate(exps) if e]
-    if not nonzero:
-        return 1
-    if len(nonzero) == 1:
-        s, p = nonzero[0]
-        return geode.geode_closed_two_nonzero(s, s + 1, p + 1, 0)
-    if len(nonzero) == 2:
-        (s, m_s), (t, m_t) = nonzero
-        return geode.geode_closed_two_nonzero(s, t, m_s + m_t + 1, m_t)
-    return coeff(geode.geode_series(len(exps), sum(exps)).series, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--vars must be >= 1, got {args.vars}")
     if args.max_degree < 0:
         parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
-    _check_oracle_size(args.vars, args.max_degree + (args.kind == "G"), parser)
+    _check_oracle_size(args.kind, args.vars, args.max_degree, parser)
     write = partial(_write_table, args.kind, args.format, args.vars, args.max_degree)
     if args.out == "-":
         return _write_output(write)
@@ -247,14 +239,24 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--exps must be a comma-separated integer list, got {args.exps!r}")
     if not exps or any(e < 0 for e in exps):
         parser.error(f"--exps entries must be nonnegative, got {args.exps!r}")
-    if args.kind == "G" and sum(map(bool, exps)) >= 3:
-        _check_oracle_size(len(exps), sum(exps) + 1, parser)
-    elif sum((k + 1) * e for k, e in enumerate(exps, start=1)) > MAX_CLOSED_FORM_WEIGHT:
+    nonzero = [(k, e) for k, e in enumerate(exps, start=1) if e]
+    # one route, priced alone: G with three or more nonzero slots by the
+    # series oracle, everything else by closed form
+    if args.kind == "G" and len(nonzero) >= 3:
+        _check_oracle_size("G", len(exps), sum(exps), parser)
+        value = coeff(geode.geode_series(len(exps), sum(exps)).series, exps)
+    elif sum((k + 1) * e for k, e in nonzero) > MAX_CLOSED_FORM_WEIGHT:
         parser.error(
             f"--exps has weight sum_k (k+1) m_k above {MAX_CLOSED_FORM_WEIGHT}: "
             "its closed form is too much work"
         )
-    value = hyper_catalan(exps) if args.kind == "C" else geode_coefficient(exps)
+    elif args.kind == "C":
+        value = hyper_catalan(exps)
+    elif not nonzero:
+        value = 1
+    else:  # one nonzero slot s is the pair s, s + 1 with m_{s+1} = 0
+        (s, m_s), (t, m_t) = (nonzero + [(nonzero[0][0] + 1, 0)])[:2]
+        value = geode.geode_closed_two_nonzero(s, t, m_s + m_t + 1, m_t)
     return _write_output(lambda stdout: print(value, file=stdout))
 
 

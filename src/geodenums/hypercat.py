@@ -16,8 +16,9 @@ It unpacks the packed layers of ``_solve_layers``, which
 ``geode._geode_layers`` divides and ``geodenums table`` writes as they are.
 ``functional_residual`` checks a series against the equation itself, with
 powers chained through ``mpoly._layer_product``, an algorithm the solve
-does not run.  ``solve_work`` estimates the solve's cost from
-(r, max_degree) alone, so a request can be refused before it runs.
+does not run.  ``solve_work`` estimates the solve's cost, and
+``residual_work`` the residual's, from (r, max_degree) alone, so a
+request can be refused before it runs.
 ``hyper_catalan`` is the independent closed form.  Agreement of the two is
 itself one of the verification suites.
 """
@@ -180,6 +181,39 @@ def solve_work(r: int, max_degree: int) -> int:
     width = 1 + max_degree * (r + 1 + (r - 1).bit_length())
     ints = additions + 2 * prefix + 3 * peak  # the copies are as many as the prefix sums
     return 16 * windows + ints * (8192 + width) // 8192 + 4 * r * comb(r + max_degree, r) + r * r
+
+
+def residual_work(r: int, max_degree: int) -> int:
+    """Estimated cost of ``functional_residual`` of an S table in r
+    variables through max_degree, beyond the solve, in the units of
+    ``solve_work``.
+
+    Every coefficient of S is positive, so each layer d holds all N_d =
+    C(r + d - 1, r - 1) monomials.  The residual forms r products, each
+    power S^k times S through degree D - 1 (D = max_degree), and a product
+    layer d pairs each term of degree i with each of degree d - i: the
+    pairs are the monomials of degree d in 2r variables, C(2r + d - 1,
+    2r - 1), so summed over d < D each product has C(2r + D - 1, 2r) and
+    the residual r C(2r + D - 1, 2r) pairs, none at D = 0.
+
+    A pair counts 8, the dict and tuple work around it (about 300 ns on
+    one CPU of a 2-core VM with Python 3.11, where a unit is 35-90 ns),
+    plus W^2 / 2^18 for the length of its two factors: the coefficients
+    of S^k, k <= r + 1, through degree D - 1 are below 2^W for the W of
+    ``solve_work``, and CPython multiplies ints of n 30-bit digits with
+    about n^2 digit products below its Karatsuba cutoff of 70 digits.  At
+    r = 1 and degree 800 or 1200 a pair takes 1.0 or 1.6 us there.
+
+    ``GeodeTable.factorization_holds`` multiplies its table through D by
+    t_1 + ... + t_r, r C(r + D, r) pairs of one short factor, fewer than
+    the 4 r C(r + D + 1, r) table entries ``solve_work`` counts for the S
+    it solves through D + 1, so that product is not priced again.
+
+    From degree 1 on, the estimate is at least 8 max(r, max_degree) and
+    2^min(r, max_degree) (C(2r + D - 1, D - 1) >= 2^min(2r, D - 1))."""
+    pairs = r * comb(2 * r + max_degree - 1, 2 * r)
+    width = 1 + max_degree * (r + 1 + (r - 1).bit_length())
+    return pairs * (8 * 2**18 + width * width) >> 18
 
 
 def functional_residual(s: TruncatedSeries) -> TruncatedSeries:

@@ -9,15 +9,21 @@ process exit code.
 A suite is described as an ordered list of units: each unit runs its
 cases into a report, and the first case that reads what they share builds
 it, so its time is in that case.  No unit reads a value another unit
-built, so units may run in any process and in any order; a suite's report
-is its units' cases in list order.
+built, so units may run in any process and in any order.  The report of
+``run_units`` is its units' cases in list order; ``geodenums verify``
+sorts every report it writes by case id, so it is the same whichever
+process ran which unit.
+
+``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
+dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
+with it, ``inspect``; both pickle, which is how ``verify``'s helper
+processes send their cases back.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Callable, Iterable, Mapping
@@ -27,20 +33,26 @@ FAIL = "fail"
 ERROR = "error"
 
 
-@dataclass
 class Case:
-    id: str
-    params: dict
-    expected: str
-    actual: str
-    status: str
-    elapsed_ms: float
+    __slots__ = ("id", "params", "expected", "actual", "status", "elapsed_ms")
+
+    def __init__(
+        self, id: str, params: dict, expected: str, actual: str, status: str, elapsed_ms: float
+    ) -> None:
+        self.id = id
+        self.params = params
+        self.expected = expected
+        self.actual = actual
+        self.status = status
+        self.elapsed_ms = elapsed_ms
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    cases: list[Case] = field(default_factory=list)
+    __slots__ = ("suite", "cases")
+
+    def __init__(self, suite: str, cases: list[Case] | None = None) -> None:
+        self.suite = suite
+        self.cases = [] if cases is None else cases
 
     @property
     def total(self) -> int:

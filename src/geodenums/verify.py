@@ -4,16 +4,21 @@ request and the queue that runs it.
 The suites are the ``suite_<name>`` functions, each returning or
 yielding its ordered units (``report.Unit``); their keyword defaults are
 the acceptance bounds, and ``tests/test_acceptance.py`` runs them as they
-are through ``report.run_units``.  A unit that solves S carries the
-(r, max_degree) of each S table it solves, in order, in its ``solves``
-attribute (``_solving``), set where its suite builds it: that is the only
-place a suite's solves are written.  ``SUITES`` describes each suite once:
-its units function and the flags it takes with their ranges; ``cli`` adds
-the bound flags of the ``verify`` subparser from it.  A request is planned
-in one pass (``_plan``): every set flag is checked against the ranges of
-the suites it will run, then each suite is called once with only its own
-flags, and each unit's solves are priced as the unit is yielded, refusing
-a suite whose summed work exceeds ``cli.MAX_ORACLE_WORK``.
+are through ``report.run_units``.  A unit that calls the oracle carries
+each oracle read it makes, in order, in its ``reads`` attribute
+(``_reading``), set where its suite builds it, written as the kernel is
+called: ``("G", r, D)`` beside ``geode_series(r, D)``, ``("G", 2a, D)``
+beside ``eval_alternating(a, D)``, ``("S", r, D)`` beside ``solve_S(r,
+D)`` and ``("residual", r, D)`` beside ``functional_residual`` of that
+table.  That is the only place a suite's oracle work is written, and
+``cli._check_oracle_size`` prices each read.  ``SUITES`` describes each
+suite once: its units function and the flags it takes with their ranges;
+``cli`` adds the bound flags of the ``verify`` subparser from it.  A
+request is planned in one pass (``_plan``): every set flag is checked
+against the ranges of the suites it will run, then each suite is called
+once with only its own flags, and each unit's reads are priced as the unit
+is yielded, refusing a suite whose summed work exceeds
+``cli.MAX_ORACLE_WORK``.
 
 A unit does all its work inside its cases (``report.run_case``).  What its
 cases share, such as a G table, is a build run at most once (``_once``)
@@ -110,18 +115,19 @@ def _prefixed(prefix: str, unit: Unit) -> Unit:
     return prefixed
 
 
-def _solving(unit: Unit, *solves: tuple[int, int]) -> Unit:
-    """`unit`, carrying the (r, max_degree) of every S table it solves, in
-    the order it solves them, which `_plan` prices before any unit runs."""
-    unit.solves = solves
+def _reading(unit: Unit, *reads: tuple[str, int, int]) -> Unit:
+    """`unit`, carrying every oracle read it makes, in order, as (kind, r,
+    degree) with the arguments of the kernel call that makes it, which
+    `_plan` prices (``cli._check_oracle_size``) before any unit runs."""
+    unit.reads = reads
     return unit
 
 
 def _case_unit(
-    case_id: str, params: dict, expected: str, check: Callable, *solves: tuple[int, int]
+    case_id: str, params: dict, expected: str, check: Callable, *reads: tuple[str, int, int]
 ) -> Unit:
-    """A unit running one case, whose check solves the S tables `solves`."""
-    return _solving(lambda report: run_case(report, case_id, params, expected, check), *solves)
+    """A unit running one case, whose check makes the oracle reads `reads`."""
+    return _reading(lambda report: run_case(report, case_id, params, expected, check), *reads)
 
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
@@ -138,7 +144,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
                     lambda m=(m1, m2), closed=closed: _is(closed, table().coefficient(m)),
                 )
 
-    return [_solving(unit, (2, max_degree + 1))]
+    return [_reading(unit, ("G", 2, max_degree))]
 
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
@@ -167,7 +173,7 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
                     check,
                 )
 
-    return [_solving(partial(unit, a=a), (a, max_sum + 1)) for a in a_values]
+    return [_reading(partial(unit, a=a), ("G", a, max_sum)) for a in a_values]
 
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
@@ -182,7 +188,7 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
                 lambda n=n: _is(a**n, values().coefficient(n)),
             )
 
-    return [_solving(partial(unit, a=a), (2 * a, max_order + 1)) for a in a_values]
+    return [_reading(partial(unit, a=a), ("G", 2 * a, max_order)) for a in a_values]
 
 
 def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
@@ -307,7 +313,7 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
             )
 
     for r in range(1, max_vars + 1):
-        yield _solving(partial(unit, r=r), (r, max_degree))
+        yield _reading(partial(unit, r=r), ("G", r, max_degree - 1))
 
 
 def suite_two_nonzero(
@@ -339,7 +345,7 @@ def suite_two_nonzero(
                     check,
                 )
 
-    return [_solving(unit, (nvars, max_n))]
+    return [_reading(unit, ("G", nvars, max_n - 1))]
 
 
 def suite_general_eval(max_order: int = 8) -> list[Unit]:
@@ -354,14 +360,14 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
             {"a": 1, "c": [3], "max_order": max_order},
             "coefficients 3^n",
             lambda: powers_case(1, (3,), 3, max_order),
-            (2, max_order + 1),
+            ("G", 2, max_order),
         ),
         _case_unit(
             "a=2,c=(2,3)",
             {"a": 2, "c": [2, 3], "max_order": 6},
             "coefficients 7^n",
             lambda: powers_case(2, (2, 3), 7, 6),
-            (4, 7),
+            ("G", 4, 6),
         ),
         _case_unit(
             "a=2,c=(1,1)",
@@ -372,8 +378,8 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
                 == geode.eval_alternating(2, max_order),
                 "series coincide",
             ),
-            (4, max_order + 1),
-            (4, max_order + 1),
+            ("G", 4, max_order),
+            ("G", 4, max_order),
         ),
     ]
 
@@ -391,10 +397,10 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
                 functional_residual(solve_S(r, max_degree)).is_zero(),
                 "residual is the zero series",
             ),
-            (r, max_degree),
+            ("S", r, max_degree),
+            ("residual", r, max_degree),
         )
-        # geode_series solves S one degree up, and factorization_holds
-        # solves it again, independently of the table
+        # factorization_holds solves the table's S again, independently
         yield _case_unit(
             f"factorization,r={r}",
             params,
@@ -403,8 +409,8 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
                 geode.geode_series(r, max_degree).factorization_holds(),
                 "factorization holds",
             ),
-            (r, max_degree + 1),
-            (r, max_degree + 1),
+            ("G", r, max_degree),
+            ("G", r, max_degree),
         )
 
 
@@ -412,7 +418,7 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
 # The flag ranges give the flags the suite takes and the range (minimum,
 # maximum) each accepts.  Unset flags keep the suite's defaults; --a runs a
 # single a_values entry.  A flag whose cost lies in the oracle has no
-# maximum, because `verify` prices the S solves its units carry; the grid
+# maximum, because `verify` prices the oracle reads its units carry; the grid
 # suites' maxima keep each one, at its largest admitted bounds, under 3 s on
 # one CPU of a 2-core VM with Python 3.11 (`verify` wall time, three runs
 # each; two CPUs, each process pinned to its own, take 0.5-0.8 of it for
@@ -441,13 +447,13 @@ SUITE_NAMES = tuple(SUITES)
 def _plan(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> list[tuple[str, list[Unit], int]]:
-    """(name, units, summed solve_work) of every suite in `names`, in
+    """(name, units, summed oracle work) of every suite in `names`, in
     `names` order, before any unit runs.  Every set flag of every suite is
     checked against its range first; then each suite is called once, at its
-    defaults overridden by its own flags, and the S solves of each unit are
-    priced as the unit is yielded.  A suite is refused once their running
-    sum passes MAX_ORACLE_WORK, so a huge bound stops at the first solve
-    past it."""
+    defaults overridden by its own flags, and the oracle reads of each unit
+    are priced as the unit is yielded.  A suite is refused once their
+    running sum passes MAX_ORACLE_WORK, so a huge bound stops at the first
+    read past it."""
     for name in names:
         for flag, (minimum, maximum) in SUITES[name][1].items():
             value = getattr(args, flag)
@@ -466,8 +472,8 @@ def _plan(
             kwargs["a_values"] = (kwargs.pop("a"),)
         units, work = [], 0
         for unit in suite(**kwargs):
-            for r, degree in getattr(unit, "solves", ()):
-                work += _check_oracle_size(r, degree, parser, f"verify {name}: ", work)
+            for kind, r, degree in getattr(unit, "reads", ()):
+                work += _check_oracle_size(kind, r, degree, parser, f"verify {name}: ", work)
             units.append(unit)
         plan.append((name, units, work))
     return plan

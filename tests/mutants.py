@@ -117,6 +117,23 @@ MUTANTS = [
         "pass",
         ("tests/test_cli.py::test_the_commands_mask_is_restored_on_every_path",),
     ),
+    Mutant(
+        "the guard prices a G table at its own degree",
+        "src/geodenums/cli.py",
+        'kind, degree = "S", degree + 1',
+        'kind, degree = "S", degree',
+        (
+            "tests/test_cli.py::test_solves_list_every_solve_the_suite_makes[thm1]",
+            "tests/test_cli.py::test_table_g_is_priced_as_its_s_solve_one_degree_up[2]",
+        ),
+    ),
+    Mutant(
+        "the residual prices no products",
+        "src/geodenums/hypercat.py",
+        "pairs = r * comb(2 * r + max_degree - 1, 2 * r)",
+        "pairs = 0",
+        ("tests/test_cli.py::test_verify_refuses_oversize_oracle_work[oracle --max-degree 22]",),
+    ),
 ]
 
 IGNORED = shutil.ignore_patterns(

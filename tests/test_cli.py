@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from geodenums import cli, geode, hypercat, identities, mpoly, verify
 from geodenums.geode import geode_series
-from geodenums.hypercat import solve_S, solve_work
+from geodenums.hypercat import residual_work, solve_S, solve_work
 from geodenums.report import Case, VerifyReport, run_case, run_units
 
 
@@ -42,15 +42,15 @@ def stub_suite(name, units):
     """A registry entry for suite `name` with its flags and ranges that
     `verify` prices as the real suite: at any bounds it yields the units
     that `units(**bounds)` returns, then, as lazily as the real suite
-    yields its units, a unit that runs no case carrying the S solves of
-    each real unit that solves S."""
+    yields its units, a unit that runs no case carrying the oracle reads
+    of each real unit that reads the oracle."""
     suite, ranges = verify.SUITES[name]
 
     def stub(**bounds):
         yield from units(**bounds)
         for unit in suite(**bounds):
-            if getattr(unit, "solves", ()):
-                yield verify._solving(lambda report: None, *unit.solves)
+            if getattr(unit, "reads", ()):
+                yield verify._reading(lambda report: None, *unit.reads)
 
     return stub, ranges
 
@@ -354,8 +354,34 @@ def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch)
 
 
 def test_oracle_guard_admits_the_largest_suite_table():
-    # S at r = 6, degree 9 is the largest table the suites build
-    cli._check_oracle_size(6, 9, cli._build_parser())
+    # G at r = 6 through degree 8 (thm3 at a = 3), read from S through
+    # degree 9, is the largest table the suites build
+    cli._check_oracle_size("G", 6, 8, cli._build_parser())
+
+
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_table_g_is_priced_as_its_s_solve_one_degree_up(r, tmp_path, monkeypatch, capsys):
+    # G through D divides S solved through D + 1, so the largest G table
+    # admitted is one degree below the largest S table, and one more is
+    # refused with the degree of its S solve
+    largest = _guard_limit(lambda d: solve_work(r, d)) - 1
+    calls = []
+
+    def stub_geode(r, max_degree):
+        calls.append((r, max_degree))
+        return _constant_layers(max_degree)
+
+    monkeypatch.setattr(cli.geode, "_geode_layers", stub_geode)
+    argv = ["table", "--vars", str(r), "--kind", "G", "--out", str(tmp_path / "table.json")]
+    assert cli.main(argv + ["--max-degree", str(largest)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--max-degree", str(largest + 1)])
+    assert exc.value.code == 2
+    assert calls == [(r, largest)]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"geodenums: error: an S table in {r} variables through degree {largest + 2} is too "
+        f"much work: more than {cli.MAX_ORACLE_WORK} units (MAX_ORACLE_WORK)"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -930,15 +956,18 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     ["recurrence", "--max-vars", "1000", "--max-degree", "1"],
     ["oracle", "--max-vars", "1000", "--max-degree", "0"],
     ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
+    ["oracle", "--max-degree", "22"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
     # thm1 at degree 300 solves S(2, 301), 3.4e7 units; thm3 at a = 5
     # solves S(10, 9), 1.6e7 units; MAX_ORACLE_WORK is 1e7.  recurrence
     # at 1000 variables, degree 1, solves S(r, 1) for r = 1..1000 and
     # oracle at degree 0 S(r, 0) and twice S(r, 1): each solve is admitted
-    # alone, but together they take 1.7e9 and 3.7e9 units.  Pricing reads
-    # the units' solves as the suite yields them, so 10**30 variables
-    # stop at the first solve past the limit.
+    # alone, but together they take 1.7e9 and 3.7e9 units.  Pricing takes
+    # the units' oracle reads as the suite yields them, so 10**30
+    # variables stop at the first read past the limit.  oracle at degree
+    # 22 solves S(4, 22) for 2.3e6 units, but its residual multiplies
+    # 17 168 580 coefficient pairs (hypercat.residual_work).
     def must_not_run(report):
         raise AssertionError("a unit ran before its suite's oracle work was priced")
 
@@ -1000,12 +1029,21 @@ def verify_argv(draw):
     return argv
 
 
+# The work of each kind of oracle read, restated from the kernels: a G
+# table through D divides S solved through D + 1.
+READ_WORK = {
+    "S": solve_work,
+    "G": lambda r, degree: solve_work(r, degree + 1),
+    "residual": residual_work,
+}
+
+
 def _admitted_stub(name):
     """A units function for suite `name` returning one unit with one
     passing case, which asserts first, when it runs, that `verify` let the
-    suite start only with bounds inside its ranges and with S solves (those
-    the real suite's units carry at the same bounds) that take at most
-    MAX_ORACLE_WORK together."""
+    suite start only with bounds inside its ranges and with oracle reads
+    (those the real suite's units carry at the same bounds) that take at
+    most MAX_ORACLE_WORK together."""
     suite, ranges = verify.SUITES[name]
     limit = cli.MAX_ORACLE_WORK
 
@@ -1017,13 +1055,13 @@ def _admitted_stub(name):
             assert minimum <= value and (maximum is None or value <= maximum), (name, flag)
         work = 0
         for unit in suite(**bounds):
-            for r, degree in getattr(unit, "solves", ()):
-                # solve_work is at least max(r^2, degree) and 2^min(r,
+            for kind, r, degree in getattr(unit, "reads", ()):
+                # every estimate is at least the degree and 2^min(r,
                 # degree), so only small (r, degree) reach the full estimate
-                assert max(r * r, degree) <= limit, (name, r, degree)
-                assert min(r, degree) < limit.bit_length(), (name, r, degree)
-                work += solve_work(r, degree)
-                assert work <= limit, (name, r, degree)
+                assert degree <= limit, (name, kind, r, degree)
+                assert min(r, degree) < limit.bit_length(), (name, kind, r, degree)
+                work += READ_WORK[kind](r, degree)
+                assert work <= limit, (name, kind, r, degree)
         run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
 
     return lambda **bounds: [partial(admitted, bounds=bounds)]
@@ -1056,7 +1094,7 @@ def _stub_suites(patch):
 @settings(max_examples=50, deadline=None)
 @given(verify_argv())
 # one request refused by each part of the oracle guard: by the cheap
-# bound max(r^2, degree), and by the full solve_work estimate
+# bound on the degree, and by the full solve_work estimate
 @example(["verify", "thm1", "--max-degree", str(10**30)])
 @example(["verify", "thm3", "--a", "1000"])
 def test_verify_keeps_the_exit_code_contract_for_any_bounds(argv):
@@ -1233,9 +1271,13 @@ def test_readme_flag_table_matches_suites():
 
 
 def test_verify_all_at_default_bounds_is_admitted():
+    # the residual products make oracle the heaviest suite, ahead of thm3
     works = {name: work for name, _, work in plan(["all"])}
-    assert max(works.values()) == works["thm3"] == 694_669 < cli.MAX_ORACLE_WORK
-    assert works["thm3"] == sum(solve_work(2 * a, 9) for a in verify.DEFAULT_THM3_A)
+    assert max(works.values()) == works["oracle"] == 1_391_715 < cli.MAX_ORACLE_WORK
+    assert works["oracle"] == sum(
+        solve_work(r, 10) + residual_work(r, 10) + 2 * solve_work(r, 11) for r in range(1, 5)
+    )
+    assert works["thm3"] == 694_669 == sum(solve_work(2 * a, 9) for a in verify.DEFAULT_THM3_A)
 
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
@@ -1270,7 +1312,7 @@ def test_verify_all_calls_each_suite_once_and_a_refused_request_runs_no_unit(
                     ran.append(name)
                     unit(report)
 
-                yield verify._solving(run, *getattr(unit, "solves", ()))
+                yield verify._reading(run, *getattr(unit, "reads", ()))
 
         return units
 

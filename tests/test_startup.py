@@ -49,6 +49,13 @@ def test_table_and_coeff_load_nothing_only_verify_needs(argv):
     assert sorted(set(VERIFY_ONLY) & (_loaded(run) - bare)) == []
 
 
+def test_verify_loads_neither_dataclasses_nor_inspect():
+    # report.Case and report.VerifyReport are plain classes with __slots__
+    argv = ["verify", "eq31", "--max-n", "2", "--max-a", "1", "--report", os.devnull]
+    run = f"import geodenums.cli\ngeodenums.cli.main({argv!r})"
+    assert sorted({"dataclasses", "inspect"} & _loaded(run)) == []
+
+
 def test_every_export_resolves_to_its_module():
     for name in geodenums.__all__:
         module = importlib.import_module(f"geodenums.{geodenums._EXPORTS[name]}")
