@@ -6,17 +6,17 @@ layer (``_write_table``); ``coeff`` prints one coefficient, by closed form
 where one applies.  Neither forks.  ``verify`` lives in ``verify.py``,
 which ``main`` imports only for that command, so a ``table`` or ``coeff``
 process loads no suite, no checker module and no report code; it uses this
-module's guard (``_check_oracle_size``) and output helpers.  Output paths
-are opened after the guards and before any work, and every write, to
-stdout or to a file, goes through ``_write_output``.
+module's guard (``_check_work``) and output helpers.  Output paths are
+opened after the guards and before any work, and every write, to stdout or
+to a file, goes through ``_write_output``.
 
 Exit codes: 0 all checks passed, 1 any verification failure, a suite that
 ran no cases (named on stderr) or a unit or helper that crashed, 2 usage or
-I/O error, including a bound outside its range, a ``table`` or ``coeff``
-request whose S solve, or a ``verify`` suite whose oracle reads together,
-would exceed ``MAX_ORACLE_WORK``, a ``coeff`` closed form whose weight exceeds
-``MAX_CLOSED_FORM_WEIGHT`` and an output, stdout included, that cannot be
-written: one ``error:`` line on stderr, no traceback.
+I/O error, including a bound below its minimum, a ``table`` or ``coeff``
+request whose oracle table, or a ``verify`` suite whose declared kernel
+calls together, would exceed ``MAX_WORK``, a ``coeff`` closed form whose
+weight exceeds ``MAX_CLOSED_FORM_WEIGHT`` and an output, stdout included,
+that cannot be written: one ``error:`` line on stderr, no traceback.
 Reports are byte-identical across identical invocations except for the
 elapsed_ms fields.
 """
@@ -30,18 +30,20 @@ from functools import partial
 from typing import IO, Callable, Sequence
 
 from . import geode
-from .hypercat import _solve_layers, hyper_catalan, residual_work, solve_work
+from .hypercat import _solve_layers, hyper_catalan, solve_work
 from .mpoly import _unpack_layer, coeff
 
-# Most work the S solve behind `table` or `coeff`, or all the oracle reads of
-# one `verify` suite together (its S solves and residuals), may take, in
-# units of hypercat.solve_work, each 0.035-0.09 us on one CPU of a 2-core VM
-# with Python 3.11.  The largest admitted table for each r = 1..8 (degrees
-# 2486, 201, 60, 30, 20, 15, 12 and 10) takes 0.35-0.82 s of `table --kind
-# S` there, with a peak RSS of 16-45 MB (in process, two runs each).  The
-# largest suite total at the acceptance bounds is oracle's 1 391 715, 912 011
-# of it the residuals of its four tables (hypercat.residual_work).
-MAX_ORACLE_WORK = 10_000_000
+# Most work one request may take: the oracle table behind `table` or
+# `coeff`, or every kernel call the units of one `verify` suite declare,
+# together.  Every cost function counts in units of hypercat.solve_work,
+# calibrated so that none of its units takes longer than the slowest of
+# those, about 90 ns on one CPU of a 2-core VM with Python 3.11.  It is the
+# smallest round value that admits every `verify` request the hand-set
+# grid maxima admitted, of which eq31 at 60/10 (27 490 902 units) is the
+# largest.  There the largest admitted request along each `verify` flag
+# took at most 2.4 s as a whole process on one CPU; a `table` at the limit
+# took up to 3.8 s, much of it printing long coefficients in decimal.
+MAX_WORK = 30_000_000
 
 # Largest weight w = sum_k (k + 1) m_k, a bound on every factorial and
 # binomial argument, that `coeff` evaluates by closed form.  At w = 4000 the
@@ -49,38 +51,42 @@ MAX_ORACLE_WORK = 10_000_000
 # values are below 3^(w + 2), so they print under Python's 4300-digit limit.
 MAX_CLOSED_FORM_WEIGHT = 4000
 
+# The kernel and cost function of each oracle table `table --kind` writes,
+# and `coeff` reads for G with three or more nonzero slots.
+_TABLES = {"S": ("solve_S", solve_work), "G": ("geode_series", geode.geode_work)}
+
 
 # ---------------------------------------------------------------------------
 # table / coeff
 
 
-def _check_oracle_size(
-    kind: str, r: int, degree: int, parser: argparse.ArgumentParser, context: str = "",
+def _call(kernel: str, args: tuple) -> str:
+    """The declared call `kernel`(`args`) as text, a list argument written
+    as the call that built it."""
+    return f"{kernel}({', '.join(_call(*a) if isinstance(a, tuple) else str(a) for a in args)})"
+
+
+def _check_work(
+    kernel: str,
+    args: tuple,
+    work: Callable[..., int],
+    parser: argparse.ArgumentParser,
+    context: str = "",
     spent: int = 0,
 ) -> int:
-    """The work of the oracle read `kind` in r variables through `degree`,
-    once it is checked, before any solving, that it and the `spent` units
-    of the reads before it stay within MAX_ORACLE_WORK; refused otherwise.
-    An ``S`` or ``G`` table is priced by ``solve_work``: a G table through
-    D is read from S through D + 1 (``geode._geode_layers``), and this is
-    the one guard that knows it.  A ``residual`` is priced by
-    ``residual_work``.  Each estimate is at least the degree and 2^min(r,
-    degree) (the residual's once the degree is positive), so these are
-    checked first and no binomial runs with two huge arguments."""
-    if kind == "G":
-        kind, degree = "S", degree + 1
-    limit = MAX_ORACLE_WORK
-    work = limit + 1
-    if degree <= limit and min(r, degree) < limit.bit_length():
-        work = (solve_work if kind == "S" else residual_work)(r, degree)
-    if spent + work > limit:
-        after = f" after {spent} units of earlier S tables" if spent else ""
-        what = "an S table" if kind == "S" else "the residual of an S table"
+    """work(*args), the work of the call `kernel`(*args), once it is
+    checked, before the call runs, that it and the `spent` units of earlier
+    work of this suite stay within MAX_WORK; refused with one error line
+    naming the call otherwise.  Every cost function answers at once for
+    any int arguments."""
+    price = work(*args)
+    if spent + price > MAX_WORK:
+        after = f" after {spent} units of earlier work of this suite" if spent else ""
         parser.error(
-            f"{context}{what} in {r} variables through degree {degree}{after} is too much "
-            f"work: more than {limit} units (MAX_ORACLE_WORK)"
+            f"{context}{_call(kernel, args)}{after} is too much work: "
+            f"more than {MAX_WORK} units (MAX_WORK)"
         )
-    return work
+    return price
 
 
 def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
@@ -222,7 +228,8 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--vars must be >= 1, got {args.vars}")
     if args.max_degree < 0:
         parser.error(f"--max-degree must be >= 0, got {args.max_degree}")
-    _check_oracle_size(args.kind, args.vars, args.max_degree, parser)
+    kernel, work = _TABLES[args.kind]
+    _check_work(kernel, (args.vars, args.max_degree), work, parser)
     write = partial(_write_table, args.kind, args.format, args.vars, args.max_degree)
     if args.out == "-":
         return _write_output(write)
@@ -243,7 +250,8 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     # one route, priced alone: G with three or more nonzero slots by the
     # series oracle, everything else by closed form
     if args.kind == "G" and len(nonzero) >= 3:
-        _check_oracle_size("G", len(exps), sum(exps), parser)
+        kernel, work = _TABLES["G"]
+        _check_work(kernel, (len(exps), sum(exps)), work, parser)
         value = coeff(geode.geode_series(len(exps), sum(exps)).series, exps)
     elif sum((k + 1) * e for k, e in nonzero) > MAX_CLOSED_FORM_WEIGHT:
         parser.error(

@@ -14,6 +14,9 @@ substitution evaluation for it:
   * geode_recurrence_check   -- sum_k G[m - e_k] = C[m]
 
 Closed forms divide factorials; every division asserts exactness.
+``geode_work`` prices a G table for the guards of ``geodenums``, and the
+cost functions at the end of this module the closed forms and the
+recurrence layers (``recurrence_break``) that ``verify`` checks against it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import chain
 from math import comb, factorial
 from typing import Sequence
 
-from .hypercat import _solve_layers, hyper_catalan
+from .hypercat import _solve_layers, hyper_catalan, solve_work
 from .mpoly import (
     Layers,
     OutOfRangeError,
@@ -34,6 +37,7 @@ from .mpoly import (
     _s1_multiple_mismatch,
     _unpack_terms,
     coeff,
+    iter_exponents,
     substitute_signed,
 )
 
@@ -86,6 +90,33 @@ def _geode_layers(r: int, max_degree: int) -> tuple[int, Layers]:
     shift, layers = _solve_layers(r, max_degree + 1)
     layers[0] = []  # S - 1: layer 0 of S is exactly [(0, 1)]
     return shift, _divide_layers(layers, r, shift)
+
+
+def geode_work(r: int, max_degree: int) -> int:
+    """Estimated work of ``geode_series(r, max_degree)``, in the units of
+    ``hypercat.solve_work``: its S solve through max_degree + 1
+    (``_geode_layers``), priced by ``solve_work``, and the division.  This
+    is the one place outside ``_geode_layers`` that knows the degree of
+    that solve.
+
+    With D = max_degree, ``_divide_layers`` opens d + 1 buckets for layer d
+    of the quotient, about D^2 / 2 in all, which counts 3 D^2 and is most
+    of the work with one variable; each of the N = C(r + D, r) quotient
+    entries is pushed into r - 1 monomials, multiplied back by t_1 + ... +
+    t_r, unpacked into r fields and, by ``eval_alternating`` or
+    ``eval_general``, weighted by r powers, so it counts r (24 + W / 24)
+    for coefficients below 2^W, W as in ``solve_work``.  Calibration, in
+    process on one CPU of a 2-core VM with Python 3.11: the division, the
+    unpacking and one substitution took at most 0.76 of that term's time
+    for r = 1-100, D = 1-1000.  ``GeodeTable.factorization_holds``
+    solves the same S again and multiplies the table back, and is priced
+    the same."""
+    solve = solve_work(r, max_degree + 1)
+    if solve >= 1 << 64:  # past any limit; solve_work answers so for huge arguments
+        return solve
+    width = 1 + (max_degree + 1) * (r + 1 + (r - 1).bit_length())
+    division = 3 * max_degree * max_degree + r * comb(r + max_degree, r) * (24 + width // 24)
+    return solve + division
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -186,6 +217,15 @@ def eval_general(a: int, c: Sequence[int], max_order: int) -> UnivariateSeries:
     return substitute_signed(table.series, general_weights(c))
 
 
+def recurrence_break(table: GeodeTable, degree: int) -> tuple[int, ...] | None:
+    """The first monomial of total degree `degree`, in ``iter_exponents``
+    order, where ``geode_recurrence_check`` fails on `table`, or None."""
+    for m in iter_exponents(table.nvars, degree):
+        if not geode_recurrence_check(table, m):
+            return m
+    return None
+
+
 def geode_recurrence_check(table: GeodeTable, m: Sequence[int]) -> bool:
     """Whether sum over k with m_k >= 1 of G[m - e_k] equals C[m].
 
@@ -208,3 +248,57 @@ def geode_recurrence_check(table: GeodeTable, m: Sequence[int]) -> bool:
             total += table.coefficient(m[:k] + (e - 1,) + m[k + 1 :])
     return total == hyper_catalan(m)
 
+
+
+# ---------------------------------------------------------------------------
+# the work of the closed forms and checks a ``verify`` unit calls, in the
+# units of ``hypercat.solve_work``, calibrated in process on one CPU of a
+# 2-core VM with Python 3.11 with the case that checks each value: the
+# closed form, its table lookup, its case and the report line that prints
+# the value twice.
+
+
+def _factorial_work(weight: int) -> int:
+    """Work of a closed form whose largest factorial is weight!, with its
+    case: CPython's factorial and the decimal printing of a value of about
+    weight log2(weight) bits both grow about as weight^2, counted weight^2
+    / 256, and a case counts 64.  The closed forms alone took at most 0.47
+    of the estimate's time up to weight 900, which leaves the rest to the
+    case that prints the value twice; whole ``thm1`` units at degrees 100
+    and 200, table and cases included, took 0.7 of their price in units of
+    a solve timed beside them."""
+    return 64 + weight * weight // 256
+
+
+def closed_2var_work(m1: int, m2: int) -> int:
+    """Estimated work of ``geode_closed_2var(m1, m2)`` and its case."""
+    return _factorial_work(2 * m1 + 3 * m2 + 3)
+
+
+def closed_shifted_work(a: int, m_a: int, m_a1: int) -> int:
+    """Estimated work of ``geode_closed_shifted(a, m_a, m_a1)`` and its case."""
+    return _factorial_work(a * m_a + (a + 1) * (m_a1 + 1))
+
+
+def closed_two_nonzero_work(s: int, t: int, n: int, i: int) -> int:
+    """Estimated work of ``geode_closed_two_nonzero(s, t, n, i)``: i + 1
+    terms, each two binomials with lower index at most n - 1 and upper
+    index at most (s + 1) n + (t - s) i, which count n bit_length(upper)
+    / 16 and 8 more; a call counts 32.  Calibration: at most 0.42 of the
+    estimate's time for n <= 50."""
+    upper = (s + 1) * n + (t - s) * i
+    return 32 + (i + 1) * (8 + n * upper.bit_length() // 16)
+
+
+def recurrence_work(table: tuple, degree: int) -> int:
+    """Estimated work of ``recurrence_break(table, degree)``, with `table`
+    declared as the ``("geode_series", (r, D))`` that built it: each of the
+    C(r + degree - 1, degree) monomials reads r coefficients and computes
+    one ``hyper_catalan`` of weight w <= (r + 1) degree, counted 96 + 16 r
+    + w^2 / 256.  Calibration: at most 0.82 of the estimate's time for r =
+    4-6 and degrees 4-15."""
+    r = table[1][0]
+    if min(r - 1, degree) >= 64:  # C(r + degree - 1, degree) >= 2^64: past any limit
+        return 1 << 64
+    weight = (r + 1) * degree
+    return comb(r + degree - 1, degree) * (96 + 16 * r + weight * weight // 256)

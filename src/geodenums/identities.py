@@ -11,8 +11,8 @@ multinomial theorem, with P = z + z^2 + ... + z^(2a),
 so the weight of all vectors of one size is a coefficient of P^L
 (``part_power``), and the weight with the factor m_2a is a coefficient of
 L z^(2a) P^(L-1), since j C(L, j) = L C(L-1, j-1).  ``size_mass`` signs the
-coefficients of P^L by (-1)^|lambda|, and ``shifted_binomial_sum`` dots that
-mass with one binomial per size.
+coefficients of P^L by (-1)^|lambda|, and ``shifted_binomial_sum`` and
+``lower_binomial_sum`` dot that mass with one binomial per size.
 
 A power depends on (L, a) only, so a caller that checks many sums of one
 (n, a) raises P once per length: the ``claims`` suite of the CLI builds the
@@ -34,6 +34,10 @@ simple value:
 Both claim sums are polynomials of degree <= n-1 in x, so checking n or more
 distinct integer points certifies the polynomial identity itself; the x
 arguments are plain integers, never symbols.
+
+Each kernel a ``verify`` unit calls has a cost function at the end of this
+module (``partition_sum_work`` and the others), in the units of
+``hypercat.solve_work``.
 """
 
 from __future__ import annotations
@@ -135,6 +139,15 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     return shifted_binomial_sum(size_mass(n - 1, a), n, x)
 
 
+def lower_binomial_sum(mass: list[int], n: int, shift: int) -> int:
+    """Sum over sizes |l| of mass[|l|] C(|l|+shift+n, |l|+shift+1): the
+    specialized binomial form whose lower index moves with the size, read
+    off a ``size_mass``."""
+    return sum(
+        m * binom_general(size + shift + n, size + shift + 1) for size, m in enumerate(mass)
+    )
+
+
 def bracket_power(n: int, a: int) -> list[int]:
     """The coefficients of (-(1+z) + (1+z)^2 - ... + (1+z)^(2a))^(n-1)
     through z^(n-1): entry j is the z^j coefficient, by n-1 products of
@@ -175,3 +188,91 @@ def claim2_ct(n: int, a: int, x: int) -> int:
     so that every factor stays polynomial.
     """
     return ct_coefficient(bracket_power(n, a), n, x)
+
+
+# ---------------------------------------------------------------------------
+# the work of the kernels above, for the guard of ``geodenums verify``
+#
+# Each estimate is in the units of ``hypercat.solve_work``, the slowest of
+# which takes about 90 ns on one CPU of a 2-core VM with Python 3.11, and is
+# calibrated there (each kernel timed in process, best of five, over the
+# grids the suites reach) so that none of its units takes longer.  Each is
+# a polynomial in its arguments and their bit lengths, so it answers at
+# once for any int.
+
+
+def size_mass_work(length: int, a: int) -> int:
+    """Estimated work of ``size_mass(length, a)``.
+
+    ``part_power`` raises P = z + ... + z^(2a) one factor at a time, and
+    factor i writes a prefix sum, two shifted copies and their difference
+    over about 2a i entries, so the `length` factors and the sign pass
+    touch about E = a length (length + 3) + 1 entries.  Each entry counts
+    2, each factor 16 and each call 96.  Every entry is below
+    (2a)^length, a few machine words at the lengths a suite reaches, so
+    its length adds nothing measurable.  Calibration: at most 0.78 of the
+    estimate's time at lengths 0-80 and a = 1-100."""
+    length = max(length, 0)
+    return 96 + 16 * length + 2 * (a * length * (length + 3) + 1)
+
+
+def partition_sum_work(n: int, a: int) -> int:
+    """Estimated work of ``partition_sum_main(n, a)``.
+
+    Its two size masses (``size_mass_work``) and, for each of the S = 2an
+    + 1 sizes, a step of the lcm, a binomial C(|l|+n+1, |l|+1) of at most
+    n factors, a division of the lcm and two products, on ints of about
+    N = S + n bits (the lcm of N integers has about 1.44 N bits).  A size
+    counts 16 plus N (10 + n) / 1024, the length of its operands times the
+    binomial's factors, and a call 64 more.  Calibration: at most 0.84 of
+    the estimate's time from (1, 1) to (80, 10) and (10, 1000); at (60,
+    10), 12 ms, 0.49 of it."""
+    sizes = 2 * a * n + 1
+    top = sizes + n
+    rest = 64 + sizes * (16 + top * (10 + n) // 1024)
+    return size_mass_work(n, a) + size_mass_work(n - 1, a) + rest
+
+
+def bracket_power_work(n: int, a: int) -> int:
+    """Estimated work of ``bracket_power(n, a)``.
+
+    The bracket's n coefficients sum 2a binomials C(k, j), j < n, each of
+    at most j factors, about a n (n + 1) multiplications; its n - 1
+    truncated products take n (n + 1) / 2 products of coefficients each.
+    A binomial factor counts 3/4 and a coefficient product 4, on top of 8
+    per bracket term and 96 per call.  Calibration: at most 0.67 of the
+    estimate's time for n = 1-60, a = 1-10000."""
+    return 96 + a * n * (8 + 3 * n // 4) + 2 * n**3
+
+
+def ct_coefficient_work(power: tuple, n: int, x: int) -> int:
+    """Estimated work of ``ct_coefficient(power, n, x)``, with `power`
+    declared as the ``("bracket_power", (m, a))`` that built it.
+
+    n binomials C(n+x, j) and n products with coefficients of the bracket
+    power, of at most m bit_length(2a) + n + |x| bits; each counts 4 plus
+    1/64 per bit, and a call 48.  Calibration: at most 0.67 of the
+    estimate's time for n = 1-60, x = 0..n, a = 1-10000."""
+    m, a = power[1]
+    bits = m * (2 * a).bit_length() + n + abs(x)
+    return 48 + n * (4 + bits // 64)
+
+
+def binomial_sum_work(mass: tuple, n: int, x: int) -> int:
+    """Estimated work of ``shifted_binomial_sum(mass, n, x)`` and of
+    ``lower_binomial_sum(mass, n, x)``, with `mass` declared as the
+    ``("size_mass", (length, a))`` that built it.
+
+    Each of the S = 2a length + 1 masses is multiplied by one binomial
+    with n - 1 as its smaller index (C(y, k) = C(y, y - k)), of at most R
+    = n bit_length(top / n + 1) bits, top = S + n + |x| its largest upper
+    index; a mass has at most M = length bit_length(2a) bits.  An entry
+    counts 6, plus M / 24 and R M / 2048 for the product, and a call 32.
+    Calibration: at most 0.76 of the estimate's time for n = 1-60, length
+    n - 1 and n, a = 1-1000."""
+    length, a = mass[1]
+    sizes = 2 * a * max(length, 0) + 1
+    top = sizes + n + abs(x)
+    binomial = n * (top // n + 1).bit_length()
+    weight = max(length, 0) * (2 * a).bit_length()
+    return 32 + sizes * (6 + weight // 24 + binomial * weight // 2048)

@@ -12,7 +12,9 @@ it, so its time is in that case.  No unit reads a value another unit
 built, so units may run in any process and in any order.  The report of
 ``run_units`` is its units' cases in list order; ``geodenums verify``
 sorts every report it writes by case id, so it is the same whichever
-process ran which unit.
+process ran which unit.  A unit declares its work (``with_work``,
+``with_calls``): every call it makes of a priced kernel, in order, which
+``geodenums verify`` prices before any unit runs.
 
 ``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
 dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
@@ -175,6 +177,27 @@ def run_case(
 
 # One unit of a suite: it runs its cases into the report it is given.
 Unit = Callable[[VerifyReport], None]
+
+# A priced kernel call as a unit declares it: the kernel's name and the
+# arguments of the call.  A list or table argument is declared as the call
+# that built it, so ``("shifted_binomial_sum", (("size_mass", (n, a)), n,
+# x))`` is ``shifted_binomial_sum(size_mass(n, a), n, x)``.
+Work = tuple[str, tuple]
+
+
+def with_work(unit: Unit, *work: Work) -> Unit:
+    """`unit`, declaring `work`, the priced kernel calls it makes, in
+    order (``with_calls``)."""
+    return with_calls(unit, lambda: work)
+
+
+def with_calls(unit: Unit, calls: Callable[[], Iterable[Work]]) -> Unit:
+    """`unit`, declaring the priced kernel calls it makes, in order, as
+    ``calls()`` yields them, anew each time: its ``work`` attribute.  A
+    unit whose calls grow with a bound yields them lazily, so pricing a
+    huge bound reads only the calls up to the refusal."""
+    unit.work = calls
+    return unit
 
 
 def run_units(suite: str, units: Iterable[Unit]) -> VerifyReport:

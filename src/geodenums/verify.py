@@ -4,21 +4,27 @@ request and the queue that runs it.
 The suites are the ``suite_<name>`` functions, each returning or
 yielding its ordered units (``report.Unit``); their keyword defaults are
 the acceptance bounds, and ``tests/test_acceptance.py`` runs them as they
-are through ``report.run_units``.  A unit that calls the oracle carries
-each oracle read it makes, in order, in its ``reads`` attribute
-(``_reading``), set where its suite builds it, written as the kernel is
-called: ``("G", r, D)`` beside ``geode_series(r, D)``, ``("G", 2a, D)``
-beside ``eval_alternating(a, D)``, ``("S", r, D)`` beside ``solve_S(r,
-D)`` and ``("residual", r, D)`` beside ``functional_residual`` of that
-table.  That is the only place a suite's oracle work is written, and
-``cli._check_oracle_size`` prices each read.  ``SUITES`` describes each
-suite once: its units function and the flags it takes with their ranges;
-``cli`` adds the bound flags of the ``verify`` subparser from it.  A
-request is planned in one pass (``_plan``): every set flag is checked
-against the ranges of the suites it will run, then each suite is called
-once with only its own flags, and each unit's reads are priced as the unit
-is yielded, refusing a suite whose summed work exceeds
-``cli.MAX_ORACLE_WORK``.
+are through ``report.run_units``.  Every unit declares its work
+(``report.with_work``, or ``report.with_calls`` where the calls grow with
+a bound): each call it makes of a priced kernel, in order, as ``(kernel,
+args)``, written with the arguments of that call beside it where its
+suite builds the unit: ``("geode_series", (2, D))`` beside
+``geode_series(2, D)``, ``("partition_sum_main", (n, a))`` beside
+``partition_sum_main(n, a)``, and the rows ``wz`` declares beside its row
+descriptions.  A list or table argument is declared as the call that
+built it, and a kernel call inside another priced call is part of the
+outer call's price.  ``WORK`` gives each kernel its cost function, which
+lives beside the kernel in its own module, in the units of
+``hypercat.solve_work``.
+``SUITES`` describes each suite once: its units function and the flags
+it takes with their minimums; ``cli`` adds the bound flags of the
+``verify`` subparser from it.  A request is planned in one pass
+(``_plan``): every set flag is checked against the minimums of the
+suites it will run, then each suite is called once with only its own
+flags, and each unit's declared calls are priced as the unit is yielded
+(``cli._check_work``), refusing a suite whose summed work exceeds
+``cli.MAX_WORK``.  The suites yield their units lazily, so a huge bound
+is refused after a bounded prefix of them.
 
 A unit does all its work inside its cases (``report.run_case``).  What its
 cases share, such as a G table, is a build run at most once (``_once``)
@@ -26,12 +32,11 @@ that every case reads through a call, so the first case that reads it
 builds it: the build's time is in that case's elapsed_ms, and a build that
 raises makes each case that reads it an ``error`` case, not the request a
 crash, without running again.  ``verify <suite>`` and ``verify all`` put
-the planned units into one queue, the suite with the most planned work
-first, that the command's process and forked helpers drain on every
-usable CPU, each process pinned to a CPU of its own for the request
-(``_run_units``); ``_cmd_verify`` assembles the one report from
-the queue's cases, whatever the CPU count, and
-``report.VerifyReport.to_json`` writes it.
+the planned units into one queue, largest declared work first, that the
+command's process and forked helpers drain on every usable CPU, each
+process pinned to a CPU of its own for the request (``_run_units``);
+``_cmd_verify`` assembles the one report from the queue's cases, whatever
+the CPU count, and ``report.VerifyReport.to_json`` writes it.
 
 ``cli`` imports this module only for ``verify``, so ``table`` and ``coeff``
 load none of the suites' modules.  Exit codes are ``cli``'s.
@@ -43,14 +48,13 @@ import argparse
 import os
 import sys
 from functools import partial
-from itertools import chain, groupby
+from math import comb
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import geode, identities, wz
-from .cli import _check_oracle_size, _open_output, _write_output
-from .hypercat import functional_residual, solve_S
-from .mpoly import iter_exponents
-from .report import Case, Unit, VerifyReport, run_case
+from .cli import _check_work, _open_output, _write_output
+from .hypercat import functional_residual, residual_work, solve_S, solve_work
+from .report import Case, Unit, VerifyReport, Work, run_case, run_units, with_calls, with_work
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
@@ -94,6 +98,16 @@ def _negative_control(
     )
 
 
+def _control(case_id: str, what: str, units: Iterable[Unit]) -> Unit:
+    """A unit running the negative control `case_id` on `units`, a check
+    fed a sign-flipped `what`; it declares their work."""
+    units = list(units)
+    control = partial(
+        _negative_control, case_id=case_id, what=what, corrupted=partial(run_units, case_id, units)
+    )
+    return with_calls(control, lambda: [call for unit in units for call in unit.work()])
+
+
 def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]]:
     """A row description of (numerator, denominator) pairs with its sign flipped."""
 
@@ -104,7 +118,8 @@ def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]
 
 
 def _prefixed(prefix: str, unit: Unit) -> Unit:
-    """`unit` with `prefix` put before the id of every case it runs."""
+    """`unit` with `prefix` put before the id of every case it runs; it
+    declares the work of `unit`."""
 
     def prefixed(report: VerifyReport) -> None:
         start = len(report.cases)
@@ -112,22 +127,14 @@ def _prefixed(prefix: str, unit: Unit) -> Unit:
         for case in report.cases[start:]:
             case.id = prefix + case.id
 
-    return prefixed
-
-
-def _reading(unit: Unit, *reads: tuple[str, int, int]) -> Unit:
-    """`unit`, carrying every oracle read it makes, in order, as (kind, r,
-    degree) with the arguments of the kernel call that makes it, which
-    `_plan` prices (``cli._check_oracle_size``) before any unit runs."""
-    unit.reads = reads
-    return unit
+    return with_calls(prefixed, unit.work)
 
 
 def _case_unit(
-    case_id: str, params: dict, expected: str, check: Callable, *reads: tuple[str, int, int]
+    case_id: str, params: dict, expected: str, check: Callable, *work: Work
 ) -> Unit:
-    """A unit running one case, whose check makes the oracle reads `reads`."""
-    return _reading(lambda report: run_case(report, case_id, params, expected, check), *reads)
+    """A unit running one case, whose check makes the priced calls `work`."""
+    return with_work(lambda report: run_case(report, case_id, params, expected, check), *work)
 
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
@@ -144,7 +151,16 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
                     lambda m=(m1, m2), closed=closed: _is(closed, table().coefficient(m)),
                 )
 
-    return [_reading(unit, ("G", 2, max_degree))]
+    def work() -> Iterator[Work]:
+        """The calls of the unit: each closed form before its case, and the
+        table built by the first case."""
+        for m1 in range(max_degree + 1):
+            for m2 in range(max_degree + 1 - m1):
+                yield "geode_closed_2var", (m1, m2)
+                if m1 == m2 == 0:
+                    yield "geode_series", (2, max_degree)
+
+    return [with_calls(unit, work)]
 
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
@@ -173,7 +189,19 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
                     check,
                 )
 
-    return [_reading(partial(unit, a=a), ("G", a, max_sum)) for a in a_values]
+    def work(a: int) -> Iterator[Work]:
+        """The calls of unit a: each closed form before its case, the table
+        built by the first case, and the two-variable form in each case at
+        a = 2."""
+        for p in range(max_sum + 1):
+            for q in range(max_sum + 1 - p):
+                yield "geode_closed_shifted", (a, p, q)
+                if p == q == 0:
+                    yield "geode_series", (a, max_sum)
+                if a == 2:
+                    yield "geode_closed_2var", (p, q)
+
+    return [with_calls(partial(unit, a=a), partial(work, a)) for a in a_values]
 
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
@@ -188,23 +216,25 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
                 lambda n=n: _is(a**n, values().coefficient(n)),
             )
 
-    return [_reading(partial(unit, a=a), ("G", 2 * a, max_order)) for a in a_values]
-
-
-def suite_eq31(max_n: int = 7, max_a: int = 3) -> list[Unit]:
+    # eval_alternating(a, D) reads geode_series(2a, D)
     return [
-        _case_unit(
-            f"n={n},a={a}",
-            {"n": n, "a": a},
-            str(a ** (n - 1)),
-            lambda n=n, a=a: _is(a ** (n - 1), identities.partition_sum_main(n, a)),
-        )
-        for n in range(1, max_n + 1)
-        for a in range(1, max_a + 1)
+        with_work(partial(unit, a=a), ("geode_series", (2 * a, max_order))) for a in a_values
     ]
 
 
-def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
+def suite_eq31(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
+    for n in range(1, max_n + 1):
+        for a in range(1, max_a + 1):
+            yield _case_unit(
+                f"n={n},a={a}",
+                {"n": n, "a": a},
+                str(a ** (n - 1)),
+                lambda n=n, a=a: _is(a ** (n - 1), identities.partition_sum_main(n, a)),
+                ("partition_sum_main", (n, a)),
+            )
+
+
+def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         power = a ** (n - 1)
         # The signed size masses of lengths n and n-1, one part power each,
@@ -213,22 +243,17 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
         mass1 = _once(partial(identities.size_mass, n, a))
         mass2 = _once(partial(identities.size_mass, n - 1, a))
         bracket = _once(partial(identities.bracket_power, n, a))
-        for x in range(-2, n + 1):
-            params = {"n": n, "a": a, "x": x}
-            run_case(
-                report,
-                f"claim1,n={n},a={a},x={x:+d}",
-                params,
-                "0",
-                lambda x=x: _is(0, identities.shifted_binomial_sum(mass1(), n, x)),
-            )
-            run_case(
-                report,
-                f"claim2,n={n},a={a},x={x:+d}",
-                params,
-                str(power),
-                lambda x=x: _is(power, identities.shifted_binomial_sum(mass2(), n, x)),
-            )
+        for claim, mass, value in (("claim1", mass1, 0), ("claim2", mass2, power)):
+            for x in range(-2, n + 1):
+                run_case(
+                    report,
+                    f"{claim},n={n},a={a},x={x:+d}",
+                    {"n": n, "a": a, "x": x},
+                    str(value),
+                    lambda mass=mass, value=value, x=x: _is(
+                        value, identities.shifted_binomial_sum(mass(), n, x)
+                    ),
+                )
         for x in range(0, n + 1):
             run_case(
                 report,
@@ -237,59 +262,65 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> list[Unit]:
                 str(power),
                 lambda x=x: _is(power, identities.ct_coefficient(bracket(), n, x)),
             )
-
         # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
         # is claim1 at x = 0, which a claim1 case checks; C(|l|+2a+n,
         # |l|+2a+1) is claim2 at x = 2a, which the claim2 cases certify
         # (n + 3 points of a polynomial in x of degree <= n - 1).
-        def eq32():
-            value = sum(
-                m * identities.binom_general(size + n, size + 1)
-                for size, m in enumerate(mass1())
-            )
-            return _is(0, value)
-
-        def eq33():
-            value = sum(
-                m * identities.binom_general(size + 2 * a + n, size + 2 * a + 1)
-                for size, m in enumerate(mass2())
-            )
-            return _is(power, value)
-
-        run_case(report, f"eq32,n={n},a={a}", {"n": n, "a": a}, "0", eq32)
-        run_case(report, f"eq33,n={n},a={a}", {"n": n, "a": a}, str(power), eq33)
-
-    return [partial(unit, n=n, a=a) for n in range(1, max_n + 1) for a in range(1, max_a + 1)]
-
-
-def suite_wz1(max_n: int = 200) -> list[Unit]:
-    return wz.wz1_units(max_n) + [
-        lambda report: _negative_control(
-            report, "negative-control-H", "companion", lambda: wz.check_wz1(2, r=_flipped(wz._r1))
-        )
-    ]
-
-
-def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> list[Unit]:
-    return [_prefixed(f"a={a},", unit) for a in a_values for unit in wz.wz2_units(a, max_n)] + [
-        lambda report: _negative_control(
+        run_case(
             report,
-            "negative-control-H",
-            "companion",
-            lambda: wz.check_wz2(3, 3, r=_flipped(wz._r2)),
+            f"eq32,n={n},a={a}",
+            {"n": n, "a": a},
+            "0",
+            lambda: _is(0, identities.lower_binomial_sum(mass1(), n, 0)),
         )
-    ]
-
-
-def suite_certificate(max_n: int = 100) -> list[Unit]:
-    return wz.certificate_units(max_n) + [
-        lambda report: _negative_control(
+        run_case(
             report,
-            "negative-control-R",
-            "certificate",
-            lambda: wz.check_certificate_R(3, r=_flipped(wz._cert_R)),
+            f"eq33,n={n},a={a}",
+            {"n": n, "a": a},
+            str(power),
+            lambda: _is(power, identities.lower_binomial_sum(mass2(), n, 2 * a)),
         )
-    ]
+
+    def work(n: int, a: int) -> Iterator[Work]:
+        """The calls of unit (n, a), in the order of its cases: each mass
+        built by the first sum that reads it, the bracket power by the
+        first ct case."""
+        mass1, mass2 = ("size_mass", (n, a)), ("size_mass", (n - 1, a))
+        for mass in (mass1, mass2):
+            yield mass
+            for x in range(-2, n + 1):
+                yield "shifted_binomial_sum", (mass, n, x)
+        bracket = ("bracket_power", (n, a))
+        yield bracket
+        for x in range(0, n + 1):
+            yield "ct_coefficient", (bracket, n, x)
+        yield "lower_binomial_sum", (mass1, n, 0)
+        yield "lower_binomial_sum", (mass2, n, 2 * a)
+
+    for n in range(1, max_n + 1):
+        for a in range(1, max_a + 1):
+            yield with_calls(partial(unit, n=n, a=a), partial(work, n, a))
+
+
+def suite_wz1(max_n: int = 200) -> Iterator[Unit]:
+    yield from wz.wz1_units(max_n)
+    yield _control("negative-control-H", "companion", wz.wz1_units(2, r=_flipped(wz._r1)))
+
+
+def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> Iterator[Unit]:
+    for a in a_values:
+        for unit in wz.wz2_units(a, max_n):
+            yield _prefixed(f"a={a},", unit)
+    yield _control("negative-control-H", "companion", wz.wz2_units(3, 3, r=_flipped(wz._r2)))
+
+
+def suite_certificate(max_n: int = 100) -> Iterator[Unit]:
+    yield from wz.certificate_units(max_n)
+    yield _control(
+        "negative-control-R",
+        "certificate",
+        wz.certificate_units(3, r=_flipped(wz._cert_R)),
+    )
 
 
 def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
@@ -297,12 +328,10 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
         table = _once(partial(geode.geode_series, r, max_degree - 1))
         for d in range(1, max_degree + 1):
             def check(d=d):
-                count = 0
-                for m in iter_exponents(r, d):
-                    if not geode.geode_recurrence_check(table(), m):
-                        return False, f"recurrence broken at m={m}"
-                    count += 1
-                return True, f"all {count} monomials verified"
+                broken = geode.recurrence_break(table(), d)
+                if broken is not None:
+                    return False, f"recurrence broken at m={broken}"
+                return True, f"all {comb(r + d - 1, d)} monomials verified"
 
             run_case(
                 report,
@@ -312,8 +341,15 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
                 check,
             )
 
+    def work(r: int) -> Iterator[Work]:
+        """The calls of unit r: the table, then one layer per case."""
+        table = ("geode_series", (r, max_degree - 1))
+        yield table
+        for d in range(1, max_degree + 1):
+            yield "recurrence_break", (table, d)
+
     for r in range(1, max_vars + 1):
-        yield _reading(partial(unit, r=r), ("G", r, max_degree - 1))
+        yield with_calls(partial(unit, r=r), partial(work, r))
 
 
 def suite_two_nonzero(
@@ -345,7 +381,19 @@ def suite_two_nonzero(
                     check,
                 )
 
-    return [_reading(unit, ("G", nvars, max_n - 1))]
+    def work() -> Iterator[Work]:
+        """The calls of the unit: each closed form, the table built in the
+        first case, and the two-variable form for the pair (1, 2)."""
+        for s, t in pairs:
+            for n in range(1, max_n + 1):
+                for i in range(n):
+                    yield "geode_closed_two_nonzero", (s, t, n, i)
+                    if (s, t, n) == (*pairs[0], 1):
+                        yield "geode_series", (nvars, max_n - 1)
+                    if (s, t) == (1, 2):
+                        yield "geode_closed_2var", (n - 1 - i, i)
+
+    return [with_calls(unit, work)]
 
 
 def suite_general_eval(max_order: int = 8) -> list[Unit]:
@@ -360,14 +408,14 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
             {"a": 1, "c": [3], "max_order": max_order},
             "coefficients 3^n",
             lambda: powers_case(1, (3,), 3, max_order),
-            ("G", 2, max_order),
+            ("geode_series", (2, max_order)),
         ),
         _case_unit(
             "a=2,c=(2,3)",
             {"a": 2, "c": [2, 3], "max_order": 6},
             "coefficients 7^n",
             lambda: powers_case(2, (2, 3), 7, 6),
-            ("G", 4, 6),
+            ("geode_series", (4, 6)),
         ),
         _case_unit(
             "a=2,c=(1,1)",
@@ -378,8 +426,8 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
                 == geode.eval_alternating(2, max_order),
                 "series coincide",
             ),
-            ("G", 4, max_order),
-            ("G", 4, max_order),
+            ("geode_series", (4, max_order)),
+            ("geode_series", (4, max_order)),
         ),
     ]
 
@@ -397,8 +445,8 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
                 functional_residual(solve_S(r, max_degree)).is_zero(),
                 "residual is the zero series",
             ),
-            ("S", r, max_degree),
-            ("residual", r, max_degree),
+            ("solve_S", (r, max_degree)),
+            ("functional_residual", (r, max_degree)),
         )
         # factorization_holds solves the table's S again, independently
         yield _case_unit(
@@ -409,73 +457,83 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
                 geode.geode_series(r, max_degree).factorization_holds(),
                 "factorization holds",
             ),
-            ("G", r, max_degree),
-            ("G", r, max_degree),
+            ("geode_series", (r, max_degree)),
+            ("factorization_holds", (r, max_degree)),
         )
 
 
-# Every suite, in `verify all` order, as (units function, flag ranges).
-# The flag ranges give the flags the suite takes and the range (minimum,
-# maximum) each accepts.  Unset flags keep the suite's defaults; --a runs a
-# single a_values entry.  A flag whose cost lies in the oracle has no
-# maximum, because `verify` prices the oracle reads its units carry; the grid
-# suites' maxima keep each one, at its largest admitted bounds, under 3 s on
-# one CPU of a 2-core VM with Python 3.11 (`verify` wall time, three runs
-# each; two CPUs, each process pinned to its own, take 0.5-0.8 of it for
-# the WZ grids): wz1 at 600 0.7-0.9 s, wz2 at 350 1.0-1.1 s (--a 1000
-# 0.5-0.6 s), certificate at 600 1.1-1.3 s, eq31 at 60/10 1.9-2.0 s,
-# claims at 30/5 0.9-1.0 s.  eq31 at 80/10 took 3.4-3.8 s and at 60/12
-# 2.4-2.6 s, claims at 30/6 2.6-2.7 s, so eq31 stops at 60/10 and claims at
-# 30/5.
-SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, tuple[int, int | None]]]] = {
-    "thm1": (suite_thm1, {"max_degree": (0, None)}),
-    "thm2": (suite_thm2, {"max_sum": (0, None)}),
-    "thm3": (suite_thm3, {"max_order": (0, None), "a": (1, None)}),
-    "eq31": (suite_eq31, {"max_n": (1, 60), "max_a": (1, 10)}),
-    "claims": (suite_claims, {"max_n": (1, 30), "max_a": (1, 5)}),
-    "wz1": (suite_wz1, {"max_n": (1, 600)}),
-    "wz2": (suite_wz2, {"max_n": (1, 350), "a": (2, 1000)}),
-    "certificate": (suite_certificate, {"max_n": (1, 600)}),
-    "recurrence": (suite_recurrence, {"max_vars": (1, None), "max_degree": (1, None)}),
-    "two-nonzero": (suite_two_nonzero, {"max_n": (1, None)}),
-    "general-eval": (suite_general_eval, {"max_order": (0, None)}),
-    "oracle": (suite_oracle, {"max_vars": (1, None), "max_degree": (0, None)}),
+# Every suite, in `verify all` order, as (units function, flag minimums).
+# The flag minimums give the flags the suite takes and the least value each
+# accepts; how large a bound may be is the price's to say (``_plan``).
+# Unset flags keep the suite's defaults; --a runs a single a_values entry.
+SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, int]]] = {
+    "thm1": (suite_thm1, {"max_degree": 0}),
+    "thm2": (suite_thm2, {"max_sum": 0}),
+    "thm3": (suite_thm3, {"max_order": 0, "a": 1}),
+    "eq31": (suite_eq31, {"max_n": 1, "max_a": 1}),
+    "claims": (suite_claims, {"max_n": 1, "max_a": 1}),
+    "wz1": (suite_wz1, {"max_n": 1}),
+    "wz2": (suite_wz2, {"max_n": 1, "a": 2}),
+    "certificate": (suite_certificate, {"max_n": 1}),
+    "recurrence": (suite_recurrence, {"max_vars": 1, "max_degree": 1}),
+    "two-nonzero": (suite_two_nonzero, {"max_n": 1}),
+    "general-eval": (suite_general_eval, {"max_order": 0}),
+    "oracle": (suite_oracle, {"max_vars": 1, "max_degree": 0}),
 }
 SUITE_NAMES = tuple(SUITES)
+
+# The cost function of every kernel a unit may declare, each beside its
+# kernel in the kernel's module.
+WORK: dict[str, Callable[..., int]] = {
+    "solve_S": solve_work,
+    "geode_series": geode.geode_work,
+    "factorization_holds": geode.geode_work,
+    "functional_residual": residual_work,
+    "geode_closed_2var": geode.closed_2var_work,
+    "geode_closed_shifted": geode.closed_shifted_work,
+    "geode_closed_two_nonzero": geode.closed_two_nonzero_work,
+    "recurrence_break": geode.recurrence_work,
+    "partition_sum_main": identities.partition_sum_work,
+    "size_mass": identities.size_mass_work,
+    "bracket_power": identities.bracket_power_work,
+    "shifted_binomial_sum": identities.binomial_sum_work,
+    "lower_binomial_sum": identities.binomial_sum_work,
+    "ct_coefficient": identities.ct_coefficient_work,
+    "_f1": partial(wz.row_work, 2),
+    "_f2": wz.row_work,
+    "_cert_summand": partial(wz.row_work, 2),
+}
 
 
 def _plan(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> list[tuple[str, list[Unit], int]]:
-    """(name, units, summed oracle work) of every suite in `names`, in
-    `names` order, before any unit runs.  Every set flag of every suite is
-    checked against its range first; then each suite is called once, at its
-    defaults overridden by its own flags, and the oracle reads of each unit
-    are priced as the unit is yielded.  A suite is refused once their
-    running sum passes MAX_ORACLE_WORK, so a huge bound stops at the first
-    read past it."""
+) -> list[tuple[str, Unit, int]]:
+    """(suite name, unit, its declared work) of every unit of every suite
+    in `names`, in `names` order and each suite's unit order, before any
+    unit runs.  Every set flag of every suite is checked against its
+    minimum first; then each suite is called once, at its defaults
+    overridden by its own flags, and the calls each unit declares are
+    priced as the unit is yielded.  A suite is refused once the running
+    sum of its work passes MAX_WORK, so a huge bound stops at the first
+    call past it."""
     for name in names:
-        for flag, (minimum, maximum) in SUITES[name][1].items():
+        for flag, minimum in SUITES[name][1].items():
             value = getattr(args, flag)
-            if value is None:
-                continue
-            option = "--" + flag.replace("_", "-")
-            if value < minimum:
+            if value is not None and value < minimum:
+                option = "--" + flag.replace("_", "-")
                 parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
-            if maximum is not None and value > maximum:
-                parser.error(f"verify {name}: {option} must be <= {maximum}, got {value}")
     plan = []
     for name in names:
-        suite, ranges = SUITES[name]
-        kwargs = {f: getattr(args, f) for f in ranges if getattr(args, f) is not None}
+        suite, minimums = SUITES[name]
+        kwargs = {f: getattr(args, f) for f in minimums if getattr(args, f) is not None}
         if "a" in kwargs:
             kwargs["a_values"] = (kwargs.pop("a"),)
-        units, work = [], 0
+        context, spent = f"verify {name}: ", 0
         for unit in suite(**kwargs):
-            for kind, r, degree in getattr(unit, "reads", ()):
-                work += _check_oracle_size(kind, r, degree, parser, f"verify {name}: ", work)
-            units.append(unit)
-        plan.append((name, units, work))
+            start = spent
+            for kernel, call in getattr(unit, "work", tuple)():
+                spent += _check_work(kernel, call, WORK[kernel], parser, context, spent)
+            plan.append((name, unit, spent - start))
     return plan
 
 
@@ -516,10 +574,9 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
     and the ``finally`` gives this process back its own mask on every path,
     so the next request sees every CPU again (``_pin`` says what a failed
     pin does).  Then this process writes every unit's index into one
-    pipe, the queue, suite by suite, each suite's units in reverse order,
-    and it and every helper read the next index and run that unit until the
-    queue is empty.  A suite's units grow along its list, as its grids do,
-    so its largest are taken first.  Forking first lets the helpers drain
+    pipe, the queue, in list order, and it and every helper read the next
+    index and run that unit until the queue is empty.  Forking first lets
+    the helpers drain
     the queue while it is written, so a queue longer than the pipe holds
     does not stall.  Each helper sends its cases back pickled through a
     pipe of its own.  Fork, not spawn: a helper starts from this process's
@@ -546,9 +603,7 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
             if hasattr(os, "sched_getaffinity"):
                 mask = os.sched_getaffinity(0)
                 _pin(cpus[:1])
-            suites = groupby(range(len(units)), key=lambda i: units[i][0])
-            order = chain.from_iterable(reversed(list(indices)) for _, indices in suites)
-            records = b"".join(i.to_bytes(_RECORD, "little") for i in order)
+            records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(units)))
             for start in range(0, len(records), _CHUNK):
                 os.write(feed, records[start : start + _CHUNK])
         os.close(feed)
@@ -681,13 +736,11 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         out = _open_output(args.report)
         if out is None:
             return 2
-    # The queue: the units of the suite with the most planned work first;
-    # the sort is stable, so suites of equal work, such as the oracle-free
-    # ones, keep plan order.
+    # The queue: the units of most declared work first, so the largest
+    # starts first; the sort is stable, so units of equal work keep plan
+    # order.
     queue = [
-        (name, unit)
-        for name, units, _ in sorted(plan, key=lambda step: step[2], reverse=True)
-        for unit in units
+        (name, unit) for name, unit, _ in sorted(plan, key=lambda step: step[2], reverse=True)
     ]
     try:
         ran = _run_units(queue)

@@ -30,9 +30,11 @@ pairwise, in a tree, as one unreduced (numerator, denominator) pair
 (``_row_sum``), and a Fraction is built only to print a failure.  A
 zero denominator would make both sides of a cross-multiplied relation 0,
 so a grid that reads one is an error, never a pass; so is a row of the
-wrong length.  Each grid check is a list of units, one per n
-(``*_units``), so the CLI can spread a grid over processes; ``check_*``
-runs them in order.
+wrong length.  Each grid check yields its units, one per n (``*_units``),
+so the CLI can spread a grid over processes and price it before any unit
+runs; ``check_*`` runs them in order.  Each unit declares the summand rows
+it builds, as ``(description, args)`` (``report.with_work``), and
+``row_work`` prices a row with the passes a unit makes over it.
 
 The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
 
@@ -69,9 +71,9 @@ from __future__ import annotations
 
 from functools import partial
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
-from .report import Unit, VerifyReport, run_case, run_units
+from .report import Unit, VerifyReport, run_case, run_units, with_work
 
 ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
@@ -202,16 +204,20 @@ def _telescopes(
 
 def _pair_units(
     n_max: int,
-    f: Callable[[int], list[Ratio]],
-    r: Callable[[int], list[Ratio]],
-    extra: Callable[[int, list[Ratio]], str | None] | None = None,
-) -> list[Unit]:
-    """One unit per n <= n_max, each running the case for that n."""
+    f: Callable[..., list[Ratio]],
+    r: Callable[..., list[Ratio]],
+    params: tuple[int, ...] = (),
+    twin: Callable[[int], list[Ratio]] | None = None,
+) -> Iterator[Unit]:
+    """One unit per n <= n_max, each running the case for that n on the
+    rows f(*params, n) and r(*params, n), and, with a `twin`, checking that
+    twin(n) is the same summand row.  Each declares the rows it builds."""
 
     def unit(report: VerifyReport, n: int) -> None:
         def check() -> tuple[bool, str]:
-            frow = _require(f(n), n + 1)
-            broken = _telescopes(frow, frow, _require(r(n), n + 1), (0, 1), _PAIR_BROKEN)
+            frow = _require(f(*params, n), n + 1)
+            r_row = _require(r(*params, n), n + 1)
+            broken = _telescopes(frow, frow, r_row, (0, 1), _PAIR_BROKEN)
             if broken:
                 return False, broken
             total, den = _row_sum(frow)
@@ -219,21 +225,24 @@ def _pair_units(
                 from fractions import Fraction
 
                 return False, f"telescoped sum is {Fraction(total, den)}, not 0"
-            differs = extra and extra(n, frow)
-            if differs:
-                return False, differs
+            if twin is not None:
+                for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, twin(n))):
+                    if fn * gd != gn * fd:
+                        return False, f"a=2 summand differs from two-variable pair at k={k}"
             return True, "pair relation and telescoped sum hold"
 
         run_case(report, f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
 
-    return [partial(unit, n=n) for n in range(1, n_max + 1)]
+    for n in range(1, n_max + 1):
+        twin_row = () if twin is None else ((twin.__name__, (n,)),)
+        yield with_work(partial(unit, n=n), (f.__name__, (*params, n)), *twin_row)
 
 
 def wz1_units(
     n_max: int,
     f: Callable[[int], list[Ratio]] = _f1,
     r: Callable[[int], list[Ratio]] = _r1,
-) -> list[Unit]:
+) -> Iterator[Unit]:
     """The units of ``check_wz1``, one per n."""
     return _pair_units(n_max, f, r)
 
@@ -255,18 +264,11 @@ def wz2_units(
     n_max: int,
     f: Callable[[int, int], list[Ratio]] = _f2,
     r: Callable[[int, int], list[Ratio]] = _r2,
-) -> list[Unit]:
+) -> Iterator[Unit]:
     """The units of ``check_wz2``, one per n."""
     if a < 2:
         raise ValueError(f"need a >= 2, got {a}")
-
-    def differs(n: int, frow: list[Ratio]) -> str | None:
-        for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, _f1(n))):
-            if fn * gd != gn * fd:
-                return f"a=2 summand differs from two-variable pair at k={k}"
-        return None
-
-    return _pair_units(n_max, partial(f, a), partial(r, a), differs if a == 2 else None)
+    return _pair_units(n_max, f, r, (a,), _f1 if a == 2 else None)
 
 
 def check_wz2(
@@ -285,9 +287,9 @@ def certificate_units(
     summand: Callable[[int], list[Ratio]] = _cert_summand,
     r: Callable[[int], list[Ratio]] = _cert_R,
     boundary: Callable[[int], Ratio] = _cert_boundary,
-) -> list[Unit]:
+) -> Iterator[Unit]:
     """The units of ``check_certificate_R``: the ``orientation`` case, then
-    one unit per n."""
+    one unit per n.  Each declares the summand rows of its relations."""
 
     def relation(n: int) -> tuple[list[Ratio], str | None]:
         """F^(n, .) and the first break of ORIENT_F_DIFFERENCE at n, if any."""
@@ -296,12 +298,15 @@ def certificate_units(
         lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_next, f_n)]
         return f_n, _telescopes(lhs, f_n, _require(r(n), n), boundary(n), _CERT_BROKEN)
 
+    def rows(n: int) -> tuple[tuple[str, tuple[int]], ...]:
+        """The summand rows relation(n) builds, as the unit declares them."""
+        return (summand.__name__, (n,)), (summand.__name__, (n + 1,))
+
     def orientation_case() -> tuple[bool, str]:
-        for n in range(1, min(n_max, 6) + 1):
-            broken = relation(n)[1]
-            if broken:
-                return False, broken
-        return True, ORIENT_F_DIFFERENCE
+        # every relation runs, as declared, and the first break is reported
+        broken = [relation(n)[1] for n in range(1, min(n_max, 6) + 1)]
+        first = next(filter(None, broken), None)
+        return (False, first) if first else (True, ORIENT_F_DIFFERENCE)
 
     def orientation(report: VerifyReport) -> None:
         run_case(
@@ -326,7 +331,9 @@ def certificate_units(
 
         run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
 
-    return [orientation] + [partial(unit, n=n) for n in range(1, n_max + 1)]
+    yield with_work(orientation, *(row for n in range(1, min(n_max, 6) + 1) for row in rows(n)))
+    for n in range(1, n_max + 1):
+        yield with_work(partial(unit, n=n), *rows(n))
 
 
 def check_certificate_R(
@@ -346,3 +353,27 @@ def check_certificate_R(
     the boundary, one such pair per n, are injectable for negative controls.
     """
     return run_units("certificate", certificate_units(n_max, summand, r, boundary))
+
+
+def row_work(a: int, n: int) -> int:
+    """Estimated work of a grid unit's summand row F_2(a, n, k), k = 0..n,
+    with the passes the unit makes over it, in the units of
+    ``hypercat.solve_work``: its stepping by ``_row``, its certificate row
+    and companion, the cross-multiplied relation and the pairwise sum.
+
+    Each of the n + 1 entries takes a few small-int products and exact
+    divisions of its numerator, C(n, k) C(an+1+k, n) < 2^n (an + n + 1)^n,
+    and a few products of it by short ints; each counts 48.  The pairwise
+    sum ends with products of numerators and denominators of whole
+    half-rows, taken as T = n (bit_length(an + n) + bit_length(a) + 3)
+    bits, and CPython multiplies ints in about (T / 30)^2 digit products
+    below its Karatsuba cutoff; they count T^2 / 4096.  Each unit counts
+    192.  F_1(n) is
+    F_2(2, n), and the certificate's F^(n, m), n entries below those of
+    F_1(n), is priced as F_1(n); a certificate unit builds two of them.
+    Calibration: in process on one CPU of a 2-core VM with Python 3.11,
+    whole ``wz1`` and ``wz2`` units took at most 0.97 of the estimate's
+    time for n = 1-800 and a = 2-10^9, and a ``certificate`` unit at most
+    0.49 of its two rows'."""
+    t = n * ((a * n + n).bit_length() + a.bit_length() + 3)
+    return 192 + 48 * n + t * t // 4096

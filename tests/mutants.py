@@ -119,12 +119,12 @@ MUTANTS = [
     ),
     Mutant(
         "the guard prices a G table at its own degree",
-        "src/geodenums/cli.py",
-        'kind, degree = "S", degree + 1',
-        'kind, degree = "S", degree',
+        "src/geodenums/geode.py",
+        "solve = solve_work(r, max_degree + 1)",
+        "solve = solve_work(r, max_degree)",
         (
             "tests/test_cli.py::test_solves_list_every_solve_the_suite_makes[thm1]",
-            "tests/test_cli.py::test_table_g_is_priced_as_its_s_solve_one_degree_up[2]",
+            "tests/test_cli.py::test_verify_all_at_default_bounds_is_admitted",
         ),
     ),
     Mutant(
@@ -133,6 +133,23 @@ MUTANTS = [
         "pairs = r * comb(2 * r + max_degree - 1, 2 * r)",
         "pairs = 0",
         ("tests/test_cli.py::test_verify_refuses_oversize_oracle_work[oracle --max-degree 22]",),
+    ),
+    Mutant(
+        "a wz row price ignores n",
+        "src/geodenums/wz.py",
+        "    t = n * ((a * n + n).bit_length() + a.bit_length() + 3)\n",
+        "    n = 200\n    t = n * ((a * n + n).bit_length() + a.bit_length() + 3)\n",
+        (
+            "tests/test_cli.py::test_grid_flag_is_admitted_up_to_where_its_price_passes_the_limit"
+            "[wz1 --max-n]",
+        ),
+    ),
+    Mutant(
+        "the eq31 unit declares no work",
+        "src/geodenums/verify.py",
+        '                ("partition_sum_main", (n, a)),\n',
+        "",
+        ("tests/test_cli.py::test_every_unit_declares_every_priced_call_it_makes[eq31 --max-n 2]",),
     ),
 ]
 

@@ -11,6 +11,7 @@ import re
 import select
 import subprocess
 import sys
+import time
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -21,10 +22,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geodenums import cli, geode, hypercat, identities, mpoly, verify
+from geodenums import cli, geode, hypercat, identities, mpoly, verify, wz
 from geodenums.geode import geode_series
 from geodenums.hypercat import residual_work, solve_S, solve_work
-from geodenums.report import Case, VerifyReport, run_case, run_units
+from geodenums.report import Case, VerifyReport, run_case, run_units, with_calls
 
 
 def run_cli(capsys, *argv):
@@ -39,29 +40,33 @@ def _constant_layers(max_degree):
 
 
 def stub_suite(name, units):
-    """A registry entry for suite `name` with its flags and ranges that
+    """A registry entry for suite `name` with its flags and minimums that
     `verify` prices as the real suite: at any bounds it yields the units
     that `units(**bounds)` returns, then, as lazily as the real suite
-    yields its units, a unit that runs no case carrying the oracle reads
-    of each real unit that reads the oracle."""
-    suite, ranges = verify.SUITES[name]
+    yields its units, a unit that runs no case declaring the work of each
+    real unit."""
+    suite, minimums = verify.SUITES[name]
 
     def stub(**bounds):
         yield from units(**bounds)
         for unit in suite(**bounds):
-            if getattr(unit, "reads", ()):
-                yield verify._reading(lambda report: None, *unit.reads)
+            yield with_calls(lambda report: None, getattr(unit, "work", tuple))
 
-    return stub, ranges
+    return stub, minimums
 
 
 def plan(argv):
     """The plan `verify *argv` makes: (name, units, work) of each suite it
-    runs."""
+    runs, in the order it runs them."""
     parser = cli._build_parser()
     args = parser.parse_args(["verify", *argv])
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    return verify._plan(names, args, parser)
+    steps = verify._plan(names, args, parser)
+    return [
+        (name, [unit for step, unit, _ in steps if step == name],
+         sum(work for step, _, work in steps if step == name))
+        for name in dict.fromkeys(step for step, _, _ in steps)
+    ]
 
 
 def test_table_csv_contains_expected_row(capsys):
@@ -305,7 +310,7 @@ def test_coeff_closed_routes_match_oracle(capsys):
     ["table", "--vars", "3", "--max-degree", "90", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "19999", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "5000", "--kind", "S"],
-    ["table", "--vars", "1", "--max-degree", "3000", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "4000", "--kind", "S"],
     ["table", "--vars", "2", "--max-degree", "300", "--kind", "S"],
     ["table", "--vars", "1000000", "--max-degree", "0", "--kind", "S"],
     ["table", "--vars", "100000", "--max-degree", "0", "--kind", "S"],
@@ -318,6 +323,7 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     # through geode_series, read _geode_layers
     monkeypatch.setattr(cli, "_solve_layers", must_not_solve)
     monkeypatch.setattr(cli.geode, "_geode_layers", must_not_solve)
+    kernel = {"S": "solve_S", "G": "geode_series"}[argv[argv.index("--kind") + 1]]
     out_path = tmp_path / "table.json"
     if argv[0] == "table":
         argv = argv + ["--out", str(out_path)]
@@ -327,7 +333,8 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     assert not out_path.exists()
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
-    assert err[-1].startswith("geodenums: error: an S table in ")
+    assert err[-1].startswith(f"geodenums: error: {kernel}(")
+    assert err[-1].endswith(f" is too much work: more than {cli.MAX_WORK} units (MAX_WORK)")
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,6 +346,7 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
     ["table", "--vars", "3", "--max-degree", "45", "--kind", "S"],
     ["table", "--vars", "2", "--max-degree", "150", "--kind", "S"],
     ["table", "--vars", "1", "--max-degree", "1621", "--kind", "S"],
+    ["table", "--vars", "1", "--max-degree", "3000", "--kind", "S"],
 ], ids=" ".join)
 def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch):
     # Each of these finishes within about 2 s; the stub keeps the test fast.
@@ -356,15 +364,16 @@ def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch)
 def test_oracle_guard_admits_the_largest_suite_table():
     # G at r = 6 through degree 8 (thm3 at a = 3), read from S through
     # degree 9, is the largest table the suites build
-    cli._check_oracle_size("G", 6, 8, cli._build_parser())
+    cli._check_work("geode_series", (6, 8), geode.geode_work, cli._build_parser())
 
 
 @pytest.mark.parametrize("r", [1, 2, 6])
 def test_table_g_is_priced_as_its_s_solve_one_degree_up(r, tmp_path, monkeypatch, capsys):
-    # G through D divides S solved through D + 1, so the largest G table
-    # admitted is one degree below the largest S table, and one more is
-    # refused with the degree of its S solve
-    largest = _guard_limit(lambda d: solve_work(r, d)) - 1
+    # G through D divides S solved through D + 1, so it is priced as that
+    # solve and the division; the largest G table admitted is run, and one
+    # more is refused, named as the call it prices
+    largest = _guard_limit(lambda d: geode.geode_work(r, d))
+    assert geode.geode_work(r, largest) > solve_work(r, largest + 1)
     calls = []
 
     def stub_geode(r, max_degree):
@@ -379,8 +388,8 @@ def test_table_g_is_priced_as_its_s_solve_one_degree_up(r, tmp_path, monkeypatch
     assert exc.value.code == 2
     assert calls == [(r, largest)]
     assert capsys.readouterr().err.splitlines()[-1] == (
-        f"geodenums: error: an S table in {r} variables through degree {largest + 2} is too "
-        f"much work: more than {cli.MAX_ORACLE_WORK} units (MAX_ORACLE_WORK)"
+        f"geodenums: error: geode_series({r}, {largest + 1}) is too much work: "
+        f"more than {cli.MAX_WORK} units (MAX_WORK)"
     )
 
 
@@ -661,13 +670,20 @@ def test_unit_queue_refuses_a_short_read():
         os.close(read)
 
 
-def test_helper_reads_a_suites_last_unit_first(monkeypatch):
-    # the parent holds back until the one helper has read its first index,
-    # which must be the last unit of the first suite in the queue
+def declared_work(unit):
+    """The work `unit` declares, priced by the cost function of each call."""
+    return sum(verify.WORK[kernel](*args) for kernel, args in unit.work())
+
+
+def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
+    # _cmd_verify queues every unit by its declared work, largest first,
+    # and _run_units writes the indices in list order.  The parent holds
+    # back until the one helper has read its first index, which must be 0:
+    # eq31's last unit, (4, 3), declares the most work.
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
-    parent, read_queue = os.getpid(), verify._queue_indices
+    parent, read_queue, run_units_ = os.getpid(), verify._queue_indices, verify._run_units
     first_read, first_write = os.pipe()
-    firsts = []
+    firsts, queues = [], []
 
     def queue_indices(queue):
         indices = read_queue(queue)
@@ -680,14 +696,43 @@ def test_helper_reads_a_suites_last_unit_first(monkeypatch):
             yield first
         yield from indices
 
+    def recorded(units):
+        queues.append(units)
+        return run_units_(units)
+
     monkeypatch.setattr(verify, "_queue_indices", queue_indices)
-    units = [("wz2", lambda report: None)] * 3 + [("wz1", lambda report: None)] * 2
+    monkeypatch.setattr(verify, "_run_units", recorded)
     try:
-        assert verify._run_units(units) == [[]] * 5
+        assert cli.main(["verify", "eq31", "--max-n", "4", "--max-a", "3",
+                         "--report", os.devnull]) == 0
     finally:
         os.close(first_read)
         os.close(first_write)
-    assert firsts == [2]
+    capsys.readouterr()
+    assert firsts == [0]
+    [queue] = queues
+    assert list(queue[0][1].work()) == [("partition_sum_main", (4, 3))]
+    works = [declared_work(unit) for _, unit in queue]
+    assert works == sorted(works, reverse=True)
+
+
+def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys):
+    # across the suites of verify all, largest declared work first; units
+    # of equal work keep plan order, suite by suite
+    queues = []
+    monkeypatch.setattr(
+        verify, "_run_units", lambda units: queues.append(units) or [[]] * len(units)
+    )
+    cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
+    capsys.readouterr()
+    [queue] = queues
+    works = [declared_work(unit) for _, unit in queue]
+    assert works == sorted(works, reverse=True)
+    names = [name for name, _ in queue]
+    assert set(names) == set(verify.SUITE_NAMES)
+    for work in set(works):
+        tied = [verify.SUITE_NAMES.index(n) for n, w in zip(names, works) if w == work]
+        assert tied == sorted(tied)
 
 
 def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
@@ -921,17 +966,9 @@ def test_verify_thm3_report_shows_powers(capsys):
     ["wz2", "--max-n", "0"],
     ["wz1", "--max-n", "0"],
     ["certificate", "--max-n", "0"],
-    ["wz1", "--max-n", "100000"],
-    ["wz1", "--max-n", "601"],
-    ["wz2", "--max-n", "351"],
-    ["wz2", "--a", "1001"],
-    ["certificate", "--max-n", "601"],
-    ["eq31", "--max-n", "61"],
-    ["eq31", "--max-a", "11"],
-    ["claims", "--max-n", "31"],
-    ["claims", "--max-n", "40"],
-    ["claims", "--max-a", "6"],
-    ["all", "--max-n", "31"],
+    ["eq31", "--max-a", "0"],
+    ["claims", "--max-n", "-1"],
+    ["all", "--max-n", "0"],
 ], ids=" ".join)
 def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys):
     # a suite builds its units when it is called, as many as its bounds ask
@@ -939,8 +976,8 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     def must_not_run(**bounds):
         raise AssertionError("a suite was called before the bounds were checked")
 
-    for name, (_, ranges) in list(verify.SUITES.items()):
-        monkeypatch.setitem(verify.SUITES, name, (must_not_run, ranges))
+    for name, (_, minimums) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (must_not_run, minimums))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
@@ -949,27 +986,13 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.splitlines()[-1].startswith("geodenums: error: verify ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["thm1", "--max-degree", "300"],
-    ["all", "--max-degree", "300"],
-    ["thm3", "--a", "5"],
-    ["recurrence", "--max-vars", "1000", "--max-degree", "1"],
-    ["oracle", "--max-vars", "1000", "--max-degree", "0"],
-    ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
-    ["oracle", "--max-degree", "22"],
-], ids=" ".join)
-def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
-    # thm1 at degree 300 solves S(2, 301), 3.4e7 units; thm3 at a = 5
-    # solves S(10, 9), 1.6e7 units; MAX_ORACLE_WORK is 1e7.  recurrence
-    # at 1000 variables, degree 1, solves S(r, 1) for r = 1..1000 and
-    # oracle at degree 0 S(r, 0) and twice S(r, 1): each solve is admitted
-    # alone, but together they take 1.7e9 and 3.7e9 units.  Pricing takes
-    # the units' oracle reads as the suite yields them, so 10**30
-    # variables stop at the first read past the limit.  oracle at degree
-    # 22 solves S(4, 22) for 2.3e6 units, but its residual multiplies
-    # 17 168 580 coefficient pairs (hypercat.residual_work).
+def assert_refused_before_any_unit(argv, tmp_path, monkeypatch, capsys, first=None):
+    """`verify *argv`, with every suite's units stubbed by one that must
+    not run and priced as the real suite's, exits 2 with one error line
+    naming the suite `first` (by default the one named, thm1 for all),
+    and writes no report."""
     def must_not_run(report):
-        raise AssertionError("a unit ran before its suite's oracle work was priced")
+        raise AssertionError("a unit ran before its suite's work was priced")
 
     for name in verify.SUITES:
         monkeypatch.setitem(
@@ -982,16 +1005,62 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     assert not report_path.exists()
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
-    first = "thm1" if argv[0] == "all" else argv[0]
+    first = first or ("thm1" if argv[0] == "all" else argv[0])
     assert err[-1].startswith(f"geodenums: error: verify {first}: ")
-    assert "is too much work" in err[-1]
+    assert err[-1].endswith(f" is too much work: more than {cli.MAX_WORK} units (MAX_WORK)")
+    return err[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm1", "--max-degree", "300"],
+    ["all", "--max-degree", "300"],
+    ["thm3", "--a", "6"],
+    ["recurrence", "--max-vars", "1000", "--max-degree", "1"],
+    ["oracle", "--max-vars", "1000", "--max-degree", "0"],
+    ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
+    ["oracle", "--max-degree", "22"],
+], ids=" ".join)
+def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
+    # thm1 at degree 300 solves S(2, 301), 3.4e7 units; thm3 at a = 6
+    # solves S(12, 9), 5.7e7 units; MAX_WORK is 3e7.  recurrence at 1000
+    # variables, degree 1, solves S(r, 1) for r = 1..1000 and oracle at
+    # degree 0 S(r, 0) and twice S(r, 1): each solve is admitted alone,
+    # but together they take 1.7e9 and 3.7e9 units.  Pricing takes the
+    # units' declared calls as the suite yields them, so 10**30 variables
+    # stop at the first call past the limit.  oracle at degree 22 solves
+    # S(4, 22) for 2.3e6 units, but its residual multiplies 17 168 580
+    # coefficient pairs (hypercat.residual_work).
+    assert_refused_before_any_unit(argv, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eq31", "--max-n", str(10**30)],
+    ["claims", "--max-n", str(10**30)],
+    ["wz1", "--max-n", str(10**30)],
+    ["wz2", "--max-n", str(10**30)],
+    ["certificate", "--max-n", str(10**30)],
+    ["eq31", "--max-a", str(10**30)],
+    ["claims", "--max-a", str(10**30)],
+    ["wz2", "--a", str(10**30), "--max-n", str(10**30)],
+    ["all", "--max-n", str(10**30)],
+    ["wz1", "--max-n", "100000"],
+], ids=" ".join)
+def test_verify_refuses_oversize_grid_work_at_once(argv, tmp_path, monkeypatch, capsys):
+    # the grid suites yield their units lazily, and every cost function
+    # answers at once for any int, so a huge bound is refused after a
+    # bounded prefix of its units, well within a second
+    start = time.perf_counter()
+    first = "eq31" if argv[0] == "all" else argv[0]
+    line = assert_refused_before_any_unit(argv, tmp_path, monkeypatch, capsys, first)
+    assert time.perf_counter() - start < 1, line
+    assert " after " in line and " units of earlier work of this suite is " in line
 
 
 def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
-    # recurrence at degree 1 admits 178 variables and oracle at degree 0
-    # 136: the solves of one more variable take the sum past the limit
-    limit = cli.MAX_ORACLE_WORK
-    for name, degree, largest in (("recurrence", "1", 178), ("oracle", "0", 136)):
+    # recurrence at degree 1 admits 157 variables and oracle at degree 0
+    # 195: the calls of one more variable take the sum past the limit
+    limit = cli.MAX_WORK
+    for name, degree, largest in (("recurrence", "1", 157), ("oracle", "0", 195)):
         [(_, _, work)] = plan([name, "--max-vars", str(largest), "--max-degree", degree])
         assert work <= limit
         with pytest.raises(SystemExit) as exc:
@@ -1000,20 +1069,17 @@ def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
 
 
 def _bound_values(flag):
-    """The integers the fuzz test passes to `flag`: each minimum - 1,
-    minimum, maximum and maximum + 1 it has in SUITES, and +-10**30."""
-    values = {10**30, -(10**30)}
-    for _, ranges in verify.SUITES.values():
-        if flag in ranges:
-            minimum, maximum = ranges[flag]
-            values |= {minimum - 1, minimum}
-            if maximum is not None:
-                values |= {maximum, maximum + 1}
+    """The integers the fuzz test passes to `flag`: each minimum - 1 and
+    minimum it has in SUITES, a few larger values and +-10**30."""
+    values = {10**30, -(10**30), 7, 30, 350}
+    for _, minimums in verify.SUITES.values():
+        if flag in minimums:
+            values |= {minimums[flag] - 1, minimums[flag]}
     return [str(v) for v in sorted(values)]
 
 
 BOUND_VALUES = {
-    flag: _bound_values(flag) for _, ranges in verify.SUITES.values() for flag in ranges
+    flag: _bound_values(flag) for _, minimums in verify.SUITES.values() for flag in minimums
 }
 
 
@@ -1029,39 +1095,37 @@ def verify_argv(draw):
     return argv
 
 
-# The work of each kind of oracle read, restated from the kernels: a G
-# table through D divides S solved through D + 1.
-READ_WORK = {
-    "S": solve_work,
-    "G": lambda r, degree: solve_work(r, degree + 1),
-    "residual": residual_work,
+# The work of each declared kernel call, the oracle's restated from the
+# kernels: a G table through D divides S solved through D + 1, and
+# factorization_holds solves that S again.
+CALL_WORK = {
+    **verify.WORK,
+    "solve_S": solve_work,
+    "geode_series": lambda r, degree: solve_work(r, degree + 1),
+    "factorization_holds": lambda r, degree: solve_work(r, degree + 1),
+    "functional_residual": residual_work,
 }
 
 
 def _admitted_stub(name):
     """A units function for suite `name` returning one unit with one
     passing case, which asserts first, when it runs, that `verify` let the
-    suite start only with bounds inside its ranges and with oracle reads
-    (those the real suite's units carry at the same bounds) that take at
-    most MAX_ORACLE_WORK together."""
-    suite, ranges = verify.SUITES[name]
-    limit = cli.MAX_ORACLE_WORK
+    suite start only with bounds at or above their minimums and with
+    declared calls (those the real suite's units declare at the same
+    bounds) that take at most MAX_WORK together."""
+    suite, minimums = verify.SUITES[name]
+    limit = cli.MAX_WORK
 
     def admitted(report, bounds):
         for flag, value in bounds.items():
             if flag == "a_values":
                 flag, (value,) = "a", value
-            minimum, maximum = ranges[flag]
-            assert minimum <= value and (maximum is None or value <= maximum), (name, flag)
+            assert minimums[flag] <= value, (name, flag)
         work = 0
         for unit in suite(**bounds):
-            for kind, r, degree in getattr(unit, "reads", ()):
-                # every estimate is at least the degree and 2^min(r,
-                # degree), so only small (r, degree) reach the full estimate
-                assert degree <= limit, (name, kind, r, degree)
-                assert min(r, degree) < limit.bit_length(), (name, kind, r, degree)
-                work += READ_WORK[kind](r, degree)
-                assert work <= limit, (name, kind, r, degree)
+            for kernel, args in unit.work():
+                work += CALL_WORK[kernel](*args)
+                assert work <= limit, (name, kernel, args)
         run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
 
     return lambda **bounds: [partial(admitted, bounds=bounds)]
@@ -1102,8 +1166,8 @@ def test_verify_keeps_the_exit_code_contract_for_any_bounds(argv):
 
 
 def _guard_limit(work):
-    """The largest n whose work(n), increasing in n, is within MAX_ORACLE_WORK."""
-    return bisect_right(range(10**5), cli.MAX_ORACLE_WORK, key=work) - 1
+    """The largest n whose work(n), increasing in n, is within MAX_WORK."""
+    return bisect_right(range(10**5), cli.MAX_WORK, key=work) - 1
 
 
 ODD_VALUES = [str(10**30), str(-(10**30)), "", "x", "1.5"]
@@ -1154,7 +1218,7 @@ def table_or_coeff_argv(draw):
 def _admitted_layers(r, degree):
     """A stand-in for the packed layers of an S solve through `degree` that
     asserts the oracle guard admitted it."""
-    limit = cli.MAX_ORACLE_WORK
+    limit = cli.MAX_WORK
     assert max(r * r, degree) <= limit and min(r, degree) < limit.bit_length(), (r, degree)
     assert solve_work(r, degree) <= limit, (r, degree)
     return _constant_layers(degree)
@@ -1225,12 +1289,57 @@ def test_grid_bounds_up_to_their_maxima_are_admitted(argv):
     plan(argv)
 
 
-FLAG_TABLE = "| suite | flags (default, minimum, maximum) |"
+def _admitted(argv):
+    """Whether `verify *argv` is admitted: its plan is made without exit 2."""
+    try:
+        with redirect_stderr(io.StringIO()):
+            plan(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return False
+    return True
+
+
+# The largest value the price admits for each grid flag, with the suite's
+# other flags at their defaults.
+GRID_LIMITS = {
+    ("eq31", "--max-n"): 136,
+    ("eq31", "--max-a"): 153,
+    ("claims", "--max-n"): 49,
+    ("claims", "--max-a"): 85,
+    ("wz1", "--max-n"): 838,
+    ("wz2", "--max-n"): 422,
+    ("wz2", "--a"): 2**295 - 1,
+    ("certificate", "--max-n"): 633,
+}
+
+
+@pytest.mark.parametrize(
+    "name, option", sorted(GRID_LIMITS), ids=[" ".join(flag) for flag in sorted(GRID_LIMITS)]
+)
+def test_grid_flag_is_admitted_up_to_where_its_price_passes_the_limit(name, option):
+    # doubling, then bisection: admission is monotone along a flag, since
+    # a larger bound only adds units and every row's price grows with n and a
+    low = 1
+    while _admitted([name, option, str(2 * low)]):
+        low *= 2
+    high = 2 * low - 1
+    while low < high:
+        middle = (low + high + 1) // 2
+        if _admitted([name, option, str(middle)]):
+            low = middle
+        else:
+            high = middle - 1
+    assert low == GRID_LIMITS[name, option]
+    assert _admitted([name, option, str(low)]) and not _admitted([name, option, str(low + 1)])
+
+
+FLAG_TABLE = "| suite | flags (default, minimum) |"
 
 
 def _readme_flag_rows():
     """The rows of the README's verify flag table: suite name -> {flag:
-    (default, minimum, maximum)}, each as the string the table prints."""
+    (default, minimum)}, each as the string the table prints."""
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
     start = lines.index(FLAG_TABLE) + 2  # skip the header and |---|---|
     rows = {}
@@ -1239,45 +1348,45 @@ def _readme_flag_rows():
             break
         suite = re.match(r"\| `([\w-]+)` \|", line).group(1)
         rows[suite] = {
-            flag.replace("-", "_"): (default, minimum, maximum)
-            for flag, default, minimum, maximum in re.findall(
-                r"`--([\w-]+)` \(([^,]+), ([^,]+), ([^)]+)\)", line
-            )
+            flag.replace("-", "_"): (default, minimum)
+            for flag, default, minimum in re.findall(r"`--([\w-]+)` \(([^,]+), ([^)]+)\)", line)
         }
     return rows
 
 
 def test_readme_flag_table_matches_suites():
-    # README lists a flag's suite default (a_values as lo..hi), its minimum
-    # and its maximum, with "priced" for the None of an oracle flag.
+    # README lists a flag's suite default (a_values as lo..hi) and its
+    # minimum; every maximum is the price's.
     rows = _readme_flag_rows()
     assert list(rows) == list(verify.SUITES)
-    for name, (suite, ranges) in verify.SUITES.items():
+    for name, (suite, minimums) in verify.SUITES.items():
         defaults = {
             p.name: p.default for p in inspect.signature(suite).parameters.values()
         }
         expected = {}
-        for flag, (minimum, maximum) in ranges.items():
+        for flag, minimum in minimums.items():
             if flag == "a":
                 values = defaults["a_values"]
                 assert tuple(values) == tuple(range(values[0], values[-1] + 1))
                 default = f"{values[0]}..{values[-1]}"
             else:
                 default = str(defaults[flag])
-            expected[flag] = (
-                default, str(minimum), "priced" if maximum is None else str(maximum)
-            )
+            expected[flag] = (default, str(minimum))
         assert rows[name] == expected, name
 
 
 def test_verify_all_at_default_bounds_is_admitted():
-    # the residual products make oracle the heaviest suite, ahead of thm3
+    # the residual products make oracle the heaviest suite, ahead of wz2's
+    # grid and thm3
     works = {name: work for name, _, work in plan(["all"])}
-    assert max(works.values()) == works["oracle"] == 1_391_715 < cli.MAX_ORACLE_WORK
+    assert max(works.values()) == works["oracle"] == 1_672_085 < cli.MAX_WORK
     assert works["oracle"] == sum(
-        solve_work(r, 10) + residual_work(r, 10) + 2 * solve_work(r, 11) for r in range(1, 5)
+        solve_work(r, 10) + residual_work(r, 10) + 2 * geode.geode_work(r, 10)
+        for r in range(1, 5)
     )
-    assert works["thm3"] == 694_669 == sum(solve_work(2 * a, 9) for a in verify.DEFAULT_THM3_A)
+    assert works["thm3"] == 1_235_461 == sum(
+        geode.geode_work(2 * a, 8) for a in verify.DEFAULT_THM3_A
+    )
 
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
@@ -1285,11 +1394,15 @@ def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
     # recurrence 4, two-nonzero 1, general-eval 4 and oracle 12
     priced = []
 
-    def recording(r, degree):
-        priced.append((r, degree))
-        return solve_work(r, degree)
+    def recording(work):
+        def recorded(r, degree):
+            priced.append((r, degree))
+            return work(r, degree)
 
-    monkeypatch.setattr(cli, "solve_work", recording)
+        return recorded
+
+    for kernel in ("solve_S", "geode_series", "factorization_holds"):
+        monkeypatch.setitem(verify.WORK, kernel, recording(verify.WORK[kernel]))
     monkeypatch.setattr(verify, "_run_units", lambda units: [[] for _ in units])
     cli.main(["verify", "all", "--report", os.devnull])
     capsys.readouterr()
@@ -1312,13 +1425,13 @@ def test_verify_all_calls_each_suite_once_and_a_refused_request_runs_no_unit(
                     ran.append(name)
                     unit(report)
 
-                yield verify._reading(run, *getattr(unit, "reads", ()))
+                yield with_calls(run, unit.work)
 
         return units
 
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
-    for name, (suite, ranges) in list(verify.SUITES.items()):
-        monkeypatch.setitem(verify.SUITES, name, (counted(name, suite), ranges))
+    for name, (suite, minimums) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (counted(name, suite), minimums))
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
     capsys.readouterr()
     assert calls == list(verify.SUITE_NAMES)
@@ -1357,8 +1470,8 @@ def test_solve_cases_cover_every_suite():
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
 def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
-    # verify prices, then runs in this process, the same S solves in the
-    # same order
+    # verify prices, then runs in this process, the same S solves; the
+    # queue runs them in order of declared work, not of pricing
     priced, solved = [], []
 
     def recording(function, calls):
@@ -1369,12 +1482,100 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
         return recorded
 
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
-    monkeypatch.setattr(cli, "solve_work", recording(solve_work, priced))
+    monkeypatch.setitem(verify.WORK, "solve_S", recording(solve_work, priced))
+    monkeypatch.setattr(geode, "solve_work", recording(solve_work, priced))
     monkeypatch.setattr(verify, "solve_S", recording(solve_S, solved))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers, solved))
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
-    assert solved == priced
+    assert sorted(solved) == sorted(priced)
+
+
+def record_priced_calls(monkeypatch, calls):
+    """Patch every kernel of verify.WORK to append each call it takes to
+    `calls`, as a unit declares it: a list or table argument as the call
+    that built it, and no call made inside another priced call.  A summand row is
+    recorded as the description that calls ``wz._row``, whose defaults
+    bind the descriptions themselves."""
+    built, depth = {}, [0]
+
+    def declared(value):
+        return value if isinstance(value, int) else built.get(id(value), value)
+
+    def recorder(name, function, args_of):
+        def recorded(*args):
+            outermost = not depth[0]
+            call = (name, tuple(declared(v) for v in args_of(*args)))
+            if outermost:
+                calls.append(call)
+            depth[0] += 1
+            try:
+                result = function(*args)
+            finally:
+                depth[0] -= 1
+            built[id(result)] = call
+            return result
+
+        return recorded
+
+    same = lambda *args: args
+    table = lambda series: (series.nvars, series.trunc)
+    patched = {
+        "solve_S": (verify, same),
+        "geode_series": (geode, same),
+        "functional_residual": (verify, table),
+        "partition_sum_main": (identities, same),
+        "size_mass": (identities, same),
+        "bracket_power": (identities, same),
+        "shifted_binomial_sum": (identities, same),
+        "lower_binomial_sum": (identities, same),
+        "ct_coefficient": (identities, same),
+        "geode_closed_2var": (geode, same),
+        "geode_closed_shifted": (geode, same),
+        "geode_closed_two_nonzero": (geode, same),
+        "recurrence_break": (geode, same),
+    }
+    for name, (module, args_of) in patched.items():
+        monkeypatch.setattr(module, name, recorder(name, getattr(module, name), args_of))
+    factorization = recorder(
+        "factorization_holds", geode.GeodeTable.factorization_holds, lambda table: (
+            table.nvars, table.trunc
+        )
+    )
+    monkeypatch.setattr(geode.GeodeTable, "factorization_holds", factorization)
+    row = wz._row
+
+    def described_row(*args):
+        caller = sys._getframe(1).f_code
+        description = sys._getframe(1).f_locals
+        names = caller.co_varnames[: caller.co_argcount]
+        return recorder(caller.co_name, row, lambda *_: [description[v] for v in names])(*args)
+
+    monkeypatch.setattr(wz, "_row", described_row)
+    rows = {"_f1", "_f2", "_cert_summand"}
+    assert set(patched) | {"factorization_holds"} | rows == set(verify.WORK)
+
+
+@pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
+def test_every_unit_declares_every_priced_call_it_makes(argv, monkeypatch, capsys):
+    # each unit, run in this process, makes exactly the calls of priced
+    # kernels it declares, in order, with the declared arguments
+    calls, checked = [], []
+    run_unit = verify._run_unit
+
+    def declared_unit(name, unit):
+        start = len(calls)
+        cases = run_unit(name, unit)
+        assert calls[start:] == list(unit.work()), (name, [case.id for case in cases])
+        checked.append(name)
+        return cases
+
+    record_priced_calls(monkeypatch, calls)
+    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
+    monkeypatch.setattr(verify, "_run_unit", declared_unit)
+    assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert checked and calls
 
 
 def test_every_table_is_built_inside_a_case(monkeypatch, capsys):

@@ -102,7 +102,7 @@ def test_verify_help_lists_every_suite_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, _ = _parse(cli.main, ["verify", "-h"], capsys)
     assert code == 0
-    for name, (_, ranges) in SUITES.items():
+    for name, (_, minimums) in SUITES.items():
         assert name in out
-        for flag in ranges:
+        for flag in minimums:
             assert "--" + flag.replace("_", "-") in out, flag
