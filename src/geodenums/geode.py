@@ -119,6 +119,14 @@ def geode_work(r: int, max_degree: int) -> int:
     return solve + division
 
 
+def eval_work(a: int, *args: object) -> int:
+    """Estimated work of ``eval_alternating(a, max_order)`` and of
+    ``eval_general(a, c, max_order)``: the G table in 2a variables through
+    max_order that each substitutes into, priced by ``geode_work``, whose
+    per-entry term covers the substitution."""
+    return geode_work(2 * a, args[-1])
+
+
 def _exact_div(num: int, den: int) -> int:
     q, rem = divmod(num, den)
     if rem:

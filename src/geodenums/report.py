@@ -7,14 +7,23 @@ non-passing case, and reports with no cases at all, map to a nonzero
 process exit code.
 
 A suite is described as an ordered list of units: each unit runs its
-cases into a report, and the first case that reads what they share builds
-it, so its time is in that case.  No unit reads a value another unit
-built, so units may run in any process and in any order.  The report of
+cases into a report, and no unit reads a value another unit built, so
+units may run in any process and in any order.  The report of
 ``run_units`` is its units' cases in list order; ``geodenums verify``
 sorts every report it writes by case id, so it is the same whichever
-process ran which unit.  A unit declares its work (``with_work``,
-``with_calls``): every call it makes of a priced kernel, in order, which
-``geodenums verify`` prices before any unit runs.
+process ran which unit.
+
+A unit reads every priced kernel through its report: ``report.call(kernel,
+*args)`` is a ``Handle``, the shared value of that call, built by the
+first case that reads it, so its time is in that case, and kept with the
+exception of a build that raises.  ``geodenums verify`` prices a unit by
+running it once against a ``Pricing`` report, which hands each call, as
+declared, to its price as the unit asks for it and runs no check; the
+real run then runs
+the same unit, so the calls it makes and the calls it is priced for come
+from one piece of code.  Apart from making handles and cases, a unit does
+nothing whose cost grows with a bound, so pricing a huge bound stops at
+the first call past the limit.
 
 ``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
 dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
@@ -28,7 +37,7 @@ import json
 import time
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 PASS = "pass"
 FAIL = "fail"
@@ -72,6 +81,16 @@ class VerifyReport:
         """True when at least one case ran and every case passed: a suite
         that ran no cases has shown nothing."""
         return self.total > 0 and self.failed == 0
+
+    def call(self, kernel: Callable, *args) -> Handle:
+        """The shared value of ``kernel(*args)``, built by the first read."""
+        return Handle(kernel, args)
+
+    def nested(self, suite: str, units: Sequence[Unit]) -> Handle:
+        """The report of `units` run as suite `suite`, built by the first
+        case that reads it, as a negative control reads the check it feeds
+        a corrupted row."""
+        return Handle(run_units, (suite, units))
 
     def first_failure(self) -> Case | None:
         for c in self.cases:
@@ -156,48 +175,93 @@ def _json(value: object, indent: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
+class Pricing(VerifyReport):
+    """A report that runs no check and records no case (``run_case``):
+    each call a unit asks it for is passed to `price` as declared, the
+    kernel's name and the arguments, as the unit asks for it.  No case
+    reads a handle here, so the call's declaration stands in for its
+    handle, and a call that takes it as an argument is declared with the
+    call that built it in its place: ``("shifted_binomial_sum",
+    (("size_mass", (n, a)), n, x))`` is ``shifted_binomial_sum(size_mass(n,
+    a), n, x)``.  The units a negative control feeds its check are run
+    against it at once."""
+
+    __slots__ = ("price",)
+
+    def __init__(self, suite: str, price: Callable[[str, tuple], object]) -> None:
+        super().__init__(suite)
+        self.price = price
+
+    def call(self, kernel: Callable, *args) -> Work:
+        declared = kernel.__name__, args
+        self.price(*declared)
+        return declared
+
+    def nested(self, suite: str, units: Sequence[Unit]) -> Handle:
+        for unit in units:
+            unit(self)
+        return super().nested(suite, units)
+
+
+class Handle:
+    """The value of ``kernel(*args)``, built by the first read (a call of
+    the handle): every read returns the value that build returned or raises
+    again the exception it raised.  An argument that is itself a handle is
+    read first, and the kernel receives its value."""
+
+    __slots__ = ("kernel", "args", "outcome")
+
+    def __init__(self, kernel: Callable, args: tuple) -> None:
+        self.kernel = kernel
+        self.args = args
+        self.outcome: tuple | None = None
+
+    def __call__(self):
+        if self.outcome is None:
+            try:
+                args = [a() if isinstance(a, Handle) else a for a in self.args]
+                self.outcome = (self.kernel(*args), None)
+            except Exception as exc:
+                self.outcome = (None, exc)
+        value, exc = self.outcome
+        if exc is not None:
+            raise exc
+        return value
+
+
 def run_case(
     report: VerifyReport,
     case_id: str,
     params: Mapping,
-    expected: str,
+    expected: str | Handle,
     check: Callable[[], tuple[bool, str]],
 ) -> None:
-    """Run one check, catching exceptions as status "error"."""
+    """Run one check, catching exceptions as status "error".  An `expected`
+    handle is read inside the case, and its value printed; if it raises,
+    the case is an error with an empty expected value.  A pricing report
+    runs nothing."""
+    if isinstance(report, Pricing):
+        return
+    text = "" if isinstance(expected, Handle) else expected
     start = time.perf_counter()
     try:
+        if isinstance(expected, Handle):
+            text = str(expected())
         ok, actual = check()
         status = PASS if ok else FAIL
     except Exception as exc:  # report and continue; suites never abort
         actual = f"{type(exc).__name__}: {exc}"
         status = ERROR
     elapsed = (time.perf_counter() - start) * 1000.0
-    report.cases.append(Case(case_id, dict(params), expected, actual, status, elapsed))
+    report.cases.append(Case(case_id, dict(params), text, actual, status, elapsed))
 
 
 # One unit of a suite: it runs its cases into the report it is given.
 Unit = Callable[[VerifyReport], None]
 
-# A priced kernel call as a unit declares it: the kernel's name and the
-# arguments of the call.  A list or table argument is declared as the call
-# that built it, so ``("shifted_binomial_sum", (("size_mass", (n, a)), n,
-# x))`` is ``shifted_binomial_sum(size_mass(n, a), n, x)``.
+# A priced kernel call as it is declared (``Pricing``): the kernel's name
+# and the arguments of the call.
 Work = tuple[str, tuple]
-
-
-def with_work(unit: Unit, *work: Work) -> Unit:
-    """`unit`, declaring `work`, the priced kernel calls it makes, in
-    order (``with_calls``)."""
-    return with_calls(unit, lambda: work)
-
-
-def with_calls(unit: Unit, calls: Callable[[], Iterable[Work]]) -> Unit:
-    """`unit`, declaring the priced kernel calls it makes, in order, as
-    ``calls()`` yields them, anew each time: its ``work`` attribute.  A
-    unit whose calls grow with a bound yields them lazily, so pricing a
-    huge bound reads only the calls up to the refusal."""
-    unit.work = calls
-    return unit
 
 
 def run_units(suite: str, units: Iterable[Unit]) -> VerifyReport:

@@ -4,39 +4,40 @@ request and the queue that runs it.
 The suites are the ``suite_<name>`` functions, each returning or
 yielding its ordered units (``report.Unit``); their keyword defaults are
 the acceptance bounds, and ``tests/test_acceptance.py`` runs them as they
-are through ``report.run_units``.  Every unit declares its work
-(``report.with_work``, or ``report.with_calls`` where the calls grow with
-a bound): each call it makes of a priced kernel, in order, as ``(kernel,
-args)``, written with the arguments of that call beside it where its
-suite builds the unit: ``("geode_series", (2, D))`` beside
-``geode_series(2, D)``, ``("partition_sum_main", (n, a))`` beside
-``partition_sum_main(n, a)``, and the rows ``wz`` declares beside its row
-descriptions.  A list or table argument is declared as the call that
-built it, and a kernel call inside another priced call is part of the
-outer call's price.  ``WORK`` gives each kernel its cost function, which
-lives beside the kernel in its own module, in the units of
-``hypercat.solve_work``.
+are through ``report.run_units``.  A unit reads every priced kernel
+through its report, ``report.call(geode.geode_series, 2, D)`` where it
+would call ``geode_series(2, D)``: a handle (``report.Handle``), the
+shared value of that call, built by the first case that reads it, so the
+build's time is in that case's elapsed_ms, and a build that raises makes
+each case that reads it an ``error`` case, not the request a crash,
+without running again.  A handle that is read by another call is declared
+as the call that built it, and a kernel call inside a handle's build is
+part of that handle's price.  ``WORK`` gives each kernel its cost
+function, which lives beside the kernel in its own module, in the units
+of ``hypercat.solve_work``.
 ``SUITES`` describes each suite once: its units function and the flags
 it takes with their minimums; ``cli`` adds the bound flags of the
 ``verify`` subparser from it.  A request is planned in one pass
 (``_plan``): every set flag is checked against the minimums of the
 suites it will run, then each suite is called once with only its own
-flags, and each unit's declared calls are priced as the unit is yielded
-(``cli._check_work``), refusing a suite whose summed work exceeds
-``cli.MAX_WORK``.  The suites yield their units lazily, so a huge bound
-is refused after a bounded prefix of them.
+flags, and each unit is priced as it is yielded by running it against a
+pricing report (``report.Pricing``), which prices each call as the unit
+asks for it and runs no case, refusing a suite once its summed work
+exceeds ``cli.MAX_WORK`` (``cli._check_work``).  The real run then runs
+the same units, so what a unit is priced for is what it calls.  The
+suites yield their units lazily, and a unit does nothing whose cost grows
+with a bound apart from making handles and cases, so a huge bound is
+refused at the first call past the limit.
 
-A unit does all its work inside its cases (``report.run_case``).  What its
-cases share, such as a G table, is a build run at most once (``_once``)
-that every case reads through a call, so the first case that reads it
-builds it: the build's time is in that case's elapsed_ms, and a build that
-raises makes each case that reads it an ``error`` case, not the request a
-crash, without running again.  ``verify <suite>`` and ``verify all`` put
-the planned units into one queue, largest declared work first, that the
-command's process and forked helpers drain on every usable CPU, each
-process pinned to a CPU of its own for the request (``_run_units``);
-``_cmd_verify`` assembles the one report from the queue's cases, whatever
-the CPU count, and ``report.VerifyReport.to_json`` writes it.
+A unit does all its work inside its cases (``report.run_case``).
+``verify <suite>`` and ``verify all`` put the planned units into one
+queue, largest declared work first.  A request whose declared work is
+above ``_FORK_WORK`` is drained by the command's process and forked
+helpers on every usable CPU, each process pinned to a CPU of its own for
+the request; a smaller one runs in the command's process alone
+(``_run_units``).  ``_cmd_verify`` assembles the one report from the
+queue's cases, whatever the CPU count, and
+``report.VerifyReport.to_json`` writes it.
 
 ``cli`` imports this module only for ``verify``, so ``table`` and ``coeff``
 load none of the suites' modules.  Exit codes are ``cli``'s.
@@ -49,63 +50,37 @@ import os
 import sys
 from functools import partial
 from math import comb
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import geode, identities, wz
-from .cli import _check_work, _open_output, _write_output
+from .cli import MAX_WORK, _check_work, _open_output, _write_output
 from .hypercat import functional_residual, residual_work, solve_S, solve_work
-from .report import Case, Unit, VerifyReport, Work, run_case, run_units, with_calls, with_work
+from .report import Case, Pricing, Unit, VerifyReport, run_case
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
-
-T = TypeVar("T")
-
-
-def _once(build: Callable[[], T]) -> Callable[[], T]:
-    """`build`, run by the first call only: every call returns the value
-    it returned or raises again the exception it raised."""
-    outcome: list = []
-
-    def once() -> T:
-        if not outcome:
-            try:
-                outcome.append((build(), None))
-            except Exception as exc:
-                outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return once
 
 
 def _is(expected, value) -> tuple[bool, str]:
     return value == expected, str(value)
 
 
-def _negative_control(
-    report: VerifyReport, case_id: str, what: str, corrupted: Callable[[], VerifyReport]
-) -> None:
-    """A case that passes when a check fed a sign-flipped `what` fails."""
-    run_case(
-        report,
-        case_id,
-        {},
-        f"sign-flipped {what} must fail",
-        lambda: (corrupted().failed > 0, f"corrupted {what} detected"),
-    )
-
-
 def _control(case_id: str, what: str, units: Iterable[Unit]) -> Unit:
-    """A unit running the negative control `case_id` on `units`, a check
-    fed a sign-flipped `what`; it declares their work."""
+    """A unit running the negative control `case_id`, a case that passes
+    when `units`, a check fed a sign-flipped `what`, fail."""
     units = list(units)
-    control = partial(
-        _negative_control, case_id=case_id, what=what, corrupted=partial(run_units, case_id, units)
-    )
-    return with_calls(control, lambda: [call for unit in units for call in unit.work()])
+
+    def control(report: VerifyReport) -> None:
+        corrupted = report.nested(case_id, units)
+        run_case(
+            report,
+            case_id,
+            {},
+            f"sign-flipped {what} must fail",
+            lambda: (corrupted().failed > 0, f"corrupted {what} detected"),
+        )
+
+    return control
 
 
 def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]]:
@@ -118,8 +93,7 @@ def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]
 
 
 def _prefixed(prefix: str, unit: Unit) -> Unit:
-    """`unit` with `prefix` put before the id of every case it runs; it
-    declares the work of `unit`."""
+    """`unit` with `prefix` put before the id of every case it runs."""
 
     def prefixed(report: VerifyReport) -> None:
         start = len(report.cases)
@@ -127,86 +101,61 @@ def _prefixed(prefix: str, unit: Unit) -> Unit:
         for case in report.cases[start:]:
             case.id = prefix + case.id
 
-    return with_calls(prefixed, unit.work)
-
-
-def _case_unit(
-    case_id: str, params: dict, expected: str, check: Callable, *work: Work
-) -> Unit:
-    """A unit running one case, whose check makes the priced calls `work`."""
-    return with_work(lambda report: run_case(report, case_id, params, expected, check), *work)
+    return prefixed
 
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
     def unit(report: VerifyReport) -> None:
-        table = _once(partial(geode.geode_series, 2, max_degree))
+        table = None  # asked for after the first closed form, as the first case reads it
         for m1 in range(max_degree + 1):
             for m2 in range(max_degree + 1 - m1):
-                closed = geode.geode_closed_2var(m1, m2)
+                closed = report.call(geode.geode_closed_2var, m1, m2)
+                table = table or report.call(geode.geode_series, 2, max_degree)
                 run_case(
                     report,
                     f"m1={m1:02d},m2={m2:02d}",
                     {"m1": m1, "m2": m2},
-                    str(closed),
-                    lambda m=(m1, m2), closed=closed: _is(closed, table().coefficient(m)),
+                    closed,
+                    lambda m=(m1, m2), closed=closed: _is(closed(), table().coefficient(m)),
                 )
 
-    def work() -> Iterator[Work]:
-        """The calls of the unit: each closed form before its case, and the
-        table built by the first case."""
-        for m1 in range(max_degree + 1):
-            for m2 in range(max_degree + 1 - m1):
-                yield "geode_closed_2var", (m1, m2)
-                if m1 == m2 == 0:
-                    yield "geode_series", (2, max_degree)
-
-    return [with_calls(unit, work)]
+    return [unit]
 
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
-        table = _once(partial(geode.geode_series, a, max_sum))
+        table = None
         for p in range(max_sum + 1):
             for q in range(max_sum + 1 - p):
                 exps = [0] * a
                 exps[a - 2] = p
                 exps[a - 1] = q
-                closed = geode.geode_closed_shifted(a, p, q)
+                closed = report.call(geode.geode_closed_shifted, a, p, q)
+                table = table or report.call(geode.geode_series, a, max_sum)
+                two_var = report.call(geode.geode_closed_2var, p, q) if a == 2 else None
 
-                def check(p=p, q=q, closed=closed, exps=tuple(exps)):
+                def check(closed=closed, two_var=two_var, exps=tuple(exps)):
                     oracle = table().coefficient(exps)
-                    if closed != oracle:
+                    if closed() != oracle:
                         return False, str(oracle)
-                    if a == 2 and closed != geode.geode_closed_2var(p, q):
-                        return False, f"{closed} != two-variable closed form"
+                    if two_var is not None and closed() != two_var():
+                        return False, f"{closed()} != two-variable closed form"
                     return True, str(oracle)
 
                 run_case(
                     report,
                     f"a={a},p={p:02d},q={q:02d}",
                     {"a": a, "m_a": p, "m_a1": q},
-                    str(closed),
+                    closed,
                     check,
                 )
 
-    def work(a: int) -> Iterator[Work]:
-        """The calls of unit a: each closed form before its case, the table
-        built by the first case, and the two-variable form in each case at
-        a = 2."""
-        for p in range(max_sum + 1):
-            for q in range(max_sum + 1 - p):
-                yield "geode_closed_shifted", (a, p, q)
-                if p == q == 0:
-                    yield "geode_series", (a, max_sum)
-                if a == 2:
-                    yield "geode_closed_2var", (p, q)
-
-    return [with_calls(partial(unit, a=a), partial(work, a)) for a in a_values]
+    return [partial(unit, a=a) for a in a_values]
 
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
     def unit(report: VerifyReport, a: int) -> None:
-        values = _once(partial(geode.eval_alternating, a, max_order))
+        values = report.call(geode.eval_alternating, a, max_order)
         for n in range(max_order + 1):
             run_case(
                 report,
@@ -216,90 +165,67 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
                 lambda n=n: _is(a**n, values().coefficient(n)),
             )
 
-    # eval_alternating(a, D) reads geode_series(2a, D)
-    return [
-        with_work(partial(unit, a=a), ("geode_series", (2 * a, max_order))) for a in a_values
-    ]
+    return [partial(unit, a=a) for a in a_values]
 
 
 def suite_eq31(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
+    def unit(report: VerifyReport, n: int, a: int) -> None:
+        total = report.call(identities.partition_sum_main, n, a)
+        power = a ** (n - 1)
+        run_case(report, f"n={n},a={a}", {"n": n, "a": a}, str(power), lambda: _is(power, total()))
+
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
-            yield _case_unit(
-                f"n={n},a={a}",
-                {"n": n, "a": a},
-                str(a ** (n - 1)),
-                lambda n=n, a=a: _is(a ** (n - 1), identities.partition_sum_main(n, a)),
-                ("partition_sum_main", (n, a)),
-            )
+            yield partial(unit, n=n, a=a)
 
 
 def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         power = a ** (n - 1)
         # The signed size masses of lengths n and n-1, one part power each,
-        # and the bracket power of the ct route, shared as every suite
-        # shares what its cases read (module docstring).
-        mass1 = _once(partial(identities.size_mass, n, a))
-        mass2 = _once(partial(identities.size_mass, n - 1, a))
-        bracket = _once(partial(identities.bracket_power, n, a))
-        for claim, mass, value in (("claim1", mass1, 0), ("claim2", mass2, power)):
+        # and the bracket power of the ct route, each read by every case
+        # of its route.
+        masses = []
+        for claim, length, value in (("claim1", n, 0), ("claim2", n - 1, power)):
+            mass = report.call(identities.size_mass, length, a)
+            masses.append(mass)
             for x in range(-2, n + 1):
+                total = report.call(identities.shifted_binomial_sum, mass, n, x)
                 run_case(
                     report,
                     f"{claim},n={n},a={a},x={x:+d}",
                     {"n": n, "a": a, "x": x},
                     str(value),
-                    lambda mass=mass, value=value, x=x: _is(
-                        value, identities.shifted_binomial_sum(mass(), n, x)
-                    ),
+                    lambda total=total, value=value: _is(value, total()),
                 )
+        bracket = report.call(identities.bracket_power, n, a)
         for x in range(0, n + 1):
+            total = report.call(identities.ct_coefficient, bracket, n, x)
             run_case(
                 report,
                 f"ct,n={n},a={a},x={x:+d}",
                 {"n": n, "a": a, "x": x},
                 str(power),
-                lambda x=x: _is(power, identities.ct_coefficient(bracket(), n, x)),
+                lambda total=total: _is(power, total()),
             )
         # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
         # is claim1 at x = 0, which a claim1 case checks; C(|l|+2a+n,
         # |l|+2a+1) is claim2 at x = 2a, which the claim2 cases certify
         # (n + 3 points of a polynomial in x of degree <= n - 1).
-        run_case(
-            report,
-            f"eq32,n={n},a={a}",
-            {"n": n, "a": a},
-            "0",
-            lambda: _is(0, identities.lower_binomial_sum(mass1(), n, 0)),
-        )
-        run_case(
-            report,
-            f"eq33,n={n},a={a}",
-            {"n": n, "a": a},
-            str(power),
-            lambda: _is(power, identities.lower_binomial_sum(mass2(), n, 2 * a)),
-        )
-
-    def work(n: int, a: int) -> Iterator[Work]:
-        """The calls of unit (n, a), in the order of its cases: each mass
-        built by the first sum that reads it, the bracket power by the
-        first ct case."""
-        mass1, mass2 = ("size_mass", (n, a)), ("size_mass", (n - 1, a))
-        for mass in (mass1, mass2):
-            yield mass
-            for x in range(-2, n + 1):
-                yield "shifted_binomial_sum", (mass, n, x)
-        bracket = ("bracket_power", (n, a))
-        yield bracket
-        for x in range(0, n + 1):
-            yield "ct_coefficient", (bracket, n, x)
-        yield "lower_binomial_sum", (mass1, n, 0)
-        yield "lower_binomial_sum", (mass2, n, 2 * a)
+        forms = (("eq32", masses[0], 0, 0), ("eq33", masses[1], 2 * a, power))
+        for eq, mass, shift, value in forms:
+            total = report.call(identities.lower_binomial_sum, mass, n, shift)
+            run_case(
+                report,
+                f"{eq},n={n},a={a}",
+                {"n": n, "a": a},
+                str(value),
+                lambda total=total, value=value: _is(value, total()),
+            )
 
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
-            yield with_calls(partial(unit, n=n, a=a), partial(work, n, a))
+            yield partial(unit, n=n, a=a)
 
 
 def suite_wz1(max_n: int = 200) -> Iterator[Unit]:
@@ -325,12 +251,13 @@ def suite_certificate(max_n: int = 100) -> Iterator[Unit]:
 
 def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
     def unit(report: VerifyReport, r: int) -> None:
-        table = _once(partial(geode.geode_series, r, max_degree - 1))
+        table = report.call(geode.geode_series, r, max_degree - 1)
         for d in range(1, max_degree + 1):
-            def check(d=d):
-                broken = geode.recurrence_break(table(), d)
-                if broken is not None:
-                    return False, f"recurrence broken at m={broken}"
+            broken = report.call(geode.recurrence_break, table, d)
+
+            def check(d=d, broken=broken):
+                if broken() is not None:
+                    return False, f"recurrence broken at m={broken()}"
                 return True, f"all {comb(r + d - 1, d)} monomials verified"
 
             run_case(
@@ -341,15 +268,8 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
                 check,
             )
 
-    def work(r: int) -> Iterator[Work]:
-        """The calls of unit r: the table, then one layer per case."""
-        table = ("geode_series", (r, max_degree - 1))
-        yield table
-        for d in range(1, max_degree + 1):
-            yield "recurrence_break", (table, d)
-
     for r in range(1, max_vars + 1):
-        yield with_calls(partial(unit, r=r), partial(work, r))
+        yield partial(unit, r=r)
 
 
 def suite_two_nonzero(
@@ -358,18 +278,26 @@ def suite_two_nonzero(
     nvars = max(t for _, t in pairs)
 
     def unit(report: VerifyReport) -> None:
-        table = _once(partial(geode.geode_series, nvars, max_n - 1))
+        table = None
         for s, t in pairs:
             for n in range(1, max_n + 1):
-                def check(s=s, t=t, n=n):
-                    for i in range(n):
-                        closed = geode.geode_closed_two_nonzero(s, t, n, i)
-                        exps = [0] * nvars
-                        exps[s - 1] = n - 1 - i
-                        exps[t - 1] = i
-                        if closed != table().coefficient(exps):
-                            return False, f"mismatch at i={i}: {closed}"
-                        if (s, t) == (1, 2) and closed != geode.geode_closed_2var(n - 1 - i, i):
+                values = []  # (exponents, closed form, two-variable form) for each i
+                for i in range(n):
+                    exps = [0] * nvars
+                    exps[s - 1] = n - 1 - i
+                    exps[t - 1] = i
+                    closed = report.call(geode.geode_closed_two_nonzero, s, t, n, i)
+                    table = table or report.call(geode.geode_series, nvars, max_n - 1)
+                    two_var = None
+                    if (s, t) == (1, 2):
+                        two_var = report.call(geode.geode_closed_2var, n - 1 - i, i)
+                    values.append((exps, closed, two_var))
+
+                def check(n=n, values=values):
+                    for i, (exps, closed, two_var) in enumerate(values):
+                        if closed() != table().coefficient(exps):
+                            return False, f"mismatch at i={i}: {closed()}"
+                        if two_var is not None and closed() != two_var():
                             return False, f"two-variable closed form differs at i={i}"
                     return True, f"all {n} coefficients match the oracle"
 
@@ -381,85 +309,73 @@ def suite_two_nonzero(
                     check,
                 )
 
-    def work() -> Iterator[Work]:
-        """The calls of the unit: each closed form, the table built in the
-        first case, and the two-variable form for the pair (1, 2)."""
-        for s, t in pairs:
-            for n in range(1, max_n + 1):
-                for i in range(n):
-                    yield "geode_closed_two_nonzero", (s, t, n, i)
-                    if (s, t, n) == (*pairs[0], 1):
-                        yield "geode_series", (nvars, max_n - 1)
-                    if (s, t) == (1, 2):
-                        yield "geode_closed_2var", (n - 1 - i, i)
-
-    return [with_calls(unit, work)]
+    return [unit]
 
 
 def suite_general_eval(max_order: int = 8) -> list[Unit]:
-    def powers_case(a, c, base, order):
-        values = geode.eval_general(a, c, order)
-        actual = [values.coefficient(n) for n in range(order + 1)]
-        return actual == [base**n for n in range(order + 1)], str(actual)
+    def powers(report: VerifyReport, a: int, c: list[int], base: int, order: int) -> None:
+        values = report.call(geode.eval_general, a, c, order)
 
-    return [
-        _case_unit(
-            "a=1,c=(3)",
-            {"a": 1, "c": [3], "max_order": max_order},
-            "coefficients 3^n",
-            lambda: powers_case(1, (3,), 3, max_order),
-            ("geode_series", (2, max_order)),
-        ),
-        _case_unit(
-            "a=2,c=(2,3)",
-            {"a": 2, "c": [2, 3], "max_order": 6},
-            "coefficients 7^n",
-            lambda: powers_case(2, (2, 3), 7, 6),
-            ("geode_series", (4, 6)),
-        ),
-        _case_unit(
+        def check():
+            actual = [values().coefficient(n) for n in range(order + 1)]
+            return actual == [base**n for n in range(order + 1)], str(actual)
+
+        run_case(
+            report,
+            f"a={a},c=({','.join(map(str, c))})",
+            {"a": a, "c": c, "max_order": order},
+            f"coefficients {base}^n",
+            check,
+        )
+
+    def alternating(report: VerifyReport) -> None:
+        general = report.call(geode.eval_general, 2, [1, 1], max_order)
+        values = report.call(geode.eval_alternating, 2, max_order)
+        run_case(
+            report,
             "a=2,c=(1,1)",
             {"a": 2, "c": [1, 1], "max_order": max_order},
             "matches the alternating evaluation",
-            lambda: (
-                geode.eval_general(2, (1, 1), max_order)
-                == geode.eval_alternating(2, max_order),
-                "series coincide",
-            ),
-            ("geode_series", (4, max_order)),
-            ("geode_series", (4, max_order)),
-        ),
+            lambda: (general() == values(), "series coincide"),
+        )
+
+    return [
+        partial(powers, a=1, c=[3], base=3, order=max_order),
+        partial(powers, a=2, c=[2, 3], base=7, order=6),
+        alternating,
     ]
 
 
 def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
     """Self-consistency of the oracle itself: the defining equation residual
     vanishes and S - 1 = (t_1+...+t_r) G holds through the truncation."""
-    for r in range(1, max_vars + 1):
-        params = {"r": r, "max_degree": max_degree}
-        yield _case_unit(
+
+    def residual(report: VerifyReport, r: int) -> None:
+        zero = report.call(functional_residual, report.call(solve_S, r, max_degree))
+        run_case(
+            report,
             f"residual,r={r}",
-            params,
+            {"r": r, "max_degree": max_degree},
             "zero series",
-            lambda r=r: (
-                functional_residual(solve_S(r, max_degree)).is_zero(),
-                "residual is the zero series",
-            ),
-            ("solve_S", (r, max_degree)),
-            ("functional_residual", (r, max_degree)),
+            lambda: (zero().is_zero(), "residual is the zero series"),
         )
+
+    def factorization(report: VerifyReport, r: int) -> None:
         # factorization_holds solves the table's S again, independently
-        yield _case_unit(
-            f"factorization,r={r}",
-            params,
-            "S - 1 = (t_1+...+t_r) G",
-            lambda r=r: (
-                geode.geode_series(r, max_degree).factorization_holds(),
-                "factorization holds",
-            ),
-            ("geode_series", (r, max_degree)),
-            ("factorization_holds", (r, max_degree)),
+        holds = report.call(
+            geode.GeodeTable.factorization_holds, report.call(geode.geode_series, r, max_degree)
         )
+        run_case(
+            report,
+            f"factorization,r={r}",
+            {"r": r, "max_degree": max_degree},
+            "S - 1 = (t_1+...+t_r) G",
+            lambda: (holds(), "factorization holds"),
+        )
+
+    for r in range(1, max_vars + 1):
+        yield partial(residual, r=r)
+        yield partial(factorization, r=r)
 
 
 # Every suite, in `verify all` order, as (units function, flag minimums).
@@ -482,13 +398,22 @@ SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, int]]] = {
 }
 SUITE_NAMES = tuple(SUITES)
 
-# The cost function of every kernel a unit may declare, each beside its
-# kernel in the kernel's module.
+
+def _of_table(work: Callable[[int, int], int]) -> Callable[[tuple], int]:
+    """`work`, priced at the (r, max_degree) of the table a call's one
+    argument is declared as."""
+    return lambda table: work(*table[1])
+
+
+# The cost function of every kernel a unit may ask its report for, each
+# beside its kernel in the kernel's module.
 WORK: dict[str, Callable[..., int]] = {
     "solve_S": solve_work,
     "geode_series": geode.geode_work,
-    "factorization_holds": geode.geode_work,
-    "functional_residual": residual_work,
+    "factorization_holds": _of_table(geode.geode_work),
+    "functional_residual": _of_table(residual_work),
+    "eval_alternating": geode.eval_work,
+    "eval_general": geode.eval_work,
     "geode_closed_2var": geode.closed_2var_work,
     "geode_closed_shifted": geode.closed_shifted_work,
     "geode_closed_two_nonzero": geode.closed_two_nonzero_work,
@@ -512,10 +437,11 @@ def _plan(
     in `names`, in `names` order and each suite's unit order, before any
     unit runs.  Every set flag of every suite is checked against its
     minimum first; then each suite is called once, at its defaults
-    overridden by its own flags, and the calls each unit declares are
-    priced as the unit is yielded.  A suite is refused once the running
-    sum of its work passes MAX_WORK, so a huge bound stops at the first
-    call past it."""
+    overridden by its own flags, and each unit is priced as it is yielded,
+    by running it against a pricing report (``report.Pricing``) that adds
+    the price of each call to the suite's running sum as the unit asks for
+    it.  A suite is refused once that sum passes MAX_WORK, so a huge bound
+    stops at the first call past it."""
     for name in names:
         for flag, minimum in SUITES[name][1].items():
             value = getattr(args, flag)
@@ -529,10 +455,18 @@ def _plan(
         if "a" in kwargs:
             kwargs["a_values"] = (kwargs.pop("a"),)
         context, spent = f"verify {name}: ", 0
+
+        def price(kernel: str, call: tuple) -> None:
+            nonlocal spent
+            work = WORK[kernel](*call)
+            spent += work
+            if spent > MAX_WORK:  # refused with one line naming the call
+                _check_work(kernel, call, WORK[kernel], parser, context, spent - work)
+
+        pricing = Pricing(name, price)
         for unit in suite(**kwargs):
             start = spent
-            for kernel, call in getattr(unit, "work", tuple)():
-                spent += _check_work(kernel, call, WORK[kernel], parser, context, spent)
+            unit(pricing)
             plan.append((name, unit, spent - start))
     return plan
 
@@ -555,6 +489,17 @@ def _pin(cpus: Iterable[int]) -> None:
         pass
 
 
+# The declared work above which a request forks helpers; at or below it
+# the fork, the pickled cases and the reaping cost more than a second CPU
+# saves.  Calibration, in process on a 2-core VM with Python 3.11, medians
+# of 15 alternating runs on one CPU and forking on two: a helper lost
+# below 220 000 units (claims at 8/3, 97 788 units, 15.4 against 20.2 ms;
+# certificate at 60, 215 788 units, 9.7 against 12.3 ms), broke even at
+# claims 12/3 (272 696 units, 31.4 against 31.5 ms) and won from 330 000
+# on (wz1 at 110, 334 607 units, 19.2 against 18.2 ms; certificate at 120,
+# 810 457 units, 30.3 against 23.0 ms).
+_FORK_WORK = 300_000
+
 # Bytes per unit index in the queue, and per write to it: 512 is the
 # smallest PIPE_BUF POSIX allows, so each write reaches the pipe whole and
 # no reader can find part of an index.
@@ -562,34 +507,35 @@ _RECORD = 4
 _CHUNK = 512
 
 
-def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
-    """The cases of every (suite name, unit) in `units`, in unit order, run
-    on up to one process per usable CPU.
+def _run_units(units: Sequence[tuple[str, Unit, int]]) -> list[list[Case]]:
+    """The cases of every (suite name, unit, declared work) in `units`, in
+    unit order, run on up to one process per usable CPU.
 
-    Units are independent, so ``min(CPUs, units) - 1`` helpers are forked
-    first.  Each process is placed on a CPU of its own, since the scheduler
-    often leaves a fresh helper on its parent's CPU while another idles:
-    each helper pins itself to the next usable id as the first thing it
-    does, this process pins itself to the first id once a helper is forked,
-    and the ``finally`` gives this process back its own mask on every path,
-    so the next request sees every CPU again (``_pin`` says what a failed
-    pin does).  Then this process writes every unit's index into one
-    pipe, the queue, in list order, and it and every helper read the next
-    index and run that unit until the queue is empty.  Forking first lets
-    the helpers drain
-    the queue while it is written, so a queue longer than the pipe holds
-    does not stall.  Each helper sends its cases back pickled through a
-    pipe of its own.  Fork, not spawn: a helper starts from this process's
-    imports and units, and the CLI starts no threads.  With no helper (one
-    CPU or unit, no os.fork, or every fork failing with OSError, as under a
-    process limit) this process runs every unit in order, unpinned.  A unit
-    that raises outside its cases, in any process, raises RuntimeError
-    naming its suite; so does a helper that dies before its cases arrive,
-    naming the suites whose units ran nowhere.  No helper outlives the
-    call.
+    Units are independent, so, when their declared work together is above
+    _FORK_WORK, ``min(CPUs, units) - 1`` helpers are forked first.  Each
+    process is placed on a CPU of its own, since the scheduler often leaves
+    a fresh helper on its parent's CPU while another idles: each helper pins
+    itself to the next usable id as the first thing it does, this process
+    pins itself to the first id once a helper is forked, and the ``finally``
+    gives this process back its own mask on every path, so the next request
+    sees every CPU again (``_pin`` says what a failed pin does).  Then this
+    process writes every unit's index into one pipe, the queue, in list
+    order, and it and every helper read the next index and run that unit
+    until the queue is empty.  Forking first lets the helpers drain the
+    queue while it is written, so a queue longer than the pipe holds does
+    not stall.  Each helper sends its cases back pickled through a pipe of
+    its own.  Fork, not spawn: a helper starts from this process's imports
+    and units, and the CLI starts no threads.  With no helper (one CPU or
+    unit, work at most _FORK_WORK, no os.fork, or every fork failing with
+    OSError, as under a process limit) this process runs every unit in
+    order, unpinned.  A unit that raises outside its cases, in any process,
+    raises RuntimeError naming its suite; so does a helper that dies before
+    its cases arrive, naming the suites whose units ran nowhere.  No helper
+    outlives the call.
     """
     cpus = _cpus()
-    procs = min(len(cpus), len(units)) if hasattr(os, "fork") else 1
+    pays = hasattr(os, "fork") and sum(work for *_, work in units) > _FORK_WORK
+    procs = min(len(cpus), len(units)) if pays else 1
     queue, feed = os.pipe()
     helpers: list[tuple[int, int]] = []
     mask = None  # this process's own CPUs, while it is pinned
@@ -609,7 +555,7 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
         os.close(feed)
         feed = -1
         indices = _queue_indices(queue) if helpers else range(len(units))
-        cases = {index: _run_unit(*units[index]) for index in indices}
+        cases = {index: _run_unit(*units[index][:2]) for index in indices}
         failure = death = None
         while helpers:
             import pickle
@@ -625,7 +571,7 @@ def _run_units(units: Sequence[tuple[str, Unit]]) -> list[list[Case]]:
         if failure is not None:
             raise RuntimeError(failure)
         missing = ", ".join(
-            dict.fromkeys(name for i, (name, _) in enumerate(units) if i not in cases)
+            dict.fromkeys(name for i, (name, *_) in enumerate(units) if i not in cases)
         )
         if death is not None or missing:
             raise RuntimeError(
@@ -672,7 +618,7 @@ def _run_unit(name: str, unit: Unit) -> list[Case]:
 
 
 def _fork_helper(
-    units: Sequence[tuple[str, Unit]], queue: int, feed: int, cpu: int
+    units: Sequence[tuple[str, Unit, int]], queue: int, feed: int, cpu: int
 ) -> tuple[int, int]:
     """Fork a helper that pins itself to `cpu`, runs the units whose
     indices it reads from `queue` until the queue is empty, then writes the
@@ -700,7 +646,7 @@ def _fork_helper(
         cases, failure = {}, None
         for index in _queue_indices(queue):
             try:
-                cases[index] = _run_unit(*units[index])
+                cases[index] = _run_unit(*units[index][:2])
             except RuntimeError as exc:  # keep reading, so the queue never stalls
                 failure = failure or str(exc)
         with os.fdopen(write, "wb") as pipe:
@@ -739,9 +685,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     # The queue: the units of most declared work first, so the largest
     # starts first; the sort is stable, so units of equal work keep plan
     # order.
-    queue = [
-        (name, unit) for name, unit, _ in sorted(plan, key=lambda step: step[2], reverse=True)
-    ]
+    queue = sorted(plan, key=lambda step: step[2], reverse=True)
     try:
         ran = _run_units(queue)
     except BaseException:
@@ -749,13 +693,13 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             out.close()
         raise
     report = VerifyReport(args.suite)
-    for (name, _), cases in zip(queue, ran):
+    for (name, *_), cases in zip(queue, ran):
         if args.suite == "all":
             for case in cases:
                 case.id = f"{name}/{case.id}"
         report.cases += cases
     report.cases.sort(key=lambda c: c.id)
-    reported = {name for (name, _), cases in zip(queue, ran) if cases}
+    reported = {name for (name, *_), cases in zip(queue, ran) if cases}
     empty = [name for name in names if name not in reported]
 
     payload = report.to_json()

@@ -32,9 +32,9 @@ zero denominator would make both sides of a cross-multiplied relation 0,
 so a grid that reads one is an error, never a pass; so is a row of the
 wrong length.  Each grid check yields its units, one per n (``*_units``),
 so the CLI can spread a grid over processes and price it before any unit
-runs; ``check_*`` runs them in order.  Each unit declares the summand rows
-it builds, as ``(description, args)`` (``report.with_work``), and
-``row_work`` prices a row with the passes a unit makes over it.
+runs; ``check_*`` runs them in order.  Each unit asks its report for the
+summand rows it reads (``report.VerifyReport.call``), and ``row_work``
+prices a row with the passes a unit makes over it.
 
 The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
 
@@ -73,7 +73,7 @@ from functools import partial
 from math import comb
 from typing import Callable, Iterator
 
-from .report import Unit, VerifyReport, run_case, run_units, with_work
+from .report import Unit, VerifyReport, run_case, run_units
 
 ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
@@ -211,11 +211,14 @@ def _pair_units(
 ) -> Iterator[Unit]:
     """One unit per n <= n_max, each running the case for that n on the
     rows f(*params, n) and r(*params, n), and, with a `twin`, checking that
-    twin(n) is the same summand row.  Each declares the rows it builds."""
+    twin(n) is the same summand row."""
 
     def unit(report: VerifyReport, n: int) -> None:
+        f_row = report.call(f, *params, n)
+        twin_row = None if twin is None else report.call(twin, n)
+
         def check() -> tuple[bool, str]:
-            frow = _require(f(*params, n), n + 1)
+            frow = _require(f_row(), n + 1)
             r_row = _require(r(*params, n), n + 1)
             broken = _telescopes(frow, frow, r_row, (0, 1), _PAIR_BROKEN)
             if broken:
@@ -225,8 +228,8 @@ def _pair_units(
                 from fractions import Fraction
 
                 return False, f"telescoped sum is {Fraction(total, den)}, not 0"
-            if twin is not None:
-                for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, twin(n))):
+            if twin_row is not None:
+                for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, twin_row())):
                     if fn * gd != gn * fd:
                         return False, f"a=2 summand differs from two-variable pair at k={k}"
             return True, "pair relation and telescoped sum hold"
@@ -234,8 +237,7 @@ def _pair_units(
         run_case(report, f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
 
     for n in range(1, n_max + 1):
-        twin_row = () if twin is None else ((twin.__name__, (n,)),)
-        yield with_work(partial(unit, n=n), (f.__name__, (*params, n)), *twin_row)
+        yield partial(unit, n=n)
 
 
 def wz1_units(
@@ -289,37 +291,36 @@ def certificate_units(
     boundary: Callable[[int], Ratio] = _cert_boundary,
 ) -> Iterator[Unit]:
     """The units of ``check_certificate_R``: the ``orientation`` case, then
-    one unit per n.  Each declares the summand rows of its relations."""
+    one unit per n."""
 
-    def relation(n: int) -> tuple[list[Ratio], str | None]:
-        """F^(n, .) and the first break of ORIENT_F_DIFFERENCE at n, if any."""
-        f_n = _require(summand(n), n)
-        f_next = _require(summand(n + 1), n + 1)
-        lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_next, f_n)]
-        return f_n, _telescopes(lhs, f_n, _require(r(n), n), boundary(n), _CERT_BROKEN)
+    def relation(report: VerifyReport, n: int) -> Callable[[], tuple[list[Ratio], str | None]]:
+        """A thunk of F^(n, .) and the first break of ORIENT_F_DIFFERENCE at
+        n, if any, on the summand rows it asks `report` for."""
+        f_this, f_next = report.call(summand, n), report.call(summand, n + 1)
 
-    def rows(n: int) -> tuple[tuple[str, tuple[int]], ...]:
-        """The summand rows relation(n) builds, as the unit declares them."""
-        return (summand.__name__, (n,)), (summand.__name__, (n + 1,))
+        def telescope() -> tuple[list[Ratio], str | None]:
+            f_n = _require(f_this(), n)
+            f_n1 = _require(f_next(), n + 1)
+            lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_n1, f_n)]
+            return f_n, _telescopes(lhs, f_n, _require(r(n), n), boundary(n), _CERT_BROKEN)
 
-    def orientation_case() -> tuple[bool, str]:
-        # every relation runs, as declared, and the first break is reported
-        broken = [relation(n)[1] for n in range(1, min(n_max, 6) + 1)]
-        first = next(filter(None, broken), None)
-        return (False, first) if first else (True, ORIENT_F_DIFFERENCE)
+        return telescope
 
     def orientation(report: VerifyReport) -> None:
-        run_case(
-            report,
-            "orientation",
-            {},
-            "one standard orientation telescopes",
-            orientation_case,
-        )
+        relations = [relation(report, n) for n in range(1, min(n_max, 6) + 1)]
+
+        def check() -> tuple[bool, str]:
+            # every relation runs and the first break is reported
+            first = next(filter(None, [telescope()[1] for telescope in relations]), None)
+            return (False, first) if first else (True, ORIENT_F_DIFFERENCE)
+
+        run_case(report, "orientation", {}, "one standard orientation telescopes", check)
 
     def unit(report: VerifyReport, n: int) -> None:
+        telescope = relation(report, n)
+
         def check() -> tuple[bool, str]:
-            f_n, broken = relation(n)
+            f_n, broken = telescope()
             total, den = _row_sum(f_n)
             if total != den:
                 from fractions import Fraction
@@ -331,9 +332,9 @@ def certificate_units(
 
         run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
 
-    yield with_work(orientation, *(row for n in range(1, min(n_max, 6) + 1) for row in rows(n)))
+    yield orientation
     for n in range(1, n_max + 1):
-        yield with_work(partial(unit, n=n), *rows(n))
+        yield partial(unit, n=n)
 
 
 def check_certificate_R(

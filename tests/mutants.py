@@ -97,11 +97,18 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "verify._once forgets the exception of a build",
-        "src/geodenums/verify.py",
-        "outcome.append((None, exc))",
+        "report.Handle forgets the exception of a build",
+        "src/geodenums/report.py",
+        "self.outcome = (None, exc)",
         "raise",
         ("tests/test_cli.py::test_a_broken_kernel_costs_cases_not_the_report",),
+    ),
+    Mutant(
+        "the pricing report runs a case's check",
+        "src/geodenums/report.py",
+        "    if isinstance(report, Pricing):\n        return\n",
+        "",
+        ("tests/test_cli.py::test_pricing_a_unit_calls_no_kernel_and_runs_no_case[thm1]",),
     ),
     Mutant(
         "verify helper skips its pin",
@@ -145,11 +152,24 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the eq31 unit declares no work",
+        "eq31 calls partition_sum_main outside its handle",
         "src/geodenums/verify.py",
-        '                ("partition_sum_main", (n, a)),\n',
-        "",
-        ("tests/test_cli.py::test_every_unit_declares_every_priced_call_it_makes[eq31 --max-n 2]",),
+        "lambda: _is(power, total())",
+        "lambda: _is(power, identities.partition_sum_main(n, a))",
+        (
+            "tests/test_cli.py::test_every_priced_call_is_made_in_a_handles_build_inside_a_case"
+            "[eq31 --max-n 2]",
+        ),
+    ),
+    Mutant(
+        "a tiny request forks a helper",
+        "src/geodenums/verify.py",
+        "sum(work for *_, work in units) > _FORK_WORK",
+        "sum(work for *_, work in units) >= 0",
+        (
+            "tests/test_cli.py::test_a_request_forks_only_for_work_above_the_fork_work"
+            "[eq31 --max-n 8 --max-a 4-False]",
+        ),
     ),
 ]
 

@@ -14,7 +14,7 @@ import sys
 import time
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
+from functools import partial, wraps
 from math import comb
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from geodenums import cli, geode, hypercat, identities, mpoly, verify, wz
 from geodenums.geode import geode_series
 from geodenums.hypercat import residual_work, solve_S, solve_work
-from geodenums.report import Case, VerifyReport, run_case, run_units, with_calls
+from geodenums.report import Case, Handle, Pricing, VerifyReport, run_case, run_units
 
 
 def run_cli(capsys, *argv):
@@ -39,20 +39,39 @@ def _constant_layers(max_degree):
     return mpoly._packing_shift(max_degree), [[(0, 1)]]
 
 
+def only(pricing, unit):
+    """`unit`, run against a pricing report only if `pricing`, or against a
+    real report only if not."""
+    return lambda report: unit(report) if isinstance(report, Pricing) == pricing else None
+
+
 def stub_suite(name, units):
     """A registry entry for suite `name` with its flags and minimums that
     `verify` prices as the real suite: at any bounds it yields the units
-    that `units(**bounds)` returns, then, as lazily as the real suite
-    yields its units, a unit that runs no case declaring the work of each
-    real unit."""
+    that `units(**bounds)` returns, which ask for no priced call and run
+    only in the real run, then, as lazily as the real suite yields its
+    units, each real unit, run only where it is priced."""
     suite, minimums = verify.SUITES[name]
 
     def stub(**bounds):
-        yield from units(**bounds)
+        for unit in units(**bounds):
+            yield only(False, unit)
         for unit in suite(**bounds):
-            yield with_calls(lambda report: None, getattr(unit, "work", tuple))
+            yield only(True, unit)
 
     return stub, minimums
+
+
+def fork_at_any_work(monkeypatch):
+    """Let every request fork its helpers, however little its work."""
+    monkeypatch.setattr(verify, "_FORK_WORK", -1)
+
+
+def declarations(unit):
+    """The calls `unit` asks its report for, as declared, in order."""
+    calls = []
+    unit(Pricing("priced", lambda kernel, args: calls.append((kernel, args))))
+    return calls
 
 
 def plan(argv):
@@ -535,7 +554,7 @@ def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch,
 
 def test_negative_control_does_not_count_an_empty_run_as_detected():
     report = VerifyReport("wz1")
-    verify._negative_control(report, "negative", "R", lambda: VerifyReport("wz1"))
+    verify._control("negative", "R", [])(report)
     assert [case.status for case in report.cases] == ["fail"]
 
 
@@ -626,6 +645,7 @@ class Where:
 
 
 def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch, capsys):
+    fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
@@ -643,6 +663,7 @@ def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch,
 @pytest.mark.parametrize("name", verify.SUITE_NAMES)
 def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monkeypatch, capsys):
     [(_, units, _)] = plan([name, *SMALL_BOUNDS])
+    fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
     reports = {}
     for cpus in (1, 2, 3):
@@ -672,7 +693,7 @@ def test_unit_queue_refuses_a_short_read():
 
 def declared_work(unit):
     """The work `unit` declares, priced by the cost function of each call."""
-    return sum(verify.WORK[kernel](*args) for kernel, args in unit.work())
+    return sum(verify.WORK[kernel](*args) for kernel, args in declarations(unit))
 
 
 def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
@@ -681,6 +702,7 @@ def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
     # back until the one helper has read its first index, which must be 0:
     # eq31's last unit, (4, 3), declares the most work.
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    fork_at_any_work(monkeypatch)
     parent, read_queue, run_units_ = os.getpid(), verify._queue_indices, verify._run_units
     first_read, first_write = os.pipe()
     firsts, queues = [], []
@@ -711,9 +733,9 @@ def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
     capsys.readouterr()
     assert firsts == [0]
     [queue] = queues
-    assert list(queue[0][1].work()) == [("partition_sum_main", (4, 3))]
-    works = [declared_work(unit) for _, unit in queue]
-    assert works == sorted(works, reverse=True)
+    assert declarations(queue[0][1]) == [("partition_sum_main", (4, 3))]
+    works = [declared_work(unit) for _, unit, _ in queue]
+    assert works == [work for *_, work in queue] == sorted(works, reverse=True)
 
 
 def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys):
@@ -726,9 +748,9 @@ def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys
     cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
     capsys.readouterr()
     [queue] = queues
-    works = [declared_work(unit) for _, unit in queue]
-    assert works == sorted(works, reverse=True)
-    names = [name for name, _ in queue]
+    works = [declared_work(unit) for _, unit, _ in queue]
+    assert works == [work for *_, work in queue] == sorted(works, reverse=True)
+    names = [name for name, *_ in queue]
     assert set(names) == set(verify.SUITE_NAMES)
     for work in set(works):
         tied = [verify.SUITE_NAMES.index(n) for n, w in zip(names, works) if w == work]
@@ -740,6 +762,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
     # waits for it, or in the parent while a helper's copy waits to be
     # killed; either way verify raises RuntimeError naming the suite
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         for raising_in in ("helper", "parent"):
@@ -764,6 +787,7 @@ def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
 
 def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         with Where() as where:
@@ -788,6 +812,7 @@ def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, 
     # units that run no cases, spread over three processes, and a suite
     # with no units at all
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1, 2))
+    fork_at_any_work(monkeypatch)
     for argv, empty in zip(REQUESTS, (["wz1"], ["thm1", "wz1", "oracle"])):
         for name in empty:
             no_cases = [lambda report: None] * 6
@@ -823,6 +848,7 @@ def test_verify_all_runs_every_share_itself_when_fork_fails(tmp_path, monkeypatc
         attempts.append(1)
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
+    fork_at_any_work(monkeypatch)
     for argv in REQUESTS:
         serial, parallel = tmp_path / f"{argv[0]}-1.json", tmp_path / f"{argv[0]}-2.json"
         monkeypatch.setattr(verify, "_cpus", lambda: (0,))
@@ -843,7 +869,8 @@ needs_two_cpus = pytest.mark.skipif(len(CPU_IDS) < 2, reason="needs two usable C
 
 
 @needs_two_cpus
-def test_the_command_and_each_helper_run_on_a_cpu_of_their_own():
+def test_the_command_and_each_helper_run_on_a_cpu_of_their_own(monkeypatch):
+    fork_at_any_work(monkeypatch)
     # one unit per process: the parent's copy waits until every helper's
     # copy has started, and each helper's copy waits for the parent's go,
     # so no process can take a second unit
@@ -866,7 +893,7 @@ def test_the_command_and_each_helper_run_on_a_cpu_of_their_own():
 
     before = os.sched_getaffinity(0)
     try:
-        ran = verify._run_units([("wz1", unit)] * procs)
+        ran = verify._run_units([("wz1", unit, 0)] * procs)
     finally:
         for fd in (started_read, started_write, go_read, go_write):
             os.close(fd)
@@ -886,6 +913,7 @@ def test_the_commands_mask_is_restored_on_every_path(path, monkeypatch):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(verify, "_cpus", lambda: CPU_IDS[:2])
+    fork_at_any_work(monkeypatch)
     if path == "fork fails":
         monkeypatch.setattr(os, "fork", failing_fork)
     pinned = []
@@ -907,10 +935,10 @@ def test_the_commands_mask_is_restored_on_every_path(path, monkeypatch):
 
         before = os.sched_getaffinity(0)
         if path in ("success", "fork fails"):
-            assert verify._run_units([("wz1", unit)] * 2) == [[], []]
+            assert verify._run_units([("wz1", unit, 0)] * 2) == [[], []]
         else:
             with pytest.raises(RuntimeError, match="raised outside its cases|exited with code 3"):
-                verify._run_units([("wz1", unit)] * 2)
+                verify._run_units([("wz1", unit, 0)] * 2)
     # a process left to run alone is not pinned
     expected = before if path == "fork fails" else {CPU_IDS[0]}
     assert pinned and all(mask == expected for mask in pinned), pinned
@@ -933,6 +961,7 @@ def test_a_pin_that_cannot_be_made_leaves_the_one_cpu_report(
     else:
         monkeypatch.delattr(os, "sched_setaffinity")
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", str(parallel)]) == 0
     assert capsys.readouterr().err == ""
@@ -1097,13 +1126,17 @@ def verify_argv(draw):
 
 # The work of each declared kernel call, the oracle's restated from the
 # kernels: a G table through D divides S solved through D + 1, and
-# factorization_holds solves that S again.
+# factorization_holds, given that table, solves its S again; an
+# evaluation substitutes into the G table in 2a variables; the residual
+# of an S table is priced at the table's (r, D).
 CALL_WORK = {
     **verify.WORK,
     "solve_S": solve_work,
     "geode_series": lambda r, degree: solve_work(r, degree + 1),
-    "factorization_holds": lambda r, degree: solve_work(r, degree + 1),
-    "functional_residual": residual_work,
+    "factorization_holds": lambda table: solve_work(table[1][0], table[1][1] + 1),
+    "functional_residual": lambda table: residual_work(*table[1]),
+    "eval_alternating": lambda a, degree: solve_work(2 * a, degree + 1),
+    "eval_general": lambda a, c, degree: solve_work(2 * a, degree + 1),
 }
 
 
@@ -1122,10 +1155,15 @@ def _admitted_stub(name):
                 flag, (value,) = "a", value
             assert minimums[flag] <= value, (name, flag)
         work = 0
+
+        def price(kernel, args):
+            nonlocal work
+            work += CALL_WORK[kernel](*args)
+            assert work <= limit, (name, kernel, args)
+
+        pricing = Pricing(name, price)
         for unit in suite(**bounds):
-            for kernel, args in unit.work():
-                work += CALL_WORK[kernel](*args)
-                assert work <= limit, (name, kernel, args)
+            unit(pricing)
         run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
 
     return lambda **bounds: [partial(admitted, bounds=bounds)]
@@ -1391,7 +1429,9 @@ def test_verify_all_at_default_bounds_is_admitted():
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
     # 29 S solves at the default bounds: thm1 1, thm2 4, thm3 3,
-    # recurrence 4, two-nonzero 1, general-eval 4 and oracle 12
+    # recurrence 4, two-nonzero 1, general-eval 4 and oracle 12; every
+    # priced G table, evaluation and factorization prices its S solve by
+    # geode.geode_work
     priced = []
 
     def recording(work):
@@ -1401,8 +1441,8 @@ def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
 
         return recorded
 
-    for kernel in ("solve_S", "geode_series", "factorization_holds"):
-        monkeypatch.setitem(verify.WORK, kernel, recording(verify.WORK[kernel]))
+    monkeypatch.setitem(verify.WORK, "solve_S", recording(solve_work))
+    monkeypatch.setattr(geode, "solve_work", recording(solve_work))
     monkeypatch.setattr(verify, "_run_units", lambda units: [[] for _ in units])
     cli.main(["verify", "all", "--report", os.devnull])
     capsys.readouterr()
@@ -1422,10 +1462,11 @@ def test_verify_all_calls_each_suite_once_and_a_refused_request_runs_no_unit(
             calls.append(name)
             for unit in suite(**bounds):
                 def run(report, unit=unit):
-                    ran.append(name)
+                    if not isinstance(report, Pricing):
+                        ran.append(name)
                     unit(report)
 
-                yield with_calls(run, unit.work)
+                yield run
 
         return units
 
@@ -1475,6 +1516,7 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
     priced, solved = [], []
 
     def recording(function, calls):
+        @wraps(function)  # verify prices a kernel by its name
         def recorded(r, max_degree):
             calls.append((r, max_degree))
             return function(r, max_degree)
@@ -1491,91 +1533,194 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
     assert sorted(solved) == sorted(priced)
 
 
-def record_priced_calls(monkeypatch, calls):
-    """Patch every kernel of verify.WORK to append each call it takes to
-    `calls`, as a unit declares it: a list or table argument as the call
-    that built it, and no call made inside another priced call.  A summand row is
-    recorded as the description that calls ``wz._row``, whose defaults
-    bind the descriptions themselves."""
-    built, depth = {}, [0]
+# The kernels verify prices, by the module each is read through; the
+# summand rows (_f1, _f2, _cert_summand) are watched through wz._row,
+# which each of them calls, since the grid units bind them as defaults.
+KERNELS = {
+    "solve_S": verify,
+    "functional_residual": verify,
+    "geode_series": geode,
+    "eval_alternating": geode,
+    "eval_general": geode,
+    "geode_closed_2var": geode,
+    "geode_closed_shifted": geode,
+    "geode_closed_two_nonzero": geode,
+    "recurrence_break": geode,
+    "partition_sum_main": identities,
+    "size_mass": identities,
+    "bracket_power": identities,
+    "shifted_binomial_sum": identities,
+    "lower_binomial_sum": identities,
+    "ct_coefficient": identities,
+}
 
-    def declared(value):
-        return value if isinstance(value, int) else built.get(id(value), value)
 
-    def recorder(name, function, args_of):
-        def recorded(*args):
-            outermost = not depth[0]
-            call = (name, tuple(declared(v) for v in args_of(*args)))
-            if outermost:
-                calls.append(call)
-            depth[0] += 1
-            try:
-                result = function(*args)
-            finally:
-                depth[0] -= 1
-            built[id(result)] = call
-            return result
+def watch_kernels(monkeypatch, seen):
+    """Patch every kernel verify prices to call seen(name) before it runs;
+    each keeps its name, by which verify prices it."""
 
-        return recorded
+    def watched(name, function):
+        @wraps(function)
+        def kernel(*args):
+            seen(name)
+            return function(*args)
 
-    same = lambda *args: args
-    table = lambda series: (series.nvars, series.trunc)
-    patched = {
-        "solve_S": (verify, same),
-        "geode_series": (geode, same),
-        "functional_residual": (verify, table),
-        "partition_sum_main": (identities, same),
-        "size_mass": (identities, same),
-        "bracket_power": (identities, same),
-        "shifted_binomial_sum": (identities, same),
-        "lower_binomial_sum": (identities, same),
-        "ct_coefficient": (identities, same),
-        "geode_closed_2var": (geode, same),
-        "geode_closed_shifted": (geode, same),
-        "geode_closed_two_nonzero": (geode, same),
-        "recurrence_break": (geode, same),
-    }
-    for name, (module, args_of) in patched.items():
-        monkeypatch.setattr(module, name, recorder(name, getattr(module, name), args_of))
-    factorization = recorder(
-        "factorization_holds", geode.GeodeTable.factorization_holds, lambda table: (
-            table.nvars, table.trunc
-        )
-    )
-    monkeypatch.setattr(geode.GeodeTable, "factorization_holds", factorization)
-    row = wz._row
+        return kernel
 
-    def described_row(*args):
-        caller = sys._getframe(1).f_code
-        description = sys._getframe(1).f_locals
-        names = caller.co_varnames[: caller.co_argcount]
-        return recorder(caller.co_name, row, lambda *_: [description[v] for v in names])(*args)
-
-    monkeypatch.setattr(wz, "_row", described_row)
+    for name, module in KERNELS.items():
+        monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
+    holds = watched("factorization_holds", geode.GeodeTable.factorization_holds)
+    monkeypatch.setattr(geode.GeodeTable, "factorization_holds", holds)
+    monkeypatch.setattr(wz, "_row", watched("_row", wz._row))
     rows = {"_f1", "_f2", "_cert_summand"}
-    assert set(patched) | {"factorization_holds"} | rows == set(verify.WORK)
+    assert set(KERNELS) | {"factorization_holds"} | rows == set(verify.WORK)
+
+
+@pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
+def test_every_priced_call_is_made_in_a_handles_build_inside_a_case(argv, monkeypatch, capsys):
+    # a kernel call nested in another handle's build counts as inside it
+    depth = {"build": 0, "case": 0}
+    made, outside = [], []
+
+    def counting(key, function):
+        def counted(*args):
+            depth[key] += 1
+            try:
+                return function(*args)
+            finally:
+                depth[key] -= 1
+
+        return counted
+
+    def seen(name):
+        made.append(name)
+        if not (depth["build"] and depth["case"]):
+            outside.append((name, dict(depth)))
+
+    watch_kernels(monkeypatch, seen)
+    monkeypatch.setattr(Handle, "__call__", counting("build", Handle.__call__))
+    for module in (verify, wz):
+        monkeypatch.setattr(module, "run_case", counting("case", module.run_case))
+    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
+    assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert made and outside == []
+
+
+@pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
+def test_pricing_a_unit_calls_no_kernel_and_runs_no_case(argv, monkeypatch):
+    made, reports = [], []
+
+    class Recorded(Pricing):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            reports.append(self)
+
+    watch_kernels(monkeypatch, made.append)
+    monkeypatch.setattr(verify, "Pricing", Recorded)
+    assert sum(work for _, _, work in plan(argv)) > 0
+    assert reports and made == []
+    assert [report.cases for report in reports] == [[]] * len(reports)
+
+
+def declared(value):
+    """`value` as a pricing report declares it: a handle as the call that
+    built it."""
+    if isinstance(value, Handle):
+        return value.kernel.__name__, tuple(declared(arg) for arg in value.args)
+    return value
 
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
 def test_every_unit_declares_every_priced_call_it_makes(argv, monkeypatch, capsys):
-    # each unit, run in this process, makes exactly the calls of priced
-    # kernels it declares, in order, with the declared arguments
-    calls, checked = [], []
-    run_unit = verify._run_unit
+    # in plan order, unit by unit: a negative control's units ask for
+    # their handles inside its case
+    priced, made, plans, running = [], {}, [], []
 
-    def declared_unit(name, unit):
-        start = len(calls)
-        cases = run_unit(name, unit)
-        assert calls[start:] == list(unit.work()), (name, [case.id for case in cases])
-        checked.append(name)
-        return cases
+    def recording(name, work):
+        def recorded(*args):
+            priced.append((name, args))
+            return work(*args)
 
-    record_priced_calls(monkeypatch, calls)
+        return recorded
+
+    for name, work in list(verify.WORK.items()):
+        monkeypatch.setitem(verify.WORK, name, recording(name, work))
+    call, run_unit, plan_ = VerifyReport.call, verify._run_unit, verify._plan
+
+    def recorded_call(report, kernel, *args):
+        handle = call(report, kernel, *args)
+        made[running[-1]].append(declared(handle))
+        return handle
+
+    def recorded_run(name, unit):
+        running.append(unit)
+        made[unit] = []
+        return run_unit(name, unit)
+
+    monkeypatch.setattr(VerifyReport, "call", recorded_call)
+    monkeypatch.setattr(verify, "_run_unit", recorded_run)
+    monkeypatch.setattr(verify, "_plan", lambda *args: plans.append(plan_(*args)) or plans[-1])
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
-    monkeypatch.setattr(verify, "_run_unit", declared_unit)
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
-    assert checked and calls
+    [steps] = plans
+    assert priced and priced == [call for _, unit, _ in steps for call in made[unit]]
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["all"], 7_324_899),
+    (["eq31", "--max-n", "8", "--max-a", "4"], 35_339),
+    (["claims", "--max-n", "8", "--max-a", "3"], 97_788),
+    (["wz1", "--max-n", "250"], 1_828_985),
+    (["wz2", "--max-n", "120"], 2_006_226),
+    (["certificate", "--max-n", "120"], 810_457),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_each_request_declares_its_pinned_work(argv, work):
+    # verify all at its defaults and the requests of the identities workload
+    assert sum(step_work for _, _, step_work in plan(argv)) == work
+
+
+@pytest.mark.parametrize("argv, forks", [
+    (["eq31", "--max-n", "8", "--max-a", "4"], False),
+    (["claims", "--max-n", "8", "--max-a", "3"], False),
+    (["wz1", "--max-n", "250"], True),
+    (["wz2", "--max-n", "120"], True),
+    (["certificate", "--max-n", "120"], True),
+    (["all"], True),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_a_request_forks_only_for_work_above_the_fork_work(argv, forks, monkeypatch, capsys):
+    assert (sum(work for _, _, work in plan(argv)) > verify._FORK_WORK) == forks
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    pids = recording_forks(monkeypatch)
+    assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
+    capsys.readouterr()
+    assert len(pids) == forks
+    assert_reaped(pids)
+
+
+def test_a_raising_closed_form_costs_its_case_not_the_request(tmp_path, monkeypatch, capsys):
+    closed = geode.geode_closed_2var
+
+    @wraps(closed)
+    def raising(m1, m2):
+        if (m1, m2) == (3, 4):
+            raise RuntimeError("no closed form at (3, 4)")
+        return closed(m1, m2)
+
+    monkeypatch.setattr(geode, "geode_closed_2var", raising)
+    path = tmp_path / "thm1.json"
+    assert cli.main(["verify", "thm1", "--report", str(path)]) == 1
+    capsys.readouterr()
+    cases = json.loads(path.read_text())["cases"]
+    assert len(cases) == 91
+    assert [
+        (case["id"], case["status"], case["expected"], case["actual"])
+        for case in cases
+        if case["status"] != "pass"
+    ] == [("m1=03,m2=04", "error", "", "RuntimeError: no closed form at (3, 4)")]
 
 
 def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
@@ -1592,6 +1737,7 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
             running.pop()
 
     def recording(function):
+        @wraps(function)  # verify prices a kernel by its name
         def recorded(r, max_degree):
             solved.append((r, max_degree, bool(running)))
             return function(r, max_degree)
@@ -1627,17 +1773,23 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
     # hypercat imports the kernel by name, so both names are patched
     monkeypatch.setattr(mpoly, "_layer_product", doubling_layer_product)
     monkeypatch.setattr(hypercat, "_layer_product", doubling_layer_product)
-    # the builds of every shared table, evaluation and mass, counted in
-    # this process, where one CPU runs every unit
+    # the builds of every handle, counted in this process, where one CPU
+    # runs every unit
     builds = []
-    once = verify._once
+    call = VerifyReport.call
 
-    def counted(build):
+    def counted(report, kernel, *args):
         runs = []
         builds.append(runs)
-        return once(lambda: runs.append(1) or build())
 
-    monkeypatch.setattr(verify, "_once", counted)
+        @wraps(kernel)
+        def build(*values):
+            runs.append(1)
+            return kernel(*values)
+
+        return call(report, build, *args)
+
+    monkeypatch.setattr(VerifyReport, "call", counted)
     oracle_free = {"eq31", "claims", "wz1", "wz2", "certificate"}
     for cpus in (1, 2):
         monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: tuple(range(cpus)))
@@ -1645,8 +1797,10 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
         assert cli.main(["verify", "all", "--report", str(path)]) == 1
         capsys.readouterr()
         if cpus == 1:
-            # a build that raises runs once, not once per case that reads it
-            assert builds and [len(runs) for runs in builds] == [1] * len(builds)
+            # a build that raises runs once, not once per case that reads
+            # it; a handle no case reached, such as a two-variable form
+            # after its oracle comparison failed, is never built
+            assert builds and max(len(runs) for runs in builds) == 1
         cases = json.loads(path.read_text())["cases"]
         assert [case["id"] for case in cases] == ids
         statuses = {}
