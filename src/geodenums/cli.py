@@ -60,12 +60,6 @@ _TABLES = {"S": ("solve_S", solve_work), "G": ("geode_series", geode.geode_work)
 # table / coeff
 
 
-def _call(kernel: str, args: tuple) -> str:
-    """The declared call `kernel`(`args`) as text, a list argument written
-    as the call that built it."""
-    return f"{kernel}({', '.join(_call(*a) if isinstance(a, tuple) else str(a) for a in args)})"
-
-
 def _check_work(
     kernel: str,
     args: tuple,
@@ -77,13 +71,14 @@ def _check_work(
     """work(*args), the work of the call `kernel`(*args), once it is
     checked, before the call runs, that it and the `spent` units of earlier
     work of this suite stay within MAX_WORK; refused with one error line
-    naming the call otherwise.  Every cost function answers at once for
-    any int arguments."""
+    naming the call otherwise, an argument that is a handle
+    (``report.Handle``) as the call that builds it.  Every cost function
+    answers at once for any int arguments."""
     price = work(*args)
     if spent + price > MAX_WORK:
         after = f" after {spent} units of earlier work of this suite" if spent else ""
         parser.error(
-            f"{context}{_call(kernel, args)}{after} is too much work: "
+            f"{context}{kernel}({', '.join(map(str, args))}){after} is too much work: "
             f"more than {MAX_WORK} units (MAX_WORK)"
         )
     return price

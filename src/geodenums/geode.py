@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import comb, factorial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .hypercat import _solve_layers, hyper_catalan, solve_work
 from .mpoly import (
@@ -40,6 +40,9 @@ from .mpoly import (
     iter_exponents,
     substitute_signed,
 )
+
+if TYPE_CHECKING:  # only verify, which prices with handles, loads report
+    from .report import Handle
 
 
 class GeodeTable(_Frozen):
@@ -298,14 +301,14 @@ def closed_two_nonzero_work(s: int, t: int, n: int, i: int) -> int:
     return 32 + (i + 1) * (8 + n * upper.bit_length() // 16)
 
 
-def recurrence_work(table: tuple, degree: int) -> int:
+def recurrence_work(table: Handle, degree: int) -> int:
     """Estimated work of ``recurrence_break(table, degree)``, with `table`
-    declared as the ``("geode_series", (r, D))`` that built it: each of the
+    the handle of the ``geode_series(r, D)`` call that builds it: each of the
     C(r + degree - 1, degree) monomials reads r coefficients and computes
     one ``hyper_catalan`` of weight w <= (r + 1) degree, counted 96 + 16 r
     + w^2 / 256.  Calibration: at most 0.82 of the estimate's time for r =
     4-6 and degrees 4-15."""
-    r = table[1][0]
+    r = table.args[0]
     if min(r - 1, degree) >= 64:  # C(r + degree - 1, degree) >= 2^64: past any limit
         return 1 << 64
     weight = (r + 1) * degree

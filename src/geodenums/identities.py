@@ -44,6 +44,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb, lcm
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .report import Handle
 
 
 def binom_general(y: int, k: int) -> int:
@@ -245,23 +249,23 @@ def bracket_power_work(n: int, a: int) -> int:
     return 96 + a * n * (8 + 3 * n // 4) + 2 * n**3
 
 
-def ct_coefficient_work(power: tuple, n: int, x: int) -> int:
+def ct_coefficient_work(power: Handle, n: int, x: int) -> int:
     """Estimated work of ``ct_coefficient(power, n, x)``, with `power`
-    declared as the ``("bracket_power", (m, a))`` that built it.
+    the handle of the ``bracket_power(m, a)`` call that builds it.
 
     n binomials C(n+x, j) and n products with coefficients of the bracket
     power, of at most m bit_length(2a) + n + |x| bits; each counts 4 plus
     1/64 per bit, and a call 48.  Calibration: at most 0.67 of the
     estimate's time for n = 1-60, x = 0..n, a = 1-10000."""
-    m, a = power[1]
+    m, a = power.args
     bits = m * (2 * a).bit_length() + n + abs(x)
     return 48 + n * (4 + bits // 64)
 
 
-def binomial_sum_work(mass: tuple, n: int, x: int) -> int:
+def binomial_sum_work(mass: Handle, n: int, x: int) -> int:
     """Estimated work of ``shifted_binomial_sum(mass, n, x)`` and of
-    ``lower_binomial_sum(mass, n, x)``, with `mass` declared as the
-    ``("size_mass", (length, a))`` that built it.
+    ``lower_binomial_sum(mass, n, x)``, with `mass` the handle of the
+    ``size_mass(length, a)`` call that builds it.
 
     Each of the S = 2a length + 1 masses is multiplied by one binomial
     with n - 1 as its smaller index (C(y, k) = C(y, y - k)), of at most R
@@ -270,7 +274,7 @@ def binomial_sum_work(mass: tuple, n: int, x: int) -> int:
     counts 6, plus M / 24 and R M / 2048 for the product, and a call 32.
     Calibration: at most 0.76 of the estimate's time for n = 1-60, length
     n - 1 and n, a = 1-1000."""
-    length, a = mass[1]
+    length, a = mass.args
     sizes = 2 * a * max(length, 0) + 1
     top = sizes + n + abs(x)
     binomial = n * (top // n + 1).bit_length()

@@ -16,14 +16,14 @@ process ran which unit.
 A unit reads every priced kernel through its report: ``report.call(kernel,
 *args)`` is a ``Handle``, the shared value of that call, built by the
 first case that reads it, so its time is in that case, and kept with the
-exception of a build that raises.  ``geodenums verify`` prices a unit by
-running it once against a ``Pricing`` report, which hands each call, as
-declared, to its price as the unit asks for it and runs no check; the
-real run then runs
-the same unit, so the calls it makes and the calls it is priced for come
-from one piece of code.  Apart from making handles and cases, a unit does
-nothing whose cost grows with a bound, so pricing a huge bound stops at
-the first call past the limit.
+exception of a build that raises.  A unit runs its cases through its
+report too (``VerifyReport.run_case``).  ``geodenums verify`` prices a unit by
+running it once against a ``Pricing`` report, which hands each call to
+its price as the unit asks for it and runs no case; the real run then
+runs the same unit, so the calls it makes and the calls it is priced for
+come from one piece of code.  Apart from making handles and cases, a unit
+does nothing whose cost grows with a bound, so pricing a huge bound stops
+at the first call past the limit.
 
 ``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
 dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
@@ -91,6 +91,29 @@ class VerifyReport:
         case that reads it, as a negative control reads the check it feeds
         a corrupted row."""
         return Handle(run_units, (suite, units))
+
+    def run_case(
+        self,
+        case_id: str,
+        params: Mapping,
+        expected: str | Handle,
+        check: Callable[[], tuple[bool, str]],
+    ) -> None:
+        """Run one check, catching exceptions as status "error".  An
+        `expected` handle is read inside the case, and its value printed;
+        if it raises, the case is an error with an empty expected value."""
+        text = "" if isinstance(expected, Handle) else expected
+        start = time.perf_counter()
+        try:
+            if isinstance(expected, Handle):
+                text = str(expected())
+            ok, actual = check()
+            status = PASS if ok else FAIL
+        except Exception as exc:  # report and continue; suites never abort
+            actual = f"{type(exc).__name__}: {exc}"
+            status = ERROR
+        elapsed = (time.perf_counter() - start) * 1000.0
+        self.cases.append(Case(case_id, dict(params), text, actual, status, elapsed))
 
     def first_failure(self) -> Case | None:
         for c in self.cases:
@@ -176,15 +199,12 @@ def _json(value: object, indent: str) -> str:
 
 
 class Pricing(VerifyReport):
-    """A report that runs no check and records no case (``run_case``):
-    each call a unit asks it for is passed to `price` as declared, the
-    kernel's name and the arguments, as the unit asks for it.  No case
-    reads a handle here, so the call's declaration stands in for its
-    handle, and a call that takes it as an argument is declared with the
-    call that built it in its place: ``("shifted_binomial_sum",
-    (("size_mass", (n, a)), n, x))`` is ``shifted_binomial_sum(size_mass(n,
-    a), n, x)``.  The units a negative control feeds its check are run
-    against it at once."""
+    """A report that runs no check and records no case: each call a unit
+    asks it for is passed to `price`, the kernel's name and the arguments,
+    as the unit asks for it, and returned as a handle no case reads.  A
+    call that takes a handle as an argument is priced with that handle in
+    it, which names the call that builds it (``repr``).  The units a
+    negative control feeds its check are run against it at once."""
 
     __slots__ = ("price",)
 
@@ -192,22 +212,25 @@ class Pricing(VerifyReport):
         super().__init__(suite)
         self.price = price
 
-    def call(self, kernel: Callable, *args) -> Work:
-        declared = kernel.__name__, args
-        self.price(*declared)
-        return declared
+    def call(self, kernel: Callable, *args) -> Handle:
+        self.price(kernel.__name__, args)
+        return Handle(kernel, args)
 
     def nested(self, suite: str, units: Sequence[Unit]) -> Handle:
         for unit in units:
             unit(self)
         return super().nested(suite, units)
 
+    def run_case(self, *case) -> None:
+        """Runs nothing: pricing is done when the unit's calls are."""
+
 
 class Handle:
     """The value of ``kernel(*args)``, built by the first read (a call of
     the handle): every read returns the value that build returned or raises
     again the exception it raised.  An argument that is itself a handle is
-    read first, and the kernel receives its value."""
+    read first, and the kernel receives its value.  Its repr is the call,
+    ``functional_residual(solve_S(4, 22))``."""
 
     __slots__ = ("kernel", "args", "outcome")
 
@@ -228,40 +251,12 @@ class Handle:
             raise exc
         return value
 
-
-def run_case(
-    report: VerifyReport,
-    case_id: str,
-    params: Mapping,
-    expected: str | Handle,
-    check: Callable[[], tuple[bool, str]],
-) -> None:
-    """Run one check, catching exceptions as status "error".  An `expected`
-    handle is read inside the case, and its value printed; if it raises,
-    the case is an error with an empty expected value.  A pricing report
-    runs nothing."""
-    if isinstance(report, Pricing):
-        return
-    text = "" if isinstance(expected, Handle) else expected
-    start = time.perf_counter()
-    try:
-        if isinstance(expected, Handle):
-            text = str(expected())
-        ok, actual = check()
-        status = PASS if ok else FAIL
-    except Exception as exc:  # report and continue; suites never abort
-        actual = f"{type(exc).__name__}: {exc}"
-        status = ERROR
-    elapsed = (time.perf_counter() - start) * 1000.0
-    report.cases.append(Case(case_id, dict(params), text, actual, status, elapsed))
+    def __repr__(self) -> str:
+        return f"{self.kernel.__name__}({', '.join(map(str, self.args))})"
 
 
 # One unit of a suite: it runs its cases into the report it is given.
 Unit = Callable[[VerifyReport], None]
-
-# A priced kernel call as it is declared (``Pricing``): the kernel's name
-# and the arguments of the call.
-Work = tuple[str, tuple]
 
 
 def run_units(suite: str, units: Iterable[Unit]) -> VerifyReport:

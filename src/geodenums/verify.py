@@ -10,9 +10,10 @@ would call ``geode_series(2, D)``: a handle (``report.Handle``), the
 shared value of that call, built by the first case that reads it, so the
 build's time is in that case's elapsed_ms, and a build that raises makes
 each case that reads it an ``error`` case, not the request a crash,
-without running again.  A handle that is read by another call is declared
-as the call that built it, and a kernel call inside a handle's build is
-part of that handle's price.  ``WORK`` gives each kernel its cost
+without running again.  A call that takes a handle is priced with it,
+and its price reads the call that builds it, as the residual reads its
+table's (r, D); a kernel call inside a handle's build is part of that
+handle's price.  ``WORK`` gives each kernel its cost
 function, which lives beside the kernel in its own module, in the units
 of ``hypercat.solve_work``.
 ``SUITES`` describes each suite once: its units function and the flags
@@ -29,7 +30,7 @@ suites yield their units lazily, and a unit does nothing whose cost grows
 with a bound apart from making handles and cases, so a huge bound is
 refused at the first call past the limit.
 
-A unit does all its work inside its cases (``report.run_case``).
+A unit does all its work inside its cases (``VerifyReport.run_case``).
 ``verify <suite>`` and ``verify all`` put the planned units into one
 queue, largest declared work first.  A request whose declared work is
 above ``_FORK_WORK`` is drained by the command's process and forked
@@ -55,7 +56,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import geode, identities, wz
 from .cli import MAX_WORK, _check_work, _open_output, _write_output
 from .hypercat import functional_residual, residual_work, solve_S, solve_work
-from .report import Case, Pricing, Unit, VerifyReport, run_case
+from .report import Case, Handle, Pricing, Unit, VerifyReport
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
@@ -72,8 +73,7 @@ def _control(case_id: str, what: str, units: Iterable[Unit]) -> Unit:
 
     def control(report: VerifyReport) -> None:
         corrupted = report.nested(case_id, units)
-        run_case(
-            report,
+        report.run_case(
             case_id,
             {},
             f"sign-flipped {what} must fail",
@@ -111,8 +111,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
             for m2 in range(max_degree + 1 - m1):
                 closed = report.call(geode.geode_closed_2var, m1, m2)
                 table = table or report.call(geode.geode_series, 2, max_degree)
-                run_case(
-                    report,
+                report.run_case(
                     f"m1={m1:02d},m2={m2:02d}",
                     {"m1": m1, "m2": m2},
                     closed,
@@ -142,8 +141,7 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
                         return False, f"{closed()} != two-variable closed form"
                     return True, str(oracle)
 
-                run_case(
-                    report,
+                report.run_case(
                     f"a={a},p={p:02d},q={q:02d}",
                     {"a": a, "m_a": p, "m_a1": q},
                     closed,
@@ -157,8 +155,7 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
     def unit(report: VerifyReport, a: int) -> None:
         values = report.call(geode.eval_alternating, a, max_order)
         for n in range(max_order + 1):
-            run_case(
-                report,
+            report.run_case(
                 f"a={a},n={n:02d}",
                 {"a": a, "n": n},
                 str(a**n),
@@ -172,7 +169,7 @@ def suite_eq31(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         total = report.call(identities.partition_sum_main, n, a)
         power = a ** (n - 1)
-        run_case(report, f"n={n},a={a}", {"n": n, "a": a}, str(power), lambda: _is(power, total()))
+        report.run_case(f"n={n},a={a}", {"n": n, "a": a}, str(power), lambda: _is(power, total()))
 
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
@@ -191,8 +188,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
             masses.append(mass)
             for x in range(-2, n + 1):
                 total = report.call(identities.shifted_binomial_sum, mass, n, x)
-                run_case(
-                    report,
+                report.run_case(
                     f"{claim},n={n},a={a},x={x:+d}",
                     {"n": n, "a": a, "x": x},
                     str(value),
@@ -201,8 +197,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
         bracket = report.call(identities.bracket_power, n, a)
         for x in range(0, n + 1):
             total = report.call(identities.ct_coefficient, bracket, n, x)
-            run_case(
-                report,
+            report.run_case(
                 f"ct,n={n},a={a},x={x:+d}",
                 {"n": n, "a": a, "x": x},
                 str(power),
@@ -215,8 +210,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
         forms = (("eq32", masses[0], 0, 0), ("eq33", masses[1], 2 * a, power))
         for eq, mass, shift, value in forms:
             total = report.call(identities.lower_binomial_sum, mass, n, shift)
-            run_case(
-                report,
+            report.run_case(
                 f"{eq},n={n},a={a}",
                 {"n": n, "a": a},
                 str(value),
@@ -260,8 +254,7 @@ def suite_recurrence(max_vars: int = 4, max_degree: int = 8) -> Iterator[Unit]:
                     return False, f"recurrence broken at m={broken()}"
                 return True, f"all {comb(r + d - 1, d)} monomials verified"
 
-            run_case(
-                report,
+            report.run_case(
                 f"r={r},deg={d:02d}",
                 {"r": r, "degree": d},
                 "sum_k G[m - e_k] = C[m] on the whole layer",
@@ -301,8 +294,7 @@ def suite_two_nonzero(
                             return False, f"two-variable closed form differs at i={i}"
                     return True, f"all {n} coefficients match the oracle"
 
-                run_case(
-                    report,
+                report.run_case(
                     f"s={s},t={t},n={n}",
                     {"s": s, "t": t, "n": n},
                     "closed form equals oracle for every i",
@@ -313,26 +305,24 @@ def suite_two_nonzero(
 
 
 def suite_general_eval(max_order: int = 8) -> list[Unit]:
-    def powers(report: VerifyReport, a: int, c: list[int], base: int, order: int) -> None:
+    def powers(report: VerifyReport, a: int, c: tuple[int, ...], base: int, order: int) -> None:
         values = report.call(geode.eval_general, a, c, order)
 
         def check():
             actual = [values().coefficient(n) for n in range(order + 1)]
             return actual == [base**n for n in range(order + 1)], str(actual)
 
-        run_case(
-            report,
+        report.run_case(
             f"a={a},c=({','.join(map(str, c))})",
-            {"a": a, "c": c, "max_order": order},
+            {"a": a, "c": list(c), "max_order": order},
             f"coefficients {base}^n",
             check,
         )
 
     def alternating(report: VerifyReport) -> None:
-        general = report.call(geode.eval_general, 2, [1, 1], max_order)
+        general = report.call(geode.eval_general, 2, (1, 1), max_order)
         values = report.call(geode.eval_alternating, 2, max_order)
-        run_case(
-            report,
+        report.run_case(
             "a=2,c=(1,1)",
             {"a": 2, "c": [1, 1], "max_order": max_order},
             "matches the alternating evaluation",
@@ -340,8 +330,8 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
         )
 
     return [
-        partial(powers, a=1, c=[3], base=3, order=max_order),
-        partial(powers, a=2, c=[2, 3], base=7, order=6),
+        partial(powers, a=1, c=(3,), base=3, order=max_order),
+        partial(powers, a=2, c=(2, 3), base=7, order=6),
         alternating,
     ]
 
@@ -352,8 +342,7 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
 
     def residual(report: VerifyReport, r: int) -> None:
         zero = report.call(functional_residual, report.call(solve_S, r, max_degree))
-        run_case(
-            report,
+        report.run_case(
             f"residual,r={r}",
             {"r": r, "max_degree": max_degree},
             "zero series",
@@ -365,8 +354,7 @@ def suite_oracle(max_vars: int = 4, max_degree: int = 10) -> Iterator[Unit]:
         holds = report.call(
             geode.GeodeTable.factorization_holds, report.call(geode.geode_series, r, max_degree)
         )
-        run_case(
-            report,
+        report.run_case(
             f"factorization,r={r}",
             {"r": r, "max_degree": max_degree},
             "S - 1 = (t_1+...+t_r) G",
@@ -399,10 +387,10 @@ SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, int]]] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def _of_table(work: Callable[[int, int], int]) -> Callable[[tuple], int]:
-    """`work`, priced at the (r, max_degree) of the table a call's one
-    argument is declared as."""
-    return lambda table: work(*table[1])
+def _of_table(work: Callable[[int, int], int]) -> Callable[[Handle], int]:
+    """`work`, priced at the (r, max_degree) of the table whose handle is
+    a call's one argument."""
+    return lambda table: work(*table.args)
 
 
 # The cost function of every kernel a unit may ask its report for, each

@@ -73,7 +73,7 @@ from functools import partial
 from math import comb
 from typing import Callable, Iterator
 
-from .report import Unit, VerifyReport, run_case, run_units
+from .report import Unit, VerifyReport, run_units
 
 ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
@@ -234,7 +234,7 @@ def _pair_units(
                         return False, f"a=2 summand differs from two-variable pair at k={k}"
             return True, "pair relation and telescoped sum hold"
 
-        run_case(report, f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
+        report.run_case(f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
 
     for n in range(1, n_max + 1):
         yield partial(unit, n=n)
@@ -314,7 +314,7 @@ def certificate_units(
             first = next(filter(None, [telescope()[1] for telescope in relations]), None)
             return (False, first) if first else (True, ORIENT_F_DIFFERENCE)
 
-        run_case(report, "orientation", {}, "one standard orientation telescopes", check)
+        report.run_case("orientation", {}, "one standard orientation telescopes", check)
 
     def unit(report: VerifyReport, n: int) -> None:
         telescope = relation(report, n)
@@ -330,7 +330,7 @@ def certificate_units(
                 return False, broken
             return True, "sum = 1 and the relation telescopes"
 
-        run_case(report, f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
+        report.run_case(f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
 
     yield orientation
     for n in range(1, n_max + 1):

@@ -106,7 +106,8 @@ MUTANTS = [
     Mutant(
         "the pricing report runs a case's check",
         "src/geodenums/report.py",
-        "    if isinstance(report, Pricing):\n        return\n",
+        "    def run_case(self, *case) -> None:\n"
+        '        """Runs nothing: pricing is done when the unit\'s calls are."""\n',
         "",
         ("tests/test_cli.py::test_pricing_a_unit_calls_no_kernel_and_runs_no_case[thm1]",),
     ),

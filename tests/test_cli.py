@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from geodenums import cli, geode, hypercat, identities, mpoly, verify, wz
 from geodenums.geode import geode_series
 from geodenums.hypercat import residual_work, solve_S, solve_work
-from geodenums.report import Case, Handle, Pricing, VerifyReport, run_case, run_units
+from geodenums.report import Case, Handle, Pricing, VerifyReport, run_units
 
 
 def run_cli(capsys, *argv):
@@ -481,7 +481,7 @@ def test_verify_report_file_and_determinism(tmp_path, capsys):
 
 def test_verify_failure_maps_to_exit_one(monkeypatch, capsys):
     def failing(report):
-        run_case(report, "forced", {}, "1", lambda: (False, "2"))
+        report.run_case("forced", {}, "1", lambda: (False, "2"))
 
     monkeypatch.setitem(verify.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [failing]))
     code, out = run_cli(capsys, "verify", "thm1")
@@ -494,7 +494,7 @@ def test_verify_error_status_counts_as_failure(monkeypatch, capsys):
         raise RuntimeError("boom")
 
     def erroring(report):
-        run_case(report, "explodes", {}, "1", boom)
+        report.run_case("explodes", {}, "1", boom)
         assert report.cases[0].status == "error"
 
     monkeypatch.setitem(verify.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [erroring]))
@@ -889,7 +889,7 @@ def test_the_command_and_each_helper_run_on_a_cpu_of_their_own(monkeypatch):
             os.write(started_write, b".")
             os.read(go_read, 1)
         where = [os.getpid(), sorted(os.sched_getaffinity(0))]
-        run_case(report, "where", {}, "", lambda: (True, json.dumps(where)))
+        report.run_case("where", {}, "", lambda: (True, json.dumps(where)))
 
     before = os.sched_getaffinity(0)
     try:
@@ -1133,8 +1133,8 @@ CALL_WORK = {
     **verify.WORK,
     "solve_S": solve_work,
     "geode_series": lambda r, degree: solve_work(r, degree + 1),
-    "factorization_holds": lambda table: solve_work(table[1][0], table[1][1] + 1),
-    "functional_residual": lambda table: residual_work(*table[1]),
+    "factorization_holds": lambda table: solve_work(table.args[0], table.args[1] + 1),
+    "functional_residual": lambda table: residual_work(*table.args),
     "eval_alternating": lambda a, degree: solve_work(2 * a, degree + 1),
     "eval_general": lambda a, c, degree: solve_work(2 * a, degree + 1),
 }
@@ -1164,7 +1164,7 @@ def _admitted_stub(name):
         pricing = Pricing(name, price)
         for unit in suite(**bounds):
             unit(pricing)
-        run_case(report, "stub", {}, "ok", lambda: (True, "ok"))
+        report.run_case("stub", {}, "ok", lambda: (True, "ok"))
 
     return lambda **bounds: [partial(admitted, bounds=bounds)]
 
@@ -1599,8 +1599,7 @@ def test_every_priced_call_is_made_in_a_handles_build_inside_a_case(argv, monkey
 
     watch_kernels(monkeypatch, seen)
     monkeypatch.setattr(Handle, "__call__", counting("build", Handle.__call__))
-    for module in (verify, wz):
-        monkeypatch.setattr(module, "run_case", counting("case", module.run_case))
+    monkeypatch.setattr(VerifyReport, "run_case", counting("case", VerifyReport.run_case))
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
@@ -1626,10 +1625,13 @@ def test_pricing_a_unit_calls_no_kernel_and_runs_no_case(argv, monkeypatch):
 
 
 def declared(value):
-    """`value` as a pricing report declares it: a handle as the call that
-    built it."""
+    """`value` with every handle in it written as (kernel name, declared
+    arguments), the call that builds it, so that a handle priced and one
+    made in the real run compare equal."""
     if isinstance(value, Handle):
-        return value.kernel.__name__, tuple(declared(arg) for arg in value.args)
+        return value.kernel.__name__, declared(value.args)
+    if isinstance(value, tuple):
+        return tuple(map(declared, value))
     return value
 
 
@@ -1641,7 +1643,7 @@ def test_every_unit_declares_every_priced_call_it_makes(argv, monkeypatch, capsy
 
     def recording(name, work):
         def recorded(*args):
-            priced.append((name, args))
+            priced.append((name, declared(args)))
             return work(*args)
 
         return recorded
@@ -1727,7 +1729,7 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
     # each S solve, at the patch points above, happens while a case runs,
     # so its time is in that case's elapsed_ms
     running, solved = [], []
-    run_case = verify.run_case
+    run_case = VerifyReport.run_case
 
     def in_case(*args):
         running.append(True)
@@ -1745,7 +1747,7 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
         return recorded
 
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
-    monkeypatch.setattr(verify, "run_case", in_case)
+    monkeypatch.setattr(VerifyReport, "run_case", in_case)
     monkeypatch.setattr(verify, "solve_S", recording(solve_S))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
@@ -1773,14 +1775,14 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
     # hypercat imports the kernel by name, so both names are patched
     monkeypatch.setattr(mpoly, "_layer_product", doubling_layer_product)
     monkeypatch.setattr(hypercat, "_layer_product", doubling_layer_product)
-    # the builds of every handle, counted in this process, where one CPU
-    # runs every unit
+    # the builds of every handle, by kernel, counted in this process, where
+    # one CPU runs every unit
     builds = []
     call = VerifyReport.call
 
     def counted(report, kernel, *args):
         runs = []
-        builds.append(runs)
+        builds.append((report.suite, kernel.__name__, runs))
 
         @wraps(kernel)
         def build(*values):
@@ -1799,8 +1801,17 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
         if cpus == 1:
             # a build that raises runs once, not once per case that reads
             # it; a handle no case reached, such as a two-variable form
-            # after its oracle comparison failed, is never built
-            assert builds and max(len(runs) for runs in builds) == 1
+            # after its oracle comparison failed, is never built.  Every
+            # table, evaluation, mass and bracket power is built, since its
+            # unit's first case reads it, except general-eval's alternating
+            # evaluation: its case reads it only after the general one,
+            # whose build raises here
+            assert builds and max(len(runs) for *_, runs in builds) == 1
+            shared = {"geode_series", "eval_alternating", "eval_general", "size_mass",
+                      "bracket_power"}
+            assert [
+                (suite, kernel) for suite, kernel, runs in builds if kernel in shared and not runs
+            ] == [("general-eval", "eval_alternating")]
         cases = json.loads(path.read_text())["cases"]
         assert [case["id"] for case in cases] == ids
         statuses = {}
