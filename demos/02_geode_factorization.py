@@ -1,8 +1,10 @@
 """The Geode factorization S - 1 = (t_1 + ... + t_r) * G.
 
 S - 1 is exactly divisible by the sum of the variables; the quotient G is
-the Geode series.  This demo performs the division, prints the Geode layers,
-and checks the three closed forms for its coefficients against the quotient.
+the Geode series.  This demo extracts the quotient (the series solver,
+seeded for G, gives it with no division), prints the Geode layers,
+re-multiplies it against S, and checks the three closed forms for its
+coefficients against the quotient.
 """
 
 from geodenums import (

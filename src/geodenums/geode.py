@@ -1,10 +1,11 @@
 """The Geode series G and its closed forms and evaluations.
 
 S - 1 factors exactly as (t_1 + ... + t_r) * G; the coefficients G[m] are the
-Geode numbers.  This module extracts G from the series oracle, dividing the
-solver's packed layers (``_geode_layers``, which ``geodenums table`` writes
-from) and unpacking the quotient once, and implements every closed form and
-substitution evaluation for it:
+Geode numbers.  This module extracts G from the series oracle, by the
+power recurrence of ``hypercat._solve_layers`` seeded for G_j = (S^j - 1) /
+(t_1 + ... + t_r), whose G_1 is G (``_geode_layers``, which ``geodenums
+table`` writes from), with no division, unpacking the layers once, and
+implements every closed form and substitution evaluation for it:
 
   * geode_closed_2var        -- two-variable coefficients G[m1, m2]
   * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a
@@ -14,9 +15,10 @@ substitution evaluation for it:
   * geode_recurrence_check   -- sum_k G[m - e_k] = C[m]
 
 Closed forms divide factorials; every division asserts exactness.
-``geode_work`` prices a G table for the guards of ``geodenums``, and the
-cost functions at the end of this module the closed forms and the
-recurrence layers (``recurrence_break``) that ``verify`` checks against it.
+``geode_work`` prices a G table for the guards of ``geodenums``,
+``factorization_work`` the factorization check, and the cost functions at
+the end of this module the closed forms and the recurrence layers
+(``recurrence_break``) that ``verify`` checks against it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from itertools import chain
 from math import comb, factorial
 from typing import TYPE_CHECKING, Sequence
 
-from .hypercat import _solve_layers, hyper_catalan, solve_work
+from .hypercat import _coefficient_bits, _solve_layers, hyper_catalan, solve_work
 from .mpoly import (
     Layers,
     OutOfRangeError,
     TruncatedSeries,
     UnivariateSeries,
     _Frozen,
-    _divide_layers,
     _pack_layers,
     _s1_multiple_mismatch,
     _unpack_terms,
@@ -59,9 +60,15 @@ class GeodeTable(_Frozen):
     def factorization_holds(self) -> bool:
         """Re-check S - 1 == (t_1 + ... + t_r) * G through trunc + 1.
 
-        S is solved here, independently of the table, and compared on packed
+        S is solved here, separately from the table, and compared on packed
         layers with the product, which must leave nothing above trunc + 1:
-        a term of the table above trunc fails the check.
+        a term of the table above trunc fails the check.  The table comes
+        from the same solver seeded for G, so this compares two solves
+        that share their window code; a bug in that code which both seeds
+        share is caught elsewhere: for S by ``hyper_catalan``, the
+        independent closed form, and for G by the closed forms of this
+        module and the check of sum_k G[m - e_k] = C[m] that the
+        ``recurrence`` suite and the benchmark's output checks make.
         """
         r, trunc = self.nvars, self.trunc
         if any(sum(m) > trunc for m in self.series.terms):
@@ -75,12 +82,10 @@ class GeodeTable(_Frozen):
 def geode_series(r: int, max_degree: int) -> GeodeTable:
     """Extract G = (S - 1) / (t_1 + ... + t_r) from the oracle.
 
-    The layers of ``_geode_layers``, unpacked once: S solved through
-    max_degree + 1, its packed layers divided exactly
-    (``mpoly._divide_layers``, which checks the quotient by
-    re-multiplication), so the quotient is exact through max_degree.
-    Divisibility is guaranteed; a NotDivisibleError here means a bug, not a
-    property of the input.  Every call builds a new table.
+    The layers of ``_geode_layers``, unpacked once: the power recurrence
+    that solves S, with layer 0 of the powers seeded 1, 2, ..., so it
+    yields G_j = (S^j - 1) / (t_1 + ... + t_r) in their place, exact
+    through max_degree with no division.  Every call builds a new table.
     """
     shift, quotient = _geode_layers(r, max_degree)
     terms = _unpack_terms(chain.from_iterable(quotient), r, shift)
@@ -88,38 +93,52 @@ def geode_series(r: int, max_degree: int) -> GeodeTable:
 
 
 def _geode_layers(r: int, max_degree: int) -> tuple[int, Layers]:
-    """The packing shift and the packed layers 0..max_degree of G, the
-    quotient ``geode_series`` unpacks and ``geodenums table`` writes."""
-    shift, layers = _solve_layers(r, max_degree + 1)
-    layers[0] = []  # S - 1: layer 0 of S is exactly [(0, 1)]
-    return shift, _divide_layers(layers, r, shift)
+    """The packing shift and the packed layers 0..max_degree of G, which
+    ``geode_series`` unpacks and ``geodenums table`` writes: the power
+    recurrence of ``_solve_layers`` seeded for G_j = (S^j - 1) / (t_1 +
+    ... + t_r), whose G_1 is G."""
+    return _solve_layers(r, max_degree, geode=True)
 
 
 def geode_work(r: int, max_degree: int) -> int:
     """Estimated work of ``geode_series(r, max_degree)``, in the units of
-    ``hypercat.solve_work``: its S solve through max_degree + 1
-    (``_geode_layers``), priced by ``solve_work``, and the division.  This
-    is the one place outside ``_geode_layers`` that knows the degree of
-    that solve.
+    ``hypercat.solve_work``: its seeded solve at (r, max_degree)
+    (``_geode_layers``), priced by ``solve_work(r, max_degree,
+    geode=True)``, and the work on its entries.
 
-    With D = max_degree, ``_divide_layers`` opens d + 1 buckets for layer d
-    of the quotient, about D^2 / 2 in all, which counts 3 D^2 and is most
-    of the work with one variable; each of the N = C(r + D, r) quotient
-    entries is pushed into r - 1 monomials, multiplied back by t_1 + ... +
-    t_r, unpacked into r fields and, by ``eval_alternating`` or
-    ``eval_general``, weighted by r powers, so it counts r (24 + W / 24)
-    for coefficients below 2^W, W as in ``solve_work``.  Calibration, in
-    process on one CPU of a 2-core VM with Python 3.11: the division, the
-    unpacking and one substitution took at most 0.76 of that term's time
-    for r = 1-100, D = 1-1000.  ``GeodeTable.factorization_holds``
-    solves the same S again and multiplies the table back, and is priced
-    the same."""
-    solve = solve_work(r, max_degree + 1)
+    Each of the N = C(r + D, r) entries, D = max_degree, is unpacked into
+    r fields, checked by ``TruncatedSeries`` and, by ``eval_alternating``
+    or ``eval_general``, weighted by r powers and added into its degree's
+    coefficient, so it counts 32 + 3 r + W / 64 for coefficients below
+    2^W, W the seeded solve's bound (``hypercat._coefficient_bits``).
+    Calibration, in process on one CPU of a 2-core VM with Python 3.11,
+    for r = 1-100 and D = 1-1000 wherever a call took 0.1 ms or more
+    (below that, a fixed cost of about 20 us per call dominates): the
+    unpacking and one substitution took at most 0.77 of that term's time,
+    and a whole ``geode_series`` with one substitution at most 0.59 of
+    the estimate's."""
+    solve = solve_work(r, max_degree, geode=True)
     if solve >= 1 << 64:  # past any limit; solve_work answers so for huge arguments
         return solve
-    width = 1 + (max_degree + 1) * (r + 1 + (r - 1).bit_length())
-    division = 3 * max_degree * max_degree + r * comb(r + max_degree, r) * (24 + width // 24)
-    return solve + division
+    width = _coefficient_bits(r, max_degree, geode=True)
+    return solve + comb(r + max_degree, r) * (32 + 3 * r + width // 64)
+
+
+def factorization_work(r: int, max_degree: int) -> int:
+    """Estimated work of ``GeodeTable.factorization_holds`` on the G table
+    in r variables through max_degree, in the units of
+    ``hypercat.solve_work``: its S solve through max_degree + 1, priced by
+    ``solve_work``, whose count of table entries covers the dividend's
+    dict and its comparison, and the product of the table by t_1 + ... +
+    t_r, r C(r + D, r) pairs of one short factor, D = max_degree, each
+    counting 16 + W / 64 for the table's coefficients below 2^W, W as in
+    ``geode_work``.  Calibration, as there: the whole check took at most
+    0.53 of the estimate's time."""
+    solve = solve_work(r, max_degree + 1)
+    if solve >= 1 << 64:
+        return solve
+    width = _coefficient_bits(r, max_degree, geode=True)
+    return solve + r * comb(r + max_degree, r) * (16 + width // 64)
 
 
 def eval_work(a: int, *args: object) -> int:

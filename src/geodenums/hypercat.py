@@ -13,10 +13,13 @@ keeps no state between calls.  Multiplying the equation by S^{j-1} gives
 S^j = S^{j-1} + sum_k t_k S^{j+k}, so each layer of every power it needs
 is a sum of layers one degree lower: the solve forms no series product.
 It unpacks the packed layers of ``_solve_layers``, which
-``geode._geode_layers`` divides and ``geodenums table`` writes as they are.
+``geodenums table`` writes as they are.  Seeded with j in place of 1 at
+layer 0, the same recurrence gives G_j = (S^j - 1) / (t_1 + ... + t_r),
+so ``_solve_layers(r, D, geode=True)`` solves the Geode series G = G_1
+through D (``geode._geode_layers``) with no division.
 ``functional_residual`` checks a series against the equation itself, with
 powers chained through ``mpoly._layer_product``, an algorithm the solve
-does not run.  ``solve_work`` estimates the solve's cost, and
+does not run.  ``solve_work`` estimates the cost of either solve, and
 ``residual_work`` the residual's, from (r, max_degree) alone, so a
 request can be refused before it runs.
 ``hyper_catalan`` is the independent closed form.  Agreement of the two is
@@ -25,6 +28,7 @@ itself one of the verification suites.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from itertools import accumulate, chain
 from math import comb, factorial
@@ -53,8 +57,9 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     return TruncatedSeries(r, max_degree, _unpack_terms(chain.from_iterable(layers), r, shift))
 
 
-def _solve_layers(r: int, max_degree: int) -> tuple[int, Layers]:
-    """The packing shift and the packed layers 0..max_degree of S.
+def _solve_layers(r: int, max_degree: int, *, geode: bool = False) -> tuple[int, Layers]:
+    """The packing shift and the packed layers 0..max_degree of S, or of
+    G = (S - 1) / (t_1 + ... + t_r) if `geode`.
 
     Multiplying the defining equation by S^{j-1} gives, for every j >= 1,
 
@@ -78,6 +83,18 @@ def _solve_layers(r: int, max_degree: int) -> tuple[int, Layers]:
     that are already final, so no pass is repeated and no convergence test
     is needed; the last layer, J_D = 1, adds up the S^{k+1} entries alone.
 
+    G_j = (S^j - 1) / (t_1 + ... + t_r), with G_1 = G and G_0 = 0, obeys
+    the same recurrence: taking 1 from both sides of the one above and
+    dividing by t_1 + ... + t_r gives G_j = G_{j-1} + 1 + sum_k t_k
+    G_{j+k}, which differs only at layer 0, [G_j]_0 = j.  So with `geode`
+    layer 0 of the powers is seeded 1, 2, ..., J_0 in place of 1, ..., 1,
+    and the same loop returns the layers of G through max_degree, with no
+    division and no solve one degree up.
+
+    The solve allocates a list per window and per monomial and makes no
+    reference cycles, so the cyclic garbage collector is off while it runs
+    and left as the caller had it, on every path.
+
     Layers are lists of (packed exponent, coefficient) pairs, exponents
     packed in fields of ``shift`` bits; layer 0 is exactly [(0, 1)].
     """
@@ -89,28 +106,34 @@ def _solve_layers(r: int, max_degree: int) -> tuple[int, Layers]:
     # t_k, packed, and k: v[k] is S^{k+1} in a monomial's list v of S^1, S^2, ...
     windows = [(1 << ((k - 1) * shift), k) for k in range(1, r + 1)]
     top = 1 + max_degree * r  # J_0
-    powers = [(0, [1] * top)]  # layer 0 of S^1..S^{J_0}
+    powers = [(0, list(range(1, top + 1)) if geode else [1] * top)]  # layer 0 of the powers
     s: Layers = [[(0, 1)]]
-    for _ in range(1, max_degree):
-        top -= r
-        following: dict[int, list[int]] = {}
-        get = following.get
-        for key, v in powers:
-            for unit, k in windows:
-                target = key + unit
-                window = v[k : k + top]
-                held = get(target)
-                following[target] = window if held is None else list(map(add, held, window))
-        powers = [(key, list(accumulate(w))) for key, w in following.items()]
-        s.append([(key, v[0]) for key, v in powers])
-    if max_degree:
-        last: dict[int, int] = {}
-        get = last.get
-        for key, v in powers:
-            for unit, k in windows:
-                target = key + unit
-                last[target] = add(get(target, 0), v[k])
-        s.append(list(last.items()))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(1, max_degree):
+            top -= r
+            following: dict[int, list[int]] = {}
+            get = following.get
+            for key, v in powers:
+                for unit, k in windows:
+                    target = key + unit
+                    window = v[k : k + top]
+                    held = get(target)
+                    following[target] = window if held is None else list(map(add, held, window))
+            powers = [(key, list(accumulate(w))) for key, w in following.items()]
+            s.append([(key, v[0]) for key, v in powers])
+        if max_degree:
+            last: dict[int, int] = {}
+            get = last.get
+            for key, v in powers:
+                for unit, k in windows:
+                    target = key + unit
+                    last[target] = add(get(target, 0), v[k])
+            s.append(list(last.items()))
+    finally:
+        if collecting:
+            gc.enable()
     return shift, s
 
 
@@ -147,11 +170,22 @@ def _solve_counts(r: int, max_degree: int) -> tuple[int, int, int, int]:
     return r * below, entries - prefix, prefix, peak
 
 
-def solve_work(r: int, max_degree: int) -> int:
-    """Estimated cost of ``solve_S(r, max_degree)`` and of writing out its
-    table, in units of one addition of short coefficients.
+def _coefficient_bits(r: int, max_degree: int, geode: bool = False) -> int:
+    """W, a bound in bits on every coefficient ``_solve_layers(r,
+    max_degree, geode=geode)`` holds, that is of every power it reads;
+    the proof is in ``solve_work``."""
+    width = 1 + max_degree * (r + 1 + (r - 1).bit_length())
+    return width + (1 + max_degree * r).bit_length() if geode else width
 
-    From the counts of ``_solve_counts``, with D = max_degree:
+
+def solve_work(r: int, max_degree: int, *, geode: bool = False) -> int:
+    """Estimated cost of ``solve_S(r, max_degree)`` and of writing out its
+    table, in units of one addition of short coefficients; with `geode`,
+    of the seeded solve ``_solve_layers(r, max_degree, geode=True)`` that
+    gives the G table, and of writing it out.
+
+    From the counts of ``_solve_counts``, with D = max_degree, which the
+    seed does not change:
 
     - each window counts 16, the list and dict work around its entries;
     - each window entry, added or copied, and each prefix sum is one
@@ -167,9 +201,14 @@ def solve_work(r: int, max_degree: int) -> int:
       degree).  By Lagrange inversion [x^d] M^j = j C((r+1) d + j, d) r^d
       / ((r+1) d + j) < 2^{(r+1) d + j} r^d, and j <= J_d gives
       (r+1) d + j <= 1 + r D + d, so W = 1 + D (r + 1 + (r-1).bit_length())
-      bits hold every coefficient.  Additions are linear in the length,
-      and most coefficients are far shorter than W, so the part matters
-      only with few variables at a high degree;
+      bits hold every coefficient.  The seeded solve adds J_0.bit_length()
+      bits, J_0 = 1 + D r: each int it holds is a sum of layer-0 entries
+      with nonnegative integer multiplicities that do not depend on the
+      seed, since the solve only adds, so seeding j <= J_0 in place of 1
+      makes each at most J_0 times the power of S in its place, and J_0 <
+      2^{J_0.bit_length()}.  Additions are linear in the length, and most
+      coefficients are far shorter than W, so the part matters only with
+      few variables at a high degree;
     - each of the r C(r + D, r) exponent entries of the table counts 4:
       it is decoded, checked against its layer's degree and written once;
     - the r packed t_1..t_r, up to r fields long, count r^2, which bounds
@@ -183,7 +222,7 @@ def solve_work(r: int, max_degree: int) -> int:
     if max_degree >= 1 << 64 or min(r, max_degree) >= 64:
         return 1 << 64
     windows, additions, prefix, peak = _solve_counts(r, max_degree)
-    width = 1 + max_degree * (r + 1 + (r - 1).bit_length())
+    width = _coefficient_bits(r, max_degree, geode)
     ints = additions + 2 * prefix + 3 * peak  # the copies are as many as the prefix sums
     return 16 * windows + ints * (8192 + width) // 8192 + 4 * r * comb(r + max_degree, r) + r * r
 
@@ -205,14 +244,9 @@ def residual_work(r: int, max_degree: int) -> int:
     one CPU of a 2-core VM with Python 3.11, where a unit is 35-90 ns),
     plus W^2 / 2^18 for the length of its two factors: the coefficients
     of S^k, k <= r + 1, through degree D - 1 are below 2^W for the W of
-    ``solve_work``, and CPython multiplies ints of n 30-bit digits with
+    ``solve_work`` (``_coefficient_bits``), and CPython multiplies ints of n 30-bit digits with
     about n^2 digit products below its Karatsuba cutoff of 70 digits.  At
     r = 1 and degree 800 or 1200 a pair takes 1.0 or 1.6 us there.
-
-    ``GeodeTable.factorization_holds`` multiplies its table through D by
-    t_1 + ... + t_r, r C(r + D, r) pairs of one short factor, fewer than
-    the 4 r C(r + D + 1, r) table entries ``solve_work`` counts for the S
-    it solves through D + 1, so that product is not priced again.
 
     The residual also packs each of the r C(r + D, r) exponent entries of
     its table and unpacks each of the sum's, which dominates wide shallow
@@ -226,7 +260,7 @@ def residual_work(r: int, max_degree: int) -> int:
     if min(r, max_degree) >= 64:
         return 1 << 64
     pairs = r * comb(2 * r + max_degree - 1, 2 * r)
-    width = 1 + max_degree * (r + 1 + (r - 1).bit_length())
+    width = _coefficient_bits(r, max_degree)
     return (pairs * (8 * 2**18 + width * width) >> 18) + 2 * r * comb(r + max_degree, r)
 
 

@@ -21,11 +21,13 @@ products that check it, ``hypercat.functional_residual`` and the
 factorization check, run an algorithm the solve does not.
 
 Exact division by t_1 + ... + t_r, ``_divide_layers``, works on packed
-layers too, so ``geode.geode_series`` divides the solver's layers without
-unpacking them.  Whether a quotient times t_1 + ... + t_r gives back its
-dividend is decided in one place, ``_s1_multiple_mismatch``, which the
-division's own check and ``geode.GeodeTable.factorization_holds`` both
-call.
+layers too.  The Geode series no longer needs it, since
+``geode._geode_layers`` solves G directly by the seeded power recurrence,
+so it now serves only ``divide_exact_by_s1`` and the tests, which keep it
+as the independent reference for that solve.  Whether a quotient times
+t_1 + ... + t_r gives back its dividend is decided in one place,
+``_s1_multiple_mismatch``, which the division's own check and
+``geode.GeodeTable.factorization_holds`` both call.
 
 The algebra on ``TruncatedSeries`` values, ``mul``, ``sub``, ``s1_series``,
 ``constant_series`` and ``divide_exact_by_s1``, packs its operands with

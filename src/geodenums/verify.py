@@ -398,7 +398,7 @@ def _of_table(work: Callable[[int, int], int]) -> Callable[[Handle], int]:
 WORK: dict[str, Callable[..., int]] = {
     "solve_S": solve_work,
     "geode_series": geode.geode_work,
-    "factorization_holds": _of_table(geode.geode_work),
+    "factorization_holds": _of_table(geode.factorization_work),
     "functional_residual": _of_table(residual_work),
     "eval_alternating": geode.eval_work,
     "eval_general": geode.eval_work,

@@ -92,7 +92,7 @@ MUTANTS = [
         "out[key] = get(key, 0) + ca * cb * (2 if pa == pb else 1)",
         (
             "tests/test_mpoly.py::test_mul_commutative_and_matches_naive",
-            "tests/test_acceptance.py::test_01_two_variable_closed_form_vs_oracle",
+            "tests/test_geode.py::test_factorization_invariant",
             "tests/test_acceptance.py::test_10_oracle_self_consistency",
         ),
     ),
@@ -126,13 +126,25 @@ MUTANTS = [
         ("tests/test_cli.py::test_the_commands_mask_is_restored_on_every_path",),
     ),
     Mutant(
-        "the guard prices a G table at its own degree",
+        "the factorization check is priced at its table's degree",
         "src/geodenums/geode.py",
         "solve = solve_work(r, max_degree + 1)",
         "solve = solve_work(r, max_degree)",
         (
-            "tests/test_cli.py::test_solves_list_every_solve_the_suite_makes[thm1]",
+            "tests/test_cli.py::test_solves_list_every_solve_the_suite_makes"
+            "[oracle --max-vars 2 --max-degree 3]",
             "tests/test_cli.py::test_verify_all_at_default_bounds_is_admitted",
+        ),
+    ),
+    Mutant(
+        "the Geode solve seeds 1 where it should seed j",
+        "src/geodenums/hypercat.py",
+        "list(range(1, top + 1)) if geode else [1] * top",
+        "[1] * top",
+        (
+            "tests/test_golden.py::test_table_equals_its_golden_digest"
+            "[table --kind G --vars 2 --max-degree 8 --format json]",
+            "tests/test_geode.py::test_geode_layers_equal_s_solved_one_degree_up_and_divided",
         ),
     ),
     Mutant(

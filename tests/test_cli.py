@@ -381,18 +381,18 @@ def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch)
 
 
 def test_oracle_guard_admits_the_largest_suite_table():
-    # G at r = 6 through degree 8 (thm3 at a = 3), read from S through
-    # degree 9, is the largest table the suites build
+    # G at r = 6 through degree 8 (thm3 at a = 3) is the largest table the
+    # suites build
     cli._check_work("geode_series", (6, 8), geode.geode_work, cli._build_parser())
 
 
 @pytest.mark.parametrize("r", [1, 2, 6])
-def test_table_g_is_priced_as_its_s_solve_one_degree_up(r, tmp_path, monkeypatch, capsys):
-    # G through D divides S solved through D + 1, so it is priced as that
-    # solve and the division; the largest G table admitted is run, and one
-    # more is refused, named as the call it prices
+def test_table_g_is_priced_as_its_seeded_solve(r, tmp_path, monkeypatch, capsys):
+    # G through D is the power recurrence through D seeded for G, so it is
+    # priced as that solve and the work on its entries; the largest G table
+    # admitted is run, and one more is refused, named as the call it prices
     largest = _guard_limit(lambda d: geode.geode_work(r, d))
-    assert geode.geode_work(r, largest) > solve_work(r, largest + 1)
+    assert geode.geode_work(r, largest) > solve_work(r, largest, geode=True)
     calls = []
 
     def stub_geode(r, max_degree):
@@ -1086,10 +1086,10 @@ def test_verify_refuses_oversize_grid_work_at_once(argv, tmp_path, monkeypatch, 
 
 
 def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
-    # recurrence at degree 1 admits 157 variables and oracle at degree 0
-    # 195: the calls of one more variable take the sum past the limit
+    # recurrence at degree 1 admits 169 variables and oracle at degree 0
+    # 230: the calls of one more variable take the sum past the limit
     limit = cli.MAX_WORK
-    for name, degree, largest in (("recurrence", "1", 157), ("oracle", "0", 195)):
+    for name, degree, largest in (("recurrence", "1", 169), ("oracle", "0", 230)):
         [(_, _, work)] = plan([name, "--max-vars", str(largest), "--max-degree", degree])
         assert work <= limit
         with pytest.raises(SystemExit) as exc:
@@ -1125,18 +1125,18 @@ def verify_argv(draw):
 
 
 # The work of each declared kernel call, the oracle's restated from the
-# kernels: a G table through D divides S solved through D + 1, and
-# factorization_holds, given that table, solves its S again; an
+# kernels: a G table through D is the solve through D seeded for G, and
+# factorization_holds, given that table, solves its S through D + 1; an
 # evaluation substitutes into the G table in 2a variables; the residual
 # of an S table is priced at the table's (r, D).
 CALL_WORK = {
     **verify.WORK,
     "solve_S": solve_work,
-    "geode_series": lambda r, degree: solve_work(r, degree + 1),
+    "geode_series": partial(solve_work, geode=True),
     "factorization_holds": lambda table: solve_work(table.args[0], table.args[1] + 1),
     "functional_residual": lambda table: residual_work(*table.args),
-    "eval_alternating": lambda a, degree: solve_work(2 * a, degree + 1),
-    "eval_general": lambda a, c, degree: solve_work(2 * a, degree + 1),
+    "eval_alternating": lambda a, degree: solve_work(2 * a, degree, geode=True),
+    "eval_general": lambda a, c, degree: solve_work(2 * a, degree, geode=True),
 }
 
 
@@ -1253,12 +1253,13 @@ def table_or_coeff_argv(draw):
     return ["coeff", "--kind", value(*COEFF_VALUES["--kind"]), "--exps", ",".join(exps)]
 
 
-def _admitted_layers(r, degree):
-    """A stand-in for the packed layers of an S solve through `degree` that
-    asserts the oracle guard admitted it."""
+def _admitted_layers(r, degree, geode=False):
+    """A stand-in for the packed layers of an S solve through `degree`, or
+    of the solve seeded for G if `geode`, that asserts the oracle guard
+    admitted it."""
     limit = cli.MAX_WORK
     assert max(r * r, degree) <= limit and min(r, degree) < limit.bit_length(), (r, degree)
-    assert solve_work(r, degree) <= limit, (r, degree)
+    assert solve_work(r, degree, geode=geode) <= limit, (r, degree)
     return _constant_layers(degree)
 
 
@@ -1274,9 +1275,9 @@ def _admitted_closed_form(weight):
 
 def _stub_oracle_and_closed_forms(patch):
     # table S reads _solve_layers; table G and coeff's oracle branch,
-    # through geode_series, read _geode_layers, which solves S one degree up
+    # through geode_series, read _geode_layers, the solve seeded for G
     patch.setattr(cli, "_solve_layers", _admitted_layers)
-    patch.setattr(cli.geode, "_geode_layers", lambda r, degree: _admitted_layers(r, degree + 1))
+    patch.setattr(cli.geode, "_geode_layers", partial(_admitted_layers, geode=True))
     patch.setattr(cli, "hyper_catalan", _admitted_closed_form(
         lambda exps: sum((k + 1) * e for k, e in enumerate(exps, start=1))
     ))
@@ -1414,30 +1415,32 @@ def test_readme_flag_table_matches_suites():
 
 
 def test_verify_all_at_default_bounds_is_admitted():
-    # the residual products make oracle the heaviest suite, ahead of wz2's
-    # grid and thm3
+    # the residual products make oracle the heaviest suite, ahead of the
+    # grids of wz2 and wz1
     works = {name: work for name, _, work in plan(["all"])}
-    assert max(works.values()) == works["oracle"] == 1_672_085 < cli.MAX_WORK
+    assert max(works.values()) == works["oracle"] == 1_495_225 < cli.MAX_WORK
     assert works["oracle"] == sum(
-        solve_work(r, 10) + residual_work(r, 10) + 2 * geode.geode_work(r, 10)
+        solve_work(r, 10) + residual_work(r, 10) + geode.geode_work(r, 10)
+        + geode.factorization_work(r, 10)
         for r in range(1, 5)
     )
-    assert works["thm3"] == 1_235_461 == sum(
+    assert works["thm3"] == 572_962 == sum(
         geode.geode_work(2 * a, 8) for a in verify.DEFAULT_THM3_A
     )
 
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
-    # 29 S solves at the default bounds: thm1 1, thm2 4, thm3 3,
+    # 29 solves at the default bounds: thm1 1, thm2 4, thm3 3,
     # recurrence 4, two-nonzero 1, general-eval 4 and oracle 12; every
-    # priced G table, evaluation and factorization prices its S solve by
-    # geode.geode_work
+    # priced G table, evaluation and factorization prices its solve, seeded
+    # for G or of S one degree up, by solve_work, through geode.geode_work
+    # or geode.factorization_work
     priced = []
 
     def recording(work):
-        def recorded(r, degree):
+        def recorded(r, degree, **seed):
             priced.append((r, degree))
-            return work(r, degree)
+            return work(r, degree, **seed)
 
         return recorded
 
@@ -1517,9 +1520,9 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
 
     def recording(function, calls):
         @wraps(function)  # verify prices a kernel by its name
-        def recorded(r, max_degree):
-            calls.append((r, max_degree))
-            return function(r, max_degree)
+        def recorded(r, max_degree, **seed):
+            calls.append((r, max_degree, sorted(seed.items())))
+            return function(r, max_degree, **seed)
 
         return recorded
 
@@ -1673,7 +1676,7 @@ def test_every_unit_declares_every_priced_call_it_makes(argv, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["all"], 7_324_899),
+    (["all"], 5_966_475),
     (["eq31", "--max-n", "8", "--max-a", "4"], 35_339),
     (["claims", "--max-n", "8", "--max-a", "3"], 97_788),
     (["wz1", "--max-n", "250"], 1_828_985),
@@ -1740,9 +1743,9 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
 
     def recording(function):
         @wraps(function)  # verify prices a kernel by its name
-        def recorded(r, max_degree):
+        def recorded(r, max_degree, **seed):
             solved.append((r, max_degree, bool(running)))
-            return function(r, max_degree)
+            return function(r, max_degree, **seed)
 
         return recorded
 
@@ -1756,15 +1759,16 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
     assert [solve for solve in solved if not solve[2]] == []
 
 
-def doubling_layer_product(a, b, d, out):
-    """``mpoly._layer_product`` with every pair whose two keys are equal
-    counted twice: a broken kernel that every oracle table goes through."""
-    get = out.get
-    for i in range(max(0, d + 1 - len(b)), min(d + 1, len(a))):
-        for pa, ca in a[i]:
-            for pb, cb in b[d - i]:
-                out[pa + pb] = get(pa + pb, 0) + ca * cb * (2 if pa == pb else 1)
-    return out
+def overflowing_accumulate(values):
+    """The prefix sums of ``hypercat._solve_layers`` in fixed-width
+    arithmetic that raises OverflowError past 2^16: a broken kernel that
+    every oracle table through degree 2 or more, S or G, goes through."""
+    total = 0
+    for value in values:
+        total += value
+        if total >= 1 << 16:
+            raise OverflowError(f"prefix sum {total} does not fit in 16 bits")
+        yield total
 
 
 def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsys):
@@ -1772,9 +1776,7 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
     assert cli.main(["verify", "all", "--report", str(clean)]) == 0
     ids = [case["id"] for case in json.loads(clean.read_text())["cases"]]
     assert len(ids) == 1535
-    # hypercat imports the kernel by name, so both names are patched
-    monkeypatch.setattr(mpoly, "_layer_product", doubling_layer_product)
-    monkeypatch.setattr(hypercat, "_layer_product", doubling_layer_product)
+    monkeypatch.setattr(hypercat, "accumulate", overflowing_accumulate)
     # the builds of every handle, by kernel, counted in this process, where
     # one CPU runs every unit
     builds = []

@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from geodenums.geode import (
     GeodeTable,
+    _geode_layers,
     alternating_weights,
     eval_alternating,
     eval_general,
+    factorization_work,
     general_weights,
     geode_closed_2var,
     geode_closed_shifted,
     geode_closed_two_nonzero,
     geode_recurrence_check,
     geode_series,
+    geode_work,
 )
-from geodenums.hypercat import hyper_catalan, solve_S
-from geodenums.mpoly import OutOfRangeError, TruncatedSeries, coeff, iter_exponents
+from geodenums.hypercat import _solve_layers, hyper_catalan, solve_S, solve_work
+from geodenums.mpoly import (
+    OutOfRangeError,
+    TruncatedSeries,
+    _divide_layers,
+    _unpack_layer,
+    coeff,
+    iter_exponents,
+)
 
 
 def test_low_degree_layers():
@@ -179,3 +191,45 @@ def test_closed_forms_positive():
         for i in range(n):
             assert geode_closed_two_nonzero(2, 4, n, i) > 0
 
+
+
+# r = 1..6 through degree 10, then deep, wide and both
+SEEDED_SHAPES = [(r, d) for r in range(1, 7) for d in range(11)] + [
+    (1, 200), (2, 40), (40, 3), (100, 2), (7, 7)
+]
+
+
+def test_geode_layers_equal_s_solved_one_degree_up_and_divided():
+    # the seeded solve against the division route it replaced: S solved
+    # through D + 1, less 1, divided exactly by t_1 + ... + t_r
+    for r, degree in SEEDED_SHAPES:
+        shift, layers = _solve_layers(r, degree + 1)
+        layers[0] = []  # S - 1
+        quotient = _divide_layers(layers, r, shift)
+        seeded_shift, seeded = _geode_layers(r, degree)
+        assert len(seeded) == len(quotient) == degree + 1, (r, degree)
+        for d, (ours, reference) in enumerate(zip(seeded, quotient)):
+            assert _unpack_layer(ours, r, seeded_shift, d) == _unpack_layer(
+                reference, r, shift, d
+            ), (r, degree, d)
+
+
+def _division_geode_work(r, max_degree):
+    """The price of a G table when it was S solved through max_degree + 1
+    and divided: the solve, 3 D^2 for the division's buckets and r (24 + W
+    / 24) per entry."""
+    solve = solve_work(r, max_degree + 1)
+    if solve >= 1 << 64:
+        return solve
+    width = 1 + (max_degree + 1) * (r + 1 + (r - 1).bit_length())
+    return solve + 3 * max_degree**2 + r * comb(r + max_degree, r) * (24 + width // 24)
+
+
+def test_no_g_table_or_factorization_is_priced_above_the_division_route():
+    # so no bound the division route's price admitted is refused; past
+    # 2^64 every price is as good as infinite
+    for r in range(1, 101):
+        for degree in [*range(41), 50, 63, 64, 100, 200, 500, 1000]:
+            old = _division_geode_work(r, degree)
+            assert min(geode_work(r, degree), 1 << 64) <= old, (r, degree)
+            assert min(factorization_work(r, degree), 1 << 64) <= old, (r, degree)

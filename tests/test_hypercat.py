@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from itertools import accumulate
 from operator import add
 
@@ -144,3 +145,32 @@ def test_power_recurrence_holds_on_product_powers():
                             key = tuple(map(add, m, unit))
                             rhs[key] = rhs.get(key, 0) + c
                 assert lhs == rhs, (r, d, j)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+def test_a_solve_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
+    # the solve runs with the cyclic collector off and restores the
+    # caller's state when it returns and when it raises
+    inside = []
+
+    def watching(window):
+        inside.append(gc.isenabled())
+        return accumulate(window)
+
+    def raising(window):
+        raise OverflowError("prefix sum")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        monkeypatch.setattr(hypercat, "accumulate", watching)
+        for geode in (False, True):
+            hypercat._solve_layers(3, 6, geode=geode)
+            assert gc.isenabled() == collecting
+        assert inside and not any(inside)
+        monkeypatch.setattr(hypercat, "accumulate", raising)
+        with pytest.raises(OverflowError):
+            hypercat._solve_layers(3, 6)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()

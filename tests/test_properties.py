@@ -3,15 +3,21 @@ on inputs drawn by Hypothesis rather than picked by hand."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodenums.hypercat import hyper_catalan, solve_S
+from geodenums.geode import _geode_layers
+from geodenums.hypercat import _solve_layers, hyper_catalan, solve_S
 from geodenums.identities import claim1_sum
 from geodenums.mpoly import (
     NotDivisibleError,
     TruncatedSeries,
+    _pack_layers,
+    _s1_multiple_mismatch,
+    _unpack_terms,
     coeff,
     divide_exact_by_s1,
     iter_exponents,
@@ -75,6 +81,18 @@ def test_division_by_s1_undoes_multiplication(q):
     trunc = q.trunc + 1
     product = mul(s1_series(q.nvars, trunc), TruncatedSeries(q.nvars, trunc, q.terms))
     assert divide_exact_by_s1(product) == q
+
+
+@small
+@given(st.integers(1, 5), st.integers(0, 7))
+def test_seeded_layers_times_s1_equal_s_minus_1(r, degree):
+    # the layers of G, from the solve seeded 1, 2, ..., times t_1 + ... +
+    # t_r, against S from the solve seeded 1, ..., 1 one degree up, less 1
+    shift, s = _solve_layers(r, degree + 1)
+    s[0] = []
+    g_shift, g = _geode_layers(r, degree)
+    g = _pack_layers(_unpack_terms(chain.from_iterable(g), r, g_shift), r, degree, shift)
+    assert _s1_multiple_mismatch(g, s, r, shift) is None
 
 
 @small
