@@ -11,7 +11,9 @@ opened after the guards and before any work, and every write, to stdout or
 to a file, goes through ``_write_output``.
 
 Exit codes: 0 all checks passed, 1 any verification failure, a suite that
-ran no cases (named on stderr) or a unit or helper that crashed, 2 usage or
+ran no cases (named on stderr), a unit body that raised outside its cases
+(while the request is planned, before ``--report`` is opened) or a helper
+that died before sending its cases, 2 usage or
 I/O error, including a bound below its minimum, a ``table`` or ``coeff``
 request whose oracle table, or a ``verify`` suite whose declared kernel
 calls together, would exceed ``MAX_WORK``, a ``coeff`` closed form whose

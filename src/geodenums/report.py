@@ -6,8 +6,8 @@ integers), a pass/fail/error status and its wall time.  Reports with any
 non-passing case, and reports with no cases at all, map to a nonzero
 process exit code.
 
-A suite is described as an ordered list of units: each unit runs its
-cases into a report, and no unit reads a value another unit built, so
+A suite is described as an ordered list of units: each unit records its
+cases in a report, and no unit reads a value another unit built, so
 units may run in any process and in any order.  The report of
 ``run_units`` is its units' cases in list order; ``geodenums verify``
 sorts every report it writes by case id, so it is the same whichever
@@ -16,19 +16,21 @@ process ran which unit.
 A unit reads every priced kernel through its report: ``report.call(kernel,
 *args)`` is a ``Handle``, the shared value of that call, built by the
 first case that reads it, so its time is in that case, and kept with the
-exception of a build that raises.  A unit runs its cases through its
-report too (``VerifyReport.run_case``).  ``geodenums verify`` prices a unit by
-running it once against a ``Pricing`` report, which hands each call to
-its price as the unit asks for it and runs no case; the real run then
-runs the same unit, so the calls it makes and the calls it is priced for
-come from one piece of code.  Apart from making handles and cases, a unit
-does nothing whose cost grows with a bound, so pricing a huge bound stops
-at the first call past the limit.
+exception of a build that raises.  A unit records its cases in its report
+(``VerifyReport.run_case``) and runs none: ``VerifyReport.run`` runs the
+recorded cases, in order, and leaves each holding only text, so the
+unit's handles, and the tables they built, are released once its cases
+have run.  ``geodenums verify`` runs each unit's body once, against a
+report that passes each call to the request's price as the unit asks for
+it (``VerifyReport.price``), so the calls a unit makes and the calls it
+is priced for are the same calls.  Apart from making handles and
+recording cases, a unit does nothing whose cost grows with a bound, so
+pricing a huge bound stops at the first call past the limit.
 
 ``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
 dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
-with it, ``inspect``; both pickle, which is how ``verify``'s helper
-processes send their cases back.
+with it, ``inspect``; a case that has run holds only text and numbers and
+pickles, which is how ``verify``'s helper processes send their cases back.
 """
 
 from __future__ import annotations
@@ -45,25 +47,34 @@ ERROR = "error"
 
 
 class Case:
-    __slots__ = ("id", "params", "expected", "actual", "status", "elapsed_ms")
+    """One case of a report, made unrun (``VerifyReport.run_case``): its
+    `check`, no status, and its `expected` value a string or the handle
+    whose value it prints.  ``VerifyReport.run`` runs it and leaves the
+    texts, the status and the time, and no check."""
 
-    def __init__(
-        self, id: str, params: dict, expected: str, actual: str, status: str, elapsed_ms: float
-    ) -> None:
+    __slots__ = ("id", "params", "expected", "actual", "status", "elapsed_ms", "check")
+
+    def __init__(self, id: str, params: dict, expected: str | Handle, check: Callable) -> None:
         self.id = id
         self.params = params
         self.expected = expected
-        self.actual = actual
-        self.status = status
-        self.elapsed_ms = elapsed_ms
+        self.actual = ""
+        self.status: str | None = None
+        self.elapsed_ms = 0.0
+        self.check: Callable | None = check
 
 
 class VerifyReport:
-    __slots__ = ("suite", "cases")
+    """The cases of suite `suite`.  A report made with a `price` passes it
+    the kernel's name and the arguments of each call a unit asks it for,
+    as the unit asks (``call``)."""
 
-    def __init__(self, suite: str, cases: list[Case] | None = None) -> None:
+    __slots__ = ("suite", "cases", "price")
+
+    def __init__(self, suite: str, price: Callable[[str, tuple], object] | None = None) -> None:
         self.suite = suite
-        self.cases = [] if cases is None else cases
+        self.cases: list[Case] = []
+        self.price = price
 
     @property
     def total(self) -> int:
@@ -83,14 +94,22 @@ class VerifyReport:
         return self.total > 0 and self.failed == 0
 
     def call(self, kernel: Callable, *args) -> Handle:
-        """The shared value of ``kernel(*args)``, built by the first read."""
+        """The shared value of ``kernel(*args)``, built by the first read;
+        the call is priced first if this report prices.  A call that takes
+        a handle as an argument is priced with that handle in it, which
+        names the call that builds it (``repr``)."""
+        if self.price is not None:
+            self.price(kernel.__name__, args)
         return Handle(kernel, args)
 
     def nested(self, suite: str, units: Sequence[Unit]) -> Handle:
-        """The report of `units` run as suite `suite`, built by the first
-        case that reads it, as a negative control reads the check it feeds
-        a corrupted row."""
-        return Handle(run_units, (suite, units))
+        """The report of `units` as suite `suite`, recorded now, priced as
+        this report prices, and run by the first case that reads it, as a
+        negative control reads the check it feeds a corrupted row."""
+        report = VerifyReport(suite, price=self.price)
+        for unit in units:
+            unit(report)
+        return Handle(VerifyReport.run, (report,))
 
     def run_case(
         self,
@@ -99,21 +118,30 @@ class VerifyReport:
         expected: str | Handle,
         check: Callable[[], tuple[bool, str]],
     ) -> None:
-        """Run one check, catching exceptions as status "error".  An
+        """Record the case `case_id`, which ``run`` runs."""
+        self.cases.append(Case(case_id, dict(params), expected, check))
+
+    def run(self) -> VerifyReport:
+        """This report, once every recorded case has run, in order, each
+        inside its own timer, an exception caught as status "error".  An
         `expected` handle is read inside the case, and its value printed;
-        if it raises, the case is an error with an empty expected value."""
-        text = "" if isinstance(expected, Handle) else expected
-        start = time.perf_counter()
-        try:
-            if isinstance(expected, Handle):
-                text = str(expected())
-            ok, actual = check()
-            status = PASS if ok else FAIL
-        except Exception as exc:  # report and continue; suites never abort
-            actual = f"{type(exc).__name__}: {exc}"
-            status = ERROR
-        elapsed = (time.perf_counter() - start) * 1000.0
-        self.cases.append(Case(case_id, dict(params), text, actual, status, elapsed))
+        if it raises, the case is an error with an empty expected value.
+        Each case then holds only its texts, so the handles and checks it
+        held are released once it has run."""
+        for case in self.cases:
+            expected, check = case.expected, case.check
+            case.expected = "" if isinstance(expected, Handle) else expected
+            start = time.perf_counter()
+            try:
+                if isinstance(expected, Handle):
+                    case.expected = str(expected())
+                ok, case.actual = check()
+                case.status = PASS if ok else FAIL
+            except Exception as exc:  # report and continue; suites never abort
+                case.actual, case.status = f"{type(exc).__name__}: {exc}", ERROR
+            case.elapsed_ms = (time.perf_counter() - start) * 1000.0
+            case.check = None
+        return self
 
     def first_failure(self) -> Case | None:
         for c in self.cases:
@@ -198,33 +226,6 @@ def _json(value: object, indent: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-class Pricing(VerifyReport):
-    """A report that runs no check and records no case: each call a unit
-    asks it for is passed to `price`, the kernel's name and the arguments,
-    as the unit asks for it, and returned as a handle no case reads.  A
-    call that takes a handle as an argument is priced with that handle in
-    it, which names the call that builds it (``repr``).  The units a
-    negative control feeds its check are run against it at once."""
-
-    __slots__ = ("price",)
-
-    def __init__(self, suite: str, price: Callable[[str, tuple], object]) -> None:
-        super().__init__(suite)
-        self.price = price
-
-    def call(self, kernel: Callable, *args) -> Handle:
-        self.price(kernel.__name__, args)
-        return Handle(kernel, args)
-
-    def nested(self, suite: str, units: Sequence[Unit]) -> Handle:
-        for unit in units:
-            unit(self)
-        return super().nested(suite, units)
-
-    def run_case(self, *case) -> None:
-        """Runs nothing: pricing is done when the unit's calls are."""
-
-
 class Handle:
     """The value of ``kernel(*args)``, built by the first read (a call of
     the handle): every read returns the value that build returned or raises
@@ -255,13 +256,14 @@ class Handle:
         return f"{self.kernel.__name__}({', '.join(map(str, self.args))})"
 
 
-# One unit of a suite: it runs its cases into the report it is given.
+# One unit of a suite: it records its cases in the report it is given.
 Unit = Callable[[VerifyReport], None]
 
 
 def run_units(suite: str, units: Iterable[Unit]) -> VerifyReport:
-    """The report of suite `suite`: every unit, in order, run in this process."""
+    """The report of suite `suite`: every unit, in order, recorded and run
+    in this process."""
     report = VerifyReport(suite)
     for unit in units:
         unit(report)
-    return report
+    return report.run()

@@ -21,17 +21,18 @@ it takes with their minimums; ``cli`` adds the bound flags of the
 ``verify`` subparser from it.  A request is planned in one pass
 (``_plan``): every set flag is checked against the minimums of the
 suites it will run, then each suite is called once with only its own
-flags, and each unit is priced as it is yielded by running it against a
-pricing report (``report.Pricing``), which prices each call as the unit
-asks for it and runs no case, refusing a suite once its summed work
-exceeds ``cli.MAX_WORK`` (``cli._check_work``).  The real run then runs
-the same units, so what a unit is priced for is what it calls.  The
-suites yield their units lazily, and a unit does nothing whose cost grows
-with a bound apart from making handles and cases, so a huge bound is
-refused at the first call past the limit.
+flags, and each unit's body runs once, as it is yielded, against a report
+of its own that prices each call as the unit asks for it
+(``VerifyReport.price``) and records the unit's cases unrun, refusing a
+suite once its summed work exceeds ``cli.MAX_WORK`` (``cli._check_work``).
+The suites yield their units lazily, and a unit does nothing whose cost
+grows with a bound apart from making handles and recording cases, so a
+huge bound is refused at the first call past the limit, before any case
+runs.  A body that raises outside its cases fails the request there, in
+the command's process, before any fork and before ``--report`` is opened.
 
-A unit does all its work inside its cases (``VerifyReport.run_case``).
-``verify <suite>`` and ``verify all`` put the planned units into one
+A unit does all its work inside its cases (``VerifyReport.run``).
+``verify <suite>`` and ``verify all`` put the planned reports into one
 queue, largest declared work first.  A request whose declared work is
 above ``_FORK_WORK`` is drained by the command's process and forked
 helpers on every usable CPU, each process pinned to a CPU of its own for
@@ -47,6 +48,7 @@ load none of the suites' modules.  Exit codes are ``cli``'s.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import partial
@@ -56,7 +58,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import geode, identities, wz
 from .cli import MAX_WORK, _check_work, _open_output, _write_output
 from .hypercat import functional_residual, residual_work, solve_S, solve_work
-from .report import Case, Handle, Pricing, Unit, VerifyReport
+from .report import Case, Handle, Unit, VerifyReport
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
@@ -420,16 +422,18 @@ WORK: dict[str, Callable[..., int]] = {
 
 def _plan(
     names: Sequence[str], args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> list[tuple[str, Unit, int]]:
-    """(suite name, unit, its declared work) of every unit of every suite
-    in `names`, in `names` order and each suite's unit order, before any
-    unit runs.  Every set flag of every suite is checked against its
-    minimum first; then each suite is called once, at its defaults
-    overridden by its own flags, and each unit is priced as it is yielded,
-    by running it against a pricing report (``report.Pricing``) that adds
-    the price of each call to the suite's running sum as the unit asks for
-    it.  A suite is refused once that sum passes MAX_WORK, so a huge bound
-    stops at the first call past it."""
+) -> list[tuple[str, VerifyReport, int]]:
+    """(suite name, report, declared work) of every unit of every suite in
+    `names`, in `names` order and each suite's unit order, each report
+    holding its unit's cases, recorded and not run.  Every set flag of
+    every suite is checked against its minimum first; then each suite is
+    called once, at its defaults overridden by its own flags, and each
+    unit's body runs once, as it is yielded, against a report of its own
+    whose price adds the price of each call to the suite's running sum as
+    the unit asks for it.  A suite is refused once that sum passes
+    MAX_WORK, so a huge bound stops at the first call past it.  A body
+    that raises outside its cases raises RuntimeError naming the suite,
+    with the body's traceback."""
     for name in names:
         for flag, minimum in SUITES[name][1].items():
             value = getattr(args, flag)
@@ -437,25 +441,39 @@ def _plan(
                 option = "--" + flag.replace("_", "-")
                 parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
     plan = []
-    for name in names:
-        suite, minimums = SUITES[name]
-        kwargs = {f: getattr(args, f) for f in minimums if getattr(args, f) is not None}
-        if "a" in kwargs:
-            kwargs["a_values"] = (kwargs.pop("a"),)
-        context, spent = f"verify {name}: ", 0
+    # The records make no reference cycles, and a collection would walk
+    # every record made so far, as in hypercat._solve_layers.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name in names:
+            suite, minimums = SUITES[name]
+            kwargs = {f: getattr(args, f) for f in minimums if getattr(args, f) is not None}
+            if "a" in kwargs:
+                kwargs["a_values"] = (kwargs.pop("a"),)
+            context, spent = f"verify {name}: ", 0
 
-        def price(kernel: str, call: tuple) -> None:
-            nonlocal spent
-            work = WORK[kernel](*call)
-            spent += work
-            if spent > MAX_WORK:  # refused with one line naming the call
-                _check_work(kernel, call, WORK[kernel], parser, context, spent - work)
+            def price(kernel: str, call: tuple) -> None:
+                nonlocal spent
+                work = WORK[kernel](*call)
+                spent += work
+                if spent > MAX_WORK:  # refused with one line naming the call
+                    _check_work(kernel, call, WORK[kernel], parser, context, spent - work)
 
-        pricing = Pricing(name, price)
-        for unit in suite(**kwargs):
-            start = spent
-            unit(pricing)
-            plan.append((name, unit, spent - start))
+            for unit in suite(**kwargs):
+                start, report = spent, VerifyReport(name, price=price)
+                try:
+                    unit(report)
+                except Exception as exc:
+                    import traceback
+
+                    raise RuntimeError(
+                        f"verify: suite {name} raised outside its cases:\n{traceback.format_exc()}"
+                    ) from exc
+                plan.append((name, report, spent - start))
+    finally:
+        if collecting:
+            gc.enable()
     return plan
 
 
@@ -495,9 +513,10 @@ _RECORD = 4
 _CHUNK = 512
 
 
-def _run_units(units: Sequence[tuple[str, Unit, int]]) -> list[list[Case]]:
-    """The cases of every (suite name, unit, declared work) in `units`, in
-    unit order, run on up to one process per usable CPU.
+def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case]]:
+    """The cases of every (suite name, report, declared work) in `units`,
+    in list order, each report run (``VerifyReport.run``) on one of up to
+    one process per usable CPU.
 
     Units are independent, so, when their declared work together is above
     _FORK_WORK, ``min(CPUs, units) - 1`` helpers are forked first.  Each
@@ -508,17 +527,16 @@ def _run_units(units: Sequence[tuple[str, Unit, int]]) -> list[list[Case]]:
     gives this process back its own mask on every path, so the next request
     sees every CPU again (``_pin`` says what a failed pin does).  Then this
     process writes every unit's index into one pipe, the queue, in list
-    order, and it and every helper read the next index and run that unit
+    order, and it and every helper read the next index and run that report
     until the queue is empty.  Forking first lets the helpers drain the
     queue while it is written, so a queue longer than the pipe holds does
     not stall.  Each helper sends its cases back pickled through a pipe of
     its own.  Fork, not spawn: a helper starts from this process's imports
-    and units, and the CLI starts no threads.  With no helper (one CPU or
-    unit, work at most _FORK_WORK, no os.fork, or every fork failing with
-    OSError, as under a process limit) this process runs every unit in
-    order, unpinned.  A unit that raises outside its cases, in any process,
-    raises RuntimeError naming its suite; so does a helper that dies before
-    its cases arrive, naming the suites whose units ran nowhere.  No helper
+    and recorded cases, and the CLI starts no threads.  With no helper (one
+    CPU or unit, work at most _FORK_WORK, no os.fork, or every fork failing
+    with OSError, as under a process limit) this process runs every report
+    in order, unpinned.  A helper that dies before its cases arrive raises
+    RuntimeError naming the suites whose units ran nowhere.  No helper
     outlives the call.
     """
     cpus = _cpus()
@@ -543,8 +561,8 @@ def _run_units(units: Sequence[tuple[str, Unit, int]]) -> list[list[Case]]:
         os.close(feed)
         feed = -1
         indices = _queue_indices(queue) if helpers else range(len(units))
-        cases = {index: _run_unit(*units[index][:2]) for index in indices}
-        failure = death = None
+        cases = {index: units[index][1].run().cases for index in indices}
+        death = None
         while helpers:
             import pickle
 
@@ -553,11 +571,7 @@ def _run_units(units: Sequence[tuple[str, Unit, int]]) -> list[list[Case]]:
                 how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
                 death = death or f"a helper process {how} before sending its cases"
                 continue
-            helper_cases, helper_failure = pickle.loads(data)
-            cases.update(helper_cases)
-            failure = failure or helper_failure
-        if failure is not None:
-            raise RuntimeError(failure)
+            cases.update(pickle.loads(data))
         missing = ", ".join(
             dict.fromkeys(name for i, (name, *_) in enumerate(units) if i not in cases)
         )
@@ -590,29 +604,13 @@ def _queue_indices(queue: int) -> Iterator[int]:
         yield int.from_bytes(record, "little")
 
 
-def _run_unit(name: str, unit: Unit) -> list[Case]:
-    """The cases `unit` of suite `name` runs; a unit that raises outside its
-    cases raises RuntimeError naming the suite, with the unit's traceback."""
-    report = VerifyReport(name)
-    try:
-        unit(report)
-    except Exception as exc:
-        import traceback
-
-        raise RuntimeError(
-            f"verify: suite {name} raised outside its cases:\n{traceback.format_exc()}"
-        ) from exc
-    return report.cases
-
-
 def _fork_helper(
-    units: Sequence[tuple[str, Unit, int]], queue: int, feed: int, cpu: int
+    units: Sequence[tuple[str, VerifyReport, int]], queue: int, feed: int, cpu: int
 ) -> tuple[int, int]:
-    """Fork a helper that pins itself to `cpu`, runs the units whose
-    indices it reads from `queue` until the queue is empty, then writes the
-    pickled pair (cases by unit index, None) to a pipe of its own, or
-    (cases, message) with the message of the first unit that raised; return
-    its pid and the pipe's read end.  The helper leaves by os._exit, so it
+    """Fork a helper that pins itself to `cpu`, runs the reports whose
+    indices it reads from `queue` until the queue is empty, then writes
+    their cases, pickled by index, to a pipe of its own; return its pid
+    and the pipe's read end.  The helper leaves by os._exit, so it
     runs no exit handler and flushes no buffer it inherited."""
     read, write = os.pipe()
     try:
@@ -631,14 +629,9 @@ def _fork_helper(
 
         os.close(read)
         os.close(feed)  # the queue ends when the command's process closes its end
-        cases, failure = {}, None
-        for index in _queue_indices(queue):
-            try:
-                cases[index] = _run_unit(*units[index][:2])
-            except RuntimeError as exc:  # keep reading, so the queue never stalls
-                failure = failure or str(exc)
+        cases = {index: units[index][1].run().cases for index in _queue_indices(queue)}
         with os.fdopen(write, "wb") as pipe:
-            pickle.dump((cases, failure), pipe)
+            pickle.dump(cases, pipe)
         code = 0
     finally:
         os._exit(code)

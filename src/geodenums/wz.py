@@ -31,7 +31,7 @@ pairwise, in a tree, as one unreduced (numerator, denominator) pair
 zero denominator would make both sides of a cross-multiplied relation 0,
 so a grid that reads one is an error, never a pass; so is a row of the
 wrong length.  Each grid check yields its units, one per n (``*_units``),
-so the CLI can spread a grid over processes and price it before any unit
+so the CLI can spread a grid over processes and price it before any case
 runs; ``check_*`` runs them in order.  Each unit asks its report for the
 summand rows it reads (``report.VerifyReport.call``), and ``row_work``
 prices a row with the passes a unit makes over it.

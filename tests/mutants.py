@@ -104,12 +104,26 @@ MUTANTS = [
         ("tests/test_cli.py::test_a_broken_kernel_costs_cases_not_the_report",),
     ),
     Mutant(
-        "the pricing report runs a case's check",
+        "recording a case runs its check",
         "src/geodenums/report.py",
-        "    def run_case(self, *case) -> None:\n"
-        '        """Runs nothing: pricing is done when the unit\'s calls are."""\n',
+        "        self.cases.append(Case(case_id, dict(params), expected, check))\n",
+        "        self.cases.append(Case(case_id, dict(params), expected, check))\n"
+        "        check()\n",
+        (
+            "tests/test_cli.py::test_planning_calls_no_kernel_and_runs_no_case[thm1]",
+            "tests/test_cli.py::test_verify_refuses_oversize_grid_work_at_once"
+            f"[eq31 --max-n {10**30}]",
+        ),
+    ),
+    Mutant(
+        "run keeps a case's check",
+        "src/geodenums/report.py",
+        "            case.check = None\n",
         "",
-        ("tests/test_cli.py::test_pricing_a_unit_calls_no_kernel_and_runs_no_case[thm1]",),
+        (
+            "tests/test_cli.py::test_a_units_handles_are_released_once_its_cases_ran",
+            "tests/test_cli.py::test_verify_suite_reports_are_equal_at_any_helper_count[wz1]",
+        ),
     ),
     Mutant(
         "verify helper skips its pin",

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import inspect
 import io
 import json
 import os
+import pickle
 import re
 import select
 import subprocess
 import sys
 import time
+import weakref
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial, wraps
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from geodenums import cli, geode, hypercat, identities, mpoly, verify, wz
 from geodenums.geode import geode_series
 from geodenums.hypercat import residual_work, solve_S, solve_work
-from geodenums.report import Case, Handle, Pricing, VerifyReport, run_units
+from geodenums.report import Case, Handle, VerifyReport, run_units
 
 
 def run_cli(capsys, *argv):
@@ -39,25 +42,30 @@ def _constant_layers(max_degree):
     return mpoly._packing_shift(max_degree), [[(0, 1)]]
 
 
-def only(pricing, unit):
-    """`unit`, run against a pricing report only if `pricing`, or against a
-    real report only if not."""
-    return lambda report: unit(report) if isinstance(report, Pricing) == pricing else None
+def priced_only(unit):
+    """`unit` with every case it records dropped: its calls are priced as
+    it asks for them, and no case reads their handles."""
+
+    def priced(report):
+        start = len(report.cases)
+        unit(report)
+        del report.cases[start:]
+
+    return priced
 
 
 def stub_suite(name, units):
     """A registry entry for suite `name` with its flags and minimums that
     `verify` prices as the real suite: at any bounds it yields the units
-    that `units(**bounds)` returns, which ask for no priced call and run
-    only in the real run, then, as lazily as the real suite yields its
-    units, each real unit, run only where it is priced."""
+    that `units(**bounds)` returns, which ask for no priced call, then, as
+    lazily as the real suite yields its units, each real unit, priced and
+    recording no case."""
     suite, minimums = verify.SUITES[name]
 
     def stub(**bounds):
-        for unit in units(**bounds):
-            yield only(False, unit)
+        yield from units(**bounds)
         for unit in suite(**bounds):
-            yield only(True, unit)
+            yield priced_only(unit)
 
     return stub, minimums
 
@@ -67,25 +75,29 @@ def fork_at_any_work(monkeypatch):
     monkeypatch.setattr(verify, "_FORK_WORK", -1)
 
 
-def declarations(unit):
-    """The calls `unit` asks its report for, as declared, in order."""
-    calls = []
-    unit(Pricing("priced", lambda kernel, args: calls.append((kernel, args))))
-    return calls
-
-
 def plan(argv):
-    """The plan `verify *argv` makes: (name, units, work) of each suite it
-    runs, in the order it runs them."""
+    """The plan `verify *argv` makes: (name, reports, work) of each suite
+    it runs, in the order it runs them, a report per unit."""
     parser = cli._build_parser()
     args = parser.parse_args(["verify", *argv])
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     steps = verify._plan(names, args, parser)
     return [
-        (name, [unit for step, unit, _ in steps if step == name],
+        (name, [report for step, report, _ in steps if step == name],
          sum(work for step, _, work in steps if step == name))
         for name in dict.fromkeys(step for step, _, _ in steps)
     ]
+
+
+def recorded(check, count):
+    """`count` entries of a queue of suite wz1, each a report holding one
+    recorded case, `check`, and declaring no work."""
+    units = []
+    for _ in range(count):
+        report = VerifyReport("wz1")
+        report.run_case("where", {}, "", check)
+        units.append(("wz1", report, 0))
+    return units
 
 
 def test_table_csv_contains_expected_row(capsys):
@@ -204,10 +216,8 @@ def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatc
     def must_not_run(*args, **bounds):
         raise AssertionError("work started before the output was opened")
 
-    for name in verify.SUITES:
-        monkeypatch.setitem(
-            verify.SUITES, name, stub_suite(name, lambda **bounds: [must_not_run])
-        )
+    # a verify request records its cases while it is planned, and runs none
+    monkeypatch.setattr(VerifyReport, "run", must_not_run)
     monkeypatch.setattr(cli, "_solve_layers", must_not_run)
     monkeypatch.setattr(cli.geode, "_geode_layers", must_not_run)
     monkeypatch.setattr(os, "fork", must_not_run)
@@ -495,11 +505,12 @@ def test_verify_error_status_counts_as_failure(monkeypatch, capsys):
 
     def erroring(report):
         report.run_case("explodes", {}, "1", boom)
-        assert report.cases[0].status == "error"
 
     monkeypatch.setitem(verify.SUITES, "thm1", stub_suite("thm1", lambda **bounds: [erroring]))
-    code, _ = run_cli(capsys, "verify", "thm1")
+    code, out = run_cli(capsys, "verify", "thm1")
     assert code == 1
+    [case] = json.loads(out)["cases"]
+    assert (case["status"], case["actual"]) == ("error", "RuntimeError: boom")
 
 
 def test_empty_report_never_passes():
@@ -511,12 +522,19 @@ CASE_PARAMS = st.dictionaries(
 )
 
 
+def finished(id, params, expected, actual, status, elapsed_ms):
+    """A case as ``VerifyReport.run`` leaves it."""
+    case = Case(id, params, expected, None)
+    case.actual, case.status, case.elapsed_ms = actual, status, elapsed_ms
+    return case
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.text(max_size=8),
     st.lists(
         st.builds(
-            Case,
+            finished,
             st.text(),
             CASE_PARAMS,
             st.text(),
@@ -530,10 +548,14 @@ CASE_PARAMS = st.dictionaries(
 # a report with no case, a case with empty params and non-ASCII text, and
 # one with list params and a float json writes by name
 @example("thm1", [])
-@example("claims", [Case("ct,n=1,a=1,x=+0", {}, "1", "é ≠ 1", "fail", 0.25)])
-@example("general-eval", [Case("a=2,c=(2,3)", {"a": 2, "c": [2, 3]}, "7^n", "", "pass", float("nan"))])
+@example("claims", [finished("ct,n=1,a=1,x=+0", {}, "1", "é ≠ 1", "fail", 0.25)])
+@example(
+    "general-eval",
+    [finished("a=2,c=(2,3)", {"a": 2, "c": [2, 3]}, "7^n", "", "pass", float("nan"))],
+)
 def test_report_json_is_laid_out_as_json_dumps_lays_it_out(suite, cases):
-    report = VerifyReport(suite, cases)
+    report = VerifyReport(suite)
+    report.cases = cases
     assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
@@ -552,10 +574,46 @@ def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch,
     assert err.splitlines() == ["empty suite: thm1 ran no cases"]
 
 
+def test_a_units_handles_are_released_once_its_cases_ran(monkeypatch):
+    # the G table a thm1 unit built is freed by reference counting alone
+    # once the unit's cases have run, and every case then holds only
+    # text, which a helper pickles
+    tables = []
+    series = geode.geode_series
+
+    class Table:  # a G table that can be weakly referenced
+        def __init__(self, table):
+            self.coefficient = table.coefficient
+
+    @wraps(series)  # verify prices a kernel by its name
+    def weakly_held(*args):
+        table = Table(series(*args))
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(geode, "geode_series", weakly_held)
+    report = VerifyReport("thm1")
+    [unit] = verify.suite_thm1(4)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        unit(report)
+        assert report.run().all_passed()
+        assert len(tables) == 1 and tables[0]() is None
+    finally:
+        if collecting:
+            gc.enable()
+    for case in report.cases:
+        assert (type(case.expected), type(case.actual), case.check) == (str, str, None)
+    assert [case.actual for case in pickle.loads(pickle.dumps(report.cases))] == [
+        case.actual for case in report.cases
+    ]
+
+
 def test_negative_control_does_not_count_an_empty_run_as_detected():
     report = VerifyReport("wz1")
     verify._control("negative", "R", [])(report)
-    assert [case.status for case in report.cases] == ["fail"]
+    assert [case.status for case in report.run().cases] == ["fail"]
 
 
 def test_verify_all_small_bounds(tmp_path, capsys):
@@ -691,11 +749,6 @@ def test_unit_queue_refuses_a_short_read():
         os.close(read)
 
 
-def declared_work(unit):
-    """The work `unit` declares, priced by the cost function of each call."""
-    return sum(verify.WORK[kernel](*args) for kernel, args in declarations(unit))
-
-
 def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
     # _cmd_verify queues every unit by its declared work, largest first,
     # and _run_units writes the indices in list order.  The parent holds
@@ -718,12 +771,12 @@ def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
             yield first
         yield from indices
 
-    def recorded(units):
+    def queued(units):
         queues.append(units)
         return run_units_(units)
 
     monkeypatch.setattr(verify, "_queue_indices", queue_indices)
-    monkeypatch.setattr(verify, "_run_units", recorded)
+    monkeypatch.setattr(verify, "_run_units", queued)
     try:
         assert cli.main(["verify", "eq31", "--max-n", "4", "--max-a", "3",
                          "--report", os.devnull]) == 0
@@ -733,9 +786,10 @@ def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
     capsys.readouterr()
     assert firsts == [0]
     [queue] = queues
-    assert declarations(queue[0][1]) == [("partition_sum_main", (4, 3))]
-    works = [declared_work(unit) for _, unit, _ in queue]
-    assert works == [work for *_, work in queue] == sorted(works, reverse=True)
+    assert [case.id for case in queue[0][1].cases] == ["n=4,a=3"]
+    assert queue[0][2] == identities.partition_sum_work(4, 3)
+    works = [work for *_, work in queue]
+    assert works == sorted(works, reverse=True)
 
 
 def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys):
@@ -748,8 +802,8 @@ def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys
     cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
     capsys.readouterr()
     [queue] = queues
-    works = [declared_work(unit) for _, unit, _ in queue]
-    assert works == [work for *_, work in queue] == sorted(works, reverse=True)
+    works = [work for *_, work in queue]
+    assert works == sorted(works, reverse=True)
     names = [name for name, *_ in queue]
     assert set(names) == set(verify.SUITE_NAMES)
     for work in set(works):
@@ -757,32 +811,30 @@ def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys
         assert tied == sorted(tied)
 
 
-def test_suite_raising_in_a_helper_is_an_error_naming_it(monkeypatch):
-    # a unit raises outside run_case, in a helper while the parent's copy
-    # waits for it, or in the parent while a helper's copy waits to be
-    # killed; either way verify raises RuntimeError naming the suite
+def test_a_body_raising_outside_its_cases_fails_the_plan_before_any_fork(
+    tmp_path, monkeypatch
+):
+    # a unit's body runs once, while the request is planned, so it raises
+    # in the command's process, before any fork and before the report is
+    # opened, and no case runs
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
-    for argv in REQUESTS:
-        for raising_in in ("helper", "parent"):
-            with Where() as where:
-                def unit(report, where=where, raising_in=raising_in):
-                    if where.in_helper() == (raising_in == "helper"):
-                        raise ValueError("boom outside run_case")
-                    if raising_in == "helper":
-                        where.wait_for_helpers()
-                    else:
-                        where.wait_to_be_killed()
+    ran = []
+    monkeypatch.setattr(VerifyReport, "run", lambda report: ran.append(report))
 
-                monkeypatch.setitem(
-                    verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [unit, unit])
-                )
-                with pytest.raises(RuntimeError, match="suite wz1 raised outside its cases") as exc:
-                    cli.main(["verify", *argv, "--report", os.devnull])
-            assert "ValueError: boom outside run_case" in str(exc.value), (argv, raising_in)
-    assert len(pids) == 2 * len(REQUESTS)
-    assert_reaped(pids)
+    def unit(report):
+        report.run_case("recorded", {}, "", lambda: (True, ""))
+        raise ValueError("boom outside run_case")
+
+    monkeypatch.setitem(verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [unit]))
+    report_path = tmp_path / "report.json"
+    for argv in REQUESTS:
+        with pytest.raises(RuntimeError, match="suite wz1 raised outside its cases") as exc:
+            cli.main(["verify", *argv, "--report", str(report_path)])
+        assert "ValueError: boom outside run_case" in str(exc.value), argv
+    assert pids == ran == []
+    assert not report_path.exists()
 
 
 def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
@@ -791,10 +843,14 @@ def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
     pids = recording_forks(monkeypatch)
     for argv in REQUESTS:
         with Where() as where:
-            def dying(report, where=where):
+            def check(where=where):
                 if where.in_helper():
                     os._exit(3)
                 where.wait_for_helpers()
+                return True, ""
+
+            def dying(report, check=check):
+                report.run_case("dies in a helper", {}, "", check)
 
             monkeypatch.setitem(
                 verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [dying, dying])
@@ -879,7 +935,7 @@ def test_the_command_and_each_helper_run_on_a_cpu_of_their_own(monkeypatch):
     started_read, started_write = os.pipe()
     go_read, go_write = os.pipe()
 
-    def unit(report):
+    def where():
         if os.getpid() == parent:
             for _ in range(procs - 1):
                 assert select.select([started_read], [], [], 60)[0], "a helper took no unit"
@@ -888,12 +944,11 @@ def test_the_command_and_each_helper_run_on_a_cpu_of_their_own(monkeypatch):
         else:
             os.write(started_write, b".")
             os.read(go_read, 1)
-        where = [os.getpid(), sorted(os.sched_getaffinity(0))]
-        report.run_case("where", {}, "", lambda: (True, json.dumps(where)))
+        return True, json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))])
 
     before = os.sched_getaffinity(0)
     try:
-        ran = verify._run_units([("wz1", unit, 0)] * procs)
+        ran = verify._run_units(recorded(where, procs))
     finally:
         for fd in (started_read, started_write, go_read, go_write):
             os.close(fd)
@@ -906,7 +961,7 @@ def test_the_command_and_each_helper_run_on_a_cpu_of_their_own(monkeypatch):
 
 @needs_two_cpus
 @pytest.mark.parametrize(
-    "path", ["success", "raise in helper", "raise in parent", "helper dies", "fork fails"]
+    "path", ["success", "interrupted in parent", "helper dies", "fork fails"]
 )
 def test_the_commands_mask_is_restored_on_every_path(path, monkeypatch):
     def failing_fork():
@@ -918,27 +973,31 @@ def test_the_commands_mask_is_restored_on_every_path(path, monkeypatch):
         monkeypatch.setattr(os, "fork", failing_fork)
     pinned = []
     with Where() as where:
-        # as in the failure tests above: the parent's copy of a unit waits
-        # for the helper to exit where the helper's copy must fail
-        def unit(report):
+        # as in the failure tests above: the parent's case waits for the
+        # helper to exit where the helper's case dies, and a case the
+        # parent runs may be interrupted, which no case catches
+        def check():
             if where.in_helper():
-                if path == "raise in helper":
-                    raise ValueError("boom outside run_case")
                 if path == "helper dies":
                     os._exit(3)
-                return
+                return True, ""
             pinned.append(os.sched_getaffinity(0))
-            if path == "raise in parent":
-                raise ValueError("boom outside run_case")
-            if path in ("raise in helper", "helper dies"):
+            if path == "interrupted in parent":
+                raise KeyboardInterrupt
+            if path == "helper dies":
                 where.wait_for_helpers()
+            return True, ""
 
         before = os.sched_getaffinity(0)
         if path in ("success", "fork fails"):
-            assert verify._run_units([("wz1", unit, 0)] * 2) == [[], []]
+            ran = verify._run_units(recorded(check, 2))
+            assert [[case.status for case in cases] for cases in ran] == [["pass"]] * 2
+        elif path == "helper dies":
+            with pytest.raises(RuntimeError, match="exited with code 3"):
+                verify._run_units(recorded(check, 2))
         else:
-            with pytest.raises(RuntimeError, match="raised outside its cases|exited with code 3"):
-                verify._run_units([("wz1", unit, 0)] * 2)
+            with pytest.raises(KeyboardInterrupt):
+                verify._run_units(recorded(check, 2))
     # a process left to run alone is not pinned
     expected = before if path == "fork fails" else {CPU_IDS[0]}
     assert pinned and all(mask == expected for mask in pinned), pinned
@@ -1015,22 +1074,18 @@ def test_verify_rejects_out_of_range_bounds(argv, tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.splitlines()[-1].startswith("geodenums: error: verify ")
 
 
-def assert_refused_before_any_unit(argv, tmp_path, monkeypatch, capsys, first=None):
-    """`verify *argv`, with every suite's units stubbed by one that must
-    not run and priced as the real suite's, exits 2 with one error line
-    naming the suite `first` (by default the one named, thm1 for all),
-    and writes no report."""
-    def must_not_run(report):
-        raise AssertionError("a unit ran before its suite's work was priced")
-
-    for name in verify.SUITES:
-        monkeypatch.setitem(
-            verify.SUITES, name, stub_suite(name, lambda **bounds: [must_not_run])
-        )
+def assert_refused_before_any_case(argv, tmp_path, monkeypatch, capsys, first=None):
+    """`verify *argv` exits 2 with one error line naming the suite `first`
+    (by default the one named, thm1 for all), having called no kernel and
+    run no case, and writes no report."""
+    made, ran = [], []
+    watch_kernels(monkeypatch, made.append)
+    monkeypatch.setattr(VerifyReport, "run", lambda report: ran.append(report))
     report_path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", *argv, "--report", str(report_path)])
     assert exc.value.code == 2
+    assert made == ran == []
     assert not report_path.exists()
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error:" in line] == [err[-1]]
@@ -1054,12 +1109,12 @@ def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys
     # solves S(12, 9), 5.7e7 units; MAX_WORK is 3e7.  recurrence at 1000
     # variables, degree 1, solves S(r, 1) for r = 1..1000 and oracle at
     # degree 0 S(r, 0) and twice S(r, 1): each solve is admitted alone,
-    # but together they take 1.7e9 and 3.7e9 units.  Pricing takes the
-    # units' declared calls as the suite yields them, so 10**30 variables
+    # but together they take 1.7e9 and 3.7e9 units.  The plan prices the
+    # units' calls as the suite yields them, so 10**30 variables
     # stop at the first call past the limit.  oracle at degree 22 solves
     # S(4, 22) for 2.3e6 units, but its residual multiplies 17 168 580
     # coefficient pairs (hypercat.residual_work).
-    assert_refused_before_any_unit(argv, tmp_path, monkeypatch, capsys)
+    assert_refused_before_any_case(argv, tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1080,7 +1135,7 @@ def test_verify_refuses_oversize_grid_work_at_once(argv, tmp_path, monkeypatch, 
     # bounded prefix of its units, well within a second
     start = time.perf_counter()
     first = "eq31" if argv[0] == "all" else argv[0]
-    line = assert_refused_before_any_unit(argv, tmp_path, monkeypatch, capsys, first)
+    line = assert_refused_before_any_case(argv, tmp_path, monkeypatch, capsys, first)
     assert time.perf_counter() - start < 1, line
     assert " after " in line and " units of earlier work of this suite is " in line
 
@@ -1141,15 +1196,15 @@ CALL_WORK = {
 
 
 def _admitted_stub(name):
-    """A units function for suite `name` returning one unit with one
-    passing case, which asserts first, when it runs, that `verify` let the
-    suite start only with bounds at or above their minimums and with
-    declared calls (those the real suite's units declare at the same
-    bounds) that take at most MAX_WORK together."""
+    """A units function for suite `name` returning one unit with one case,
+    which passes when it runs only if `verify` let the suite start with
+    bounds at or above their minimums and with calls (those the real
+    suite's units ask for at the same bounds) that take at most MAX_WORK
+    together."""
     suite, minimums = verify.SUITES[name]
     limit = cli.MAX_WORK
 
-    def admitted(report, bounds):
+    def admitted(bounds):
         for flag, value in bounds.items():
             if flag == "a_values":
                 flag, (value,) = "a", value
@@ -1161,12 +1216,15 @@ def _admitted_stub(name):
             work += CALL_WORK[kernel](*args)
             assert work <= limit, (name, kernel, args)
 
-        pricing = Pricing(name, price)
+        pricing = VerifyReport(name, price=price)
         for unit in suite(**bounds):
             unit(pricing)
-        report.run_case("stub", {}, "ok", lambda: (True, "ok"))
+        return True, "ok"
 
-    return lambda **bounds: [partial(admitted, bounds=bounds)]
+    def unit(report, bounds):
+        report.run_case("stub", {}, "ok", partial(admitted, bounds))
+
+    return lambda **bounds: [partial(unit, bounds=bounds)]
 
 
 def assert_exit_contract(argv, stub):
@@ -1452,34 +1510,48 @@ def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
     assert len(priced) == 29
 
 
-def test_verify_all_calls_each_suite_once_and_a_refused_request_runs_no_unit(
-    monkeypatch, capsys
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_all_calls_each_suite_once_and_each_unit_body_once(
+    cpus, tmp_path, monkeypatch, capsys
 ):
-    # the plan builds each suite's units once, and the queue runs those
-    # same units; a request the guard refuses runs none of the units its
-    # plan built before the refusal
-    calls, ran = [], []
+    # the plan calls each suite once and runs each unit's body once, in
+    # the command's process, whichever process then runs its cases; each
+    # body run is appended to a file, so a run in a helper would count
+    # too.  A request the guard refuses runs no case.
+    units = sum(len(reports) for _, reports, _ in plan(["all", *SMALL_BOUNDS]))
+    calls, bodies, ran = [], tmp_path / "bodies", []
+    run = VerifyReport.run
 
     def counted(name, suite):
         def units(**bounds):
             calls.append(name)
-            for unit in suite(**bounds):
-                def run(report, unit=unit):
-                    if not isinstance(report, Pricing):
-                        ran.append(name)
+            for index, unit in enumerate(suite(**bounds)):
+                def body(report, unit=unit, index=index):
+                    with open(bodies, "a") as log:
+                        log.write(f"{name} {index} {os.getpid()}\n")
                     unit(report)
 
-                yield run
+                yield body
 
         return units
 
-    monkeypatch.setattr(verify, "_cpus", lambda: (0,))
+    def running(report):
+        ran.append(report.suite)
+        return run(report)
+
+    monkeypatch.setattr(verify, "_cpus", lambda: tuple(range(cpus)))
+    fork_at_any_work(monkeypatch)
+    pids = recording_forks(monkeypatch)
+    monkeypatch.setattr(VerifyReport, "run", running)
     for name, (suite, minimums) in list(verify.SUITES.items()):
         monkeypatch.setitem(verify.SUITES, name, (counted(name, suite), minimums))
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
     capsys.readouterr()
+    assert len(pids) == cpus - 1
     assert calls == list(verify.SUITE_NAMES)
-    assert set(ran) == set(verify.SUITE_NAMES)
+    logged = [line.rsplit(" ", 1) for line in bodies.read_text().splitlines()]
+    assert {pid for _, pid in logged} == {str(os.getpid())}
+    assert len(logged) == len({unit for unit, _ in logged}) == units
 
     calls.clear()
     ran.clear()
@@ -1602,7 +1674,7 @@ def test_every_priced_call_is_made_in_a_handles_build_inside_a_case(argv, monkey
 
     watch_kernels(monkeypatch, seen)
     monkeypatch.setattr(Handle, "__call__", counting("build", Handle.__call__))
-    monkeypatch.setattr(VerifyReport, "run_case", counting("case", VerifyReport.run_case))
+    monkeypatch.setattr(VerifyReport, "run", counting("case", VerifyReport.run))
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
@@ -1610,69 +1682,40 @@ def test_every_priced_call_is_made_in_a_handles_build_inside_a_case(argv, monkey
 
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
-def test_pricing_a_unit_calls_no_kernel_and_runs_no_case(argv, monkeypatch):
-    made, reports = [], []
-
-    class Recorded(Pricing):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            reports.append(self)
-
+def test_planning_calls_no_kernel_and_runs_no_case(argv, monkeypatch):
+    made = []
     watch_kernels(monkeypatch, made.append)
-    monkeypatch.setattr(verify, "Pricing", Recorded)
-    assert sum(work for _, _, work in plan(argv)) > 0
-    assert reports and made == []
-    assert [report.cases for report in reports] == [[]] * len(reports)
-
-
-def declared(value):
-    """`value` with every handle in it written as (kernel name, declared
-    arguments), the call that builds it, so that a handle priced and one
-    made in the real run compare equal."""
-    if isinstance(value, Handle):
-        return value.kernel.__name__, declared(value.args)
-    if isinstance(value, tuple):
-        return tuple(map(declared, value))
-    return value
+    steps = plan(argv)
+    assert sum(work for _, _, work in steps) > 0
+    assert made == []
+    cases = [case for _, reports, _ in steps for report in reports for case in report.cases]
+    assert cases and all(case.status is None and callable(case.check) for case in cases)
 
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
-def test_every_unit_declares_every_priced_call_it_makes(argv, monkeypatch, capsys):
-    # in plan order, unit by unit: a negative control's units ask for
-    # their handles inside its case
-    priced, made, plans, running = [], {}, [], []
-
-    def recording(name, work):
-        def recorded(*args):
-            priced.append((name, declared(args)))
-            return work(*args)
-
-        return recorded
-
-    for name, work in list(verify.WORK.items()):
-        monkeypatch.setitem(verify.WORK, name, recording(name, work))
-    call, run_unit, plan_ = VerifyReport.call, verify._run_unit, verify._plan
+def test_no_report_call_is_made_while_cases_run(argv, monkeypatch, capsys):
+    # every handle is made, and so priced, while the request is planned:
+    # a call made while cases run would be priced after the plan's sums
+    calls, running = [], []
+    call, run = VerifyReport.call, VerifyReport.run
 
     def recorded_call(report, kernel, *args):
-        handle = call(report, kernel, *args)
-        made[running[-1]].append(declared(handle))
-        return handle
+        calls.append(bool(running))
+        return call(report, kernel, *args)
 
-    def recorded_run(name, unit):
-        running.append(unit)
-        made[unit] = []
-        return run_unit(name, unit)
+    def recorded_run(report):
+        running.append(report)
+        try:
+            return run(report)
+        finally:
+            running.pop()
 
     monkeypatch.setattr(VerifyReport, "call", recorded_call)
-    monkeypatch.setattr(verify, "_run_unit", recorded_run)
-    monkeypatch.setattr(verify, "_plan", lambda *args: plans.append(plan_(*args)) or plans[-1])
+    monkeypatch.setattr(VerifyReport, "run", recorded_run)
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
-    [steps] = plans
-    assert priced and priced == [call for _, unit, _ in steps for call in made[unit]]
+    assert calls and not any(calls)
 
 
 @pytest.mark.parametrize("argv, work", [
@@ -1732,12 +1775,12 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
     # each S solve, at the patch points above, happens while a case runs,
     # so its time is in that case's elapsed_ms
     running, solved = [], []
-    run_case = VerifyReport.run_case
+    run = VerifyReport.run
 
     def in_case(*args):
         running.append(True)
         try:
-            return run_case(*args)
+            return run(*args)
         finally:
             running.pop()
 
@@ -1750,7 +1793,7 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
         return recorded
 
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
-    monkeypatch.setattr(VerifyReport, "run_case", in_case)
+    monkeypatch.setattr(VerifyReport, "run", in_case)
     monkeypatch.setattr(verify, "solve_S", recording(solve_S))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
