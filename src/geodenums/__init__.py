@@ -29,7 +29,7 @@ _EXPORTS = {
             "binom_general", "claim1_sum", "claim2_ct", "claim2_sum",
             "partition_sum_main",
         )),
-        ("wz", ("check_certificate_R", "check_wz1", "check_wz2")),
+        ("verify", ("check_certificate_R", "check_wz1", "check_wz2")),
         ("report", ("Case", "VerifyReport")),
     )
     for name in names

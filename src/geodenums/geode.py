@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import comb, factorial
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .hypercat import _coefficient_bits, _solve_layers, hyper_catalan, solve_work
 from .mpoly import (
@@ -41,10 +41,6 @@ from .mpoly import (
     iter_exponents,
     substitute_signed,
 )
-
-if TYPE_CHECKING:  # only verify, which prices with handles, loads report
-    from .report import Handle
-
 
 class GeodeTable(_Frozen):
     """The Geode series in r variables through a fixed total degree."""
@@ -320,14 +316,13 @@ def closed_two_nonzero_work(s: int, t: int, n: int, i: int) -> int:
     return 32 + (i + 1) * (8 + n * upper.bit_length() // 16)
 
 
-def recurrence_work(table: Handle, degree: int) -> int:
+def recurrence_work(r: int, max_degree: int, degree: int) -> int:
     """Estimated work of ``recurrence_break(table, degree)``, with `table`
-    the handle of the ``geode_series(r, D)`` call that builds it: each of the
-    C(r + degree - 1, degree) monomials reads r coefficients and computes
-    one ``hyper_catalan`` of weight w <= (r + 1) degree, counted 96 + 16 r
-    + w^2 / 256.  Calibration: at most 0.82 of the estimate's time for r =
+    the value of ``geode_series(r, max_degree)``: each of the C(r + degree
+    - 1, degree) monomials reads r coefficients and computes one
+    ``hyper_catalan`` of weight w <= (r + 1) degree, counted 96 + 16 r +
+    w^2 / 256.  Calibration: at most 0.82 of the estimate's time for r =
     4-6 and degrees 4-15."""
-    r = table.args[0]
     if min(r - 1, degree) >= 64:  # C(r + degree - 1, degree) >= 2^64: past any limit
         return 1 << 64
     weight = (r + 1) * degree

@@ -44,10 +44,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb, lcm
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .report import Handle
 
 
 def binom_general(y: int, k: int) -> int:
@@ -249,23 +245,22 @@ def bracket_power_work(n: int, a: int) -> int:
     return 96 + a * n * (8 + 3 * n // 4) + 2 * n**3
 
 
-def ct_coefficient_work(power: Handle, n: int, x: int) -> int:
+def ct_coefficient_work(m: int, a: int, n: int, x: int) -> int:
     """Estimated work of ``ct_coefficient(power, n, x)``, with `power`
-    the handle of the ``bracket_power(m, a)`` call that builds it.
+    the value of ``bracket_power(m, a)``.
 
     n binomials C(n+x, j) and n products with coefficients of the bracket
     power, of at most m bit_length(2a) + n + |x| bits; each counts 4 plus
     1/64 per bit, and a call 48.  Calibration: at most 0.67 of the
     estimate's time for n = 1-60, x = 0..n, a = 1-10000."""
-    m, a = power.args
     bits = m * (2 * a).bit_length() + n + abs(x)
     return 48 + n * (4 + bits // 64)
 
 
-def binomial_sum_work(mass: Handle, n: int, x: int) -> int:
+def binomial_sum_work(length: int, a: int, n: int, x: int) -> int:
     """Estimated work of ``shifted_binomial_sum(mass, n, x)`` and of
-    ``lower_binomial_sum(mass, n, x)``, with `mass` the handle of the
-    ``size_mass(length, a)`` call that builds it.
+    ``lower_binomial_sum(mass, n, x)``, with `mass` the value of
+    ``size_mass(length, a)``.
 
     Each of the S = 2a length + 1 masses is multiplied by one binomial
     with n - 1 as its smaller index (C(y, k) = C(y, y - k)), of at most R
@@ -274,9 +269,9 @@ def binomial_sum_work(mass: Handle, n: int, x: int) -> int:
     counts 6, plus M / 24 and R M / 2048 for the product, and a call 32.
     Calibration: at most 0.76 of the estimate's time for n = 1-60, length
     n - 1 and n, a = 1-1000."""
-    length, a = mass.args
-    sizes = 2 * a * max(length, 0) + 1
+    length = max(length, 0)
+    sizes = 2 * a * length + 1
     top = sizes + n + abs(x)
     binomial = n * (top // n + 1).bit_length()
-    weight = max(length, 0) * (2 * a).bit_length()
+    weight = length * (2 * a).bit_length()
     return 32 + sizes * (6 + weight // 24 + binomial * weight // 2048)

@@ -1,4 +1,5 @@
-"""Verification reports shared by the checker modules and the CLI.
+"""Verification reports, which ``verify`` alone builds and runs; no
+kernel module imports this one.
 
 A report is a named suite of cases; each case records its parameters, the
 expected and observed values (as strings, since coefficients outgrow 64-bit
@@ -25,7 +26,9 @@ report that passes each call to the request's price as the unit asks for
 it (``VerifyReport.price``), so the calls a unit makes and the calls it
 is priced for are the same calls.  Apart from making handles and
 recording cases, a unit does nothing whose cost grows with a bound, so
-pricing a huge bound stops at the first call past the limit.
+pricing a huge bound stops at the first call past the limit.  A report
+holds no other report: a negative control makes the report it reads
+itself and runs it inside its case (``verify._control``).
 
 ``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
 dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
@@ -39,7 +42,7 @@ import json
 import time
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 PASS = "pass"
 FAIL = "fail"
@@ -101,15 +104,6 @@ class VerifyReport:
         if self.price is not None:
             self.price(kernel.__name__, args)
         return Handle(kernel, args)
-
-    def nested(self, suite: str, units: Sequence[Unit]) -> Handle:
-        """The report of `units` as suite `suite`, recorded now, priced as
-        this report prices, and run by the first case that reads it, as a
-        negative control reads the check it feeds a corrupted row."""
-        report = VerifyReport(suite, price=self.price)
-        for unit in units:
-            unit(report)
-        return Handle(VerifyReport.run, (report,))
 
     def run_case(
         self,

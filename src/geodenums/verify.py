@@ -1,5 +1,8 @@
 """The ``geodenums verify`` command: the verification suites, the plan of a
-request and the queue that runs it.
+request and the queue that runs it.  This is the one module that imports
+``report``: the kernel modules hold kernels and their prices over plain
+integers, and every unit, negative control and ``check_*`` runner is
+built here.
 
 The suites are the ``suite_<name>`` functions, each returning or
 yielding its ordered units (``report.Unit``); their keyword defaults are
@@ -10,12 +13,21 @@ would call ``geode_series(2, D)``: a handle (``report.Handle``), the
 shared value of that call, built by the first case that reads it, so the
 build's time is in that case's elapsed_ms, and a build that raises makes
 each case that reads it an ``error`` case, not the request a crash,
-without running again.  A call that takes a handle is priced with it,
-and its price reads the call that builds it, as the residual reads its
-table's (r, D); a kernel call inside a handle's build is part of that
-handle's price.  ``WORK`` gives each kernel its cost
-function, which lives beside the kernel in its own module, in the units
-of ``hypercat.solve_work``.
+without running again.  ``WORK`` gives each kernel its cost function,
+which lives beside the kernel in its own module, takes plain integers and
+counts in the units of ``hypercat.solve_work``.  A call that takes a
+handle is priced at the arguments of the call that builds it, then its
+own (``_spread``), as the residual of ``solve_S(r, D)`` is priced at
+(r, D); a kernel call inside a handle's build is part of that handle's
+price.
+
+The grid suites ``wz1``, ``wz2`` and ``certificate`` build their units
+from the rows of ``wz`` (``_pair_units``, ``_certificate_units``), one
+per n, and ``check_wz1``, ``check_wz2`` and ``check_certificate_R`` run
+the same units at any bound with injectable rows.  A negative control
+(``_control``) records the units of a check fed a sign-flipped row in a
+report of its own, priced as its unit's report prices, and its one case
+runs them.
 ``SUITES`` describes each suite once: its units function and the flags
 it takes with their minimums; ``cli`` adds the bound flags of the
 ``verify`` subparser from it.  A request is planned in one pass
@@ -58,7 +70,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import geode, identities, wz
 from .cli import MAX_WORK, _check_work, _open_output, _write_output
 from .hypercat import functional_residual, residual_work, solve_S, solve_work
-from .report import Case, Handle, Unit, VerifyReport
+from .report import Case, Unit, VerifyReport, run_units
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
@@ -70,16 +82,20 @@ def _is(expected, value) -> tuple[bool, str]:
 
 def _control(case_id: str, what: str, units: Iterable[Unit]) -> Unit:
     """A unit running the negative control `case_id`, a case that passes
-    when `units`, a check fed a sign-flipped `what`, fail."""
+    when `units`, a check fed a sign-flipped `what`, fail.  The unit
+    records them in a report of their own, priced as its own report
+    prices, and its case runs that report."""
     units = list(units)
 
     def control(report: VerifyReport) -> None:
-        corrupted = report.nested(case_id, units)
+        corrupted = VerifyReport(case_id, report.price)
+        for unit in units:
+            unit(corrupted)
         report.run_case(
             case_id,
             {},
             f"sign-flipped {what} must fail",
-            lambda: (corrupted().failed > 0, f"corrupted {what} detected"),
+            lambda: (corrupted.run().failed > 0, f"corrupted {what} detected"),
         )
 
     return control
@@ -92,18 +108,6 @@ def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]
         return [(-num, den) for num, den in row(*args)]
 
     return flipped
-
-
-def _prefixed(prefix: str, unit: Unit) -> Unit:
-    """`unit` with `prefix` put before the id of every case it runs."""
-
-    def prefixed(report: VerifyReport) -> None:
-        start = len(report.cases)
-        unit(report)
-        for case in report.cases[start:]:
-            case.id = prefix + case.id
-
-    return prefixed
 
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
@@ -224,24 +228,163 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
             yield partial(unit, n=n, a=a)
 
 
+_PAIR_BROKEN = "pair relation broken at k={j}: F={lhs}, H(k+1)-H(k)={rhs}"
+_CERT_BROKEN = "relation broken at m={j}: lhs={lhs}, rhs={rhs}"
+
+
+def _pair_units(
+    n_max: int,
+    f: Callable[..., list[wz.Ratio]],
+    r: Callable[..., list[wz.Ratio]],
+    a: int | None = None,
+    prefix: str = "",
+) -> Iterator[Unit]:
+    """One unit per n <= n_max, each running the case `prefix`n=<n> on the
+    rows f(n) and r(n), or f(a, n) and r(a, n) given `a`, and, at a = 2,
+    checking that f(2, n) is the two-variable summand row ``wz._f1(n)``."""
+    params = () if a is None else (a,)
+
+    def unit(report: VerifyReport, n: int) -> None:
+        f_row = report.call(f, *params, n)
+        twin_row = report.call(wz._f1, n) if a == 2 else None
+
+        def check() -> tuple[bool, str]:
+            frow = wz._require(f_row(), n + 1)
+            r_row = wz._require(r(*params, n), n + 1)
+            broken = wz._telescopes(frow, frow, r_row, (0, 1), _PAIR_BROKEN)
+            if broken:
+                return False, broken
+            total, den = wz._row_sum(frow)
+            if total:
+                from fractions import Fraction
+
+                return False, f"telescoped sum is {Fraction(total, den)}, not 0"
+            if twin_row is not None:
+                for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, twin_row())):
+                    if fn * gd != gn * fd:
+                        return False, f"a=2 summand differs from two-variable pair at k={k}"
+            return True, "pair relation and telescoped sum hold"
+
+        report.run_case(f"{prefix}n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
+
+    for n in range(1, n_max + 1):
+        yield partial(unit, n=n)
+
+
+def check_wz1(
+    n_max: int,
+    f: Callable[[int], list[wz.Ratio]] = wz._f1,
+    r: Callable[[int], list[wz.Ratio]] = wz._r1,
+) -> VerifyReport:
+    """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k) and the vanishing sum for every
+    n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
+    the row of (numerator, denominator) pairs over k = 0..n, are injectable
+    for negative controls."""
+    return run_units("wz1", _pair_units(n_max, f, r))
+
+
+def check_wz2(
+    a: int,
+    n_max: int,
+    f: Callable[[int, int], list[wz.Ratio]] = wz._f2,
+    r: Callable[[int, int], list[wz.Ratio]] = wz._r2,
+) -> VerifyReport:
+    """Same checks for the generalized pair; at a = 2 additionally asserts
+    coincidence with the two-variable pair."""
+    if a < 2:
+        raise ValueError(f"need a >= 2, got {a}")
+    return run_units(f"wz2[a={a}]", _pair_units(n_max, f, r, a))
+
+
+def _certificate_units(
+    n_max: int,
+    summand: Callable[[int], list[wz.Ratio]] = wz._cert_summand,
+    r: Callable[[int], list[wz.Ratio]] = wz._cert_R,
+    boundary: Callable[[int], wz.Ratio] = wz._cert_boundary,
+) -> Iterator[Unit]:
+    """The units of ``check_certificate_R``: the ``orientation`` case, then
+    one unit per n."""
+
+    def relation(report: VerifyReport, n: int) -> Callable[[], tuple[list[wz.Ratio], str | None]]:
+        """A thunk of F^(n, .) and the first break of ORIENT_F_DIFFERENCE at
+        n, if any, on the summand rows it asks `report` for."""
+        f_this, f_next = report.call(summand, n), report.call(summand, n + 1)
+
+        def telescope() -> tuple[list[wz.Ratio], str | None]:
+            f_n = wz._require(f_this(), n)
+            f_n1 = wz._require(f_next(), n + 1)
+            lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_n1, f_n)]
+            return f_n, wz._telescopes(lhs, f_n, wz._require(r(n), n), boundary(n), _CERT_BROKEN)
+
+        return telescope
+
+    def orientation(report: VerifyReport) -> None:
+        relations = [relation(report, n) for n in range(1, min(n_max, 6) + 1)]
+
+        def check() -> tuple[bool, str]:
+            # every relation runs and the first break is reported
+            first = next(filter(None, [telescope()[1] for telescope in relations]), None)
+            return (False, first) if first else (True, wz.ORIENT_F_DIFFERENCE)
+
+        report.run_case("orientation", {}, "one standard orientation telescopes", check)
+
+    def unit(report: VerifyReport, n: int) -> None:
+        telescope = relation(report, n)
+
+        def check() -> tuple[bool, str]:
+            f_n, broken = telescope()
+            total, den = wz._row_sum(f_n)
+            if total != den:
+                from fractions import Fraction
+
+                return False, f"target sum is {Fraction(total, den)}, not 1"
+            if broken:
+                return False, broken
+            return True, "sum = 1 and the relation telescopes"
+
+        report.run_case(f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
+
+    yield orientation
+    for n in range(1, n_max + 1):
+        yield partial(unit, n=n)
+
+
+def check_certificate_R(
+    n_max: int,
+    summand: Callable[[int], list[wz.Ratio]] = wz._cert_summand,
+    r: Callable[[int], list[wz.Ratio]] = wz._cert_R,
+    boundary: Callable[[int], wz.Ratio] = wz._cert_boundary,
+) -> VerifyReport:
+    """Verify the certificate on 1 <= n <= n_max.
+
+    Per n: (i) the sum of F^(n,m) over 0 <= m <= n-1 equals 1; (ii) the
+    telescoping relation ``wz.ORIENT_F_DIFFERENCE`` holds on 0 <= m <= n-1,
+    with the companion G^ = R * F^ closed by the boundary value G^(n, n).
+    The ``orientation`` case checks the relation on a small grid first and
+    records it in the report.  The summand (a row over m = 0..n-1), the
+    certificate (m = 0..n-1), each of (numerator, denominator) pairs, and
+    the boundary, one such pair per n, are injectable for negative controls.
+    """
+    return run_units("certificate", _certificate_units(n_max, summand, r, boundary))
+
+
 def suite_wz1(max_n: int = 200) -> Iterator[Unit]:
-    yield from wz.wz1_units(max_n)
-    yield _control("negative-control-H", "companion", wz.wz1_units(2, r=_flipped(wz._r1)))
+    yield from _pair_units(max_n, wz._f1, wz._r1)
+    yield _control("negative-control-H", "companion", _pair_units(2, wz._f1, _flipped(wz._r1)))
 
 
 def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> Iterator[Unit]:
     for a in a_values:
-        for unit in wz.wz2_units(a, max_n):
-            yield _prefixed(f"a={a},", unit)
-    yield _control("negative-control-H", "companion", wz.wz2_units(3, 3, r=_flipped(wz._r2)))
+        yield from _pair_units(max_n, wz._f2, wz._r2, a, f"a={a},")
+    yield _control("negative-control-H", "companion", _pair_units(3, wz._f2, _flipped(wz._r2), 3))
 
 
 def suite_certificate(max_n: int = 100) -> Iterator[Unit]:
-    yield from wz.certificate_units(max_n)
+    yield from _certificate_units(max_n)
     yield _control(
         "negative-control-R",
         "certificate",
-        wz.certificate_units(3, r=_flipped(wz._cert_R)),
+        _certificate_units(3, r=_flipped(wz._cert_R)),
     )
 
 
@@ -389,31 +532,32 @@ SUITES: dict[str, tuple[Callable[..., Iterable[Unit]], dict[str, int]]] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def _of_table(work: Callable[[int, int], int]) -> Callable[[Handle], int]:
-    """`work`, priced at the (r, max_degree) of the table whose handle is
-    a call's one argument."""
-    return lambda table: work(*table.args)
+def _spread(work: Callable[..., int]) -> Callable[..., int]:
+    """`work`, priced at the arguments of the call whose handle is a call's
+    first argument, followed by the call's other arguments."""
+    return lambda handle, *args: work(*(handle.args + args))
 
 
 # The cost function of every kernel a unit may ask its report for, each
-# beside its kernel in the kernel's module.
+# beside its kernel in the kernel's module and taking plain integers; a
+# kernel that takes a handle is priced through ``_spread``.
 WORK: dict[str, Callable[..., int]] = {
     "solve_S": solve_work,
     "geode_series": geode.geode_work,
-    "factorization_holds": _of_table(geode.factorization_work),
-    "functional_residual": _of_table(residual_work),
+    "factorization_holds": _spread(geode.factorization_work),
+    "functional_residual": _spread(residual_work),
     "eval_alternating": geode.eval_work,
     "eval_general": geode.eval_work,
     "geode_closed_2var": geode.closed_2var_work,
     "geode_closed_shifted": geode.closed_shifted_work,
     "geode_closed_two_nonzero": geode.closed_two_nonzero_work,
-    "recurrence_break": geode.recurrence_work,
+    "recurrence_break": _spread(geode.recurrence_work),
     "partition_sum_main": identities.partition_sum_work,
     "size_mass": identities.size_mass_work,
     "bracket_power": identities.bracket_power_work,
-    "shifted_binomial_sum": identities.binomial_sum_work,
-    "lower_binomial_sum": identities.binomial_sum_work,
-    "ct_coefficient": identities.ct_coefficient_work,
+    "shifted_binomial_sum": _spread(identities.binomial_sum_work),
+    "lower_binomial_sum": _spread(identities.binomial_sum_work),
+    "ct_coefficient": _spread(identities.ct_coefficient_work),
     "_f1": partial(wz.row_work, 2),
     "_f2": wz.row_work,
     "_cert_summand": partial(wz.row_work, 2),

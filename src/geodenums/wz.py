@@ -1,10 +1,11 @@
-"""Telescoping (WZ-style) verification of the alternating binomial sums.
+"""Telescoping (WZ-style) kernels for the alternating binomial sums.
 
 The divisibility of the hyper-Catalan layers by t_1 + ... + t_r reduces to
 alternating binomial identities; each comes with a companion function whose
-difference telescopes the sum away.  This module checks the telescoping
-relations pointwise on large grids, in exact integers.  No tolerance appears
-anywhere: every equality is exact or the check fails.
+difference telescopes the sum away.  This module builds the rows and checks
+the telescoping relations pointwise, in exact integers, and ``verify`` runs
+them on large grids.  No tolerance appears anywhere: every equality is exact
+or the check fails.
 
 Every grid has one shape: a summand row F, a certificate row R over F's
 support, and one boundary value.  Each row function, given n (and a),
@@ -30,11 +31,10 @@ pairwise, in a tree, as one unreduced (numerator, denominator) pair
 (``_row_sum``), and a Fraction is built only to print a failure.  A
 zero denominator would make both sides of a cross-multiplied relation 0,
 so a grid that reads one is an error, never a pass; so is a row of the
-wrong length.  Each grid check yields its units, one per n (``*_units``),
-so the CLI can spread a grid over processes and price it before any case
-runs; ``check_*`` runs them in order.  Each unit asks its report for the
-summand rows it reads (``report.VerifyReport.call``), and ``row_work``
-prices a row with the passes a unit makes over it.
+wrong length.  This module holds only these kernels and ``row_work``,
+which prices a summand row with the passes a grid unit makes over it; the
+grid units, one per n, and ``check_wz1``, ``check_wz2`` and
+``check_certificate_R``, which run them, are ``verify``'s.
 
 The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
 
@@ -69,11 +69,7 @@ telescope at m = n-1.
 
 from __future__ import annotations
 
-from functools import partial
 from math import comb
-from typing import Callable, Iterator
-
-from .report import Unit, VerifyReport, run_units
 
 ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
@@ -151,9 +147,6 @@ def _cert_boundary(n: int) -> Ratio:
 # ---------------------------------------------------------------------------
 # the grid checks
 
-_PAIR_BROKEN = "pair relation broken at k={j}: F={lhs}, H(k+1)-H(k)={rhs}"
-_CERT_BROKEN = "relation broken at m={j}: lhs={lhs}, rhs={rhs}"
-
 
 def _require(row: list[Ratio], length: int) -> list[Ratio]:
     """Refuse a row of the wrong length, which would leave points unchecked,
@@ -200,160 +193,6 @@ def _telescopes(
             rhs = Fraction(bn, bd) - Fraction(an, ad)
             return template.format(j=j, lhs=Fraction(ln, ld), rhs=rhs)
     return None
-
-
-def _pair_units(
-    n_max: int,
-    f: Callable[..., list[Ratio]],
-    r: Callable[..., list[Ratio]],
-    params: tuple[int, ...] = (),
-    twin: Callable[[int], list[Ratio]] | None = None,
-) -> Iterator[Unit]:
-    """One unit per n <= n_max, each running the case for that n on the
-    rows f(*params, n) and r(*params, n), and, with a `twin`, checking that
-    twin(n) is the same summand row."""
-
-    def unit(report: VerifyReport, n: int) -> None:
-        f_row = report.call(f, *params, n)
-        twin_row = None if twin is None else report.call(twin, n)
-
-        def check() -> tuple[bool, str]:
-            frow = _require(f_row(), n + 1)
-            r_row = _require(r(*params, n), n + 1)
-            broken = _telescopes(frow, frow, r_row, (0, 1), _PAIR_BROKEN)
-            if broken:
-                return False, broken
-            total, den = _row_sum(frow)
-            if total:
-                from fractions import Fraction
-
-                return False, f"telescoped sum is {Fraction(total, den)}, not 0"
-            if twin_row is not None:
-                for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, twin_row())):
-                    if fn * gd != gn * fd:
-                        return False, f"a=2 summand differs from two-variable pair at k={k}"
-            return True, "pair relation and telescoped sum hold"
-
-        report.run_case(f"n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
-
-    for n in range(1, n_max + 1):
-        yield partial(unit, n=n)
-
-
-def wz1_units(
-    n_max: int,
-    f: Callable[[int], list[Ratio]] = _f1,
-    r: Callable[[int], list[Ratio]] = _r1,
-) -> Iterator[Unit]:
-    """The units of ``check_wz1``, one per n."""
-    return _pair_units(n_max, f, r)
-
-
-def check_wz1(
-    n_max: int,
-    f: Callable[[int], list[Ratio]] = _f1,
-    r: Callable[[int], list[Ratio]] = _r1,
-) -> VerifyReport:
-    """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k) and the vanishing sum for every
-    n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
-    the row of (numerator, denominator) pairs over k = 0..n, are injectable
-    for negative controls."""
-    return run_units("wz1", wz1_units(n_max, f, r))
-
-
-def wz2_units(
-    a: int,
-    n_max: int,
-    f: Callable[[int, int], list[Ratio]] = _f2,
-    r: Callable[[int, int], list[Ratio]] = _r2,
-) -> Iterator[Unit]:
-    """The units of ``check_wz2``, one per n."""
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-    return _pair_units(n_max, f, r, (a,), _f1 if a == 2 else None)
-
-
-def check_wz2(
-    a: int,
-    n_max: int,
-    f: Callable[[int, int], list[Ratio]] = _f2,
-    r: Callable[[int, int], list[Ratio]] = _r2,
-) -> VerifyReport:
-    """Same checks for the generalized pair; at a = 2 additionally asserts
-    coincidence with the two-variable pair."""
-    return run_units(f"wz2[a={a}]", wz2_units(a, n_max, f, r))
-
-
-def certificate_units(
-    n_max: int,
-    summand: Callable[[int], list[Ratio]] = _cert_summand,
-    r: Callable[[int], list[Ratio]] = _cert_R,
-    boundary: Callable[[int], Ratio] = _cert_boundary,
-) -> Iterator[Unit]:
-    """The units of ``check_certificate_R``: the ``orientation`` case, then
-    one unit per n."""
-
-    def relation(report: VerifyReport, n: int) -> Callable[[], tuple[list[Ratio], str | None]]:
-        """A thunk of F^(n, .) and the first break of ORIENT_F_DIFFERENCE at
-        n, if any, on the summand rows it asks `report` for."""
-        f_this, f_next = report.call(summand, n), report.call(summand, n + 1)
-
-        def telescope() -> tuple[list[Ratio], str | None]:
-            f_n = _require(f_this(), n)
-            f_n1 = _require(f_next(), n + 1)
-            lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_n1, f_n)]
-            return f_n, _telescopes(lhs, f_n, _require(r(n), n), boundary(n), _CERT_BROKEN)
-
-        return telescope
-
-    def orientation(report: VerifyReport) -> None:
-        relations = [relation(report, n) for n in range(1, min(n_max, 6) + 1)]
-
-        def check() -> tuple[bool, str]:
-            # every relation runs and the first break is reported
-            first = next(filter(None, [telescope()[1] for telescope in relations]), None)
-            return (False, first) if first else (True, ORIENT_F_DIFFERENCE)
-
-        report.run_case("orientation", {}, "one standard orientation telescopes", check)
-
-    def unit(report: VerifyReport, n: int) -> None:
-        telescope = relation(report, n)
-
-        def check() -> tuple[bool, str]:
-            f_n, broken = telescope()
-            total, den = _row_sum(f_n)
-            if total != den:
-                from fractions import Fraction
-
-                return False, f"target sum is {Fraction(total, den)}, not 1"
-            if broken:
-                return False, broken
-            return True, "sum = 1 and the relation telescopes"
-
-        report.run_case(f"n={n:03d}", {"n": n}, "sum = 1, relation holds", check)
-
-    yield orientation
-    for n in range(1, n_max + 1):
-        yield partial(unit, n=n)
-
-
-def check_certificate_R(
-    n_max: int,
-    summand: Callable[[int], list[Ratio]] = _cert_summand,
-    r: Callable[[int], list[Ratio]] = _cert_R,
-    boundary: Callable[[int], Ratio] = _cert_boundary,
-) -> VerifyReport:
-    """Verify the certificate on 1 <= n <= n_max.
-
-    Per n: (i) the sum of F^(n,m) over 0 <= m <= n-1 equals 1; (ii) the
-    telescoping relation ORIENT_F_DIFFERENCE holds on 0 <= m <= n-1, with
-    the companion G^ = R * F^ closed by the boundary value G^(n, n).  The
-    ``orientation`` case checks the relation on a small grid first and
-    records it in the report.  The summand (a row over m = 0..n-1), the
-    certificate (m = 0..n-1), each of (numerator, denominator) pairs, and
-    the boundary, one such pair per n, are injectable for negative controls.
-    """
-    return run_units("certificate", certificate_units(n_max, summand, r, boundary))
 
 
 def row_work(a: int, n: int) -> int:

@@ -189,6 +189,36 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "thm2 compares its closed form with itself, not the two-variable form",
+        "src/geodenums/verify.py",
+        "closed() != two_var():\n" + " " * 24 + "return False, f\"{closed()}",
+        "closed() != closed():\n" + " " * 24 + "return False, f\"{closed()}",
+        (
+            "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
+            "[thm2]",
+        ),
+    ),
+    Mutant(
+        "two-nonzero compares its closed form with itself, not the two-variable form",
+        "src/geodenums/verify.py",
+        "closed() != two_var():\n" + " " * 28 + "return False, f\"two-variable",
+        "closed() != closed():\n" + " " * 28 + "return False, f\"two-variable",
+        (
+            "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
+            "[two-nonzero]",
+        ),
+    ),
+    Mutant(
+        "wz2 at a = 2 compares its summand row with itself, not F_1's",
+        "src/geodenums/verify.py",
+        "if fn * gd != gn * fd:",
+        "if fn * gd != fn * gd:",
+        (
+            "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
+            "[wz2]",
+        ),
+    ),
+    Mutant(
         "a tiny request forks a helper",
         "src/geodenums/verify.py",
         "sum(work for *_, work in units) > _FORK_WORK",

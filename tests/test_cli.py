@@ -192,10 +192,17 @@ def test_table_raises_on_a_term_outside_its_layer(monkeypatch):
         cli.main(["table", "--kind", "S", "--vars", "2", "--max-degree", "2", "--out", os.devnull])
 
 
-def test_table_rejects_zero_vars(capsys):
+@pytest.mark.parametrize("flags, line", [
+    (["--vars", "0", "--max-degree", "3"], "--vars must be >= 1, got 0"),
+    (["--vars", "2", "--max-degree", "-1"], "--max-degree must be >= 0, got -1"),
+], ids=["vars 0", "max-degree -1"])
+def test_table_rejects_a_bound_below_its_minimum(flags, line, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["table", "--vars", "0", "--max-degree", "3", "--kind", "S"])
+        cli.main(["table", *flags, "--kind", "S"])
     assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [text for text in lines if "error:" in text] == lines[-1:]
+    assert lines[-1] == f"geodenums: error: {line}"
 
 
 def test_table_writes_file(tmp_path, capsys):
@@ -1918,6 +1925,46 @@ def test_suite_fails_when_a_weight_or_the_residual_is_perturbed(
     monkeypatch.setattr(module, function, perturb(getattr(module, function)))
     statuses = {case.status for case in run_units(name, suite(**bounds)).cases}
     assert "fail" in statuses and "error" not in statuses, statuses
+
+
+def _raised_at(function, point):
+    """`function` with 1 added to its value at the arguments `point`."""
+    return lambda *args: function(*args) + (args == point)
+
+
+def _row_raised_at(row, point):
+    """The row description with 1 added to the numerator of one entry: the
+    last item of `point` is the entry's index, the others the arguments."""
+    *where, index = point
+
+    def raised(*args):
+        values = row(*args)
+        if list(args) == where:
+            values[index] = (values[index][0] + 1, values[index][1])
+        return values
+
+    return raised
+
+
+# A cross-check compares a closed form or row with a second route to the
+# same value; each perturbs the second route at one point.
+@pytest.mark.parametrize("name, module, function, perturb, bounds, failures", [
+    ("thm2", geode, "geode_closed_2var", partial(_raised_at, point=(1, 2)),
+     {"max_sum": 3, "a_values": (2, 3)}, {"a=2,p=01,q=02": "110 != two-variable closed form"}),
+    ("two-nonzero", geode, "geode_closed_2var", partial(_raised_at, point=(1, 2)),
+     {"max_n": 4}, {"s=1,t=2,n=4": "two-variable closed form differs at i=2"}),
+    ("wz2", wz, "_f1", partial(_row_raised_at, point=(5, 2)),
+     {"max_n": 6, "a_values": (2, 3)},
+     {"a=2,n=005": "a=2 summand differs from two-variable pair at k=2"}),
+], ids=["thm2", "two-nonzero", "wz2"])
+def test_a_cross_check_fails_only_where_its_second_route_is_perturbed(
+    name, module, function, perturb, bounds, failures, monkeypatch
+):
+    suite = verify.SUITES[name][0]
+    monkeypatch.setattr(module, function, perturb(getattr(module, function)))
+    report = run_units(name, suite(**bounds))
+    expected = {case_id: ("fail", actual) for case_id, actual in failures.items()}
+    assert {c.id: (c.status, c.actual) for c in report.cases if c.status != "pass"} == expected
 
 
 # ---------------------------------------------------------------------------

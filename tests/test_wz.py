@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from geodenums import wz
 from geodenums.geode import geode_closed_2var
-from geodenums.verify import _flipped
-from geodenums.wz import ORIENT_F_DIFFERENCE, check_certificate_R, check_wz1, check_wz2
+from geodenums.verify import _flipped, check_certificate_R, check_wz1, check_wz2
+from geodenums.wz import ORIENT_F_DIFFERENCE
 
 
 def _values(row):
@@ -320,3 +320,15 @@ def test_sum_checks_catch_what_the_relations_do_not():
     doubled = lambda n: [(2 * num, den) for num, den in wz._cert_summand(n)]
     report = check_certificate_R(3, summand=doubled)
     assert report.cases[1].actual == "target sum is 2, not 1"
+
+
+def test_a_row_of_the_wrong_length_is_an_error_not_a_pass():
+    report = check_wz1(3, f=lambda n: wz._f1(n)[:-1])
+    assert [(case.status, case.actual) for case in report.cases] == [
+        ("error", f"ValueError: grid row has {n} entries, not {n + 1}") for n in (1, 2, 3)
+    ]
+
+
+def test_check_wz2_refuses_a_below_2():
+    with pytest.raises(ValueError, match="need a >= 2, got 1"):
+        check_wz2(1, 5)
