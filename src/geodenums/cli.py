@@ -33,7 +33,7 @@ from typing import IO, Callable, Sequence
 
 from . import geode
 from .hypercat import _solve_layers, hyper_catalan, solve_work
-from .mpoly import _unpack_layer, coeff
+from .mpoly import _layer_labels, _misplaced, coeff
 
 # Most work one request may take: the oracle table behind `table` or
 # `coeff`, or every kernel call the units of one `verify` suite declare,
@@ -89,32 +89,45 @@ def _check_work(
 def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
     """Solve the `kind` table in `r` variables through degree `trunc` and
     write it to `out` in `fmt` straight from its packed layers: S from
-    ``hypercat._solve_layers``, G from ``geode._geode_layers``.  Each
-    layer is decoded and sorted once by ``mpoly._unpack_layer`` and
-    written with one write, so the terms come out by degree, then
-    lexicographically, and only one layer's text is held at a time.  The
-    JSON is laid out as ``json.dumps(series_to_dict(series), indent=2)``
-    lays it out, byte for byte; the tests compare the two."""
+    ``hypercat._solve_layers``, G from ``geode._geode_layers``.  The solver
+    lists every monomial of a layer's degree once, in descending
+    lexicographic order, so each layer is reversed and its keys are
+    compared, in one list comparison, with those ``mpoly._layer_labels``
+    generates in ascending order; the exponent texts generated beside
+    them label its rows, and a layer whose keys differ is refused
+    (``mpoly._misplaced``).  Each layer is written with one write, so the
+    terms come out by degree, then lexicographically, and only one
+    layer's text is held at a time.  The JSON is laid out as
+    ``json.dumps(series_to_dict(series), indent=2)`` lays it out, byte for
+    byte; the tests compare the two."""
     shift, layers = (_solve_layers if kind == "S" else geode._geode_layers)(r, trunc)
     if fmt == "json":
-        term = (
-            '    {\n      "exps": [\n        '
-            + ",\n        ".join(["%d"] * r)
-            + '\n      ],\n      "coeff": "%d"\n    }'
-        )
+        row = '    {\n      "exps": [\n        %s\n      ],\n      "coeff": "%d"\n    }'
+        sep, joiner = ",\n        ", ",\n"
         out.write('{\n  "nvars": %d,\n  "trunc": %d,\n  "terms": [' % (r, trunc))
-        separator = "\n"  # before the first term; ",\n" between terms
-        for d, layer in enumerate(layers):
-            rows = _unpack_layer(layer, r, shift, d)
-            if rows:
-                out.write(separator + ",\n".join([term % (*m, c) for m, c in rows]))
-                separator = ",\n"
-        out.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
-        return
-    line = ",".join(["%d"] * r) + ",%d\n"
-    out.write(",".join(f"m_{i + 1}" for i in range(r)) + ",coeff\n")
+    else:
+        row, sep, joiner = "%s,%d\n", ",", ""
+        out.write(",".join(f"m_{i + 1}" for i in range(r)) + ",coeff\n")
+    separator = "\n"  # before the first JSON term; ",\n" between terms
+    labels = _layer_labels(r, shift, len(layers) - 1, sep)
     for d, layer in enumerate(layers):
-        out.write("".join([line % (*m, c) for m, c in _unpack_layer(layer, r, shift, d)]))
+        keys, texts = next(labels)
+        layer.reverse()
+        if [key for key, _ in layer] != keys:
+            raise _misplaced(layer, keys, r, shift, d)
+        # each whole copy of the layer's text, its labels, its rows, their
+        # join and the encoding the write makes, is freed once the next is
+        # made, so at most two are held at once
+        rows = [row % (text, c) for text, (_, c) in zip(texts, layer) if c]
+        del keys, texts
+        if fmt == "json" and rows:
+            rows[0] = separator + rows[0]
+            separator = ",\n"
+        text = joiner.join(rows)
+        del rows
+        out.write(text)
+    if fmt == "json":
+        out.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,19 @@ def _solve_layers(r: int, max_degree: int, *, geode: bool = False) -> tuple[int,
 
     Layers are lists of (packed exponent, coefficient) pairs, exponents
     packed in fields of ``shift`` bits; layer 0 is exactly [(0, 1)].
+
+    Each layer lists every monomial of its degree once, with a positive
+    coefficient, in descending lexicographic order of exponent tuples, and
+    ``geodenums table`` labels its rows from that order
+    (``cli._write_table``).  By induction on the degree: take a target m.
+    The lexicographically largest of its sources is m - e_k, where k is
+    the last nonzero index of m.  The loop visits the sources in
+    descending lexicographic order, with k ascending for each, and a dict
+    keeps the order of first insertion, so m is first inserted at (the
+    rank of that source, k).  Compared at their first differing index, two
+    targets are in this order exactly when they are in descending
+    lexicographic order.  The dict of the last layer is filled by the same
+    loop.
     """
     if r < 1:
         raise ValueError(f"need at least one variable, got r={r}")
@@ -210,7 +223,8 @@ def solve_work(r: int, max_degree: int, *, geode: bool = False) -> int:
       coefficients are far shorter than W, so the part matters only with
       few variables at a high degree;
     - each of the r C(r + D, r) exponent entries of the table counts 4:
-      it is decoded, checked against its layer's degree and written once;
+      its text is generated, its layer's key checked against the
+      generated one, and it is formatted and written once;
     - the r packed t_1..t_r, up to r fields long, count r^2, which bounds
       r even at max_degree 0.
 

@@ -35,11 +35,15 @@ The algebra on ``TruncatedSeries`` values, ``mul``, ``sub``, ``s1_series``,
 it: it is the reference form in which the tests and the benchmark replay
 state and time the series algebra.
 
-``geodenums table`` writes S and G from packed layers as well:
-``_unpack_layer`` decodes one layer's keys once, sorts them and checks
-that each has its layer's degree, which stands in for the check that
-``TruncatedSeries`` makes on construction.  ``series_to_dict`` renders
-a series as that table's JSON does, and the tests compare the two.
+``geodenums table`` writes S and G from packed layers as well, and
+decodes no key: the solver lists each layer's monomials in a fixed
+lexicographic order, and ``_layer_labels`` generates the keys and
+exponent texts of every monomial of a degree in that order, so the
+writer compares a layer's keys with the generated ones, which stands in
+for the check that ``TruncatedSeries`` makes on construction, and labels
+its rows with the texts.  ``_misplaced`` decodes a layer only to name
+what differs.  ``series_to_dict`` renders a series as that table's JSON
+does, and the tests compare the two.
 
 Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads.
@@ -252,20 +256,94 @@ def _unpack_terms(
     }
 
 
-def _unpack_layer(
-    layer: Iterable[tuple[int, int]], nvars: int, shift: int, degree: int
-) -> list[tuple[ExpVec, int]]:
-    """Packed layer `degree` as (exponent tuple, coefficient) pairs in
-    lexicographic order, dropping zero coefficients as ``_unpack_terms``
-    does.  Each key is decoded once; a tuple whose total degree is not
-    `degree`, as from a field that overflowed, raises ValueError."""
+def _layer_labels(
+    nvars: int, shift: int, top: int, sep: str
+) -> Iterator[tuple[list[int], list[str]]]:
+    """For each degree d = 0..top in turn, the packed keys and the exponent
+    texts of all C(nvars + d - 1, d) monomials of degree d, in ascending
+    lexicographic order; a text is the monomial's exponents joined by
+    `sep`.  Each degree is built when it is asked for, so a caller that
+    stops early builds no more, and what the generator keeps to build the
+    next degree from is freed before it yields the top one.
+
+    A monomial of degree d > 0 in the last m variables is k zeros, then
+    a >= 1, then a monomial of degree d - a in the last m - 1 - k
+    variables (with k = m - 1, a is d and nothing follows), and ordering
+    by k descending, then a ascending, then that tail, is lexicographic
+    order.  So each (m, d) is one flat comprehension over the heads
+    (k, a), whose texts ``heads[k][a]`` and tails of lower degree are
+    built already.  Tails are built only below the top degree, so the
+    labels of a wide, shallow table cost about as much as its top layer's
+    text; splitting off the first variable instead builds every degree in
+    every number of variables, about ten times as much at (100, 2).
+    """
+    yield [0], [sep.join(["0"] * nvars)]
+    if not top:
+        return
+    last = (nvars - 1) * shift  # t_r's field
+    # zeros[m]: the text of m zero exponents, which tails[m][0] shares
+    zeros = [sep.join(["0"] * m) for m in range(nvars)]
+    # tails[m][e]: keys and texts of degree e in the last m variables
+    tails = [[([0], [z])] for z in zeros]
+    # heads[k][a], a >= 1: the text of k zero exponents and a, each followed by sep
+    heads: list[list[str]] = [[""] for _ in range(nvars - 1)]
+
+    def level(m: int, d: int) -> tuple[list[int], list[str]]:
+        if m == 1:
+            return [d << last], [str(d)]
+        first = (nvars - m) * shift
+        parts = [(d << last, f"{zeros[m - 1]}{sep}{d}", tails[0][0])]
+        parts += [
+            (a << (first + k * shift), heads[k][a], tails[m - 1 - k][d - a])
+            for k in range(m - 2, -1, -1)
+            for a in range(1, d + 1)
+        ]
+        if d == top:
+            # nothing reads them again: freed before the caller formats the top layer
+            zeros.clear()
+            heads.clear()
+            tails.clear()
+        return (
+            [b + key for b, _, (keys, _) in parts for key in keys],
+            [h + text for _, h, (_, texts) in parts for text in texts],
+        )
+
+    for d in range(1, top + 1):
+        for z, h in zip(zeros, heads):
+            h.append(f"{z}{sep}{d}{sep}" if z else f"{d}{sep}")
+        yield level(nvars, d)
+        if d < top:
+            for m in range(1, nvars):
+                tails[m].append(level(m, d))
+
+
+def _misplaced(
+    layer: Sequence[tuple[int, int]], keys: Sequence[int], nvars: int, shift: int, degree: int
+) -> ValueError:
+    """The error for a packed layer, in ascending order, whose keys are not
+    `keys`, all monomials of `degree` in ascending lexicographic order: a
+    term of another total degree, as from a field that overflowed, or else
+    the first monomial missing, repeated or out of order."""
     mask = (1 << shift) - 1
     offsets = [i * shift for i in range(nvars)]
-    rows = sorted([(tuple([(packed >> o) & mask for o in offsets]), c) for packed, c in layer if c])
-    for m, _ in rows:
+
+    def exps(key: int) -> ExpVec:
+        return tuple([(key >> o) & mask for o in offsets])
+
+    for key, _ in layer:
+        m = exps(key)
         if sum(m) != degree:
-            raise ValueError(f"term {m} has total degree {sum(m)}, not its layer's {degree}")
-    return rows
+            return ValueError(f"term {m} has total degree {sum(m)}, not its layer's {degree}")
+    held = [key for key, _ in layer]
+    pairs = enumerate(zip(held, keys))
+    i = next((i for i, (key, want) in pairs if key != want), min(len(held), len(keys)))
+
+    def name(at: Sequence[int]) -> str:
+        return str(exps(at[i])) if i < len(at) else "nothing"
+
+    return ValueError(
+        f"layer {degree} holds {name(held)} where lexicographic order puts {name(keys)}"
+    )
 
 
 def _layer_product(a: Layers, b: Layers, d: int, out: dict[int, int]) -> dict[int, int]:

@@ -97,6 +97,27 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the table writer skips its key comparison",
+        "src/geodenums/cli.py",
+        "if [key for key, _ in layer] != keys:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_table_raises_on_a_term_outside_its_layer",
+            "tests/test_cli.py::test_table_raises_on_a_layer_out_of_lexicographic_order",
+        ),
+    ),
+    Mutant(
+        "mpoly._layer_labels runs the first nonzero exponent the wrong way",
+        "src/geodenums/mpoly.py",
+        "for a in range(1, d + 1)",
+        "for a in range(d, 0, -1)",
+        (
+            "tests/test_mpoly.py::test_layer_labels_list_every_monomial_of_each_degree_in_lexicographic_order",
+            "tests/test_cli.py::test_table_output_bytes_are_pinned",
+            "tests/test_golden.py::test_table_equals_its_golden_digest",
+        ),
+    ),
+    Mutant(
         "report.Handle forgets the exception of a build",
         "src/geodenums/report.py",
         "self.outcome = (None, exc)",

@@ -172,13 +172,15 @@ def _table_output(kind, fmt, r, degree):
 @given(st.sampled_from("SG"), st.sampled_from(("json", "csv")), st.integers(1, 4),
        st.integers(0, 6))
 # wide layers (r = 30 or 100 at degree 2, r = 6 at degree 8) and long
-# coefficients (one variable through degree 300)
+# coefficients (one variable through degree 300, two through 100)
 @example("S", "json", 30, 2)
 @example("G", "csv", 30, 2)
 @example("S", "csv", 6, 8)
 @example("G", "json", 6, 8)
 @example("S", "json", 100, 2)
 @example("S", "csv", 1, 300)
+@example("S", "csv", 2, 100)
+@example("G", "json", 100, 2)
 def test_table_output_equals_the_reference_rendering(kind, fmt, r, degree):
     assert _table_output(kind, fmt, r, degree) == _reference_table(kind, fmt, r, degree)
 
@@ -190,6 +192,32 @@ def test_table_raises_on_a_term_outside_its_layer(monkeypatch):
     monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (shift, layers))
     with pytest.raises(ValueError, match="total degree 2, not its layer's 1"):
         cli.main(["table", "--kind", "S", "--vars", "2", "--max-degree", "2", "--out", os.devnull])
+
+
+# layer 1 in two variables, as the solver lists it: (1, 0), then (0, 1)
+_T1, _T2 = 1, 1 << mpoly._packing_shift(1)
+
+
+def test_table_drops_a_zero_coefficient_row(monkeypatch, capsys):
+    layers = [[(0, 1)], [(_T1, 0), (_T2, 3)]]
+    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (mpoly._packing_shift(1), layers))
+    code, out = run_cli(capsys, "table", "--kind", "S", "--vars", "2", "--max-degree", "1",
+                        "--format", "csv")
+    assert code == 0
+    assert out == "m_1,m_2,coeff\n0,0,1\n0,1,3\n"
+
+
+@pytest.mark.parametrize("layer, line", [
+    ([(_T2, 3), (_T1, 2)], "layer 1 holds (1, 0) where lexicographic order puts (0, 1)"),
+    ([(_T1, 2)], "layer 1 holds (1, 0) where lexicographic order puts (0, 1)"),
+    ([(_T2, 3)], "layer 1 holds nothing where lexicographic order puts (1, 0)"),
+    ([(_T1, 2), (_T1, 2), (_T2, 3)], "layer 1 holds (1, 0) where lexicographic order puts nothing"),
+], ids=["swapped", "first missing", "last missing", "repeated"])
+def test_table_raises_on_a_layer_out_of_lexicographic_order(layer, line, monkeypatch):
+    layers = [[(0, 1)], layer]
+    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (mpoly._packing_shift(1), layers))
+    with pytest.raises(ValueError, match=re.escape(line)):
+        cli.main(["table", "--kind", "S", "--vars", "2", "--max-degree", "1", "--out", os.devnull])
 
 
 @pytest.mark.parametrize("flags, line", [

@@ -26,7 +26,7 @@ from geodenums.mpoly import (
     OutOfRangeError,
     TruncatedSeries,
     _divide_layers,
-    _unpack_layer,
+    _unpack_terms,
     coeff,
     iter_exponents,
 )
@@ -209,8 +209,8 @@ def test_geode_layers_equal_s_solved_one_degree_up_and_divided():
         seeded_shift, seeded = _geode_layers(r, degree)
         assert len(seeded) == len(quotient) == degree + 1, (r, degree)
         for d, (ours, reference) in enumerate(zip(seeded, quotient)):
-            assert _unpack_layer(ours, r, seeded_shift, d) == _unpack_layer(
-                reference, r, shift, d
+            assert _unpack_terms(ours, r, seeded_shift) == _unpack_terms(
+                reference, r, shift
             ), (r, degree, d)
 
 

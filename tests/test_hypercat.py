@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import gc
 from itertools import accumulate
+from math import comb
 from operator import add
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodenums import hypercat
 from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
@@ -174,3 +177,27 @@ def test_a_solve_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
         assert gc.isenabled() == collecting
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10), st.booleans())
+# wide, deep, and wide again at a higher degree
+@example(100, 2, False)
+@example(100, 2, True)
+@example(1, 200, False)
+@example(1, 200, True)
+@example(40, 3, False)
+@example(40, 3, True)
+def test_each_layer_lists_every_monomial_once_in_descending_lexicographic_order(r, degree, geode):
+    # the order `geodenums table` labels its rows from: layer d holds all
+    # C(r + d - 1, d) monomials of degree d, each with a positive
+    # coefficient, their exponent tuples strictly descending
+    shift, layers = hypercat._solve_layers(r, degree, geode=geode)
+    mask = (1 << shift) - 1
+    assert len(layers) == degree + 1
+    for d, layer in enumerate(layers):
+        exps = [tuple((key >> (i * shift)) & mask for i in range(r)) for key, _ in layer]
+        assert len(layer) == comb(r + d - 1, d), (r, degree, d)
+        assert all(c > 0 for _, c in layer), (r, degree, d)
+        assert all(sum(m) == d for m in exps), (r, degree, d)
+        assert all(a > b for a, b in zip(exps, exps[1:])), (r, degree, d)

@@ -285,16 +285,18 @@ def test_json_dict_shape_and_order():
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
 
 
-def test_unpack_layer_sorts_drops_zeros_and_checks_the_degree():
-    shift = mpoly._packing_shift(3)
-
-    def packed(m1, m2):
-        return m1 + (m2 << shift)
-
-    layer = [(packed(1, 1), 5), (packed(2, 0), 0), (packed(0, 2), -7)]
-    assert mpoly._unpack_layer(layer, 2, shift, 2) == [((0, 2), -7), ((1, 1), 5)]
-    with pytest.raises(ValueError, match="total degree 2, not its layer's 3"):
-        mpoly._unpack_layer(layer, 2, shift, 3)
+@pytest.mark.parametrize("sep", [",", ",\n        "], ids=["csv", "json"])
+def test_layer_labels_list_every_monomial_of_each_degree_in_lexicographic_order(sep):
+    # r = 1..5 through degree 6, then deep and wide
+    for r, top in [(r, top) for r in range(1, 6) for top in range(7)] + [(1, 60), (2, 30), (40, 3)]:
+        shift = mpoly._packing_shift(top)
+        labels = list(mpoly._layer_labels(r, shift, top, sep))
+        assert len(labels) == top + 1, (r, top)
+        for d, (keys, texts) in enumerate(labels):
+            monomials = list(iter_exponents(r, d))
+            packed = [sum(e << (i * shift) for i, e in enumerate(m)) for m in monomials]
+            assert keys == packed, (r, top, d)
+            assert texts == [sep.join(map(str, m)) for m in monomials], (r, top, d)
 
 
 def read_back(data: dict) -> TruncatedSeries:
