@@ -43,7 +43,7 @@ module (``partition_sum_work`` and the others), in the units of
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 
 
 def binom_general(y: int, k: int) -> int:
@@ -99,28 +99,21 @@ def partition_sum_main(n: int, a: int) -> int:
         (-1)^(1+|l|) (n - m_2a) multinomial(n; m) C(|l|+n+1, |l|+1) / (|l|+n+1)
 
     in integers.  The weights (n - m_2a) multinomial(n; m) of one size add
-    up to the z^|l| coefficient of n P^n - n z^(2a) P^(n-1); each size
-    contributes a numerator over the least common denominator of the
-    |l|+n+1, |l| <= 2an.  The sum always clears to the integer a^(n-1), and
-    the denominator is asserted to divide it.
+    up to the z^|l| coefficient of n P^n - n z^(2a) P^(n-1).  The lower
+    index |l|+1 is n below the upper, so C(|l|+n+1, |l|+1) / (|l|+n+1) =
+    C(|l|+n, |l|+1) / n, and the factor n of the weights cancels it: with
+    M_L the signed size masses of length L (``size_mass``), the sum is
+
+        -sum over sizes s of (M_n[s] - M_(n-1)[s-2a]) C(s+n, s+1),
+
+    a sum of integers with no division, which always comes to a^(n-1).
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
-    sizes = range(2 * a * n + 1)
-    den = lcm(*(size + n + 1 for size in sizes))
-    # The term depends on |l| through one integer per size, scaled to den.
-    scaled = [comb(size + n + 1, size + 1) * (den // (size + n + 1)) for size in sizes]
     # z^(2a) keeps the sign of each size, since 2a is even.
     shifted = [0] * (2 * a) + size_mass(n - 1, a)
-    total = -n * sum((m - s) * c for m, s, c in zip(size_mass(n, a), shifted, scaled))
-    value, rem = divmod(total, den)
-    if rem:
-        from fractions import Fraction
-
-        raise ArithmeticError(
-            f"sum for n={n}, a={a} is not an integer: {Fraction(total, den)}"
-        )
-    return value
+    masses = zip(size_mass(n, a), shifted)
+    return -sum((m - s) * comb(size + n, size + 1) for size, (m, s) in enumerate(masses))
 
 
 def claim1_sum(n: int, a: int, x: int) -> int:
@@ -220,13 +213,13 @@ def partition_sum_work(n: int, a: int) -> int:
     """Estimated work of ``partition_sum_main(n, a)``.
 
     Its two size masses (``size_mass_work``) and, for each of the S = 2an
-    + 1 sizes, a step of the lcm, a binomial C(|l|+n+1, |l|+1) of at most
-    n factors, a division of the lcm and two products, on ints of about
-    N = S + n bits (the lcm of N integers has about 1.44 N bits).  A size
-    counts 16 plus N (10 + n) / 1024, the length of its operands times the
-    binomial's factors, and a call 64 more.  Calibration: at most 0.84 of
-    the estimate's time from (1, 1) to (80, 10) and (10, 1000); at (60,
-    10), 12 ms, 0.49 of it."""
+    + 1 sizes, a binomial C(|l|+n, |l|+1) of n - 1 factors and a product
+    with a mass.  A size counts 16 plus N (10 + n) / 1024, N = S + n, the
+    length of an N-bit operand times the binomial's factors, and a call
+    64 more; the binomials and masses are shorter than N bits, so the
+    second term is headroom.  Calibration: in process on one CPU, best of
+    five, at most 0.54 of the estimate's time from (1, 1) to (136, 3),
+    (3, 153) and (10, 1000); at (60, 10), 10 ms, 0.41 of it."""
     sizes = 2 * a * n + 1
     top = sizes + n
     rest = 64 + sizes * (16 + top * (10 + n) // 1024)

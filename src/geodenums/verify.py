@@ -278,8 +278,8 @@ def check_wz1(
 ) -> VerifyReport:
     """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k) and the vanishing sum for every
     n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
-    the row of (numerator, denominator) pairs over k = 0..n, are injectable
-    for negative controls."""
+    the row of (numerator, denominator) pairs over k = 0..n, the summand's
+    over one denominator, are injectable for negative controls."""
     return run_units("wz1", _pair_units(n_max, f, r))
 
 
@@ -361,9 +361,10 @@ def check_certificate_R(
     telescoping relation ``wz.ORIENT_F_DIFFERENCE`` holds on 0 <= m <= n-1,
     with the companion G^ = R * F^ closed by the boundary value G^(n, n).
     The ``orientation`` case checks the relation on a small grid first and
-    records it in the report.  The summand (a row over m = 0..n-1), the
-    certificate (m = 0..n-1), each of (numerator, denominator) pairs, and
-    the boundary, one such pair per n, are injectable for negative controls.
+    records it in the report.  The summand (a row over m = 0..n-1, over one
+    denominator), the certificate (m = 0..n-1), each of (numerator,
+    denominator) pairs, and the boundary, one such pair per n, are
+    injectable for negative controls.
     """
     return run_units("certificate", _certificate_units(n_max, summand, r, boundary))
 

@@ -12,10 +12,11 @@ support, and one boundary value.  Each row function, given n (and a),
 returns the integer (numerator, denominator) pairs of the whole row over k
 (or m).  Every summand is one call of one row builder, ``_row``:
 
-    (-1)^(j+parity) C(p, j) C(q+j, b+j) / (d0 + d1 j),   j = 0..count-1,
+    (-1)^(j+parity) C(p, j) C(q+j, b+j) / den,   j = 0..count-1,
 
-with p, q, b, d0, d1 affine in (a, n).  It starts the signed product of
-the two binomials from math.comb and steps it by their exact ratio
+with p, q, b and den fixed by (a, n): the entries of one summand row
+share one denominator.  It starts the signed product of the two
+binomials from math.comb and steps it by their exact ratio
 
     (p-j)(q+j+1) / ((j+1)(b+j+1)),
 
@@ -26,25 +27,38 @@ printed below.
 
 One loop, ``_telescopes``, checks every grid.  It forms the companion
 C = R * F entry by entry, appends the boundary value, and checks
-lhs(j) = C(j+1) - C(j) by cross-multiplying.  Every sum is added
-pairwise, in a tree, as one unreduced (numerator, denominator) pair
-(``_row_sum``), and a Fraction is built only to print a failure.  A
-zero denominator would make both sides of a cross-multiplied relation 0,
-so a grid that reads one is an error, never a pass; so is a row of the
-wrong length.  This module holds only these kernels and ``row_work``,
-which prices a summand row with the passes a grid unit makes over it; the
-grid units, one per n, and ``check_wz1``, ``check_wz2`` and
-``check_certificate_R``, which run them, are ``verify``'s.
+lhs(j) = C(j+1) - C(j) by cross-multiplying.  A summand row is summed by
+adding its numerators over its one denominator (``_row_sum``), and a
+Fraction is built only to print a failure.  A zero denominator would make
+both sides of a cross-multiplied relation 0, so a grid that reads one is
+an error, never a pass; so is a row of the wrong length, and a summand
+row whose entries do not share one denominator.  This module holds only
+these kernels and ``row_work``, which prices a summand row with the
+passes a grid unit makes over it; the grid units, one per n, and
+``check_wz1``, ``check_wz2`` and ``check_certificate_R``, which run them,
+are ``verify``'s.
+
+The paper's summands of the two pairs below carry a denominator that
+moves with k, N = an+1+k.  The lower index of their second binomial is
+N - n, so C(N, N-n) / N = C(N, n) / N = C(N-1, n-1) / n, and
+
+    C(an+1+k, (a-1)n+1+k) / (an+1+k) = C(an+k, (a-1)n+1+k) / n:
+
+``_f1`` and ``_f2`` build the right-hand form, whose rows share the one
+denominator n.  The certificate's summand has the one denominator 2n+1
+as the paper writes it.
 
 The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
 
     F_1(n,k) = (-1)^k C(n,k) C(2n+1+k, n+1+k) / (2n+1+k)
+             = (-1)^k C(n,k) C(2n+k, n+1+k) / n
     R_1(n,k) = -k(n+1+k) / (n(2n+1)),   H_1 = R_1 * F_1,   H_1(n,n+1) = 0
     relation F_1(n,k) = H_1(n,k+1) - H_1(n,k), hence sum_k F_1(n,k) = 0.
 
 The generalized pair (parameter a >= 2; a = 2 reproduces the above):
 
     F_2(a,n,k) = (-1)^k C(n,k) C(an+1+k, (a-1)n+1+k) / (an+1+k)
+               = (-1)^k C(n,k) C(an+k, (a-1)n+1+k) / n
     R_2(a,n,k) = -k((a-1)n+1+k) / (n(an+1)),   H_2 = R_2 * F_2
 
 The certificate check: the sum of
@@ -81,9 +95,9 @@ Ratio = tuple[int, int]
 # the descriptions: each formula is typed here once, as a row over k or m
 
 
-def _row(parity: int, p: int, q: int, b: int, d0: int, d1: int, count: int) -> list[Ratio]:
-    """(-1)^(j+parity) C(p, j) C(q+j, b+j) / (d0 + d1 j) for j = 0..count-1:
-    the one shape of every summand.
+def _row(parity: int, p: int, q: int, b: int, den: int, count: int) -> list[Ratio]:
+    """(-1)^(j+parity) C(p, j) C(q+j, b+j) / den for j = 0..count-1: the
+    one shape of every summand, over one denominator.
 
     The signed numerator starts at (-1)^parity C(q, b) and steps by the
     exact ratio -(p-j)(q+j+1) / ((j+1)(b+j+1)) of neighbouring entries;
@@ -92,10 +106,10 @@ def _row(parity: int, p: int, q: int, b: int, d0: int, d1: int, count: int) -> l
     if count < 1:
         return []
     value = (-1) ** parity * comb(q, b)
-    row = [(value, d0)]
+    row = [(value, den)]
     for j in range(count - 1):
         value = -value * ((p - j) * (q + j + 1)) // ((j + 1) * (b + j + 1))
-        row.append((value, d0 + d1 * (j + 1)))
+        row.append((value, den))
     last = count - 1
     closed = (-1) ** (last + parity) * comb(p, last) * comb(q + last, b + last)
     if value != closed:
@@ -104,8 +118,8 @@ def _row(parity: int, p: int, q: int, b: int, d0: int, d1: int, count: int) -> l
 
 
 def _f1(n: int) -> list[Ratio]:
-    """F_1(n, k) for k = 0..n."""
-    return _row(0, n, 2 * n + 1, n + 1, 2 * n + 1, 1, n + 1)
+    """F_1(n, k) for k = 0..n, over the one denominator n."""
+    return _row(0, n, 2 * n, n + 1, n, n + 1)
 
 
 def _r1(n: int) -> list[Ratio]:
@@ -114,8 +128,8 @@ def _r1(n: int) -> list[Ratio]:
 
 
 def _f2(a: int, n: int) -> list[Ratio]:
-    """F_2(a, n, k) for k = 0..n."""
-    return _row(0, n, a * n + 1, (a - 1) * n + 1, a * n + 1, 1, n + 1)
+    """F_2(a, n, k) for k = 0..n, over the one denominator n."""
+    return _row(0, n, a * n, (a - 1) * n + 1, n, n + 1)
 
 
 def _r2(a: int, n: int) -> list[Ratio]:
@@ -125,7 +139,7 @@ def _r2(a: int, n: int) -> list[Ratio]:
 
 def _cert_summand(n: int) -> list[Ratio]:
     """F^(n, m) for m = 0..n-1, its support."""
-    return _row(n - 1, n - 1, 2 * n + 1, n + 1, 2 * n + 1, 0, n)
+    return _row(n - 1, n - 1, 2 * n + 1, n + 1, 2 * n + 1, n)
 
 
 def _cert_R(n: int) -> list[Ratio]:
@@ -161,18 +175,15 @@ def _require(row: list[Ratio], length: int) -> list[Ratio]:
 
 
 def _row_sum(row: list[Ratio]) -> Ratio:
-    """The sum of a row of ratios as one unreduced (numerator, denominator)
-    pair, (0, 1) for an empty row.  Neighbours are added pairwise, level by
-    level, so the operands of each level stay of like size; two equal
-    denominators add their numerators, and an odd last entry is carried up
-    a level as it is."""
-    while len(row) > 1:
-        carry = row[-1:] if len(row) % 2 else []
-        row = [
-            (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
-            for (an, ad), (bn, bd) in zip(row[::2], row[1::2])
-        ] + carry
-    return row[0] if row else (0, 1)
+    """The sum of a summand row as one unreduced (numerator, denominator)
+    pair: its numerators added over its one denominator, (0, 1) for an
+    empty row.  A row whose entries do not share one denominator is
+    refused; no summand row has two."""
+    dens = {den for _, den in row} or {1}
+    if len(dens) > 1:
+        raise ValueError("summand row has more than one denominator")
+    (den,) = dens
+    return sum([num for num, _ in row]), den
 
 
 def _telescopes(
@@ -199,21 +210,22 @@ def row_work(a: int, n: int) -> int:
     """Estimated work of a grid unit's summand row F_2(a, n, k), k = 0..n,
     with the passes the unit makes over it, in the units of
     ``hypercat.solve_work``: its stepping by ``_row``, its certificate row
-    and companion, the cross-multiplied relation and the pairwise sum.
+    and companion, the cross-multiplied relation and the sum of its
+    numerators.
 
     Each of the n + 1 entries takes a few small-int products and exact
-    divisions of its numerator, C(n, k) C(an+1+k, n) < 2^n (an + n + 1)^n,
-    and a few products of it by short ints; each counts 48.  The pairwise
-    sum ends with products of numerators and denominators of whole
-    half-rows, taken as T = n (bit_length(an + n) + bit_length(a) + 3)
-    bits, and CPython multiplies ints in about (T / 30)^2 digit products
-    below its Karatsuba cutoff; they count T^2 / 4096.  Each unit counts
-    192.  F_1(n) is
-    F_2(2, n), and the certificate's F^(n, m), n entries below those of
-    F_1(n), is priced as F_1(n); a certificate unit builds two of them.
-    Calibration: in process on one CPU of a 2-core VM with Python 3.11,
-    whole ``wz1`` and ``wz2`` units took at most 0.97 of the estimate's
-    time for n = 1-800 and a = 2-10^9, and a ``certificate`` unit at most
-    0.49 of its two rows'."""
+    divisions of its numerator, C(n, k) C(an+k, n-1) < 2^n (an + n)^n, and
+    a few products of it by short ints; each counts 48.  A numerator has at
+    most T = n (bit_length(an + n) + bit_length(a) + 3) bits, and the
+    estimate adds T^2 / 4096, about the digit products of one product of
+    two T-bit ints.  The unit multiplies no two numerators, as its sum
+    adds them over one denominator, so every pass over them is linear in
+    T and this term is headroom.  Each unit counts 192.
+    F_1(n) is F_2(2, n), and the certificate's F^(n, m), n entries below
+    those of F_1(n), is priced as F_1(n); a certificate unit builds two of
+    them.  Calibration: in process on one CPU of a 2-core VM with Python
+    3.11, best of five, whole ``wz1`` and ``wz2`` units took at most 0.57
+    of the estimate's time for n = 1-800 and a = 2-10^9, and a
+    ``certificate`` unit at most 0.33 of its two rows'."""
     t = n * ((a * n + n).bit_length() + a.bit_length() + 3)
     return 192 + 48 * n + t * t // 4096

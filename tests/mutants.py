@@ -44,23 +44,42 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "wz._row_sum drops the odd carry",
+        "the summand sum skips its one-denominator check",
         "src/geodenums/wz.py",
-        "carry = row[-1:] if len(row) % 2 else []",
-        "carry = []",
+        "if len(dens) > 1:",
+        "if False:",
+        ("tests/test_wz.py::test_a_summand_row_of_two_denominators_is_an_error_not_a_pass",),
+    ),
+    Mutant(
+        "wz._f1 puts its row over n + 1",
+        "src/geodenums/wz.py",
+        "return _row(0, n, 2 * n, n + 1, n, n + 1)",
+        "return _row(0, n, 2 * n, n + 1, n + 1, n + 1)",
         (
-            "tests/test_wz.py::test_row_sum_equals_the_fraction_sum",
-            "tests/test_wz.py::test_check_wz1_passes",
+            "tests/test_wz.py::test_summand_rows_match_their_closed_forms",
+            "tests/test_wz.py::test_wz2_reduces_to_two_variable_pair",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[wz2]",
         ),
     ),
     Mutant(
-        "wz._row_sum adds equal denominators",
-        "src/geodenums/wz.py",
-        "(an + bn, ad) if ad == bd",
-        "(an + bn, ad + bd) if ad == bd",
+        "eq31 takes the lower index size, not size + 1",
+        "src/geodenums/identities.py",
+        "comb(size + n, size + 1)",
+        "comb(size + n, size)",
         (
-            "tests/test_wz.py::test_row_sum_equals_the_fraction_sum",
-            "tests/test_wz.py::test_check_certificate_passes_and_names_orientation",
+            "tests/test_identities.py::test_sums_match_a_per_vector_fraction_evaluation",
+            "tests/test_identities.py::test_main_sum_grid",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[eq31 --max-n 8 --max-a 4]",
+        ),
+    ),
+    Mutant(
+        "geode._exact_div divides in floats",
+        "src/geodenums/geode.py",
+        "q, rem = divmod(num, den)",
+        "q, rem = int(num / den), num % den",
+        (
+            "tests/test_layering.py::"
+            "test_no_module_takes_a_true_division_or_a_float_outside_the_case_timing",
         ),
     ),
     Mutant(

@@ -23,8 +23,9 @@ import pytest
 from geodenums import cli
 
 # sha256 of the masked outputs of `geodenums verify <request>`: every suite
-# named alone runs at its defaults; the requests with flags are the five
-# of the benchmark's `identities` workload.
+# named alone runs at its defaults; the next five requests are those of
+# the benchmark's `identities` workload, and the last four run the exact
+# sums past that workload's bounds.
 REPORT_SHA256 = {
     "wz1": "cd775635d86ea134e4cdc80e0750a4f5d739387f8afd46efe3c2da0b77bcef9f",
     "wz2": "53e3f1bb0443289646bd62fd82415b5929699385d127015dbc1533bf7e860f87",
@@ -35,6 +36,10 @@ REPORT_SHA256 = {
     "certificate --max-n 120": "840e1bbc2e51cca402eec33a8cfb5a6f40f518c2dd01dfe0a5a136eaa11ca22a",
     "eq31 --max-n 8 --max-a 4": "b9a4bdff25de2e3544631d7fd70cd33eec25e5252b737c91d12f88865cfc5ab6",
     "claims --max-n 8 --max-a 3": "4000ddbcc8939564eb8c53f0f622eab496e815088074881a40584e94276c0354",
+    "wz1 --max-n 400": "39bd5d38ec703dc3ebc8c730cf01823262cdc1497c1f7b437d048ea60f99c3f4",
+    "wz2 --max-n 200 --a 7": "600957bde43d6377ff5a967eadfa002936010ee9afb123b174ab2de1949c8c1c",
+    "certificate --max-n 300": "ae007e7f75b92fa0b07f292b6db9b083111c07b31542f5cf04ee1ab790117fd0",
+    "eq31 --max-n 30 --max-a 6": "8b17c2515f4c6ca290358c8afbecdaa3d14e2a45725710564b7828e93bad0084",
 }
 
 # sha256 of the output of `geodenums table <request>`: the tables `verify

@@ -120,9 +120,18 @@ def test_main_sum_small_values():
 
 
 def test_main_sum_grid():
-    for n in range(1, 6):
-        for a in (1, 2):
-            assert partition_sum_main(n, a) == a ** (n - 1)
+    # the paper's summand in Fractions, over its denominator |l|+n+1, per
+    # size: the weights (n - m_2a) multinomial(n; m) of size s add up to
+    # n [z^s] P^n - n [z^(s-2a)] P^(n-1)
+    for n in range(1, 31):
+        for a in range(1, 7):
+            shifted = [0] * (2 * a) + part_power(n - 1, a)
+            weights = [n * (c - d) for c, d in zip(part_power(n, a), shifted)]
+            reference = -sum(
+                (-1) ** s * w * Fraction(comb(s + n + 1, s + 1), s + n + 1)
+                for s, w in enumerate(weights)
+            )
+            assert partition_sum_main(n, a) == reference == a ** (n - 1)
 
 
 def test_claim1_vanishes():

@@ -61,11 +61,10 @@ def _zero_over_zero(row, at):
     return broken
 
 
-def _row_reference(parity, p, q, b, d0, d1, count):
+def _row_reference(parity, p, q, b, den, count):
     """The row shape of ``wz._row``, each entry from math.comb."""
     return [
-        ((-1) ** (j + parity) * comb(p, j) * comb(q + j, b + j), d0 + d1 * j)
-        for j in range(count)
+        ((-1) ** (j + parity) * comb(p, j) * comb(q + j, b + j), den) for j in range(count)
     ]
 
 
@@ -75,12 +74,12 @@ def test_binomial_rows_match_comb():
             for bottom in range(11):
                 for count in range(7):
                     for parity in (0, 1):
-                        args = (parity, p, top, bottom, 3, 2, count)
+                        args = (parity, p, top, bottom, 3, count)
                         assert wz._row(*args) == _row_reference(*args)
     # the second binomial of F_2 at the largest --a of `verify wz2`
     for a in (2, 3, 999, 1000):
         for n in (1, 7, 60):
-            args = (0, n, a * n + 1, (a - 1) * n + 1, a * n + 1, 1, n + 1)
+            args = (0, n, a * n, (a - 1) * n + 1, n, n + 1)
             assert wz._row(*args) == _row_reference(*args)
 
 
@@ -91,14 +90,15 @@ def test_binomial_row_that_drifts_is_refused(monkeypatch, top, bottom, top_step)
     # it is 1; math.comb moved by one at that binomial's last entry is a
     # closed form the stepped row no longer reaches
     p, q, b = (top, 0, 0) if top_step == 0 else (10, top, bottom)
-    assert wz._row(0, p, q, b, 1, 0, 11) == _row_reference(0, p, q, b, 1, 0, 11)
+    assert wz._row(0, p, q, b, 1, 11) == _row_reference(0, p, q, b, 1, 11)
     last = (top + 10 * top_step, bottom + 10)
     monkeypatch.setattr(wz, "comb", lambda t, k: comb(t, k) + ((t, k) == last))
     with pytest.raises(ArithmeticError, match="stepped row"):
-        wz._row(0, p, q, b, 1, 0, 11)
+        wz._row(0, p, q, b, 1, 11)
 
 
 def test_summand_rows_match_their_closed_forms():
+    # the paper's forms, whose denominators move with k
     def f(a, n, k):
         return Fraction(
             (-1) ** k * comb(n, k) * comb(a * n + 1 + k, (a - 1) * n + 1 + k), a * n + 1 + k
@@ -118,18 +118,41 @@ def test_summand_rows_match_their_closed_forms():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 12)), max_size=40),
-    st.booleans(),
+    st.lists(st.integers(-(10**30), 10**30), max_size=40),
+    st.integers(-(10**12), 10**12).filter(bool),
 )
-@example([(3, 5)] * 7, False)  # odd length, one denominator
-@example([(-1, 2), (1, 3), (-1, 4)], False)  # odd length, distinct denominators
-@example([], False)
-def test_row_sum_equals_the_fraction_sum(row, one_denominator):
-    if one_denominator:
-        row = [(num, 7) for num, _ in row]
-    total, den = wz._row_sum(row)
-    assert den
-    assert Fraction(total, den) == sum((Fraction(*entry) for entry in row), Fraction(0))
+@example([], 7)
+def test_row_sum_of_one_denominator_equals_the_fraction_sum(numerators, den):
+    row = [(num, den) for num in numerators]
+    total, row_den = wz._row_sum(row)
+    assert row_den
+    assert Fraction(total, row_den) == sum((Fraction(*entry) for entry in row), Fraction(0))
+
+
+def _split_denominator(row):
+    """The row description with its first entry over twice its denominator:
+    every value is unchanged, but the row has two denominators."""
+
+    def split(*args):
+        (num, den), *rest = row(*args)
+        return [(2 * num, 2 * den), *rest]
+
+    return split
+
+
+def test_a_summand_row_of_two_denominators_is_an_error_not_a_pass():
+    # the values are the summand's, so every relation holds; the sum is
+    # what refuses the row, on every n of more than one entry
+    refused = ("error", "ValueError: summand row has more than one denominator")
+    report = check_wz1(3, f=_split_denominator(wz._f1))
+    assert [(case.status, case.actual) for case in report.cases] == [refused] * 3
+    report = check_certificate_R(3, summand=_split_denominator(wz._cert_summand))
+    assert [(case.status, case.actual) for case in report.cases] == [
+        ("pass", ORIENT_F_DIFFERENCE),
+        ("pass", "sum = 1 and the relation telescopes"),
+        refused,
+        refused,
+    ]
 
 
 def test_f1_values():
