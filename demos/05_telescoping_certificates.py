@@ -14,9 +14,11 @@ print("=" * 72)
 print("The two-variable pair at n = 4")
 print("=" * 72)
 n = 4
-# each pair is a row of (numerator, denominator) pairs over k; H = R * F
-F = [Fraction(*entry) for entry in wz._f1(n)]
-H = [Fraction(*r) * f for r, f in zip(wz._r1(n), F)]
+# each row is its numerators over k and one denominator; H = R * F
+nums, den = wz._f1(n)
+F = [Fraction(num, den) for num in nums]
+rnums, rden = wz._r1(n)
+H = [Fraction(r, rden) * f for r, f in zip(rnums, F)]
 H.append(Fraction(0))  # H(n, n+1) = 0 closes the telescope
 print(f"{'k':>3} {'F(4,k)':>10} {'H(4,k)':>10} {'H(4,k+1)-H(4,k)':>16}")
 for k in range(n + 1):
@@ -34,9 +36,11 @@ print("=" * 72)
 print("The certificate for the quotient-layer sum")
 print("=" * 72)
 print("summands F^(n,m) sum to 1 over 0 <= m <= n-1; R(n,m) builds the companion.")
-summands = [Fraction(*entry) for entry in wz._cert_summand(3)]
+nums, den = wz._cert_summand(3)
+summands = [Fraction(num, den) for num in nums]
 print(f"n=3: summands {[str(f) for f in summands]}, sum = {sum(summands)}")
-print(f"R(2,1) = {Fraction(*wz._cert_R(2)[1])}")
+rnums, rdens = wz._cert_R(2)  # one denominator per m, for the (n - m) pole
+print(f"R(2,1) = {Fraction(rnums[1], rdens[1])}")
 print()
 print("The companion G^ = R * F^ has a removable pole at m = n:")
 print("  R(2,2) would divide by zero, F^(2,2) = 0, but the cancelled product")
@@ -53,7 +57,7 @@ print("=" * 72)
 print("Negative control: a corrupted companion must fail")
 print("=" * 72)
 # R(n,k) = -k(n+1+k) / (n(2n+1)) with its sign flipped, which flips H = R * F
-bad = check_wz1(3, r=lambda n: [(k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)])
+bad = check_wz1(3, r=lambda n: ([k * (n + 1 + k) for k in range(n + 1)], n * (2 * n + 1)))
 failure = bad.first_failure()
 print(f"sign-flipped H: {bad.passed}/{bad.total} passed; "
       f"first failure at {failure.params}: {failure.actual}")

@@ -101,11 +101,13 @@ def _control(case_id: str, what: str, units: Iterable[Unit]) -> Unit:
     return control
 
 
-def _flipped(row: Callable[..., list[wz.Ratio]]) -> Callable[..., list[wz.Ratio]]:
-    """A row description of (numerator, denominator) pairs with its sign flipped."""
+def _flipped(row: Callable[..., wz.Row | wz.PoleRow]) -> Callable[..., wz.Row | wz.PoleRow]:
+    """A row description with its sign flipped: its numerators negated, its
+    denominator, or denominators, kept."""
 
-    def flipped(*args: int) -> list[wz.Ratio]:
-        return [(-num, den) for num, den in row(*args)]
+    def flipped(*args: int) -> wz.Row | wz.PoleRow:
+        nums, den = row(*args)
+        return [-num for num in nums], den
 
     return flipped
 
@@ -234,15 +236,20 @@ _CERT_BROKEN = "relation broken at m={j}: lhs={lhs}, rhs={rhs}"
 
 def _pair_units(
     n_max: int,
-    f: Callable[..., list[wz.Ratio]],
-    r: Callable[..., list[wz.Ratio]],
+    f: Callable[..., wz.Row],
+    r: Callable[..., wz.Row],
     a: int | None = None,
     prefix: str = "",
 ) -> Iterator[Unit]:
     """One unit per n <= n_max, each running the case `prefix`n=<n> on the
-    rows f(n) and r(n), or f(a, n) and r(a, n) given `a`, and, at a = 2,
-    checking that f(2, n) is the two-variable summand row ``wz._f1(n)``."""
+    rows f(n) and r(n) of the pair a = 2, or f(a, n) and r(a, n) given `a`,
+    and, at a = 2, checking that f(2, n) is the two-variable summand row
+    ``wz._f1(n)``.  The relation and the zero sum hold for every multiple of
+    the summand, so the case pins its scale last: F(n, 0) against the
+    paper's form C(an+1, (a-1)n+1) / (an+1), whose denominator is not the
+    row's."""
     params = () if a is None else (a,)
+    scale = 2 if a is None else a
 
     def unit(report: VerifyReport, n: int) -> None:
         f_row = report.call(f, *params, n)
@@ -251,18 +258,26 @@ def _pair_units(
         def check() -> tuple[bool, str]:
             frow = wz._require(f_row(), n + 1)
             r_row = wz._require(r(*params, n), n + 1)
-            broken = wz._telescopes(frow, frow, r_row, (0, 1), _PAIR_BROKEN)
+            broken = wz._telescopes(frow, r_row, (0, 1), _PAIR_BROKEN)
             if broken:
                 return False, broken
-            total, den = wz._row_sum(frow)
-            if total:
+            nums, den = frow
+            if sum(nums):
                 from fractions import Fraction
 
-                return False, f"telescoped sum is {Fraction(total, den)}, not 0"
-            if twin_row is not None:
-                for k, ((fn, fd), (gn, gd)) in enumerate(zip(frow, twin_row())):
-                    if fn * gd != gn * fd:
+                return False, f"telescoped sum is {Fraction(sum(nums), den)}, not 0"
+            if twin_row is not None and frow != twin_row():
+                twin, twin_den = twin_row()
+                for k, (fn, gn) in enumerate(zip(nums, twin)):
+                    if fn * twin_den != gn * den:
                         return False, f"a=2 summand differs from two-variable pair at k={k}"
+            top = scale * n + 1
+            closed = comb(top, top - n)
+            if nums[0] * top != closed * den:
+                from fractions import Fraction
+
+                value, paper = Fraction(nums[0], den), Fraction(closed, top)
+                return False, f"F(n,0) = {value}, not C({top},{top - n})/{top} = {paper}"
             return True, "pair relation and telescoped sum hold"
 
         report.run_case(f"{prefix}n={n:03d}", {"n": n}, "telescoping holds, sum = 0", check)
@@ -273,21 +288,21 @@ def _pair_units(
 
 def check_wz1(
     n_max: int,
-    f: Callable[[int], list[wz.Ratio]] = wz._f1,
-    r: Callable[[int], list[wz.Ratio]] = wz._r1,
+    f: Callable[[int], wz.Row] = wz._f1,
+    r: Callable[[int], wz.Row] = wz._r1,
 ) -> VerifyReport:
-    """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k) and the vanishing sum for every
-    n <= n_max, 0 <= k <= n.  The summand f and certificate r, each giving
-    the row of (numerator, denominator) pairs over k = 0..n, the summand's
-    over one denominator, are injectable for negative controls."""
+    """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k), the vanishing sum and
+    F_1(n,0) for every n <= n_max, 0 <= k <= n.  The summand f and
+    certificate r, each giving the row over k = 0..n as its numerators and
+    one denominator, are injectable for negative controls."""
     return run_units("wz1", _pair_units(n_max, f, r))
 
 
 def check_wz2(
     a: int,
     n_max: int,
-    f: Callable[[int, int], list[wz.Ratio]] = wz._f2,
-    r: Callable[[int, int], list[wz.Ratio]] = wz._r2,
+    f: Callable[[int, int], wz.Row] = wz._f2,
+    r: Callable[[int, int], wz.Row] = wz._r2,
 ) -> VerifyReport:
     """Same checks for the generalized pair; at a = 2 additionally asserts
     coincidence with the two-variable pair."""
@@ -298,23 +313,23 @@ def check_wz2(
 
 def _certificate_units(
     n_max: int,
-    summand: Callable[[int], list[wz.Ratio]] = wz._cert_summand,
-    r: Callable[[int], list[wz.Ratio]] = wz._cert_R,
+    summand: Callable[[int], wz.Row] = wz._cert_summand,
+    r: Callable[[int], wz.PoleRow] = wz._cert_R,
     boundary: Callable[[int], wz.Ratio] = wz._cert_boundary,
 ) -> Iterator[Unit]:
     """The units of ``check_certificate_R``: the ``orientation`` case, then
     one unit per n."""
 
-    def relation(report: VerifyReport, n: int) -> Callable[[], tuple[list[wz.Ratio], str | None]]:
+    def relation(report: VerifyReport, n: int) -> Callable[[], tuple[wz.Row, str | None]]:
         """A thunk of F^(n, .) and the first break of ORIENT_F_DIFFERENCE at
         n, if any, on the summand rows it asks `report` for."""
         f_this, f_next = report.call(summand, n), report.call(summand, n + 1)
 
-        def telescope() -> tuple[list[wz.Ratio], str | None]:
+        def telescope() -> tuple[wz.Row, str | None]:
             f_n = wz._require(f_this(), n)
             f_n1 = wz._require(f_next(), n + 1)
-            lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(f_n1, f_n)]
-            return f_n, wz._telescopes(lhs, f_n, wz._require(r(n), n), boundary(n), _CERT_BROKEN)
+            r_n = wz._require(r(n), n, per_entry=True)
+            return f_n, wz._cert_telescopes(f_n, f_n1, r_n, boundary(n), _CERT_BROKEN)
 
         return telescope
 
@@ -332,12 +347,11 @@ def _certificate_units(
         telescope = relation(report, n)
 
         def check() -> tuple[bool, str]:
-            f_n, broken = telescope()
-            total, den = wz._row_sum(f_n)
-            if total != den:
+            (nums, den), broken = telescope()
+            if sum(nums) != den:
                 from fractions import Fraction
 
-                return False, f"target sum is {Fraction(total, den)}, not 1"
+                return False, f"target sum is {Fraction(sum(nums), den)}, not 1"
             if broken:
                 return False, broken
             return True, "sum = 1 and the relation telescopes"
@@ -351,8 +365,8 @@ def _certificate_units(
 
 def check_certificate_R(
     n_max: int,
-    summand: Callable[[int], list[wz.Ratio]] = wz._cert_summand,
-    r: Callable[[int], list[wz.Ratio]] = wz._cert_R,
+    summand: Callable[[int], wz.Row] = wz._cert_summand,
+    r: Callable[[int], wz.PoleRow] = wz._cert_R,
     boundary: Callable[[int], wz.Ratio] = wz._cert_boundary,
 ) -> VerifyReport:
     """Verify the certificate on 1 <= n <= n_max.
@@ -361,10 +375,11 @@ def check_certificate_R(
     telescoping relation ``wz.ORIENT_F_DIFFERENCE`` holds on 0 <= m <= n-1,
     with the companion G^ = R * F^ closed by the boundary value G^(n, n).
     The ``orientation`` case checks the relation on a small grid first and
-    records it in the report.  The summand (a row over m = 0..n-1, over one
-    denominator), the certificate (m = 0..n-1), each of (numerator,
-    denominator) pairs, and the boundary, one such pair per n, are
-    injectable for negative controls.
+    records it in the report.  The summand (a row over m = 0..n-1, its
+    numerators over one denominator), the certificate (m = 0..n-1, its
+    numerators over one denominator each) and the boundary, one
+    (numerator, denominator) pair per n, are injectable for negative
+    controls.
     """
     return run_units("certificate", _certificate_units(n_max, summand, r, boundary))
 

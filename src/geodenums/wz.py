@@ -9,34 +9,44 @@ or the check fails.
 
 Every grid has one shape: a summand row F, a certificate row R over F's
 support, and one boundary value.  Each row function, given n (and a),
-returns the integer (numerator, denominator) pairs of the whole row over k
-(or m).  Every summand is one call of one row builder, ``_row``:
+returns the whole row over k (or m) as its integer numerators and one
+integer denominator, a ``Row``; only the certificate's R, whose (n - m)
+pole gives each entry a denominator of its own, returns a list of
+denominators beside its numerators, a ``PoleRow``, and a boundary value
+is one (numerator, denominator) ``Ratio``.  Every summand is one call of
+one row builder, ``_row``:
 
-    (-1)^(j+parity) C(p, j) C(q+j, b+j) / den,   j = 0..count-1,
+    (-1)^(j+parity) C(p, j) C(q+j, b+j),   j = 0..count-1,
 
-with p, q, b and den fixed by (a, n): the entries of one summand row
-share one denominator.  It starts the signed product of the two
-binomials from math.comb and steps it by their exact ratio
+with p, q and b fixed by (a, n); the row's function puts them over its
+one denominator.  It starts the signed product of the two binomials from
+math.comb and steps it to entry j by their exact ratio
 
-    (p-j)(q+j+1) / ((j+1)(b+j+1)),
+    (p-j+1)(q+j) / (j(b+j)),
 
-one small-int multiply and one exact divide per entry, flipping the sign
-as it goes; it checks the signed last entry against math.comb, so no row
-can drift from the closed form.  The R rows are typed as they are
-printed below.
+one small-int multiply and one exact divide per entry, the sign flipped
+by the small factor; it checks the signed last entry against math.comb,
+so no row can drift from the closed form.  The R rows are typed as they
+are printed below, the certificate's numerator grouped by powers of m.
 
-One loop, ``_telescopes``, checks every grid.  It forms the companion
-C = R * F entry by entry, appends the boundary value, and checks
-lhs(j) = C(j+1) - C(j) by cross-multiplying.  A summand row is summed by
-adding its numerators over its one denominator (``_row_sum``), and a
-Fraction is built only to print a failure.  A zero denominator would make
-both sides of a cross-multiplied relation 0, so a grid that reads one is
-an error, never a pass; so is a row of the wrong length, and a summand
-row whose entries do not share one denominator.  This module holds only
-these kernels and ``row_work``, which prices a summand row with the
-passes a grid unit makes over it; the grid units, one per n, and
-``check_wz1``, ``check_wz2`` and ``check_certificate_R``, which run them,
-are ``verify``'s.
+Two loops check the relations, each on numerators only.  ``_telescopes``
+checks a pair: with F = f_k / d and R = r_k / d_R over one denominator
+each, the companion H = R * F has the numerators h_k = r_k f_k over d_R d,
+and F(k) = H(k+1) - H(k) reads f_k d_R = h_(k+1) - h_k, checked as
+f_k (d_R + r_k) = h_(k+1); the last entry, which reads the boundary value,
+is cross-multiplied once.  ``_cert_telescopes`` checks the certificate,
+whose R keeps a denominator per m: it groups the small factors of each
+entry first, so each entry costs three products of a numerator by a
+small int (the formula is in its docstring).  A summand row is summed by
+adding its numerators, and a Fraction is built only to print a failure.
+A zero denominator would make both sides of a cross-multiplied relation
+0, so a grid that reads one is an error, never a pass; so is a row of the
+wrong length, and a row description that does not return the shape of
+its row (``_require``).  This module holds only these kernels and
+``row_work``, which prices a summand row with the passes a grid unit
+makes over it; the grid units, one per n, and ``check_wz1``,
+``check_wz2`` and ``check_certificate_R``, which run them, are
+``verify``'s.
 
 The paper's summands of the two pairs below carry a denominator that
 moves with k, N = an+1+k.  The lower index of their second binomial is
@@ -45,8 +55,10 @@ N - n, so C(N, N-n) / N = C(N, n) / N = C(N-1, n-1) / n, and
     C(an+1+k, (a-1)n+1+k) / (an+1+k) = C(an+k, (a-1)n+1+k) / n:
 
 ``_f1`` and ``_f2`` build the right-hand form, whose rows share the one
-denominator n.  The certificate's summand has the one denominator 2n+1
-as the paper writes it.
+denominator n.  The relation and the zero sum of a pair hold for c * F,
+any nonzero c, so ``verify`` pins F(n, 0) against the left-hand form.
+The certificate's summand has the one denominator 2n+1 as the paper
+writes it.
 
 The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
 
@@ -89,27 +101,32 @@ ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
 # An exact rational as an integer (numerator, denominator) pair, not reduced.
 Ratio = tuple[int, int]
+# A row of exact rationals as its integer numerators over one denominator.
+Row = tuple[list[int], int]
+# A row of exact rationals as its integer numerators over one denominator each.
+PoleRow = tuple[list[int], list[int]]
 
 
 # ---------------------------------------------------------------------------
 # the descriptions: each formula is typed here once, as a row over k or m
 
 
-def _row(parity: int, p: int, q: int, b: int, den: int, count: int) -> list[Ratio]:
-    """(-1)^(j+parity) C(p, j) C(q+j, b+j) / den for j = 0..count-1: the
-    one shape of every summand, over one denominator.
+def _row(parity: int, p: int, q: int, b: int, count: int) -> list[int]:
+    """(-1)^(j+parity) C(p, j) C(q+j, b+j) for j = 0..count-1: the
+    numerators of every summand, each row over one denominator.
 
-    The signed numerator starts at (-1)^parity C(q, b) and steps by the
-    exact ratio -(p-j)(q+j+1) / ((j+1)(b+j+1)) of neighbouring entries;
-    every division is exact.  The last entry is checked against math.comb,
-    so a row cannot drift from the closed form."""
+    The signed numerator starts at (-1)^parity C(q, b) and steps to entry
+    j by the exact ratio -(p-j+1)(q+j) / (j(b+j)) of neighbouring entries,
+    its sign taken by the small factor; every division is exact.  The
+    last entry is checked against math.comb, so a row cannot drift from
+    the closed form."""
     if count < 1:
         return []
     value = (-1) ** parity * comb(q, b)
-    row = [(value, den)]
-    for j in range(count - 1):
-        value = -value * ((p - j) * (q + j + 1)) // ((j + 1) * (b + j + 1))
-        row.append((value, den))
+    row = [value]
+    for j in range(1, count):
+        value = value * ((j - 1 - p) * (q + j)) // (j * (b + j))
+        row.append(value)
     last = count - 1
     closed = (-1) ** (last + parity) * comb(p, last) * comb(q + last, b + last)
     if value != closed:
@@ -117,40 +134,40 @@ def _row(parity: int, p: int, q: int, b: int, den: int, count: int) -> list[Rati
     return row
 
 
-def _f1(n: int) -> list[Ratio]:
+def _f1(n: int) -> Row:
     """F_1(n, k) for k = 0..n, over the one denominator n."""
-    return _row(0, n, 2 * n, n + 1, n, n + 1)
+    return _row(0, n, 2 * n, n + 1, n + 1), n
 
 
-def _r1(n: int) -> list[Ratio]:
-    """R_1(n, k) for k = 0..n."""
-    return [(-k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)]
+def _r1(n: int) -> Row:
+    """R_1(n, k) for k = 0..n, over the one denominator n(2n+1)."""
+    shift = n + 1
+    return [-k * (shift + k) for k in range(n + 1)], n * (2 * n + 1)
 
 
-def _f2(a: int, n: int) -> list[Ratio]:
+def _f2(a: int, n: int) -> Row:
     """F_2(a, n, k) for k = 0..n, over the one denominator n."""
-    return _row(0, n, a * n, (a - 1) * n + 1, n, n + 1)
+    return _row(0, n, a * n, (a - 1) * n + 1, n + 1), n
 
 
-def _r2(a: int, n: int) -> list[Ratio]:
-    """R_2(a, n, k) for k = 0..n."""
-    return [(-k * ((a - 1) * n + 1 + k), n * (a * n + 1)) for k in range(n + 1)]
+def _r2(a: int, n: int) -> Row:
+    """R_2(a, n, k) for k = 0..n, over the one denominator n(an+1)."""
+    shift = (a - 1) * n + 1
+    return [-k * (shift + k) for k in range(n + 1)], n * (a * n + 1)
 
 
-def _cert_summand(n: int) -> list[Ratio]:
-    """F^(n, m) for m = 0..n-1, its support."""
-    return _row(n - 1, n - 1, 2 * n + 1, n + 1, 2 * n + 1, n)
+def _cert_summand(n: int) -> Row:
+    """F^(n, m) for m = 0..n-1, its support, over the one denominator 2n+1."""
+    return _row(n - 1, n - 1, 2 * n + 1, n + 1, n), 2 * n + 1
 
 
-def _cert_R(n: int) -> list[Ratio]:
-    """R(n, m) for m = 0..n-1; m = n is its pole."""
-    return [
-        (
-            m * (8 * m * n + 10 * n * n + 6 * m + 15 * n + 6),
-            2 * (2 * n + 3) * (n + 1) * (n - m),
-        )
-        for m in range(n)
-    ]
+def _cert_R(n: int) -> PoleRow:
+    """R(n, m) for m = 0..n-1, each over its own denominator; m = n is its
+    pole."""
+    # 8mn + 10n^2 + 6m + 15n + 6 = slope m + rest
+    slope, rest = 8 * n + 6, 10 * n * n + 15 * n + 6
+    common = 2 * (2 * n + 3) * (n + 1)
+    return [m * (slope * m + rest) for m in range(n)], [common * (n - m) for m in range(n)]
 
 
 def _cert_boundary(n: int) -> Ratio:
@@ -162,70 +179,115 @@ def _cert_boundary(n: int) -> Ratio:
 # the grid checks
 
 
-def _require(row: list[Ratio], length: int) -> list[Ratio]:
-    """Refuse a row of the wrong length, which would leave points unchecked,
-    and a zero denominator, which would make both sides of every
-    cross-multiplied relation that reads it 0, a pass that checks nothing."""
-    if len(row) != length:
-        raise ValueError(f"grid row has {len(row)} entries, not {length}")
-    for index, (_, den) in enumerate(row):
-        if not den:
-            raise ZeroDivisionError(f"zero denominator at index {index} of a grid row")
+def _require(row: Row | PoleRow, length: int, per_entry: bool = False) -> Row | PoleRow:
+    """Refuse a row description that is not a pair of numerators and one
+    int denominator (a list of them, one per entry, if `per_entry`), a row
+    of the wrong length, which would leave points unchecked, and a zero
+    denominator, which would make both sides of every cross-multiplied
+    relation that reads it 0, a pass that checks nothing."""
+    shape = list if per_entry else int
+    if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[1], shape)):
+        what = "denominators" if per_entry else "denominator"
+        raise TypeError(f"grid row is not a (numerators, {what}) pair")
+    nums, den = row
+    dens = den if per_entry else (den,)
+    if len(nums) != length or per_entry and len(dens) != length:
+        raise ValueError(f"grid row has {len(nums)} entries, not {length}")
+    if 0 in dens:
+        raise ZeroDivisionError("zero denominator in a grid row")
     return row
 
 
-def _row_sum(row: list[Ratio]) -> Ratio:
-    """The sum of a summand row as one unreduced (numerator, denominator)
-    pair: its numerators added over its one denominator, (0, 1) for an
-    empty row.  A row whose entries do not share one denominator is
-    refused; no summand row has two."""
-    dens = {den for _, den in row} or {1}
-    if len(dens) > 1:
-        raise ValueError("summand row has more than one denominator")
-    (den,) = dens
-    return sum([num for num, _ in row]), den
-
-
-def _telescopes(
-    lhs: list[Ratio], f: list[Ratio], r: list[Ratio], boundary: Ratio, template: str
-) -> str | None:
-    """None if lhs(j) = C(j+1) - C(j) for every j, where the companion C is
-    R * F entry by entry and then the boundary value; otherwise the first
-    break, as ``template`` fills it in."""
+def _boundary(boundary: Ratio) -> Ratio:
+    """Refuse a boundary value over 0, as ``_require`` refuses a row."""
     if not boundary[1]:
         raise ZeroDivisionError("zero denominator in the boundary value")
-    companion = [(rn * fn, rd * fd) for (fn, fd), (rn, rd) in zip(f, r)]
-    companion.append(boundary)
-    for j, (ln, ld) in enumerate(lhs):
-        (an, ad), (bn, bd) = companion[j], companion[j + 1]
-        if ln * ad * bd != (bn * ad - an * bd) * ld:
-            from fractions import Fraction
+    return boundary
 
-            rhs = Fraction(bn, bd) - Fraction(an, ad)
-            return template.format(j=j, lhs=Fraction(ln, ld), rhs=rhs)
-    return None
+
+def _telescopes(f: Row, r: Row, boundary: Ratio, template: str) -> str | None:
+    """None if F(k) = H(k+1) - H(k) for every k, where the companion H is
+    R * F entry by entry and then the boundary value; otherwise the first
+    break, as ``template`` fills it in.
+
+    With F = f_k / d and R = r_k / d_R, H has the numerators h_k = r_k f_k
+    over d_R d, and the relation reads f_k d_R = h_(k+1) - h_k, checked as
+    f_k (d_R + r_k) = h_(k+1).  The last, which reads the boundary b / c,
+    is cross-multiplied once: f_k (d_R + r_k) c = b d_R d."""
+    nums, den = f
+    rnums, rden = r
+    top, bottom = _boundary(boundary)
+    left = [fn * (rden + rn) for fn, rn in zip(nums, rnums)]
+    h = [rn * fn for fn, rn in zip(nums, rnums)]
+    last = len(left) - 1
+    if left[:last] == h[1:] and left[last] * bottom == top * rden * den:
+        return None
+    k = next((k for k in range(last) if left[k] != h[k + 1]), last)
+    from fractions import Fraction
+
+    over = rden * den
+    after = Fraction(top, bottom) if k == last else Fraction(h[k + 1], over)
+    return template.format(j=k, lhs=Fraction(nums[k], den), rhs=after - Fraction(h[k], over))
+
+
+def _cert_telescopes(
+    f: Row, f_next: Row, r: PoleRow, boundary: Ratio, template: str
+) -> str | None:
+    """None if F^(n+1, m) - F^(n, m) = G(m+1) - G(m) for every m < n, where
+    the companion G is R * F^ entry by entry and then the boundary value;
+    otherwise the first break, as ``template`` fills it in.
+
+    With F^(n, m) = f_m / d, F^(n+1, m) = g_m / e and R(n, m) = u_m / v_m,
+    G(m) = x_m u_m / (d v_m) for x_m = f_m and, at m = n, for x_n = b,
+    u_n = d and v_n = c, the boundary b / c.  Multiplied by e d v_m
+    v_(m+1), the relation reads
+
+        g_m (d v_m v_(m+1)) - f_m (e v_(m+1) (v_m - u_m))
+            = x_(m+1) (e u_(m+1) v_m),
+
+    the small factors grouped first."""
+    nums, d = f
+    next_nums, e = f_next
+    top, bottom = _boundary(boundary)
+    us, vs = r[0] + [d], r[1] + [bottom]
+    xs = nums[1:] + [top]
+    left = [
+        g * (d * v * v1) - fm * (e * v1 * (v - u))
+        for g, fm, u, v, v1 in zip(next_nums, nums, us, vs, vs[1:])
+    ]
+    right = [x * (e * u1 * v) for x, u1, v in zip(xs, us[1:], vs)]
+    if left == right:
+        return None
+    m = next(m for m, (one, other) in enumerate(zip(left, right)) if one != other)
+    from fractions import Fraction
+
+    lhs = Fraction(next_nums[m], e) - Fraction(nums[m], d)
+    rhs = Fraction(xs[m] * us[m + 1], d * vs[m + 1]) - Fraction(nums[m] * us[m], d * vs[m])
+    return template.format(j=m, lhs=lhs, rhs=rhs)
 
 
 def row_work(a: int, n: int) -> int:
     """Estimated work of a grid unit's summand row F_2(a, n, k), k = 0..n,
     with the passes the unit makes over it, in the units of
-    ``hypercat.solve_work``: its stepping by ``_row``, its certificate row
-    and companion, the cross-multiplied relation and the sum of its
-    numerators.
+    ``hypercat.solve_work``: its stepping by ``_row``, its certificate row,
+    the relation on its numerators and their sum.
 
     Each of the n + 1 entries takes a few small-int products and exact
     divisions of its numerator, C(n, k) C(an+k, n-1) < 2^n (an + n)^n, and
     a few products of it by short ints; each counts 48.  A numerator has at
     most T = n (bit_length(an + n) + bit_length(a) + 3) bits, and the
     estimate adds T^2 / 4096, about the digit products of one product of
-    two T-bit ints.  The unit multiplies no two numerators, as its sum
-    adds them over one denominator, so every pass over them is linear in
-    T and this term is headroom.  Each unit counts 192.
-    F_1(n) is F_2(2, n), and the certificate's F^(n, m), n entries below
-    those of F_1(n), is priced as F_1(n); a certificate unit builds two of
-    them.  Calibration: in process on one CPU of a 2-core VM with Python
-    3.11, best of five, whole ``wz1`` and ``wz2`` units took at most 0.57
-    of the estimate's time for n = 1-800 and a = 2-10^9, and a
-    ``certificate`` unit at most 0.33 of its two rows'."""
+    two T-bit ints.  The unit multiplies no two numerators, as its
+    relation and its sum read them over one denominator, so every pass
+    over them is linear in T and this term is headroom.  Each unit counts
+    192, with the pin of F(n, 0), one math.comb as large as the row's
+    first.  F_1(n) is F_2(2, n), and the certificate's F^(n, m), n entries
+    below those of F_1(n), is priced as F_1(n); a certificate unit builds
+    two of them.  Calibration, at 90 ns a unit: in process on one CPU of a
+    2-core VM with Python 3.11, best of fifteen in each of two runs, a whole
+    ``wz1`` or ``wz2`` unit run through ``report.run_units`` took at most
+    0.62 of the estimate's time for n = 1-800 and a = 2-10^9 (0.68 when
+    the relation cross-multiplied every entry), and a ``certificate`` unit
+    at most 0.38 of its two rows'."""
     t = n * ((a * n + n).bit_length() + a.bit_length() + 3)
     return 192 + 48 * n + t * t // 4096

@@ -44,22 +44,53 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "the summand sum skips its one-denominator check",
+        "the grid rows skip their shape check",
         "src/geodenums/wz.py",
-        "if len(dens) > 1:",
+        "if not (isinstance(row, tuple) and len(row) == 2 and isinstance(row[1], shape)):",
         "if False:",
-        ("tests/test_wz.py::test_a_summand_row_of_two_denominators_is_an_error_not_a_pass",),
+        (
+            "tests/test_wz.py::"
+            "test_a_row_description_not_of_the_numerators_denominator_shape_is_an_error_not_a_pass",
+        ),
     ),
     Mutant(
         "wz._f1 puts its row over n + 1",
         "src/geodenums/wz.py",
-        "return _row(0, n, 2 * n, n + 1, n, n + 1)",
-        "return _row(0, n, 2 * n, n + 1, n + 1, n + 1)",
+        "return _row(0, n, 2 * n, n + 1, n + 1), n\n",
+        "return _row(0, n, 2 * n, n + 1, n + 1), n + 1\n",
         (
             "tests/test_wz.py::test_summand_rows_match_their_closed_forms",
             "tests/test_wz.py::test_wz2_reduces_to_two_variable_pair",
+            "tests/test_wz.py::test_check_wz1_passes",
             "tests/test_golden.py::test_report_equals_its_golden_digest[wz2]",
         ),
+    ),
+    Mutant(
+        "wz._f2 triples its numerators at a != 2",
+        "src/geodenums/wz.py",
+        "return _row(0, n, a * n, (a - 1) * n + 1, n + 1), n\n",
+        "return [3 ** (a != 2) * x for x in _row(0, n, a * n, (a - 1) * n + 1, n + 1)], n\n",
+        (
+            "tests/test_wz.py::test_check_wz2_passes",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[wz2]",
+        ),
+    ),
+    Mutant(
+        "the relation drops R's denominator",
+        "src/geodenums/wz.py",
+        "fn * (rden + rn)",
+        "fn * (1 + rn)",
+        (
+            "tests/test_wz.py::test_check_wz1_passes",
+            "tests/test_wz.py::test_the_pair_relation_reports_the_first_break_of_the_reference",
+        ),
+    ),
+    Mutant(
+        "the relation skips the boundary entry",
+        "src/geodenums/wz.py",
+        "left[:last] == h[1:] and left[last] * bottom == top * rden * den",
+        "left[:last] == h[1:]",
+        ("tests/test_wz.py::test_the_pair_relation_reads_its_boundary",),
     ),
     Mutant(
         "eq31 takes the lower index size, not size + 1",
@@ -85,8 +116,8 @@ MUTANTS = [
     Mutant(
         "wz._row steps by a ratio off by one",
         "src/geodenums/wz.py",
-        "((p - j) * (q + j + 1))",
-        "((p - j) * (q + j + 2))",
+        "((j - 1 - p) * (q + j))",
+        "((j - 1 - p) * (q + j + 1))",
         (
             "tests/test_wz.py::test_binomial_rows_match_comb",
             "tests/test_wz.py::test_summand_rows_match_their_closed_forms",
@@ -251,8 +282,8 @@ MUTANTS = [
     Mutant(
         "wz2 at a = 2 compares its summand row with itself, not F_1's",
         "src/geodenums/verify.py",
-        "if fn * gd != gn * fd:",
-        "if fn * gd != fn * gd:",
+        "twin_row is not None and frow != twin_row():",
+        "twin_row is not None and frow != frow:",
         (
             "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
             "[wz2]",

@@ -1966,10 +1966,10 @@ def _row_raised_at(row, point):
     *where, index = point
 
     def raised(*args):
-        values = row(*args)
+        nums, den = row(*args)
         if list(args) == where:
-            values[index] = (values[index][0] + 1, values[index][1])
-        return values
+            nums[index] += 1
+        return nums, den
 
     return raised
 

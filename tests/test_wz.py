@@ -6,18 +6,37 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geodenums import wz
 from geodenums.geode import geode_closed_2var
-from geodenums.verify import _flipped, check_certificate_R, check_wz1, check_wz2
+from geodenums.verify import (
+    _CERT_BROKEN,
+    _PAIR_BROKEN,
+    _flipped,
+    check_certificate_R,
+    check_wz1,
+    check_wz2,
+)
 from geodenums.wz import ORIENT_F_DIFFERENCE
 
 
+def _denominators(row):
+    """The denominator of each entry of a row (numerators, denominator),
+    or of the certificate's R, (numerators, denominators)."""
+    nums, den = row
+    return den if isinstance(den, list) else [den] * len(nums)
+
+
 def _values(row):
-    """A row of (numerator, denominator) pairs as Fractions."""
-    return [Fraction(*entry) for entry in row]
+    """A row as Fractions."""
+    return [Fraction(num, den) for num, den in zip(row[0], _denominators(row))]
+
+
+def _pairs(row):
+    """A row as the (numerator, denominator) pairs of its entries."""
+    return list(zip(row[0], _denominators(row)))
 
 
 def _h1(n):
@@ -31,41 +50,60 @@ def _raised(row, at):
     *where, index = at
 
     def raised(*args):
-        values = row(*args)
+        nums, den = row(*args)
         if list(args) == where:
-            num, den = values[index]
-            values[index] = (num + den, den)
-        return values
+            nums[index] += _denominators((nums, den))[index]
+        return nums, den
     return raised
 
 
 def _zeroed_on_diagonal(row):
     """The row description set to 0 at index n (k = n or m = n)."""
     def zeroed(*args):
-        values = row(*args)
-        values[args[-1]] = (0, 1)
-        return values
+        nums, den = row(*args)
+        nums[args[-1]] = 0
+        return nums, den
     return zeroed
 
 
 def _zero_over_zero(row, at):
-    """The row description with 0/0 at the one point `at`.  Cross-multiplying
-    turns both sides of every relation that reads it into 0."""
+    """The row description with 0/0 at the one point `at`; a row of one
+    denominator puts every entry over 0 there.  Cross-multiplying turns
+    both sides of every relation that reads it into 0."""
     *where, index = at
 
     def broken(*args):
-        values = row(*args)
-        if list(args) == where:
-            values[index] = (0, 0)
-        return values
+        nums, den = row(*args)
+        if list(args) != where:
+            return nums, den
+        nums[index] = 0
+        if isinstance(den, list):
+            den[index] = 0
+            return nums, den
+        return nums, 0
     return broken
 
 
-def _row_reference(parity, p, q, b, den, count):
-    """The row shape of ``wz._row``, each entry from math.comb."""
-    return [
-        ((-1) ** (j + parity) * comb(p, j) * comb(q + j, b + j), den) for j in range(count)
-    ]
+def _row_reference(parity, p, q, b, count):
+    """The numerators of ``wz._row``, each from math.comb."""
+    return [(-1) ** (j + parity) * comb(p, j) * comb(q + j, b + j) for j in range(count)]
+
+
+def _telescopes_reference(lhs, f, r, boundary, template):
+    """The reference of ``wz._telescopes`` and ``wz._cert_telescopes``, on
+    rows of (numerator, denominator) pairs: None if lhs(j) = C(j+1) - C(j)
+    for every j, where the companion C is R * F entry by entry and then
+    the boundary value, otherwise the first break, as ``template`` fills
+    it in.  Each entry of C is cross-multiplied with its neighbour, with
+    no denominator shared."""
+    companion = [(rn * fn, rd * fd) for (fn, fd), (rn, rd) in zip(f, r)]
+    companion.append(boundary)
+    for j, (ln, ld) in enumerate(lhs):
+        (an, ad), (bn, bd) = companion[j], companion[j + 1]
+        if ln * ad * bd != (bn * ad - an * bd) * ld:
+            rhs = Fraction(bn, bd) - Fraction(an, ad)
+            return template.format(j=j, lhs=Fraction(ln, ld), rhs=rhs)
+    return None
 
 
 def test_binomial_rows_match_comb():
@@ -74,12 +112,12 @@ def test_binomial_rows_match_comb():
             for bottom in range(11):
                 for count in range(7):
                     for parity in (0, 1):
-                        args = (parity, p, top, bottom, 3, count)
+                        args = (parity, p, top, bottom, count)
                         assert wz._row(*args) == _row_reference(*args)
     # the second binomial of F_2 at the largest --a of `verify wz2`
     for a in (2, 3, 999, 1000):
         for n in (1, 7, 60):
-            args = (0, n, a * n, (a - 1) * n + 1, n, n + 1)
+            args = (0, n, a * n, (a - 1) * n + 1, n + 1)
             assert wz._row(*args) == _row_reference(*args)
 
 
@@ -90,11 +128,11 @@ def test_binomial_row_that_drifts_is_refused(monkeypatch, top, bottom, top_step)
     # it is 1; math.comb moved by one at that binomial's last entry is a
     # closed form the stepped row no longer reaches
     p, q, b = (top, 0, 0) if top_step == 0 else (10, top, bottom)
-    assert wz._row(0, p, q, b, 1, 11) == _row_reference(0, p, q, b, 1, 11)
+    assert wz._row(0, p, q, b, 11) == _row_reference(0, p, q, b, 11)
     last = (top + 10 * top_step, bottom + 10)
     monkeypatch.setattr(wz, "comb", lambda t, k: comb(t, k) + ((t, k) == last))
     with pytest.raises(ArithmeticError, match="stepped row"):
-        wz._row(0, p, q, b, 1, 11)
+        wz._row(0, p, q, b, 11)
 
 
 def test_summand_rows_match_their_closed_forms():
@@ -116,43 +154,100 @@ def test_summand_rows_match_their_closed_forms():
         ]
 
 
+def _as_pairs(row):
+    """The row description returning the (numerator, denominator) pair of
+    each entry, with every value unchanged."""
+    return lambda *args: _pairs(row(*args))
+
+
+def _as_pole_row(row):
+    """The row description returning a denominator per entry."""
+    return lambda *args: (row(*args)[0], _denominators(row(*args)))
+
+
+def test_a_row_description_not_of_the_numerators_denominator_shape_is_an_error_not_a_pass():
+    # the values are the rows', so every relation holds; the shape is what
+    # refuses the row, on every n
+    refused = ("error", "TypeError: grid row is not a (numerators, denominator) pair")
+    for f in (_as_pairs(wz._f1), _as_pole_row(wz._f1)):
+        report = check_wz1(3, f=f)
+        assert [(case.status, case.actual) for case in report.cases] == [refused] * 3
+    report = check_certificate_R(3, summand=_as_pairs(wz._cert_summand))
+    assert [(case.status, case.actual) for case in report.cases] == [refused] * 4
+    for r in (_as_pairs(wz._cert_R), lambda n: (wz._cert_R(n)[0], 1)):
+        report = check_certificate_R(3, r=r)
+        assert [(case.status, case.actual) for case in report.cases] == [
+            ("error", "TypeError: grid row is not a (numerators, denominators) pair")
+        ] * 4
+
+
+def test_check_wz1_with_every_denominator_doubled_fails():
+    # the relation and the zero sum hold for every multiple of F_1; the pin
+    # of F_1(n, 0) against C(2n+1, n+1)/(2n+1) is what fails, on every n
+    report = check_wz1(50, f=lambda n: (wz._f1(n)[0], 2 * n))
+    assert {case.status for case in report.cases} == {"fail"}
+    assert report.cases[0].actual == "F(n,0) = 1/2, not C(3,2)/3 = 1"
+    assert report.cases[1].actual == "F(n,0) = 1, not C(5,3)/5 = 2"
+
+
+def test_check_wz2_with_its_numerators_tripled_fails():
+    tripled = lambda a, n: ([3 * num for num in wz._f2(a, n)[0]], n)
+    report = check_wz2(3, 50, f=tripled)
+    assert {case.status for case in report.cases} == {"fail"}
+    # F_2(3, 1, 0) = C(4, 3)/4 = 1
+    assert report.cases[0].actual == "F(n,0) = 3, not C(4,3)/4 = 1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(2, 10**9),
+    st.sampled_from(["F", "R"]),
+    st.integers(0, 40),
+    st.integers(-(10**40), 10**40).filter(bool),
+)
+@example(5, 2, "F", 2, 5)
+@example(5, 3, "R", 5, -1)
+def test_the_pair_relation_reports_the_first_break_of_the_reference(n, a, which, at, offset):
+    f, r = wz._f2(a, n), wz._r2(a, n)
+    nums = (f if which == "F" else r)[0]
+    nums[at % (n + 1)] += offset
+    expected = _telescopes_reference(_pairs(f), _pairs(f), _pairs(r), (0, 1), _PAIR_BROKEN)
+    assert wz._telescopes(f, r, (0, 1), _PAIR_BROKEN) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(-(10**30), 10**30), max_size=40),
-    st.integers(-(10**12), 10**12).filter(bool),
+    st.integers(1, 40),
+    st.sampled_from(["F^(n)", "F^(n+1)", "R numerator", "R denominator", "boundary"]),
+    st.integers(0, 40),
+    st.integers(-(10**40), 10**40).filter(bool),
 )
-@example([], 7)
-def test_row_sum_of_one_denominator_equals_the_fraction_sum(numerators, den):
-    row = [(num, den) for num in numerators]
-    total, row_den = wz._row_sum(row)
-    assert row_den
-    assert Fraction(total, row_den) == sum((Fraction(*entry) for entry in row), Fraction(0))
+@example(5, "R numerator", 2, 1)
+@example(5, "boundary", 0, 1)
+def test_the_certificate_relation_reports_the_first_break_of_the_reference(n, which, at, offset):
+    f, f_next, r = wz._cert_summand(n), wz._cert_summand(n + 1), wz._cert_R(n)
+    top, bottom = wz._cert_boundary(n)
+    if which == "boundary":
+        top += offset
+    else:
+        row = {"F^(n)": f[0], "F^(n+1)": f_next[0], "R numerator": r[0], "R denominator": r[1]}
+        row[which][at % len(row[which])] += offset
+    assume(0 not in r[1])
+    lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(_pairs(f_next), _pairs(f))]
+    expected = _telescopes_reference(lhs, _pairs(f), _pairs(r), (top, bottom), _CERT_BROKEN)
+    assert wz._cert_telescopes(f, f_next, r, (top, bottom), _CERT_BROKEN) == expected
 
 
-def _split_denominator(row):
-    """The row description with its first entry over twice its denominator:
-    every value is unchanged, but the row has two denominators."""
-
-    def split(*args):
-        (num, den), *rest = row(*args)
-        return [(2 * num, 2 * den), *rest]
-
-    return split
-
-
-def test_a_summand_row_of_two_denominators_is_an_error_not_a_pass():
-    # the values are the summand's, so every relation holds; the sum is
-    # what refuses the row, on every n of more than one entry
-    refused = ("error", "ValueError: summand row has more than one denominator")
-    report = check_wz1(3, f=_split_denominator(wz._f1))
-    assert [(case.status, case.actual) for case in report.cases] == [refused] * 3
-    report = check_certificate_R(3, summand=_split_denominator(wz._cert_summand))
-    assert [(case.status, case.actual) for case in report.cases] == [
-        ("pass", ORIENT_F_DIFFERENCE),
-        ("pass", "sum = 1 and the relation telescopes"),
-        refused,
-        refused,
-    ]
+def test_the_pair_relation_reads_its_boundary():
+    # every relation of the grid holds but the last, which reads H(n, n+1)
+    for n in (1, 4, 9):
+        f, r = wz._f1(n), wz._r1(n)
+        assert wz._telescopes(f, r, (0, 1), _PAIR_BROKEN) is None
+        broken = wz._telescopes(f, r, (1, 3), _PAIR_BROKEN)
+        assert broken.startswith(f"pair relation broken at k={n}: ")
+        reference = _telescopes_reference(_pairs(f), _pairs(f), _pairs(r), (1, 3), _PAIR_BROKEN)
+        assert broken == reference
 
 
 def test_f1_values():
@@ -210,7 +305,7 @@ def test_check_wz2_negative_control():
 
 
 def test_certificate_value():
-    assert Fraction(*wz._cert_R(2)[1]) == Fraction(98, 42) == Fraction(7, 3)
+    assert _values(wz._cert_R(2))[1] == Fraction(98, 42) == Fraction(7, 3)
 
 
 def test_certificate_sum_base_case():
@@ -336,17 +431,17 @@ def test_sum_checks_catch_what_the_relations_do_not():
     # its sum is 1; the sum check is what fails.
     report = check_wz1(
         3,
-        f=lambda n: [(int(k == 0), 1) for k in range(n + 1)],
-        r=lambda n: [(-1, 1)] * (n + 1),
+        f=lambda n: ([int(k == 0) for k in range(n + 1)], 1),
+        r=lambda n: ([-1] * (n + 1), 1),
     )
     assert [case.actual for case in report.cases] == ["telescoped sum is 1, not 0"] * 3
-    doubled = lambda n: [(2 * num, den) for num, den in wz._cert_summand(n)]
+    doubled = lambda n: ([2 * num for num in wz._cert_summand(n)[0]], 2 * n + 1)
     report = check_certificate_R(3, summand=doubled)
     assert report.cases[1].actual == "target sum is 2, not 1"
 
 
 def test_a_row_of_the_wrong_length_is_an_error_not_a_pass():
-    report = check_wz1(3, f=lambda n: wz._f1(n)[:-1])
+    report = check_wz1(3, f=lambda n: (wz._f1(n)[0][:-1], n))
     assert [(case.status, case.actual) for case in report.cases] == [
         ("error", f"ValueError: grid row has {n} entries, not {n + 1}") for n in (1, 2, 3)
     ]
