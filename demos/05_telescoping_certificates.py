@@ -14,10 +14,11 @@ print("=" * 72)
 print("The two-variable pair at n = 4")
 print("=" * 72)
 n = 4
-# each row is its numerators over k and one denominator; H = R * F
-nums, den = wz._f1(n)
+# the two-variable pair is the generalized pair at a = 2; each row is its
+# numerators over k and one denominator; H = R * F
+nums, den = wz._f2(2, n)
 F = [Fraction(num, den) for num in nums]
-rnums, rden = wz._r1(n)
+rnums, rden = wz._r2(2, n)
 H = [Fraction(r, rden) * f for r, f in zip(rnums, F)]
 H.append(Fraction(0))  # H(n, n+1) = 0 closes the telescope
 print(f"{'k':>3} {'F(4,k)':>10} {'H(4,k)':>10} {'H(4,k+1)-H(4,k)':>16}")
@@ -56,8 +57,11 @@ print()
 print("=" * 72)
 print("Negative control: a corrupted companion must fail")
 print("=" * 72)
-# R(n,k) = -k(n+1+k) / (n(2n+1)) with its sign flipped, which flips H = R * F
-bad = check_wz1(3, r=lambda n: ([k * (n + 1 + k) for k in range(n + 1)], n * (2 * n + 1)))
+# R(a,n,k) = -k((a-1)n+1+k) / (n(an+1)) at a = 2 with its sign flipped, which
+# flips H = R * F
+bad = check_wz1(
+    3, r=lambda a, n: ([k * ((a - 1) * n + 1 + k) for k in range(n + 1)], n * (a * n + 1))
+)
 failure = bad.first_failure()
 print(f"sign-flipped H: {bad.passed}/{bad.total} passed; "
       f"first failure at {failure.params}: {failure.actual}")

@@ -296,13 +296,10 @@ def _factorial_work(weight: int) -> int:
     return 64 + weight * weight // 256
 
 
-def closed_2var_work(m1: int, m2: int) -> int:
-    """Estimated work of ``geode_closed_2var(m1, m2)`` and its case."""
-    return _factorial_work(2 * m1 + 3 * m2 + 3)
-
-
 def closed_shifted_work(a: int, m_a: int, m_a1: int) -> int:
-    """Estimated work of ``geode_closed_shifted(a, m_a, m_a1)`` and its case."""
+    """Estimated work of ``geode_closed_shifted(a, m_a, m_a1)`` and its case;
+    at a = 2, of ``geode_closed_2var(m_a, m_a1)`` too, whose largest
+    factorial is the same."""
     return _factorial_work(a * m_a + (a + 1) * (m_a1 + 1))
 
 

@@ -230,35 +230,26 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
             yield partial(unit, n=n, a=a)
 
 
-_PAIR_BROKEN = "pair relation broken at k={j}: F={lhs}, H(k+1)-H(k)={rhs}"
-_CERT_BROKEN = "relation broken at m={j}: lhs={lhs}, rhs={rhs}"
-
-
 def _pair_units(
     n_max: int,
-    f: Callable[..., wz.Row],
-    r: Callable[..., wz.Row],
-    a: int | None = None,
+    f: Callable[[int, int], wz.Row],
+    r: Callable[[int, int], wz.Row],
+    a: int,
     prefix: str = "",
 ) -> Iterator[Unit]:
     """One unit per n <= n_max, each running the case `prefix`n=<n> on the
-    rows f(n) and r(n) of the pair a = 2, or f(a, n) and r(a, n) given `a`,
-    and, at a = 2, checking that f(2, n) is the two-variable summand row
-    ``wz._f1(n)``.  The relation and the zero sum hold for every multiple of
-    the summand, so the case pins its scale last: F(n, 0) against the
-    paper's form C(an+1, (a-1)n+1) / (an+1), whose denominator is not the
-    row's."""
-    params = () if a is None else (a,)
-    scale = 2 if a is None else a
+    rows f(a, n) and r(a, n) of the generalized pair, which is the
+    two-variable pair at a = 2.  The relation and the zero sum hold for
+    every multiple of the summand, so the case pins its scale last: F(n, 0)
+    against the paper's form C(an+1, (a-1)n+1) / (an+1), whose denominator
+    is not the row's."""
 
     def unit(report: VerifyReport, n: int) -> None:
-        f_row = report.call(f, *params, n)
-        twin_row = report.call(wz._f1, n) if a == 2 else None
+        f_row = report.call(f, a, n)
 
         def check() -> tuple[bool, str]:
             frow = wz._require(f_row(), n + 1)
-            r_row = wz._require(r(*params, n), n + 1)
-            broken = wz._telescopes(frow, r_row, (0, 1), _PAIR_BROKEN)
+            broken = wz._telescopes(frow, wz._require(r(a, n), n + 1))
             if broken:
                 return False, broken
             nums, den = frow
@@ -266,12 +257,7 @@ def _pair_units(
                 from fractions import Fraction
 
                 return False, f"telescoped sum is {Fraction(sum(nums), den)}, not 0"
-            if twin_row is not None and frow != twin_row():
-                twin, twin_den = twin_row()
-                for k, (fn, gn) in enumerate(zip(nums, twin)):
-                    if fn * twin_den != gn * den:
-                        return False, f"a=2 summand differs from two-variable pair at k={k}"
-            top = scale * n + 1
+            top = a * n + 1
             closed = comb(top, top - n)
             if nums[0] * top != closed * den:
                 from fractions import Fraction
@@ -288,14 +274,15 @@ def _pair_units(
 
 def check_wz1(
     n_max: int,
-    f: Callable[[int], wz.Row] = wz._f1,
-    r: Callable[[int], wz.Row] = wz._r1,
+    f: Callable[[int, int], wz.Row] = wz._f2,
+    r: Callable[[int, int], wz.Row] = wz._r2,
 ) -> VerifyReport:
     """Verify F_1(n,k) = H_1(n,k+1) - H_1(n,k), the vanishing sum and
-    F_1(n,0) for every n <= n_max, 0 <= k <= n.  The summand f and
-    certificate r, each giving the row over k = 0..n as its numerators and
-    one denominator, are injectable for negative controls."""
-    return run_units("wz1", _pair_units(n_max, f, r))
+    F_1(n,0) for every n <= n_max, 0 <= k <= n, on the generalized pair at
+    a = 2.  The summand f and certificate r, each giving the row over
+    k = 0..n at (a, n) as its numerators and one denominator, are
+    injectable for negative controls."""
+    return run_units("wz1", _pair_units(n_max, f, r, 2))
 
 
 def check_wz2(
@@ -304,8 +291,8 @@ def check_wz2(
     f: Callable[[int, int], wz.Row] = wz._f2,
     r: Callable[[int, int], wz.Row] = wz._r2,
 ) -> VerifyReport:
-    """Same checks for the generalized pair; at a = 2 additionally asserts
-    coincidence with the two-variable pair."""
+    """Same checks for the generalized pair at `a`; at a = 2 they are
+    ``check_wz1``'s."""
     if a < 2:
         raise ValueError(f"need a >= 2, got {a}")
     return run_units(f"wz2[a={a}]", _pair_units(n_max, f, r, a))
@@ -329,7 +316,7 @@ def _certificate_units(
             f_n = wz._require(f_this(), n)
             f_n1 = wz._require(f_next(), n + 1)
             r_n = wz._require(r(n), n, per_entry=True)
-            return f_n, wz._cert_telescopes(f_n, f_n1, r_n, boundary(n), _CERT_BROKEN)
+            return f_n, wz._cert_telescopes(f_n, f_n1, r_n, boundary(n))
 
         return telescope
 
@@ -385,8 +372,8 @@ def check_certificate_R(
 
 
 def suite_wz1(max_n: int = 200) -> Iterator[Unit]:
-    yield from _pair_units(max_n, wz._f1, wz._r1)
-    yield _control("negative-control-H", "companion", _pair_units(2, wz._f1, _flipped(wz._r1)))
+    yield from _pair_units(max_n, wz._f2, wz._r2, 2)
+    yield _control("negative-control-H", "companion", _pair_units(2, wz._f2, _flipped(wz._r2), 2))
 
 
 def suite_wz2(max_n: int = 100, a_values: Sequence[int] = DEFAULT_WZ2_A) -> Iterator[Unit]:
@@ -564,7 +551,7 @@ WORK: dict[str, Callable[..., int]] = {
     "functional_residual": _spread(residual_work),
     "eval_alternating": geode.eval_work,
     "eval_general": geode.eval_work,
-    "geode_closed_2var": geode.closed_2var_work,
+    "geode_closed_2var": partial(geode.closed_shifted_work, 2),
     "geode_closed_shifted": geode.closed_shifted_work,
     "geode_closed_two_nonzero": geode.closed_two_nonzero_work,
     "recurrence_break": _spread(geode.recurrence_work),
@@ -574,7 +561,6 @@ WORK: dict[str, Callable[..., int]] = {
     "shifted_binomial_sum": _spread(identities.binomial_sum_work),
     "lower_binomial_sum": _spread(identities.binomial_sum_work),
     "ct_coefficient": _spread(identities.ct_coefficient_work),
-    "_f1": partial(wz.row_work, 2),
     "_f2": wz.row_work,
     "_cert_summand": partial(wz.row_work, 2),
 }

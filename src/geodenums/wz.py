@@ -8,13 +8,13 @@ them on large grids.  No tolerance appears anywhere: every equality is exact
 or the check fails.
 
 Every grid has one shape: a summand row F, a certificate row R over F's
-support, and one boundary value.  Each row function, given n (and a),
-returns the whole row over k (or m) as its integer numerators and one
-integer denominator, a ``Row``; only the certificate's R, whose (n - m)
-pole gives each entry a denominator of its own, returns a list of
-denominators beside its numerators, a ``PoleRow``, and a boundary value
-is one (numerator, denominator) ``Ratio``.  Every summand is one call of
-one row builder, ``_row``:
+support, and one boundary value, which is H(n, n+1) = 0 for the pair.
+Each row function, given n (and a), returns the whole row over k (or m)
+as its integer numerators and one integer denominator, a ``Row``; only
+the certificate's R, whose (n - m) pole gives each entry a denominator of
+its own, returns a list of denominators beside its numerators, a
+``PoleRow``, and its boundary value is one (numerator, denominator)
+``Ratio``.  Every summand is one call of one row builder, ``_row``:
 
     (-1)^(j+parity) C(p, j) C(q+j, b+j),   j = 0..count-1,
 
@@ -33,45 +33,43 @@ Two loops check the relations, each on numerators only.  ``_telescopes``
 checks a pair: with F = f_k / d and R = r_k / d_R over one denominator
 each, the companion H = R * F has the numerators h_k = r_k f_k over d_R d,
 and F(k) = H(k+1) - H(k) reads f_k d_R = h_(k+1) - h_k, checked as
-f_k (d_R + r_k) = h_(k+1); the last entry, which reads the boundary value,
-is cross-multiplied once.  ``_cert_telescopes`` checks the certificate,
-whose R keeps a denominator per m: it groups the small factors of each
-entry first, so each entry costs three products of a numerator by a
-small int (the formula is in its docstring).  A summand row is summed by
-adding its numerators, and a Fraction is built only to print a failure.
-A zero denominator would make both sides of a cross-multiplied relation
-0, so a grid that reads one is an error, never a pass; so is a row of the
-wrong length, and a row description that does not return the shape of
-its row (``_require``).  This module holds only these kernels and
+f_k (d_R + r_k) = h_(k+1); the last entry reads the boundary value 0.
+``_cert_telescopes`` checks the certificate, whose R keeps a denominator
+per m: it groups the small factors of each entry first, so each entry
+costs three products of a numerator by a small int (the formula is in
+its docstring).  A summand row is summed by adding its numerators, and a
+Fraction is built only to print a failure.  A zero denominator would
+make both sides of a cross-multiplied relation 0, so a grid that reads
+one is an error, never a pass; so is a row of the wrong length, and a
+row description that does not return the shape of its row
+(``_require``).  This module holds only these kernels and
 ``row_work``, which prices a summand row with the passes a grid unit
 makes over it; the grid units, one per n, and ``check_wz1``,
 ``check_wz2`` and ``check_certificate_R``, which run them, are
 ``verify``'s.
 
-The paper's summands of the two pairs below carry a denominator that
-moves with k, N = an+1+k.  The lower index of their second binomial is
+The paper's summands of its two pairs carry a denominator that moves
+with k, N = an+1+k.  The lower index of their second binomial is
 N - n, so C(N, N-n) / N = C(N, n) / N = C(N-1, n-1) / n, and
 
     C(an+1+k, (a-1)n+1+k) / (an+1+k) = C(an+k, (a-1)n+1+k) / n:
 
-``_f1`` and ``_f2`` build the right-hand form, whose rows share the one
+``_f2`` builds the right-hand form, whose rows share the one
 denominator n.  The relation and the zero sum of a pair hold for c * F,
 any nonzero c, so ``verify`` pins F(n, 0) against the left-hand form.
 The certificate's summand has the one denominator 2n+1 as the paper
 writes it.
 
-The pair in two variables (lhs = F_1, boundary H_1(n, n+1) = 0):
-
-    F_1(n,k) = (-1)^k C(n,k) C(2n+1+k, n+1+k) / (2n+1+k)
-             = (-1)^k C(n,k) C(2n+k, n+1+k) / n
-    R_1(n,k) = -k(n+1+k) / (n(2n+1)),   H_1 = R_1 * F_1,   H_1(n,n+1) = 0
-    relation F_1(n,k) = H_1(n,k+1) - H_1(n,k), hence sum_k F_1(n,k) = 0.
-
-The generalized pair (parameter a >= 2; a = 2 reproduces the above):
+The generalized pair (parameter a >= 2, lhs = F_2):
 
     F_2(a,n,k) = (-1)^k C(n,k) C(an+1+k, (a-1)n+1+k) / (an+1+k)
                = (-1)^k C(n,k) C(an+k, (a-1)n+1+k) / n
-    R_2(a,n,k) = -k((a-1)n+1+k) / (n(an+1)),   H_2 = R_2 * F_2
+    R_2(a,n,k) = -k((a-1)n+1+k) / (n(an+1)),   H_2 = R_2 * F_2,   H_2(a,n,n+1) = 0
+    relation F_2(a,n,k) = H_2(a,n,k+1) - H_2(a,n,k), hence sum_k F_2(a,n,k) = 0.
+
+The paper's pair in two variables is this pair at a = 2, F_1(n,k) =
+F_2(2,n,k) and R_1(n,k) = -k(n+1+k) / (n(2n+1)) = R_2(2,n,k), so it is
+built and checked as ``_f2(2, n)`` and ``_r2(2, n)``.
 
 The certificate check: the sum of
 
@@ -134,17 +132,6 @@ def _row(parity: int, p: int, q: int, b: int, count: int) -> list[int]:
     return row
 
 
-def _f1(n: int) -> Row:
-    """F_1(n, k) for k = 0..n, over the one denominator n."""
-    return _row(0, n, 2 * n, n + 1, n + 1), n
-
-
-def _r1(n: int) -> Row:
-    """R_1(n, k) for k = 0..n, over the one denominator n(2n+1)."""
-    shift = n + 1
-    return [-k * (shift + k) for k in range(n + 1)], n * (2 * n + 1)
-
-
 def _f2(a: int, n: int) -> Row:
     """F_2(a, n, k) for k = 0..n, over the one denominator n."""
     return _row(0, n, a * n, (a - 1) * n + 1, n + 1), n
@@ -205,37 +192,33 @@ def _boundary(boundary: Ratio) -> Ratio:
     return boundary
 
 
-def _telescopes(f: Row, r: Row, boundary: Ratio, template: str) -> str | None:
+def _telescopes(f: Row, r: Row) -> str | None:
     """None if F(k) = H(k+1) - H(k) for every k, where the companion H is
-    R * F entry by entry and then the boundary value; otherwise the first
-    break, as ``template`` fills it in.
+    R * F entry by entry and H(n, n+1) = 0 past the last; otherwise the
+    first break.
 
     With F = f_k / d and R = r_k / d_R, H has the numerators h_k = r_k f_k
     over d_R d, and the relation reads f_k d_R = h_(k+1) - h_k, checked as
-    f_k (d_R + r_k) = h_(k+1).  The last, which reads the boundary b / c,
-    is cross-multiplied once: f_k (d_R + r_k) c = b d_R d."""
+    f_k (d_R + r_k) = h_(k+1); the last, h_(n+1) = 0, reads
+    f_n (d_R + r_n) = 0."""
     nums, den = f
     rnums, rden = r
-    top, bottom = _boundary(boundary)
     left = [fn * (rden + rn) for fn, rn in zip(nums, rnums)]
     h = [rn * fn for fn, rn in zip(nums, rnums)]
-    last = len(left) - 1
-    if left[:last] == h[1:] and left[last] * bottom == top * rden * den:
+    h.append(0)
+    if left == h[1:]:
         return None
-    k = next((k for k in range(last) if left[k] != h[k + 1]), last)
+    k = next(k for k in range(len(left)) if left[k] != h[k + 1])
     from fractions import Fraction
 
-    over = rden * den
-    after = Fraction(top, bottom) if k == last else Fraction(h[k + 1], over)
-    return template.format(j=k, lhs=Fraction(nums[k], den), rhs=after - Fraction(h[k], over))
+    lhs, rhs = Fraction(nums[k], den), Fraction(h[k + 1] - h[k], rden * den)
+    return f"pair relation broken at k={k}: F={lhs}, H(k+1)-H(k)={rhs}"
 
 
-def _cert_telescopes(
-    f: Row, f_next: Row, r: PoleRow, boundary: Ratio, template: str
-) -> str | None:
+def _cert_telescopes(f: Row, f_next: Row, r: PoleRow, boundary: Ratio) -> str | None:
     """None if F^(n+1, m) - F^(n, m) = G(m+1) - G(m) for every m < n, where
     the companion G is R * F^ entry by entry and then the boundary value;
-    otherwise the first break, as ``template`` fills it in.
+    otherwise the first break.
 
     With F^(n, m) = f_m / d, F^(n+1, m) = g_m / e and R(n, m) = u_m / v_m,
     G(m) = x_m u_m / (d v_m) for x_m = f_m and, at m = n, for x_n = b,
@@ -263,7 +246,7 @@ def _cert_telescopes(
 
     lhs = Fraction(next_nums[m], e) - Fraction(nums[m], d)
     rhs = Fraction(xs[m] * us[m + 1], d * vs[m + 1]) - Fraction(nums[m] * us[m], d * vs[m])
-    return template.format(j=m, lhs=lhs, rhs=rhs)
+    return f"relation broken at m={m}: lhs={lhs}, rhs={rhs}"
 
 
 def row_work(a: int, n: int) -> int:
@@ -281,9 +264,9 @@ def row_work(a: int, n: int) -> int:
     relation and its sum read them over one denominator, so every pass
     over them is linear in T and this term is headroom.  Each unit counts
     192, with the pin of F(n, 0), one math.comb as large as the row's
-    first.  F_1(n) is F_2(2, n), and the certificate's F^(n, m), n entries
-    below those of F_1(n), is priced as F_1(n); a certificate unit builds
-    two of them.  Calibration, at 90 ns a unit: in process on one CPU of a
+    first.  The certificate's F^(n, m), n entries below those of
+    F_2(2, n), is priced as F_2(2, n); a certificate unit builds two of
+    them.  Calibration, at 90 ns a unit: in process on one CPU of a
     2-core VM with Python 3.11, best of fifteen in each of two runs, a whole
     ``wz1`` or ``wz2`` unit run through ``report.run_units`` took at most
     0.62 of the estimate's time for n = 1-800 and a = 2-10^9 (0.68 when

@@ -54,13 +54,12 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "wz._f1 puts its row over n + 1",
+        "wz._f2 puts its row over n + 1",
         "src/geodenums/wz.py",
-        "return _row(0, n, 2 * n, n + 1, n + 1), n\n",
-        "return _row(0, n, 2 * n, n + 1, n + 1), n + 1\n",
+        "return _row(0, n, a * n, (a - 1) * n + 1, n + 1), n\n",
+        "return _row(0, n, a * n, (a - 1) * n + 1, n + 1), n + 1\n",
         (
             "tests/test_wz.py::test_summand_rows_match_their_closed_forms",
-            "tests/test_wz.py::test_wz2_reduces_to_two_variable_pair",
             "tests/test_wz.py::test_check_wz1_passes",
             "tests/test_golden.py::test_report_equals_its_golden_digest[wz2]",
         ),
@@ -88,8 +87,8 @@ MUTANTS = [
     Mutant(
         "the relation skips the boundary entry",
         "src/geodenums/wz.py",
-        "left[:last] == h[1:] and left[last] * bottom == top * rden * den",
-        "left[:last] == h[1:]",
+        "if left == h[1:]:",
+        "if left[:-1] == h[1:-1]:",
         ("tests/test_wz.py::test_the_pair_relation_reads_its_boundary",),
     ),
     Mutant(
@@ -280,14 +279,39 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "wz2 at a = 2 compares its summand row with itself, not F_1's",
+        "thm3 compares a**n with itself, not the alternating evaluation",
         "src/geodenums/verify.py",
-        "twin_row is not None and frow != twin_row():",
-        "twin_row is not None and frow != frow:",
+        "_is(a**n, values().coefficient(n))",
+        "_is(a**n, a**n)",
+        ("tests/test_cli.py::test_suite_fails_when_a_weight_or_the_residual_is_perturbed[thm3]",),
+    ),
+    Mutant(
+        "a flag one below its minimum is admitted",
+        "src/geodenums/verify.py",
+        "if value is not None and value < minimum:",
+        "if value is not None and value < minimum - 1:",
         (
-            "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
-            "[wz2]",
+            "tests/test_cli.py::test_verify_rejects_out_of_range_bounds[wz2 --a 1]",
+            "tests/test_cli.py::test_verify_rejects_out_of_range_bounds[wz1 --max-n 0]",
         ),
+    ),
+    Mutant(
+        "a suite's budget admits 2 * MAX_WORK",
+        "src/geodenums/verify.py",
+        "if spent > MAX_WORK:",
+        "if spent > 2 * MAX_WORK:",
+        (
+            "tests/test_cli.py::test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit",
+            "tests/test_cli.py::test_grid_flag_is_admitted_up_to_where_its_price_passes_the_limit"
+            "[wz1 --max-n]",
+        ),
+    ),
+    Mutant(
+        "geode._exact_div ignores its remainder",
+        "src/geodenums/geode.py",
+        "    if rem:\n        raise ArithmeticError",
+        "    if False:\n        raise ArithmeticError",
+        ("tests/test_geode.py::test_exact_div_refuses_a_remainder",),
     ),
     Mutant(
         "a tiny request forks a helper",

@@ -1175,6 +1175,15 @@ def test_verify_refuses_oversize_grid_work_at_once(argv, tmp_path, monkeypatch, 
     assert " after " in line and " units of earlier work of this suite is " in line
 
 
+def test_a_refused_wz1_request_names_the_generalized_row_at_a_2(tmp_path, monkeypatch, capsys):
+    # the refusal the README shows: wz1 reads the generalized pair's rows
+    line = assert_refused_before_any_case(["wz1", "--max-n", "839"], tmp_path, monkeypatch, capsys)
+    assert line == (
+        "geodenums: error: verify wz1: _f2(2, 839) after 29932243 units of earlier work of "
+        f"this suite is too much work: more than {cli.MAX_WORK} units (MAX_WORK)"
+    )
+
+
 def test_verify_refuses_a_suite_once_its_summed_work_passes_the_limit():
     # recurrence at degree 1 admits 169 variables and oracle at degree 0
     # 230: the calls of one more variable take the sum past the limit
@@ -1440,7 +1449,7 @@ GRID_LIMITS = {
     ("claims", "--max-n"): 49,
     ("claims", "--max-a"): 85,
     ("wz1", "--max-n"): 838,
-    ("wz2", "--max-n"): 422,
+    ("wz2", "--max-n"): 463,
     ("wz2", "--a"): 2**295 - 1,
     ("certificate", "--max-n"): 633,
 }
@@ -1509,7 +1518,7 @@ def test_readme_flag_table_matches_suites():
 
 def test_verify_all_at_default_bounds_is_admitted():
     # the residual products make oracle the heaviest suite, ahead of the
-    # grids of wz2 and wz1
+    # grids of wz1 and wz2
     works = {name: work for name, _, work in plan(["all"])}
     assert max(works.values()) == works["oracle"] == 1_495_225 < cli.MAX_WORK
     assert works["oracle"] == sum(
@@ -1644,7 +1653,7 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
 
 
 # The kernels verify prices, by the module each is read through; the
-# summand rows (_f1, _f2, _cert_summand) are watched through wz._row,
+# summand rows (_f2, _cert_summand) are watched through wz._row,
 # which each of them calls, since the grid units bind them as defaults.
 KERNELS = {
     "solve_S": verify,
@@ -1682,7 +1691,7 @@ def watch_kernels(monkeypatch, seen):
     holds = watched("factorization_holds", geode.GeodeTable.factorization_holds)
     monkeypatch.setattr(geode.GeodeTable, "factorization_holds", holds)
     monkeypatch.setattr(wz, "_row", watched("_row", wz._row))
-    rows = {"_f1", "_f2", "_cert_summand"}
+    rows = {"_f2", "_cert_summand"}
     assert set(KERNELS) | {"factorization_holds"} | rows == set(verify.WORK)
 
 
@@ -1754,11 +1763,11 @@ def test_no_report_call_is_made_while_cases_run(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["all"], 5_966_475),
+    (["all"], 5_690_281),
     (["eq31", "--max-n", "8", "--max-a", "4"], 35_339),
     (["claims", "--max-n", "8", "--max-a", "3"], 97_788),
     (["wz1", "--max-n", "250"], 1_828_985),
-    (["wz2", "--max-n", "120"], 2_006_226),
+    (["wz2", "--max-n", "120"], 1_608_404),
     (["certificate", "--max-n", "120"], 810_457),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
 def test_each_request_declares_its_pinned_work(argv, work):
@@ -1960,31 +1969,14 @@ def _raised_at(function, point):
     return lambda *args: function(*args) + (args == point)
 
 
-def _row_raised_at(row, point):
-    """The row description with 1 added to the numerator of one entry: the
-    last item of `point` is the entry's index, the others the arguments."""
-    *where, index = point
-
-    def raised(*args):
-        nums, den = row(*args)
-        if list(args) == where:
-            nums[index] += 1
-        return nums, den
-
-    return raised
-
-
-# A cross-check compares a closed form or row with a second route to the
-# same value; each perturbs the second route at one point.
+# A cross-check compares a closed form with a second route to the same
+# value; each perturbs the second route at one point.
 @pytest.mark.parametrize("name, module, function, perturb, bounds, failures", [
     ("thm2", geode, "geode_closed_2var", partial(_raised_at, point=(1, 2)),
      {"max_sum": 3, "a_values": (2, 3)}, {"a=2,p=01,q=02": "110 != two-variable closed form"}),
     ("two-nonzero", geode, "geode_closed_2var", partial(_raised_at, point=(1, 2)),
      {"max_n": 4}, {"s=1,t=2,n=4": "two-variable closed form differs at i=2"}),
-    ("wz2", wz, "_f1", partial(_row_raised_at, point=(5, 2)),
-     {"max_n": 6, "a_values": (2, 3)},
-     {"a=2,n=005": "a=2 summand differs from two-variable pair at k=2"}),
-], ids=["thm2", "two-nonzero", "wz2"])
+], ids=["thm2", "two-nonzero"])
 def test_a_cross_check_fails_only_where_its_second_route_is_perturbed(
     name, module, function, perturb, bounds, failures, monkeypatch
 ):

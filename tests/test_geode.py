@@ -8,6 +8,7 @@ import pytest
 
 from geodenums.geode import (
     GeodeTable,
+    _exact_div,
     _geode_layers,
     alternating_weights,
     eval_alternating,
@@ -191,6 +192,13 @@ def test_closed_forms_positive():
         for i in range(n):
             assert geode_closed_two_nonzero(2, 4, n, i) > 0
 
+
+def test_exact_div_refuses_a_remainder():
+    # every closed form divides through _exact_div, so a closed form that
+    # went wrong by a factor is refused rather than rounded
+    assert _exact_div(comb(12, 5) * 7, 7) == comb(12, 5)
+    with pytest.raises(ArithmeticError, match="expected 793 divisible by 7"):
+        _exact_div(793, 7)
 
 
 # r = 1..6 through degree 10, then deep, wide and both

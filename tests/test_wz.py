@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 
 from geodenums import wz
 from geodenums.geode import geode_closed_2var
-from geodenums.verify import (
-    _CERT_BROKEN,
-    _PAIR_BROKEN,
-    _flipped,
-    check_certificate_R,
-    check_wz1,
-    check_wz2,
-)
+from geodenums.verify import _flipped, check_certificate_R, check_wz1, check_wz2
 from geodenums.wz import ORIENT_F_DIFFERENCE
+
+# The failure texts of the pair's and the certificate's relation.
+PAIR_BROKEN = "pair relation broken at k={j}: F={lhs}, H(k+1)-H(k)={rhs}"
+CERT_BROKEN = "relation broken at m={j}: lhs={lhs}, rhs={rhs}"
 
 
 def _denominators(row):
@@ -40,8 +37,9 @@ def _pairs(row):
 
 
 def _h1(n):
-    """H(n, k) = R(n, k) F(n, k) of the two-variable pair, for k = 0..n."""
-    return [r * f for r, f in zip(_values(wz._r1(n)), _values(wz._f1(n)))]
+    """H(n, k) = R(n, k) F(n, k) of the two-variable pair, the generalized
+    pair at a = 2, for k = 0..n."""
+    return [r * f for r, f in zip(_values(wz._r2(2, n)), _values(wz._f2(2, n)))]
 
 
 def _raised(row, at):
@@ -143,7 +141,6 @@ def test_summand_rows_match_their_closed_forms():
         )
 
     for n in range(1, 61):
-        assert _values(wz._f1(n)) == [f(2, n, k) for k in range(n + 1)]
         for a in (2, 3, 999, 1000):
             assert _values(wz._f2(a, n)) == [f(a, n, k) for k in range(n + 1)]
         assert _values(wz._cert_summand(n)) == [
@@ -169,7 +166,7 @@ def test_a_row_description_not_of_the_numerators_denominator_shape_is_an_error_n
     # the values are the rows', so every relation holds; the shape is what
     # refuses the row, on every n
     refused = ("error", "TypeError: grid row is not a (numerators, denominator) pair")
-    for f in (_as_pairs(wz._f1), _as_pole_row(wz._f1)):
+    for f in (_as_pairs(wz._f2), _as_pole_row(wz._f2)):
         report = check_wz1(3, f=f)
         assert [(case.status, case.actual) for case in report.cases] == [refused] * 3
     report = check_certificate_R(3, summand=_as_pairs(wz._cert_summand))
@@ -184,7 +181,7 @@ def test_a_row_description_not_of_the_numerators_denominator_shape_is_an_error_n
 def test_check_wz1_with_every_denominator_doubled_fails():
     # the relation and the zero sum hold for every multiple of F_1; the pin
     # of F_1(n, 0) against C(2n+1, n+1)/(2n+1) is what fails, on every n
-    report = check_wz1(50, f=lambda n: (wz._f1(n)[0], 2 * n))
+    report = check_wz1(50, f=lambda a, n: (wz._f2(a, n)[0], 2 * n))
     assert {case.status for case in report.cases} == {"fail"}
     assert report.cases[0].actual == "F(n,0) = 1/2, not C(3,2)/3 = 1"
     assert report.cases[1].actual == "F(n,0) = 1, not C(5,3)/5 = 2"
@@ -212,8 +209,8 @@ def test_the_pair_relation_reports_the_first_break_of_the_reference(n, a, which,
     f, r = wz._f2(a, n), wz._r2(a, n)
     nums = (f if which == "F" else r)[0]
     nums[at % (n + 1)] += offset
-    expected = _telescopes_reference(_pairs(f), _pairs(f), _pairs(r), (0, 1), _PAIR_BROKEN)
-    assert wz._telescopes(f, r, (0, 1), _PAIR_BROKEN) == expected
+    expected = _telescopes_reference(_pairs(f), _pairs(f), _pairs(r), (0, 1), PAIR_BROKEN)
+    assert wz._telescopes(f, r) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,40 +232,43 @@ def test_the_certificate_relation_reports_the_first_break_of_the_reference(n, wh
         row[which][at % len(row[which])] += offset
     assume(0 not in r[1])
     lhs = [(an * bd - bn * ad, ad * bd) for (an, ad), (bn, bd) in zip(_pairs(f_next), _pairs(f))]
-    expected = _telescopes_reference(lhs, _pairs(f), _pairs(r), (top, bottom), _CERT_BROKEN)
-    assert wz._cert_telescopes(f, f_next, r, (top, bottom), _CERT_BROKEN) == expected
+    expected = _telescopes_reference(lhs, _pairs(f), _pairs(r), (top, bottom), CERT_BROKEN)
+    assert wz._cert_telescopes(f, f_next, r, (top, bottom)) == expected
 
 
 def test_the_pair_relation_reads_its_boundary():
-    # every relation of the grid holds but the last, which reads H(n, n+1)
-    for n in (1, 4, 9):
-        f, r = wz._f1(n), wz._r1(n)
-        assert wz._telescopes(f, r, (0, 1), _PAIR_BROKEN) is None
-        broken = wz._telescopes(f, r, (1, 3), _PAIR_BROKEN)
+    # R's last numerator negated, and F's with it, keeps h_n = r_n f_n, so
+    # every relation of the grid holds but the last, which reads
+    # H(n, n+1) = 0: f_n (d_R + r_n) is 0 only for the unbroken r_n = -d_R
+    for a, n in ((2, 1), (2, 4), (2, 9), (3, 9)):
+        f, r = wz._f2(a, n), wz._r2(a, n)
+        assert wz._telescopes(f, r) is None
+        f[0][n], r[0][n] = -f[0][n], -r[0][n]
+        broken = wz._telescopes(f, r)
         assert broken.startswith(f"pair relation broken at k={n}: ")
-        reference = _telescopes_reference(_pairs(f), _pairs(f), _pairs(r), (1, 3), _PAIR_BROKEN)
+        reference = _telescopes_reference(_pairs(f), _pairs(f), _pairs(r), (0, 1), PAIR_BROKEN)
         assert broken == reference
 
 
 def test_f1_values():
-    assert _values(wz._f1(2)) == [2, -5, 3]
-    assert sum(_values(wz._f1(2))) == 0
-    assert sum(_values(wz._f1(5))) == 0
+    assert _values(wz._f2(2, 2)) == [2, -5, 3]
+    assert sum(_values(wz._f2(2, 2))) == 0
+    assert sum(_values(wz._f2(2, 5))) == 0
 
 
 def test_f1_leading_term_positive():
     for n in range(1, 12):
-        assert _values(wz._f1(n))[0] == Fraction(comb(2 * n + 1, n + 1), 2 * n + 1) > 0
+        assert _values(wz._f2(2, n))[0] == Fraction(comb(2 * n + 1, n + 1), 2 * n + 1) > 0
 
 
 def test_h1_values():
     h = _h1(2)
     assert h[1] == 2
     assert h[2] == -3
-    assert _values(wz._f1(2))[1] == h[2] - h[1] == -5
+    assert _values(wz._f2(2, 2))[1] == h[2] - h[1] == -5
     for n in range(1, 10):
         assert _h1(n)[0] == 0
-    assert _h1(3)[1] == -_values(wz._f1(3))[1] * Fraction(1 * 5, 3 * 7)
+    assert _h1(3)[1] == -_values(wz._f2(2, 3))[1] * Fraction(1 * 5, 3 * 7)
 
 
 def test_check_wz1_passes():
@@ -279,7 +279,7 @@ def test_check_wz1_passes():
 
 
 def test_check_wz1_negative_control():
-    corrupted = check_wz1(3, r=_flipped(wz._r1))
+    corrupted = check_wz1(3, r=_flipped(wz._r2))
     assert not corrupted.all_passed()
     first = corrupted.first_failure()
     assert first.params == {"n": 1}
@@ -288,9 +288,24 @@ def test_check_wz1_negative_control():
 
 
 def test_wz2_reduces_to_two_variable_pair():
-    for n in range(1, 12):
-        assert wz._f2(2, n) == wz._f1(n)
-        assert wz._r2(2, n) == wz._r1(n)
+    # the paper's R_1(n, k) = -k(n+1+k) / (n(2n+1)) is R_2 at a = 2, as
+    # test_summand_rows_match_their_closed_forms finds F_1 at a = 2
+    for n in range(1, 61):
+        r1 = [Fraction(-k * (n + 1 + k), n * (2 * n + 1)) for k in range(n + 1)]
+        assert _values(wz._r2(2, n)) == r1
+
+
+def _outcomes(report):
+    """(status, expected, actual) of each case of `report`, ids aside."""
+    return [(case.status, case.expected, case.actual) for case in report.cases]
+
+
+def test_check_wz1_is_check_wz2_at_a_2():
+    assert _outcomes(check_wz1(60)) == _outcomes(check_wz2(2, 60))
+    flipped = _flipped(wz._r2)
+    corrupted = check_wz1(60, r=flipped)
+    assert _outcomes(corrupted) == _outcomes(check_wz2(2, 60, r=flipped))
+    assert {case.status for case in corrupted.cases} == {"fail"}
 
 
 def test_check_wz2_passes():
@@ -367,11 +382,11 @@ def test_h1_quotient_layer_identity_and_geode_bridge():
 # companion, along k = n or m = n; the certificate's companion at m = n is
 # its boundary value) and must leave a non-passing case.
 MUTANTS = [
-    ("wz1 summand +1", lambda: check_wz1(8, f=_raised(wz._f1, (5, 2))), "fail"),
-    ("wz1 R +1", lambda: check_wz1(8, r=_raised(wz._r1, (5, 2))), "fail"),
-    ("wz1 companion 0 at k=n", lambda: check_wz1(8, r=_zeroed_on_diagonal(wz._r1)), "fail"),
-    ("wz1 R 0/0", lambda: check_wz1(8, r=_zero_over_zero(wz._r1, (5, 2))), "error"),
-    ("wz1 summand 0/0", lambda: check_wz1(8, f=_zero_over_zero(wz._f1, (5, 2))), "error"),
+    ("wz1 summand +1", lambda: check_wz1(8, f=_raised(wz._f2, (2, 5, 2))), "fail"),
+    ("wz1 R +1", lambda: check_wz1(8, r=_raised(wz._r2, (2, 5, 2))), "fail"),
+    ("wz1 companion 0 at k=n", lambda: check_wz1(8, r=_zeroed_on_diagonal(wz._r2)), "fail"),
+    ("wz1 R 0/0", lambda: check_wz1(8, r=_zero_over_zero(wz._r2, (2, 5, 2))), "error"),
+    ("wz1 summand 0/0", lambda: check_wz1(8, f=_zero_over_zero(wz._f2, (2, 5, 2))), "error"),
     ("wz2 summand +1", lambda: check_wz2(3, 8, f=_raised(wz._f2, (3, 5, 2))), "fail"),
     ("wz2 R +1", lambda: check_wz2(3, 8, r=_raised(wz._r2, (3, 5, 2))), "fail"),
     ("wz2 companion 0 at k=n", lambda: check_wz2(3, 8, r=_zeroed_on_diagonal(wz._r2)), "fail"),
@@ -415,7 +430,7 @@ def test_mutants_leave_the_rest_of_the_grid_passing():
     # The one-point mutants touch n = 5 (and the certificate's relation at
     # n = 4, which reads F(5, m), and its orientation case, which reads
     # n <= 6); every other n still passes.
-    report = check_wz1(8, f=_raised(wz._f1, (5, 2)))
+    report = check_wz1(8, f=_raised(wz._f2, (2, 5, 2)))
     failures = [case for case in report.cases if case.status != "pass"]
     assert [case.params["n"] for case in failures] == [5]
     assert failures[0].actual == "pair relation broken at k=1: F=-330, H(k+1)-H(k)=-18166/55"
@@ -431,8 +446,8 @@ def test_sum_checks_catch_what_the_relations_do_not():
     # its sum is 1; the sum check is what fails.
     report = check_wz1(
         3,
-        f=lambda n: ([int(k == 0) for k in range(n + 1)], 1),
-        r=lambda n: ([-1] * (n + 1), 1),
+        f=lambda a, n: ([int(k == 0) for k in range(n + 1)], 1),
+        r=lambda a, n: ([-1] * (n + 1), 1),
     )
     assert [case.actual for case in report.cases] == ["telescoped sum is 1, not 0"] * 3
     doubled = lambda n: ([2 * num for num in wz._cert_summand(n)[0]], 2 * n + 1)
@@ -441,7 +456,7 @@ def test_sum_checks_catch_what_the_relations_do_not():
 
 
 def test_a_row_of_the_wrong_length_is_an_error_not_a_pass():
-    report = check_wz1(3, f=lambda n: (wz._f1(n)[0][:-1], n))
+    report = check_wz1(3, f=lambda a, n: (wz._f2(a, n)[0][:-1], n))
     assert [(case.status, case.actual) for case in report.cases] == [
         ("error", f"ValueError: grid row has {n} entries, not {n + 1}") for n in (1, 2, 3)
     ]
