@@ -88,8 +88,8 @@ def _check_work(
 
 def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
     """Solve the `kind` table in `r` variables through degree `trunc` and
-    write it to `out` in `fmt` straight from its packed layers: S from
-    ``hypercat._solve_layers``, G from ``geode._geode_layers``.  The solver
+    write it to `out` in `fmt` straight from the packed layers of
+    ``hypercat._solve_layers``, seeded for G when `kind` is G.  The solver
     lists every monomial of a layer's degree once, in descending
     lexicographic order, so each layer is reversed and its keys are
     compared, in one list comparison, with those ``mpoly._layer_labels``
@@ -99,8 +99,8 @@ def _write_table(kind: str, fmt: str, r: int, trunc: int, out: IO[str]) -> None:
     terms come out by degree, then lexicographically, and only one
     layer's text is held at a time.  The JSON is laid out as
     ``json.dumps(series_to_dict(series), indent=2)`` lays it out, byte for
-    byte; the tests compare the two."""
-    shift, layers = (_solve_layers if kind == "S" else geode._geode_layers)(r, trunc)
+    byte; the tests compare it with an encoder of their own."""
+    shift, layers = _solve_layers(r, trunc, geode=kind == "G")
     if fmt == "json":
         row = '    {\n      "exps": [\n        %s\n      ],\n      "coeff": "%d"\n    }'
         sep, joiner = ",\n        ", ",\n"

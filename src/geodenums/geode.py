@@ -3,9 +3,10 @@
 S - 1 factors exactly as (t_1 + ... + t_r) * G; the coefficients G[m] are the
 Geode numbers.  This module extracts G from the series oracle, by the
 power recurrence of ``hypercat._solve_layers`` seeded for G_j = (S^j - 1) /
-(t_1 + ... + t_r), whose G_1 is G (``_geode_layers``, which ``geodenums
-table`` writes from), with no division, unpacking the layers once, and
-implements every closed form and substitution evaluation for it:
+(t_1 + ... + t_r), whose G_1 is G (``_solve_layers(r, D, geode=True)``,
+which ``geodenums table`` writes from), with no division, unpacking the
+layers once, and implements every closed form and substitution
+evaluation for it:
 
   * geode_closed_2var        -- two-variable coefficients G[m1, m2]
   * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a
@@ -29,7 +30,6 @@ from typing import Sequence
 
 from .hypercat import _coefficient_bits, _solve_layers, hyper_catalan, solve_work
 from .mpoly import (
-    Layers,
     OutOfRangeError,
     TruncatedSeries,
     UnivariateSeries,
@@ -78,28 +78,21 @@ class GeodeTable(_Frozen):
 def geode_series(r: int, max_degree: int) -> GeodeTable:
     """Extract G = (S - 1) / (t_1 + ... + t_r) from the oracle.
 
-    The layers of ``_geode_layers``, unpacked once: the power recurrence
-    that solves S, with layer 0 of the powers seeded 1, 2, ..., so it
-    yields G_j = (S^j - 1) / (t_1 + ... + t_r) in their place, exact
-    through max_degree with no division.  Every call builds a new table.
+    The layers of ``_solve_layers(r, max_degree, geode=True)``, unpacked
+    once: the power recurrence that solves S, with layer 0 of the powers
+    seeded 1, 2, ..., so it yields G_j = (S^j - 1) / (t_1 + ... + t_r) in
+    their place, exact through max_degree with no division.  Every call
+    builds a new table.
     """
-    shift, quotient = _geode_layers(r, max_degree)
+    shift, quotient = _solve_layers(r, max_degree, geode=True)
     terms = _unpack_terms(chain.from_iterable(quotient), r, shift)
     return GeodeTable(r, max_degree, TruncatedSeries(r, max_degree, terms))
 
 
-def _geode_layers(r: int, max_degree: int) -> tuple[int, Layers]:
-    """The packing shift and the packed layers 0..max_degree of G, which
-    ``geode_series`` unpacks and ``geodenums table`` writes: the power
-    recurrence of ``_solve_layers`` seeded for G_j = (S^j - 1) / (t_1 +
-    ... + t_r), whose G_1 is G."""
-    return _solve_layers(r, max_degree, geode=True)
-
-
 def geode_work(r: int, max_degree: int) -> int:
     """Estimated work of ``geode_series(r, max_degree)``, in the units of
-    ``hypercat.solve_work``: its seeded solve at (r, max_degree)
-    (``_geode_layers``), priced by ``solve_work(r, max_degree,
+    ``hypercat.solve_work``: its seeded solve ``_solve_layers(r,
+    max_degree, geode=True)``, priced by ``solve_work(r, max_degree,
     geode=True)``, and the work on its entries.
 
     Each of the N = C(r + D, r) entries, D = max_degree, is unpacked into

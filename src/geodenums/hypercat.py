@@ -16,7 +16,7 @@ It unpacks the packed layers of ``_solve_layers``, which
 ``geodenums table`` writes as they are.  Seeded with j in place of 1 at
 layer 0, the same recurrence gives G_j = (S^j - 1) / (t_1 + ... + t_r),
 so ``_solve_layers(r, D, geode=True)`` solves the Geode series G = G_1
-through D (``geode._geode_layers``) with no division.
+through D (``geode.geode_series``) with no division.
 ``functional_residual`` checks a series against the equation itself, with
 powers chained through ``mpoly._layer_product``, an algorithm the solve
 does not run.  ``solve_work`` estimates the cost of either solve, and

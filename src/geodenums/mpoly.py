@@ -20,20 +20,18 @@ builds each power of S from sums of layers one degree lower), so the
 products that check it, ``hypercat.functional_residual`` and the
 factorization check, run an algorithm the solve does not.
 
-Exact division by t_1 + ... + t_r, ``_divide_layers``, works on packed
-layers too.  The Geode series no longer needs it, since
-``geode._geode_layers`` solves G directly by the seeded power recurrence,
-so it now serves only ``divide_exact_by_s1`` and the tests, which keep it
-as the independent reference for that solve.  Whether a quotient times
-t_1 + ... + t_r gives back its dividend is decided in one place,
-``_s1_multiple_mismatch``, which the division's own check and
-``geode.GeodeTable.factorization_holds`` both call.
-
 The algebra on ``TruncatedSeries`` values, ``mul``, ``sub``, ``s1_series``,
-``constant_series`` and ``divide_exact_by_s1``, packs its operands with
-``_pack_layers`` and runs the same kernels.  No package code path calls
-it: it is the reference form in which the tests and the benchmark replay
-state and time the series algebra.
+``constant_series`` and ``divide_exact_by_s1``, is the reference form in
+which the tests and the benchmark's traced replay state and time the
+series algebra; no package code path calls it.  ``mul`` packs its
+operands with ``_pack_layers`` and runs ``_layer_product``.
+``divide_exact_by_s1`` is the plain reference division, solved term by
+term on tuple keys; the Geode series needs none, since
+``hypercat._solve_layers(r, D, geode=True)`` solves G directly by the
+seeded power recurrence.  Whether a quotient times t_1 + ... + t_r gives
+back its dividend is decided in one place, ``_s1_multiple_mismatch``,
+which the division's own check and ``geode.GeodeTable.factorization_holds``
+both call.
 
 ``geodenums table`` writes S and G from packed layers as well, and
 decodes no key: the solver lists each layer's monomials in a fixed
@@ -426,61 +424,20 @@ def _s1_multiple_mismatch(
     return bad, product.get(bad, 0), wanted.get(bad, 0)
 
 
-def _divide_layers(layers: Layers, nvars: int, shift: int) -> Layers:
-    """Exact quotient of packed layers by t_1 + ... + t_r, by layers.
-
-    ``layers`` is the dividend, without a constant term; quotient layer d is
-    solved from dividend layer d + 1 by the triangular recurrence
-
-        Q[m] = A[m + e_1] - sum_{k >= 2} Q[m + e_1 - e_k],
-
-    in push form: monomials run in decreasing order of the first exponent,
-    and once Q[m] with m_1 >= 1 is known it is subtracted into
-    m - e_1 + e_k for every k >= 2, so only the monomials that the dividend
-    or a push reaches are visited.  The quotient is then re-multiplied
-    against t_1 + ... + t_r and compared with the dividend on every degree
-    by ``_s1_multiple_mismatch``; a mismatch means the dividend was not an
-    exact multiple and raises NotDivisibleError naming the first one, by
-    degree and then lexicographically.  Fields of ``shift`` bits must hold
-    every exponent of the dividend.
-    """
-    mask = (1 << shift) - 1
-    pushes = [(1 << (k * shift)) - 1 for k in range(1, nvars)]  # m -> m - e_1 + e_k
-    quotient: Layers = []
-    for d in range(len(layers) - 1):
-        # by_first[j] collects the monomials of degree d with m_1 = j
-        by_first: list[dict[int, int]] = [{} for _ in range(d + 1)]
-        for key, c in layers[d + 1]:
-            if key & mask:
-                by_first[(key & mask) - 1][key - 1] = c
-        layer = []
-        for j in range(d, 0, -1):
-            target = by_first[j - 1]
-            get = target.get
-            for key, c in by_first[j].items():
-                if c:
-                    layer.append((key, c))
-                    for push in pushes:
-                        k = key + push
-                        target[k] = get(k, 0) - c
-        layer.extend((key, c) for key, c in by_first[0].items() if c)
-        quotient.append(layer)
-    mismatch = _s1_multiple_mismatch(quotient, layers, nvars, shift)
-    if mismatch is not None:
-        bad, product, wanted = mismatch
-        raise NotDivisibleError(
-            f"dividend is not a multiple of t_1+...+t_{nvars}: first mismatch at {bad} "
-            f"(product has {product}, dividend has {wanted})"
-        )
-    return quotient
-
-
 def divide_exact_by_s1(a: TruncatedSeries) -> TruncatedSeries:
     """Exact quotient a / (t_1 + ... + t_r), truncated one order lower.
 
-    Packs the dividend and divides it by ``_divide_layers``, which checks
-    the quotient by re-multiplication; NotDivisibleError names the first
-    mismatch when a is not an exact multiple.
+    The coefficient of t^(m + e_1) in (t_1 + ... + t_r) * Q is Q[m] plus
+    Q[m + e_1 - e_k] for every k >= 2 with m_k >= 1, so
+
+        Q[m] = A[m + e_1] - sum_{k >= 2, m_k >= 1} Q[m + e_1 - e_k].
+
+    Each m + e_1 - e_k has the degree of m and a first exponent one
+    higher, so it comes after m lexicographically: solving each degree in
+    descending lexicographic order finds every term on the right solved.
+    The quotient is then re-multiplied by ``_s1_multiple_mismatch``;
+    NotDivisibleError names the first mismatch, by degree and then
+    lexicographically, when a is not an exact multiple.
     """
     r = a.nvars
     if a.constant_term() != 0:
@@ -489,9 +446,25 @@ def divide_exact_by_s1(a: TruncatedSeries) -> TruncatedSeries:
         )
     if a.trunc < 1:
         raise ValueError("dividend truncated at degree 0 leaves no quotient layers")
+    quotient: dict[ExpVec, int] = {}
+    for d in range(a.trunc):
+        for m in reversed(list(iter_exponents(r, d))):
+            up = (m[0] + 1, *m[1:])
+            c = a.terms.get(up, 0) - sum(
+                quotient.get((*up[:k], m[k] - 1, *up[k + 1 :]), 0) for k in range(1, r) if m[k]
+            )
+            if c:
+                quotient[m] = c
     shift = _packing_shift(a.trunc)
-    quotient = _divide_layers(_pack_layers(a.terms, r, a.trunc, shift), r, shift)
-    return TruncatedSeries(r, a.trunc - 1, _unpack_terms(chain.from_iterable(quotient), r, shift))
+    packed = [_pack_layers(terms, r, a.trunc, shift) for terms in (quotient, a.terms)]
+    mismatch = _s1_multiple_mismatch(*packed, r, shift)
+    if mismatch is not None:
+        bad, product, wanted = mismatch
+        raise NotDivisibleError(
+            f"dividend is not a multiple of t_1+...+t_{r}: first mismatch at {bad} "
+            f"(product has {product}, dividend has {wanted})"
+        )
+    return TruncatedSeries(r, a.trunc - 1, quotient)
 
 
 def substitute_signed(a: TruncatedSeries, weights: Sequence[int]) -> UnivariateSeries:

@@ -286,6 +286,90 @@ MUTANTS = [
         ("tests/test_cli.py::test_suite_fails_when_a_weight_or_the_residual_is_perturbed[thm3]",),
     ),
     Mutant(
+        "thm1 compares its closed form with itself, not the oracle",
+        "src/geodenums/verify.py",
+        "_is(closed(), table().coefficient(m))",
+        "_is(closed(), closed())",
+        (
+            "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
+            "[thm1-geodenums.geode-geode_closed_2var-bounds0]",
+        ),
+    ),
+    Mutant(
+        "eq31 compares a**(n-1) with itself, not the partition sum",
+        "src/geodenums/verify.py",
+        "str(power), lambda: _is(power, total()))",
+        "str(power), lambda: _is(power, power))",
+        (
+            "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
+            "[eq31-geodenums.identities-partition_sum_main-bounds3]",
+        ),
+    ),
+    Mutant(
+        "claims compares a**(n-1) with itself, not the ct coefficient",
+        "src/geodenums/verify.py",
+        "lambda total=total: _is(power, total())",
+        "lambda total=total: _is(power, power)",
+        (
+            "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
+            "[claims-geodenums.identities-ct_coefficient-bounds4]",
+        ),
+    ),
+    Mutant(
+        "recurrence compares the sum of G with itself, not C[m]",
+        "src/geodenums/geode.py",
+        "return total == hyper_catalan(m)",
+        "return total == total",
+        (
+            "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
+            "[recurrence-geodenums.geode-hyper_catalan-bounds6]",
+        ),
+    ),
+    Mutant(
+        "general-eval compares its coefficients with themselves, not base**n",
+        "src/geodenums/verify.py",
+        "return actual == [base**n for n in range(order + 1)], str(actual)",
+        "return actual == actual, str(actual)",
+        (
+            "tests/test_cli.py::test_suite_fails_when_a_weight_or_the_residual_is_perturbed"
+            "[general-eval-c=(3)]",
+        ),
+    ),
+    Mutant(
+        "oracle compares the residual with itself, not zero",
+        "src/geodenums/verify.py",
+        "lambda: (zero().is_zero(), ",
+        "lambda: (zero() == zero(), ",
+        ("tests/test_cli.py::test_suite_fails_when_a_weight_or_the_residual_is_perturbed[oracle]",),
+    ),
+    Mutant(
+        "certificate compares the summand's sum with itself, not 1",
+        "src/geodenums/verify.py",
+        "if sum(nums) != den:",
+        "if sum(nums) != sum(nums):",
+        ("tests/test_wz.py::test_sum_checks_catch_what_the_relations_do_not",),
+    ),
+    Mutant(
+        "the division skips its re-multiplication check",
+        "src/geodenums/mpoly.py",
+        "    if mismatch is not None:\n",
+        "    if False:\n",
+        (
+            "tests/test_mpoly.py::test_divide_single_variable_not_divisible",
+            "tests/test_properties.py::test_stray_monomial_makes_division_fail_at_its_first_mismatch",
+        ),
+    ),
+    Mutant(
+        "the division solves each degree in ascending order",
+        "src/geodenums/mpoly.py",
+        "for m in reversed(list(iter_exponents(r, d))):",
+        "for m in iter_exponents(r, d):",
+        (
+            "tests/test_geode.py::test_geode_layers_equal_s_solved_one_degree_up_and_divided",
+            "tests/test_mpoly.py::test_divide_cubic_layer",
+        ),
+    ),
+    Mutant(
         "a flag one below its minimum is admitted",
         "src/geodenums/verify.py",
         "if value is not None and value < minimum:",

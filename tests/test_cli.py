@@ -120,7 +120,7 @@ def test_table_json_catalan_column(capsys):
 
 
 # sha256 of `geodenums table` output, pinned so that no change to the solver,
-# the division or the writers alters a byte of the exported tables.
+# its seeds or the writers alters a byte of the exported tables.
 TABLE_SHA256 = {
     ("S", "json", 3, 6): "da2ec22b4cb6b927008fa742c690793e174dc81eb9bbf40a42bdc1e2cba0d8e0",
     ("S", "json", 6, 4): "84aa2fb2222b3aa427a6983a187d35b11c914212d6ace76f8d68f4d6fea8067e",
@@ -147,16 +147,30 @@ def test_table_output_bytes_are_pinned(kind, fmt, r, degree, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[kind, fmt, r, degree]
 
 
-def _reference_table(kind, fmt, r, degree):
-    """`table` output as the series writers rendered it: the unpacked series
-    through series_to_dict and json.dumps, or the CSV loop over its terms."""
-    series = solve_S(r, degree) if kind == "S" else geode_series(r, degree).series
+def _encode(series, fmt):
+    """`series` as `table` renders it, encoded here and not by the package:
+    its terms by total degree, then lexicographically, under json.dumps as
+    {"nvars", "trunc", "terms": [{"exps", "coeff"}]}, or as CSV rows."""
+    terms = sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     if fmt == "json":
-        return json.dumps(mpoly.series_to_dict(series), indent=2) + "\n"
-    lines = [",".join(f"m_{i + 1}" for i in range(r)) + ",coeff\n"]
-    for m, c in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        lines.append(",".join(str(e) for e in m) + f",{c}\n")
-    return "".join(lines)
+        rows = [{"exps": list(m), "coeff": str(c)} for m, c in terms]
+        data = {"nvars": series.nvars, "trunc": series.trunc, "terms": rows}
+        return json.dumps(data, indent=2) + "\n"
+    header = ",".join(f"m_{i + 1}" for i in range(series.nvars)) + ",coeff\n"
+    return header + "".join(",".join(map(str, m)) + f",{c}\n" for m, c in terms)
+
+
+def _reference_table(kind, fmt, r, degree):
+    """`table` output as ``_encode`` renders the unpacked series."""
+    series = solve_S(r, degree) if kind == "S" else geode_series(r, degree).series
+    return _encode(series, fmt)
+
+
+@pytest.mark.parametrize("kind, r, degree", [("S", 3, 6), ("G", 2, 8), ("G", 6, 4), ("S", 40, 2)])
+def test_series_to_dict_renders_as_the_reference_encoder(kind, r, degree):
+    # the benchmark still renders series through series_to_dict
+    series = solve_S(r, degree) if kind == "S" else geode_series(r, degree).series
+    assert json.dumps(mpoly.series_to_dict(series), indent=2) + "\n" == _encode(series, "json")
 
 
 def _table_output(kind, fmt, r, degree):
@@ -189,7 +203,7 @@ def test_table_raises_on_a_term_outside_its_layer(monkeypatch):
     # t_1 t_2 filed under layer 1, as a packing field that overflowed would
     shift = mpoly._packing_shift(2)
     layers = [[(0, 1)], [(1 + (1 << shift), 3)], []]
-    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (shift, layers))
+    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree, geode: (shift, layers))
     with pytest.raises(ValueError, match="total degree 2, not its layer's 1"):
         cli.main(["table", "--kind", "S", "--vars", "2", "--max-degree", "2", "--out", os.devnull])
 
@@ -200,7 +214,9 @@ _T1, _T2 = 1, 1 << mpoly._packing_shift(1)
 
 def test_table_drops_a_zero_coefficient_row(monkeypatch, capsys):
     layers = [[(0, 1)], [(_T1, 0), (_T2, 3)]]
-    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (mpoly._packing_shift(1), layers))
+    monkeypatch.setattr(
+        cli, "_solve_layers", lambda r, degree, geode: (mpoly._packing_shift(1), layers)
+    )
     code, out = run_cli(capsys, "table", "--kind", "S", "--vars", "2", "--max-degree", "1",
                         "--format", "csv")
     assert code == 0
@@ -215,7 +231,9 @@ def test_table_drops_a_zero_coefficient_row(monkeypatch, capsys):
 ], ids=["swapped", "first missing", "last missing", "repeated"])
 def test_table_raises_on_a_layer_out_of_lexicographic_order(layer, line, monkeypatch):
     layers = [[(0, 1)], layer]
-    monkeypatch.setattr(cli, "_solve_layers", lambda r, degree: (mpoly._packing_shift(1), layers))
+    monkeypatch.setattr(
+        cli, "_solve_layers", lambda r, degree, geode: (mpoly._packing_shift(1), layers)
+    )
     with pytest.raises(ValueError, match=re.escape(line)):
         cli.main(["table", "--kind", "S", "--vars", "2", "--max-degree", "1", "--out", os.devnull])
 
@@ -254,7 +272,7 @@ def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatc
     # a verify request records its cases while it is planned, and runs none
     monkeypatch.setattr(VerifyReport, "run", must_not_run)
     monkeypatch.setattr(cli, "_solve_layers", must_not_run)
-    monkeypatch.setattr(cli.geode, "_geode_layers", must_not_run)
+    monkeypatch.setattr(cli.geode, "_solve_layers", must_not_run)
     monkeypatch.setattr(os, "fork", must_not_run)
     path = tmp_path / "missing" / "out.json"
     flag = "--report" if argv[0] == "verify" else "--out"
@@ -380,13 +398,13 @@ def test_coeff_closed_routes_match_oracle(capsys):
     ["table", "--vars", "100000", "--max-degree", "0", "--kind", "S"],
 ], ids=" ".join)
 def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys):
-    def must_not_solve(*args):
+    def must_not_solve(*args, **seed):
         raise AssertionError("the oracle ran before the size was checked")
 
-    # table S reads _solve_layers; table G and coeff's oracle branch,
-    # through geode_series, read _geode_layers
+    # table reads cli's _solve_layers; coeff's oracle branch, through
+    # geode_series, reads geode's
     monkeypatch.setattr(cli, "_solve_layers", must_not_solve)
-    monkeypatch.setattr(cli.geode, "_geode_layers", must_not_solve)
+    monkeypatch.setattr(cli.geode, "_solve_layers", must_not_solve)
     kernel = {"S": "solve_S", "G": "geode_series"}[argv[argv.index("--kind") + 1]]
     out_path = tmp_path / "table.json"
     if argv[0] == "table":
@@ -416,13 +434,13 @@ def test_admitted_oracle_request_reaches_the_solver(argv, tmp_path, monkeypatch)
     # Each of these finishes within about 2 s; the stub keeps the test fast.
     calls = []
 
-    def stub_solve(r, max_degree):
-        calls.append((r, max_degree))
+    def stub_solve(r, max_degree, geode):
+        calls.append((r, max_degree, geode))
         return _constant_layers(max_degree)
 
     monkeypatch.setattr(cli, "_solve_layers", stub_solve)
     assert cli.main(argv + ["--out", str(tmp_path / "table.json")]) == 0
-    assert calls == [(int(argv[2]), int(argv[4]))]
+    assert calls == [(int(argv[2]), int(argv[4]), False)]
 
 
 def test_oracle_guard_admits_the_largest_suite_table():
@@ -440,17 +458,17 @@ def test_table_g_is_priced_as_its_seeded_solve(r, tmp_path, monkeypatch, capsys)
     assert geode.geode_work(r, largest) > solve_work(r, largest, geode=True)
     calls = []
 
-    def stub_geode(r, max_degree):
-        calls.append((r, max_degree))
+    def stub_solve(r, max_degree, geode):
+        calls.append((r, max_degree, geode))
         return _constant_layers(max_degree)
 
-    monkeypatch.setattr(cli.geode, "_geode_layers", stub_geode)
+    monkeypatch.setattr(cli, "_solve_layers", stub_solve)
     argv = ["table", "--vars", str(r), "--kind", "G", "--out", str(tmp_path / "table.json")]
     assert cli.main(argv + ["--max-degree", str(largest)]) == 0
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--max-degree", str(largest + 1)])
     assert exc.value.code == 2
-    assert calls == [(r, largest)]
+    assert calls == [(r, largest, True)]
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"geodenums: error: geode_series({r}, {largest + 1}) is too much work: "
         f"more than {cli.MAX_WORK} units (MAX_WORK)"
@@ -1376,10 +1394,10 @@ def _admitted_closed_form(weight):
 
 
 def _stub_oracle_and_closed_forms(patch):
-    # table S reads _solve_layers; table G and coeff's oracle branch,
-    # through geode_series, read _geode_layers, the solve seeded for G
+    # table reads cli's _solve_layers, seeded for G when it writes G;
+    # coeff's oracle branch, through geode_series, reads geode's
     patch.setattr(cli, "_solve_layers", _admitted_layers)
-    patch.setattr(cli.geode, "_geode_layers", partial(_admitted_layers, geode=True))
+    patch.setattr(cli.geode, "_solve_layers", _admitted_layers)
     patch.setattr(cli, "hyper_catalan", _admitted_closed_form(
         lambda exps: sum((k + 1) * e for k, e in enumerate(exps, start=1))
     ))
@@ -1931,8 +1949,12 @@ def test_suite_fails_when_one_side_is_perturbed(name, module, function, bounds, 
     assert any(case.status == "fail" for case in report.cases)
 
 
-def _first_sign_flipped(weights):
+def _first_sign_flipped(weights, at=None):
+    """`weights` with the sign of its first weight flipped, only at the
+    arguments `at` if they are given."""
     def flipped(*args):
+        if at is not None and args != at:
+            return weights(*args)
         first, *rest = weights(*args)
         return (-first, *rest)
     return flipped
@@ -1951,9 +1973,13 @@ def _with_constant_term(residual):
 @pytest.mark.parametrize("name, module, function, perturb, bounds", [
     ("thm3", geode, "alternating_weights", _first_sign_flipped, {"max_order": 3}),
     ("general-eval", geode, "general_weights", _first_sign_flipped, {"max_order": 3}),
+    # only the case a=1,c=(3) reads these weights, so the alternating case,
+    # which also fails above, cannot stand in for its comparison with 3^n
+    ("general-eval", geode, "general_weights", partial(_first_sign_flipped, at=((3,),)),
+     {"max_order": 3}),
     ("oracle", verify, "functional_residual", _with_constant_term,
      {"max_vars": 2, "max_degree": 3}),
-], ids=["thm3", "general-eval", "oracle"])
+], ids=["thm3", "general-eval", "general-eval-c=(3)", "oracle"])
 def test_suite_fails_when_a_weight_or_the_residual_is_perturbed(
     name, module, function, perturb, bounds, monkeypatch
 ):

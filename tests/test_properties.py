@@ -4,18 +4,20 @@ on inputs drawn by Hypothesis rather than picked by hand."""
 from __future__ import annotations
 
 from itertools import chain
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geodenums.geode import _geode_layers
 from geodenums.hypercat import _solve_layers, hyper_catalan, solve_S
 from geodenums.identities import claim1_sum
 from geodenums.mpoly import (
     NotDivisibleError,
     TruncatedSeries,
+    _layer_product,
     _pack_layers,
+    _packing_shift,
     _s1_multiple_mismatch,
     _unpack_terms,
     coeff,
@@ -76,6 +78,56 @@ def test_mul_is_associative_under_truncation(triple):
 
 
 @small
+@given(series_tuple(2))
+def test_layer_product_matches_a_plain_convolution_on_every_degree(pair):
+    # the operands packed up to their top nonzero layers, so the degrees
+    # run past the end of either list, and of both
+    a, b = pair
+    r, top = a.nvars, a.trunc + b.trunc
+    shift = _packing_shift(top)
+    packed_a, packed_b = (_pack_layers(s.terms, r, s.trunc, shift) for s in pair)
+    for d in range(top + 2):
+        expected: dict = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                if sum(m1) + sum(m2) == d:
+                    m = tuple(map(add, m1, m2))
+                    expected[m] = expected.get(m, 0) + c1 * c2
+        layer = _layer_product(packed_a, packed_b, d, {})
+        assert _unpack_terms(layer.items(), r, shift) == {m: c for m, c in expected.items() if c}
+
+
+@small
+@given(st.data())
+def test_s1_multiple_mismatch_names_the_first_perturbed_monomial(data):
+    # s1 * Q is a multiple of s1; adding nonzero amounts at some monomials
+    # makes the first of them, by degree and then lexicographically, the
+    # first mismatch, with the product's and the dividend's coefficients
+    q = data.draw(series())
+    r, trunc = q.nvars, q.trunc + 1
+    product = naive_mul(s1_series(r, trunc), TruncatedSeries(r, trunc, q.terms)).terms
+    shift = _packing_shift(trunc)
+    quotient = _pack_layers(q.terms, r, trunc, shift)
+    assert _s1_multiple_mismatch(quotient, _pack_layers(product, r, trunc, shift), r, shift) is None
+    monomials = (
+        st.lists(st.integers(0, trunc), min_size=r, max_size=r)
+        .filter(lambda m: sum(m) <= trunc)
+        .map(tuple)
+    )
+    changes = data.draw(
+        st.dictionaries(monomials, st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
+    )
+    dividend = dict(product)
+    for m, c in changes.items():
+        dividend[m] = dividend.get(m, 0) + c
+    dividend = {m: c for m, c in dividend.items() if c}
+    bad = min(changes, key=lambda m: (sum(m), m))
+    expected = (bad, product.get(bad, 0), dividend.get(bad, 0))
+    packed = _pack_layers(dividend, r, trunc, shift)
+    assert _s1_multiple_mismatch(quotient, packed, r, shift) == expected
+
+
+@small
 @given(series())
 def test_division_by_s1_undoes_multiplication(q):
     trunc = q.trunc + 1
@@ -85,12 +137,14 @@ def test_division_by_s1_undoes_multiplication(q):
 
 @small
 @given(st.integers(1, 5), st.integers(0, 7))
+@example(40, 3)  # the wide shapes of test_geode.py's SEEDED_SHAPES
+@example(100, 2)
 def test_seeded_layers_times_s1_equal_s_minus_1(r, degree):
     # the layers of G, from the solve seeded 1, 2, ..., times t_1 + ... +
     # t_r, against S from the solve seeded 1, ..., 1 one degree up, less 1
     shift, s = _solve_layers(r, degree + 1)
     s[0] = []
-    g_shift, g = _geode_layers(r, degree)
+    g_shift, g = _solve_layers(r, degree, geode=True)
     g = _pack_layers(_unpack_terms(chain.from_iterable(g), r, g_shift), r, degree, shift)
     assert _s1_multiple_mismatch(g, s, r, shift) is None
 
