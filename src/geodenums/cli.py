@@ -53,8 +53,7 @@ MAX_WORK = 30_000_000
 # values are below 3^(w + 2), so they print under Python's 4300-digit limit.
 MAX_CLOSED_FORM_WEIGHT = 4000
 
-# The kernel and cost function of each oracle table `table --kind` writes,
-# and `coeff` reads for G with three or more nonzero slots.
+# The kernel and cost function of each oracle table `table --kind` writes.
 _TABLES = {"S": ("solve_S", solve_work), "G": ("geode_series", geode.geode_work)}
 
 
@@ -258,11 +257,13 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--exps entries must be nonnegative, got {args.exps!r}")
     nonzero = [(k, e) for k, e in enumerate(exps, start=1) if e]
     # one route, priced alone: G with three or more nonzero slots by the
-    # series oracle, everything else by closed form
+    # series oracle solved on the support of m, everything else by closed
+    # form
     if args.kind == "G" and len(nonzero) >= 3:
-        kernel, work = _TABLES["G"]
-        _check_work(kernel, (len(exps), sum(exps)), work, parser)
-        value = coeff(geode.geode_series(len(exps), sum(exps)).series, exps)
+        slots, m = zip(*nonzero)
+        call = (len(exps), sum(exps), slots)
+        _check_work("geode_support", call, geode.geode_work, parser)
+        value = coeff(geode.geode_support(*call), m)
     elif sum((k + 1) * e for k, e in nonzero) > MAX_CLOSED_FORM_WEIGHT:
         parser.error(
             f"--exps has weight sum_k (k+1) m_k above {MAX_CLOSED_FORM_WEIGHT}: "

@@ -5,8 +5,14 @@ Geode numbers.  This module extracts G from the series oracle, by the
 power recurrence of ``hypercat._solve_layers`` seeded for G_j = (S^j - 1) /
 (t_1 + ... + t_r), whose G_1 is G (``_solve_layers(r, D, geode=True)``,
 which ``geodenums table`` writes from), with no division, unpacking the
-layers once, and implements every closed form and substitution
-evaluation for it:
+layers once, and implements every closed form and evaluation for it.
+
+G_j = G_{j-1} + 1 + sum_k t_k G_{j+k} is an identity of series, so every
+ring map that fixes the constants carries it to the images of the G_j,
+with the same seed [G_j]_0 = j.  A check that reads G only on the image
+of such a map solves that image and never builds the whole table:
+``geode_support`` solves G on the monomials of a set T of slots (t_k -> 0
+for k not in T), and ``eval_line`` solves G on a line (t_k -> w_k f):
 
   * geode_closed_2var        -- two-variable coefficients G[m1, m2]
   * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a
@@ -16,16 +22,18 @@ evaluation for it:
   * geode_recurrence_check   -- sum_k G[m - e_k] = C[m]
 
 Closed forms divide factorials; every division asserts exactness.
-``geode_work`` prices a G table for the guards of ``geodenums``,
-``factorization_work`` the factorization check, and the cost functions at
+``geode_work`` prices a G table, or a support table, for the guards of
+``geodenums``, ``eval_work`` a line, ``factorization_work`` the
+factorization check, and the cost functions at
 the end of this module the closed forms and the recurrence layers
 (``recurrence_break``) that ``verify`` checks against it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb, factorial
+from operator import add
 from typing import Sequence
 
 from .hypercat import _coefficient_bits, _solve_layers, hyper_catalan, solve_work
@@ -39,7 +47,6 @@ from .mpoly import (
     _unpack_terms,
     coeff,
     iter_exponents,
-    substitute_signed,
 )
 
 class GeodeTable(_Frozen):
@@ -89,28 +96,43 @@ def geode_series(r: int, max_degree: int) -> GeodeTable:
     return GeodeTable(r, max_degree, TruncatedSeries(r, max_degree, terms))
 
 
-def geode_work(r: int, max_degree: int) -> int:
-    """Estimated work of ``geode_series(r, max_degree)``, in the units of
-    ``hypercat.solve_work``: its seeded solve ``_solve_layers(r,
-    max_degree, geode=True)``, priced by ``solve_work(r, max_degree,
-    geode=True)``, and the work on its entries.
+def geode_support(r: int, max_degree: int, support: Sequence[int]) -> TruncatedSeries:
+    """G in r variables through max_degree on the monomials of the slots
+    `support`, an increasing sequence T in 1..r: its image under t_k -> 0
+    for every k not in T, as a series in the variables t_k, k in T, in
+    order.  The layers of the support solve ``_solve_layers(r,
+    max_degree, geode=True, support=T)``, unpacked once; its work depends
+    on |T| and max T, not on r.  Every call builds a new series."""
+    support = tuple(support)
+    shift, layers = _solve_layers(r, max_degree, geode=True, support=support)
+    n = len(support)
+    return TruncatedSeries(n, max_degree, _unpack_terms(chain.from_iterable(layers), n, shift))
 
-    Each of the N = C(r + D, r) entries, D = max_degree, is unpacked into
-    r fields, checked by ``TruncatedSeries`` and, by ``eval_alternating``
-    or ``eval_general``, weighted by r powers and added into its degree's
-    coefficient, so it counts 32 + 3 r + W / 64 for coefficients below
-    2^W, W the seeded solve's bound (``hypercat._coefficient_bits``).
-    Calibration, in process on one CPU of a 2-core VM with Python 3.11,
-    for r = 1-100 and D = 1-1000 wherever a call took 0.1 ms or more
-    (below that, a fixed cost of about 20 us per call dominates): the
-    unpacking and one substitution took at most 0.77 of that term's time,
-    and a whole ``geode_series`` with one substitution at most 0.59 of
-    the estimate's."""
-    solve = solve_work(r, max_degree, geode=True)
+
+def geode_work(r: int, max_degree: int, support: Sequence[int] | None = None) -> int:
+    """Estimated work of ``geode_series(r, max_degree)``, or with `support`
+    of ``geode_support(r, max_degree, support)``, in the units of
+    ``hypercat.solve_work``: its seeded solve, priced by ``solve_work(r,
+    max_degree, geode=True, support=support)``, and the work on its
+    entries.
+
+    Each of the N = C(n + D, n) entries, n = |T| variables (r for the full
+    table) and D = max_degree, is unpacked into n fields, checked by
+    ``TruncatedSeries`` and, by a substitution a check makes, weighted by
+    n powers and added into its degree's coefficient, so it counts 32 +
+    3 n + W / 64 for coefficients below 2^W, W the seeded solve's bound
+    (``hypercat._coefficient_bits``).  Calibration, in process on one CPU
+    of a 2-core VM with Python 3.11, for r = 1-100 and D = 1-1000
+    wherever a call took 0.1 ms or more (below that, a fixed cost of about
+    20 us per call dominates): the unpacking and one substitution took at
+    most 0.77 of that term's time, and a whole ``geode_series`` with one
+    substitution at most 0.59 of the estimate's."""
+    solve = solve_work(r, max_degree, geode=True, support=support)
     if solve >= 1 << 64:  # past any limit; solve_work answers so for huge arguments
         return solve
-    width = _coefficient_bits(r, max_degree, geode=True)
-    return solve + comb(r + max_degree, r) * (32 + 3 * r + width // 64)
+    n, reach = (r, r) if support is None else (len(support), max(support))
+    width = _coefficient_bits(n, reach, max_degree, geode=True)
+    return solve + comb(n + max_degree, n) * (32 + 3 * n + width // 64)
 
 
 def factorization_work(r: int, max_degree: int) -> int:
@@ -126,16 +148,50 @@ def factorization_work(r: int, max_degree: int) -> int:
     solve = solve_work(r, max_degree + 1)
     if solve >= 1 << 64:
         return solve
-    width = _coefficient_bits(r, max_degree, geode=True)
+    width = _coefficient_bits(r, r, max_degree, geode=True)
     return solve + r * comb(r + max_degree, r) * (16 + width // 64)
+
+
+def line_work(r: int, max_order: int, weight_bits: int) -> int:
+    """Estimated work of ``eval_line(weights, max_order)`` on r weights,
+    each below 2^weight_bits in absolute value, in the units of
+    ``hypercat.solve_work``.
+
+    With D = max_order and J_d = 1 + (D - d) r, layer d = 1..D takes r
+    windows of J_d entries and one prefix sum over J_d, so the solve makes
+    r P products of a weight by an int, r P additions and P prefix sums,
+    P = sum_{d=1}^{D} J_d = D + r D (D - 1) / 2, and holds at most 2 J_0
+    ints at once.  Every int the line solve holds is sum_{|m|=d} c[m]
+    prod_k w_k^{m_k} for the coefficients c of some G_j, of G_j - G_{j-1}
+    = 1 + sum_k t_k G_{j+k}, or of part of that sum, all of them
+    nonnegative, so its absolute value is at most (max_k |w_k|)^d times
+    [x^d] G_j(x, ..., x) < 2^W, W the seeded solve's bound in r variables
+    (``hypercat._coefficient_bits``), which bounds the layer's sum too:
+    W_L = W + D weight_bits bits hold it.  An addition, a prefix sum and
+    a held int count 1 + W_L / 8192, as in ``solve_work``; a product
+    counts 3 + 4 b W_L / 8192, for the b = ceil(weight_bits / 30) digits
+    of its weight; each window and each weight counts 16, for the list
+    work around them, and a call 256.  Calibration, in process on one CPU of a
+    2-core VM with Python 3.11, for r = 2-100, D = 0-300 and weights of
+    1-64 bits (the fastest of five runs): a call took at most 0.49 of the
+    estimate's time.  The estimate is polynomial in its arguments, so it
+    answers at once for any int."""
+    D = max_order
+    P = D + r * D * (D - 1) // 2
+    width = _coefficient_bits(r, r, D, geode=True) + D * weight_bits
+    digits = -(-weight_bits // 30)
+    plain = (r * P + P + 2 * (1 + D * r)) * (8192 + width)
+    products = r * P * (3 * 8192 + 4 * digits * width)
+    return 256 + 16 * r * (D + 1) + (plain + products) // 8192
 
 
 def eval_work(a: int, *args: object) -> int:
     """Estimated work of ``eval_alternating(a, max_order)`` and of
-    ``eval_general(a, c, max_order)``: the G table in 2a variables through
-    max_order that each substitutes into, priced by ``geode_work``, whose
-    per-entry term covers the substitution."""
-    return geode_work(2 * a, args[-1])
+    ``eval_general(a, c, max_order)``: the line solve on their 2a
+    weights, of absolute value 1 or at most max_i |c_i|, priced by
+    ``line_work``."""
+    weight = max(map(abs, args[0])) if len(args) == 2 else 1
+    return line_work(2 * a, args[-1], weight.bit_length())
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -206,12 +262,50 @@ def alternating_weights(a: int) -> tuple[int, ...]:
     return tuple(-1 if k % 2 else 1 for k in range(1, 2 * a + 1))
 
 
+def eval_line(weights: Sequence[int], order: int) -> UnivariateSeries:
+    """G[w_1 f, ..., w_r f] through f^order, for r = len(weights), solved
+    on the line.
+
+    The map t_k -> w_k f carries G_j = G_{j-1} + 1 + sum_k t_k G_{j+k}
+    to g_j(f) = g_{j-1}(f) + 1 + f sum_k w_k g_{j+k}(f), g_j the image
+    of G_j and g_0 = 0, so [g_j]_0 = j and, for d >= 1, [g_j]_d is the
+    prefix sum over i <= j of sum_k w_k [g_{i+k}]_{d-1}: the recurrence of
+    ``hypercat._solve_layers`` with one monomial per layer and each
+    window weighted.  Layer d holds g_1..g_{J_d}, J_d = 1 + (order - d) r,
+    as one list of ints, and [g_1]_d is the f^d coefficient.
+
+    It is a loop of its own, not a mode of ``_solve_layers``: that loop
+    adds each window unweighted into a dict of monomials, and a weight
+    there would put a product into the inner loop of every table, while
+    a line has a single monomial per layer and needs no dict.  Its work
+    is quadratic in order and r (``line_work``), where the table's grows
+    as C(r + order, r).
+    """
+    weights = tuple(weights)
+    r = len(weights)
+    if r < 1:
+        raise ValueError("need at least one weight")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    top = 1 + order * r  # J_0
+    powers = list(range(1, top + 1))  # [g_j]_0 = j for j = 1..J_0
+    coeffs = [1]
+    for _ in range(order):
+        top -= r
+        summed = [0] * top
+        for k, w in enumerate(weights, start=1):
+            summed = list(map(add, summed, [w * x for x in powers[k : k + top]]))
+        powers = list(accumulate(summed))
+        coeffs.append(powers[0])
+    return UnivariateSeries(coeffs, order)
+
+
 def eval_alternating(a: int, max_order: int) -> UnivariateSeries:
-    """G[-f, f, ..., -f, f] in 2a variables; the f^n coefficient is a^n."""
+    """G[-f, f, ..., -f, f] in 2a variables, by the line solve; the f^n
+    coefficient is a^n."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
-    table = geode_series(2 * a, max_order)
-    return substitute_signed(table.series, alternating_weights(a))
+    return eval_line(alternating_weights(a), max_order)
 
 
 def general_weights(c: Sequence[int]) -> tuple[int, ...]:
@@ -225,15 +319,14 @@ def general_weights(c: Sequence[int]) -> tuple[int, ...]:
 
 
 def eval_general(a: int, c: Sequence[int], max_order: int) -> UnivariateSeries:
-    """G[-c_a f, c_1 f, -c_1 f, ..., c_a f] in 2a variables; the f^n
-    coefficient is (2a c_a - c_1 - ... - c_a)^n."""
+    """G[-c_a f, c_1 f, -c_1 f, ..., c_a f] in 2a variables, by the line
+    solve; the f^n coefficient is (2a c_a - c_1 - ... - c_a)^n."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     c = tuple(c)
     if len(c) != a:
         raise ValueError(f"need {a} multipliers, got {len(c)}")
-    table = geode_series(2 * a, max_order)
-    return substitute_signed(table.series, general_weights(c))
+    return eval_line(general_weights(c), max_order)
 
 
 def recurrence_break(table: GeodeTable, degree: int) -> tuple[int, ...] | None:

@@ -70,6 +70,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from . import geode, identities, wz
 from .cli import MAX_WORK, _check_work, _open_output, _write_output
 from .hypercat import functional_residual, residual_work, solve_S, solve_work
+from .mpoly import coeff, substitute_signed
 from .report import Case, Unit, VerifyReport, run_units
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
@@ -134,15 +135,12 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
         table = None
         for p in range(max_sum + 1):
             for q in range(max_sum + 1 - p):
-                exps = [0] * a
-                exps[a - 2] = p
-                exps[a - 1] = q
                 closed = report.call(geode.geode_closed_shifted, a, p, q)
-                table = table or report.call(geode.geode_series, a, max_sum)
+                table = table or report.call(geode.geode_support, a, max_sum, (a - 1, a))
                 two_var = report.call(geode.geode_closed_2var, p, q) if a == 2 else None
 
-                def check(closed=closed, two_var=two_var, exps=tuple(exps)):
-                    oracle = table().coefficient(exps)
+                def check(closed=closed, two_var=two_var, exps=(p, q)):
+                    oracle = coeff(table(), exps)
                     if closed() != oracle:
                         return False, str(oracle)
                     if two_var is not None and closed() != two_var():
@@ -419,24 +417,21 @@ def suite_two_nonzero(
     nvars = max(t for _, t in pairs)
 
     def unit(report: VerifyReport) -> None:
-        table = None
         for s, t in pairs:
+            table = None
             for n in range(1, max_n + 1):
-                values = []  # (exponents, closed form, two-variable form) for each i
+                values = []  # ((m_s, m_t), closed form, two-variable form) for each i
                 for i in range(n):
-                    exps = [0] * nvars
-                    exps[s - 1] = n - 1 - i
-                    exps[t - 1] = i
                     closed = report.call(geode.geode_closed_two_nonzero, s, t, n, i)
-                    table = table or report.call(geode.geode_series, nvars, max_n - 1)
+                    table = table or report.call(geode.geode_support, nvars, max_n - 1, (s, t))
                     two_var = None
                     if (s, t) == (1, 2):
                         two_var = report.call(geode.geode_closed_2var, n - 1 - i, i)
-                    values.append((exps, closed, two_var))
+                    values.append(((n - 1 - i, i), closed, two_var))
 
-                def check(n=n, values=values):
+                def check(n=n, values=values, table=table):
                     for i, (exps, closed, two_var) in enumerate(values):
-                        if closed() != table().coefficient(exps):
+                        if closed() != coeff(table(), exps):
                             return False, f"mismatch at i={i}: {closed()}"
                         if two_var is not None and closed() != two_var():
                             return False, f"two-variable closed form differs at i={i}"
@@ -468,13 +463,18 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
         )
 
     def alternating(report: VerifyReport) -> None:
+        # the line solve on the weights of c = (1, 1), against the whole G
+        # table in 4 variables with the alternating weights substituted
         general = report.call(geode.eval_general, 2, (1, 1), max_order)
-        values = report.call(geode.eval_alternating, 2, max_order)
+        table = report.call(geode.geode_series, 4, max_order)
         report.run_case(
             "a=2,c=(1,1)",
             {"a": 2, "c": [1, 1], "max_order": max_order},
             "matches the alternating evaluation",
-            lambda: (general() == values(), "series coincide"),
+            lambda: (
+                general() == substitute_signed(table().series, geode.alternating_weights(2)),
+                "series coincide",
+            ),
         )
 
     return [
@@ -547,6 +547,7 @@ def _spread(work: Callable[..., int]) -> Callable[..., int]:
 WORK: dict[str, Callable[..., int]] = {
     "solve_S": solve_work,
     "geode_series": geode.geode_work,
+    "geode_support": geode.geode_work,
     "factorization_holds": _spread(geode.factorization_work),
     "functional_residual": _spread(residual_work),
     "eval_alternating": geode.eval_work,

@@ -232,6 +232,28 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "a window kept for a k outside T",
+        "src/geodenums/hypercat.py",
+        "windows = [(1 << (i * shift), k) for i, k in enumerate(slots)]\n",
+        "windows = [(1 << (i * shift), k) for i, k in enumerate(slots)]"
+        " + [(1, k) for k in range(1, slots[-1]) if k not in slots]\n",
+        (
+            "tests/test_properties.py::test_a_support_table_is_the_restriction_of_the_full_table",
+            "tests/test_cli.py::test_coeff_g_solves_on_the_support_of_m",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[all]",
+        ),
+    ),
+    Mutant(
+        "a line weight dropped",
+        "src/geodenums/geode.py",
+        "for k, w in enumerate(weights, start=1):",
+        "for k, w in enumerate(weights[:-1], start=1):",
+        (
+            "tests/test_properties.py::test_a_line_solve_is_the_table_substituted",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[all]",
+        ),
+    ),
+    Mutant(
         "the residual prices no products",
         "src/geodenums/hypercat.py",
         "pairs = r * comb(2 * r + max_degree - 1, 2 * r)",

@@ -379,10 +379,21 @@ def test_coeff_malformed_exponents(capsys):
 def test_coeff_closed_routes_match_oracle(capsys):
     table = geode_series(4, 5)
     # single slot, two slots, three slots: closed form, closed form, oracle
-    for exps in ("0,0,3,0", "0,2,0,1", "1,1,1,0"):
+    # on the support of m, with and without a gap
+    for exps in ("0,0,3,0", "0,2,0,1", "1,1,1,0", "2,0,1,1"):
         _, out = run_cli(capsys, "coeff", "--kind", "G", "--exps", exps)
         expected = table.coefficient(tuple(int(p) for p in exps.split(",")))
         assert out.strip() == str(expected)
+
+
+def test_coeff_g_solves_on_the_support_of_m(capsys):
+    # m = e53 + e75 + e79: the whole G table in 79 variables through degree
+    # 3 is refused (MAX_WORK), the solve on the support (53, 75, 79) is not
+    exps = ["0"] * 79
+    for k in (53, 75, 79):
+        exps[k - 1] = "1"
+    assert run_cli(capsys, "coeff", "--kind", "G", "--exps", ",".join(exps)) == (0, "5372256\n")
+    assert geode.geode_work(79, 3) > cli.MAX_WORK >= geode.geode_work(79, 3, (53, 75, 79))
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,10 +413,11 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
         raise AssertionError("the oracle ran before the size was checked")
 
     # table reads cli's _solve_layers; coeff's oracle branch, through
-    # geode_series, reads geode's
+    # geode_support, reads geode's
     monkeypatch.setattr(cli, "_solve_layers", must_not_solve)
     monkeypatch.setattr(cli.geode, "_solve_layers", must_not_solve)
-    kernel = {"S": "solve_S", "G": "geode_series"}[argv[argv.index("--kind") + 1]]
+    kinds = {"S": "solve_S", "G": "geode_series"}
+    kernel = "geode_support" if argv[0] == "coeff" else kinds[argv[argv.index("--kind") + 1]]
     out_path = tmp_path / "table.json"
     if argv[0] == "table":
         argv = argv + ["--out", str(out_path)]
@@ -1151,15 +1163,16 @@ def assert_refused_before_any_case(argv, tmp_path, monkeypatch, capsys, first=No
 @pytest.mark.parametrize("argv", [
     ["thm1", "--max-degree", "300"],
     ["all", "--max-degree", "300"],
-    ["thm3", "--a", "6"],
+    ["thm3", "--a", "210"],
     ["recurrence", "--max-vars", "1000", "--max-degree", "1"],
     ["oracle", "--max-vars", "1000", "--max-degree", "0"],
     ["recurrence", "--max-vars", str(10**30), "--max-degree", "1"],
     ["oracle", "--max-degree", "22"],
 ], ids=" ".join)
 def test_verify_refuses_oversize_oracle_work(argv, tmp_path, monkeypatch, capsys):
-    # thm1 at degree 300 solves S(2, 301), 3.4e7 units; thm3 at a = 6
-    # solves S(12, 9), 5.7e7 units; MAX_WORK is 3e7.  recurrence at 1000
+    # thm1 at degree 300 solves S(2, 301), 3.4e7 units; thm3 at a = 210
+    # solves G on a line of 420 weights through order 8, 3.03e7 units (at
+    # a = 209, 2.996e7); MAX_WORK is 3e7.  recurrence at 1000
     # variables, degree 1, solves S(r, 1) for r = 1..1000 and oracle at
     # degree 0 S(r, 0) and twice S(r, 1): each solve is admitted alone,
     # but together they take 1.7e9 and 3.7e9 units.  The plan prices the
@@ -1242,18 +1255,24 @@ def verify_argv(draw):
 
 
 # The work of each declared kernel call, the oracle's restated from the
-# kernels: a G table through D is the solve through D seeded for G, and
-# factorization_holds, given that table, solves its S through D + 1; an
-# evaluation substitutes into the G table in 2a variables; the residual
-# of an S table is priced at the table's (r, D).
+# kernels: a G table through D is the solve through D seeded for G, a
+# support table that solve on its support, and factorization_holds, given
+# a table, solves its S through D + 1; an evaluation is the line solve on
+# its 2a weights; the residual of an S table is priced at the table's
+# (r, D).
 CALL_WORK = {
     **verify.WORK,
     "solve_S": solve_work,
     "geode_series": partial(solve_work, geode=True),
+    "geode_support": lambda r, degree, support: solve_work(
+        r, degree, geode=True, support=support
+    ),
     "factorization_holds": lambda table: solve_work(table.args[0], table.args[1] + 1),
     "functional_residual": lambda table: residual_work(*table.args),
-    "eval_alternating": lambda a, degree: solve_work(2 * a, degree, geode=True),
-    "eval_general": lambda a, c, degree: solve_work(2 * a, degree, geode=True),
+    "eval_alternating": lambda a, degree: geode.line_work(2 * a, degree, 1),
+    "eval_general": lambda a, c, degree: geode.line_work(
+        2 * a, degree, max(map(abs, c)).bit_length()
+    ),
 }
 
 
@@ -1373,13 +1392,14 @@ def table_or_coeff_argv(draw):
     return ["coeff", "--kind", value(*COEFF_VALUES["--kind"]), "--exps", ",".join(exps)]
 
 
-def _admitted_layers(r, degree, geode=False):
+def _admitted_layers(r, degree, geode=False, support=None):
     """A stand-in for the packed layers of an S solve through `degree`, or
-    of the solve seeded for G if `geode`, that asserts the oracle guard
-    admitted it."""
+    of the solve seeded for G if `geode`, on `support` if one is given,
+    that asserts the oracle guard admitted it."""
     limit = cli.MAX_WORK
-    assert max(r * r, degree) <= limit and min(r, degree) < limit.bit_length(), (r, degree)
-    assert solve_work(r, degree, geode=geode) <= limit, (r, degree)
+    n = r if support is None else len(support)
+    assert max(n * n, degree) <= limit and min(n, degree) < limit.bit_length(), (r, degree)
+    assert solve_work(r, degree, geode=geode, support=support) <= limit, (r, degree)
     return _constant_layers(degree)
 
 
@@ -1395,7 +1415,7 @@ def _admitted_closed_form(weight):
 
 def _stub_oracle_and_closed_forms(patch):
     # table reads cli's _solve_layers, seeded for G when it writes G;
-    # coeff's oracle branch, through geode_series, reads geode's
+    # coeff's oracle branch, through geode_support, reads geode's
     patch.setattr(cli, "_solve_layers", _admitted_layers)
     patch.setattr(cli.geode, "_solve_layers", _admitted_layers)
     patch.setattr(cli, "hyper_catalan", _admitted_closed_form(
@@ -1544,17 +1564,16 @@ def test_verify_all_at_default_bounds_is_admitted():
         + geode.factorization_work(r, 10)
         for r in range(1, 5)
     )
-    assert works["thm3"] == 572_962 == sum(
-        geode.geode_work(2 * a, 8) for a in verify.DEFAULT_THM3_A
-    )
+    assert works["thm3"] == 9_800 == sum(geode.eval_work(a, 8) for a in verify.DEFAULT_THM3_A)
 
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
-    # 29 solves at the default bounds: thm1 1, thm2 4, thm3 3,
-    # recurrence 4, two-nonzero 1, general-eval 4 and oracle 12; every
-    # priced G table, evaluation and factorization prices its solve, seeded
-    # for G or of S one degree up, by solve_work, through geode.geode_work
-    # or geode.factorization_work
+    # 26 solves at the default bounds: thm1 1, thm2 4 (one support each),
+    # recurrence 4, two-nonzero 4 (one support per pair), general-eval 1
+    # and oracle 12, and none for the line solves of thm3 and
+    # general-eval; every priced G table, support table and factorization
+    # prices its solve, seeded for G or of S one degree up, by solve_work,
+    # through geode.geode_work or geode.factorization_work
     priced = []
 
     def recording(work):
@@ -1569,7 +1588,7 @@ def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_run_units", lambda units: [[] for _ in units])
     cli.main(["verify", "all", "--report", os.devnull])
     capsys.readouterr()
-    assert len(priced) == 29
+    assert len(priced) == 26
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1655,7 +1674,8 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
     def recording(function, calls):
         @wraps(function)  # verify prices a kernel by its name
         def recorded(r, max_degree, **seed):
-            calls.append((r, max_degree, sorted(seed.items())))
+            # a support of None is the full table, as if none were given
+            calls.append((r, max_degree, sorted((k, v) for k, v in seed.items() if v is not None)))
             return function(r, max_degree, **seed)
 
         return recorded
@@ -1677,6 +1697,7 @@ KERNELS = {
     "solve_S": verify,
     "functional_residual": verify,
     "geode_series": geode,
+    "geode_support": geode,
     "eval_alternating": geode,
     "eval_general": geode,
     "geode_closed_2var": geode,
@@ -1781,7 +1802,7 @@ def test_no_report_call_is_made_while_cases_run(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["all"], 5_690_281),
+    (["all"], 4_721_654),
     (["eq31", "--max-n", "8", "--max-a", "4"], 35_339),
     (["claims", "--max-n", "8", "--max-a", "3"], 97_788),
     (["wz1", "--max-n", "250"], 1_828_985),
@@ -1865,14 +1886,16 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
 
 
 def overflowing_accumulate(values):
-    """The prefix sums of ``hypercat._solve_layers`` in fixed-width
-    arithmetic that raises OverflowError past 2^16: a broken kernel that
-    every oracle table through degree 2 or more, S or G, goes through."""
+    """The prefix sums of ``hypercat._solve_layers`` and of
+    ``geode.eval_line`` in fixed-width arithmetic that raises
+    OverflowError past 2^12: a broken kernel that every oracle table
+    through degree 2 or more, S or G, goes through, and the line solves
+    of thm3 at a = 3 and of general-eval at c = (3) and (2, 3)."""
     total = 0
     for value in values:
         total += value
-        if total >= 1 << 16:
-            raise OverflowError(f"prefix sum {total} does not fit in 16 bits")
+        if total >= 1 << 12:
+            raise OverflowError(f"prefix sum {total} does not fit in 12 bits")
         yield total
 
 
@@ -1882,6 +1905,7 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
     ids = [case["id"] for case in json.loads(clean.read_text())["cases"]]
     assert len(ids) == 1535
     monkeypatch.setattr(hypercat, "accumulate", overflowing_accumulate)
+    monkeypatch.setattr(geode, "accumulate", overflowing_accumulate)
     # the builds of every handle, by kernel, counted in this process, where
     # one CPU runs every unit
     builds = []
@@ -1909,16 +1933,17 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
             # a build that raises runs once, not once per case that reads
             # it; a handle no case reached, such as a two-variable form
             # after its oracle comparison failed, is never built.  Every
-            # table, evaluation, mass and bracket power is built, since its
-            # unit's first case reads it, except general-eval's alternating
-            # evaluation: its case reads it only after the general one,
-            # whose build raises here
+            # table, support table, evaluation, mass and bracket power is
+            # built, since its unit's first case reads it; general-eval's
+            # G table in 4 variables is built too, since the line solve
+            # its case reads first stays below 2^12 at a = 2
             assert builds and max(len(runs) for *_, runs in builds) == 1
-            shared = {"geode_series", "eval_alternating", "eval_general", "size_mass",
-                      "bracket_power"}
+            shared = {"geode_series", "geode_support", "eval_alternating", "eval_general",
+                      "size_mass", "bracket_power"}
+            assert {kernel for _, kernel, _ in builds} >= shared
             assert [
                 (suite, kernel) for suite, kernel, runs in builds if kernel in shared and not runs
-            ] == [("general-eval", "eval_alternating")]
+            ] == []
         cases = json.loads(path.read_text())["cases"]
         assert [case["id"] for case in cases] == ids
         statuses = {}

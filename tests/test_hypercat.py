@@ -96,6 +96,10 @@ def test_solver_validates_arguments():
         solve_S(0, 3)
     with pytest.raises(ValueError):
         solve_S(2, -1)
+    # a support is a nonempty increasing sequence of slots in 1..r
+    for support in [(), (0,), (4,), (2, 1), (1, 1), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="support must be increasing slots in 1..3"):
+            hypercat._solve_layers(3, 2, support=support)
 
 
 def test_solve_counts_count_the_window_additions_and_prefix_sums(monkeypatch):
@@ -111,18 +115,23 @@ def test_solve_counts_count_the_window_additions_and_prefix_sums(monkeypatch):
 
     monkeypatch.setattr(hypercat, "add", counting_add)
     monkeypatch.setattr(hypercat, "accumulate", counting_accumulate)
-    for r in range(1, 6):
+    # the full tables and supports of every size, reach and gap
+    supports = [(r, None) for r in range(1, 6)] + [
+        (5, (5,)), (5, (1, 3)), (5, (2, 5)), (6, (1, 2, 6)), (6, (3, 4, 5, 6))
+    ]
+    for r, support in supports:
+        size, reach = (r, r) if support is None else (len(support), support[-1])
         for degree in range(9):
             added.clear()
             summed.clear()
-            _, layers = hypercat._solve_layers(r, degree)
-            windows, additions, prefix, peak = hypercat._solve_counts(r, degree)
-            assert (len(added), sum(summed)) == (additions, prefix), (r, degree)
-            # one window per monomial below the top layer and variable; the
+            _, layers = hypercat._solve_layers(r, degree, support=support)
+            windows, additions, prefix, peak = hypercat._solve_counts(size, reach, degree)
+            assert (len(added), sum(summed)) == (additions, prefix), (support, degree)
+            # one window per monomial below the top layer and slot; the
             # most power ints one layer holds, from the layers solved
-            assert windows == r * sum(map(len, layers[:degree])), (r, degree)
-            held = [len(layers[d]) * (1 + (degree - d) * r) for d in range(degree)]
-            assert peak == max(held, default=0), (r, degree)
+            assert windows == size * sum(map(len, layers[:degree])), (support, degree)
+            held = [len(layers[d]) * (1 + (degree - d) * reach) for d in range(degree)]
+            assert peak == max(held, default=0), (support, degree)
 
 
 def test_power_recurrence_holds_on_product_powers():

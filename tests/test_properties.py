@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geodenums.geode import eval_line, geode_series
 from geodenums.hypercat import _solve_layers, hyper_catalan, solve_S
 from geodenums.identities import claim1_sum
 from geodenums.mpoly import (
@@ -26,6 +27,7 @@ from geodenums.mpoly import (
     mul,
     s1_series,
     series_to_dict,
+    substitute_signed,
 )
 
 small = settings(max_examples=25, deadline=None)
@@ -147,6 +149,39 @@ def test_seeded_layers_times_s1_equal_s_minus_1(r, degree):
     g_shift, g = _solve_layers(r, degree, geode=True)
     g = _pack_layers(_unpack_terms(chain.from_iterable(g), r, g_shift), r, degree, shift)
     assert _s1_multiple_mismatch(g, s, r, shift) is None
+
+
+@small
+@given(st.sets(st.integers(1, 6), min_size=1), st.integers(0, 5), st.integers(0, 7), st.booleans())
+@example({1, 3, 6}, 0, 7, True)
+@example({2}, 4, 7, False)
+def test_a_support_table_is_the_restriction_of_the_full_table(slots, extra, degree, geode):
+    # t_k -> 0 for k outside T keeps the monomials on T; the support solve
+    # lists them in the fields of T, each layer in descending lexicographic
+    # order, as the full table lists its own
+    support = tuple(sorted(slots))
+    r = min(6, support[-1] + extra)
+    shift, full = _solve_layers(r, degree, geode=geode)
+    restricted = {
+        tuple(m[k - 1] for k in support): c
+        for m, c in _unpack_terms(chain.from_iterable(full), r, shift).items()
+        if not any(e for k, e in enumerate(m, start=1) if k not in support)
+    }
+    shift, layers = _solve_layers(r, degree, geode=geode, support=support)
+    assert _unpack_terms(chain.from_iterable(layers), len(support), shift) == restricted
+    for layer in layers:
+        exps = [next(iter(_unpack_terms([(key, 1)], len(support), shift))) for key, _ in layer]
+        assert exps == sorted(exps, reverse=True)
+
+
+@small
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6), st.integers(0, 6))
+@example([-1, 1, -1, 1, -1, 1], 6)
+@example([0, 0, 3], 6)
+def test_a_line_solve_is_the_table_substituted(weights, order):
+    # t_k -> w_k f on the G table, against the solve on the line
+    table = geode_series(len(weights), order)
+    assert eval_line(weights, order) == substitute_signed(table.series, weights)
 
 
 @small
