@@ -3,12 +3,13 @@
 S - 1 is exactly divisible by the sum of the variables; the quotient G is
 the Geode series.  This demo extracts the quotient (the series solver,
 seeded for G, gives it with no division), prints the Geode layers,
-re-multiplies it against S, and checks the three closed forms for its
-coefficients against the quotient.
+re-multiplies it against S, and checks the closed forms for its
+coefficients against the quotient: the two-variable form, which is the
+adjacent-slot form at a = 2, the adjacent-slot form and the form for any
+two nonzero slots.
 """
 
 from geodenums import (
-    geode_closed_2var,
     geode_closed_shifted,
     geode_closed_two_nonzero,
     geode_recurrence_check,
@@ -36,7 +37,7 @@ print("Closed form for two variables")
 print("=" * 72)
 print(f"{'(m1,m2)':>10} {'closed':>8} {'quotient':>9}")
 for m in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (0, 3)]:
-    print(f"{str(m):>10} {geode_closed_2var(*m):>8} {table.coefficient(m):>9}")
+    print(f"{str(m):>10} {geode_closed_shifted(2, *m):>8} {table.coefficient(m):>9}")
 
 print()
 print("=" * 72)

@@ -21,7 +21,7 @@ _EXPORTS = {
         )),
         ("hypercat", ("functional_residual", "hyper_catalan", "solve_S")),
         ("geode", (
-            "GeodeTable", "eval_alternating", "eval_general", "geode_closed_2var",
+            "GeodeTable", "eval_alternating", "eval_general",
             "geode_closed_shifted", "geode_closed_two_nonzero", "geode_recurrence_check",
             "geode_series",
         )),

@@ -14,8 +14,8 @@ of such a map solves that image and never builds the whole table:
 ``geode_support`` solves G on the monomials of a set T of slots (t_k -> 0
 for k not in T), and ``eval_line`` solves G on a line (t_k -> w_k f):
 
-  * geode_closed_2var        -- two-variable coefficients G[m1, m2]
-  * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a
+  * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a;
+                                at a = 2 the two-variable G[m1, m2]
   * geode_closed_two_nonzero -- G with any two nonzero slots s < t
   * eval_alternating         -- G[-f, f, ..., -f, f] = sum a^n f^n
   * eval_general             -- weighted variant with arbitrary multipliers
@@ -201,25 +201,12 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def geode_closed_2var(m1: int, m2: int) -> int:
-    """G[m1, m2] = (2m1+3m2+3)! / ((2m1+2m2+3)(m1+m2+1)(m1+2m2+2)! m1! m2!)."""
-    if m1 < 0 or m2 < 0:
-        raise ValueError("exponents must be nonnegative")
-    den = (
-        (2 * m1 + 2 * m2 + 3)
-        * (m1 + m2 + 1)
-        * factorial(m1 + 2 * m2 + 2)
-        * factorial(m1)
-        * factorial(m2)
-    )
-    return _exact_div(factorial(2 * m1 + 3 * m2 + 3), den)
-
-
 def geode_closed_shifted(a: int, m_a: int, m_a1: int) -> int:
     """Geode coefficient whose two nonzero slots are the adjacent variables
     a-1 and a (i.e. a-2 leading zero exponents), with exponents m_a, m_a1.
 
-    For a = 2 this is exactly geode_closed_2var.
+    At a = 2 this is the paper's two-variable formula, factor for factor:
+    G[m1, m2] = (2m1+3m2+3)! / ((2m1+2m2+3)(m1+m2+1)(m1+2m2+2)! m1! m2!).
     """
     if a < 2:
         raise ValueError(f"need a >= 2, got {a}")
@@ -342,22 +329,28 @@ def geode_recurrence_check(table: GeodeTable, m: Sequence[int]) -> bool:
     """Whether sum over k with m_k >= 1 of G[m - e_k] equals C[m].
 
     This reads the factorization S - 1 = (t_1+...+t_r) G coefficient-wise,
-    so it must hold for every nonzero m.  Raises OutOfRangeError when the
-    table is truncated below total degree |m| - 1.
+    so it must hold for every nonzero m.  m is checked once, before any
+    read: a wrong length, a negative entry or the zero vector raises
+    ValueError, and a table truncated below total degree |m| - 1 raises
+    OutOfRangeError.  Each m - e_k is then read from the table's terms
+    directly, a missing one being 0.
     """
     m = tuple(m)
     if len(m) != table.nvars:
         raise ValueError(f"exponent vector {m} has length {len(m)}, expected {table.nvars}")
+    if min(m) < 0:
+        raise ValueError(f"negative exponent in {m}")
     if not any(m):
         raise ValueError("m must not be all zeros")
     if sum(m) - 1 > table.trunc:
         raise OutOfRangeError(
             f"need Geode table through degree {sum(m) - 1}, have {table.trunc}"
         )
+    terms = table.series.terms
     total = 0
     for k, e in enumerate(m):
         if e:
-            total += table.coefficient(m[:k] + (e - 1,) + m[k + 1 :])
+            total += terms.get(m[:k] + (e - 1,) + m[k + 1 :], 0)
     return total == hyper_catalan(m)
 
 
@@ -383,9 +376,8 @@ def _factorial_work(weight: int) -> int:
 
 
 def closed_shifted_work(a: int, m_a: int, m_a1: int) -> int:
-    """Estimated work of ``geode_closed_shifted(a, m_a, m_a1)`` and its case;
-    at a = 2, of ``geode_closed_2var(m_a, m_a1)`` too, whose largest
-    factorial is the same."""
+    """Estimated work of ``geode_closed_shifted(a, m_a, m_a1)`` and its case,
+    priced by its largest factorial."""
     return _factorial_work(a * m_a + (a + 1) * (m_a1 + 1))
 
 

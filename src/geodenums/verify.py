@@ -118,7 +118,7 @@ def suite_thm1(max_degree: int = 12) -> list[Unit]:
         table = None  # asked for after the first closed form, as the first case reads it
         for m1 in range(max_degree + 1):
             for m2 in range(max_degree + 1 - m1):
-                closed = report.call(geode.geode_closed_2var, m1, m2)
+                closed = report.call(geode.geode_closed_shifted, 2, m1, m2)
                 table = table or report.call(geode.geode_series, 2, max_degree)
                 report.run_case(
                     f"m1={m1:02d},m2={m2:02d}",
@@ -137,21 +137,11 @@ def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list
             for q in range(max_sum + 1 - p):
                 closed = report.call(geode.geode_closed_shifted, a, p, q)
                 table = table or report.call(geode.geode_support, a, max_sum, (a - 1, a))
-                two_var = report.call(geode.geode_closed_2var, p, q) if a == 2 else None
-
-                def check(closed=closed, two_var=two_var, exps=(p, q)):
-                    oracle = coeff(table(), exps)
-                    if closed() != oracle:
-                        return False, str(oracle)
-                    if two_var is not None and closed() != two_var():
-                        return False, f"{closed()} != two-variable closed form"
-                    return True, str(oracle)
-
                 report.run_case(
                     f"a={a},p={p:02d},q={q:02d}",
                     {"a": a, "m_a": p, "m_a1": q},
                     closed,
-                    check,
+                    lambda closed=closed, exps=(p, q): _is(closed(), coeff(table(), exps)),
                 )
 
     return [partial(unit, a=a) for a in a_values]
@@ -426,7 +416,7 @@ def suite_two_nonzero(
                     table = table or report.call(geode.geode_support, nvars, max_n - 1, (s, t))
                     two_var = None
                     if (s, t) == (1, 2):
-                        two_var = report.call(geode.geode_closed_2var, n - 1 - i, i)
+                        two_var = report.call(geode.geode_closed_shifted, 2, n - 1 - i, i)
                     values.append(((n - 1 - i, i), closed, two_var))
 
                 def check(n=n, values=values, table=table):
@@ -552,7 +542,6 @@ WORK: dict[str, Callable[..., int]] = {
     "functional_residual": _spread(residual_work),
     "eval_alternating": geode.eval_work,
     "eval_general": geode.eval_work,
-    "geode_closed_2var": partial(geode.closed_shifted_work, 2),
     "geode_closed_shifted": geode.closed_shifted_work,
     "geode_closed_two_nonzero": geode.closed_two_nonzero_work,
     "recurrence_break": _spread(geode.recurrence_work),

@@ -281,23 +281,34 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "thm2 compares its closed form with itself, not the two-variable form",
+        "thm2 compares its closed form with itself instead of the oracle",
         "src/geodenums/verify.py",
-        "closed() != two_var():\n" + " " * 24 + "return False, f\"{closed()}",
-        "closed() != closed():\n" + " " * 24 + "return False, f\"{closed()}",
+        "_is(closed(), coeff(table(), exps))",
+        "_is(closed(), closed())",
         (
-            "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
-            "[thm2]",
+            "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
+            "[thm2-geodenums.geode-geode_closed_shifted-bounds1]",
+            "tests/test_cli.py::test_a_case_fails_only_where_one_of_its_routes_is_perturbed[thm2]",
+        ),
+    ),
+    Mutant(
+        "two-nonzero compares its closed form with itself instead of the oracle",
+        "src/geodenums/verify.py",
+        "if closed() != coeff(table(), exps):",
+        "if closed() != closed():",
+        (
+            "tests/test_cli.py::test_a_case_fails_only_where_one_of_its_routes_is_perturbed"
+            "[two-nonzero-oracle]",
         ),
     ),
     Mutant(
         "two-nonzero compares its closed form with itself, not the two-variable form",
         "src/geodenums/verify.py",
-        "closed() != two_var():\n" + " " * 28 + "return False, f\"two-variable",
-        "closed() != closed():\n" + " " * 28 + "return False, f\"two-variable",
+        "closed() != two_var():",
+        "closed() != closed():",
         (
-            "tests/test_cli.py::test_a_cross_check_fails_only_where_its_second_route_is_perturbed"
-            "[two-nonzero]",
+            "tests/test_cli.py::test_a_case_fails_only_where_one_of_its_routes_is_perturbed"
+            "[two-nonzero-cross-check]",
         ),
     ),
     Mutant(
@@ -314,7 +325,7 @@ MUTANTS = [
         "_is(closed(), closed())",
         (
             "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
-            "[thm1-geodenums.geode-geode_closed_2var-bounds0]",
+            "[thm1-geodenums.geode-geode_closed_shifted-bounds0]",
         ),
     ),
     Mutant(
@@ -345,6 +356,16 @@ MUTANTS = [
         (
             "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
             "[recurrence-geodenums.geode-hyper_catalan-bounds6]",
+        ),
+    ),
+    Mutant(
+        "recurrence reads G[m] in place of G[m - e_k]",
+        "src/geodenums/geode.py",
+        "total += terms.get(m[:k] + (e - 1,) + m[k + 1 :], 0)",
+        "total += terms.get(m, 0)",
+        (
+            "tests/test_geode.py::test_recurrence_examples",
+            "tests/test_acceptance.py::test_07_recurrence_layers",
         ),
     ),
     Mutant(

@@ -1700,7 +1700,6 @@ KERNELS = {
     "geode_support": geode,
     "eval_alternating": geode,
     "eval_general": geode,
-    "geode_closed_2var": geode,
     "geode_closed_shifted": geode,
     "geode_closed_two_nonzero": geode,
     "recurrence_break": geode,
@@ -1802,7 +1801,7 @@ def test_no_report_call_is_made_while_cases_run(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["all"], 4_721_654),
+    (["all"], 4_718_741),
     (["eq31", "--max-n", "8", "--max-a", "4"], 35_339),
     (["claims", "--max-n", "8", "--max-a", "3"], 97_788),
     (["wz1", "--max-n", "250"], 1_828_985),
@@ -1833,15 +1832,15 @@ def test_a_request_forks_only_for_work_above_the_fork_work(argv, forks, monkeypa
 
 
 def test_a_raising_closed_form_costs_its_case_not_the_request(tmp_path, monkeypatch, capsys):
-    closed = geode.geode_closed_2var
+    closed = geode.geode_closed_shifted
 
     @wraps(closed)
-    def raising(m1, m2):
-        if (m1, m2) == (3, 4):
+    def raising(a, m1, m2):
+        if (a, m1, m2) == (2, 3, 4):
             raise RuntimeError("no closed form at (3, 4)")
-        return closed(m1, m2)
+        return closed(a, m1, m2)
 
-    monkeypatch.setattr(geode, "geode_closed_2var", raising)
+    monkeypatch.setattr(geode, "geode_closed_shifted", raising)
     path = tmp_path / "thm1.json"
     assert cli.main(["verify", "thm1", "--report", str(path)]) == 1
     capsys.readouterr()
@@ -1957,7 +1956,7 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("name, module, function, bounds", [
-    ("thm1", geode, "geode_closed_2var", {"max_degree": 3}),
+    ("thm1", geode, "geode_closed_shifted", {"max_degree": 3}),
     ("thm2", geode, "geode_closed_shifted", {"max_sum": 2}),
     ("two-nonzero", geode, "geode_closed_two_nonzero", {"max_n": 3}),
     ("eq31", identities, "partition_sum_main", {"max_n": 3, "max_a": 2}),
@@ -2020,15 +2019,19 @@ def _raised_at(function, point):
     return lambda *args: function(*args) + (args == point)
 
 
-# A cross-check compares a closed form with a second route to the same
-# value; each perturbs the second route at one point.
+# A case compares a closed form with the oracle, and two-nonzero's (1, 2)
+# cases compare it with the adjacent-slot form at a = 2 too; each row
+# perturbs one route at one point, so only the case that reads that point
+# fails.  At (1, 3) no cross-check stands in for the oracle comparison.
 @pytest.mark.parametrize("name, module, function, perturb, bounds, failures", [
-    ("thm2", geode, "geode_closed_2var", partial(_raised_at, point=(1, 2)),
-     {"max_sum": 3, "a_values": (2, 3)}, {"a=2,p=01,q=02": "110 != two-variable closed form"}),
-    ("two-nonzero", geode, "geode_closed_2var", partial(_raised_at, point=(1, 2)),
+    ("thm2", geode, "geode_closed_shifted", partial(_raised_at, point=(2, 1, 2)),
+     {"max_sum": 3, "a_values": (2, 3)}, {"a=2,p=01,q=02": "110"}),
+    ("two-nonzero", geode, "geode_closed_two_nonzero", partial(_raised_at, point=(1, 3, 3, 1)),
+     {"max_n": 4}, {"s=1,t=3,n=3": "mismatch at i=1: 24"}),
+    ("two-nonzero", geode, "geode_closed_shifted", partial(_raised_at, point=(2, 1, 2)),
      {"max_n": 4}, {"s=1,t=2,n=4": "two-variable closed form differs at i=2"}),
-], ids=["thm2", "two-nonzero"])
-def test_a_cross_check_fails_only_where_its_second_route_is_perturbed(
+], ids=["thm2", "two-nonzero-oracle", "two-nonzero-cross-check"])
+def test_a_case_fails_only_where_one_of_its_routes_is_perturbed(
     name, module, function, perturb, bounds, failures, monkeypatch
 ):
     suite = verify.SUITES[name][0]

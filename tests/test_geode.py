@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -14,7 +14,6 @@ from geodenums.geode import (
     eval_general,
     factorization_work,
     general_weights,
-    geode_closed_2var,
     geode_closed_shifted,
     geode_closed_two_nonzero,
     geode_recurrence_check,
@@ -48,18 +47,28 @@ def test_low_degree_layers():
     }
 
 
-def test_closed_2var_values():
-    assert geode_closed_2var(0, 0) == 1
-    assert geode_closed_2var(1, 1) == 16
-    assert geode_closed_2var(0, 2) == 12
-    assert geode_closed_2var(3, 0) == 14
+def paper_two_variable(m1, m2):
+    """The paper's two-variable formula, kept here as a reference for
+    ``geode_closed_shifted(2, m1, m2)``: G[m1, m2] = (2m1+3m2+3)! /
+    ((2m1+2m2+3)(m1+m2+1)(m1+2m2+2)! m1! m2!)."""
+    num = factorial(2 * m1 + 3 * m2 + 3)
+    den = (2 * m1 + 2 * m2 + 3) * (m1 + m2 + 1) * factorial(m1 + 2 * m2 + 2)
+    den *= factorial(m1) * factorial(m2)
+    return _exact_div(num, den)
 
 
-def test_closed_2var_matches_table():
+def test_paper_two_variable_values():
+    assert paper_two_variable(0, 0) == 1
+    assert paper_two_variable(1, 1) == 16
+    assert paper_two_variable(0, 2) == 12
+    assert paper_two_variable(3, 0) == 14
+
+
+def test_paper_two_variable_matches_table():
     table = geode_series(2, 6)
     for d in range(7):
         for m1, m2 in iter_exponents(2, d):
-            assert geode_closed_2var(m1, m2) == table.coefficient((m1, m2))
+            assert paper_two_variable(m1, m2) == table.coefficient((m1, m2))
 
 
 def test_closed_shifted_values():
@@ -70,10 +79,10 @@ def test_closed_shifted_values():
     assert geode_closed_shifted(3, 1, 0) == geode_series(3, 1).coefficient((0, 1, 0))
 
 
-def test_closed_shifted_reduces_to_2var():
-    for p in range(9):
-        for q in range(9):
-            assert geode_closed_shifted(2, p, q) == geode_closed_2var(p, q)
+def test_closed_shifted_at_a_2_is_the_paper_two_variable_formula():
+    for p in range(60):
+        for q in range(60):
+            assert geode_closed_shifted(2, p, q) == paper_two_variable(p, q)
 
 
 def test_closed_shifted_matches_oracle_three_adjacent():
@@ -94,10 +103,10 @@ def test_two_nonzero_values():
     assert geode_closed_two_nonzero(2, 3, 2, 1) == geode_series(3, 1).coefficient((0, 0, 1)) == 4
 
 
-def test_two_nonzero_consistent_with_2var():
+def test_two_nonzero_consistent_with_shifted_at_a_2():
     for n in range(1, 7):
         for i in range(n):
-            assert geode_closed_two_nonzero(1, 2, n, i) == geode_closed_2var(n - 1 - i, i)
+            assert geode_closed_two_nonzero(1, 2, n, i) == geode_closed_shifted(2, n - 1 - i, i)
 
 
 def test_two_nonzero_validates_arguments():
@@ -143,8 +152,9 @@ def test_recurrence_examples():
 
 def test_recurrence_rejects_zero_vector_and_short_table():
     table = geode_series(2, 2)
-    with pytest.raises(ValueError):
-        geode_recurrence_check(table, (0, 0))
+    for m in ((0, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            geode_recurrence_check(table, m)
     with pytest.raises(OutOfRangeError):
         geode_recurrence_check(table, (4, 0))
 
@@ -185,7 +195,7 @@ def test_returned_tables_share_no_state():
 def test_closed_forms_positive():
     for d in range(7):
         for m1, m2 in iter_exponents(2, d):
-            assert geode_closed_2var(m1, m2) > 0
+            assert geode_closed_shifted(2, m1, m2) > 0
     for n in range(1, 6):
         for i in range(n):
             assert geode_closed_two_nonzero(2, 4, n, i) > 0

@@ -10,9 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geodenums import wz
-from geodenums.geode import geode_closed_2var
 from geodenums.verify import _flipped, check_certificate_R, check_wz1, check_wz2
 from geodenums.wz import ORIENT_F_DIFFERENCE
+from test_geode import paper_two_variable
 
 # The failure texts of the pair's and the certificate's relation.
 PAIR_BROKEN = "pair relation broken at k={j}: F={lhs}, H(k+1)-H(k)={rhs}"
@@ -375,7 +375,7 @@ def test_h1_quotient_layer_identity_and_geode_bridge():
     for n in range(1, 13):
         for i in range(n):
             value = Fraction(comb(n - 1, i) * comb(2 * n + 1 + i, n + 1 + i), 2 * n + 1)
-            assert value == geode_closed_2var(n - 1 - i, i)
+            assert value == paper_two_variable(n - 1 - i, i)
 
 
 # Each mutant changes one description at one point (or, for the zeroed
