@@ -12,7 +12,7 @@ from geodenums import (
     geode_series,
     substitute_signed,
 )
-from geodenums.geode import alternating_weights, general_weights
+from geodenums.geode import general_weights
 
 print("=" * 72)
 print("Alternating substitution G[-f, f, ..., -f, f]")
@@ -50,5 +50,5 @@ print("   (row sums of the Geode layers, not a geometric sequence)")
 
 print()
 print("Sanity: the alternating pattern is the all-ones multiplier case:")
-print("   general_weights((1, 1)) =", general_weights((1, 1)),
-      "== alternating_weights(2) =", alternating_weights(2))
+print("   eval_alternating(2, 5) =", list(eval_alternating(2, 5).coeffs),
+      "== eval_general(2, (1, 1), 5) =", list(eval_general(2, (1, 1), 5).coeffs))

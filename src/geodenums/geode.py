@@ -17,8 +17,10 @@ for k not in T), and ``eval_line`` solves G on a line (t_k -> w_k f):
   * geode_closed_shifted     -- G with two adjacent nonzero slots a-1, a;
                                 at a = 2 the two-variable G[m1, m2]
   * geode_closed_two_nonzero -- G with any two nonzero slots s < t
-  * eval_alternating         -- G[-f, f, ..., -f, f] = sum a^n f^n
-  * eval_general             -- weighted variant with arbitrary multipliers
+  * eval_general             -- G[-c_a f, c_1 f, -c_1 f, ..., c_a f], the
+                                line solve on the weights of c
+  * eval_alternating         -- G[-f, f, ..., -f, f] = sum a^n f^n, which
+                                is eval_general at c = (1, ..., 1)
   * geode_recurrence_check   -- sum_k G[m - e_k] = C[m]
 
 Closed forms divide factorials; every division asserts exactness.
@@ -244,11 +246,6 @@ def geode_closed_two_nonzero(s: int, t: int, n: int, i: int) -> int:
     return _exact_div(total, n)
 
 
-def alternating_weights(a: int) -> tuple[int, ...]:
-    """(-1, +1, -1, +1, ...) over 2a slots."""
-    return tuple(-1 if k % 2 else 1 for k in range(1, 2 * a + 1))
-
-
 def eval_line(weights: Sequence[int], order: int) -> UnivariateSeries:
     """G[w_1 f, ..., w_r f] through f^order, for r = len(weights), solved
     on the line.
@@ -287,14 +284,6 @@ def eval_line(weights: Sequence[int], order: int) -> UnivariateSeries:
     return UnivariateSeries(coeffs, order)
 
 
-def eval_alternating(a: int, max_order: int) -> UnivariateSeries:
-    """G[-f, f, ..., -f, f] in 2a variables, by the line solve; the f^n
-    coefficient is a^n."""
-    if a < 1:
-        raise ValueError(f"need a >= 1, got {a}")
-    return eval_line(alternating_weights(a), max_order)
-
-
 def general_weights(c: Sequence[int]) -> tuple[int, ...]:
     """Weight pattern (-c_a, c_1, -c_1, c_2, -c_2, ..., c_{a-1}, -c_{a-1}, c_a)."""
     a = len(c)
@@ -314,6 +303,13 @@ def eval_general(a: int, c: Sequence[int], max_order: int) -> UnivariateSeries:
     if len(c) != a:
         raise ValueError(f"need {a} multipliers, got {len(c)}")
     return eval_line(general_weights(c), max_order)
+
+
+def eval_alternating(a: int, max_order: int) -> UnivariateSeries:
+    """G[-f, f, ..., -f, f] in 2a variables, by the line solve; the f^n
+    coefficient is a^n.  It is ``eval_general`` at c = (1, ..., 1), whose
+    weights alternate (-1, 1, ..., -1, 1) and whose base 2a - a is a."""
+    return eval_general(a, (1,) * a, max_order)
 
 
 def recurrence_break(table: GeodeTable, degree: int) -> tuple[int, ...] | None:

@@ -11,8 +11,10 @@ multinomial theorem, with P = z + z^2 + ... + z^(2a),
 so the weight of all vectors of one size is a coefficient of P^L
 (``part_power``), and the weight with the factor m_2a is a coefficient of
 L z^(2a) P^(L-1), since j C(L, j) = L C(L-1, j-1).  ``size_mass`` signs the
-coefficients of P^L by (-1)^|lambda|, and ``shifted_binomial_sum`` and
-``lower_binomial_sum`` dot that mass with one binomial per size.
+coefficients of P^L by (-1)^|lambda|, and ``shifted_binomial_sum`` dots a
+mass with one binomial per size, the kernel of every sum here: the claim
+sums read one size mass, and ``partition_sum_main`` (eq31) the combined
+mass M_n - z^(2a) M_(n-1) of the lengths n and n-1 at shift 0.
 
 A power depends on (L, a) only, so a caller that checks many sums of one
 (n, a) raises P once per length: the ``claims`` suite of the CLI builds the
@@ -107,13 +109,14 @@ def partition_sum_main(n: int, a: int) -> int:
         -sum over sizes s of (M_n[s] - M_(n-1)[s-2a]) C(s+n, s+1),
 
     a sum of integers with no division, which always comes to a^(n-1).
+    Since C(s+n, s+1) = C(s+n, n-1), it is ``shifted_binomial_sum`` of the
+    combined mass at x = 0.
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
     # z^(2a) keeps the sign of each size, since 2a is even.
     shifted = [0] * (2 * a) + size_mass(n - 1, a)
-    masses = zip(size_mass(n, a), shifted)
-    return -sum((m - s) * comb(size + n, size + 1) for size, (m, s) in enumerate(masses))
+    return -shifted_binomial_sum([m - s for m, s in zip(size_mass(n, a), shifted)], n, 0)
 
 
 def claim1_sum(n: int, a: int, x: int) -> int:
@@ -130,15 +133,6 @@ def claim2_sum(n: int, a: int, x: int) -> int:
     if n < 1 or a < 1:
         raise ValueError("n and a must be positive")
     return shifted_binomial_sum(size_mass(n - 1, a), n, x)
-
-
-def lower_binomial_sum(mass: list[int], n: int, shift: int) -> int:
-    """Sum over sizes |l| of mass[|l|] C(|l|+shift+n, |l|+shift+1): the
-    specialized binomial form whose lower index moves with the size, read
-    off a ``size_mass``."""
-    return sum(
-        m * binom_general(size + shift + n, size + shift + 1) for size, m in enumerate(mass)
-    )
 
 
 def bracket_power(n: int, a: int) -> list[int]:
@@ -213,7 +207,7 @@ def partition_sum_work(n: int, a: int) -> int:
     """Estimated work of ``partition_sum_main(n, a)``.
 
     Its two size masses (``size_mass_work``) and, for each of the S = 2an
-    + 1 sizes, a binomial C(|l|+n, |l|+1) of n - 1 factors and a product
+    + 1 sizes, a binomial C(|l|+n, n-1) of n - 1 factors and a product
     with a mass.  A size counts 16 plus N (10 + n) / 1024, N = S + n, the
     length of an N-bit operand times the binomial's factors, and a call
     64 more; the binomials and masses are shorter than N bits, so the
@@ -251,9 +245,8 @@ def ct_coefficient_work(m: int, a: int, n: int, x: int) -> int:
 
 
 def binomial_sum_work(length: int, a: int, n: int, x: int) -> int:
-    """Estimated work of ``shifted_binomial_sum(mass, n, x)`` and of
-    ``lower_binomial_sum(mass, n, x)``, with `mass` the value of
-    ``size_mass(length, a)``.
+    """Estimated work of ``shifted_binomial_sum(mass, n, x)``, with `mass`
+    the value of ``size_mass(length, a)``.
 
     Each of the S = 2a length + 1 masses is multiplied by one binomial
     with n - 1 as its smaller index (C(y, k) = C(y, y - k)), of at most R

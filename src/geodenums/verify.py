@@ -199,13 +199,14 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
                 str(power),
                 lambda total=total: _is(power, total()),
             )
-        # The two specialized binomial forms: lower-index C(|l|+n, |l|+1)
-        # is claim1 at x = 0, which a claim1 case checks; C(|l|+2a+n,
-        # |l|+2a+1) is claim2 at x = 2a, which the claim2 cases certify
+        # The paper's two specialized binomial forms are claim sums: eq32's
+        # C(|l|+n, |l|+1) = C(|l|+n, n-1) is claim1 at x = 0, and eq33's
+        # C(|l|+2a+n, |l|+2a+1) is claim2 at x = 2a, each read off its
+        # mass by the one kernel; the claim2 cases certify the second
         # (n + 3 points of a polynomial in x of degree <= n - 1).
         forms = (("eq32", masses[0], 0, 0), ("eq33", masses[1], 2 * a, power))
         for eq, mass, shift, value in forms:
-            total = report.call(identities.lower_binomial_sum, mass, n, shift)
+            total = report.call(identities.shifted_binomial_sum, mass, n, shift)
             report.run_case(
                 f"{eq},n={n},a={a}",
                 {"n": n, "a": a},
@@ -454,7 +455,7 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
 
     def alternating(report: VerifyReport) -> None:
         # the line solve on the weights of c = (1, 1), against the whole G
-        # table in 4 variables with the alternating weights substituted
+        # table in 4 variables with the same weights, (-1, 1, -1, 1), substituted
         general = report.call(geode.eval_general, 2, (1, 1), max_order)
         table = report.call(geode.geode_series, 4, max_order)
         report.run_case(
@@ -462,7 +463,7 @@ def suite_general_eval(max_order: int = 8) -> list[Unit]:
             {"a": 2, "c": [1, 1], "max_order": max_order},
             "matches the alternating evaluation",
             lambda: (
-                general() == substitute_signed(table().series, geode.alternating_weights(2)),
+                general() == substitute_signed(table().series, geode.general_weights((1, 1))),
                 "series coincide",
             ),
         )
@@ -549,7 +550,6 @@ WORK: dict[str, Callable[..., int]] = {
     "size_mass": identities.size_mass_work,
     "bracket_power": identities.bracket_power_work,
     "shifted_binomial_sum": _spread(identities.binomial_sum_work),
-    "lower_binomial_sum": _spread(identities.binomial_sum_work),
     "ct_coefficient": _spread(identities.ct_coefficient_work),
     "_f2": wz.row_work,
     "_cert_summand": partial(wz.row_work, 2),

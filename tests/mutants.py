@@ -92,14 +92,48 @@ MUTANTS = [
         ("tests/test_wz.py::test_the_pair_relation_reads_its_boundary",),
     ),
     Mutant(
-        "eq31 takes the lower index size, not size + 1",
+        "the shifted binomial sum takes the lower index n, not n - 1",
         "src/geodenums/identities.py",
-        "comb(size + n, size + 1)",
-        "comb(size + n, size)",
+        "binom_general(size + n + x, n - 1)",
+        "binom_general(size + n + x, n)",
         (
             "tests/test_identities.py::test_sums_match_a_per_vector_fraction_evaluation",
             "tests/test_identities.py::test_main_sum_grid",
+            "tests/test_identities.py::test_the_lower_index_forms_are_the_shifted_kernel",
             "tests/test_golden.py::test_report_equals_its_golden_digest[eq31 --max-n 8 --max-a 4]",
+        ),
+    ),
+    Mutant(
+        "eq31 builds its combined mass from the length-n mass twice",
+        "src/geodenums/identities.py",
+        "[0] * (2 * a) + size_mass(n - 1, a)",
+        "[0] * (2 * a) + size_mass(n, a)",
+        (
+            "tests/test_identities.py::test_main_sum_grid",
+            "tests/test_identities.py::test_main_sum_is_the_single_loop",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[eq31 --max-n 8 --max-a 4]",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[all]",
+        ),
+    ),
+    Mutant(
+        "claims reads eq33 off the length-n mass",
+        "src/geodenums/verify.py",
+        '("eq33", masses[1], 2 * a, power)',
+        '("eq33", masses[0], 2 * a, power)',
+        (
+            "tests/test_golden.py::test_report_equals_its_golden_digest[claims --max-n 8 --max-a 3]",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[all]",
+        ),
+    ),
+    Mutant(
+        "eval_alternating evaluates at c = (-1, ..., -1)",
+        "src/geodenums/geode.py",
+        "return eval_general(a, (1,) * a, max_order)",
+        "return eval_general(a, (-1,) * a, max_order)",
+        (
+            "tests/test_geode.py::test_eval_alternating_small",
+            "tests/test_geode.py::test_eval_alternating_is_eval_general_at_all_ones",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[all]",
         ),
     ),
     Mutant(
@@ -162,7 +196,6 @@ MUTANTS = [
         "for a in range(d, 0, -1)",
         (
             "tests/test_mpoly.py::test_layer_labels_list_every_monomial_of_each_degree_in_lexicographic_order",
-            "tests/test_cli.py::test_table_output_bytes_are_pinned",
             "tests/test_golden.py::test_table_equals_its_golden_digest",
         ),
     ),

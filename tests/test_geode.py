@@ -9,9 +9,9 @@ import pytest
 from geodenums.geode import (
     GeodeTable,
     _exact_div,
-    alternating_weights,
     eval_alternating,
     eval_general,
+    eval_line,
     factorization_work,
     general_weights,
     geode_closed_shifted,
@@ -116,19 +116,28 @@ def test_two_nonzero_validates_arguments():
         geode_closed_two_nonzero(1, 2, 3, 3)
 
 
-def test_alternating_weight_pattern():
-    assert alternating_weights(2) == (-1, 1, -1, 1)
-
-
 def test_eval_alternating_small():
     assert eval_alternating(1, 4).coeffs == (1, 1, 1, 1, 1)
     assert eval_alternating(2, 3).coeffs == (1, 2, 4, 8)
+
+
+def test_eval_alternating_is_eval_general_at_all_ones():
+    # and the line solve on the alternating weights, whose f^n coefficient
+    # is a^n
+    for a in range(1, 12):
+        for order in range(10):
+            values = eval_alternating(a, order)
+            assert values == eval_general(a, (1,) * a, order) == eval_line((-1, 1) * a, order)
+            assert values.coeffs == tuple(a**n for n in range(order + 1))
+    with pytest.raises(ValueError, match="need a >= 1"):
+        eval_alternating(0, 3)
 
 
 def test_general_weight_pattern():
     assert general_weights((3,)) == (-3, 3)
     assert general_weights((2, 3)) == (-3, 2, -2, 3)
     assert general_weights((1, 2, 5)) == (-5, 1, -1, 2, -2, 5)
+    assert general_weights((1, 1)) == (-1, 1, -1, 1)
 
 
 def test_eval_general_powers():

@@ -44,7 +44,10 @@ REPORT_SHA256 = {
 
 # sha256 of the output of `geodenums table <request>`: the tables `verify
 # all` builds, which the benchmark's `tables` workload requests, each in
-# both formats, and the G table of the README's command-line example.
+# both formats, the G table of the README's command-line example, S and G
+# at (3, 6) and (6, 4) in both formats, and shapes the benchmark never
+# requests: one variable deep, seven variables, a deep G, and many
+# variables at a shallow degree.
 TABLE_SHA256 = {
     "table --kind G --vars 2 --max-degree 12 --format json": "a2781113ec7cb5fb3740a4d30c38797a6a1e8323c65ac5db7ed48f34ac1a63a4",
     "table --kind G --vars 2 --max-degree 12 --format csv": "167fdd822ff54dda5aa28b5c05b32e346b8df6e8c13f1e03e43aa4b057dbabd3",
@@ -87,6 +90,18 @@ TABLE_SHA256 = {
     "table --kind G --vars 4 --max-degree 10 --format json": "6a20818d49ba503ad74d51da808f423d229d4dd0716833a2397011190a84a541",
     "table --kind G --vars 4 --max-degree 10 --format csv": "ebf2dfe672407c949efdc2676042614544e87450ca07add1c7c108fb0efaa297",
     "table --vars 2 --max-degree 6 --kind G --format csv": "5bb8d61b6b650dc57fad3952ecfc5870951cbb13f00b944ed5b7b9d5e6dfc6d3",
+    "table --kind S --vars 3 --max-degree 6 --format json": "da2ec22b4cb6b927008fa742c690793e174dc81eb9bbf40a42bdc1e2cba0d8e0",
+    "table --kind S --vars 6 --max-degree 4 --format json": "84aa2fb2222b3aa427a6983a187d35b11c914212d6ace76f8d68f4d6fea8067e",
+    "table --kind S --vars 3 --max-degree 6 --format csv": "c31287d0cd3d0fdc1bca37c07e7d988785e5982119567b76af2217e58ee62fe8",
+    "table --kind S --vars 6 --max-degree 4 --format csv": "50e7dbb689b0d88d45d686aa52b6840221698b37250fbba0432630735ce9da28",
+    "table --kind G --vars 3 --max-degree 6 --format json": "4980fff66d7a2d346753f85e089dbface8fd0fa5db4ad72a2687a7bd6b4704b6",
+    "table --kind G --vars 6 --max-degree 4 --format json": "b075bf0f4495a628acb3e896d25509cb8096b8b982958b86935ef0e3ba9d02be",
+    "table --kind G --vars 3 --max-degree 6 --format csv": "833f42ee1b9351f199e3516cb1a06e2872ed92c925af2e159669b2888e8b7bd3",
+    "table --kind G --vars 6 --max-degree 4 --format csv": "ff1e8d54035ae34f8dec2d09018631c7598081c1f7972705dbcd7a47489bee50",
+    "table --kind S --vars 1 --max-degree 300 --format csv": "f0007ff34f1dc5e93f27e3fb94716574cad7452160db0de7d8246b35f8f4a0a7",
+    "table --kind S --vars 7 --max-degree 8 --format csv": "9d52f5f5692b8b9bbccaad0622cc9d6634f87b451727710f3f8a55dbfc657931",
+    "table --kind G --vars 2 --max-degree 30 --format json": "c919b7be19e26dea3a93c77cbc5568d98fe9ca9f80ecfd133a7aca10ef115be3",
+    "table --kind S --vars 40 --max-degree 2 --format json": "f86a246d7434662fe597a99eb57b560ebf0bd3e33f912f9ce30013233b4568bc",
 }
 
 

@@ -18,6 +18,8 @@ from geodenums.identities import (
     claim2_sum,
     part_power,
     partition_sum_main,
+    shifted_binomial_sum,
+    size_mass,
 )
 from geodenums.mpoly import iter_exponents
 
@@ -132,6 +134,57 @@ def test_main_sum_grid():
                 for s, w in enumerate(weights)
             )
             assert partition_sum_main(n, a) == reference == a ** (n - 1)
+
+
+# ---------------------------------------------------------------------------
+# references for the one binomial kernel: the paper's specialized forms,
+# whose lower index moves with the size, and partition_sum_main as one loop
+
+
+def lower_index_sum(mass, n, shift):
+    """Sum over sizes s of mass[s] C(s+shift+n, s+shift+1): the paper's
+    eq32 at shift 0 on the size mass of length n, and its eq33 at shift 2a
+    on the size mass of length n-1."""
+    return sum(m * binom_general(s + shift + n, s + shift + 1) for s, m in enumerate(mass))
+
+
+def single_loop_main(n, a):
+    """partition_sum_main as one loop over the sizes s of the combined mass,
+    with the lower index s+1 of the paper's form."""
+    shifted = [0] * (2 * a) + size_mass(n - 1, a)
+    masses = zip(size_mass(n, a), shifted)
+    return -sum((m - d) * comb(s + n, s + 1) for s, (m, d) in enumerate(masses))
+
+
+def test_the_lower_index_forms_are_the_shifted_kernel():
+    for n in range(1, 25):
+        for a in range(1, 7):
+            claim1, claim2 = size_mass(n, a), size_mass(n - 1, a)
+            assert lower_index_sum(claim1, n, 0) == shifted_binomial_sum(claim1, n, 0) == 0
+            eq33 = lower_index_sum(claim2, n, 2 * a)
+            assert eq33 == shifted_binomial_sum(claim2, n, 2 * a) == a ** (n - 1)
+            for shift in range(3 * a + 3):
+                for mass in (claim1, claim2):
+                    assert lower_index_sum(mass, n, shift) == shifted_binomial_sum(mass, n, shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 12), st.integers(0, 40), st.booleans())
+def test_a_lower_index_form_is_the_shifted_kernel_at_any_shift(n, a, shift, claim2):
+    mass = size_mass(n - claim2, a)
+    assert lower_index_sum(mass, n, shift) == shifted_binomial_sum(mass, n, shift)
+
+
+def test_main_sum_is_the_single_loop():
+    for n in range(1, 40):
+        for a in range(1, 6):
+            assert partition_sum_main(n, a) == single_loop_main(n, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 20))
+def test_main_sum_is_the_single_loop_at_any_point(n, a):
+    assert partition_sum_main(n, a) == single_loop_main(n, a) == a ** (n - 1)
 
 
 def test_claim1_vanishes():
