@@ -53,6 +53,9 @@ MAX_WORK = 30_000_000
 # values are below 3^(w + 2), so they print under Python's 4300-digit limit.
 MAX_CLOSED_FORM_WEIGHT = 4000
 
+# The commands, in the order the usage lists them.
+_COMMANDS = ("table", "coeff", "verify")
+
 # The kernel and cost function of each oracle table `table --kind` writes.
 _TABLES = {"S": ("solve_S", solve_work), "G": ("geode_series", geode.geode_work)}
 
@@ -145,38 +148,48 @@ class _Parser(argparse.ArgumentParser):
             self.exit(2)
 
 
-def _build_parser(verify_suites: bool = True) -> argparse.ArgumentParser:
+def _build_parser(
+    verify_suites: bool = True, command: str | None = None
+) -> argparse.ArgumentParser:
     """The command-line parser.  Its ``verify`` subparser takes its suite
     choices and bound flags from ``verify.SUITES`` only with
     `verify_suites`, since importing the suites is most of a process's
-    start-up; without them it takes no argument."""
+    start-up; without them it takes no argument.  With `command`, one of
+    _COMMANDS, only that command's subparser is built, under the usage
+    that names all three, so its help and usage errors are the full
+    parser's."""
     parser = _Parser(
         prog="geodenums",
         description="Exact hyper-Catalan / Geode number kernel and verifier.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    table = commands.add_parser("table", help="export a coefficient table")
-    table.add_argument("--vars", type=int, required=True, help="number of variables r")
-    table.add_argument("--max-degree", type=int, required=True, help="truncation order")
-    table.add_argument("--kind", choices=("S", "G"), required=True)
-    table.add_argument("--format", choices=("json", "csv"), default="json")
-    table.add_argument("--out", default="-", help="output path, - for stdout")
-
-    coeff_cmd = commands.add_parser("coeff", help="print a single coefficient")
-    coeff_cmd.add_argument("--kind", choices=("C", "G"), required=True)
-    coeff_cmd.add_argument(
-        "--exps", required=True, help="comma-separated exponent list, e.g. 1,1"
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS) if command else None
     )
 
-    verify = commands.add_parser("verify", help="run a verification suite")
-    if verify_suites:
-        from .verify import SUITE_NAMES, SUITES
+    if command in (None, "table"):
+        table = commands.add_parser("table", help="export a coefficient table")
+        table.add_argument("--vars", type=int, required=True, help="number of variables r")
+        table.add_argument("--max-degree", type=int, required=True, help="truncation order")
+        table.add_argument("--kind", choices=("S", "G"), required=True)
+        table.add_argument("--format", choices=("json", "csv"), default="json")
+        table.add_argument("--out", default="-", help="output path, - for stdout")
 
-        verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-        verify.add_argument("--report", help="write the JSON report to this path")
-        for flag in dict.fromkeys(flag for _, ranges in SUITES.values() for flag in ranges):
-            verify.add_argument("--" + flag.replace("_", "-"), type=int)
+    if command in (None, "coeff"):
+        coeff_cmd = commands.add_parser("coeff", help="print a single coefficient")
+        coeff_cmd.add_argument("--kind", choices=("C", "G"), required=True)
+        coeff_cmd.add_argument(
+            "--exps", required=True, help="comma-separated exponent list, e.g. 1,1"
+        )
+
+    if command in (None, "verify"):
+        verify = commands.add_parser("verify", help="run a verification suite")
+        if verify_suites:
+            from .verify import SUITE_NAMES, SUITES
+
+            verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
+            verify.add_argument("--report", help="write the JSON report to this path")
+            for flag in dict.fromkeys(flag for _, ranges in SUITES.values() for flag in ranges):
+                verify.add_argument("--" + flag.replace("_", "-"), type=int)
     return parser
 
 
@@ -283,8 +296,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # argparse runs the verify subparser only on what follows a `verify`
-    # token, so a command line without one never needs the suites
-    parser = _build_parser("verify" in argv)
+    # token, so a command line without one never needs the suites; a
+    # command line that starts with a command needs that command's
+    # subparser alone, and -h, no command or an unknown one all three
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser("verify" in argv, command)
     # -h prints its help and exits here, under the output guard (_Parser)
     args = parser.parse_args(argv)
     if args.command == "table":

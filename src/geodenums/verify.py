@@ -243,15 +243,11 @@ def _pair_units(
                 return False, broken
             nums, den = frow
             if sum(nums):
-                from fractions import Fraction
-
-                return False, f"telescoped sum is {Fraction(sum(nums), den)}, not 0"
+                return False, f"telescoped sum is {wz._ratio(sum(nums), den)}, not 0"
             top = a * n + 1
             closed = comb(top, top - n)
             if nums[0] * top != closed * den:
-                from fractions import Fraction
-
-                value, paper = Fraction(nums[0], den), Fraction(closed, top)
+                value, paper = wz._ratio(nums[0], den), wz._ratio(closed, top)
                 return False, f"F(n,0) = {value}, not C({top},{top - n})/{top} = {paper}"
             return True, "pair relation and telescoped sum hold"
 
@@ -325,9 +321,7 @@ def _certificate_units(
         def check() -> tuple[bool, str]:
             (nums, den), broken = telescope()
             if sum(nums) != den:
-                from fractions import Fraction
-
-                return False, f"target sum is {Fraction(sum(nums), den)}, not 1"
+                return False, f"target sum is {wz._ratio(sum(nums), den)}, not 1"
             if broken:
                 return False, broken
             return True, "sum = 1 and the relation telescopes"
@@ -667,8 +661,10 @@ def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case
     until the queue is empty.  Forking first lets the helpers drain the
     queue while it is written, so a queue longer than the pipe holds does
     not stall.  Each helper sends its cases back pickled through a pipe of
-    its own.  Fork, not spawn: a helper starts from this process's imports
-    and recorded cases, and the CLI starts no threads.  With no helper (one
+    its own; ``pickle`` is imported before the first fork, so no helper
+    spends its start importing it.  Fork, not spawn: a helper starts from
+    this process's imports and recorded cases, and the CLI starts no
+    threads.  With no helper (one
     CPU or unit, work at most _FORK_WORK, no os.fork, or every fork failing
     with OSError, as under a process limit) this process runs every report
     in order, unpinned.  A helper that dies before its cases arrive raises
@@ -681,6 +677,9 @@ def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case
     queue, feed = os.pipe()
     helpers: list[tuple[int, int]] = []
     mask = None  # this process's own CPUs, while it is pinned
+    if procs > 1:
+        # once here, not in each helper after its fork
+        import pickle
     try:
         for cpu in cpus[1:procs]:
             try:
@@ -700,8 +699,6 @@ def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case
         cases = {index: units[index][1].run().cases for index in indices}
         death = None
         while helpers:
-            import pickle
-
             code, data = _collect(*helpers.pop(0))
             if code:  # a helper exits 0 only once its cases are written
                 how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
@@ -761,7 +758,7 @@ def _fork_helper(
     code = 1
     try:
         _pin((cpu,))
-        import pickle
+        import pickle  # imported by _run_units before the fork
 
         os.close(read)
         os.close(feed)  # the queue ends when the command's process closes its end

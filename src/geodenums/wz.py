@@ -38,12 +38,12 @@ f_k (d_R + r_k) = h_(k+1); the last entry reads the boundary value 0.
 per m: it groups the small factors of each entry first, so each entry
 costs three products of a numerator by a small int (the formula is in
 its docstring).  A summand row is summed by adding its numerators, and a
-Fraction is built only to print a failure.  A zero denominator would
-make both sides of a cross-multiplied relation 0, so a grid that reads
-one is an error, never a pass; so is a row of the wrong length, and a
-row description that does not return the shape of its row
-(``_require``).  This module holds only these kernels and
-``row_work``, which prices a summand row with the passes a grid unit
+failure prints its ratios in lowest terms through ``_ratio``, with no
+Fraction.  A zero denominator would make both sides of a cross-multiplied
+relation 0, so a grid that reads one is an error, never a pass; so is a
+row of the wrong length, and a row description that does not return the
+shape of its row (``_require``).  This module holds only these kernels
+and ``row_work``, which prices a summand row with the passes a grid unit
 makes over it; the grid units, one per n, and ``check_wz1``,
 ``check_wz2`` and ``check_certificate_R``, which run them, are
 ``verify``'s.
@@ -93,7 +93,7 @@ telescope at m = n-1.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 ORIENT_F_DIFFERENCE = "F(n+1,m)-F(n,m) = G(n,m+1)-G(n,m)"
 
@@ -209,9 +209,7 @@ def _telescopes(f: Row, r: Row) -> str | None:
     if left == h[1:]:
         return None
     k = next(k for k in range(len(left)) if left[k] != h[k + 1])
-    from fractions import Fraction
-
-    lhs, rhs = Fraction(nums[k], den), Fraction(h[k + 1] - h[k], rden * den)
+    lhs, rhs = _ratio(nums[k], den), _ratio(h[k + 1] - h[k], rden * den)
     return f"pair relation broken at k={k}: F={lhs}, H(k+1)-H(k)={rhs}"
 
 
@@ -242,11 +240,21 @@ def _cert_telescopes(f: Row, f_next: Row, r: PoleRow, boundary: Ratio) -> str | 
     if left == right:
         return None
     m = next(m for m, (one, other) in enumerate(zip(left, right)) if one != other)
-    from fractions import Fraction
-
-    lhs = Fraction(next_nums[m], e) - Fraction(nums[m], d)
-    rhs = Fraction(xs[m] * us[m + 1], d * vs[m + 1]) - Fraction(nums[m] * us[m], d * vs[m])
+    lhs = _ratio(next_nums[m] * d - nums[m] * e, e * d)
+    rhs = _ratio(xs[m] * us[m + 1] * vs[m] - nums[m] * us[m] * vs[m + 1], d * vs[m + 1] * vs[m])
     return f"relation broken at m={m}: lhs={lhs}, rhs={rhs}"
+
+
+def _ratio(p: int, q: int) -> str:
+    """p / q in lowest terms as ``str(Fraction(p, q))`` prints it: "p/q"
+    with q > 0, or "p" when q divides p.  Failure messages print their
+    ratios through it, so a negative control, which fails on every pass,
+    does not import ``fractions``."""
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    p, q = p // g, q // g
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def row_work(a: int, n: int) -> int:

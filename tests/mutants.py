@@ -225,7 +225,7 @@ MUTANTS = [
         "",
         (
             "tests/test_cli.py::test_a_units_handles_are_released_once_its_cases_ran",
-            "tests/test_cli.py::test_verify_suite_reports_are_equal_at_any_helper_count[wz1]",
+            "tests/test_cli.py::test_a_helper_runs_every_unit_the_command_leaves_in_the_queue",
         ),
     ),
     Mutant(
@@ -254,14 +254,47 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the Geode solve seeds 1 where it should seed j",
+        "the list loop seeds G with 1 where it should seed j",
         "src/geodenums/hypercat.py",
         "list(range(1, top + 1)) if geode else [1] * top",
         "[1] * top",
         (
             "tests/test_golden.py::test_table_equals_its_golden_digest"
+            "[table --kind G --vars 1 --max-degree 7 --format json]",
+            "tests/test_geode.py::test_geode_layers_equal_s_solved_one_degree_up_and_divided",
+        ),
+    ),
+    Mutant(
+        "the lane loop seeds G with 1 where it should seed j",
+        "src/geodenums/hypercat.py",
+        "_lane_sums(ones, width, top) if geode else list(ones.items())",
+        "list(ones.items())",
+        (
+            "tests/test_golden.py::test_table_equals_its_golden_digest"
             "[table --kind G --vars 2 --max-degree 8 --format json]",
             "tests/test_geode.py::test_geode_layers_equal_s_solved_one_degree_up_and_divided",
+        ),
+    ),
+    Mutant(
+        "the lanes are half as wide as the coefficient bound",
+        "src/geodenums/hypercat.py",
+        "* size**max_degree).bit_length()",
+        "* size**max_degree).bit_length() // 2",
+        (
+            "tests/test_hypercat.py::test_the_lane_loop_and_the_list_loop_return_equal_layers",
+            "tests/test_golden.py::test_table_equals_its_golden_digest"
+            "[table --kind S --vars 4 --max-degree 10 --format csv]",
+        ),
+    ),
+    Mutant(
+        "the lane prefix sums drop one doubling step",
+        "src/geodenums/hypercat.py",
+        "range((count - 1).bit_length())",
+        "range((count - 1).bit_length() - 1)",
+        (
+            "tests/test_hypercat.py::test_the_lane_loop_and_the_list_loop_return_equal_layers",
+            "tests/test_golden.py::test_table_equals_its_golden_digest"
+            "[table --kind S --vars 4 --max-degree 10 --format csv]",
         ),
     ),
     Mutant(

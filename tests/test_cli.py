@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from geodenums import cli, geode, hypercat, identities, mpoly, verify, wz
 from geodenums.geode import geode_series
-from geodenums.hypercat import residual_work, solve_S, solve_work
+from geodenums.hypercat import _lane_sums, residual_work, solve_S, solve_work
 from geodenums.report import Case, Handle, VerifyReport, run_units
 
 
@@ -770,6 +770,28 @@ def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monk
     assert_reaped(pids)
     assert reports[1]["summary"]["total"] > 0
     assert reports[1] == reports[2] == reports[3]
+
+
+def test_a_helper_runs_every_unit_the_command_leaves_in_the_queue(tmp_path, monkeypatch, capsys):
+    # the command's process reads no index, so the one helper runs every
+    # unit and must send all of their cases back, whatever the scheduling
+    fork_at_any_work(monkeypatch)
+    pids = recording_forks(monkeypatch)
+    parent, read_queue = os.getpid(), verify._queue_indices
+    monkeypatch.setattr(
+        verify, "_queue_indices", lambda queue: read_queue(queue) if os.getpid() != parent else iter(())
+    )
+    reports = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: tuple(range(cpus)))
+        path = tmp_path / f"{cpus}.json"
+        assert cli.main(["verify", "wz1", *SMALL_BOUNDS, "--report", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        reports[cpus] = stripped(path)
+    assert len(pids) == 1
+    assert_reaped(pids)
+    assert reports[1]["summary"]["total"] > 0
+    assert reports[1] == reports[2]
 
 
 def test_unit_queue_refuses_a_short_read():
@@ -1855,11 +1877,12 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
 
 
 def overflowing_accumulate(values):
-    """The prefix sums of ``hypercat._solve_layers`` and of
-    ``geode.eval_line`` in fixed-width arithmetic that raises
-    OverflowError past 2^12: a broken kernel that every oracle table
-    through degree 2 or more, S or G, goes through, and the line solves
-    of thm3 at a = 3 and of general-eval at c = (3) and (2, 3)."""
+    """The prefix sums of the list loop of ``hypercat._solve_layers`` and
+    of ``geode.eval_line`` in fixed-width arithmetic that raises
+    OverflowError past 2^12: with ``overflowing_lane_sums`` for the lane
+    loop, a broken kernel that every oracle table through degree 2 or
+    more, S or G, goes through, and the line solves of thm3 at a = 3 and
+    of general-eval at c = (3) and (2, 3)."""
     total = 0
     for value in values:
         total += value
@@ -1868,12 +1891,25 @@ def overflowing_accumulate(values):
         yield total
 
 
+def overflowing_lane_sums(sums, width, count):
+    """``hypercat._lane_sums`` under the same 12-bit limit, which the lane
+    loop of ``hypercat._solve_layers`` breaks at the monomial where the
+    list loop's ``overflowing_accumulate`` would: each lane's prefix sums
+    increase, so the last lane holds the largest."""
+    prefixed = _lane_sums(sums, width, count)
+    for _, w in prefixed:
+        if w >> (count - 1) * width >= 1 << 12:
+            raise OverflowError(f"prefix sum {w >> (count - 1) * width} does not fit in 12 bits")
+    return prefixed
+
+
 def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsys):
     clean = tmp_path / "clean.json"
     assert cli.main(["verify", "all", "--report", str(clean)]) == 0
     ids = [case["id"] for case in json.loads(clean.read_text())["cases"]]
     assert len(ids) == 1535
     monkeypatch.setattr(hypercat, "accumulate", overflowing_accumulate)
+    monkeypatch.setattr(hypercat, "_lane_sums", overflowing_lane_sums)
     monkeypatch.setattr(geode, "accumulate", overflowing_accumulate)
     # the builds of every handle, by kernel, counted in this process, where
     # one CPU runs every unit

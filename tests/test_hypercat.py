@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 import gc
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geodenums import hypercat
 from geodenums.hypercat import functional_residual, hyper_catalan, solve_S
-from geodenums.mpoly import TruncatedSeries, coeff, constant_series, iter_exponents, mul, sub
+from geodenums.mpoly import (
+    TruncatedSeries,
+    _packing_shift,
+    coeff,
+    constant_series,
+    iter_exponents,
+    mul,
+    sub,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 # single-t_2 column: S = 1 + t_2 S^3
@@ -103,18 +111,32 @@ def test_solver_validates_arguments():
 
 
 def test_solve_counts_count_the_window_additions_and_prefix_sums(monkeypatch):
-    added, summed = [], []
+    # the counts are the list loop's entries; the lane loop adds and
+    # prefix-sums the same entries as lanes of one int, and each window's
+    # top lane is a positive coefficient below 2^width, so an addition
+    # counts its lanes from the bit length
+    added, summed, loops = [], [], set()
+    width = 1
+    lane_sums = hypercat._lane_sums
 
     def counting_add(a, b):
-        added.append(1)
+        added.append(-(-max(a.bit_length(), b.bit_length()) // width))
         return a + b
 
     def counting_accumulate(window):
+        loops.add("list")
         summed.append(len(window))
         return accumulate(window)
 
+    def counting_lane_sums(sums, lane_width, count):
+        assert lane_width == width
+        loops.add("lane")
+        summed.append(len(sums) * count)
+        return lane_sums(sums, lane_width, count)
+
     monkeypatch.setattr(hypercat, "add", counting_add)
     monkeypatch.setattr(hypercat, "accumulate", counting_accumulate)
+    monkeypatch.setattr(hypercat, "_lane_sums", counting_lane_sums)
     # the full tables and supports of every size, reach and gap
     supports = [(r, None) for r in range(1, 6)] + [
         (5, (5,)), (5, (1, 3)), (5, (2, 5)), (6, (1, 2, 6)), (6, (3, 4, 5, 6))
@@ -124,14 +146,16 @@ def test_solve_counts_count_the_window_additions_and_prefix_sums(monkeypatch):
         for degree in range(9):
             added.clear()
             summed.clear()
+            width = hypercat._lane_bits(size, reach, degree)
             _, layers = hypercat._solve_layers(r, degree, support=support)
             windows, additions, prefix, peak = hypercat._solve_counts(size, reach, degree)
-            assert (len(added), sum(summed)) == (additions, prefix), (support, degree)
+            assert (sum(added), sum(summed)) == (additions, prefix), (support, degree)
             # one window per monomial below the top layer and slot; the
             # most power ints one layer holds, from the layers solved
             assert windows == size * sum(map(len, layers[:degree])), (support, degree)
             held = [len(layers[d]) * (1 + (degree - d) * reach) for d in range(degree)]
             assert peak == max(held, default=0), (support, degree)
+    assert loops == {"list", "lane"}
 
 
 def test_power_recurrence_holds_on_product_powers():
@@ -162,28 +186,39 @@ def test_power_recurrence_holds_on_product_powers():
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
 def test_a_solve_leaves_the_collector_as_it_found_it(collecting, monkeypatch):
     # the solve runs with the cyclic collector off and restores the
-    # caller's state when it returns and when it raises
-    inside = []
+    # caller's state when it returns and when it raises, in the list loop
+    # (one slot) and in the lane loop (three slots)
+    inside = {}
+    lane_sums = hypercat._lane_sums
 
     def watching(window):
-        inside.append(gc.isenabled())
+        inside.setdefault("list", []).append(gc.isenabled())
         return accumulate(window)
 
-    def raising(window):
+    def watching_lanes(sums, width, count):
+        inside.setdefault("lane", []).append(gc.isenabled())
+        return lane_sums(sums, width, count)
+
+    def raising(*args):
         raise OverflowError("prefix sum")
 
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
         monkeypatch.setattr(hypercat, "accumulate", watching)
-        for geode in (False, True):
-            hypercat._solve_layers(3, 6, geode=geode)
-            assert gc.isenabled() == collecting
-        assert inside and not any(inside)
+        monkeypatch.setattr(hypercat, "_lane_sums", watching_lanes)
+        for r in (1, 3):
+            for geode in (False, True):
+                hypercat._solve_layers(r, 6, geode=geode)
+                assert gc.isenabled() == collecting
+        assert set(inside) == {"list", "lane"}
+        assert not any(chain.from_iterable(inside.values()))
         monkeypatch.setattr(hypercat, "accumulate", raising)
-        with pytest.raises(OverflowError):
-            hypercat._solve_layers(3, 6)
-        assert gc.isenabled() == collecting
+        monkeypatch.setattr(hypercat, "_lane_sums", raising)
+        for r in (1, 3):
+            with pytest.raises(OverflowError):
+                hypercat._solve_layers(r, 6)
+            assert gc.isenabled() == collecting
     finally:
         (gc.enable if was else gc.disable)()
 
@@ -210,3 +245,65 @@ def test_each_layer_lists_every_monomial_once_in_descending_lexicographic_order(
         assert all(c > 0 for _, c in layer), (r, degree, d)
         assert all(sum(m) == d for m in exps), (r, degree, d)
         assert all(a > b for a, b in zip(exps, exps[1:])), (r, degree, d)
+
+
+@st.composite
+def tables(draw, max_vars):
+    """r and a support of r slots: None for the full table, or slots kept."""
+    r = draw(st.integers(1, max_vars))
+    kept = st.sets(st.integers(1, r), min_size=1).map(lambda slots: tuple(sorted(slots)))
+    return r, draw(st.none() | kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(8), st.integers(0, 12), st.booleans())
+# one slot, two slots at the degree where lanes start, and a gapped support
+@example((1, None), 12, True)
+@example((2, None), 1, False)
+@example((8, None), 4, True)
+@example((6, (1, 3, 6)), 8, False)
+def test_the_lane_loop_and_the_list_loop_return_equal_layers(table, degree, geode):
+    r, support = table
+    assume(hypercat.solve_work(r, degree, geode=geode, support=support) <= 400_000)
+    slots = range(1, r + 1) if support is None else support
+    shift = _packing_shift(degree)
+    windows = [(1 << (i * shift), k) for i, k in enumerate(slots)]
+    width = hypercat._lane_bits(len(slots), slots[-1], degree, geode)
+    lists = hypercat._list_loop(windows, slots[-1], degree, geode)
+    assert hypercat._lane_loop(windows, slots[-1], degree, geode, width) == lists
+    assert hypercat._solve_layers(r, degree, geode=geode, support=support) == (shift, lists)
+
+
+def test_lanes_are_no_wider_than_the_priced_coefficient_bound():
+    # solve_work prices the lane loop by the list loop's counts at W bits
+    for size in range(1, 9):
+        for reach in range(size, 12):
+            for degree in range(0, 60):
+                for geode in (False, True):
+                    lanes = hypercat._lane_bits(size, reach, degree, geode)
+                    assert lanes <= hypercat._coefficient_bits(size, reach, degree, geode)
+
+
+@pytest.mark.parametrize("r, degree, geode, support, loop", [
+    (1, 60, False, None, "list"),  # one slot
+    (5, 60, True, (2,), "list"),
+    (2, 1, False, None, "lane"),  # n = 2D
+    (3, 1, False, None, "list"),  # n = 2D + 1
+    (12, 6, False, None, "lane"),
+    (13, 6, True, None, "list"),
+    (20, 3, True, None, "list"),
+    (9, 2, False, (1, 9), "lane"),
+    (2, 34, False, None, "lane"),  # W = 125
+    (2, 35, False, None, "list"),  # W = 129
+    (2, 33, True, None, "lane"),  # W = 128
+    (2, 34, True, None, "list"),  # W = 132
+    (2, 40, True, None, "list"),
+])
+def test_lanes_run_from_two_slots_up_to_two_per_degree_and_128_bit_lanes(
+    r, degree, geode, support, loop, monkeypatch
+):
+    ran = []
+    monkeypatch.setattr(hypercat, "_list_loop", lambda *args: ran.append("list") or [])
+    monkeypatch.setattr(hypercat, "_lane_loop", lambda *args: ran.append("lane") or [])
+    hypercat._solve_layers(r, degree, geode=geode, support=support)
+    assert ran == [loop]

@@ -56,6 +56,16 @@ def test_verify_loads_neither_dataclasses_nor_inspect():
     assert sorted({"dataclasses", "inspect"} & _loaded(run)) == []
 
 
+def test_negative_controls_print_their_ratios_without_fractions():
+    # wz2 and certificate each fail a negative control on every pass, and
+    # its message prints ratios through wz._ratio
+    run = "import os, geodenums.cli\n" + "\n".join(
+        f"geodenums.cli.main({argv!r} + ['--report', os.devnull])"
+        for argv in (["verify", "wz2", "--max-n", "3"], ["verify", "certificate", "--max-n", "3"])
+    )
+    assert sorted({"fractions", "decimal", "numbers"} & _loaded(run)) == []
+
+
 def test_every_export_resolves_to_its_module():
     for name in geodenums.__all__:
         module = importlib.import_module(f"geodenums.{geodenums._EXPORTS[name]}")
@@ -87,13 +97,41 @@ def _parse(parse, argv, capsys):
     ["--help"], ["table", "-h"], ["coeff", "-h"], ["verify", "-h"],
     [], ["nonsense"], ["table"], ["coeff", "--kind", "X"], ["verify"], ["verify", "nonsense"],
     ["--x", "verify", "nonsense"], ["--x", "verify", "-h"], ["table", "--out", "verify"],
+    # a missing required flag, a bad value and an unrecognized argument
+    ["table", "--vars", "2"], ["table", "--vars", "x", "--max-degree", "1", "--kind", "S"],
+    ["table", "--kind", "S", "--vars", "1", "--max-degree", "1", "--bogus"],
+    ["coeff", "--kind", "C", "--exps", "1", "extra"], ["verify", "eq31", "--max-n"],
+    ["verify", "eq31", "--bogus"], ["table", "-h", "verify"],
 ], ids=" ".join)
 def test_help_and_usage_errors_are_those_of_the_full_parser(argv, capsys, monkeypatch):
     # main builds verify's arguments only for a command line with a verify
-    # token; what it prints must be what the parser with them prints
+    # token, and only the subparser of the command a command line starts
+    # with; what it prints must be what the parser with all of them prints
     monkeypatch.setenv("COLUMNS", "80")
     full = _parse(cli._build_parser(verify_suites=True).parse_args, argv, capsys)
     assert _parse(cli.main, argv, capsys) == full
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["table", "--kind", "S", "--vars", "1", "--max-degree", "1"], ["table"]),
+    (["coeff", "--kind", "C", "--exps", "1"], ["coeff"]),
+    (["verify", "eq31", "--max-n", "1", "--max-a", "1", "--report", os.devnull], ["verify"]),
+    (["-h"], ["table", "coeff", "verify"]),
+    (["nonsense"], ["table", "coeff", "verify"]),
+], ids=["table", "coeff", "verify", "-h", "nonsense"])
+def test_main_builds_only_the_subparser_of_the_command_it_runs(argv, built, capsys, monkeypatch):
+    parsers = []
+    build = cli._build_parser
+
+    def recording(*args):
+        parsers.append(build(*args))
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    _parse(cli.main, argv, capsys)
+    [parser] = parsers
+    [commands] = [action for action in parser._actions if action.dest == "command"]
+    assert list(commands.choices) == built
 
 
 def test_verify_help_lists_every_suite_and_flag(capsys, monkeypatch):

@@ -465,3 +465,13 @@ def test_a_row_of_the_wrong_length_is_an_error_not_a_pass():
 def test_check_wz2_refuses_a_below_2():
     with pytest.raises(ValueError, match="need a >= 2, got 1"):
         check_wz2(1, 5)
+
+
+def test_ratio_prints_as_fraction_prints():
+    # every sign, zero, unit and non-unit denominators, and common factors
+    values = [0, 1, -1, 2, -2, 3, 6, -6, 12, -35, 36, 10**20, -(10**20) - 3]
+    for p in values:
+        for q in [v for v in values if v]:
+            assert wz._ratio(p, q) == str(Fraction(p, q)), (p, q)
+    with pytest.raises(ZeroDivisionError):
+        wz._ratio(1, 0)
