@@ -25,9 +25,9 @@ for k not in T), and ``eval_line`` solves G on a line (t_k -> w_k f):
 
 Closed forms divide factorials; every division asserts exactness.
 ``geode_work`` prices a G table, or a support table, for the guards of
-``geodenums``, ``eval_work`` a line, ``factorization_work`` the
-factorization check, and the cost functions at
-the end of this module the closed forms and the recurrence layers
+``geodenums``, ``alternating_work`` and ``general_work`` a line,
+``factorization_work`` the factorization check, and the cost functions
+at the end of this module the closed forms and the recurrence layers
 (``recurrence_break``) that ``verify`` checks against it.
 """
 
@@ -187,13 +187,17 @@ def line_work(r: int, max_order: int, weight_bits: int) -> int:
     return 256 + 16 * r * (D + 1) + (plain + products) // 8192
 
 
-def eval_work(a: int, *args: object) -> int:
-    """Estimated work of ``eval_alternating(a, max_order)`` and of
-    ``eval_general(a, c, max_order)``: the line solve on their 2a
-    weights, of absolute value 1 or at most max_i |c_i|, priced by
-    ``line_work``."""
-    weight = max(map(abs, args[0])) if len(args) == 2 else 1
-    return line_work(2 * a, args[-1], weight.bit_length())
+def alternating_work(a: int, max_order: int) -> int:
+    """Estimated work of ``eval_alternating(a, max_order)``: the line solve
+    on its 2a weights of absolute value 1, priced by ``line_work``."""
+    return line_work(2 * a, max_order, 1)
+
+
+def general_work(a: int, c: Sequence[int], max_order: int) -> int:
+    """Estimated work of ``eval_general(a, c, max_order)``: the line solve
+    on its 2a weights, each at most max_i |c_i| in absolute value, priced
+    by ``line_work``."""
+    return line_work(2 * a, max_order, max(map(abs, c)).bit_length())
 
 
 def _exact_div(num: int, den: int) -> int:

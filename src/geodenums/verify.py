@@ -1,5 +1,5 @@
 """The ``geodenums verify`` command: the verification suites, the plan of a
-request and the queue that runs it.  This is the one module that imports
+request and the deal that runs it.  This is the one module that imports
 ``report``: the kernel modules hold kernels and their prices over plain
 integers, and every unit, negative control and ``check_*`` runner is
 built here.
@@ -44,13 +44,14 @@ runs.  A body that raises outside its cases fails the request there, in
 the command's process, before any fork and before ``--report`` is opened.
 
 A unit does all its work inside its cases (``VerifyReport.run``).
-``verify <suite>`` and ``verify all`` put the planned reports into one
-queue, largest declared work first.  A request whose declared work is
-above ``_FORK_WORK`` is drained by the command's process and forked
-helpers on every usable CPU, each process pinned to a CPU of its own for
-the request; a smaller one runs in the command's process alone
-(``_run_units``).  ``_cmd_verify`` assembles the one report from the
-queue's cases, whatever the CPU count, and
+``verify <suite>`` and ``verify all`` sort the planned reports into one
+list, largest declared work first.  A request whose declared work is
+above ``_FORK_WORK`` deals that list, before any fork, to the command's
+process and a forked helper on each other usable CPU, each process
+pinned to a CPU of its own for the request and running its own share
+(``_deal``); a smaller one runs in the command's process alone
+(``_run_units``).  ``_cmd_verify`` assembles the one report from every
+share's cases, whatever the CPU count, and
 ``report.VerifyReport.to_json`` writes it.
 
 ``cli`` imports this module only for ``verify``, so ``table`` and ``coeff``
@@ -61,9 +62,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import heapq
 import os
 import sys
 from functools import partial
+from itertools import chain
 from math import comb
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -535,8 +538,8 @@ WORK: dict[str, Callable[..., int]] = {
     "geode_support": geode.geode_work,
     "factorization_holds": _spread(geode.factorization_work),
     "functional_residual": _spread(residual_work),
-    "eval_alternating": geode.eval_work,
-    "eval_general": geode.eval_work,
+    "eval_alternating": geode.alternating_work,
+    "eval_general": geode.general_work,
     "geode_closed_shifted": geode.closed_shifted_work,
     "geode_closed_two_nonzero": geode.closed_two_nonzero_work,
     "recurrence_break": _spread(geode.recurrence_work),
@@ -636,11 +639,22 @@ def _pin(cpus: Iterable[int]) -> None:
 # 810 457 units, 30.3 against 23.0 ms).
 _FORK_WORK = 300_000
 
-# Bytes per unit index in the queue, and per write to it: 512 is the
-# smallest PIPE_BUF POSIX allows, so each write reaches the pipe whole and
-# no reader can find part of an index.
-_RECORD = 4
-_CHUNK = 512
+
+def _deal(works: Sequence[int], procs: int) -> list[list[int]]:
+    """The indices of `works` dealt to `procs` processes, process 0 being
+    the command's own: in list order, each to the process with the least
+    work dealt so far, then the fewest units, then the lowest number, so
+    units of equal or no work still spread.  Each share is in increasing
+    order, and no two shares' dealt work differs by more than the largest
+    single work.  On a list sorted largest first, as ``_cmd_verify`` sorts
+    it, this is Graham's longest-processing-time deal."""
+    shares: list[list[int]] = [[] for _ in range(procs)]
+    heap = [(0, 0, proc) for proc in range(procs)]  # (work, units, process)
+    for index, work in enumerate(works):
+        dealt, count, proc = heap[0]
+        shares[proc].append(index)
+        heapq.heapreplace(heap, (dealt + work, count + 1, proc))
+    return shares
 
 
 def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case]]:
@@ -649,54 +663,46 @@ def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case
     one process per usable CPU.
 
     Units are independent, so, when their declared work together is above
-    _FORK_WORK, ``min(CPUs, units) - 1`` helpers are forked first.  Each
-    process is placed on a CPU of its own, since the scheduler often leaves
-    a fresh helper on its parent's CPU while another idles: each helper pins
-    itself to the next usable id as the first thing it does, this process
-    pins itself to the first id once a helper is forked, and the ``finally``
-    gives this process back its own mask on every path, so the next request
-    sees every CPU again (``_pin`` says what a failed pin does).  Then this
-    process writes every unit's index into one pipe, the queue, in list
-    order, and it and every helper read the next index and run that report
-    until the queue is empty.  Forking first lets the helpers drain the
-    queue while it is written, so a queue longer than the pipe holds does
-    not stall.  Each helper sends its cases back pickled through a pipe of
-    its own; ``pickle`` is imported before the first fork, so no helper
-    spends its start importing it.  Fork, not spawn: a helper starts from
-    this process's imports and recorded cases, and the CLI starts no
-    threads.  With no helper (one
-    CPU or unit, work at most _FORK_WORK, no os.fork, or every fork failing
-    with OSError, as under a process limit) this process runs every report
-    in order, unpinned.  A helper that dies before its cases arrive raises
-    RuntimeError naming the suites whose units ran nowhere.  No helper
-    outlives the call.
+    _FORK_WORK, they are dealt (``_deal``) to ``min(CPUs, units)``
+    processes before any fork: this process runs share 0 and a helper
+    forked for each other share runs that share.  Each process is placed
+    on a CPU of its own, since the scheduler often leaves a fresh helper
+    on its parent's CPU while another idles: each helper pins itself to
+    the next usable id as the first thing it does, this process pins
+    itself to the first id once a helper is forked, and the ``finally``
+    gives this process back its own mask on every path, so the next
+    request sees every CPU again (``_pin`` says what a failed pin does).
+    Each helper sends its cases back pickled through a pipe of its own;
+    ``pickle`` is imported before the first fork, so no helper spends its
+    start importing it.  Fork, not spawn: a helper starts from this
+    process's imports and recorded cases, and the CLI starts no threads.
+    A fork that fails with OSError, as under a process limit, forks no
+    further helper, and this process runs the shares of the helpers it
+    could not fork after its own; with no helper (one CPU or unit, work
+    at most _FORK_WORK, no os.fork, or the first fork failing) it runs
+    every report itself, unpinned.  A helper that dies before its cases
+    arrive raises RuntimeError naming the suites whose units ran nowhere.
+    No helper outlives the call.
     """
-    cpus = _cpus()
-    pays = hasattr(os, "fork") and sum(work for *_, work in units) > _FORK_WORK
-    procs = min(len(cpus), len(units)) if pays else 1
-    queue, feed = os.pipe()
+    cpus, works = _cpus(), [work for *_, work in units]
+    pays = len(units) > 1 and hasattr(os, "fork") and sum(works) > _FORK_WORK
+    shares = _deal(works, min(len(cpus), len(units)) if pays else 1)
     helpers: list[tuple[int, int]] = []
     mask = None  # this process's own CPUs, while it is pinned
-    if procs > 1:
+    if len(shares) > 1:
         # once here, not in each helper after its fork
         import pickle
     try:
-        for cpu in cpus[1:procs]:
+        for cpu, share in zip(cpus[1:], shares[1:]):
             try:
-                helpers.append(_fork_helper(units, queue, feed, cpu))
+                helpers.append(_fork_helper(units, share, cpu))
             except OSError:
                 break
-        if helpers:
-            if hasattr(os, "sched_getaffinity"):
-                mask = os.sched_getaffinity(0)
-                _pin(cpus[:1])
-            records = b"".join(i.to_bytes(_RECORD, "little") for i in range(len(units)))
-            for start in range(0, len(records), _CHUNK):
-                os.write(feed, records[start : start + _CHUNK])
-        os.close(feed)
-        feed = -1
-        indices = _queue_indices(queue) if helpers else range(len(units))
-        cases = {index: units[index][1].run().cases for index in indices}
+        if helpers and hasattr(os, "sched_getaffinity"):
+            mask = os.sched_getaffinity(0)
+            _pin(cpus[:1])
+        mine = chain(shares[0], *shares[1 + len(helpers) :])
+        cases = {index: units[index][1].run().cases for index in mine}
         death = None
         while helpers:
             code, data = _collect(*helpers.pop(0))
@@ -705,18 +711,10 @@ def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case
                 death = death or f"a helper process {how} before sending its cases"
                 continue
             cases.update(pickle.loads(data))
-        missing = ", ".join(
-            dict.fromkeys(name for i, (name, *_) in enumerate(units) if i not in cases)
-        )
-        if death is not None or missing:
-            raise RuntimeError(
-                f"verify: {death or 'the queue lost a unit'}; "
-                f"units of {missing or 'no suite'} ran nowhere"
-            )
+        if death is not None:
+            missing = dict.fromkeys(name for i, (name, *_) in enumerate(units) if i not in cases)
+            raise RuntimeError(f"verify: {death}; units of {', '.join(missing)} ran nowhere")
     finally:
-        os.close(queue)
-        if feed >= 0:
-            os.close(feed)
         if helpers:  # left only when something above raised
             import signal
 
@@ -729,22 +727,14 @@ def _run_units(units: Sequence[tuple[str, VerifyReport, int]]) -> list[list[Case
     return [cases[index] for index in range(len(units))]
 
 
-def _queue_indices(queue: int) -> Iterator[int]:
-    """The unit indices this process reads from the queue until it is empty."""
-    while record := os.read(queue, _RECORD):
-        if len(record) != _RECORD:
-            raise RuntimeError(f"verify: short read of {len(record)} bytes from the unit queue")
-        yield int.from_bytes(record, "little")
-
-
 def _fork_helper(
-    units: Sequence[tuple[str, VerifyReport, int]], queue: int, feed: int, cpu: int
+    units: Sequence[tuple[str, VerifyReport, int]], share: Sequence[int], cpu: int
 ) -> tuple[int, int]:
-    """Fork a helper that pins itself to `cpu`, runs the reports whose
-    indices it reads from `queue` until the queue is empty, then writes
-    their cases, pickled by index, to a pipe of its own; return its pid
-    and the pipe's read end.  The helper leaves by os._exit, so it
-    runs no exit handler and flushes no buffer it inherited."""
+    """Fork a helper that pins itself to `cpu`, runs the reports of the
+    indices in `share`, in order, then writes their cases, pickled by
+    index, to a pipe of its own; return its pid and the pipe's read end.
+    The helper leaves by os._exit, so it runs no exit handler and flushes
+    no buffer it inherited."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -761,8 +751,7 @@ def _fork_helper(
         import pickle  # imported by _run_units before the fork
 
         os.close(read)
-        os.close(feed)  # the queue ends when the command's process closes its end
-        cases = {index: units[index][1].run().cases for index in _queue_indices(queue)}
+        cases = {index: units[index][1].run().cases for index in share}
         with os.fdopen(write, "wb") as pipe:
             pickle.dump(cases, pipe)
         code = 0
@@ -796,24 +785,24 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         out = _open_output(args.report)
         if out is None:
             return 2
-    # The queue: the units of most declared work first, so the largest
-    # starts first; the sort is stable, so units of equal work keep plan
-    # order.
-    queue = sorted(plan, key=lambda step: step[2], reverse=True)
+    # The units of most declared work first, as _deal wants them, so the
+    # largest start first and the small ones even out the shares; the sort
+    # is stable, so units of equal work keep plan order.
+    ordered = sorted(plan, key=lambda step: step[2], reverse=True)
     try:
-        ran = _run_units(queue)
+        ran = _run_units(ordered)
     except BaseException:
         if out is not None:
             out.close()
         raise
     report = VerifyReport(args.suite)
-    for (name, *_), cases in zip(queue, ran):
+    for (name, *_), cases in zip(ordered, ran):
         if args.suite == "all":
             for case in cases:
                 case.id = f"{name}/{case.id}"
         report.cases += cases
     report.cases.sort(key=lambda c: c.id)
-    reported = {name for (name, *_), cases in zip(queue, ran) if cases}
+    reported = {name for (name, *_), cases in zip(ordered, ran) if cases}
     empty = [name for name in names if name not in reported]
 
     payload = report.to_json()

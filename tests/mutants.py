@@ -225,7 +225,7 @@ MUTANTS = [
         "",
         (
             "tests/test_cli.py::test_a_units_handles_are_released_once_its_cases_ran",
-            "tests/test_cli.py::test_a_helper_runs_every_unit_the_command_leaves_in_the_queue",
+            "tests/test_cli.py::test_a_helper_runs_exactly_its_dealt_share_and_sends_its_cases_back",
         ),
     ),
     Mutant(
@@ -234,6 +234,27 @@ MUTANTS = [
         "_pin((cpu,))",
         "pass",
         ("tests/test_cli.py::test_the_command_and_each_helper_run_on_a_cpu_of_their_own",),
+    ),
+    Mutant(
+        "the deal gives every unit to the command's process",
+        "src/geodenums/verify.py",
+        "shares[proc].append(index)",
+        "shares[0].append(index)",
+        (
+            "tests/test_cli.py::test_the_deal_gives_each_unit_one_process_and_evens_out_their_work",
+            "tests/test_cli.py::test_a_helper_runs_exactly_its_dealt_share_and_sends_its_cases_back",
+        ),
+    ),
+    Mutant(
+        "the deal breaks ties by process number alone",
+        "src/geodenums/verify.py",
+        "(dealt + work, count + 1, proc)",
+        "(dealt + work, 0, proc)",
+        (
+            "tests/test_cli.py::test_the_deal_spreads_units_of_equal_work_evenly",
+            "tests/test_cli.py::test_the_command_and_each_helper_run_on_a_cpu_of_their_own",
+            "tests/test_cli.py::test_the_commands_mask_is_restored_on_every_path[helper dies]",
+        ),
     ),
     Mutant(
         "verify never restores the command's mask",
@@ -509,8 +530,8 @@ MUTANTS = [
     Mutant(
         "a tiny request forks a helper",
         "src/geodenums/verify.py",
-        "sum(work for *_, work in units) > _FORK_WORK",
-        "sum(work for *_, work in units) >= 0",
+        "sum(works) > _FORK_WORK",
+        "sum(works) >= 0",
         (
             "tests/test_cli.py::test_a_request_forks_only_for_work_above_the_fork_work"
             "[eq31 --max-n 8 --max-a 4-False]",

@@ -9,7 +9,6 @@ import json
 import os
 import pickle
 import re
-import select
 import subprocess
 import sys
 import time
@@ -88,15 +87,27 @@ def plan(argv):
     ]
 
 
-def recorded(check, count):
-    """`count` entries of a queue of suite wz1, each a report holding one
-    recorded case, `check`, and declaring no work."""
+def recorded(check, works):
+    """Units of suite wz1 as ``verify._run_units`` takes them, one per
+    entry of `works`, each a report holding one recorded case, `check`,
+    and declaring that work."""
     units = []
-    for _ in range(count):
+    for work in works:
         report = VerifyReport("wz1")
         report.run_case("where", {}, "", check)
-        units.append(("wz1", report, 0))
+        units.append(("wz1", report, work))
     return units
+
+
+def ran_by(cases):
+    """The pid a case of ``pid_check`` reports, from its unit's cases."""
+    [case] = cases
+    return int(case.actual)
+
+
+def pid_check():
+    # a lambda, which pickle refuses, as it refuses a case's real check
+    return (lambda: (True, str(os.getpid())))
 
 
 def test_table_csv_contains_expected_row(capsys):
@@ -669,7 +680,7 @@ def test_verify_all_small_bounds(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# verify on forked helpers, draining one queue of suite units
+# verify on forked helpers, each running the share of units dealt to it
 
 SMALL_BOUNDS = ["--max-n", "4", "--max-a", "2", "--max-degree", "4", "--max-order", "3",
                 "--max-sum", "3", "--max-vars", "2"]
@@ -707,35 +718,24 @@ def stripped(path):
     return data
 
 
-class Where:
-    """Steers a unit to one kind of process without sleeping.  Made before
-    the command forks, it tells a helper's copy of a unit from the
-    parent's, and wait_for_helpers() blocks the parent's copy until every
-    helper has exited."""
+@given(st.lists(st.integers(0, 10**6), max_size=40), st.integers(1, 6))
+@example([5, 3, 3, 2, 0, 0], 2)
+@example([0, 0, 0, 0, 0], 3)
+def test_the_deal_gives_each_unit_one_process_and_evens_out_their_work(works, procs):
+    shares = verify._deal(works, procs)
+    assert len(shares) == procs
+    assert sorted(index for share in shares for index in share) == list(range(len(works)))
+    assert all(share == sorted(share) for share in shares)
+    dealt = [sum(works[index] for index in share) for share in shares]
+    assert max(dealt) - min(dealt) <= max(works, default=0)
 
-    def __init__(self):
-        self.parent = os.getpid()
-        self.read, self.write = os.pipe()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self.read)
-        if self.write is not None:
-            os.close(self.write)
-
-    def in_helper(self):
-        return os.getpid() != self.parent
-
-    def wait_for_helpers(self):
-        if self.write is not None:
-            os.close(self.write)
-            self.write = None
-        os.read(self.read, 1)  # end of file once no helper holds the write end
-
-    def wait_to_be_killed(self):
-        os.read(self.read, 1)  # the parent holds the write end throughout
+@given(st.integers(0, 10**6), st.integers(0, 40), st.integers(1, 6))
+@example(0, 7, 3)
+def test_the_deal_spreads_units_of_equal_work_evenly(work, count, procs):
+    # units of no work too: the deal breaks ties by the units dealt
+    sizes = [len(share) for share in verify._deal([work] * count, procs)]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_verify_all_reports_are_equal_at_any_helper_count(tmp_path, monkeypatch, capsys):
@@ -772,97 +772,91 @@ def test_verify_suite_reports_are_equal_at_any_helper_count(name, tmp_path, monk
     assert reports[1] == reports[2] == reports[3]
 
 
-def test_a_helper_runs_every_unit_the_command_leaves_in_the_queue(tmp_path, monkeypatch, capsys):
-    # the command's process reads no index, so the one helper runs every
-    # unit and must send all of their cases back, whatever the scheduling
-    fork_at_any_work(monkeypatch)
-    pids = recording_forks(monkeypatch)
-    parent, read_queue = os.getpid(), verify._queue_indices
-    monkeypatch.setattr(
-        verify, "_queue_indices", lambda queue: read_queue(queue) if os.getpid() != parent else iter(())
-    )
-    reports = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(verify, "_cpus", lambda cpus=cpus: tuple(range(cpus)))
-        path = tmp_path / f"{cpus}.json"
-        assert cli.main(["verify", "wz1", *SMALL_BOUNDS, "--report", str(path)]) == 0
-        assert capsys.readouterr().err == ""
-        reports[cpus] = stripped(path)
-    assert len(pids) == 1
-    assert_reaped(pids)
-    assert reports[1]["summary"]["total"] > 0
-    assert reports[1] == reports[2]
-
-
-def test_unit_queue_refuses_a_short_read():
-    read, write = os.pipe()
-    os.write(write, (7).to_bytes(verify._RECORD, "little") + b"\x01\x00")
-    os.close(write)
-    indices = verify._queue_indices(read)
-    try:
-        assert next(indices) == 7
-        with pytest.raises(RuntimeError, match="short read of 2 bytes"):
-            next(indices)
-    finally:
-        os.close(read)
-
-
-def test_helper_reads_a_suites_last_unit_first(monkeypatch, capsys):
-    # _cmd_verify queues every unit by its declared work, largest first,
-    # and _run_units writes the indices in list order.  The parent holds
-    # back until the one helper has read its first index, which must be 0:
-    # eq31's last unit, (4, 3), declares the most work.
+def test_a_helper_runs_exactly_its_dealt_share_and_sends_its_cases_back(monkeypatch):
+    # works 5, 3, 3, 2, 0, 0 on two CPUs: the command's process is dealt
+    # units 0 and 3 (5 + 2), the helper 1, 2, 4 and 5 (3 + 3 + 0 + 0);
+    # each case reports the pid that ran it, and the helper must send
+    # its four cases back without their checks, which pickle refuses
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     fork_at_any_work(monkeypatch)
-    parent, read_queue, run_units_ = os.getpid(), verify._queue_indices, verify._run_units
-    first_read, first_write = os.pipe()
-    firsts, queues = [], []
+    pids = recording_forks(monkeypatch)
+    works = [5, 3, 3, 2, 0, 0]
+    assert verify._deal(works, 2) == [[0, 3], [1, 2, 4, 5]]
+    ran = verify._run_units(recorded(pid_check(), works))
+    [helper] = pids
+    assert_reaped(pids)
+    me = os.getpid()
+    assert [ran_by(cases) for cases in ran] == [me, helper, helper, me, helper, helper]
+    assert all(case.status == "pass" and case.check is None for cases in ran for case in cases)
 
-    def queue_indices(queue):
-        indices = read_queue(queue)
-        if os.getpid() == parent:
-            assert select.select([first_read], [], [], 60)[0], "the helper read no index"
-            firsts.append(int.from_bytes(os.read(first_read, verify._RECORD), "little"))
-        else:
-            first = next(indices)
-            os.write(first_write, first.to_bytes(verify._RECORD, "little"))
-            yield first
-        yield from indices
 
-    def queued(units):
-        queues.append(units)
-        return run_units_(units)
+def test_the_command_runs_the_shares_of_the_helpers_it_could_not_fork(monkeypatch):
+    # three CPUs, and the second fork fails: the command's process runs
+    # its own share, then the share of the helper it could not fork
+    fork, attempts = os.fork, []
 
-    monkeypatch.setattr(verify, "_queue_indices", queue_indices)
-    monkeypatch.setattr(verify, "_run_units", queued)
-    try:
-        assert cli.main(["verify", "eq31", "--max-n", "4", "--max-a", "3",
-                         "--report", os.devnull]) == 0
-    finally:
-        os.close(first_read)
-        os.close(first_write)
+    def second_fails():
+        attempts.append(1)
+        if len(attempts) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1, 2))
+    fork_at_any_work(monkeypatch)
+    monkeypatch.setattr(os, "fork", second_fails)
+    pids = recording_forks(monkeypatch)
+    assert verify._deal([0] * 6, 3) == [[0, 3], [1, 4], [2, 5]]
+    ran = verify._run_units(recorded(pid_check(), [0] * 6))
+    [helper] = pids
+    assert_reaped(pids)
+    me = os.getpid()
+    assert [ran_by(cases) for cases in ran] == [me, helper, me, me, helper, me]
+    assert len(attempts) == 2
+
+
+def test_the_commands_process_runs_the_unit_of_most_declared_work_first(monkeypatch, capsys):
+    # _cmd_verify sorts every unit by its declared work, largest first,
+    # and the deal gives the first unit to process 0, the command's own,
+    # which runs its share in order: eq31's last unit, (4, 3), declares
+    # the most work.  Only this process's log of the reports it ran is read.
+    monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
+    fork_at_any_work(monkeypatch)
+    pids = recording_forks(monkeypatch)
+    run, run_units = VerifyReport.run, verify._run_units
+    ran_here, requests = [], []
+
+    def running(report):
+        ran_here.append([case.id for case in report.cases])
+        return run(report)
+
+    monkeypatch.setattr(VerifyReport, "run", running)
+    monkeypatch.setattr(verify, "_run_units", lambda units: requests.append(units) or run_units(units))
+    assert cli.main(["verify", "eq31", "--max-n", "4", "--max-a", "3",
+                     "--report", os.devnull]) == 0
     capsys.readouterr()
-    assert firsts == [0]
-    [queue] = queues
-    assert [case.id for case in queue[0][1].cases] == ["n=4,a=3"]
-    assert queue[0][2] == identities.partition_sum_work(4, 3)
-    works = [work for *_, work in queue]
+    assert len(pids) == 1
+    [units] = requests
+    works = [work for *_, work in units]
     assert works == sorted(works, reverse=True)
+    assert units[0][2] == identities.partition_sum_work(4, 3) > works[1]
+    mine, _ = verify._deal(works, 2)
+    assert ran_here[0] == ["n=4,a=3"]
+    assert ran_here == [[case.id for case in units[index][1].cases] for index in mine]
 
 
-def test_the_queue_holds_every_suites_units_by_declared_work(monkeypatch, capsys):
+def test_verify_deals_every_suites_units_largest_declared_work_first(monkeypatch, capsys):
     # across the suites of verify all, largest declared work first; units
     # of equal work keep plan order, suite by suite
-    queues = []
+    requests = []
     monkeypatch.setattr(
-        verify, "_run_units", lambda units: queues.append(units) or [[]] * len(units)
+        verify, "_run_units", lambda units: requests.append(units) or [[]] * len(units)
     )
     cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull])
     capsys.readouterr()
-    [queue] = queues
-    works = [work for *_, work in queue]
+    [units] = requests
+    works = [work for *_, work in units]
     assert works == sorted(works, reverse=True)
-    names = [name for name, *_ in queue]
+    names = [name for name, *_ in units]
     assert set(names) == set(verify.SUITE_NAMES)
     for work in set(works):
         tied = [verify.SUITE_NAMES.index(n) for n, w in zip(names, works) if w == work]
@@ -899,27 +893,34 @@ def test_helper_that_dies_is_an_error_and_is_reaped(monkeypatch):
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
+    parent = os.getpid()
+
+    def check():
+        if os.getpid() != parent:
+            os._exit(3)
+        return True, ""
+
+    def dying(report):
+        # a G table that no case reads is priced and never built: its
+        # work is above any other unit's, so the two dying units are
+        # dealt first, one to each process
+        report.call(geode.geode_series, 4, 10)
+        report.run_case("dies in a helper", {}, "", check)
+
+    run_units, requests = verify._run_units, []
+    monkeypatch.setattr(verify, "_run_units", lambda units: requests.append(units) or run_units(units))
+    monkeypatch.setitem(verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [dying, dying]))
     for argv in REQUESTS:
-        with Where() as where:
-            def check(where=where):
-                if where.in_helper():
-                    os._exit(3)
-                where.wait_for_helpers()
-                return True, ""
-
-            def dying(report, check=check):
-                report.run_case("dies in a helper", {}, "", check)
-
-            monkeypatch.setitem(
-                verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [dying, dying])
-            )
-            dies = "exited with code 3 before sending its cases"
-            with pytest.raises(RuntimeError, match=dies) as exc:
-                cli.main(["verify", *argv, "--report", os.devnull])
+        dies = "exited with code 3 before sending its cases"
+        with pytest.raises(RuntimeError, match=dies) as exc:
+            cli.main(["verify", *argv, "--report", os.devnull])
         unreported = str(exc.value).split("; units of ")[1].removesuffix(" ran nowhere")
         assert "wz1" in unreported.split(", "), argv
-    assert len(pids) == len(REQUESTS)
+    assert len(pids) == len(requests) == len(REQUESTS)
     assert_reaped(pids)
+    for units in requests:
+        works = [work for *_, work in units]
+        assert works[0] == works[1] == geode.geode_work(4, 10) > works[2]
 
 
 def test_empty_suites_in_every_process_are_named_in_registry_order(monkeypatch, capsys):
@@ -985,34 +986,18 @@ needs_two_cpus = pytest.mark.skipif(len(CPU_IDS) < 2, reason="needs two usable C
 @needs_two_cpus
 def test_the_command_and_each_helper_run_on_a_cpu_of_their_own(monkeypatch):
     fork_at_any_work(monkeypatch)
-    # one unit per process: the parent's copy waits until every helper's
-    # copy has started, and each helper's copy waits for the parent's go,
-    # so no process can take a second unit
+    # units of no work, which the deal spreads one to each process; each
+    # case reports the pid and the CPUs of the process that ran it
     procs = min(len(CPU_IDS), 3)
-    parent = os.getpid()
-    started_read, started_write = os.pipe()
-    go_read, go_write = os.pipe()
 
     def where():
-        if os.getpid() == parent:
-            for _ in range(procs - 1):
-                assert select.select([started_read], [], [], 60)[0], "a helper took no unit"
-                os.read(started_read, 1)
-            os.write(go_write, b"." * (procs - 1))
-        else:
-            os.write(started_write, b".")
-            os.read(go_read, 1)
         return True, json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))])
 
     before = os.sched_getaffinity(0)
-    try:
-        ran = verify._run_units(recorded(where, procs))
-    finally:
-        for fd in (started_read, started_write, go_read, go_write):
-            os.close(fd)
+    ran = verify._run_units(recorded(where, [0] * procs))
     where = dict(json.loads(cases[0].actual) for cases in ran)
     assert len(where) == procs
-    assert where[parent] == [CPU_IDS[0]]
+    assert where[os.getpid()] == [CPU_IDS[0]]
     assert sorted(where.values()) == [[cpu] for cpu in CPU_IDS[:procs]]
     assert os.sched_getaffinity(0) == before
 
@@ -1029,33 +1014,31 @@ def test_the_commands_mask_is_restored_on_every_path(path, monkeypatch):
     fork_at_any_work(monkeypatch)
     if path == "fork fails":
         monkeypatch.setattr(os, "fork", failing_fork)
-    pinned = []
-    with Where() as where:
-        # as in the failure tests above: the parent's case waits for the
-        # helper to exit where the helper's case dies, and a case the
-        # parent runs may be interrupted, which no case catches
-        def check():
-            if where.in_helper():
-                if path == "helper dies":
-                    os._exit(3)
-                return True, ""
-            pinned.append(os.sched_getaffinity(0))
-            if path == "interrupted in parent":
-                raise KeyboardInterrupt
-            if path == "helper dies":
-                where.wait_for_helpers()
-            return True, ""
+    pinned, parent = [], os.getpid()
 
-        before = os.sched_getaffinity(0)
-        if path in ("success", "fork fails"):
-            ran = verify._run_units(recorded(check, 2))
-            assert [[case.status for case in cases] for cases in ran] == [["pass"]] * 2
-        elif path == "helper dies":
-            with pytest.raises(RuntimeError, match="exited with code 3"):
-                verify._run_units(recorded(check, 2))
-        else:
-            with pytest.raises(KeyboardInterrupt):
-                verify._run_units(recorded(check, 2))
+    # two units of no work, dealt one to each process: the helper's case
+    # dies on that path, and the case the command's process runs may be
+    # interrupted, which no case catches
+    def check():
+        if os.getpid() != parent:
+            if path == "helper dies":
+                os._exit(3)
+            return True, ""
+        pinned.append(os.sched_getaffinity(0))
+        if path == "interrupted in parent":
+            raise KeyboardInterrupt
+        return True, ""
+
+    before = os.sched_getaffinity(0)
+    if path in ("success", "fork fails"):
+        ran = verify._run_units(recorded(check, [0, 0]))
+        assert [[case.status for case in cases] for cases in ran] == [["pass"]] * 2
+    elif path == "helper dies":
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            verify._run_units(recorded(check, [0, 0]))
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            verify._run_units(recorded(check, [0, 0]))
     # a process left to run alone is not pinned
     expected = before if path == "fork fails" else {CPU_IDS[0]}
     assert pinned and all(mask == expected for mask in pinned), pinned
@@ -1557,7 +1540,7 @@ def test_verify_all_at_default_bounds_is_admitted():
         + geode.factorization_work(r, 10)
         for r in range(1, 5)
     )
-    assert works["thm3"] == 9_800 == sum(geode.eval_work(a, 8) for a in verify.DEFAULT_THM3_A)
+    assert works["thm3"] == 9_800 == sum(geode.alternating_work(a, 8) for a in verify.DEFAULT_THM3_A)
 
 
 def test_verify_all_prices_each_solve_once(monkeypatch, capsys):
@@ -1660,8 +1643,8 @@ def test_solve_cases_cover_every_suite():
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)
 def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
-    # verify prices, then runs in this process, the same S solves; the
-    # queue runs them in order of declared work, not of pricing
+    # verify prices, then runs in this process, the same S solves, in
+    # order of declared work, not of pricing
     priced, solved = [], []
 
     def recording(function, calls):
