@@ -5,7 +5,8 @@ Geode numbers.  This module extracts G from the series oracle, by the
 power recurrence of ``hypercat._solve_layers`` seeded for G_j = (S^j - 1) /
 (t_1 + ... + t_r), whose G_1 is G (``_solve_layers(r, D, geode=True)``,
 which ``geodenums table`` writes from), with no division, unpacking the
-layers once, and implements every closed form and evaluation for it.
+layers once (``hypercat._solve_series``), and implements every closed
+form and evaluation for it.
 
 G_j = G_{j-1} + 1 + sum_k t_k G_{j+k} is an identity of series, so every
 ring map that fixes the constants carries it to the images of the G_j,
@@ -33,12 +34,12 @@ at the end of this module the closed forms and the recurrence layers
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb, factorial
 from operator import add
 from typing import Sequence
 
-from .hypercat import _coefficient_bits, _solve_layers, hyper_catalan, solve_work
+from .hypercat import _coefficient_bits, _solve_layers, _solve_series, hyper_catalan, solve_work
 from .mpoly import (
     OutOfRangeError,
     TruncatedSeries,
@@ -46,7 +47,6 @@ from .mpoly import (
     _Frozen,
     _pack_layers,
     _s1_multiple_mismatch,
-    _unpack_terms,
     coeff,
     iter_exponents,
 )
@@ -88,14 +88,12 @@ def geode_series(r: int, max_degree: int) -> GeodeTable:
     """Extract G = (S - 1) / (t_1 + ... + t_r) from the oracle.
 
     The layers of ``_solve_layers(r, max_degree, geode=True)``, unpacked
-    once: the power recurrence that solves S, with layer 0 of the powers
-    seeded 1, 2, ..., so it yields G_j = (S^j - 1) / (t_1 + ... + t_r) in
-    their place, exact through max_degree with no division.  Every call
-    builds a new table.
+    once (``_solve_series``): the power recurrence that solves S, with
+    layer 0 of the powers seeded 1, 2, ..., so it yields G_j = (S^j - 1) /
+    (t_1 + ... + t_r) in their place, exact through max_degree with no
+    division.  Every call builds a new table.
     """
-    shift, quotient = _solve_layers(r, max_degree, geode=True)
-    terms = _unpack_terms(chain.from_iterable(quotient), r, shift)
-    return GeodeTable(r, max_degree, TruncatedSeries(r, max_degree, terms))
+    return GeodeTable(r, max_degree, _solve_series(r, max_degree, geode=True))
 
 
 def geode_support(r: int, max_degree: int, support: Sequence[int]) -> TruncatedSeries:
@@ -103,12 +101,10 @@ def geode_support(r: int, max_degree: int, support: Sequence[int]) -> TruncatedS
     `support`, an increasing sequence T in 1..r: its image under t_k -> 0
     for every k not in T, as a series in the variables t_k, k in T, in
     order.  The layers of the support solve ``_solve_layers(r,
-    max_degree, geode=True, support=T)``, unpacked once; its work depends
-    on |T| and max T, not on r.  Every call builds a new series."""
-    support = tuple(support)
-    shift, layers = _solve_layers(r, max_degree, geode=True, support=support)
-    n = len(support)
-    return TruncatedSeries(n, max_degree, _unpack_terms(chain.from_iterable(layers), n, shift))
+    max_degree, geode=True, support=T)``, unpacked once (``_solve_series``);
+    its work depends on |T| and max T, not on r.  Every call builds a new
+    series."""
+    return _solve_series(r, max_degree, geode=True, support=support)
 
 
 def geode_work(r: int, max_degree: int, support: Sequence[int] | None = None) -> int:

@@ -63,10 +63,22 @@ def solve_S(r: int, max_degree: int) -> TruncatedSeries:
     The layers of ``_solve_layers``, solved by the power recurrence
     S^j = S^{j-1} + sum_k t_k S^{j+k} that the equation gives times
     S^{j-1}, through J_d = 1 + (max_degree - d) r powers at layer d, and
-    unpacked once.  Every call builds a new series.
+    unpacked once (``_solve_series``).  Every call builds a new series.
     """
-    shift, layers = _solve_layers(r, max_degree)
-    return TruncatedSeries(r, max_degree, _unpack_terms(chain.from_iterable(layers), r, shift))
+    return _solve_series(r, max_degree)
+
+
+def _solve_series(
+    r: int, max_degree: int, *, geode: bool = False, support: Sequence[int] | None = None
+) -> TruncatedSeries:
+    """The layers of ``_solve_layers(r, max_degree, geode=geode,
+    support=support)``, unpacked once into a series through max_degree in
+    the variables of the support, r for the full table: the one read-out of
+    ``solve_S``, ``geode.geode_series`` and ``geode.geode_support``.  Every
+    call builds a new series."""
+    shift, layers = _solve_layers(r, max_degree, geode=geode, support=support)
+    n = r if support is None else len(support)
+    return TruncatedSeries(n, max_degree, _unpack_terms(chain.from_iterable(layers), n, shift))
 
 
 def _solve_layers(

@@ -8,8 +8,8 @@ The suites are the ``suite_<name>`` functions, each returning or
 yielding its ordered units (``report.Unit``); their keyword defaults are
 the acceptance bounds, and ``tests/test_acceptance.py`` runs them as they
 are through ``report.run_units``.  A unit reads every priced kernel
-through its report, ``report.call(geode.geode_series, 2, D)`` where it
-would call ``geode_series(2, D)``: a handle (``report.Handle``), the
+through its report, ``report.call(geode.geode_series, r, D)`` where it
+would call ``geode_series(r, D)``: a handle (``report.Handle``), the
 shared value of that call, built by the first case that reads it, so the
 build's time is in that case's elapsed_ms, and a build that raises makes
 each case that reads it an ``error`` case, not the request a crash,
@@ -20,6 +20,13 @@ handle is priced at the arguments of the call that builds it, then its
 own (``_spread``), as the residual of ``solve_S(r, D)`` is priced at
 (r, D); a kernel call inside a handle's build is part of that handle's
 price.
+
+Each check is defined once.  ``thm1`` and ``thm2`` run one unit,
+``_two_slot_unit``: the closed form of G on the adjacent slots (a - 1, a)
+against the support solve on them, at each a for ``thm2`` and at a = 2,
+where (1, 2) is the whole two-variable table, for ``thm1``, each suite
+naming the cases by its own ids and params.  ``two-nonzero`` compares
+each of its closed forms with the oracle alone.
 
 The grid suites ``wz1``, ``wz2`` and ``certificate`` build their units
 from the rows of ``wz`` (``_pair_units``, ``_certificate_units``), one
@@ -116,38 +123,38 @@ def _flipped(row: Callable[..., wz.Row | wz.PoleRow]) -> Callable[..., wz.Row | 
     return flipped
 
 
-def suite_thm1(max_degree: int = 12) -> list[Unit]:
-    def unit(report: VerifyReport) -> None:
-        table = None  # asked for after the first closed form, as the first case reads it
-        for m1 in range(max_degree + 1):
-            for m2 in range(max_degree + 1 - m1):
-                closed = report.call(geode.geode_closed_shifted, 2, m1, m2)
-                table = table or report.call(geode.geode_series, 2, max_degree)
-                report.run_case(
-                    f"m1={m1:02d},m2={m2:02d}",
-                    {"m1": m1, "m2": m2},
-                    closed,
-                    lambda m=(m1, m2), closed=closed: _is(closed(), table().coefficient(m)),
-                )
+def _two_slot_unit(
+    report: VerifyReport, a: int, bound: int, label: Callable[[int, int, int], tuple[str, dict]]
+) -> None:
+    """Theorem 2 at `a`: for every p + q <= bound, the case label(a, p, q),
+    its id and params, compares ``geode_closed_shifted(a, p, q)`` with the
+    coefficient at (p, q) of the support solve of G on the adjacent slots
+    (a - 1, a).  Theorem 1 is this unit at a = 2, where (1, 2) is every
+    slot of the two-variable table."""
+    table = None  # asked for after the first closed form, as the first case reads it
+    for p in range(bound + 1):
+        for q in range(bound + 1 - p):
+            closed = report.call(geode.geode_closed_shifted, a, p, q)
+            table = table or report.call(geode.geode_support, a, bound, (a - 1, a))
+            report.run_case(
+                *label(a, p, q),
+                closed,
+                lambda closed=closed, exps=(p, q): _is(closed(), coeff(table(), exps)),
+            )
 
-    return [unit]
+
+def suite_thm1(max_degree: int = 12) -> list[Unit]:
+    def label(a: int, m1: int, m2: int) -> tuple[str, dict]:
+        return f"m1={m1:02d},m2={m2:02d}", {"m1": m1, "m2": m2}
+
+    return [partial(_two_slot_unit, a=2, bound=max_degree, label=label)]
 
 
 def suite_thm2(max_sum: int = 8, a_values: Sequence[int] = (2, 3, 4, 5)) -> list[Unit]:
-    def unit(report: VerifyReport, a: int) -> None:
-        table = None
-        for p in range(max_sum + 1):
-            for q in range(max_sum + 1 - p):
-                closed = report.call(geode.geode_closed_shifted, a, p, q)
-                table = table or report.call(geode.geode_support, a, max_sum, (a - 1, a))
-                report.run_case(
-                    f"a={a},p={p:02d},q={q:02d}",
-                    {"a": a, "m_a": p, "m_a1": q},
-                    closed,
-                    lambda closed=closed, exps=(p, q): _is(closed(), coeff(table(), exps)),
-                )
+    def label(a: int, p: int, q: int) -> tuple[str, dict]:
+        return f"a={a},p={p:02d},q={q:02d}", {"a": a, "m_a": p, "m_a1": q}
 
-    return [partial(unit, a=a) for a in a_values]
+    return [partial(_two_slot_unit, a=a, bound=max_sum, label=label) for a in a_values]
 
 
 def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> list[Unit]:
@@ -408,21 +415,16 @@ def suite_two_nonzero(
         for s, t in pairs:
             table = None
             for n in range(1, max_n + 1):
-                values = []  # ((m_s, m_t), closed form, two-variable form) for each i
+                values = []  # ((m_s, m_t), closed form) for each i
                 for i in range(n):
                     closed = report.call(geode.geode_closed_two_nonzero, s, t, n, i)
                     table = table or report.call(geode.geode_support, nvars, max_n - 1, (s, t))
-                    two_var = None
-                    if (s, t) == (1, 2):
-                        two_var = report.call(geode.geode_closed_shifted, 2, n - 1 - i, i)
-                    values.append(((n - 1 - i, i), closed, two_var))
+                    values.append(((n - 1 - i, i), closed))
 
                 def check(n=n, values=values, table=table):
-                    for i, (exps, closed, two_var) in enumerate(values):
+                    for i, (exps, closed) in enumerate(values):
                         if closed() != coeff(table(), exps):
                             return False, f"mismatch at i={i}: {closed()}"
-                        if two_var is not None and closed() != two_var():
-                            return False, f"two-variable closed form differs at i={i}"
                     return True, f"all {n} coefficients match the oracle"
 
                 report.run_case(

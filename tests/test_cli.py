@@ -254,7 +254,7 @@ def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatc
     # a verify request records its cases while it is planned, and runs none
     monkeypatch.setattr(VerifyReport, "run", must_not_run)
     monkeypatch.setattr(cli, "_solve_layers", must_not_run)
-    monkeypatch.setattr(cli.geode, "_solve_layers", must_not_run)
+    monkeypatch.setattr(hypercat, "_solve_layers", must_not_run)
     monkeypatch.setattr(os, "fork", must_not_run)
     path = tmp_path / "missing" / "out.json"
     flag = "--report" if argv[0] == "verify" else "--out"
@@ -395,9 +395,9 @@ def test_oversize_oracle_request_is_refused(argv, tmp_path, monkeypatch, capsys)
         raise AssertionError("the oracle ran before the size was checked")
 
     # table reads cli's _solve_layers; coeff's oracle branch, through
-    # geode_support, reads geode's
+    # geode_support, reads hypercat's
     monkeypatch.setattr(cli, "_solve_layers", must_not_solve)
-    monkeypatch.setattr(cli.geode, "_solve_layers", must_not_solve)
+    monkeypatch.setattr(hypercat, "_solve_layers", must_not_solve)
     kinds = {"S": "solve_S", "G": "geode_series"}
     kernel = "geode_support" if argv[0] == "coeff" else kinds[argv[argv.index("--kind") + 1]]
     out_path = tmp_path / "table.json"
@@ -622,23 +622,23 @@ def test_verify_empty_suite_exits_one_and_is_named(suite, tmp_path, monkeypatch,
 
 
 def test_a_units_handles_are_released_once_its_cases_ran(monkeypatch):
-    # the G table a thm1 unit built is freed by reference counting alone
-    # once the unit's cases have run, and every case then holds only
+    # the support table a thm1 unit built is freed by reference counting
+    # alone once the unit's cases have run, and every case then holds only
     # text, which a helper pickles
     tables = []
-    series = geode.geode_series
+    support = geode.geode_support
 
-    class Table:  # a G table that can be weakly referenced
-        def __init__(self, table):
-            self.coefficient = table.coefficient
+    class Table:  # a support table that can be weakly referenced
+        def __init__(self, series):
+            self.nvars, self.trunc, self.terms = series.nvars, series.trunc, series.terms
 
-    @wraps(series)  # verify prices a kernel by its name
+    @wraps(support)  # verify prices a kernel by its name
     def weakly_held(*args):
-        table = Table(series(*args))
+        table = Table(support(*args))
         tables.append(weakref.ref(table))
         return table
 
-    monkeypatch.setattr(geode, "geode_series", weakly_held)
+    monkeypatch.setattr(geode, "geode_support", weakly_held)
     report = VerifyReport("thm1")
     [unit] = verify.suite_thm1(4)
     collecting = gc.isenabled()
@@ -1391,9 +1391,9 @@ def _admitted_closed_form(weight):
 
 def _stub_oracle_and_closed_forms(patch):
     # table reads cli's _solve_layers, seeded for G when it writes G;
-    # coeff's oracle branch, through geode_support, reads geode's
+    # coeff's oracle branch, through geode_support, reads hypercat's
     patch.setattr(cli, "_solve_layers", _admitted_layers)
-    patch.setattr(cli.geode, "_solve_layers", _admitted_layers)
+    patch.setattr(hypercat, "_solve_layers", _admitted_layers)
     patch.setattr(cli, "hyper_catalan", _admitted_closed_form(
         lambda exps: sum((k + 1) * e for k, e in enumerate(exps, start=1))
     ))
@@ -1660,6 +1660,9 @@ def test_solves_list_every_solve_the_suite_makes(argv, monkeypatch, capsys):
     monkeypatch.setitem(verify.WORK, "solve_S", recording(solve_work, priced))
     monkeypatch.setattr(geode, "solve_work", recording(solve_work, priced))
     monkeypatch.setattr(verify, "solve_S", recording(solve_S, solved))
+    # geode's tables through the one read-out of a solve, and the S solve
+    # of the factorization check
+    monkeypatch.setattr(geode, "_solve_series", recording(hypercat._solve_series, solved))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers, solved))
     assert cli.main(["verify", *argv, "--report", os.devnull]) == 0
     capsys.readouterr()
@@ -1776,7 +1779,7 @@ def test_no_report_call_is_made_while_cases_run(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["all"], 4_718_741),
+    (["all"], 4_716_940),
     (["eq31", "--max-n", "8", "--max-a", "4"], 35_339),
     (["claims", "--max-n", "8", "--max-a", "3"], 97_788),
     (["wz1", "--max-n", "250"], 1_828_985),
@@ -1804,6 +1807,23 @@ def test_a_request_forks_only_for_work_above_the_fork_work(argv, forks, monkeypa
     capsys.readouterr()
     assert len(pids) == forks
     assert_reaped(pids)
+
+
+def test_thm1_is_the_thm2_unit_at_a_2():
+    # theorem 1 runs theorem 2's unit at a = 2: the same closed forms
+    # against the same support solve on (1, 2), under thm1's own ids and
+    # params
+    thm1 = run_units("thm1", verify.suite_thm1(8)).cases
+    thm2 = run_units("thm2", verify.suite_thm2(8, a_values=(2,))).cases
+    points = [(p, q) for p in range(9) for q in range(9 - p)]
+    assert [(c.id, c.params) for c in thm1] == [
+        (f"m1={p:02d},m2={q:02d}", {"m1": p, "m2": q}) for p, q in points
+    ]
+    assert [c.params for c in thm2] == [{"a": 2, "m_a": p, "m_a1": q} for p, q in points]
+    assert [(c.expected, c.actual, c.status) for c in thm1] == [
+        (c.expected, c.actual, c.status) for c in thm2
+    ]
+    assert {c.status for c in thm1} == {"pass"}
 
 
 def test_a_raising_closed_form_costs_its_case_not_the_request(tmp_path, monkeypatch, capsys):
@@ -1852,6 +1872,7 @@ def test_every_table_is_built_inside_a_case(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_cpus", lambda: (0,))
     monkeypatch.setattr(VerifyReport, "run", in_case)
     monkeypatch.setattr(verify, "solve_S", recording(solve_S))
+    monkeypatch.setattr(geode, "_solve_series", recording(hypercat._solve_series))
     monkeypatch.setattr(geode, "_solve_layers", recording(hypercat._solve_layers))
     assert cli.main(["verify", "all", *SMALL_BOUNDS, "--report", os.devnull]) == 0
     capsys.readouterr()
@@ -1919,8 +1940,7 @@ def test_a_broken_kernel_costs_cases_not_the_report(tmp_path, monkeypatch, capsy
         capsys.readouterr()
         if cpus == 1:
             # a build that raises runs once, not once per case that reads
-            # it; a handle no case reached, such as a two-variable form
-            # after its oracle comparison failed, is never built.  Every
+            # it.  Every
             # table, support table, evaluation, mass and bracket power is
             # built, since its unit's first case reads it; general-eval's
             # G table in 4 variables is built too, since the line solve
@@ -2010,18 +2030,14 @@ def _raised_at(function, point):
     return lambda *args: function(*args) + (args == point)
 
 
-# A case compares a closed form with the oracle, and two-nonzero's (1, 2)
-# cases compare it with the adjacent-slot form at a = 2 too; each row
-# perturbs one route at one point, so only the case that reads that point
-# fails.  At (1, 3) no cross-check stands in for the oracle comparison.
+# A case compares a closed form with the oracle; each row perturbs one
+# route at one point, so only the case that reads that point fails.
 @pytest.mark.parametrize("name, module, function, perturb, bounds, failures", [
     ("thm2", geode, "geode_closed_shifted", partial(_raised_at, point=(2, 1, 2)),
      {"max_sum": 3, "a_values": (2, 3)}, {"a=2,p=01,q=02": "110"}),
     ("two-nonzero", geode, "geode_closed_two_nonzero", partial(_raised_at, point=(1, 3, 3, 1)),
      {"max_n": 4}, {"s=1,t=3,n=3": "mismatch at i=1: 24"}),
-    ("two-nonzero", geode, "geode_closed_shifted", partial(_raised_at, point=(2, 1, 2)),
-     {"max_n": 4}, {"s=1,t=2,n=4": "two-variable closed form differs at i=2"}),
-], ids=["thm2", "two-nonzero-oracle", "two-nonzero-cross-check"])
+], ids=["thm2", "two-nonzero-oracle"])
 def test_a_case_fails_only_where_one_of_its_routes_is_perturbed(
     name, module, function, perturb, bounds, failures, monkeypatch
 ):

@@ -24,8 +24,9 @@ from geodenums import cli
 
 # sha256 of the masked outputs of `geodenums verify <request>`: every suite
 # named alone runs at its defaults; the next five requests are those of
-# the benchmark's `identities` workload, and the last four run the exact
-# sums past that workload's bounds.
+# the benchmark's `identities` workload, the next four run the exact sums
+# past that workload's bounds, and the last three run the two-slot checks
+# of `thm1`, `thm2` and `two-nonzero` far past their defaults.
 REPORT_SHA256 = {
     "wz1": "cd775635d86ea134e4cdc80e0750a4f5d739387f8afd46efe3c2da0b77bcef9f",
     "wz2": "53e3f1bb0443289646bd62fd82415b5929699385d127015dbc1533bf7e860f87",
@@ -40,6 +41,9 @@ REPORT_SHA256 = {
     "wz2 --max-n 200 --a 7": "600957bde43d6377ff5a967eadfa002936010ee9afb123b174ab2de1949c8c1c",
     "certificate --max-n 300": "ae007e7f75b92fa0b07f292b6db9b083111c07b31542f5cf04ee1ab790117fd0",
     "eq31 --max-n 30 --max-a 6": "8b17c2515f4c6ca290358c8afbecdaa3d14e2a45725710564b7828e93bad0084",
+    "thm1 --max-degree 40": "bde9c15e97e330fbf8d6cf4f22e37517dc122d8b3cccec0dcecd58f4de44bffb",
+    "thm2 --max-sum 30": "fdda5baaf10afaff702a276afe8f9800f897c391a070ba36e15bb870887052af",
+    "two-nonzero --max-n 20": "14df6da4b5346e0c729ceb03d37b049a582b97b4c1646eaf8a65ddb1f0572ad9",
 }
 
 # sha256 of the output of `geodenums table <request>`: the tables `verify
