@@ -39,7 +39,9 @@ from math import comb, factorial
 from operator import add
 from typing import Sequence
 
-from .hypercat import _coefficient_bits, _solve_layers, _solve_series, hyper_catalan, solve_work
+from .hypercat import (
+    _coefficient_bits, _exact_div, _solve_layers, _solve_series, hyper_catalan, solve_work
+)
 from .mpoly import (
     OutOfRangeError,
     TruncatedSeries,
@@ -194,13 +196,6 @@ def general_work(a: int, c: Sequence[int], max_order: int) -> int:
     on its 2a weights, each at most max_i |c_i| in absolute value, priced
     by ``line_work``."""
     return line_work(2 * a, max_order, max(map(abs, c)).bit_length())
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"expected {num} divisible by {den}")
-    return q
 
 
 def geode_closed_shifted(a: int, m_a: int, m_a1: int) -> int:

@@ -195,14 +195,28 @@ def _solve_layers(
     # the measured crossover: lanes pay from two slots up to two per degree
     lanes = 2 <= len(slots) <= 2 * max_degree
     width = _lane_bits(len(slots), reach, max_degree, geode) if lanes else 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_off():
         if lanes and width <= _MAX_LANE_BITS:
             return shift, _lane_loop(windows, reach, max_degree, geode, width)
         return shift, _list_loop(windows, reach, max_degree, geode)
-    finally:
-        if collecting:
+
+
+class _collector_off:
+    """The cyclic garbage collector off inside a ``with`` block, and left
+    as the caller had it on every path: for work that makes many objects
+    and no reference cycles, where each collection would walk every object
+    made so far.  A class, not a generator: a generator's exit allocates
+    once the collector is back on, which would run the collection the
+    block put off before the block's caller resumes."""
+
+    __slots__ = ("collecting",)
+
+    def __enter__(self) -> None:
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.collecting:
             gc.enable()
 
 
@@ -488,7 +502,13 @@ def hyper_catalan(m: Sequence[int]) -> int:
     den = factorial(1 + w - sum(m))
     for e in m:
         den *= factorial(e)
-    value, rem = divmod(factorial(w), den)
+    return _exact_div(factorial(w), den)
+
+
+def _exact_div(num: int, den: int) -> int:
+    """num / den, which every closed form divides exactly: a remainder
+    raises ArithmeticError."""
+    q, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"closed form for {m} did not divide exactly")
-    return value
+        raise ArithmeticError(f"expected {num} divisible by {den}")
+    return q

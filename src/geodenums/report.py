@@ -18,22 +18,29 @@ A unit reads every priced kernel through its report: ``report.call(kernel,
 *args)`` is a ``Handle``, the shared value of that call, built by the
 first case that reads it, so its time is in that case, and kept with the
 exception of a build that raises.  A unit records its cases in its report
-(``VerifyReport.run_case``) and runs none: ``VerifyReport.run`` runs the
-recorded cases, in order, and leaves each holding only text, so the
-unit's handles, and the tables they built, are released once its cases
-have run.  ``geodenums verify`` runs each unit's body once, against a
-report that passes each call to the request's price as the unit asks for
-it (``VerifyReport.price``), so the calls a unit makes and the calls it
-is priced for are the same calls.  Apart from making handles and
-recording cases, a unit does nothing whose cost grows with a bound, so
-pricing a huge bound stops at the first call past the limit.  A report
-holds no other report: a negative control makes the report it reads
-itself and runs it inside its case (``verify._control``).
+(``VerifyReport.run_case``) and runs none.  A case is its two sides: an
+equality case records its expected value (a literal, or a handle) and the
+handle of its actual value (a priced call, or an unpriced read such as
+``Handle(coeff, (table, (p, q)))``); a verdict case records its expected
+text and, in the actual side's slot, a check returning whether it holds
+and what it saw.  ``VerifyReport.run`` runs the recorded cases, in order,
+and leaves each holding only text, so the unit's handles, and the tables
+they built, are released once its cases have run.  ``geodenums verify``
+runs each unit's body once, against a report that passes each call to
+the request's price as the unit asks for it (``VerifyReport.price``), so
+the calls a unit makes and the calls it is priced for are the same calls.
+Apart from making handles and recording cases, a unit does nothing whose
+cost grows with a bound, so pricing a huge bound stops at the first call
+past the limit.  A report holds no other report: a negative control makes
+the report it reads itself and runs it inside its case
+(``verify._control``).
 
 ``Case`` and ``VerifyReport`` are plain classes with ``__slots__``, not
 dataclasses, so a ``verify`` process does not import ``dataclasses`` and,
 with it, ``inspect``; a case that has run holds only text and numbers and
 pickles, which is how ``verify``'s helper processes send their cases back.
+A recorded equality case holds only data and module-level kernels, so it
+pickles before it runs too.
 """
 
 from __future__ import annotations
@@ -51,20 +58,21 @@ ERROR = "error"
 
 class Case:
     """One case of a report, made unrun (``VerifyReport.run_case``): its
-    `check`, no status, and its `expected` value a string or the handle
-    whose value it prints.  ``VerifyReport.run`` runs it and leaves the
-    texts, the status and the time, and no check."""
+    `expected` side and its `actual` side, and no status.  An equality
+    case holds its expected value or the handle of it, and the handle of
+    its actual value; a verdict case holds its expected text and its
+    check.  ``VerifyReport.run`` runs it and leaves both sides as text, the
+    status and the time."""
 
-    __slots__ = ("id", "params", "expected", "actual", "status", "elapsed_ms", "check")
+    __slots__ = ("id", "params", "expected", "actual", "status", "elapsed_ms")
 
-    def __init__(self, id: str, params: dict, expected: str | Handle, check: Callable) -> None:
+    def __init__(self, id: str, params: dict, expected: object, actual: Handle | Callable) -> None:
         self.id = id
         self.params = params
         self.expected = expected
-        self.actual = ""
+        self.actual = actual
         self.status: str | None = None
         self.elapsed_ms = 0.0
-        self.check: Callable | None = check
 
 
 class VerifyReport:
@@ -109,32 +117,40 @@ class VerifyReport:
         self,
         case_id: str,
         params: Mapping,
-        expected: str | Handle,
-        check: Callable[[], tuple[bool, str]],
+        expected: object,
+        actual: Handle | Callable[[], tuple[bool, str]],
     ) -> None:
-        """Record the case `case_id`, which ``run`` runs."""
-        self.cases.append(Case(case_id, dict(params), expected, check))
+        """Record the case `case_id`, which ``run`` runs: an equality of
+        `expected`, a value or a handle, with the value of the handle
+        `actual`, or, where `actual` is a check, the verdict it returns
+        against the text `expected`."""
+        self.cases.append(Case(case_id, dict(params), expected, actual))
 
     def run(self) -> VerifyReport:
         """This report, once every recorded case has run, in order, each
         inside its own timer, an exception caught as status "error".  An
-        `expected` handle is read inside the case, and its value printed;
-        if it raises, the case is an error with an empty expected value.
-        Each case then holds only its texts, so the handles and checks it
-        held are released once it has run."""
+        equality case reads its two sides inside its timer, an expected
+        handle first, compares them with ``==`` and prints each with
+        ``str``; if its expected handle raises, its expected text is empty,
+        and if its actual handle raises, it keeps its expected text.  A
+        verdict case runs its check.  Each case then holds only its texts,
+        so the handles and checks it held are released once it has run."""
         for case in self.cases:
-            expected, check = case.expected, case.check
-            case.expected = "" if isinstance(expected, Handle) else expected
+            expected, actual = case.expected, case.actual
+            case.expected = expected if isinstance(expected, str) else ""
             start = time.perf_counter()
             try:
-                if isinstance(expected, Handle):
-                    case.expected = str(expected())
-                ok, case.actual = check()
-                case.status = PASS if ok else FAIL
+                if isinstance(actual, Handle):  # an equality: both sides read here
+                    expected = expected() if isinstance(expected, Handle) else expected
+                    case.expected = str(expected)
+                    value = actual()
+                    ok, text = value == expected, str(value)
+                else:  # a verdict: its check's answer and what it saw
+                    ok, text = actual()
+                case.actual, case.status = text, PASS if ok else FAIL
             except Exception as exc:  # report and continue; suites never abort
                 case.actual, case.status = f"{type(exc).__name__}: {exc}", ERROR
             case.elapsed_ms = (time.perf_counter() - start) * 1000.0
-            case.check = None
         return self
 
     def first_failure(self) -> Case | None:
@@ -223,9 +239,10 @@ def _json(value: object, indent: str) -> str:
 class Handle:
     """The value of ``kernel(*args)``, built by the first read (a call of
     the handle): every read returns the value that build returned or raises
-    again the exception it raised.  An argument that is itself a handle is
-    read first, and the kernel receives its value.  Its repr is the call,
-    ``functional_residual(solve_S(4, 22))``."""
+    again the exception it raised, with a traceback of that read alone, so
+    a failed build read by many cases keeps none of their frames.  An
+    argument that is itself a handle is read first, and the kernel receives
+    its value.  Its repr is the call, ``functional_residual(solve_S(4, 22))``."""
 
     __slots__ = ("kernel", "args", "outcome")
 
@@ -243,7 +260,7 @@ class Handle:
                 self.outcome = (None, exc)
         value, exc = self.outcome
         if exc is not None:
-            raise exc
+            raise exc.with_traceback(None)
         return value
 
     def __repr__(self) -> str:

@@ -26,7 +26,12 @@ Each check is defined once.  ``thm1`` and ``thm2`` run one unit,
 against the support solve on them, at each a for ``thm2`` and at a = 2,
 where (1, 2) is the whole two-variable table, for ``thm1``, each suite
 naming the cases by its own ids and params.  ``two-nonzero`` compares
-each of its closed forms with the oracle alone.
+each of its closed forms with the oracle alone.  The equality suites,
+``thm1``, ``thm2``, ``thm3``, ``eq31`` and ``claims``, record each case
+as its two sides, with no function of their own: the expected value, a
+literal or a closed form's handle, and the handle of the actual value, a
+priced call or an unpriced read of one, ``Handle(coeff, (table, (p, q)))``;
+``VerifyReport.run`` reads, compares and prints them.
 
 The grid suites ``wz1``, ``wz2`` and ``certificate`` build their units
 from the rows of ``wz`` (``_pair_units``, ``_certificate_units``), one
@@ -68,7 +73,6 @@ load none of the suites' modules.  Exit codes are ``cli``'s.
 from __future__ import annotations
 
 import argparse
-import gc
 import heapq
 import os
 import sys
@@ -79,16 +83,12 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import geode, identities, wz
 from .cli import MAX_WORK, _check_work, _open_output, _write_output
-from .hypercat import functional_residual, residual_work, solve_S, solve_work
-from .mpoly import coeff, substitute_signed
-from .report import Case, Unit, VerifyReport, run_units
+from .hypercat import _collector_off, functional_residual, residual_work, solve_S, solve_work
+from .mpoly import UnivariateSeries, coeff, substitute_signed
+from .report import Case, Handle, Unit, VerifyReport, run_units
 
 DEFAULT_WZ2_A = (2, 3, 4, 5)
 DEFAULT_THM3_A = (1, 2, 3)
-
-
-def _is(expected, value) -> tuple[bool, str]:
-    return value == expected, str(value)
 
 
 def _control(case_id: str, what: str, units: Iterable[Unit]) -> Unit:
@@ -136,11 +136,7 @@ def _two_slot_unit(
         for q in range(bound + 1 - p):
             closed = report.call(geode.geode_closed_shifted, a, p, q)
             table = table or report.call(geode.geode_support, a, bound, (a - 1, a))
-            report.run_case(
-                *label(a, p, q),
-                closed,
-                lambda closed=closed, exps=(p, q): _is(closed(), coeff(table(), exps)),
-            )
+            report.run_case(*label(a, p, q), closed, Handle(coeff, (table, (p, q))))
 
 
 def suite_thm1(max_degree: int = 12) -> list[Unit]:
@@ -161,12 +157,8 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
     def unit(report: VerifyReport, a: int) -> None:
         values = report.call(geode.eval_alternating, a, max_order)
         for n in range(max_order + 1):
-            report.run_case(
-                f"a={a},n={n:02d}",
-                {"a": a, "n": n},
-                str(a**n),
-                lambda n=n: _is(a**n, values().coefficient(n)),
-            )
+            nth = Handle(UnivariateSeries.coefficient, (values, n))
+            report.run_case(f"a={a},n={n:02d}", {"a": a, "n": n}, a**n, nth)
 
     return [partial(unit, a=a) for a in a_values]
 
@@ -174,8 +166,7 @@ def suite_thm3(max_order: int = 8, a_values: Sequence[int] = DEFAULT_THM3_A) -> 
 def suite_eq31(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
     def unit(report: VerifyReport, n: int, a: int) -> None:
         total = report.call(identities.partition_sum_main, n, a)
-        power = a ** (n - 1)
-        report.run_case(f"n={n},a={a}", {"n": n, "a": a}, str(power), lambda: _is(power, total()))
+        report.run_case(f"n={n},a={a}", {"n": n, "a": a}, a ** (n - 1), total)
 
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
@@ -194,21 +185,12 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
             masses.append(mass)
             for x in range(-2, n + 1):
                 total = report.call(identities.shifted_binomial_sum, mass, n, x)
-                report.run_case(
-                    f"{claim},n={n},a={a},x={x:+d}",
-                    {"n": n, "a": a, "x": x},
-                    str(value),
-                    lambda total=total, value=value: _is(value, total()),
-                )
+                params = {"n": n, "a": a, "x": x}
+                report.run_case(f"{claim},n={n},a={a},x={x:+d}", params, value, total)
         bracket = report.call(identities.bracket_power, n, a)
         for x in range(0, n + 1):
-            total = report.call(identities.ct_coefficient, bracket, n, x)
-            report.run_case(
-                f"ct,n={n},a={a},x={x:+d}",
-                {"n": n, "a": a, "x": x},
-                str(power),
-                lambda total=total: _is(power, total()),
-            )
+            ct = report.call(identities.ct_coefficient, bracket, n, x)
+            report.run_case(f"ct,n={n},a={a},x={x:+d}", {"n": n, "a": a, "x": x}, power, ct)
         # The paper's two specialized binomial forms are claim sums: eq32's
         # C(|l|+n, |l|+1) = C(|l|+n, n-1) is claim1 at x = 0, and eq33's
         # C(|l|+2a+n, |l|+2a+1) is claim2 at x = 2a, each read off its
@@ -217,12 +199,7 @@ def suite_claims(max_n: int = 7, max_a: int = 3) -> Iterator[Unit]:
         forms = (("eq32", masses[0], 0, 0), ("eq33", masses[1], 2 * a, power))
         for eq, mass, shift, value in forms:
             total = report.call(identities.shifted_binomial_sum, mass, n, shift)
-            report.run_case(
-                f"{eq},n={n},a={a}",
-                {"n": n, "a": a},
-                str(value),
-                lambda total=total, value=value: _is(value, total()),
-            )
+            report.run_case(f"{eq},n={n},a={a}", {"n": n, "a": a}, value, total)
 
     for n in range(1, max_n + 1):
         for a in range(1, max_a + 1):
@@ -576,11 +553,8 @@ def _plan(
                 option = "--" + flag.replace("_", "-")
                 parser.error(f"verify {name}: {option} must be >= {minimum}, got {value}")
     plan = []
-    # The records make no reference cycles, and a collection would walk
-    # every record made so far, as in hypercat._solve_layers.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    # the records make no reference cycles
+    with _collector_off():
         for name in names:
             suite, minimums = SUITES[name]
             kwargs = {f: getattr(args, f) for f in minimums if getattr(args, f) is not None}
@@ -606,9 +580,6 @@ def _plan(
                         f"verify: suite {name} raised outside its cases:\n{traceback.format_exc()}"
                     ) from exc
                 plan.append((name, report, spent - start))
-    finally:
-        if collecting:
-            gc.enable()
     return plan
 
 

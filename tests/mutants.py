@@ -137,8 +137,8 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "geode._exact_div divides in floats",
-        "src/geodenums/geode.py",
+        "hypercat._exact_div divides in floats",
+        "src/geodenums/hypercat.py",
         "q, rem = divmod(num, den)",
         "q, rem = int(num / den), num % den",
         (
@@ -207,11 +207,11 @@ MUTANTS = [
         ("tests/test_cli.py::test_a_broken_kernel_costs_cases_not_the_report",),
     ),
     Mutant(
-        "recording a case runs its check",
+        "recording a case reads its actual side",
         "src/geodenums/report.py",
-        "        self.cases.append(Case(case_id, dict(params), expected, check))\n",
-        "        self.cases.append(Case(case_id, dict(params), expected, check))\n"
-        "        check()\n",
+        "        self.cases.append(Case(case_id, dict(params), expected, actual))\n",
+        "        self.cases.append(Case(case_id, dict(params), expected, actual))\n"
+        "        actual()\n",
         (
             "tests/test_cli.py::test_planning_calls_no_kernel_and_runs_no_case[thm1]",
             "tests/test_cli.py::test_verify_refuses_oversize_grid_work_at_once"
@@ -219,13 +219,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "run keeps a case's check",
+        "run keeps a case's actual side",
         "src/geodenums/report.py",
-        "            case.check = None\n",
-        "",
+        "                case.actual, case.status = text, PASS if ok else FAIL\n",
+        "                case.status = PASS if ok else FAIL\n",
         (
             "tests/test_cli.py::test_a_units_handles_are_released_once_its_cases_ran",
             "tests/test_cli.py::test_a_helper_runs_exactly_its_dealt_share_and_sends_its_cases_back",
+        ),
+    ),
+    Mutant(
+        "run compares the two sides with `is`",
+        "src/geodenums/report.py",
+        "ok, text = value == expected, str(value)",
+        "ok, text = value is expected, str(value)",
+        (
+            "tests/test_golden.py::test_report_equals_its_golden_digest[thm1 --max-degree 40]",
+            "tests/test_golden.py::test_report_equals_its_golden_digest[claims --max-n 8 --max-a 3]",
         ),
     ),
     Mutant(
@@ -360,8 +370,8 @@ MUTANTS = [
     Mutant(
         "eq31 calls partition_sum_main outside its handle",
         "src/geodenums/verify.py",
-        "lambda: _is(power, total())",
-        "lambda: _is(power, identities.partition_sum_main(n, a))",
+        "a ** (n - 1), total)",
+        "identities.partition_sum_main(n, a), total)",
         (
             "tests/test_cli.py::test_every_priced_call_is_made_in_a_handles_build_inside_a_case"
             "[eq31 --max-n 2]",
@@ -370,8 +380,8 @@ MUTANTS = [
     Mutant(
         "the two-slot unit compares its closed form with itself instead of the oracle",
         "src/geodenums/verify.py",
-        "_is(closed(), coeff(table(), exps))",
-        "_is(closed(), closed())",
+        "closed, Handle(coeff, (table, (p, q))))",
+        "closed, closed)",
         (
             "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
             "[thm1-geodenums.geode-geode_closed_shifted-bounds0]",
@@ -383,8 +393,8 @@ MUTANTS = [
     Mutant(
         "the two-slot unit reads the table at (q, p)",
         "src/geodenums/verify.py",
-        "exps=(p, q)",
-        "exps=(q, p)",
+        "closed, Handle(coeff, (table, (p, q))))",
+        "closed, Handle(coeff, (table, (q, p))))",
         (
             "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
             "[thm1-geodenums.geode-geode_closed_shifted-bounds0]",
@@ -405,15 +415,15 @@ MUTANTS = [
     Mutant(
         "thm3 compares a**n with itself, not the alternating evaluation",
         "src/geodenums/verify.py",
-        "_is(a**n, values().coefficient(n))",
-        "_is(a**n, a**n)",
+        "Handle(UnivariateSeries.coefficient, (values, n))",
+        "Handle(int, (a**n,))",
         ("tests/test_cli.py::test_suite_fails_when_a_weight_or_the_residual_is_perturbed[thm3]",),
     ),
     Mutant(
         "eq31 compares a**(n-1) with itself, not the partition sum",
         "src/geodenums/verify.py",
-        "str(power), lambda: _is(power, total()))",
-        "str(power), lambda: _is(power, power))",
+        "a ** (n - 1), total)",
+        "a ** (n - 1), Handle(int, (a ** (n - 1),)))",
         (
             "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
             "[eq31-geodenums.identities-partition_sum_main-bounds3]",
@@ -422,8 +432,8 @@ MUTANTS = [
     Mutant(
         "claims compares a**(n-1) with itself, not the ct coefficient",
         "src/geodenums/verify.py",
-        "lambda total=total: _is(power, total())",
-        "lambda total=total: _is(power, power)",
+        "power, ct)",
+        "power, Handle(int, (power,)))",
         (
             "tests/test_cli.py::test_suite_fails_when_one_side_is_perturbed"
             "[claims-geodenums.identities-ct_coefficient-bounds4]",
@@ -515,8 +525,8 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "geode._exact_div ignores its remainder",
-        "src/geodenums/geode.py",
+        "hypercat._exact_div ignores its remainder",
+        "src/geodenums/hypercat.py",
         "    if rem:\n        raise ArithmeticError",
         "    if False:\n        raise ArithmeticError",
         ("tests/test_geode.py::test_exact_div_refuses_a_remainder",),

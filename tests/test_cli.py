@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import traceback
 import weakref
 from bisect import bisect_right
 from contextlib import redirect_stderr, redirect_stdout
@@ -651,10 +652,87 @@ def test_a_units_handles_are_released_once_its_cases_ran(monkeypatch):
         if collecting:
             gc.enable()
     for case in report.cases:
-        assert (type(case.expected), type(case.actual), case.check) == (str, str, None)
+        assert (type(case.expected), type(case.actual)) == (str, str)
     assert [case.actual for case in pickle.loads(pickle.dumps(report.cases))] == [
         case.actual for case in report.cases
     ]
+
+
+@pytest.mark.parametrize(
+    "argv", [["thm1", "--max-degree", "3"], ["eq31", "--max-n", "2"], ["claims", "--max-n", "2"]],
+    ids=" ".join,
+)
+def test_a_recorded_equality_case_pickles_before_it_runs(argv):
+    # its two sides are data: literals and handles of module-level kernels,
+    # and no function defined inside a unit; a copy runs as the case does
+    [(name, reports, _)] = plan(argv)
+    cases = [case for report in reports for case in report.cases]
+    assert cases and all(isinstance(case.actual, Handle) for case in cases)
+    copies = VerifyReport(name)
+    copies.cases = pickle.loads(pickle.dumps(cases))
+    original = VerifyReport(name)
+    original.cases = cases
+    ran = [(c.id, c.expected, c.actual, c.status) for c in original.run().cases]
+    assert original.all_passed()
+    assert [(c.id, c.expected, c.actual, c.status) for c in copies.run().cases] == ran
+
+
+def test_an_equality_case_whose_actual_side_raises_keeps_its_expected_text():
+    def missing(n):
+        raise KeyError(n)
+
+    report = VerifyReport("eq31")
+    report.run_case("literal", {}, 8, Handle(missing, (3,)))
+    report.run_case("handle", {}, Handle(pow, (2, 3)), Handle(missing, (3,)))
+    report.run_case("expected raises", {}, Handle(missing, (1,)), Handle(pow, (2, 3)))
+    assert [(c.expected, c.actual, c.status) for c in report.run().cases] == [
+        ("8", "KeyError: 3", "error"),
+        ("8", "KeyError: 3", "error"),
+        ("", "KeyError: 1", "error"),
+    ]
+
+
+def test_a_failed_handles_traceback_does_not_grow_with_its_reads():
+    # a build that raises is read by every case that holds it, here each
+    # through a handle of its own, as a two-slot case reads its table; each
+    # read raises the stored exception with the traceback of that read alone
+    def build():
+        raise OverflowError("prefix sum")
+
+    table = Handle(build, ())
+
+    def read(reads):
+        report = VerifyReport("thm1")
+        for n in range(reads):
+            report.run_case(f"n={n}", {}, n, Handle(abs, (table,)))
+        texts = {(c.expected, c.actual, c.status) for c in report.run().cases}
+        return texts, len(traceback.extract_tb(table.outcome[1].__traceback__))
+
+    once = read(1)
+    assert once[0] == {("0", "OverflowError: prefix sum", "error")}
+    texts, length = read(1000)
+    assert {actual for _, actual, _ in texts} == {"OverflowError: prefix sum"}
+    assert length == once[1]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector on", "collector off"])
+def test_planning_leaves_the_collector_as_it_found_it_when_a_body_raises(collecting, monkeypatch):
+    inside = []
+
+    def unit(report):
+        inside.append(gc.isenabled())
+        raise ValueError("boom outside run_case")
+
+    monkeypatch.setitem(verify.SUITES, "wz1", stub_suite("wz1", lambda **bounds: [unit]))
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(RuntimeError, match="suite wz1 raised outside its cases"):
+            plan(["wz1"])
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False]
 
 
 def test_negative_control_does_not_count_an_empty_run_as_detected():
@@ -776,7 +854,8 @@ def test_a_helper_runs_exactly_its_dealt_share_and_sends_its_cases_back(monkeypa
     # works 5, 3, 3, 2, 0, 0 on two CPUs: the command's process is dealt
     # units 0 and 3 (5 + 2), the helper 1, 2, 4 and 5 (3 + 3 + 0 + 0);
     # each case reports the pid that ran it, and the helper must send
-    # its four cases back without their checks, which pickle refuses
+    # its four cases back holding their texts in place of their checks,
+    # which pickle refuses
     monkeypatch.setattr(verify, "_cpus", lambda: (0, 1))
     fork_at_any_work(monkeypatch)
     pids = recording_forks(monkeypatch)
@@ -787,7 +866,7 @@ def test_a_helper_runs_exactly_its_dealt_share_and_sends_its_cases_back(monkeypa
     assert_reaped(pids)
     me = os.getpid()
     assert [ran_by(cases) for cases in ran] == [me, helper, helper, me, helper, helper]
-    assert all(case.status == "pass" and case.check is None for cases in ran for case in cases)
+    assert all(c.status == "pass" and type(c.actual) is str for cases in ran for c in cases)
 
 
 def test_the_command_runs_the_shares_of_the_helpers_it_could_not_fork(monkeypatch):
@@ -1749,7 +1828,10 @@ def test_planning_calls_no_kernel_and_runs_no_case(argv, monkeypatch):
     assert sum(work for _, _, work in steps) > 0
     assert made == []
     cases = [case for _, reports, _ in steps for report in reports for case in report.cases]
-    assert cases and all(case.status is None and callable(case.check) for case in cases)
+    assert cases and all(case.status is None and callable(case.actual) for case in cases)
+    # no handle a case holds as one of its sides has been read
+    sides = [side for case in cases for side in (case.expected, case.actual)]
+    assert all(side.outcome is None for side in sides if isinstance(side, Handle))
 
 
 @pytest.mark.parametrize("argv", SOLVE_CASES, ids=" ".join)

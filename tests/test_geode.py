@@ -8,7 +8,6 @@ import pytest
 
 from geodenums.geode import (
     GeodeTable,
-    _exact_div,
     eval_alternating,
     eval_general,
     eval_line,
@@ -20,7 +19,7 @@ from geodenums.geode import (
     geode_series,
     geode_work,
 )
-from geodenums.hypercat import hyper_catalan, solve_S, solve_work
+from geodenums.hypercat import _exact_div, hyper_catalan, solve_S, solve_work
 from geodenums.mpoly import (
     OutOfRangeError,
     TruncatedSeries,
@@ -211,8 +210,9 @@ def test_closed_forms_positive():
 
 
 def test_exact_div_refuses_a_remainder():
-    # every closed form divides through _exact_div, so a closed form that
-    # went wrong by a factor is refused rather than rounded
+    # every closed form, hyper_catalan's too, divides through _exact_div,
+    # so a closed form that went wrong by a factor is refused rather than
+    # rounded
     assert _exact_div(comb(12, 5) * 7, 7) == comb(12, 5)
     with pytest.raises(ArithmeticError, match="expected 793 divisible by 7"):
         _exact_div(793, 7)
